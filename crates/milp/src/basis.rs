@@ -19,33 +19,65 @@
 //! eta file grows past its refactorization interval or a pivot looks
 //! numerically unstable (see [`crate::revised`] for the policy).
 
+use crate::sparse::CscMat;
+
 /// A pivot too small to divide by — the basis is numerically singular.
 const SINGULAR_EPS: f64 = 1e-10;
 
 /// Eta entries smaller than this are dropped from the product form.
 const ETA_DROP_EPS: f64 = 1e-12;
 
-/// One product-form update: basis slot `slot` was replaced by a column
-/// whose basis-space image (`B⁻¹·a`) was `w`. Applying the inverse eta
-/// to a vector costs `O(nnz(w))`.
-#[derive(Debug, Clone)]
-struct Eta {
-    /// Basis slot whose column was replaced.
-    slot: usize,
-    /// Off-diagonal entries of `w` as `(slot, value)` pairs.
-    vals: Vec<(usize, f64)>,
-    /// `w[slot]` — the pivot element; guaranteed away from zero.
-    diag: f64,
+/// Sparse columns packed end to end: column `k` is
+/// `entries[end[k − 1]..end[k]]` (from 0 for the first). One allocation
+/// per array however many columns it holds, none while it holds no
+/// column, and [`clear`](Self::clear) keeps the capacity for the next
+/// factorization.
+#[derive(Debug, Clone, Default)]
+struct PackedCols {
+    end: Vec<usize>,
+    entries: Vec<(usize, f64)>,
 }
 
-/// Sparse upper-triangular column from the forward-triangularization pass.
-#[derive(Debug, Clone)]
-struct TriCol {
-    /// Diagonal (pivot) value.
-    diag: f64,
-    /// Entries above the diagonal as `(permuted position, value)`,
-    /// every position strictly smaller than this column's own.
-    above: Vec<(usize, f64)>,
+impl PackedCols {
+    fn clear(&mut self) {
+        self.end.clear();
+        self.entries.clear();
+    }
+
+    /// Closes the column whose entries were pushed since the last close.
+    fn close(&mut self) {
+        self.end.push(self.entries.len());
+    }
+
+    fn col(&self, k: usize) -> &[(usize, f64)] {
+        let lo = if k == 0 { 0 } else { self.end[k - 1] };
+        &self.entries[lo..self.end[k]]
+    }
+
+    fn len(&self) -> usize {
+        self.end.len()
+    }
+}
+
+/// Work arrays of the forward-triangularization pass, kept between
+/// refactorizations so a refactorization allocates nothing once the
+/// arrays have grown to the basis size.
+#[derive(Debug, Clone, Default)]
+struct FactorScratch {
+    row_active: Vec<bool>,
+    col_active: Vec<bool>,
+    /// How many entries each basis column has in still-active rows.
+    count: Vec<usize>,
+    /// Row-to-slot index, flat: the slots with an entry in row `r` are
+    /// `row_slots[row_start[r]..row_start[r + 1]]`.
+    row_start: Vec<usize>,
+    row_slots: Vec<usize>,
+    /// Singleton queue.
+    queue: Vec<usize>,
+    /// `(slot, row)` pivots in elimination order.
+    pivots: Vec<(usize, usize)>,
+    /// Original row → permuted position.
+    row_pos: Vec<usize>,
 }
 
 /// LU factorization of an `m × m` simplex basis, plus the eta file of
@@ -56,7 +88,13 @@ struct TriCol {
 /// in the ordered list of basic columns, the space of basic solutions).
 /// [`ftran`](Self::ftran) maps row space → slot space (`B·z = b`);
 /// [`btran`](Self::btran) maps slot space → row space (`Bᵀ·y = c_B`).
-#[derive(Debug, Clone)]
+///
+/// Every array is kept across [`factor`](Self::factor) calls, and the
+/// triangular solves run in an owned scratch vector, so neither a
+/// refactorization nor a solve allocates once the arrays have grown.
+/// The default value is the factorization of the empty basis, ready for
+/// a first [`factor`](Self::factor).
+#[derive(Debug, Clone, Default)]
 pub struct BasisFactorization {
     m: usize,
     /// Size of the triangular block.
@@ -65,47 +103,95 @@ pub struct BasisFactorization {
     row_of: Vec<usize>,
     /// Permuted position `k` ↔ basis slot `col_of[k]`.
     col_of: Vec<usize>,
-    /// Triangular columns, one per position `k < t`.
-    tri: Vec<TriCol>,
-    /// For each bump column `k ≥ t`: its entries in triangular rows,
-    /// as `(permuted position < t, value)`.
-    u12: Vec<Vec<(usize, f64)>>,
+    /// Diagonal (pivot) value of each triangular column `k < t`.
+    tri_diag: Vec<f64>,
+    /// Entries of triangular column `k` above the diagonal as
+    /// `(permuted position, value)`, every position smaller than `k`.
+    tri_above: PackedCols,
+    /// For each bump column `k ≥ t` (packed column `k − t`): its entries
+    /// in triangular rows, as `(permuted position < t, value)`.
+    u12: PackedCols,
     /// Dense `nb × nb` bump block, row-major, LU-decomposed in place.
     bump: Vec<f64>,
     /// Bump dimension.
     nb: usize,
     /// Partial-pivoting row swaps for the bump LU.
     ipiv: Vec<usize>,
-    /// Product-form updates since factorization, oldest first.
-    etas: Vec<Eta>,
+    /// Product-form updates since factorization, oldest first: each is
+    /// `(slot, diag)` — basis slot `slot`'s column was replaced by one
+    /// whose basis-space image (`B⁻¹·a`) was `w`, with pivot
+    /// `diag = w[slot]` (guaranteed away from zero) …
+    eta_head: Vec<(usize, f64)>,
+    /// … and the off-diagonal entries of `w` as `(slot, value)`, one
+    /// packed column per update. Applying an inverse eta to a vector
+    /// costs `O(nnz(w))`.
+    eta_vals: PackedCols,
+    /// Permuted-space vector of the triangular solves.
+    work: Vec<f64>,
+    scratch: FactorScratch,
 }
 
 impl BasisFactorization {
-    /// Factorizes the basis whose column in slot `s` is the sparse
-    /// vector `cols[s]` (row index, value — rows need not be sorted).
-    /// Returns `None` when the basis is numerically singular.
-    pub fn factor(m: usize, cols: &[Vec<(usize, f64)>]) -> Option<Self> {
-        debug_assert_eq!(cols.len(), m);
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-        // How many entries each column has in still-active rows.
-        let mut count: Vec<usize> = cols.iter().map(Vec::len).collect();
-        // Which columns touch each row, for count maintenance.
-        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (s, col) in cols.iter().enumerate() {
-            for &(r, _) in col {
+    /// Factorizes, in place, the basis whose column in slot `s` is
+    /// column `basic[s]` of `a`, reusing this factorization's arrays and
+    /// dropping its eta file. Returns `false` when the basis is
+    /// numerically singular; the factorization is then unusable until a
+    /// later call succeeds.
+    pub fn factor(&mut self, a: &CscMat, basic: &[usize]) -> bool {
+        let m = a.nrows();
+        debug_assert_eq!(basic.len(), m);
+        self.m = m;
+        self.eta_head.clear();
+        self.eta_vals.clear();
+        self.work.clear();
+        self.work.resize(m, 0.0);
+        let sc = &mut self.scratch;
+        sc.row_active.clear();
+        sc.row_active.resize(m, true);
+        sc.col_active.clear();
+        sc.col_active.resize(m, true);
+        sc.count.clear();
+        sc.count.extend(basic.iter().map(|&j| a.col(j).0.len()));
+        // Which slots touch each row, for count maintenance: a counting
+        // pass, then placement in slot order.
+        sc.row_start.clear();
+        sc.row_start.resize(m + 1, 0);
+        for &j in basic {
+            for &r in a.col(j).0 {
                 debug_assert!(r < m);
-                row_cols[r].push(s);
+                sc.row_start[r + 1] += 1;
+            }
+        }
+        for r in 0..m {
+            sc.row_start[r + 1] += sc.row_start[r];
+        }
+        sc.row_slots.clear();
+        sc.row_slots.resize(sc.row_start[m], 0);
+        // `row_pos` doubles as the placement cursor until the
+        // permutation is known.
+        sc.row_pos.clear();
+        sc.row_pos.extend_from_slice(&sc.row_start[..m]);
+        for (s, &j) in basic.iter().enumerate() {
+            for &r in a.col(j).0 {
+                sc.row_slots[sc.row_pos[r]] = s;
+                sc.row_pos[r] += 1;
             }
         }
         // Seed the singleton queue in slot order for determinism.
-        let mut queue: Vec<usize> = (0..m).filter(|&s| count[s] == 1).collect();
-        let mut pivots: Vec<(usize, usize)> = Vec::new(); // (slot, row)
-        while let Some(s) = queue.pop() {
-            if !col_active[s] || count[s] != 1 {
+        sc.queue.clear();
+        sc.queue.extend((0..m).filter(|&s| sc.count[s] == 1));
+        sc.pivots.clear();
+        while let Some(s) = sc.queue.pop() {
+            if !sc.col_active[s] || sc.count[s] != 1 {
                 continue;
             }
-            let Some(&(r, v)) = cols[s].iter().find(|&&(r, _)| row_active[r]) else {
+            let (rows, vals) = a.col(basic[s]);
+            let Some((r, v)) = rows
+                .iter()
+                .zip(vals)
+                .find(|&(&r, _)| sc.row_active[r])
+                .map(|(&r, &v)| (r, v))
+            else {
                 continue;
             };
             if v.abs() <= SINGULAR_EPS {
@@ -114,81 +200,88 @@ impl BasisFactorization {
                 // the queue (pushes happen only on a transition to 1).
                 continue;
             }
-            pivots.push((s, r));
-            col_active[s] = false;
-            row_active[r] = false;
-            for &s2 in &row_cols[r] {
-                if col_active[s2] {
-                    count[s2] -= 1;
-                    if count[s2] == 1 {
-                        queue.push(s2);
+            sc.pivots.push((s, r));
+            sc.col_active[s] = false;
+            sc.row_active[r] = false;
+            for &s2 in &sc.row_slots[sc.row_start[r]..sc.row_start[r + 1]] {
+                if sc.col_active[s2] {
+                    sc.count[s2] -= 1;
+                    if sc.count[s2] == 1 {
+                        sc.queue.push(s2);
                     }
                 }
             }
         }
 
-        let t = pivots.len();
-        let mut row_of = Vec::with_capacity(m);
-        let mut col_of = Vec::with_capacity(m);
-        for &(s, r) in &pivots {
-            col_of.push(s);
-            row_of.push(r);
+        let t = sc.pivots.len();
+        self.t = t;
+        self.row_of.clear();
+        self.col_of.clear();
+        for &(s, r) in &sc.pivots {
+            self.col_of.push(s);
+            self.row_of.push(r);
         }
         // Remaining rows/columns become the bump, in index order.
-        for (r, &active) in row_active.iter().enumerate() {
+        for (r, &active) in sc.row_active.iter().enumerate() {
             if active {
-                row_of.push(r);
+                self.row_of.push(r);
             }
         }
-        for (s, &active) in col_active.iter().enumerate() {
+        for (s, &active) in sc.col_active.iter().enumerate() {
             if active {
-                col_of.push(s);
+                self.col_of.push(s);
             }
         }
-        debug_assert_eq!(row_of.len(), m);
-        debug_assert_eq!(col_of.len(), m);
+        debug_assert_eq!(self.row_of.len(), m);
+        debug_assert_eq!(self.col_of.len(), m);
         let nb = m - t;
-        let mut row_pos = vec![0usize; m];
-        for (k, &r) in row_of.iter().enumerate() {
-            row_pos[r] = k;
+        self.nb = nb;
+        for (k, &r) in self.row_of.iter().enumerate() {
+            sc.row_pos[r] = k;
         }
 
         // Triangular columns: by construction every non-pivot entry of
         // column `col_of[k]` (k < t) lies in a row pivoted earlier.
-        let mut tri = Vec::with_capacity(t);
-        for (k, &(s, r)) in pivots.iter().enumerate() {
+        self.tri_diag.clear();
+        self.tri_above.clear();
+        for (k, &(s, r)) in sc.pivots.iter().enumerate() {
             let mut diag = 0.0;
-            let mut above = Vec::new();
-            for &(row, v) in &cols[s] {
+            let (rows, vals) = a.col(basic[s]);
+            for (&row, &v) in rows.iter().zip(vals) {
                 if row == r {
                     diag = v;
                 } else {
-                    let p = row_pos[row];
+                    let p = sc.row_pos[row];
                     debug_assert!(p < k, "triangularization produced fill below the diagonal");
-                    above.push((p, v));
+                    self.tri_above.entries.push((p, v));
                 }
             }
-            tri.push(TriCol { diag, above });
+            self.tri_diag.push(diag);
+            self.tri_above.close();
         }
 
         // Bump columns: split entries into the triangular coupling block
         // (U12) and the dense bump itself.
-        let mut u12 = vec![Vec::new(); nb];
-        let mut bump = vec![0.0; nb * nb];
+        self.u12.clear();
+        self.bump.clear();
+        self.bump.resize(nb * nb, 0.0);
         for k in t..m {
-            let s = col_of[k];
-            for &(row, v) in &cols[s] {
-                let p = row_pos[row];
+            let (rows, vals) = a.col(basic[self.col_of[k]]);
+            for (&row, &v) in rows.iter().zip(vals) {
+                let p = sc.row_pos[row];
                 if p < t {
-                    u12[k - t].push((p, v));
+                    self.u12.entries.push((p, v));
                 } else {
-                    bump[(p - t) * nb + (k - t)] = v;
+                    self.bump[(p - t) * nb + (k - t)] = v;
                 }
             }
+            self.u12.close();
         }
 
         // Dense partial-pivoting LU on the bump, in place.
-        let mut ipiv = vec![0usize; nb];
+        let bump = &mut self.bump;
+        self.ipiv.clear();
+        self.ipiv.resize(nb, 0);
         for k in 0..nb {
             let mut best = k;
             let mut best_abs = bump[k * nb + k].abs();
@@ -200,9 +293,9 @@ impl BasisFactorization {
                 }
             }
             if best_abs <= SINGULAR_EPS {
-                return None;
+                return false;
             }
-            ipiv[k] = best;
+            self.ipiv[k] = best;
             if best != k {
                 for j in 0..nb {
                     bump.swap(k * nb + j, best * nb + j);
@@ -219,19 +312,7 @@ impl BasisFactorization {
                 }
             }
         }
-
-        Some(Self {
-            m,
-            t,
-            row_of,
-            col_of,
-            tri,
-            u12,
-            bump,
-            nb,
-            ipiv,
-            etas: Vec::new(),
-        })
+        true
     }
 
     /// Basis dimension.
@@ -247,35 +328,35 @@ impl BasisFactorization {
 
     /// Number of eta updates absorbed since the last factorization.
     pub fn eta_count(&self) -> usize {
-        self.etas.len()
+        self.eta_head.len()
     }
 
     /// Solves `B·z = b`. On input `x` is row-indexed (`b`); on output it
     /// is slot-indexed (`z`, the basic components).
-    pub fn ftran(&self, x: &mut [f64]) {
+    pub fn ftran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         self.solve_base(x);
-        for eta in &self.etas {
-            let zr = x[eta.slot] / eta.diag;
+        for (k, &(slot, diag)) in self.eta_head.iter().enumerate() {
+            let zr = x[slot] / diag;
             if zr != 0.0 {
-                for &(i, v) in &eta.vals {
+                for &(i, v) in self.eta_vals.col(k) {
                     x[i] -= v * zr;
                 }
             }
-            x[eta.slot] = zr;
+            x[slot] = zr;
         }
     }
 
     /// Solves `Bᵀ·y = c`. On input `x` is slot-indexed (`c_B`); on
     /// output it is row-indexed (`y`, the dual values).
-    pub fn btran(&self, x: &mut [f64]) {
+    pub fn btran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
-        for eta in self.etas.iter().rev() {
-            let mut acc = x[eta.slot];
-            for &(i, v) in &eta.vals {
+        for (k, &(slot, diag)) in self.eta_head.iter().enumerate().rev() {
+            let mut acc = x[slot];
+            for &(i, v) in self.eta_vals.col(k) {
                 acc -= x[i] * v;
             }
-            x[eta.slot] = acc / eta.diag;
+            x[slot] = acc / diag;
         }
         self.solve_base_transpose(x);
     }
@@ -291,13 +372,15 @@ impl BasisFactorization {
         if diag.abs() <= SINGULAR_EPS {
             return false;
         }
-        let vals: Vec<(usize, f64)> = w
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != slot && v.abs() > ETA_DROP_EPS)
-            .map(|(i, &v)| (i, v))
-            .collect();
-        self.etas.push(Eta { slot, vals, diag });
+        self.eta_vals.entries.extend(
+            w.iter()
+                .enumerate()
+                .filter(|&(i, &v)| i != slot && v.abs() > ETA_DROP_EPS)
+                .map(|(i, &v)| (i, v)),
+        );
+        self.eta_vals.close();
+        self.eta_head.push((slot, diag));
+        debug_assert_eq!(self.eta_vals.len(), self.eta_head.len());
         true
     }
 
@@ -306,10 +389,9 @@ impl BasisFactorization {
     // Index loops mirror the textbook LU recurrences over the row-major
     // `bump` (stride arithmetic an iterator form would bury).
     #[allow(clippy::needless_range_loop)]
-    fn solve_base(&self, x: &mut [f64]) {
-        let m = self.m;
+    fn solve_base(&mut self, x: &mut [f64]) {
         let (t, nb) = (self.t, self.nb);
-        let mut p = vec![0.0; m];
+        let p = &mut self.work;
         for (k, &r) in self.row_of.iter().enumerate() {
             p[k] = x[r];
         }
@@ -336,10 +418,10 @@ impl BasisFactorization {
             }
             // Substitute the coupling block U12·z₂ out of the
             // triangular right-hand side.
-            for (j, col) in self.u12.iter().enumerate() {
+            for j in 0..nb {
                 let zj = p[t + j];
                 if zj != 0.0 {
-                    for &(i, v) in col {
+                    for &(i, v) in self.u12.col(j) {
                         p[i] -= v * zj;
                     }
                 }
@@ -347,10 +429,10 @@ impl BasisFactorization {
         }
         // Triangular back-substitution (positions t-1 .. 0).
         for k in (0..t).rev() {
-            let zk = p[k] / self.tri[k].diag;
+            let zk = p[k] / self.tri_diag[k];
             p[k] = zk;
             if zk != 0.0 {
-                for &(i, v) in &self.tri[k].above {
+                for &(i, v) in self.tri_above.col(k) {
                     p[i] -= v * zk;
                 }
             }
@@ -364,26 +446,25 @@ impl BasisFactorization {
     /// `B₀ᵀ·y = c` (no etas): permute by slot, forward-solve U11ᵀ,
     /// solve the bump transpose, emit by row.
     #[allow(clippy::needless_range_loop)] // see solve_base
-    fn solve_base_transpose(&self, x: &mut [f64]) {
-        let m = self.m;
+    fn solve_base_transpose(&mut self, x: &mut [f64]) {
         let (t, nb) = (self.t, self.nb);
-        let mut p = vec![0.0; m];
+        let p = &mut self.work;
         for (k, &s) in self.col_of.iter().enumerate() {
             p[k] = x[s];
         }
         // U11ᵀ is lower triangular: forward substitution.
         for k in 0..t {
             let mut acc = p[k];
-            for &(i, v) in &self.tri[k].above {
+            for &(i, v) in self.tri_above.col(k) {
                 acc -= v * p[i];
             }
-            p[k] = acc / self.tri[k].diag;
+            p[k] = acc / self.tri_diag[k];
         }
         if nb > 0 {
             // Couple the solved triangular part into the bump RHS.
-            for (j, col) in self.u12.iter().enumerate() {
+            for j in 0..nb {
                 let mut acc = p[t + j];
-                for &(i, v) in col {
+                for &(i, v) in self.u12.col(j) {
                     acc -= v * p[i];
                 }
                 p[t + j] = acc;
@@ -430,6 +511,30 @@ mod tests {
         }
     }
 
+    /// The `m`-row CSC matrix whose column `s` is `cols[s]` (row index,
+    /// value — rows need not be sorted).
+    fn csc(m: usize, cols: &[Vec<(usize, f64)>]) -> CscMat {
+        let mut rows = vec![Vec::new(); m];
+        for (s, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                rows[r].push((s, v));
+            }
+        }
+        CscMat::from_rows(cols.len(), rows.iter().map(|r| r.iter().copied()))
+    }
+
+    /// Factorizes columns `basic` of `a` into a new factorization.
+    fn factor(a: &CscMat, basic: &[usize]) -> Option<BasisFactorization> {
+        let mut f = BasisFactorization::default();
+        f.factor(a, basic).then_some(f)
+    }
+
+    /// Factorizes the square basis `cols`, slot `s` holding column `s`.
+    fn factor_cols(m: usize, cols: &[Vec<(usize, f64)>]) -> Option<BasisFactorization> {
+        let basic: Vec<usize> = (0..cols.len()).collect();
+        factor(&csc(m, cols), &basic)
+    }
+
     fn dense_mul(m: usize, cols: &[Vec<(usize, f64)>], x_by_slot: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; m];
         for (s, col) in cols.iter().enumerate() {
@@ -446,8 +551,7 @@ mod tests {
             .collect()
     }
 
-    fn check_roundtrip(m: usize, cols: &[Vec<(usize, f64)>]) {
-        let f = BasisFactorization::factor(m, cols).expect("nonsingular");
+    fn check_solves(f: &mut BasisFactorization, m: usize, cols: &[Vec<(usize, f64)>]) {
         let mut rng = Rng(42);
         let z_true: Vec<f64> = (0..m).map(|_| rng.next_f64() * 4.0 - 2.0).collect();
         // FTRAN: b = B z  ⇒  ftran(b) == z.
@@ -465,6 +569,11 @@ mod tests {
         }
     }
 
+    fn check_roundtrip(m: usize, cols: &[Vec<(usize, f64)>]) {
+        let mut f = factor_cols(m, cols).expect("nonsingular");
+        check_solves(&mut f, m, cols);
+    }
+
     #[test]
     fn identity_and_permutation() {
         check_roundtrip(
@@ -476,7 +585,22 @@ mod tests {
                 vec![(3, 1.0)],
             ],
         );
-        check_roundtrip(3, &[vec![(2, 1.0)], vec![(0, -1.0)], vec![(1, 2.0)]]);
+        let perm = [vec![(2, 1.0)], vec![(0, -1.0)], vec![(1, 2.0)]];
+        check_roundtrip(3, &perm);
+        // The same basis picked out of a wider matrix, in a slot order
+        // that differs from the column order.
+        let wide = csc(
+            3,
+            &[
+                vec![(0, 5.0), (1, 1.0)],
+                perm[1].clone(),
+                vec![(2, 3.0)],
+                perm[2].clone(),
+                perm[0].clone(),
+            ],
+        );
+        let mut f = factor(&wide, &[4, 1, 3]).expect("nonsingular");
+        check_solves(&mut f, 3, &perm);
     }
 
     #[test]
@@ -489,7 +613,7 @@ mod tests {
             vec![(3, 1.0)],
             vec![(4, 1.0)],
         ];
-        let f = BasisFactorization::factor(5, &cols).expect("nonsingular");
+        let f = factor_cols(5, &cols).expect("nonsingular");
         assert_eq!(f.bump_dim(), 0);
         check_roundtrip(5, &cols);
     }
@@ -497,6 +621,9 @@ mod tests {
     #[test]
     fn dense_random_basis_roundtrips() {
         let mut rng = Rng(7);
+        // One factorization factorized again for every trial: its arrays
+        // shrink and grow with the basis and must never leak state.
+        let mut reused = BasisFactorization::default();
         for trial in 0..20 {
             let m = 2 + (trial % 7);
             let cols: Vec<Vec<(usize, f64)>> = (0..m)
@@ -512,6 +639,10 @@ mod tests {
                 })
                 .collect();
             check_roundtrip(m, &cols);
+            let basic: Vec<usize> = (0..m).collect();
+            assert!(reused.factor(&csc(m, &cols), &basic), "trial {trial}");
+            assert_eq!(reused.dim(), m);
+            check_solves(&mut reused, m, &cols);
         }
     }
 
@@ -519,12 +650,15 @@ mod tests {
     fn singular_basis_is_rejected() {
         // Two identical columns.
         let cols = vec![vec![(0, 1.0), (1, 1.0)], vec![(0, 1.0), (1, 1.0)]];
-        assert!(BasisFactorization::factor(2, &cols).is_none());
+        assert!(factor_cols(2, &cols).is_none());
+        // A live factorization refuses the singular basis too.
+        let mut f = factor_cols(2, &[vec![(0, 1.0)], vec![(1, 1.0)]]).expect("identity");
+        assert!(!f.factor(&csc(2, &cols), &[0, 1]));
     }
 
     #[test]
     fn zero_dimensional_basis() {
-        let f = BasisFactorization::factor(0, &[]).expect("empty basis is trivially factored");
+        let mut f = factor_cols(0, &[]).expect("empty basis is trivially factored");
         assert_eq!(f.dim(), 0);
         f.ftran(&mut []);
         f.btran(&mut []);
@@ -533,13 +667,14 @@ mod tests {
     #[test]
     fn eta_updates_match_refactorization() {
         // Start from a basis, replace a column via push_eta, and verify
-        // solves match a from-scratch factorization of the new basis.
+        // solves match a from-scratch factorization of the new basis and
+        // an in-place refactorization of the updated one.
         let mut cols = vec![
             vec![(0, 1.0)],
             vec![(1, 2.0), (0, 1.0)],
             vec![(2, 1.0), (1, -1.0)],
         ];
-        let mut f = BasisFactorization::factor(3, &cols).expect("nonsingular");
+        let mut f = factor_cols(3, &cols).expect("nonsingular");
         // New column to put in slot 1.
         let newcol = vec![(0, 0.5), (1, 1.0), (2, 2.0)];
         let mut w = vec![0.0; 3];
@@ -550,29 +685,35 @@ mod tests {
         assert!(f.push_eta(1, &w));
         assert_eq!(f.eta_count(), 1);
         cols[1] = newcol;
-        let fresh = BasisFactorization::factor(3, &cols).expect("nonsingular");
+        let mut fresh = factor_cols(3, &cols).expect("nonsingular");
+        let mut refactored = f.clone();
+        assert!(refactored.factor(&csc(3, &cols), &[0, 1, 2]));
+        assert_eq!(refactored.eta_count(), 0);
         let mut rng = Rng(99);
         for _ in 0..5 {
             let b: Vec<f64> = (0..3).map(|_| rng.next_f64() * 2.0 - 1.0).collect();
-            let (mut z1, mut z2) = (b.clone(), b.clone());
+            let (mut z1, mut z2, mut z3) = (b.clone(), b.clone(), b.clone());
             f.ftran(&mut z1);
             fresh.ftran(&mut z2);
+            refactored.ftran(&mut z3);
             for (a, e) in z1.iter().zip(&z2) {
                 assert!((a - e).abs() < 1e-9, "eta ftran mismatch: {a} vs {e}");
             }
-            let (mut y1, mut y2) = (b.clone(), b);
+            assert_eq!(z2, z3, "refactor ftran must match a fresh factor");
+            let (mut y1, mut y2, mut y3) = (b.clone(), b.clone(), b);
             f.btran(&mut y1);
             fresh.btran(&mut y2);
+            refactored.btran(&mut y3);
             for (a, e) in y1.iter().zip(&y2) {
                 assert!((a - e).abs() < 1e-9, "eta btran mismatch: {a} vs {e}");
             }
+            assert_eq!(y2, y3, "refactor btran must match a fresh factor");
         }
     }
 
     #[test]
     fn tiny_eta_pivot_is_refused() {
-        let mut f =
-            BasisFactorization::factor(2, &[vec![(0, 1.0)], vec![(1, 1.0)]]).expect("identity");
+        let mut f = factor_cols(2, &[vec![(0, 1.0)], vec![(1, 1.0)]]).expect("identity");
         let w = vec![1.0, 1e-13];
         assert!(!f.push_eta(1, &w));
         assert_eq!(f.eta_count(), 0);

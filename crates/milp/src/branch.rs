@@ -197,8 +197,9 @@ struct NodeSol {
 struct NodeLp<'a> {
     solver: &'a MipSolver,
     engine: Option<RevisedEngine>,
-    /// Dense-fallback clone whose bounds are overwritten per node.
-    work: Model,
+    /// Dense-fallback clone whose bounds are overwritten per node,
+    /// made the first time a node actually falls back.
+    work: Option<Model>,
 }
 
 impl<'a> NodeLp<'a> {
@@ -216,7 +217,7 @@ impl<'a> NodeLp<'a> {
         Self {
             solver,
             engine,
-            work: model.clone(),
+            work: None,
         }
     }
 
@@ -293,10 +294,11 @@ impl<'a> NodeLp<'a> {
                 }
             }
         }
+        let work = self.work.get_or_insert_with(|| model.clone());
         for (i, &(lb, ub)) in bounds.iter().enumerate() {
-            self.work.set_var_bounds(VarId(i), lb, ub);
+            work.set_var_bounds(VarId(i), lb, ub);
         }
-        let s = self.solver.lp.solve(&self.work)?;
+        let s = self.solver.lp.solve(work)?;
         Ok(NodeSol {
             values: s.values,
             objective: s.objective,
@@ -403,7 +405,7 @@ impl MipSolver {
         // integer-feasible point is cut; a propagation-time infeasibility
         // proof short-circuits the whole search.
         if self.root_propagation {
-            let prop = crate::presolve::propagate_bounds(model)?;
+            let prop = crate::presolve::propagate_from(model, &model.var_bounds())?;
             for (rb, &(pl, pu)) in root_bounds.iter_mut().zip(&prop.bounds) {
                 rb.0 = rb.0.max(pl);
                 rb.1 = rb.1.min(pu);
@@ -442,6 +444,8 @@ impl MipSolver {
         let obs_on = billcap_obs::enabled();
         let mut mip_span = billcap_obs::span("mip");
 
+        // repolint-hot-start(branch-and-bound node loop): runs once per
+        // node; the engine and node backend are built before it.
         while let Some(node) = frontier.pop() {
             if obs_on {
                 billcap_obs::observe("milp.bnb.queue_depth", frontier.len() as f64);
@@ -575,6 +579,7 @@ impl MipSolver {
                 }
             }
         }
+        // repolint-hot-end
 
         match incumbent {
             Some(mut sol) => {
@@ -606,7 +611,7 @@ impl MipSolver {
         warm: Option<&BasisState>,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
         if self.revised {
-            let engine = RevisedEngine::new(model, RevisedOptions::default());
+            let mut engine = RevisedEngine::new(model, RevisedOptions::default());
             if engine.cold_startable() {
                 let from_revised = |r: crate::revised::RevisedSolution, wasted: usize| {
                     let basis = r.basis.clone();

@@ -761,7 +761,7 @@ mod tests {
         m.add_constraint("c2", vec![(y, 2.0)], ConstraintOp::Le, 12.0);
         m.add_constraint("c3", vec![(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
         m.set_objective(vec![(x, 3.0), (y, 5.0)], 0.0);
-        let engine =
+        let mut engine =
             crate::revised::RevisedEngine::new(&m, crate::revised::RevisedOptions::default());
         assert!(engine.cold_startable());
         let r = engine.solve(None).expect("boxed textbook LP solves");

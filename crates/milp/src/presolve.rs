@@ -80,23 +80,65 @@ pub struct Propagation {
     pub rounds: usize,
 }
 
-/// Rewrites a constraint as one or two `≤` rows over variable *indices*
-/// (`Ge` is negated, `Eq` contributes both directions) so the propagation
-/// pass only ever reasons about minimum activity against an upper bound.
-fn le_normalized(
-    out: &mut Vec<(Vec<(usize, f64)>, f64)>,
-    terms: &[(usize, f64)],
-    op: ConstraintOp,
-    rhs: f64,
-) {
-    let negated = || terms.iter().map(|&(v, c)| (v, -c)).collect::<Vec<_>>();
-    match op {
-        ConstraintOp::Le => out.push((terms.to_vec(), rhs)),
-        ConstraintOp::Ge => out.push((negated(), -rhs)),
-        ConstraintOp::Eq => {
-            out.push((terms.to_vec(), rhs));
-            out.push((negated(), -rhs));
+/// `≤`-normalized rows over variable *indices*, packed end to end: row
+/// `r` is `terms[start[r]..start[r + 1]]` with right-hand side `rhs[r]`.
+/// A `Ge` constraint is stored negated and an `Eq` constraint as both
+/// directions, so the propagation pass only ever reasons about minimum
+/// activity against an upper bound. [`clear`](Self::clear) keeps the
+/// capacity for the next round of presolve.
+struct LeRows {
+    start: Vec<usize>,
+    terms: Vec<(usize, f64)>,
+    rhs: Vec<f64>,
+}
+
+impl LeRows {
+    fn with_capacity(rows: usize) -> Self {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        Self {
+            start,
+            terms: Vec::new(),
+            rhs: Vec::with_capacity(rows),
         }
+    }
+
+    fn clear(&mut self) {
+        self.start.truncate(1);
+        self.terms.clear();
+        self.rhs.clear();
+    }
+
+    /// Appends constraint `terms op rhs` as one or two `≤` rows.
+    fn push<I>(&mut self, terms: I, op: ConstraintOp, rhs: f64)
+    where
+        I: Iterator<Item = (usize, f64)> + Clone,
+    {
+        let mut row = |terms: I, negate: bool| {
+            if negate {
+                self.terms.extend(terms.map(|(v, c)| (v, -c)));
+                self.rhs.push(-rhs);
+            } else {
+                self.terms.extend(terms);
+                self.rhs.push(rhs);
+            }
+            self.start.push(self.terms.len());
+        };
+        match op {
+            ConstraintOp::Le => row(terms, false),
+            ConstraintOp::Ge => row(terms, true),
+            ConstraintOp::Eq => {
+                row(terms.clone(), false);
+                row(terms, true);
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&[(usize, f64)], f64)> {
+        self.start
+            .windows(2)
+            .zip(&self.rhs)
+            .map(|(w, &rhs)| (&self.terms[w[0]..w[1]], rhs))
     }
 }
 
@@ -105,7 +147,7 @@ fn le_normalized(
 /// bound was tightened; `Err(Infeasible)` when a variable's domain
 /// empties (a static infeasibility proof — no simplex ran).
 fn propagate_pass(
-    rows: &[(Vec<(usize, f64)>, f64)],
+    rows: &LeRows,
     lb: &mut [f64],
     ub: &mut [f64],
     is_int: &[bool],
@@ -113,7 +155,7 @@ fn propagate_pass(
 ) -> Result<bool, SolveError> {
     let tol = 1e-9;
     let mut changed = false;
-    for (terms, rhs) in rows {
+    for (terms, rhs) in rows.iter() {
         // Minimum activity split into its finite part and the number of
         // −∞ contributions: with two or more, no variable's residual is
         // finite and the row propagates nothing.
@@ -217,6 +259,15 @@ pub fn propagate_bounds_with(
     bounds: &[(f64, f64)],
 ) -> Result<Propagation, SolveError> {
     model.validate()?;
+    propagate_from(model, bounds)
+}
+
+/// [`propagate_bounds_with`] for a model the caller has already
+/// validated (the branch-and-bound root), so it is not validated twice.
+pub(crate) fn propagate_from(
+    model: &Model,
+    bounds: &[(f64, f64)],
+) -> Result<Propagation, SolveError> {
     debug_assert_eq!(bounds.len(), model.num_vars());
     let mut lb: Vec<f64> = bounds.iter().map(|&(l, _)| l).collect();
     let mut ub: Vec<f64> = bounds.iter().map(|&(_, u)| u).collect();
@@ -239,10 +290,9 @@ pub fn propagate_bounds_with(
             }
         }
     }
-    let mut rows = Vec::with_capacity(model.num_constraints());
+    let mut rows = LeRows::with_capacity(model.num_constraints());
     for c in model.constraints() {
-        let terms: Vec<(usize, f64)> = c.terms.iter().map(|&(v, co)| (v.index(), co)).collect();
-        le_normalized(&mut rows, &terms, c.op, c.rhs);
+        rows.push(c.terms.iter().map(|&(v, co)| (v.index(), co)), c.op, c.rhs);
     }
     let mut tightened = 0usize;
     let mut rounds = 0usize;
@@ -293,6 +343,7 @@ pub fn presolve(model: &Model) -> Result<PresolveResult, SolveError> {
     let tol = 1e-9;
     let mut prop_rounds = 0usize;
     let mut prop_tightened = 0usize;
+    let mut le_rows = LeRows::with_capacity(rows.len());
 
     let mut changed = true;
     while changed {
@@ -406,9 +457,9 @@ pub fn presolve(model: &Model) -> Result<PresolveResult, SolveError> {
         // singleton/fixed-variable rules (a propagated `lb == ub` fixes
         // the variable on the following sweep).
         if prop_rounds < PROP_MAX_ROUNDS {
-            let mut le_rows = Vec::new();
+            le_rows.clear();
             for row in rows.iter().filter(|r| r.alive && r.terms.len() >= 2) {
-                le_normalized(&mut le_rows, &row.terms, row.op, row.rhs);
+                le_rows.push(row.terms.iter().copied(), row.op, row.rhs);
             }
             if propagate_pass(&le_rows, &mut lb, &mut ub, &is_int, &mut prop_tightened)? {
                 prop_rounds += 1;
@@ -690,6 +741,33 @@ mod tests {
         // y's contribution stays -inf-free; x's lb is still -inf (no row
         // bounds it from below).
         assert_eq!(prop.bounds[x.index()].0, f64::NEG_INFINITY);
+
+        // As an equality the row propagates in both directions from one
+        // packed pair of `≤` rows; with a second row feeding back, the
+        // result is pinned bit for bit (values from the per-row
+        // normalization this packing replaced).
+        let mut m = Model::new("free_eq", Sense::Maximize);
+        let x = m.add_cont("x", f64::NEG_INFINITY, f64::INFINITY);
+        let y = m.add_cont("y", 3.0, 100.0);
+        let k = m.add_var("k", VarType::Integer, 0.0, 50.0);
+        m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Eq, 8.0);
+        m.add_constraint("d", vec![(k, 2.0), (x, -1.0)], ConstraintOp::Le, 3.0);
+        m.set_objective(vec![(x, 1.0)], 0.0);
+        let prop = propagate_bounds(&m).unwrap();
+        let bits: Vec<(u64, u64)> = prop
+            .bounds
+            .iter()
+            .map(|&(l, u)| (l.to_bits(), u.to_bits()))
+            .collect();
+        assert_eq!(
+            bits,
+            vec![
+                (0xc008_0000_2843_ebe8, 0x4014_0000_218d_ef41), // x ∈ [-3, 5] + slack
+                (0x4008_0000_0000_0000, 0x4026_0000_2ef9_e8a0), // y ∈ [3, 11] + slack
+                (0x8000_0000_0000_0000, 0x4010_0000_0000_0000), // k ∈ [-0, 4]
+            ]
+        );
+        assert_eq!((prop.tightened, prop.rounds), (5, 2));
     }
 
     #[test]

@@ -161,12 +161,35 @@ impl RevisedError {
     }
 }
 
+/// Working storage of a solve, kept by the engine between solves so a
+/// node solve allocates only its outputs: the factorization is rebuilt
+/// in place and the vectors are cleared and refilled.
+#[derive(Debug, Clone, Default)]
+struct Workspace {
+    /// Basic column of each slot.
+    basic: Vec<usize>,
+    fact: BasisFactorization,
+    /// Basic solution, slot-indexed.
+    xb: Vec<f64>,
+    /// Basic costs, then (after BTRAN) the row-indexed duals.
+    cb: Vec<f64>,
+    /// Leaving row of `B⁻¹`.
+    rho: Vec<f64>,
+    /// FTRAN image of the entering column.
+    w: Vec<f64>,
+    /// Entering candidates `(col, abar, ratio)` of one pivot.
+    eligible: Vec<(usize, f64, f64)>,
+    /// Columns the ratio test flips in one pivot.
+    flips: Vec<usize>,
+}
+
 /// The standard-form problem plus mutable per-node bounds.
 ///
 /// Built once per model; between node solves only
 /// [`set_var_bounds`](Self::set_var_bounds) changes (branch-and-bound
 /// tightens bounds, never the matrix), so the CSC matrix, costs and
-/// right-hand side are shared across the whole search tree.
+/// right-hand side are shared across the whole search tree, and so is
+/// the solve workspace.
 #[derive(Debug, Clone)]
 pub struct RevisedEngine {
     /// Rows.
@@ -189,6 +212,8 @@ pub struct RevisedEngine {
     obj_sign: f64,
     /// Tuning knobs.
     opts: RevisedOptions,
+    /// Reused by every solve; holds no state a solve reads.
+    ws: Workspace,
 }
 
 impl RevisedEngine {
@@ -198,20 +223,23 @@ impl RevisedEngine {
         let m = model.num_constraints();
         let nvars = model.num_vars();
         let ncols = nvars + m;
-        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
-        let mut b = Vec::with_capacity(m);
+        // `[A | I]` straight from the rows: row `i`'s terms, then its
+        // slack's unit entry.
+        let a = CscMat::from_rows(
+            ncols,
+            model.constraints().iter().enumerate().map(|(i, con)| {
+                con.terms
+                    .iter()
+                    .map(|&(v, coef)| (v.index(), coef))
+                    .chain(std::iter::once((nvars + i, 1.0)))
+            }),
+        );
+        let b = model.constraints().iter().map(|con| con.rhs).collect();
         let mut lb = Vec::with_capacity(ncols);
         let mut ub = Vec::with_capacity(ncols);
         for v in model.variables() {
             lb.push(v.lb);
             ub.push(v.ub);
-        }
-        for (i, con) in model.constraints().iter().enumerate() {
-            for &(v, coef) in &con.terms {
-                columns[v.index()].push((i, coef));
-            }
-            columns[nvars + i].push((i, 1.0));
-            b.push(con.rhs);
         }
         for con in model.constraints() {
             let (slb, sub) = match con.op {
@@ -234,13 +262,14 @@ impl RevisedEngine {
             m,
             nvars,
             ncols,
-            a: CscMat::from_columns(m, &columns),
+            a,
             cost,
             lb,
             ub,
             b,
             obj_sign,
             opts,
+            ws: Workspace::default(),
         }
     }
 
@@ -258,28 +287,34 @@ impl RevisedEngine {
     /// current bounds. Checked once at the root: children only tighten
     /// bounds, which can never destroy startability.
     pub fn cold_startable(&self) -> bool {
-        self.cold_status().is_some()
+        (0..self.nvars).all(|j| self.cold_place(j).is_some())
+    }
+
+    /// Cold-start resting bound of structural column `j`: the bound
+    /// matching its reduced-cost sign (with an all-slack basis,
+    /// `rc = c`), or `None` when that bound is infinite.
+    fn cold_place(&self, j: usize) -> Option<ColStatus> {
+        let (l, u, c) = (self.lb[j], self.ub[j], self.cost[j]);
+        if c > ZTOL {
+            l.is_finite().then_some(ColStatus::Lower)
+        } else if c < -ZTOL {
+            u.is_finite().then_some(ColStatus::Upper)
+        } else if l.is_finite() {
+            Some(ColStatus::Lower)
+        } else if u.is_finite() {
+            Some(ColStatus::Upper)
+        } else {
+            None
+        }
     }
 
     /// Dual-feasibilizing nonbasic placement: each structural column
-    /// goes to a bound matching its reduced-cost sign (with an all-slack
-    /// basis, `rc = c`), every slack becomes basic.
+    /// rests on its [`cold_place`](Self::cold_place), every slack
+    /// becomes basic.
     fn cold_status(&self) -> Option<Vec<ColStatus>> {
         let mut status = Vec::with_capacity(self.ncols);
         for j in 0..self.nvars {
-            let (l, u, c) = (self.lb[j], self.ub[j], self.cost[j]);
-            let s = if c > ZTOL {
-                l.is_finite().then_some(ColStatus::Lower)?
-            } else if c < -ZTOL {
-                u.is_finite().then_some(ColStatus::Upper)?
-            } else if l.is_finite() {
-                ColStatus::Lower
-            } else if u.is_finite() {
-                ColStatus::Upper
-            } else {
-                return None;
-            };
-            status.push(s);
+            status.push(self.cold_place(j)?);
         }
         status.extend(std::iter::repeat_n(ColStatus::Basic, self.m));
         Some(status)
@@ -322,7 +357,7 @@ impl RevisedEngine {
 
     /// Solves the current-bounds LP. `warm` supplies a starting basis
     /// (typically the parent node's optimum); `None` cold-starts.
-    pub fn solve(&self, warm: Option<&BasisState>) -> Result<RevisedSolution, RevisedError> {
+    pub fn solve(&mut self, warm: Option<&BasisState>) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
         let numerical = |stats: RevisedStats| RevisedError::Numerical { stats };
         let status = match warm {
@@ -332,7 +367,7 @@ impl RevisedEngine {
             Some(_) => return Err(numerical(stats)),
             None => self.cold_status().ok_or(numerical(stats))?,
         };
-        self.optimize(status, &mut stats)
+        self.with_workspace(|e, ws| e.optimize(ws, status, &mut stats))
             .map(|(values, duals, basis)| RevisedSolution {
                 values,
                 duals,
@@ -353,50 +388,77 @@ impl RevisedEngine {
     /// silently return a suboptimal point as "optimal". Any violation
     /// reports [`RevisedError::Numerical`], which warm-start callers
     /// already treat as "fall back to a cold start".
-    pub fn solve_warm_verified(&self, warm: &BasisState) -> Result<RevisedSolution, RevisedError> {
+    pub fn solve_warm_verified(
+        &mut self,
+        warm: &BasisState,
+    ) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
         let numerical = |stats: RevisedStats| RevisedError::Numerical { stats };
         if warm.status.len() != self.ncols {
             return Err(numerical(stats));
         }
         let status = self.repair(warm.status.clone()).ok_or(numerical(stats))?;
-        let basic: Vec<usize> = (0..self.ncols)
-            .filter(|&j| status[j] == ColStatus::Basic)
-            .collect();
+        self.with_workspace(|e, ws| {
+            e.basic_slots(&status, &mut ws.basic, &stats)?;
+            e.factor(&mut ws.fact, &ws.basic, &mut stats)?;
+            // Candidate duals: y = B⁻ᵀ·c_B.
+            let y = &mut ws.cb;
+            y.clear();
+            y.extend(ws.basic.iter().map(|&j| e.cost[j]));
+            ws.fact.btran(y);
+            // Nonbasic reduced-cost signs in minimization space: a column
+            // at its lower bound needs rc ≥ 0, at its upper bound rc ≤ 0.
+            // Fixed columns (l == u) never enter, so their sign is
+            // irrelevant.
+            for (j, &s) in status.iter().enumerate() {
+                if s == ColStatus::Basic || e.lb[j] == e.ub[j] {
+                    continue;
+                }
+                let rc = e.cost[j] - e.a.col_dot(j, y);
+                let ok = match s {
+                    ColStatus::Lower => rc >= -DUAL_TOL,
+                    ColStatus::Upper => rc <= DUAL_TOL,
+                    ColStatus::Basic => unreachable!("basic filtered above"),
+                };
+                if !ok {
+                    return Err(numerical(stats));
+                }
+            }
+            e.optimize(ws, status, &mut stats)
+        })
+        .map(|(values, duals, basis)| RevisedSolution {
+            values,
+            duals,
+            basis,
+            stats,
+        })
+    }
+
+    /// Runs `f` with the workspace lent out, so `f` can read the engine
+    /// while it writes the workspace.
+    fn with_workspace<T>(&mut self, f: impl FnOnce(&Self, &mut Workspace) -> T) -> T {
+        let mut ws = std::mem::take(&mut self.ws);
+        let out = f(self, &mut ws);
+        self.ws = ws;
+        out
+    }
+
+    /// Fills `basic` with the basic columns of `status` in ascending
+    /// column order — deterministic no matter what slot order the parent
+    /// used internally. A basis of the wrong size is
+    /// [`RevisedError::Numerical`].
+    fn basic_slots(
+        &self,
+        status: &[ColStatus],
+        basic: &mut Vec<usize>,
+        stats: &RevisedStats,
+    ) -> Result<(), RevisedError> {
+        basic.clear();
+        basic.extend((0..self.ncols).filter(|&j| status[j] == ColStatus::Basic));
         if basic.len() != self.m {
-            return Err(numerical(stats));
+            return Err(RevisedError::Numerical { stats: *stats });
         }
-        let fact = self.factor(&basic, &mut stats).ok_or(numerical(stats))?;
-        // Candidate duals: y = B⁻ᵀ·c_B.
-        let mut y = vec![0.0; self.m];
-        for (slot, &j) in basic.iter().enumerate() {
-            y[slot] = self.cost[j];
-        }
-        fact.btran(&mut y);
-        // Nonbasic reduced-cost signs in minimization space: a column at
-        // its lower bound needs rc ≥ 0, at its upper bound rc ≤ 0. Fixed
-        // columns (l == u) never enter, so their sign is irrelevant.
-        for (j, &s) in status.iter().enumerate() {
-            if s == ColStatus::Basic || self.lb[j] == self.ub[j] {
-                continue;
-            }
-            let rc = self.cost[j] - self.a.col_dot(j, &y);
-            let ok = match s {
-                ColStatus::Lower => rc >= -DUAL_TOL,
-                ColStatus::Upper => rc <= DUAL_TOL,
-                ColStatus::Basic => unreachable!("basic filtered above"),
-            };
-            if !ok {
-                return Err(numerical(stats));
-            }
-        }
-        self.optimize(status, &mut stats)
-            .map(|(values, duals, basis)| RevisedSolution {
-                values,
-                duals,
-                basis,
-                stats,
-            })
+        Ok(())
     }
 
     /// The dual simplex loop. `status` must be dual feasible (cold
@@ -404,40 +466,38 @@ impl RevisedEngine {
     #[allow(clippy::type_complexity)]
     fn optimize(
         &self,
+        ws: &mut Workspace,
         mut status: Vec<ColStatus>,
         stats: &mut RevisedStats,
     ) -> Result<(Vec<f64>, Vec<f64>, BasisState), RevisedError> {
         let m = self.m;
-        // Basis slots in ascending column order — deterministic no
-        // matter what slot order the parent used internally.
-        let mut basic: Vec<usize> = (0..self.ncols)
-            .filter(|&j| status[j] == ColStatus::Basic)
-            .collect();
-        if basic.len() != m {
-            return Err(RevisedError::Numerical { stats: *stats });
-        }
-        let mut slot_of = vec![usize::MAX; self.ncols];
-        for (slot, &j) in basic.iter().enumerate() {
-            slot_of[j] = slot;
-        }
-        let mut fact = self
-            .factor(&basic, stats)
-            .ok_or(RevisedError::Numerical { stats: *stats })?;
+        let Workspace {
+            basic,
+            fact,
+            xb,
+            cb,
+            rho,
+            w,
+            eligible,
+            flips,
+        } = ws;
+        self.basic_slots(&status, basic, stats)?;
+        self.factor(fact, basic, stats)?;
         let mut fresh = true; // no etas since the last factorization
 
-        let mut xb = vec![0.0; m];
-        let mut cb = vec![0.0; m];
-        let mut rho = vec![0.0; m];
-        let mut w = vec![0.0; m];
+        // Sized by the first solve; every element is written before it
+        // is read.
+        for v in [&mut *xb, &mut *cb, &mut *rho, &mut *w] {
+            v.resize(m, 0.0);
+        }
         let mut consecutive_degenerate = 0usize;
         let mut bland = false;
 
+        // repolint-hot-start(dual simplex pivot loop): runs once per
+        // pivot of every node solve; its vectors live outside the loop.
         loop {
             if fact.eta_count() >= self.opts.refactor_every {
-                fact = self
-                    .factor(&basic, stats)
-                    .ok_or(RevisedError::Numerical { stats: *stats })?;
-                stats.refactorizations += 1;
+                self.refactor(fact, basic, stats)?;
                 fresh = true;
             }
 
@@ -445,10 +505,10 @@ impl RevisedEngine {
             xb.copy_from_slice(&self.b);
             for (j, &s) in status.iter().enumerate() {
                 if s != ColStatus::Basic {
-                    self.a.scatter_col(j, -self.nb_value(j, s), &mut xb);
+                    self.a.scatter_col(j, -self.nb_value(j, s), xb);
                 }
             }
-            fact.ftran(&mut xb);
+            fact.ftran(xb);
 
             // Leaving choice: the basic column with the largest bound
             // violation (Bland mode: the smallest-index violated column).
@@ -485,7 +545,7 @@ impl RevisedEngine {
             }
             let Some((r_slot, violation, delta)) = leave else {
                 // Primal feasible + dual feasible (invariant) = optimal.
-                return Ok(self.extract(&status, &basic, &slot_of, &xb, &mut cb, &fact));
+                return Ok(self.extract(status, basic, xb, cb, fact));
             };
 
             if stats.iterations >= self.opts.max_iterations {
@@ -496,20 +556,20 @@ impl RevisedEngine {
             for (slot, &j) in basic.iter().enumerate() {
                 cb[slot] = self.cost[j];
             }
-            fact.btran(&mut cb); // now row-indexed y
+            fact.btran(cb); // now row-indexed y
             rho.iter_mut().for_each(|v| *v = 0.0);
             rho[r_slot] = 1.0;
-            fact.btran(&mut rho); // row-indexed e_rᵀB⁻¹
+            fact.btran(rho); // row-indexed e_rᵀB⁻¹
 
             // Price the nonbasic columns: the entering candidate set.
             // `abar` is the leaving-row entry oriented so that moving an
             // eligible column off its bound *reduces* the violation.
-            let mut eligible: Vec<(usize, f64, f64)> = Vec::new(); // (col, abar, ratio)
+            eligible.clear();
             for (j, &s) in status.iter().enumerate() {
                 if s == ColStatus::Basic || self.lb[j] == self.ub[j] {
                     continue; // fixed columns never enter
                 }
-                let abar = delta * self.a.col_dot(j, &rho);
+                let abar = delta * self.a.col_dot(j, rho);
                 let ok = match s {
                     ColStatus::Lower => abar > ZTOL,
                     ColStatus::Upper => abar < -ZTOL,
@@ -518,13 +578,13 @@ impl RevisedEngine {
                 if !ok {
                     continue;
                 }
-                let rc = self.cost[j] - self.a.col_dot(j, &cb);
+                let rc = self.cost[j] - self.a.col_dot(j, cb);
                 let ratio = (rc / abar).max(0.0);
                 eligible.push((j, abar, ratio));
             }
 
             // Ratio test.
-            let mut flips: Vec<usize> = Vec::new();
+            flips.clear();
             let entering = if bland {
                 // Bland: smallest-index column among the minimal ratios,
                 // no bound flips. Guarantees finiteness.
@@ -547,7 +607,7 @@ impl RevisedEngine {
                 });
                 let mut v = violation;
                 let mut chosen = None;
-                for &(j, abar, ratio) in &eligible {
+                for &(j, abar, ratio) in eligible.iter() {
                     let range = self.ub[j] - self.lb[j];
                     if range.is_finite() && v - abar.abs() * range > self.opts.feas_tol {
                         flips.push(j);
@@ -567,24 +627,21 @@ impl RevisedEngine {
 
             // FTRAN the entering column and check the pivot.
             w.iter_mut().for_each(|v| *v = 0.0);
-            self.a.scatter_col(q, 1.0, &mut w);
-            fact.ftran(&mut w);
+            self.a.scatter_col(q, 1.0, w);
+            fact.ftran(w);
             if w[r_slot].abs() <= PIVOT_TOL {
                 if fresh {
                     return Err(RevisedError::Numerical { stats: *stats });
                 }
                 // Stale etas may be lying; refactorize and retry the
                 // whole iteration from exact values.
-                fact = self
-                    .factor(&basic, stats)
-                    .ok_or(RevisedError::Numerical { stats: *stats })?;
-                stats.refactorizations += 1;
+                self.refactor(fact, basic, stats)?;
                 fresh = true;
                 continue;
             }
 
             // Commit: flips, then the basis exchange.
-            for &j in &flips {
+            for &j in flips.iter() {
                 status[j] = match status[j] {
                     ColStatus::Lower => ColStatus::Upper,
                     ColStatus::Upper => ColStatus::Lower,
@@ -599,16 +656,11 @@ impl RevisedEngine {
                 ColStatus::Lower
             };
             status[q] = ColStatus::Basic;
-            slot_of[leaving_col] = usize::MAX;
-            slot_of[q] = r_slot;
             basic[r_slot] = q;
-            if fact.push_eta(r_slot, &w) {
+            if fact.push_eta(r_slot, w) {
                 fresh = false;
             } else {
-                fact = self
-                    .factor(&basic, stats)
-                    .ok_or(RevisedError::Numerical { stats: *stats })?;
-                stats.refactorizations += 1;
+                self.refactor(fact, basic, stats)?;
                 fresh = true;
             }
 
@@ -623,54 +675,68 @@ impl RevisedEngine {
                 consecutive_degenerate = 0;
             }
         }
+        // repolint-hot-end
     }
 
-    /// Factorizes the given basis columns.
-    fn factor(&self, basic: &[usize], stats: &mut RevisedStats) -> Option<BasisFactorization> {
+    /// Factorizes the basis columns `basic` into `fact`, reusing its
+    /// arrays; a singular basis ends the solve as
+    /// [`RevisedError::Numerical`].
+    fn factor(
+        &self,
+        fact: &mut BasisFactorization,
+        basic: &[usize],
+        stats: &mut RevisedStats,
+    ) -> Result<(), RevisedError> {
         stats.factorizations += 1;
-        let cols: Vec<Vec<(usize, f64)>> = basic
-            .iter()
-            .map(|&j| {
-                let (rows, vals) = self.a.col(j);
-                rows.iter().copied().zip(vals.iter().copied()).collect()
-            })
-            .collect();
-        BasisFactorization::factor(self.m, &cols)
+        if !fact.factor(&self.a, basic) {
+            return Err(RevisedError::Numerical { stats: *stats });
+        }
+        Ok(())
+    }
+
+    /// A mid-solve [`factor`](Self::factor) (eta-file length or
+    /// stability), counted as a refactorization.
+    fn refactor(
+        &self,
+        fact: &mut BasisFactorization,
+        basic: &[usize],
+        stats: &mut RevisedStats,
+    ) -> Result<(), RevisedError> {
+        self.factor(fact, basic, stats)?;
+        stats.refactorizations += 1;
+        Ok(())
     }
 
     /// Assembles the optimal solution: clamped structural values, duals
     /// in the model's sense, and the basis for warm-starting children.
     fn extract(
         &self,
-        status: &[ColStatus],
+        status: Vec<ColStatus>,
         basic: &[usize],
-        slot_of: &[usize],
         xb: &[f64],
         cb: &mut [f64],
-        fact: &BasisFactorization,
+        fact: &mut BasisFactorization,
     ) -> (Vec<f64>, Vec<f64>, BasisState) {
-        let mut values = Vec::with_capacity(self.nvars);
-        for j in 0..self.nvars {
-            let x = match status[j] {
-                ColStatus::Basic => xb[slot_of[j]],
-                s => self.nb_value(j, s),
-            };
+        let mut values = vec![0.0; self.nvars];
+        for (slot, &j) in basic.iter().enumerate() {
+            if j < self.nvars {
+                values[j] = xb[slot];
+            }
+        }
+        for (j, x) in values.iter_mut().enumerate() {
+            if status[j] != ColStatus::Basic {
+                *x = self.nb_value(j, status[j]);
+            }
             // Basic values sit within feas_tol of their bounds; clamping
             // keeps integer rounding and child bound ranges honest.
-            values.push(x.min(self.ub[j]).max(self.lb[j]));
+            *x = x.min(self.ub[j]).max(self.lb[j]);
         }
         for (slot, &j) in basic.iter().enumerate() {
             cb[slot] = self.cost[j];
         }
         fact.btran(cb);
         let duals = cb.iter().map(|&y| self.obj_sign * y + 0.0).collect();
-        (
-            values,
-            duals,
-            BasisState {
-                status: status.to_vec(),
-            },
-        )
+        (values, duals, BasisState { status })
     }
 }
 
@@ -680,7 +746,7 @@ mod tests {
     use crate::model::{ConstraintOp, Model, Sense};
 
     fn solve_cold(model: &Model) -> RevisedSolution {
-        let engine = RevisedEngine::new(model, RevisedOptions::default());
+        let mut engine = RevisedEngine::new(model, RevisedOptions::default());
         assert!(engine.cold_startable());
         engine.solve(None).expect("solvable")
     }
@@ -698,7 +764,7 @@ mod tests {
     #[test]
     fn warm_verified_accepts_an_optimal_basis() {
         let m = box_model(1.0, 1.0);
-        let engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
         let cold = engine.solve(None).expect("solvable");
         let warm = engine
             .solve_warm_verified(&cold.basis)
@@ -714,9 +780,9 @@ mod tests {
         // dual infeasible: the unverified dual simplex would exit
         // immediately and report the (suboptimal) origin as optimal. The
         // verified entry point must refuse instead.
-        let cheap = RevisedEngine::new(&box_model(1.0, 1.0), RevisedOptions::default());
+        let mut cheap = RevisedEngine::new(&box_model(1.0, 1.0), RevisedOptions::default());
         let basis = cheap.solve(None).expect("solvable").basis;
-        let flipped = RevisedEngine::new(&box_model(-1.0, -1.0), RevisedOptions::default());
+        let mut flipped = RevisedEngine::new(&box_model(-1.0, -1.0), RevisedOptions::default());
         assert!(matches!(
             flipped.solve_warm_verified(&basis),
             Err(RevisedError::Numerical { .. })
@@ -732,11 +798,11 @@ mod tests {
         // RHS changes never affect reduced costs, so last-solve bases stay
         // dual feasible — the incremental path's common case.
         let m1 = box_model(1.0, -1.0);
-        let e1 = RevisedEngine::new(&m1, RevisedOptions::default());
+        let mut e1 = RevisedEngine::new(&m1, RevisedOptions::default());
         let basis = e1.solve(None).expect("solvable").basis;
         let mut m2 = box_model(1.0, -1.0);
         m2.set_constraint_rhs(0, 2.0).expect("row exists");
-        let e2 = RevisedEngine::new(&m2, RevisedOptions::default());
+        let mut e2 = RevisedEngine::new(&m2, RevisedOptions::default());
         let warm = e2.solve_warm_verified(&basis).expect("dual feasible");
         let cold = e2.solve(None).expect("solvable");
         assert_eq!(warm.values, cold.values);
@@ -783,7 +849,7 @@ mod tests {
         let x = m.add_cont("x", 0.0, 1.0);
         m.add_constraint("hi", vec![(x, 1.0)], ConstraintOp::Ge, 2.0);
         m.set_objective(vec![(x, 1.0)], 0.0);
-        let engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
         assert!(matches!(
             engine.solve(None),
             Err(RevisedError::Infeasible { .. })
@@ -820,7 +886,7 @@ mod tests {
         let y = m.add_cont("y", 0.0, 3.0);
         m.add_constraint("c1", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
         m.set_objective(vec![(x, 3.0), (y, 2.0)], 0.0);
-        let engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
         let first = engine.solve(None).expect("solvable");
         let again = engine.solve(Some(&first.basis)).expect("solvable");
         assert_eq!(again.stats.iterations, 0, "re-solving an optimum is free");

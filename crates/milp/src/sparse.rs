@@ -10,7 +10,8 @@
 
 /// An `m × n` sparse matrix in compressed-sparse-column form.
 ///
-/// Built once per model by [`crate::revised::RevisedEngine`]; immutable
+/// Built once per model by [`crate::revised::RevisedEngine`] straight
+/// from the constraint rows ([`from_rows`](Self::from_rows)); immutable
 /// afterwards (branch-and-bound only changes variable *bounds*, which the
 /// revised formulation keeps out of the matrix entirely).
 #[derive(Debug, Clone, PartialEq)]
@@ -26,40 +27,71 @@ pub struct CscMat {
 }
 
 impl CscMat {
-    /// Builds a matrix from per-column sparse vectors. Entries with the
-    /// same row index within a column are summed; exact zeros (including
-    /// sums that cancel) are dropped.
+    /// Builds an `nrows × ncols` matrix from its rows, given in order as
+    /// `(column, value)` entries (any column order within a row). The
+    /// rows are walked twice — once to count each column's entries, once
+    /// to place them — so `rows` must be cheap to clone (an iterator
+    /// adapter over borrowed data). Entries with the same column within
+    /// a row are summed in entry order; exact zeros (including `-0.0`
+    /// and sums that cancel) are dropped.
     ///
     /// # Panics
-    /// Panics if a row index is out of range — columns come from model
+    /// Panics if a column index is out of range — rows come from model
     /// constraints that were already validated.
-    pub fn from_columns(nrows: usize, columns: &[Vec<(usize, f64)>]) -> Self {
-        let ncols = columns.len();
-        let mut col_ptr = Vec::with_capacity(ncols + 1);
-        let mut row_ix = Vec::new();
-        let mut vals = Vec::new();
-        col_ptr.push(0);
-        let mut dense: Vec<f64> = vec![0.0; nrows];
-        let mut touched: Vec<usize> = Vec::new();
-        for col in columns {
-            for &(r, v) in col {
-                assert!(r < nrows, "row index {r} out of range ({nrows} rows)");
-                if dense[r] == 0.0 {
-                    touched.push(r);
-                }
-                dense[r] += v;
+    pub fn from_rows<I, R>(ncols: usize, rows: I) -> Self
+    where
+        I: IntoIterator<Item = R> + Clone,
+        R: IntoIterator<Item = (usize, f64)>,
+    {
+        // Counting pass: `col_ptr[j + 1]` collects column `j`'s entry
+        // count, an upper bound on its stored entries.
+        let mut col_ptr = vec![0usize; ncols + 1];
+        let mut nrows = 0;
+        for row in rows.clone() {
+            nrows += 1;
+            for (j, _) in row {
+                assert!(j < ncols, "column index {j} out of range ({ncols} columns)");
+                col_ptr[j + 1] += 1;
             }
-            touched.sort_unstable();
-            for &r in &touched {
-                if dense[r] != 0.0 {
-                    row_ix.push(r);
-                    vals.push(dense[r]);
-                }
-                dense[r] = 0.0;
-            }
-            touched.clear();
-            col_ptr.push(row_ix.len());
         }
+        for j in 0..ncols {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        // Placement pass. Rows arrive in order, so each column fills in
+        // ascending row order and a repeated column within a row is
+        // always the column's most recent entry.
+        let mut row_ix = vec![0usize; col_ptr[ncols]];
+        let mut vals = vec![0.0; col_ptr[ncols]];
+        let mut end = col_ptr[..ncols].to_vec();
+        for (i, row) in rows.into_iter().enumerate() {
+            for (j, v) in row {
+                let k = end[j];
+                if k > col_ptr[j] && row_ix[k - 1] == i {
+                    vals[k - 1] += v;
+                } else {
+                    row_ix[k] = i;
+                    vals[k] = v;
+                    end[j] = k + 1;
+                }
+            }
+        }
+        // Compaction: close the gaps merged duplicates left and drop
+        // exact zeros.
+        let mut w = 0;
+        for j in 0..ncols {
+            let lo = col_ptr[j];
+            col_ptr[j] = w;
+            for k in lo..end[j] {
+                if vals[k] != 0.0 {
+                    row_ix[w] = row_ix[k];
+                    vals[w] = vals[k];
+                    w += 1;
+                }
+            }
+        }
+        col_ptr[ncols] = w;
+        row_ix.truncate(w);
+        vals.truncate(w);
         Self {
             nrows,
             ncols,
@@ -114,34 +146,47 @@ impl CscMat {
 mod tests {
     use super::*;
 
+    fn csc(ncols: usize, rows: &[&[(usize, f64)]]) -> CscMat {
+        CscMat::from_rows(ncols, rows.iter().map(|r| r.iter().copied()))
+    }
+
     #[test]
     fn builds_and_reads_columns() {
-        let m = CscMat::from_columns(
-            3,
-            &[
-                vec![(0, 1.0), (2, -2.0)],
-                vec![(1, 3.0)],
-                vec![],
-                vec![(2, 0.5), (0, 4.0)],
-            ],
+        let m = csc(
+            4,
+            &[&[(3, 4.0), (0, 1.0)], &[(1, 3.0)], &[(3, 0.5), (0, -2.0)]],
         );
         assert_eq!((m.nrows(), m.ncols(), m.nnz()), (3, 4, 5));
         assert_eq!(m.col(0), (&[0usize, 2][..], &[1.0, -2.0][..]));
         assert_eq!(m.col(2), (&[][..], &[][..]));
-        // Entries are sorted by row regardless of insertion order.
+        // Entries are sorted by row regardless of column order in a row.
         assert_eq!(m.col(3), (&[0usize, 2][..], &[4.0, 0.5][..]));
+        // Trailing empty rows still count.
+        let m = csc(1, &[&[(0, 1.0)], &[]]);
+        assert_eq!((m.nrows(), m.nnz()), (2, 1));
     }
 
     #[test]
     fn duplicate_entries_sum_and_zeros_drop() {
-        let m = CscMat::from_columns(2, &[vec![(0, 1.0), (0, 2.0), (1, 5.0), (1, -5.0)]]);
-        assert_eq!(m.nnz(), 1);
+        let m = csc(
+            3,
+            &[
+                &[(0, 1.0), (1, -0.0), (0, 2.0)],
+                &[(0, 5.0), (2, 7.0), (0, -5.0)],
+                &[(2, 1.0), (2, -1.0), (2, 0.25)],
+            ],
+        );
+        assert_eq!(m.nnz(), 3);
         assert_eq!(m.col(0), (&[0usize][..], &[3.0][..]));
+        // A lone -0.0 is an exact zero and stores nothing.
+        assert_eq!(m.col(1), (&[][..], &[][..]));
+        // A sum that cancels and then resumes keeps the resumed value.
+        assert_eq!(m.col(2), (&[1usize, 2][..], &[7.0, 0.25][..]));
     }
 
     #[test]
     fn dot_and_scatter() {
-        let m = CscMat::from_columns(3, &[vec![(0, 2.0), (2, 3.0)]]);
+        let m = csc(1, &[&[(0, 2.0)], &[], &[(0, 3.0)]]);
         assert_eq!(m.col_dot(0, &[1.0, 100.0, 10.0]), 32.0);
         let mut out = vec![0.0; 3];
         m.scatter_col(0, -1.0, &mut out);

@@ -101,7 +101,7 @@ fn revised_escapes_beale_via_degenerate_trigger_alone() {
         bland_after_degenerate: 8,
         ..RevisedOptions::default()
     };
-    let engine = RevisedEngine::new(&model, opts);
+    let mut engine = RevisedEngine::new(&model, opts);
     assert!(
         engine.cold_startable(),
         "boxed beale admits a dual cold start"
@@ -115,7 +115,7 @@ fn revised_escapes_beale_via_degenerate_trigger_alone() {
 fn dense_and_revised_agree_on_beale() {
     let model = beale_boxed();
     let dense = LpSolver::default().solve(&model).expect("dense solves");
-    let engine = RevisedEngine::new(&model, RevisedOptions::default());
+    let mut engine = RevisedEngine::new(&model, RevisedOptions::default());
     let revised = engine.solve(None).expect("revised solves");
     let robj = model.eval_objective(&revised.values);
     assert!(

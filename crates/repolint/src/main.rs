@@ -18,8 +18,11 @@
 //! * `hot-alloc` — no `Vec::new()` / `vec![` inside a region marked
 //!   `// repolint-hot-start(label)` … `// repolint-hot-end`. Hot
 //!   regions are per-hour simulation loops that run hundreds of
-//!   thousands of times per Monte-Carlo run; allocations there belong
-//!   in a reusable scratch (see `MonthScratch` in `billcap-sim`).
+//!   thousands of times per Monte-Carlo run, and the solver loops
+//!   inside each hour (the dual-simplex pivot loop, the
+//!   branch-and-bound node loop); allocations there belong in a
+//!   reusable scratch (see `MonthScratch` in `billcap-sim`) or in
+//!   buffers set up before the loop.
 //!
 //! Test code (`#[cfg(test)]` items, tracked by brace depth) is exempt
 //! from the first three rules. A deliberate exception is waived with a

@@ -84,6 +84,14 @@ fn four_workers_with_cache_is_bitwise_identical() {
 /// The same week submitted twice in one connection: the second pass must
 /// be answered from the decision cache (every request is an exact bit
 /// pattern repeat) and remain bitwise-identical to the fresh decisions.
+///
+/// The exact hit count is asserted with one worker, where the schedule
+/// is deterministic: the whole first pass is decided (168 misses) before
+/// the second pass is dequeued (168 hits). With two workers a
+/// descheduled worker can still be solving a first-pass hour when the
+/// other dequeues that hour's second-pass twin, which then misses too,
+/// so the hit count depends on the schedule; that run checks the
+/// decisions bit for bit and that every lookup was a hit or a miss.
 #[test]
 fn cached_second_pass_stays_bitwise_identical() {
     let plan = plan();
@@ -91,39 +99,43 @@ fn cached_second_pass_stays_bitwise_identical() {
     let second = encode_requests(plan);
     input.extend_from_slice(&second);
 
-    let mut out = Vec::new();
-    let stats = billcap::serve::serve(&config(2, true), Cursor::new(input), &mut out);
-    assert_eq!(stats.decisions as usize, 2 * HOURS);
-    assert_eq!(stats.errors, 0);
-    // Workers race hour-for-hour duplicates only within one pass's
-    // in-flight window; the full second pass is all hits, so at least
-    // HOURS of the 2*HOURS requests must have been served from cache.
-    assert!(
-        stats.cache_hits as usize >= HOURS,
-        "expected >= {HOURS} cache hits, got {}",
-        stats.cache_hits
-    );
-    // Every lookup is either a hit or a miss; nothing is ever evicted
-    // (2*168 requests name only 168 distinct keys, capacity 744).
-    assert_eq!(stats.cache_hits + stats.cache_misses, 2 * HOURS as u64);
-    assert_eq!(stats.cache_evictions, 0);
-
-    let mut per_hour_count = vec![0usize; HOURS];
-    let mut cur = Cursor::new(out);
-    while let Some(frame) = read_frame(&mut cur, MAX_FRAME).expect("server frames parse") {
-        match Response::parse(&frame).expect("server responses parse") {
-            Response::Decision(msg) => {
-                let t = msg.id as usize;
-                per_hour_count[t] += 1;
-                msg.bitwise_matches(&plan.expected[t])
-                    .unwrap_or_else(|e| panic!("hour {t} (cached={}): {e}", msg.cached));
-            }
-            Response::Error { id, message } => panic!("error for {id:?}: {message}"),
-            other => panic!("unexpected control response: {other:?}"),
+    for workers in [1, 2] {
+        let mut out = Vec::new();
+        let stats =
+            billcap::serve::serve(&config(workers, true), Cursor::new(input.clone()), &mut out);
+        assert_eq!(stats.decisions as usize, 2 * HOURS, "workers={workers}");
+        assert_eq!(stats.errors, 0, "workers={workers}");
+        if workers == 1 {
+            assert_eq!(stats.cache_hits, HOURS as u64, "one worker: cache hits");
+            assert_eq!(stats.cache_misses, HOURS as u64, "one worker: cache misses");
         }
+        // Every lookup is either a hit or a miss; nothing is ever evicted
+        // (2*168 requests name only 168 distinct keys, capacity 744).
+        assert_eq!(
+            stats.cache_hits + stats.cache_misses,
+            2 * HOURS as u64,
+            "workers={workers}"
+        );
+        assert_eq!(stats.cache_evictions, 0, "workers={workers}");
+
+        let mut per_hour_count = vec![0usize; HOURS];
+        let mut cur = Cursor::new(out);
+        while let Some(frame) = read_frame(&mut cur, MAX_FRAME).expect("server frames parse") {
+            match Response::parse(&frame).expect("server responses parse") {
+                Response::Decision(msg) => {
+                    let t = msg.id as usize;
+                    per_hour_count[t] += 1;
+                    msg.bitwise_matches(&plan.expected[t]).unwrap_or_else(|e| {
+                        panic!("workers={workers} hour {t} (cached={}): {e}", msg.cached)
+                    });
+                }
+                Response::Error { id, message } => panic!("error for {id:?}: {message}"),
+                other => panic!("unexpected control response: {other:?}"),
+            }
+        }
+        assert!(
+            per_hour_count.iter().all(|&c| c == 2),
+            "workers={workers}: every hour answered twice"
+        );
     }
-    assert!(
-        per_hour_count.iter().all(|&c| c == 2),
-        "every hour answered twice"
-    );
 }
