@@ -1,11 +1,10 @@
 //! Solver scalability (paper Section IV-C): step-1 MILP solve time versus
-//! data-center count at 5 price levels and 1e8 requests, plus the
-//! parallel branch-and-bound speedup on a 10-site × 10-level instance.
-//! The paper reports lp_solve finishing within ~2 ms for 13 sites; this
+//! data-center count at 5 price levels and 1e8 requests, plus solver
+//! variants and a raw simplex solve. The paper reports lp_solve finishing within ~2 ms for 13 sites; this
 //! bench records the equivalent numbers for the in-tree solver.
 
-use billcap_core::{CostMinimizer, DataCenterSystem};
-use billcap_milp::{LpSolver, MipSolver, NodeSelection};
+use billcap_core::CostMinimizer;
+use billcap_milp::LpSolver;
 use billcap_rt::Harness;
 use billcap_sim::experiments::synthetic_system;
 use std::hint::black_box;
@@ -50,16 +49,6 @@ fn bench_solver_variants(h: &mut Harness) {
     h.bench("solver_variants/best_bound", || {
         minimizer.solve(&system, 5e8, &d).unwrap().total_cost
     });
-    let dfs = CostMinimizer {
-        solver: MipSolver {
-            node_selection: NodeSelection::DepthFirst,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    h.bench("solver_variants/depth_first", || {
-        dfs.solve(&system, 5e8, &d).unwrap().total_cost
-    });
     let integral = CostMinimizer {
         integral_servers: true,
         ..Default::default()
@@ -67,59 +56,6 @@ fn bench_solver_variants(h: &mut Harness) {
     h.bench("solver_variants/integral_servers", || {
         integral.solve(&system, 5e8, &d).unwrap().total_cost
     });
-}
-
-/// Parallel branch-and-bound on a hard 10-site × 10-level instance: the
-/// headline scalability claim. Thread counts share one instance; the
-/// harness reports per-count medians and this function prints the
-/// resulting 8-thread speedup. The objectives are asserted
-/// bitwise-identical across thread counts — the determinism contract.
-fn bench_parallel_branch_and_bound(h: &mut Harness) {
-    let sys = DataCenterSystem::synthetic(10, 10);
-    let background: Vec<f64> = (0..sys.len()).map(|i| 5.0 + 3.0 * i as f64).collect();
-    let lambda = 0.45 * sys.total_capacity();
-
-    let minimizer = |threads: usize| CostMinimizer {
-        solver: MipSolver {
-            threads,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let reference = minimizer(1).solve(&sys, lambda, &background).unwrap();
-
-    let before = h.results().len();
-    for threads in [1usize, 2, 4, 8] {
-        let m = minimizer(threads);
-        h.bench(&format!("parallel_bnb_10x10/threads_{threads}"), || {
-            let alloc = m
-                .solve(black_box(&sys), black_box(lambda), black_box(&background))
-                .expect("feasible");
-            assert_eq!(
-                alloc.total_cost.to_bits(),
-                reference.total_cost.to_bits(),
-                "objective must not depend on the thread count"
-            );
-            black_box(alloc.total_cost)
-        });
-    }
-    let measured = &h.results()[before..];
-    if measured.len() == 4 {
-        let t1 = measured[0].median_ns;
-        let t8 = measured[3].median_ns;
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!(
-            "parallel_bnb_10x10: 8-thread speedup {:.2}x (1 thread {:.1} ms, 8 threads {:.1} ms, {cores} cores available)",
-            t1 / t8,
-            t1 / 1e6,
-            t8 / 1e6,
-        );
-        if cores < 8 {
-            println!(
-                "parallel_bnb_10x10: note: only {cores} hardware threads; speedup needs >= 8 cores"
-            );
-        }
-    }
 }
 
 fn bench_raw_simplex(h: &mut Harness) {
@@ -157,7 +93,6 @@ fn main() {
     bench_step1_by_sites(&mut h);
     bench_step1_by_load(&mut h);
     bench_solver_variants(&mut h);
-    bench_parallel_branch_and_bound(&mut h);
     bench_raw_simplex(&mut h);
     h.finish();
 }

@@ -9,10 +9,8 @@
 //!
 //! * `solver_scalability` — the Section IV-C claim: step-1 MILP solve time
 //!   versus network size (paper: ≤ ~2 ms at 13 sites, 5 price levels,
-//!   10⁸ requests), pure-LP and integral-server variants, and the
-//!   parallel branch-and-bound speedup (1/2/4/8 workers on a 10-site ×
-//!   10-level step-pricing instance, with bitwise-identical objectives
-//!   asserted across thread counts).
+//!   10⁸ requests), the integral-server variant, and a raw simplex solve
+//!   of relaxation size.
 //! * `figures` — wall-clock cost of regenerating every evaluation figure
 //!   (Figures 1, 3, 4, 5/6, 7/8, 9, 10); each iteration runs the same
 //!   experiment code as the `paper_experiments` binary and the
@@ -21,11 +19,12 @@
 //!   policy lookup, DC-OPF dispatch and LMP extraction, trace generation,
 //!   budgeting, and realized-cost evaluation.
 //! * `ablations` — design-choice costs: integral vs. relaxed server
-//!   counts, best-bound vs. depth-first search, Dantzig vs. Bland pricing.
+//!   counts, step-2 budgets, the power-model blind spot, budgeter
+//!   history, network consolidation, weather and hierarchical regions.
 //!
 //! Run everything with `cargo bench --workspace`; pass a substring to
 //! filter bench names (`cargo bench --bench solver_scalability --
-//! parallel`), and set `BILLCAP_BENCH_FAST=1` for a quick smoke run.
+//! step1_milp`), and set `BILLCAP_BENCH_FAST=1` for a quick smoke run.
 //! The figure benches also print their experiment summaries once per
 //! process so a bench run doubles as a results regeneration.
 

@@ -41,8 +41,7 @@ pub enum HourOutcome {
 /// [`BillCapper::decide_hour`].
 ///
 /// Wall-clock fields are machine-dependent; the node/iteration counts are
-/// deterministic for sequential solves (see
-/// [`billcap_milp::SolveTrace`] for the parallel caveat). A step that was
+/// deterministic (see [`billcap_milp::SolveTrace`]). A step that was
 /// not run (step 2 and 3 are skipped when the budget fits) reports zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecisionTrace {

@@ -187,8 +187,7 @@ impl DataCenterSystem {
         Self::new(sites, PricingPolicySet::by_index(policy, 3)).expect("paper system is valid")
     }
 
-    /// A scale-up synthetic system for solver benchmarks and
-    /// parallel-determinism tests: `n_sites` sites (cycling the paper's
+    /// A scale-up synthetic system for solver benchmarks: `n_sites` sites (cycling the paper's
     /// three hardware profiles) under step policies with `levels` price
     /// levels each.
     ///
@@ -197,9 +196,7 @@ impl DataCenterSystem {
     /// the LP relaxation blends levels fractionally, forcing deep
     /// branching. Every site's prices carry a distinct multiplicative
     /// perturbation, which breaks site symmetry and makes the optimum
-    /// unique and well separated — the precondition under which parallel
-    /// and sequential [`MipSolver`](billcap_milp::MipSolver) searches
-    /// return bitwise-identical objectives.
+    /// unique and well separated.
     pub fn synthetic(n_sites: usize, levels: usize) -> Self {
         assert!(n_sites >= 1, "need at least one site");
         assert!(levels >= 2, "need at least two price levels");

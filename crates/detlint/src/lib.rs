@@ -16,7 +16,7 @@
 //! 2. **Parse** ([`parse`]): a lightweight item parser producing a
 //!    per-crate symbol table (fns, impls, `use` imports, hash-typed
 //!    identifier declarations).
-//! 3. **Graph** ([`analyze`]): a conservative call graph across all
+//! 3. **Graph** ([`analyze`](mod@analyze)): a conservative call graph across all
 //!    workspace crates. Method calls link by name, qualified calls
 //!    prefer the typed index, bare calls consult `use` imports.
 //!    Over-approximation is sound: an extra edge can only mark more

@@ -7,7 +7,7 @@
 //! keyword tokens. Every function (free, method, trait default) becomes
 //! a [`Symbol`] carrying its signature header and body lines, tagged
 //! with the enclosing impl/trait type. That is enough for the
-//! conservative call graph in [`crate::analyze`]: over-approximation is
+//! conservative call graph in [`crate::analyze`](mod@crate::analyze): over-approximation is
 //! always safe there, so the parser prefers "attach the line to the
 //! innermost open function" over full expression parsing.
 //!

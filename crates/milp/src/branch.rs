@@ -1,12 +1,9 @@
 //! Best-first branch-and-bound over the simplex relaxation.
 //!
-//! With [`MipSolver::threads`] > 1 the search runs on a shared
-//! best-bound frontier: workers pull open nodes from a heap protected by
-//! a mutex, solve node relaxations independently on worker-local model
-//! clones, and publish improving incumbents through an atomic cell that
-//! every worker reads for global-bound pruning. The reduction is
-//! deterministic — see the `parallel` submodule for why parallel and
-//! sequential solves of well-posed instances return identical objectives.
+//! The search is sequential: open nodes wait in a best-bound heap
+//! (ties broken by depth), and each node branches on its most
+//! fractional integer variable. Node order is a pure function of the
+//! model, so a solve returns the same bits on every run.
 
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarId};
@@ -17,27 +14,6 @@ use crate::INT_TOL;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-mod parallel;
-
-/// How to pick the fractional variable to branch on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BranchRule {
-    /// Variable whose LP value is farthest from an integer.
-    MostFractional,
-    /// First fractional variable in index order.
-    FirstFractional,
-}
-
-/// Order in which open nodes are explored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeSelection {
-    /// Always expand the node with the best relaxation bound
-    /// (smallest lower bound for minimization). Proves optimality fastest.
-    BestBound,
-    /// LIFO stack; finds incumbents quickly with low memory.
-    DepthFirst,
-}
-
 /// Branch-and-bound MILP solver.
 #[derive(Debug, Clone)]
 pub struct MipSolver {
@@ -47,17 +23,8 @@ pub struct MipSolver {
     pub int_tol: f64,
     /// Hard cap on explored nodes.
     pub max_nodes: usize,
-    /// Branch variable selection rule.
-    pub branch_rule: BranchRule,
-    /// Node exploration order (sequential search only; the parallel
-    /// search is always best-bound).
-    pub node_selection: NodeSelection,
     /// Terminate when the relative gap falls below this value.
     pub gap_tol: f64,
-    /// Worker count for the branch-and-bound search. `1` (the default)
-    /// keeps the sequential search; `0` means "use
-    /// [`billcap_rt::num_threads`]" (which honors `BILLCAP_THREADS`).
-    pub threads: usize,
     /// Run activity-based bound propagation
     /// ([`crate::presolve::propagate_bounds`]) on the root node's bounds
     /// before the search (integer path only; pure-LP solves are
@@ -91,10 +58,7 @@ impl Default for MipSolver {
             lp: LpSolver::default(),
             int_tol: INT_TOL,
             max_nodes: 200_000,
-            branch_rule: BranchRule::MostFractional,
-            node_selection: NodeSelection::BestBound,
             gap_tol: 1e-9,
-            threads: 1,
             root_propagation: true,
             revised: true,
             warm_start: warmstart_env(),
@@ -134,41 +98,6 @@ impl Ord for Node {
             .partial_cmp(&self.bound)
             .unwrap_or(Ordering::Equal)
             .then_with(|| self.depth.cmp(&other.depth))
-    }
-}
-
-enum Frontier {
-    Heap(BinaryHeap<Node>),
-    Stack(Vec<Node>),
-}
-
-impl Frontier {
-    fn push(&mut self, n: Node) {
-        match self {
-            Frontier::Heap(h) => h.push(n),
-            Frontier::Stack(s) => s.push(n),
-        }
-    }
-    fn pop(&mut self) -> Option<Node> {
-        match self {
-            Frontier::Heap(h) => h.pop(),
-            Frontier::Stack(s) => s.pop(),
-        }
-    }
-    fn len(&self) -> usize {
-        match self {
-            Frontier::Heap(h) => h.len(),
-            Frontier::Stack(s) => s.len(),
-        }
-    }
-    fn best_bound(&self) -> Option<f64> {
-        match self {
-            Frontier::Heap(h) => h.peek().map(|n| n.bound),
-            Frontier::Stack(s) => s
-                .iter()
-                .map(|n| n.bound)
-                .min_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal)),
-        }
     }
 }
 
@@ -294,6 +223,9 @@ impl<'a> NodeLp<'a> {
                 }
             }
         }
+        if self.solver.revised {
+            trace.dense_fallbacks += 1;
+        }
         let work = self.work.get_or_insert_with(|| model.clone());
         for (i, &(lb, ub)) in bounds.iter().enumerate() {
             work.set_var_bounds(VarId(i), lb, ub);
@@ -310,24 +242,6 @@ impl<'a> NodeLp<'a> {
 }
 
 impl MipSolver {
-    /// A solver using every available worker (see
-    /// [`billcap_rt::num_threads`]); otherwise identical to the default.
-    pub fn parallel() -> Self {
-        Self {
-            threads: 0,
-            ..Self::default()
-        }
-    }
-
-    /// The resolved worker count: `threads`, or the machine default when
-    /// `threads == 0`.
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => billcap_rt::num_threads(),
-            n => n,
-        }
-    }
-
     /// Solves `model` to integer optimality (or best incumbent at the node
     /// limit, reported with [`Status::Feasible`]).
     pub fn solve(&self, model: &Model) -> Result<Solution, SolveError> {
@@ -347,10 +261,8 @@ impl MipSolver {
     /// nodes still inherit in-tree parent bases unverified, exactly as in
     /// [`solve`](Self::solve).
     ///
-    /// The returned basis is `None` when the root solved densely, when
-    /// warm starts are disabled, or on the parallel path (worker-local
-    /// engines make root-basis capture racy; callers simply cold-start
-    /// the next solve).
+    /// The returned basis is `None` when the root solved densely or when
+    /// warm starts are disabled; callers then cold-start the next solve.
     pub fn solve_with_root_basis(
         &self,
         model: &Model,
@@ -359,16 +271,15 @@ impl MipSolver {
         model.validate()?;
         let int_vars = model.integer_vars();
         if int_vars.is_empty() {
-            let (mut sol, basis) = self.solve_pure_lp_warm(model, root_basis)?;
+            let mut trace = SolveTrace::default();
+            let (mut sol, basis) = self.solve_pure_lp_warm(model, root_basis, &mut trace)?;
+            trace.degenerate_pivots = sol.degenerate;
             sol.mip = Some(MipStats {
                 nodes: 1,
                 lp_iterations: sol.iterations,
                 best_bound: sol.objective,
                 gap: 0.0,
-                trace: SolveTrace {
-                    degenerate_pivots: sol.degenerate,
-                    ..SolveTrace::default()
-                },
+                trace,
             });
             record_obs(sol.mip.as_ref().expect("just set")); // repolint-allow(unwrap): set two lines above
             return Ok((sol, basis));
@@ -415,19 +326,8 @@ impl MipSolver {
             }
         }
 
-        let threads = self.effective_threads();
-        if threads > 1 {
-            // Worker-local engines make root-basis capture racy; the
-            // parallel path ignores the carried basis and returns none.
-            return parallel::solve(self, model, &int_vars, sign, root_bounds, threads)
-                .map(|sol| (sol, None));
-        }
-
         let mut node_lp = NodeLp::new(self, model, &root_bounds);
-        let mut frontier = match self.node_selection {
-            NodeSelection::BestBound => Frontier::Heap(BinaryHeap::new()),
-            NodeSelection::DepthFirst => Frontier::Stack(Vec::new()),
-        };
+        let mut frontier = BinaryHeap::new();
         frontier.push(Node {
             bounds: root_bounds,
             bound: f64::NEG_INFINITY,
@@ -557,7 +457,7 @@ impl MipSolver {
 
             // Gap-based early stop (best-bound search keeps the frontier's
             // minimum as a valid global dual bound).
-            if let (Some(inc), Some(fb)) = (&incumbent, frontier.best_bound()) {
+            if let (Some(inc), Some(fb)) = (&incumbent, frontier.peek().map(|n| n.bound)) {
                 // Pruned-but-unpopped nodes can leave the frontier minimum
                 // above the incumbent; the incumbent is itself a valid
                 // dual bound, so clamp before reporting.
@@ -604,11 +504,13 @@ impl MipSolver {
     /// — both return audited duals. A carried basis is tried first via
     /// the *verified* warm path (it crossed a model mutation, so dual
     /// feasibility must be re-proven); rejection costs the wasted pivots
-    /// and falls through to a cold start.
+    /// and falls through to a cold start. A dense solve with `revised` on
+    /// counts in [`SolveTrace::dense_fallbacks`].
     fn solve_pure_lp_warm(
         &self,
         model: &Model,
         warm: Option<&BasisState>,
+        trace: &mut SolveTrace,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
         if self.revised {
             let mut engine = RevisedEngine::new(model, RevisedOptions::default());
@@ -645,6 +547,7 @@ impl MipSolver {
                     Err(_) => {}
                 }
             }
+            trace.dense_fallbacks += 1;
         }
         self.lp.solve(model).map(|sol| (sol, None))
     }
@@ -658,6 +561,8 @@ impl MipSolver {
         }
     }
 
+    /// The most fractional integer variable (first in index order on a
+    /// tie), or `None` when every integer variable is integral.
     fn select_branch_var(&self, int_vars: &[VarId], values: &[f64]) -> Option<(VarId, f64)> {
         let mut best: Option<(VarId, f64, f64)> = None; // (var, value, score)
         for &v in int_vars {
@@ -665,13 +570,8 @@ impl MipSolver {
             let frac = (x - x.round()).abs();
             if frac > self.int_tol {
                 let score = (x - x.floor()).min(x.ceil() - x); // distance to nearest int
-                match self.branch_rule {
-                    BranchRule::FirstFractional => return Some((v, x)),
-                    BranchRule::MostFractional => {
-                        if best.is_none_or(|(_, _, s)| score > s) {
-                            best = Some((v, x, score));
-                        }
-                    }
+                if best.is_none_or(|(_, _, s)| score > s) {
+                    best = Some((v, x, score));
                 }
             }
         }
@@ -684,7 +584,7 @@ impl MipSolver {
         nodes: usize,
         lp_iterations: usize,
         sign: f64,
-        frontier: &Frontier,
+        frontier: &BinaryHeap<Node>,
         trace: SolveTrace,
     ) -> Result<Solution, SolveError> {
         match incumbent {
@@ -693,8 +593,8 @@ impl MipSolver {
                 sol.iterations = lp_iterations;
                 sol.degenerate = trace.degenerate_pivots;
                 let bound_key = frontier
-                    .best_bound()
-                    .unwrap_or(sign * sol.objective)
+                    .peek()
+                    .map_or(sign * sol.objective, |n| n.bound)
                     .min(sign * sol.objective);
                 let gap = (sign * sol.objective - bound_key).abs() / sol.objective.abs().max(1.0);
                 sol.mip = Some(MipStats {
@@ -740,6 +640,10 @@ pub(crate) fn record_obs(stats: &MipStats) {
     );
     billcap_obs::counter("milp.lp.bound_flips", stats.trace.bound_flips as u64);
     billcap_obs::counter("milp.lp.warm_starts", stats.trace.warm_starts as u64);
+    billcap_obs::counter(
+        "milp.lp.dense_fallbacks",
+        stats.trace.dense_fallbacks as u64,
+    );
 }
 
 /// Completes a solve's `mip` span: attaches the headline counters as
@@ -821,32 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn depth_first_matches_best_bound() {
-        let mut m = Model::new("dfs", Sense::Maximize);
-        let items: Vec<_> = (0..8).map(|i| m.add_binary(format!("x{i}"))).collect();
-        let weights = [5.0, 7.0, 4.0, 3.0, 8.0, 6.0, 5.0, 9.0];
-        let values = [10.0, 13.0, 7.0, 5.0, 16.0, 11.0, 8.0, 17.0];
-        m.add_constraint(
-            "w",
-            items.iter().zip(weights).map(|(&v, w)| (v, w)).collect(),
-            ConstraintOp::Le,
-            20.0,
-        );
-        m.set_objective(
-            items.iter().zip(values).map(|(&v, c)| (v, c)).collect(),
-            0.0,
-        );
-        let best = MipSolver::default().solve(&m).unwrap();
-        let dfs = MipSolver {
-            node_selection: NodeSelection::DepthFirst,
-            branch_rule: BranchRule::FirstFractional,
-            ..Default::default()
-        };
-        let s2 = dfs.solve(&m).unwrap();
-        assert_close(best.objective, s2.objective);
-    }
-
-    #[test]
     fn mixed_integer_continuous() {
         // min 4n + x  s.t. n >= 2.3 (integer), x >= 1.5 - fractional part covered by x
         // n integer >= 2.3 -> n = 3; x >= 0. obj = 12.
@@ -898,126 +776,6 @@ mod tests {
         assert!(stats.nodes >= 1);
         assert!(stats.gap <= 1e-9);
         assert_close(s.objective, 3.0);
-    }
-
-    /// Builds a knapsack-like random integer program with `n` variables.
-    fn random_ip(rng: &mut billcap_rt::Xoshiro256pp, n: usize) -> Model {
-        use billcap_rt::Rng;
-        let mut m = Model::new("rand", Sense::Maximize);
-        let vars: Vec<_> = (0..n)
-            .map(|i| m.add_var(format!("x{i}"), VarType::Integer, 0.0, 3.0))
-            .collect();
-        let weights: Vec<f64> = (0..n).map(|_| rng.random_i64_in(1, 9) as f64).collect();
-        let values: Vec<f64> = (0..n).map(|_| rng.random_i64_in(1, 19) as f64).collect();
-        let cap = weights.iter().sum::<f64>() * 0.45;
-        m.add_constraint(
-            "w",
-            vars.iter().zip(&weights).map(|(&v, &w)| (v, w)).collect(),
-            ConstraintOp::Le,
-            cap,
-        );
-        // A second coupling row so relaxations stay fractional.
-        m.add_constraint(
-            "c",
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 1.0 + (i % 3) as f64))
-                .collect(),
-            ConstraintOp::Le,
-            2.0 * n as f64,
-        );
-        m.set_objective(
-            vars.iter().zip(&values).map(|(&v, &c)| (v, c)).collect(),
-            0.0,
-        );
-        m
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_knapsack() {
-        let mut m = Model::new("knap", Sense::Maximize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint(
-            "w",
-            vec![(a, 3.0), (b, 4.0), (c, 2.0)],
-            ConstraintOp::Le,
-            6.0,
-        );
-        m.set_objective(vec![(a, 10.0), (b, 13.0), (c, 7.0)], 0.0);
-        let par = MipSolver {
-            threads: 8,
-            ..Default::default()
-        };
-        let s = par.solve(&m).unwrap();
-        assert_eq!(s.objective, 20.0);
-        assert_eq!(s.int_value(b), 1);
-        assert_eq!(s.int_value(c), 1);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_on_random_ips() {
-        let mut rng = billcap_rt::Xoshiro256pp::seed_from_u64(0xB4B);
-        let seq = MipSolver::default();
-        let par = MipSolver {
-            threads: 8,
-            ..Default::default()
-        };
-        for round in 0..20 {
-            let m = random_ip(&mut rng, 4 + round % 5);
-            let a = seq.solve(&m).unwrap();
-            let b = par.solve(&m).unwrap();
-            assert_eq!(
-                a.objective, b.objective,
-                "round {round}: sequential {} vs parallel {}",
-                a.objective, b.objective
-            );
-            assert!(m.is_feasible(&b.values, 1e-6), "round {round}");
-        }
-    }
-
-    #[test]
-    fn parallel_handles_infeasible_and_node_limit() {
-        // Infeasible integrality window.
-        let mut m = Model::new("noint", Sense::Minimize);
-        let x = m.add_var("x", VarType::Integer, 0.4, 0.6);
-        m.set_objective(vec![(x, 1.0)], 0.0);
-        let par = MipSolver {
-            threads: 4,
-            ..Default::default()
-        };
-        assert_eq!(par.solve(&m), Err(SolveError::Infeasible));
-
-        // Tiny node budget still terminates (feasible or limit error).
-        let mut m = Model::new("lim", Sense::Maximize);
-        let vars: Vec<_> = (0..12).map(|i| m.add_binary(format!("x{i}"))).collect();
-        m.add_constraint(
-            "c",
-            vars.iter().map(|&v| (v, 7.0)).collect(),
-            ConstraintOp::Eq,
-            35.0,
-        );
-        m.set_objective(vars.iter().map(|&v| (v, 1.0)).collect(), 0.0);
-        let par = MipSolver {
-            threads: 4,
-            max_nodes: 2,
-            ..Default::default()
-        };
-        match par.solve(&m) {
-            Ok(s) => assert!(m.is_feasible(&s.values, 1e-6)),
-            Err(SolveError::NodeLimit { nodes }) => assert!(nodes <= 2 + 4),
-            Err(e) => panic!("unexpected error: {e}"),
-        }
-    }
-
-    #[test]
-    fn parallel_pure_lp_passthrough() {
-        let mut m = Model::new("lp", Sense::Minimize);
-        let x = m.add_cont("x", 2.0, 8.0);
-        m.set_objective(vec![(x, 1.0)], 0.0);
-        let s = MipSolver::parallel().solve(&m).unwrap();
-        assert_close(s.objective, 2.0);
     }
 
     #[test]

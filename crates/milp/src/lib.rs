@@ -18,8 +18,9 @@
 //! * [`simplex`] — a dense two-phase primal simplex solver with Dantzig
 //!   pricing and a Bland's-rule anti-cycling fallback; the correctness
 //!   oracle and fallback for models the revised engine cannot start.
-//! * [`branch`] — a best-first branch-and-bound MILP solver on top of the
-//!   simplex relaxations.
+//! * [`branch`] — a sequential best-bound branch-and-bound MILP solver on
+//!   top of the simplex relaxations, branching on the most fractional
+//!   integer variable.
 //!
 //! The problem sizes produced by the bill-capping formulation are small
 //! (hundreds of rows at the reference scale), and the constraint matrices
@@ -65,7 +66,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use basis::BasisFactorization;
-pub use branch::{BranchRule, MipSolver, NodeSelection};
+pub use branch::MipSolver;
 pub use certify::{
     certify_solution, certify_solution_with, CertifyOptions, CertifyReport, Violation,
 };

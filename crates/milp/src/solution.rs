@@ -18,10 +18,8 @@ pub enum Status {
 /// Collected unconditionally (the counters are a handful of integer
 /// increments per node, far below LP-solve cost) so every [`MipStats`]
 /// carries them regardless of whether tracing is enabled. Counts hold
-/// no timing, so they stay comparable across machines; note that under
-/// a parallel solve the *pruning* counts depend on worker scheduling
-/// (the incumbent arrives in a different order), while the objective
-/// remains deterministic.
+/// no timing, so they stay comparable across machines, and the search
+/// is sequential, so every count is the same on every run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveTrace {
     /// Nodes discarded because their relaxation bound could not beat the
@@ -53,23 +51,10 @@ pub struct SolveTrace {
     /// Node relaxations that started from the parent's basis instead of
     /// a cold all-slack basis.
     pub warm_starts: usize,
-}
-
-impl SolveTrace {
-    /// Merges a worker's trace into this one (sums for counts, max for
-    /// the depth/frontier water marks).
-    pub fn merge(&mut self, other: &SolveTrace) {
-        self.pruned_by_bound += other.pruned_by_bound;
-        self.pruned_infeasible += other.pruned_infeasible;
-        self.incumbent_updates += other.incumbent_updates;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.max_frontier = self.max_frontier.max(other.max_frontier);
-        self.degenerate_pivots += other.degenerate_pivots;
-        self.factorizations += other.factorizations;
-        self.refactorizations += other.refactorizations;
-        self.bound_flips += other.bound_flips;
-        self.warm_starts += other.warm_starts;
-    }
+    /// LP solves that reached the dense two-phase solver although the
+    /// revised simplex was enabled: the model was not cold-startable, or
+    /// every revised rung failed on the relaxation.
+    pub dense_fallbacks: usize,
 }
 
 /// Search statistics from a MIP solve.

@@ -298,19 +298,13 @@ fn basis_reuse_preserves_the_optimum() {
     });
 }
 
-/// The parallel solver is also exact on mutated models (it ignores any
-/// carried basis, so this is pure mutate-vs-rebuild equivalence). The
-/// parallel contract is bitwise-identical *objectives*: on instances
-/// with non-unique optima, schedule-dependent pruning can discard a
-/// node holding an equal-objective alternative vertex before it offers,
-/// so the value vectors of two parallel runs may legitimately differ.
-/// Both solutions must still certify against their models.
+/// A plain solve (no carried basis) of a model mutated in place is
+/// bitwise identical to a solve of the same model rebuilt from scratch:
+/// pure mutate-vs-rebuild equivalence, objective and value vector.
+/// Both solutions must also certify against their models.
 #[test]
-fn parallel_solver_matches_rebuild_on_mutated_models() {
-    let par = MipSolver {
-        threads: 4,
-        ..Default::default()
-    };
+fn solver_matches_rebuild_on_mutated_models() {
+    let solver = MipSolver::default();
     for_random_cases(0xA300, |rng, mut spec| {
         let mut im = IncrementalModel::new(spec.build()).expect("valid model");
         for _ in 0..MUTATIONS_PER_CASE {
@@ -318,11 +312,13 @@ fn parallel_solver_matches_rebuild_on_mutated_models() {
             mutation.apply(&mut spec, &mut im);
         }
         let fresh = spec.build();
-        let a = par.solve(im.model());
-        let b = par.solve(&fresh);
+        let a = solver.solve(im.model());
+        let b = solver.solve(&fresh);
         match (&a, &b) {
             (Ok(sa), Ok(sb)) => {
                 assert_eq!(sa.objective.to_bits(), sb.objective.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&sa.values), bits(&sb.values), "values diverged");
                 for (label, model, sol) in [("mutated", im.model(), sa), ("rebuild", &fresh, sb)] {
                     let report = certify_solution(model, sol);
                     assert!(

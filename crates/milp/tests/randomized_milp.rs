@@ -105,14 +105,9 @@ fn for_random_ips(seed: u64, check: impl Fn(&mut Xoshiro256pp, &SmallIp)) {
     }
 }
 
-/// Branch-and-bound matches exhaustive enumeration exactly — with one
-/// worker and with eight.
+/// Branch-and-bound matches exhaustive enumeration exactly.
 #[test]
 fn mip_matches_brute_force() {
-    let parallel = MipSolver {
-        threads: 8,
-        ..Default::default()
-    };
     for_random_ips(0x1000, |_, ip| {
         let expected = brute_force(ip);
         let model = build_model(ip, true);
@@ -124,11 +119,6 @@ fn mip_matches_brute_force() {
             expected
         );
         assert!(model.is_feasible(&sol.values, 1e-6));
-        let par = parallel.solve(&model).expect("x=0 is feasible");
-        assert_eq!(
-            par.objective, sol.objective,
-            "parallel objective diverged from sequential"
-        );
     });
 }
 

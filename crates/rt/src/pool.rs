@@ -16,7 +16,7 @@
 //! items this pool runs.
 //!
 //! [`run_workers`] is the low-level escape hatch for custom topologies;
-//! the MILP solver's shared-frontier branch-and-bound runs on it.
+//! the decision server's reader and decider workers run on it.
 //!
 //! ## Telemetry
 //!

@@ -61,6 +61,9 @@ fn traced_week_is_consistent_with_report() {
         snap.counters["milp.lp.iterations"] as usize,
         report.total_lp_iterations()
     );
+    // Every LP solve of the week stays on the revised simplex: the dense
+    // solver is never reached as a fallback.
+    assert_eq!(snap.counters["milp.lp.dense_fallbacks"], 0);
 
     // Per-hour span fields sum to the report's aggregates.
     let hour_events: Vec<_> = snap.events.iter().filter(|e| e.path == "hour").collect();
