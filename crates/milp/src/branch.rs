@@ -7,7 +7,8 @@
 
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarId};
-use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedStats};
+use crate::presolve::{propagate_from, PropBuffers};
+use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedStats};
 use crate::simplex::LpSolver;
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
 use crate::INT_TOL;
@@ -66,10 +67,36 @@ impl Default for MipSolver {
     }
 }
 
+/// Every buffer a MILP solve refills, kept between solves so a caller
+/// that solves model after model ([`crate::IncrementalSolver`]) stops
+/// paying for set-up allocations once the buffers have grown to its
+/// largest model:
+///
+/// * the revised engine: its CSC `[A | I]`, costs, bounds, right-hand
+///   side and CSC placement scratch, plus its solve workspace (basis
+///   list, LU factorization, eta file, `x_B`, `c_B`, `ρ`, `w` and the
+///   ratio-test buffers);
+/// * the root bound propagation's `≤` rows, bound arrays and
+///   integrality flags.
+///
+/// [`MipSolver::solve_in`] rewrites every one of these values before it
+/// reads it, so a workspace serves models of any shape, in any order
+/// and after any error, with results bitwise equal to a fresh
+/// workspace's. The one value a solve reads first is whether the
+/// workspace was used before, and it feeds only the
+/// [`SolveTrace::workspace_reuses`] counter.
+#[derive(Debug, Clone, Default)]
+pub struct MipWorkspace {
+    engine: RevisedEngine,
+    prop: PropBuffers,
+    /// Whether a solve has started on this workspace.
+    used: bool,
+}
+
 /// An open node: per-variable bound overrides plus the parent's bound.
 struct Node {
-    /// `(lb, ub)` for every variable (small models; cloning is cheap and
-    /// keeps the search state self-contained).
+    /// `(lb, ub)` for every variable (small models; the down child
+    /// clones its parent's vector, the up child takes it over).
     bounds: Vec<(f64, f64)>,
     /// Relaxation bound inherited from the parent, in minimization space.
     bound: f64,
@@ -125,21 +152,28 @@ struct NodeSol {
 /// costs time but never changes the answer.
 struct NodeLp<'a> {
     solver: &'a MipSolver,
-    engine: Option<RevisedEngine>,
+    /// The workspace's engine, loaded with this search's model.
+    engine: Option<&'a mut RevisedEngine>,
     /// Dense-fallback clone whose bounds are overwritten per node,
     /// made the first time a node actually falls back.
     work: Option<Model>,
 }
 
 impl<'a> NodeLp<'a> {
-    /// Builds the backend. Revised-startability is decided once, here,
-    /// with the root bounds: children only tighten bounds, which can
-    /// never turn a startable model unstartable.
-    fn new(solver: &'a MipSolver, model: &Model, root_bounds: &[(f64, f64)]) -> Self {
+    /// Builds the backend, loading `model` into `engine`.
+    /// Revised-startability is decided once, here, with the root bounds:
+    /// children only tighten bounds, which can never turn a startable
+    /// model unstartable.
+    fn new(
+        solver: &'a MipSolver,
+        model: &Model,
+        root_bounds: &[(f64, f64)],
+        engine: &'a mut RevisedEngine,
+    ) -> Self {
         let engine = if solver.revised {
-            let mut e = RevisedEngine::new(model, RevisedOptions::default());
-            e.set_var_bounds(root_bounds);
-            e.cold_startable().then_some(e)
+            engine.load(model);
+            engine.set_var_bounds(root_bounds);
+            engine.cold_startable().then_some(engine)
         } else {
             None
         };
@@ -268,11 +302,33 @@ impl MipSolver {
         model: &Model,
         root_basis: Option<&BasisState>,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
+        self.solve_in(model, root_basis, &mut MipWorkspace::default())
+    }
+
+    /// [`solve_with_root_basis`](Self::solve_with_root_basis) in the
+    /// buffers of `ws` — the one search behind every entry point. A
+    /// caller that keeps `ws` between solves skips the set-up
+    /// allocations; the result is bitwise the same as with a fresh
+    /// workspace (see [`MipWorkspace`]).
+    pub fn solve_in(
+        &self,
+        model: &Model,
+        root_basis: Option<&BasisState>,
+        ws: &mut MipWorkspace,
+    ) -> Result<(Solution, Option<BasisState>), SolveError> {
+        // The span covers the set-up too: validation, propagation and
+        // the engine load.
+        let mut mip_span = billcap_obs::span("mip");
+        let mut trace = SolveTrace {
+            workspace_reuses: usize::from(ws.used),
+            ..SolveTrace::default()
+        };
+        ws.used = true;
         model.validate()?;
         let int_vars = model.integer_vars();
         if int_vars.is_empty() {
-            let mut trace = SolveTrace::default();
-            let (mut sol, basis) = self.solve_pure_lp_warm(model, root_basis, &mut trace)?;
+            let (mut sol, basis) =
+                self.solve_pure_lp_warm(model, root_basis, &mut ws.engine, &mut trace)?;
             trace.degenerate_pivots = sol.degenerate;
             sol.mip = Some(MipStats {
                 nodes: 1,
@@ -281,7 +337,7 @@ impl MipSolver {
                 gap: 0.0,
                 trace,
             });
-            record_obs(sol.mip.as_ref().expect("just set")); // repolint-allow(unwrap): set two lines above
+            finish_obs(&mut mip_span, Some(&sol));
             return Ok((sol, basis));
         }
 
@@ -314,10 +370,14 @@ impl MipSolver {
         // Tighten the root box with activity-based bound propagation.
         // The propagated bounds are implied by the constraints, so no
         // integer-feasible point is cut; a propagation-time infeasibility
-        // proof short-circuits the whole search.
+        // proof short-circuits the whole search. Propagation rounds
+        // integer bounds inward with the same rule as above, so starting
+        // it from the rounded box gives the bounds it gives from the
+        // declared one.
+        let MipWorkspace { engine, prop, .. } = ws;
         if self.root_propagation {
-            let prop = crate::presolve::propagate_from(model, &model.var_bounds())?;
-            for (rb, &(pl, pu)) in root_bounds.iter_mut().zip(&prop.bounds) {
+            propagate_from(model, &root_bounds, prop)?;
+            for (rb, (&pl, &pu)) in root_bounds.iter_mut().zip(prop.lb.iter().zip(&prop.ub)) {
                 rb.0 = rb.0.max(pl);
                 rb.1 = rb.1.min(pu);
                 if rb.0 > rb.1 {
@@ -326,7 +386,7 @@ impl MipSolver {
             }
         }
 
-        let mut node_lp = NodeLp::new(self, model, &root_bounds);
+        let mut node_lp = NodeLp::new(self, model, &root_bounds, engine);
         let mut frontier = BinaryHeap::new();
         frontier.push(Node {
             bounds: root_bounds,
@@ -340,9 +400,7 @@ impl MipSolver {
         let mut incumbent_key = f64::INFINITY;
         let mut nodes = 0usize;
         let mut lp_iterations = 0usize;
-        let mut trace = SolveTrace::default();
         let obs_on = billcap_obs::enabled();
-        let mut mip_span = billcap_obs::span("mip");
 
         // repolint-hot-start(branch-and-bound node loop): runs once per
         // node; the engine and node backend are built before it.
@@ -407,7 +465,7 @@ impl MipSolver {
             match frac {
                 None => {
                     // Integer feasible: round off float noise and accept.
-                    let mut values = lp_sol.values.clone();
+                    let mut values = lp_sol.values;
                     for &v in &int_vars {
                         values[v.index()] = values[v.index()].round();
                     }
@@ -442,7 +500,7 @@ impl MipSolver {
                         });
                     }
                     if up_lb <= ub + self.int_tol {
-                        let mut b = node.bounds.clone();
+                        let mut b = node.bounds;
                         b[v.index()] = (up_lb, ub);
                         frontier.push(Node {
                             bounds: b,
@@ -499,21 +557,22 @@ impl MipSolver {
         }
     }
 
-    /// A pure-LP solve (no integer variables): the revised simplex when
-    /// the model is cold-startable, the dense two-phase solver otherwise
-    /// — both return audited duals. A carried basis is tried first via
-    /// the *verified* warm path (it crossed a model mutation, so dual
-    /// feasibility must be re-proven); rejection costs the wasted pivots
-    /// and falls through to a cold start. A dense solve with `revised` on
-    /// counts in [`SolveTrace::dense_fallbacks`].
+    /// A pure-LP solve (no integer variables) in `engine`: the revised
+    /// simplex when the model is cold-startable, the dense two-phase
+    /// solver otherwise — both return audited duals. A carried basis is
+    /// tried first via the *verified* warm path (it crossed a model
+    /// mutation, so dual feasibility must be re-proven); rejection costs
+    /// the wasted pivots and falls through to a cold start. A dense solve
+    /// with `revised` on counts in [`SolveTrace::dense_fallbacks`].
     fn solve_pure_lp_warm(
         &self,
         model: &Model,
         warm: Option<&BasisState>,
+        engine: &mut RevisedEngine,
         trace: &mut SolveTrace,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
         if self.revised {
-            let mut engine = RevisedEngine::new(model, RevisedOptions::default());
+            engine.load(model);
             if engine.cold_startable() {
                 let from_revised = |r: crate::revised::RevisedSolution, wasted: usize| {
                     let basis = r.basis.clone();
@@ -613,7 +672,7 @@ impl MipSolver {
 
 /// Writes a finished solve's counters to the global trace recorder and
 /// stamps summary fields on the solve's span. No-op when tracing is off.
-pub(crate) fn record_obs(stats: &MipStats) {
+fn record_obs(stats: &MipStats) {
     if !billcap_obs::enabled() {
         return;
     }
@@ -644,11 +703,15 @@ pub(crate) fn record_obs(stats: &MipStats) {
         "milp.lp.dense_fallbacks",
         stats.trace.dense_fallbacks as u64,
     );
+    billcap_obs::counter(
+        "milp.lp.workspace_reuses",
+        stats.trace.workspace_reuses as u64,
+    );
 }
 
 /// Completes a solve's `mip` span: attaches the headline counters as
 /// fields (when the span is live) and records the aggregate counters.
-pub(crate) fn finish_obs(span: &mut billcap_obs::Span, sol: Option<&Solution>) {
+fn finish_obs(span: &mut billcap_obs::Span, sol: Option<&Solution>) {
     let Some(sol) = sol else { return };
     let Some(stats) = sol.mip.as_ref() else {
         return;

@@ -16,10 +16,13 @@
 //!   constraint names/operators/term patterns, objective term pattern).
 //!   The mutators it exposes are exactly the value-only ones, so the
 //!   hash is computed once and stays valid for the model's lifetime.
-//! * [`IncrementalSolver`] drives [`MipSolver::solve_with_root_basis`],
-//!   optionally carrying the root relaxation's optimal basis from one
-//!   solve to the next. The basis is only replayed when the structural
-//!   hash matches the solve that produced it, and the root warm start
+//! * [`IncrementalSolver`] drives [`MipSolver::solve_in`] in a
+//!   [`MipWorkspace`] it keeps, so the solver's buffers (standard form,
+//!   LU and eta arrays, propagation rows) are refilled rather than
+//!   rebuilt each solve, and optionally carries the root relaxation's
+//!   optimal basis from one solve to the next. The basis is only
+//!   replayed when the structural hash matches the solve that produced
+//!   it, and the root warm start
 //!   re-proves dual feasibility (see
 //!   [`RevisedEngine::solve_warm_verified`]) — a stale or hostile basis
 //!   costs a cold start, never a wrong answer.
@@ -33,7 +36,7 @@
 //!
 //! [`RevisedEngine::solve_warm_verified`]: crate::revised::RevisedEngine::solve_warm_verified
 
-use crate::branch::MipSolver;
+use crate::branch::{MipSolver, MipWorkspace};
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model, Sense, VarId, VarType};
 use crate::revised::BasisState;
@@ -227,14 +230,17 @@ impl IncrementalModel {
     }
 }
 
-/// A [`MipSolver`] plus the cross-solve warm-start state for one
-/// recurring model shape.
+/// A [`MipSolver`] plus the state it keeps between solves: a
+/// [`MipWorkspace`] and, optionally, the cross-solve warm-start basis
+/// for one recurring model shape.
 ///
-/// With [`reuse_basis`](Self::reuse_basis) off (the default) this is a
-/// thin wrapper whose solves are bitwise-identical to
-/// [`MipSolver::solve`] on the same model values — the savings come
-/// purely from not rebuilding the model. With it on, each solve seeds
-/// the root relaxation from the previous solve's root-optimal basis
+/// Every solve runs in the kept workspace, so the solver refills its
+/// buffers instead of allocating them. With
+/// [`reuse_basis`](Self::reuse_basis) off (the default) the solves are
+/// bitwise-identical to [`MipSolver::solve`] on the same model values —
+/// the savings come from not rebuilding the model and from the kept
+/// workspace, neither of which changes a float. With it on, each solve
+/// seeds the root relaxation from the previous solve's root-optimal basis
 /// (verified for dual feasibility, cold-started on rejection) and the
 /// optimum is unchanged, though tie-breaking among alternative optima
 /// may differ in the last ulp.
@@ -246,6 +252,7 @@ pub struct IncrementalSolver {
     pub reuse_basis: bool,
     basis: Option<BasisState>,
     hash: Option<u64>,
+    ws: MipWorkspace,
 }
 
 impl IncrementalSolver {
@@ -256,6 +263,7 @@ impl IncrementalSolver {
             reuse_basis: false,
             basis: None,
             hash: None,
+            ws: MipWorkspace::default(),
         }
     }
 
@@ -267,14 +275,17 @@ impl IncrementalSolver {
     /// than risk feeding the engine a shape-incompatible status vector.
     pub fn solve(&mut self, im: &IncrementalModel) -> Result<Solution, SolveError> {
         if !self.reuse_basis {
-            return self.solver.solve(im.model());
+            return self
+                .solver
+                .solve_in(im.model(), None, &mut self.ws)
+                .map(|(sol, _)| sol);
         }
         if self.hash != Some(im.structural_hash()) {
             self.basis = None;
         }
         let (sol, basis) = self
             .solver
-            .solve_with_root_basis(im.model(), self.basis.as_ref())?;
+            .solve_in(im.model(), self.basis.as_ref(), &mut self.ws)?;
         self.basis = basis;
         self.hash = Some(im.structural_hash());
         Ok(sol)

@@ -66,7 +66,7 @@ pub mod solution;
 pub mod sparse;
 
 pub use basis::BasisFactorization;
-pub use branch::MipSolver;
+pub use branch::{MipSolver, MipWorkspace};
 pub use certify::{
     certify_solution, certify_solution_with, CertifyOptions, CertifyReport, Violation,
 };

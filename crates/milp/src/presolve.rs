@@ -84,8 +84,10 @@ pub struct Propagation {
 /// `r` is `terms[start[r]..start[r + 1]]` with right-hand side `rhs[r]`.
 /// A `Ge` constraint is stored negated and an `Eq` constraint as both
 /// directions, so the propagation pass only ever reasons about minimum
-/// activity against an upper bound. [`clear`](Self::clear) keeps the
-/// capacity for the next round of presolve.
+/// activity against an upper bound. [`clear`](Self::clear) empties the
+/// rows and keeps the capacity; it must run before the first
+/// [`push`](Self::push).
+#[derive(Debug, Clone, Default)]
 struct LeRows {
     start: Vec<usize>,
     terms: Vec<(usize, f64)>,
@@ -93,18 +95,9 @@ struct LeRows {
 }
 
 impl LeRows {
-    fn with_capacity(rows: usize) -> Self {
-        let mut start = Vec::with_capacity(rows + 1);
-        start.push(0);
-        Self {
-            start,
-            terms: Vec::new(),
-            rhs: Vec::with_capacity(rows),
-        }
-    }
-
     fn clear(&mut self) {
-        self.start.truncate(1);
+        self.start.clear();
+        self.start.push(0);
         self.terms.clear();
         self.rhs.clear();
     }
@@ -259,23 +252,54 @@ pub fn propagate_bounds_with(
     bounds: &[(f64, f64)],
 ) -> Result<Propagation, SolveError> {
     model.validate()?;
-    propagate_from(model, bounds)
+    let mut buf = PropBuffers::default();
+    let (tightened, rounds) = propagate_from(model, bounds, &mut buf)?;
+    Ok(Propagation {
+        bounds: buf.lb.iter().copied().zip(buf.ub.iter().copied()).collect(),
+        tightened,
+        rounds,
+    })
+}
+
+/// The arrays of one propagation run, kept between solves by a
+/// [`crate::branch::MipWorkspace`]. [`propagate_from`] clears and
+/// refills every one before reading it; after a successful run `lb` and
+/// `ub` hold the propagated bounds.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PropBuffers {
+    rows: LeRows,
+    pub(crate) lb: Vec<f64>,
+    pub(crate) ub: Vec<f64>,
+    is_int: Vec<bool>,
 }
 
 /// [`propagate_bounds_with`] for a model the caller has already
-/// validated (the branch-and-bound root), so it is not validated twice.
+/// validated (the branch-and-bound root), into `buf`'s arrays: the
+/// propagated bounds land in `buf.lb` / `buf.ub`, and the return value
+/// is `(tightenings, rounds)` as in [`Propagation`].
 pub(crate) fn propagate_from(
     model: &Model,
     bounds: &[(f64, f64)],
-) -> Result<Propagation, SolveError> {
+    buf: &mut PropBuffers,
+) -> Result<(usize, usize), SolveError> {
     debug_assert_eq!(bounds.len(), model.num_vars());
-    let mut lb: Vec<f64> = bounds.iter().map(|&(l, _)| l).collect();
-    let mut ub: Vec<f64> = bounds.iter().map(|&(_, u)| u).collect();
-    let is_int: Vec<bool> = model
-        .variables()
-        .iter()
-        .map(|v| matches!(v.var_type, VarType::Integer | VarType::Binary))
-        .collect();
+    let PropBuffers {
+        rows,
+        lb,
+        ub,
+        is_int,
+    } = buf;
+    lb.clear();
+    lb.extend(bounds.iter().map(|&(l, _)| l));
+    ub.clear();
+    ub.extend(bounds.iter().map(|&(_, u)| u));
+    is_int.clear();
+    is_int.extend(
+        model
+            .variables()
+            .iter()
+            .map(|v| matches!(v.var_type, VarType::Integer | VarType::Binary)),
+    );
     // Integer bounds rounded inward first (not counted as tightenings).
     for j in 0..lb.len() {
         if is_int[j] {
@@ -290,22 +314,16 @@ pub(crate) fn propagate_from(
             }
         }
     }
-    let mut rows = LeRows::with_capacity(model.num_constraints());
+    rows.clear();
     for c in model.constraints() {
         rows.push(c.terms.iter().map(|&(v, co)| (v.index(), co)), c.op, c.rhs);
     }
     let mut tightened = 0usize;
     let mut rounds = 0usize;
-    while rounds < PROP_MAX_ROUNDS
-        && propagate_pass(&rows, &mut lb, &mut ub, &is_int, &mut tightened)?
-    {
+    while rounds < PROP_MAX_ROUNDS && propagate_pass(rows, lb, ub, is_int, &mut tightened)? {
         rounds += 1;
     }
-    Ok(Propagation {
-        bounds: lb.into_iter().zip(ub).collect(),
-        tightened,
-        rounds,
-    })
+    Ok((tightened, rounds))
 }
 
 /// Applies the reductions to a fixpoint. Returns
@@ -343,7 +361,7 @@ pub fn presolve(model: &Model) -> Result<PresolveResult, SolveError> {
     let tol = 1e-9;
     let mut prop_rounds = 0usize;
     let mut prop_tightened = 0usize;
-    let mut le_rows = LeRows::with_capacity(rows.len());
+    let mut le_rows = LeRows::default();
 
     let mut changed = true;
     while changed {

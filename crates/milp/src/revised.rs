@@ -161,9 +161,12 @@ impl RevisedError {
     }
 }
 
-/// Working storage of a solve, kept by the engine between solves so a
+/// Working storage of a solve, kept by the engine between solves — and,
+/// inside a [`crate::branch::MipWorkspace`], across engine
+/// [`load`](RevisedEngine::load)s of differently shaped models — so a
 /// node solve allocates only its outputs: the factorization is rebuilt
-/// in place and the vectors are cleared and refilled.
+/// in place and the vectors are cleared, resized to the current row
+/// count and refilled before they are read.
 #[derive(Debug, Clone, Default)]
 struct Workspace {
     /// Basic column of each slot.
@@ -185,12 +188,16 @@ struct Workspace {
 
 /// The standard-form problem plus mutable per-node bounds.
 ///
-/// Built once per model; between node solves only
+/// Loaded once per model solve; between node solves only
 /// [`set_var_bounds`](Self::set_var_bounds) changes (branch-and-bound
 /// tightens bounds, never the matrix), so the CSC matrix, costs and
 /// right-hand side are shared across the whole search tree, and so is
-/// the solve workspace.
-#[derive(Debug, Clone)]
+/// the solve workspace. A load refills every array in place, so an
+/// engine kept across solves (see [`crate::branch::MipWorkspace`])
+/// stops allocating once its arrays have grown to the largest model it
+/// has seen. The default engine holds the empty problem, ready for a
+/// first load.
+#[derive(Debug, Clone, Default)]
 pub struct RevisedEngine {
     /// Rows.
     m: usize,
@@ -214,18 +221,38 @@ pub struct RevisedEngine {
     opts: RevisedOptions,
     /// Reused by every solve; holds no state a solve reads.
     ws: Workspace,
+    /// Column cursors of the CSC placement pass, kept between loads.
+    placement: Vec<usize>,
 }
 
 impl RevisedEngine {
     /// Builds the standard form for `model` (assumed validated — the
-    /// public solver entry points validate before reaching here).
+    /// public solver entry points validate before reaching here): a
+    /// default engine with `opts`, loaded.
     pub fn new(model: &Model, opts: RevisedOptions) -> Self {
+        let mut engine = Self {
+            opts,
+            ..Self::default()
+        };
+        engine.load(model);
+        engine
+    }
+
+    /// Replaces the problem by `model`'s standard form (assumed
+    /// validated), in place: the matrix, costs, bounds and right-hand
+    /// side reuse their arrays, and the solve workspace is kept. Every
+    /// per-model value is rewritten here, so nothing of the previous
+    /// model survives into the next solve.
+    pub(crate) fn load(&mut self, model: &Model) {
         let m = model.num_constraints();
         let nvars = model.num_vars();
         let ncols = nvars + m;
+        self.m = m;
+        self.nvars = nvars;
+        self.ncols = ncols;
         // `[A | I]` straight from the rows: row `i`'s terms, then its
         // slack's unit entry.
-        let a = CscMat::from_rows(
+        self.a.refill_from_rows(
             ncols,
             model.constraints().iter().enumerate().map(|(i, con)| {
                 con.terms
@@ -233,13 +260,15 @@ impl RevisedEngine {
                     .map(|&(v, coef)| (v.index(), coef))
                     .chain(std::iter::once((nvars + i, 1.0)))
             }),
+            &mut self.placement,
         );
-        let b = model.constraints().iter().map(|con| con.rhs).collect();
-        let mut lb = Vec::with_capacity(ncols);
-        let mut ub = Vec::with_capacity(ncols);
+        self.b.clear();
+        self.b.extend(model.constraints().iter().map(|con| con.rhs));
+        self.lb.clear();
+        self.ub.clear();
         for v in model.variables() {
-            lb.push(v.lb);
-            ub.push(v.ub);
+            self.lb.push(v.lb);
+            self.ub.push(v.ub);
         }
         for con in model.constraints() {
             let (slb, sub) = match con.op {
@@ -247,29 +276,17 @@ impl RevisedEngine {
                 ConstraintOp::Ge => (f64::NEG_INFINITY, 0.0),
                 ConstraintOp::Eq => (0.0, 0.0),
             };
-            lb.push(slb);
-            ub.push(sub);
+            self.lb.push(slb);
+            self.ub.push(sub);
         }
-        let obj_sign = match model.sense {
+        self.obj_sign = match model.sense {
             Sense::Minimize => 1.0,
             Sense::Maximize => -1.0,
         };
-        let mut cost = vec![0.0; ncols];
+        self.cost.clear();
+        self.cost.resize(ncols, 0.0);
         for &(v, coef) in model.objective() {
-            cost[v.index()] += obj_sign * coef;
-        }
-        Self {
-            m,
-            nvars,
-            ncols,
-            a,
-            cost,
-            lb,
-            ub,
-            b,
-            obj_sign,
-            opts,
-            ws: Workspace::default(),
+            self.cost[v.index()] += self.obj_sign * coef;
         }
     }
 

@@ -55,6 +55,10 @@ pub struct SolveTrace {
     /// revised simplex was enabled: the model was not cold-startable, or
     /// every revised rung failed on the relaxation.
     pub dense_fallbacks: usize,
+    /// 1 when the solve started on a [`crate::branch::MipWorkspace`]
+    /// an earlier solve had used, else 0: summed over a run, the solves
+    /// that skipped growing their buffers from empty.
+    pub workspace_reuses: usize,
 }
 
 /// Search statistics from a MIP solve.

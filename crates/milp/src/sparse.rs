@@ -10,11 +10,12 @@
 
 /// An `m × n` sparse matrix in compressed-sparse-column form.
 ///
-/// Built once per model by [`crate::revised::RevisedEngine`] straight
-/// from the constraint rows ([`from_rows`](Self::from_rows)); immutable
-/// afterwards (branch-and-bound only changes variable *bounds*, which the
-/// revised formulation keeps out of the matrix entirely).
-#[derive(Debug, Clone, PartialEq)]
+/// Filled by [`crate::revised::RevisedEngine`] straight from the
+/// constraint rows once per solve, into the arrays of the previous
+/// solve's matrix; read-only during the solve (branch-and-bound only
+/// changes variable *bounds*, which the revised formulation keeps out
+/// of the matrix entirely).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CscMat {
     nrows: usize,
     ncols: usize,
@@ -43,12 +44,36 @@ impl CscMat {
         I: IntoIterator<Item = R> + Clone,
         R: IntoIterator<Item = (usize, f64)>,
     {
+        let mut mat = Self::default();
+        mat.refill_from_rows(ncols, rows, &mut Vec::new());
+        mat
+    }
+
+    /// [`from_rows`](Self::from_rows) into this matrix's arrays, in
+    /// place, replacing its contents; `end` is placement scratch a
+    /// caller keeps between refills.
+    ///
+    /// # Panics
+    /// Panics if a column index is out of range.
+    pub(crate) fn refill_from_rows<I, R>(&mut self, ncols: usize, rows: I, end: &mut Vec<usize>)
+    where
+        I: IntoIterator<Item = R> + Clone,
+        R: IntoIterator<Item = (usize, f64)>,
+    {
+        let Self {
+            nrows,
+            ncols: stored_ncols,
+            col_ptr,
+            row_ix,
+            vals,
+        } = self;
         // Counting pass: `col_ptr[j + 1]` collects column `j`'s entry
         // count, an upper bound on its stored entries.
-        let mut col_ptr = vec![0usize; ncols + 1];
-        let mut nrows = 0;
+        col_ptr.clear();
+        col_ptr.resize(ncols + 1, 0);
+        *nrows = 0;
         for row in rows.clone() {
-            nrows += 1;
+            *nrows += 1;
             for (j, _) in row {
                 assert!(j < ncols, "column index {j} out of range ({ncols} columns)");
                 col_ptr[j + 1] += 1;
@@ -60,9 +85,12 @@ impl CscMat {
         // Placement pass. Rows arrive in order, so each column fills in
         // ascending row order and a repeated column within a row is
         // always the column's most recent entry.
-        let mut row_ix = vec![0usize; col_ptr[ncols]];
-        let mut vals = vec![0.0; col_ptr[ncols]];
-        let mut end = col_ptr[..ncols].to_vec();
+        row_ix.clear();
+        row_ix.resize(col_ptr[ncols], 0);
+        vals.clear();
+        vals.resize(col_ptr[ncols], 0.0);
+        end.clear();
+        end.extend_from_slice(&col_ptr[..ncols]);
         for (i, row) in rows.into_iter().enumerate() {
             for (j, v) in row {
                 let k = end[j];
@@ -92,13 +120,7 @@ impl CscMat {
         col_ptr[ncols] = w;
         row_ix.truncate(w);
         vals.truncate(w);
-        Self {
-            nrows,
-            ncols,
-            col_ptr,
-            row_ix,
-            vals,
-        }
+        *stored_ncols = ncols;
     }
 
     /// Number of rows.
@@ -182,6 +204,18 @@ mod tests {
         assert_eq!(m.col(1), (&[][..], &[][..]));
         // A sum that cancels and then resumes keeps the resumed value.
         assert_eq!(m.col(2), (&[1usize, 2][..], &[7.0, 0.25][..]));
+    }
+
+    #[test]
+    fn refill_reuses_arrays_and_matches_a_fresh_build() {
+        let big: &[&[(usize, f64)]] = &[&[(3, 4.0), (0, 1.0)], &[(1, 3.0), (1, 2.0)], &[(2, 0.5)]];
+        let small: &[&[(usize, f64)]] = &[&[(1, -1.0)]];
+        let mut m = csc(4, big);
+        let mut end = Vec::new();
+        for (ncols, rows) in [(2, small), (4, big), (2, small)] {
+            m.refill_from_rows(ncols, rows.iter().map(|r| r.iter().copied()), &mut end);
+            assert_eq!(m, csc(ncols, rows));
+        }
     }
 
     #[test]

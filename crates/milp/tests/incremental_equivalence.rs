@@ -16,16 +16,21 @@
 //!   [`certify_solution`] checker (primal feasibility, integrality,
 //!   objective honesty, bound consistency).
 //!
+//! A kept [`MipWorkspace`] is held to the same bitwise standard: one
+//! workspace solves models that change shape and fail in every way a
+//! solve can, and each result equals a fresh-workspace solve.
+//!
 //! Mutation kinds cover the whole value surface — RHS, matrix
 //! coefficients, objective coefficients, variable bounds — plus targeted
 //! RHS moves that flip a row from binding to slack (and back) at the
 //! current optimum, the case where a stale basis is most tempting.
 
 use billcap_milp::{
-    certify_solution, ConstraintOp, IncrementalModel, IncrementalSolver, MipSolver, Model, Sense,
-    SolveError, VarId, VarType,
+    certify_solution, ConstraintOp, IncrementalModel, IncrementalSolver, MipSolver, MipWorkspace,
+    Model, Sense, Solution, SolveError, SolveTrace, VarId, VarType,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
+use std::cell::{Cell, RefCell};
 
 const CASES: usize = 256;
 const MUTATIONS_PER_CASE: usize = 6;
@@ -330,6 +335,248 @@ fn solver_matches_rebuild_on_mutated_models() {
             }
             (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => {}
             _ => panic!("outcomes diverged: {a:?} vs {b:?}"),
+        }
+    });
+}
+
+/// Asserts a solve in a kept workspace returned exactly what a solve in
+/// a fresh one did: status, objective, values and duals bit for bit,
+/// every `MipStats` counter, and equal errors. `workspace_reuses`
+/// differs by design (the kept workspace was used before), so it is
+/// checked separately and left out of the comparison.
+fn assert_same_outcome(
+    ctx: &str,
+    kept: &Result<Solution, SolveError>,
+    fresh: &Result<Solution, SolveError>,
+    reused: bool,
+) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (k, f) = match (kept, fresh) {
+        (Ok(k), Ok(f)) => (k, f),
+        (Err(ek), Err(ef)) => {
+            assert_eq!(ek, ef, "{ctx}: errors differ");
+            return;
+        }
+        _ => panic!("{ctx}: outcomes diverged: {kept:?} vs {fresh:?}"),
+    };
+    assert_eq!(k.status, f.status, "{ctx}: status");
+    assert_eq!(
+        k.objective.to_bits(),
+        f.objective.to_bits(),
+        "{ctx}: objective"
+    );
+    assert_eq!(bits(&k.values), bits(&f.values), "{ctx}: values");
+    assert_eq!(k.iterations, f.iterations, "{ctx}: iterations");
+    assert_eq!(k.degenerate, f.degenerate, "{ctx}: degenerate pivots");
+    assert_eq!(
+        k.duals.as_deref().map(bits),
+        f.duals.as_deref().map(bits),
+        "{ctx}: duals"
+    );
+    let (km, fm) = (k.mip.expect("stats"), f.mip.expect("stats"));
+    assert_eq!(km.trace.workspace_reuses, usize::from(reused), "{ctx}");
+    assert_eq!(fm.trace.workspace_reuses, 0, "{ctx}: fresh workspace");
+    assert_eq!(km.nodes, fm.nodes, "{ctx}: nodes");
+    assert_eq!(km.lp_iterations, fm.lp_iterations, "{ctx}: lp iterations");
+    assert_eq!(
+        km.best_bound.to_bits(),
+        fm.best_bound.to_bits(),
+        "{ctx}: bound"
+    );
+    assert_eq!(km.gap.to_bits(), fm.gap.to_bits(), "{ctx}: gap");
+    let trace = SolveTrace {
+        workspace_reuses: 0,
+        ..km.trace
+    };
+    assert_eq!(trace, fm.trace, "{ctx}: trace counters");
+}
+
+/// `n` variables (integers in [0, 3] at even indices, continuous in
+/// [0, 2.5] at odd ones) under `rows` packing rows with fractional
+/// coefficients, so the relaxation is fractional and the search
+/// branches. Shapes grow and shrink with `n` and `rows`.
+fn packing(n: usize, rows: usize) -> Model {
+    let mut m = Model::new(format!("pack{n}x{rows}"), Sense::Maximize);
+    let vars: Vec<_> = (0..n)
+        .map(|j| {
+            if j % 2 == 0 {
+                m.add_var(format!("x{j}"), VarType::Integer, 0.0, 3.0)
+            } else {
+                m.add_cont(format!("x{j}"), 0.0, 2.5)
+            }
+        })
+        .collect();
+    for r in 0..rows {
+        let terms = vars
+            .iter()
+            .enumerate()
+            .map(|(j, &v)| (v, 1.0 + ((j * 7 + r * 3) % 5) as f64 * 0.5))
+            .collect();
+        let rhs = 2.0 + n as f64 * 0.9 + r as f64;
+        m.add_constraint(format!("r{r}"), terms, ConstraintOp::Le, rhs);
+    }
+    m.set_objective(
+        vars.iter()
+            .enumerate()
+            .map(|(j, &v)| (v, 1.0 + ((j * 5 + 2) % 7) as f64))
+            .collect(),
+        0.0,
+    );
+    m
+}
+
+/// Two integers whose sum must lie in [2.5, 2.7]: the relaxation is
+/// feasible, so branch-and-bound itself proves infeasibility.
+fn integer_infeasible() -> Model {
+    let mut m = Model::new("int-infeasible", Sense::Minimize);
+    let x = m.add_var("x", VarType::Integer, 0.0, 3.0);
+    let y = m.add_var("y", VarType::Integer, 0.0, 3.0);
+    m.add_constraint("lo", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 2.5);
+    m.add_constraint("hi", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 2.7);
+    m.set_objective(vec![(x, 1.0), (y, 2.0)], 0.0);
+    m
+}
+
+/// Six binaries with `2·Σx = 5`: every root vertex is fractional and no
+/// integer point exists, so a one-node search ends in `NodeLimit`.
+fn odd_parity() -> Model {
+    let mut m = Model::new("parity", Sense::Maximize);
+    let xs: Vec<_> = (0..6).map(|i| m.add_binary(format!("b{i}"))).collect();
+    m.add_constraint(
+        "sum",
+        xs.iter().map(|&v| (v, 2.0)).collect(),
+        ConstraintOp::Eq,
+        5.0,
+    );
+    m.set_objective(xs.iter().map(|&v| (v, 1.0)).collect(), 0.0);
+    m
+}
+
+/// A pure LP (no integer variable): the solve returns duals.
+fn pure_lp(n: usize) -> Model {
+    let mut m = Model::new(format!("lp{n}"), Sense::Maximize);
+    let vars: Vec<_> = (0..n)
+        .map(|j| m.add_cont(format!("y{j}"), 0.0, 3.0))
+        .collect();
+    m.add_constraint(
+        "all",
+        vars.iter().map(|&v| (v, 1.0)).collect(),
+        ConstraintOp::Le,
+        n as f64 + 0.5,
+    );
+    m.add_constraint(
+        "tilt",
+        vars.iter()
+            .enumerate()
+            .map(|(j, &v)| (v, 1.0 + j as f64))
+            .collect(),
+        ConstraintOp::Le,
+        2.0 * n as f64,
+    );
+    m.set_objective(
+        vars.iter()
+            .enumerate()
+            .map(|(j, &v)| (v, 3.0 - j as f64 * 0.5))
+            .collect(),
+        0.0,
+    );
+    m
+}
+
+/// An infeasible pure LP (`x ≤ 1` against `x ≥ 2`).
+fn lp_infeasible() -> Model {
+    let mut m = Model::new("lp-infeasible", Sense::Minimize);
+    let x = m.add_cont("x", 0.0, 1.0);
+    m.add_constraint("hi", vec![(x, 1.0)], ConstraintOp::Ge, 2.0);
+    m.set_objective(vec![(x, 1.0)], 0.0);
+    m
+}
+
+/// Two free variables bounded only jointly (`x ± z`), so root
+/// propagation cannot give either a finite bound: no dual-feasible cold
+/// start exists and the whole search runs on the dense fallback. The
+/// relaxation's `y = 1.5` makes it branch.
+fn free_variable() -> Model {
+    let mut m = Model::new("free", Sense::Minimize);
+    let x = m.add_cont("x", f64::NEG_INFINITY, f64::INFINITY);
+    let z = m.add_cont("z", f64::NEG_INFINITY, f64::INFINITY);
+    let y = m.add_var("y", VarType::Integer, 0.0, 5.0);
+    let w = m.add_cont("w", 0.0, 1.0);
+    m.add_constraint("sum", vec![(x, 1.0), (z, 1.0)], ConstraintOp::Ge, 3.0);
+    m.add_constraint("diff", vec![(x, 1.0), (z, -1.0)], ConstraintOp::Ge, 1.0);
+    m.add_constraint("cover", vec![(y, 1.0), (w, 1.0)], ConstraintOp::Ge, 1.5);
+    m.set_objective(vec![(x, 1.0), (y, 0.6), (w, 1.0)], 0.0);
+    m
+}
+
+/// One workspace solves a sequence of models that grow and shrink,
+/// fail (infeasible, node limit), skip branching (pure LP) and skip the
+/// revised engine (free variable), twice over. Every result equals a
+/// fresh-workspace solve bit for bit, so nothing an earlier solve — or
+/// its error path — left in the workspace leaks into the next one.
+#[test]
+fn one_workspace_serves_changing_shapes_and_error_paths() {
+    let default = MipSolver::default();
+    let one_node = MipSolver {
+        max_nodes: 1,
+        ..MipSolver::default()
+    };
+    let steps: Vec<(Model, &MipSolver)> = vec![
+        (packing(2, 1), &default),
+        (packing(7, 5), &default),
+        (integer_infeasible(), &default),
+        (packing(4, 2), &default),
+        (odd_parity(), &one_node),
+        (pure_lp(3), &default),
+        (free_variable(), &default),
+        (packing(9, 6), &default),
+        (lp_infeasible(), &default),
+        (packing(1, 1), &default),
+        (pure_lp(5), &default),
+    ];
+    let mut ws = MipWorkspace::default();
+    let mut solves = 0usize;
+    for pass in 0..2 {
+        for (model, solver) in &steps {
+            let ctx = format!("pass {pass}, {}", model.name);
+            let kept = solver.solve_in(model, None, &mut ws).map(|(s, _)| s);
+            let fresh = solver.solve(&model.clone());
+            assert_same_outcome(&ctx, &kept, &fresh, solves > 0);
+            solves += 1;
+        }
+    }
+    // The sequence covers what it claims to.
+    let fresh = |i: usize| steps[i].1.solve(&steps[i].0);
+    assert!(fresh(1).is_ok_and(|s| s.mip.expect("stats").nodes > 1));
+    assert_eq!(fresh(2), Err(SolveError::Infeasible));
+    assert_eq!(fresh(4), Err(SolveError::NodeLimit { nodes: 1 }));
+    assert!(fresh(5).is_ok_and(|s| s.duals.is_some()));
+    assert!(fresh(6).is_ok_and(|s| {
+        let stats = s.mip.expect("stats");
+        stats.nodes > 1 && stats.trace.dense_fallbacks == stats.nodes
+    }));
+    assert_eq!(fresh(8), Err(SolveError::Infeasible));
+}
+
+/// The random mutation stream of the tests above, every case and step
+/// through one shared workspace: shapes change from case to case, and
+/// each solve still equals a fresh-workspace solve bit for bit.
+#[test]
+fn one_workspace_matches_fresh_solves_across_random_cases() {
+    let solver = MipSolver::default();
+    let ws = RefCell::new(MipWorkspace::default());
+    let solves = Cell::new(0usize);
+    for_random_cases(0xA400, |rng, mut spec| {
+        let mut im = IncrementalModel::new(spec.build()).expect("valid model");
+        for step in 0..MUTATIONS_PER_CASE {
+            let mutation = Mutation::random(rng, &spec, None);
+            mutation.apply(&mut spec, &mut im);
+            let kept = solver
+                .solve_in(im.model(), None, &mut ws.borrow_mut())
+                .map(|(s, _)| s);
+            let fresh = solver.solve(&spec.build());
+            assert_same_outcome(&format!("step {step}"), &kept, &fresh, solves.get() > 0);
+            solves.set(solves.get() + 1);
         }
     });
 }

@@ -64,6 +64,15 @@ fn traced_week_is_consistent_with_report() {
     // Every LP solve of the week stays on the revised simplex: the dense
     // solver is never reached as a fallback.
     assert_eq!(snap.counters["milp.lp.dense_fallbacks"], 0);
+    // The week's one DecisionEngine holds two IncrementalSolvers, each
+    // with its own MipWorkspace: the cost-min solver (steps 1 and 3) and
+    // the throughput-max solver (step 2, which the tight budget makes
+    // run). Every solve but the first in each workspace reuses it.
+    assert!(snap.spans.contains_key("hour/step2/mip"));
+    assert_eq!(
+        snap.counters["milp.bnb.solves"] - snap.counters["milp.lp.workspace_reuses"],
+        2
+    );
 
     // Per-hour span fields sum to the report's aggregates.
     let hour_events: Vec<_> = snap.events.iter().filter(|e| e.path == "hour").collect();
