@@ -3,28 +3,34 @@
 //! [`crate::BillCapper`] rebuilds both optimization models from scratch
 //! every hour. The models' *shape* barely moves, though: variables and
 //! rows are fixed by the data-center spec, and only the kept price-level
-//! set per site (a function of the background demand `d` relative to the
-//! policy breakpoints) changes structure. [`DecisionEngine`] exploits
-//! that: it builds each step's model once, and between hours rewrites
-//! only the values that depend on the inputs —
+//! set per site (a function of the background demand `d` and the power
+//! cap relative to the policy breakpoints) changes structure.
+//! [`DecisionEngine`] exploits that: it builds each step's model once,
+//! and between hours rewrites only the values that depend on the
+//! inputs —
 //!
 //! * the `z` coefficients of the `lvl_hi_{i}_{k}` / `lvl_lo_{i}_{k}`
-//!   interval rows (functions of `d_i`),
+//!   interval rows (functions of `d_i` and the cap),
 //! * the `demand` / `offered` row RHS (`λ / RATE_SCALE`),
-//! * the `budget` row RHS.
+//! * the `budget` row RHS,
+//! * per site whose power cap moved since the model last served (a
+//!   [`crate::CapSchedule`] hour): the `lam_{i}` and `q_{i}_{k}` upper
+//!   bounds and the `cap_{i}` RHS.
 //!
-//! When a background change moves a site across a breakpoint the kept
-//! level set changes, and the engine switches to a model built for that
-//! key — structure is never patched in place. Built models are retained
-//! in a small per-step cache keyed by (kept levels, cap bit patterns):
-//! a diurnal background revisits the same few kept sets over and over,
-//! so after the first day a month-long run stops rebuilding entirely
-//! instead of rebuilding at every breakpoint crossing.
+//! When a background or cap change moves a site across a breakpoint the
+//! kept level set changes, and the engine switches to a model built for
+//! that key — structure is never patched in place. Built models are
+//! retained in a small per-step cache keyed by the kept levels alone: a
+//! diurnal background revisits the same few kept sets over and over, so
+//! after the first day a month-long run stops rebuilding entirely, with
+//! flat or hourly-moving caps alike.
 //!
 //! **Bitwise contract:** with basis reuse off (the default), every
 //! decision is bit-for-bit identical to [`crate::BillCapper::decide_hour`]
-//! on the same inputs. Both paths share the level math
-//! (`minimize::site_level_params`) and the step orchestration
+//! on the same inputs. Both paths share the model builders
+//! (`minimize::cost_min_model`, `maximize::throughput_max_model`), the
+//! level and cap math (`minimize::site_level_params`,
+//! `minimize::site_cap_values`) and the step orchestration
 //! (`capper::decide_hour_impl`), and the value mutators write
 //! the exact floats the fresh builder would, so the solver sees an
 //! identical model either way. Basis reuse ([`DecisionEngine::
@@ -34,45 +40,56 @@
 
 use crate::capper::{decide_hour_impl, CapperConfig, HourBackend, HourDecision};
 use crate::error::CoreError;
+use crate::maximize::throughput_max_model;
 use crate::minimize::{
-    build_piecewise_core, extract_allocation, site_level_params, Allocation, LevelParam,
+    cost_min_model, extract_allocation, site_cap_values, site_level_params, Allocation, LevelParam,
     PiecewiseVars, RATE_SCALE,
 };
 use crate::spec::DataCenterSystem;
-use billcap_milp::{
-    ConstraintOp, IncrementalModel, IncrementalSolver, MipSolver, Model, Sense, VarId,
-};
+use billcap_milp::{IncrementalModel, IncrementalSolver, MipSolver, Model};
+
+/// The two retained model shapes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    /// Cost minimization: steps 1 and 3 (they differ only in the
+    /// demand RHS).
+    CostMin,
+    /// Throughput maximization within the budget: step 2.
+    ThruMax,
+}
 
 /// One retained step model: the incremental wrapper, the variable
-/// handles, and the key its structure was built for.
+/// handles, the key its structure was built for, and the caps its
+/// values were last written for.
 struct StepModel {
     im: IncrementalModel,
     vars: PiecewiseVars,
     /// Kept price-level indices per site — the structural key. When the
     /// hour's key differs the engine switches models, never patches
-    /// structure.
+    /// structure. Cap-driven pruning shows up here, so caps need no key
+    /// of their own.
     kept: Vec<Vec<usize>>,
-    /// Per-site power caps (bit patterns) the model was built for. Caps
-    /// reach deep into the build — `λ` upper bounds, `q` upper bounds,
-    /// `cap_i` RHS, level pruning — so a cap change (a
-    /// [`crate::CapSchedule`] hour) selects a different cache entry
-    /// rather than patching values, keeping every served model
-    /// bitwise-identical to a fresh build by construction.
+    /// Per-site power caps (bit patterns) the cap-dependent values —
+    /// `lam` and `q` upper bounds, `cap_i` RHS — were last written for.
+    /// A site whose current cap has the same bits skips the rewrite;
+    /// bit equality (not `==` on floats) keeps a NaN cap deterministic.
     caps: Vec<u64>,
     /// `(lvl_hi, lvl_lo)` row indices per `(site, kept slot)`, resolved
     /// once at build time so the per-hour coefficient sync skips the
     /// name formatting and hash lookups.
     lvl_rows: Vec<Vec<(usize, usize)>>,
+    /// `cap_i` row index per site, resolved once at build time.
+    cap_rows: Vec<usize>,
     /// LRU stamp for cache eviction.
     last_used: u64,
 }
 
-/// Retained models per step, capped at this many distinct
-/// (kept, caps) keys; least-recently-used entries are evicted. A
-/// diurnal background cycles through a dozen-odd kept-set phases (each
-/// site crosses a few breakpoints up and back per day), so 24 keeps a
-/// steady month fully resident, while still bounding memory when a cap
-/// schedule mints a new caps key every hour.
+/// Retained models per step, capped at this many distinct kept-level
+/// keys; least-recently-used entries are evicted. A diurnal background
+/// cycles through a dozen-odd kept-set phases (each site crosses a few
+/// breakpoints up and back per day), so 24 keeps a steady month fully
+/// resident, cap schedule or not, while still bounding memory on an
+/// adversarial background.
 const STEP_CACHE_CAP: usize = 24;
 
 /// The retained solver state behind a [`DecisionEngine`]; implements
@@ -144,7 +161,7 @@ impl DecisionEngine {
     /// Removes and returns the fingerprints of every model structure
     /// built since the previous call (empty when only cached models
     /// served). A fingerprint is a pure function of
-    /// `(step, kept levels, caps)`, so the *set* of fingerprints drained
+    /// `(step, kept levels)`, so the *set* of fingerprints drained
     /// over a request sequence is independent of how the sequence was
     /// sharded across engines — the server aggregates them into a
     /// thread-count-invariant unique-rebuild counter.
@@ -175,14 +192,18 @@ impl DecisionEngine {
     }
 
     /// Re-caps every site for the next decisions (a
-    /// [`crate::CapSchedule`] hour). The retained models are keyed on
-    /// the cap vector, so the next [`Self::decide_hour`] switches
-    /// models exactly when a cap actually moved — a schedule that
-    /// revisits a previous cap vector reuses that vector's cached
-    /// model. Decisions stay independent of cap history either way:
-    /// every hour-dependent value in a cached model is rewritten before
-    /// each solve, so a served model is bitwise-identical to a fresh
-    /// build for the current inputs.
+    /// [`crate::CapSchedule`] hour). Caps are *values* of the retained
+    /// models: the next [`Self::decide_hour`] rewrites the `lam` and `q`
+    /// upper bounds and the `cap_i` RHS of each site whose cap bits
+    /// moved since the served model last saw them, and switches models
+    /// only when a cap prunes or restores a price level (the kept-level
+    /// key). Decisions stay independent of cap history: a served model
+    /// is bitwise-identical to a fresh build for the current inputs.
+    ///
+    /// Bad caps (NaN, infinite, below base power) are accepted here and
+    /// fail or succeed in the decision exactly as they do for
+    /// [`crate::BillCapper`]. A model whose cap rewrite fails part-way
+    /// is dropped from the cache, never served half-written.
     ///
     /// # Panics
     ///
@@ -220,6 +241,96 @@ impl DecisionEngine {
     }
 }
 
+/// Index of the row `name` in a model the caller just built with it.
+fn built_row(im: &IncrementalModel, name: &str) -> usize {
+    match im.row(name) {
+        Some(idx) => idx,
+        None => unreachable!("row {name} created by the build"),
+    }
+}
+
+impl StepModel {
+    /// Wraps a freshly built model, resolving the rows the per-hour
+    /// syncs address by index and recording the caps it was built for.
+    fn new(
+        m: Model,
+        vars: PiecewiseVars,
+        kept: &[Vec<usize>],
+        system: &DataCenterSystem,
+        stamp: u64,
+    ) -> Result<Self, CoreError> {
+        let im = IncrementalModel::new(m)?;
+        let lvl_rows = vars
+            .levels
+            .iter()
+            .enumerate()
+            .map(|(i, levels)| {
+                levels
+                    .iter()
+                    .map(|&(k, _, _, _)| {
+                        (
+                            built_row(&im, &format!("lvl_hi_{i}_{k}")),
+                            built_row(&im, &format!("lvl_lo_{i}_{k}")),
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        let cap_rows = (0..vars.lam.len())
+            .map(|i| built_row(&im, &format!("cap_{i}")))
+            .collect();
+        Ok(Self {
+            im,
+            vars,
+            kept: kept.to_vec(),
+            caps: system
+                .sites
+                .iter()
+                .map(|s| s.power_cap_mw.to_bits())
+                .collect(),
+            lvl_rows,
+            cap_rows,
+            last_used: stamp,
+        })
+    }
+
+    /// Rewrites the cap-dependent values of every site whose cap bits
+    /// differ from those the model was last written for. The kept key
+    /// already matches, so the `q` handles line up with this hour's
+    /// levels.
+    fn sync_caps(&mut self, system: &DataCenterSystem) -> Result<(), CoreError> {
+        for (i, site) in system.sites.iter().enumerate() {
+            let bits = site.power_cap_mw.to_bits();
+            if self.caps[i] == bits {
+                continue;
+            }
+            let v = site_cap_values(site);
+            self.im.set_var_bounds(self.vars.lam[i], 0.0, v.lam_ub)?;
+            for &(_, _, q, _) in &self.vars.levels[i] {
+                self.im.set_var_bounds(q, 0.0, v.q_ub)?;
+            }
+            self.im.set_rhs_at(self.cap_rows[i], v.cap_rhs)?;
+            self.caps[i] = bits;
+        }
+        Ok(())
+    }
+
+    /// Rewrites the interval-row `z` coefficients to this hour's values.
+    /// Only called when the kept key matches, so every `(site, slot)`
+    /// pair lines up with a retained `(q, z)` pair and a pre-resolved
+    /// `(lvl_hi, lvl_lo)` row pair.
+    fn sync_levels(&mut self, params: &[Vec<LevelParam>]) -> Result<(), CoreError> {
+        for (i, site_params) in params.iter().enumerate() {
+            let slots = self.vars.levels[i].iter().zip(&self.lvl_rows[i]);
+            for (p, (&(_, _, _, z), &(hi, lo))) in site_params.iter().zip(slots) {
+                self.im.set_coeff_at(hi, z, p.zcoef_hi)?;
+                self.im.set_coeff_at(lo, z, p.zcoef_lo)?;
+            }
+        }
+        Ok(())
+    }
+}
+
 impl EngineCore {
     /// Per-site kept-level parameters for this hour's background vector.
     fn level_params(system: &DataCenterSystem, background_mw: &[f64]) -> Vec<Vec<LevelParam>> {
@@ -238,65 +349,17 @@ impl EngineCore {
             .collect()
     }
 
-    /// The per-site cap bit patterns the models must have been built
-    /// for. Bit equality (not `==` on floats) so that a NaN-poisoned
-    /// spec still compares deterministically.
-    fn caps_key(system: &DataCenterSystem) -> Vec<u64> {
-        system
-            .sites
-            .iter()
-            .map(|s| s.power_cap_mw.to_bits())
-            .collect()
-    }
-
-    /// Rewrites the interval-row `z` coefficients of `step` to this
-    /// hour's values. Only called when the kept key matches, so every
-    /// `(site, slot)` pair lines up with a retained `(q, z)` pair and a
-    /// pre-resolved `(lvl_hi, lvl_lo)` row pair.
-    fn sync_levels(step: &mut StepModel, params: &[Vec<LevelParam>]) -> Result<(), CoreError> {
-        for (i, site_params) in params.iter().enumerate() {
-            let slots = step.vars.levels[i].iter().zip(&step.lvl_rows[i]);
-            for (p, (&(_, _, _, z), &(hi, lo))) in site_params.iter().zip(slots) {
-                step.im.set_coeff_at(hi, z, p.zcoef_hi)?;
-                step.im.set_coeff_at(lo, z, p.zcoef_lo)?;
-            }
+    fn cache(&mut self, step: Step) -> &mut Vec<StepModel> {
+        match step {
+            Step::CostMin => &mut self.cost_min,
+            Step::ThruMax => &mut self.thru_max,
         }
-        Ok(())
     }
 
-    /// Resolves the `(lvl_hi, lvl_lo)` row indices of a freshly built
-    /// step model, one pair per `(site, kept slot)`.
-    fn resolve_level_rows(im: &IncrementalModel, vars: &PiecewiseVars) -> Vec<Vec<(usize, usize)>> {
-        vars.levels
-            .iter()
-            .enumerate()
-            .map(|(i, levels)| {
-                levels
-                    .iter()
-                    .map(|&(k, _, _, _)| {
-                        let hi = im.row(&format!("lvl_hi_{i}_{k}"));
-                        let lo = im.row(&format!("lvl_lo_{i}_{k}"));
-                        match (hi, lo) {
-                            (Some(hi), Some(lo)) => (hi, lo),
-                            _ => unreachable!("interval rows created by the build above"),
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Returns the cache index of the entry matching `(kept, caps)`,
-    /// refreshing its LRU stamp, or `None` on a miss.
-    fn cache_lookup(
-        cache: &mut [StepModel],
-        kept: &[Vec<usize>],
-        caps: &[u64],
-        stamp: u64,
-    ) -> Option<usize> {
-        let idx = cache
-            .iter()
-            .position(|s| s.kept == kept && s.caps == caps)?;
+    /// Returns the cache index of the entry matching `kept`, refreshing
+    /// its LRU stamp, or `None` on a miss.
+    fn cache_lookup(cache: &mut [StepModel], kept: &[Vec<usize>], stamp: u64) -> Option<usize> {
+        let idx = cache.iter().position(|s| s.kept == kept)?;
         cache[idx].last_used = stamp;
         Some(idx)
     }
@@ -321,10 +384,10 @@ impl EngineCore {
     }
 
     /// FNV-1a fingerprint of one step model's structural key. Depends
-    /// only on `(step, kept, caps)` — never on engine identity or build
+    /// only on `(step, kept)` — never on caps, engine identity or build
     /// order — which makes sets of fingerprints comparable across
     /// engines and thread counts.
-    fn structure_fingerprint(step: u64, kept: &[Vec<usize>], caps: &[u64]) -> u64 {
+    fn structure_fingerprint(step: Step, kept: &[Vec<usize>]) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = OFFSET;
@@ -333,16 +396,16 @@ impl EngineCore {
                 h = (h ^ u64::from(b)).wrapping_mul(PRIME);
             }
         };
-        eat(step);
+        eat(match step {
+            Step::CostMin => 1,
+            Step::ThruMax => 2,
+        });
         eat(kept.len() as u64);
         for site in kept {
             eat(site.len() as u64);
             for &k in site {
                 eat(k as u64);
             }
-        }
-        for &c in caps {
-            eat(c);
         }
         h
     }
@@ -357,10 +420,10 @@ impl EngineCore {
 
     /// Bumps the telemetry for a step-cache miss (always a rebuild) and
     /// remembers the built structure's fingerprint.
-    fn note_miss(&mut self, step: u64, kept: &[Vec<usize>], caps: &[u64]) {
+    fn note_miss(&mut self, step: Step, kept: &[Vec<usize>]) {
         self.stats.misses += 1;
         self.built_keys
-            .push(Self::structure_fingerprint(step, kept, caps));
+            .push(Self::structure_fingerprint(step, kept));
         if billcap_obs::enabled() {
             billcap_obs::counter("core.engine.cache.miss", 1);
         }
@@ -377,110 +440,57 @@ impl EngineCore {
         }
     }
 
-    /// Ensures a step-1/3 model for this hour's key is cached and
-    /// returns its index, building from scratch on a miss. The build
-    /// mirrors [`crate::CostMinimizer::solve`] exactly (same
-    /// construction order), with the demand RHS left for the caller to
-    /// set.
-    fn ensure_cost_min(
+    /// Returns the cache index of the `step` model for this hour's kept
+    /// levels with its caps and interval rows synced, building it on a cache miss with
+    /// the same builder as the fresh-model capper. The per-solve RHS
+    /// (demand, offered, budget) is left for the caller to set.
+    fn step_model(
         &mut self,
+        step: Step,
         system: &DataCenterSystem,
         background_mw: &[f64],
-        kept: &[Vec<usize>],
-        caps: &[u64],
     ) -> Result<usize, CoreError> {
+        let params = Self::level_params(system, background_mw);
+        let kept = Self::kept_key(&params);
         self.stamp += 1;
-        if let Some(idx) = Self::cache_lookup(&mut self.cost_min, kept, caps, self.stamp) {
-            self.note_hit();
-            return Ok(idx);
+        let stamp = self.stamp;
+        let idx = match Self::cache_lookup(self.cache(step), &kept, stamp) {
+            Some(idx) => {
+                self.note_hit();
+                idx
+            }
+            None => {
+                self.note_miss(step, &kept);
+                let (m, vars) = match step {
+                    Step::CostMin => {
+                        cost_min_model(system, 0.0, background_mw, self.integral_servers)
+                    }
+                    Step::ThruMax => {
+                        throughput_max_model(system, 0.0, background_mw, 0.0, self.integral_servers)
+                    }
+                };
+                let entry = StepModel::new(m, vars, &kept, system, stamp)?;
+                let (idx, evicted) = Self::cache_insert(self.cache(step), entry);
+                self.note_eviction(evicted);
+                idx
+            }
+        };
+        let cache = self.cache(step);
+        if let Err(e) = cache[idx].sync_caps(system) {
+            // Some of this site's values may already be rewritten: drop
+            // the model so the next lookup rebuilds it.
+            cache.swap_remove(idx);
+            return Err(e);
         }
-        self.note_miss(1, kept, caps);
-        let mut m = Model::new("cost_min", Sense::Minimize);
-        let vars = build_piecewise_core(&mut m, system, background_mw, self.integral_servers);
-        m.add_constraint(
-            "demand",
-            vars.lam.iter().map(|&v| (v, 1.0)).collect(),
-            ConstraintOp::Eq,
-            0.0,
-        );
-        let obj: Vec<(VarId, f64)> = vars
-            .levels
-            .iter()
-            .flatten()
-            .map(|&(_, r, q, _)| (q, r))
-            .collect();
-        m.set_objective(obj, 0.0);
-        let im = IncrementalModel::new(m)?;
-        let lvl_rows = Self::resolve_level_rows(&im, &vars);
-        let (idx, evicted) = Self::cache_insert(
-            &mut self.cost_min,
-            StepModel {
-                im,
-                vars,
-                kept: kept.to_vec(),
-                caps: caps.to_vec(),
-                lvl_rows,
-                last_used: self.stamp,
-            },
-        );
-        self.note_eviction(evicted);
-        Ok(idx)
-    }
-
-    /// Step-2 analogue of [`Self::ensure_cost_min`], mirroring
-    /// [`crate::ThroughputMaximizer::solve`]; `offered` and `budget`
-    /// RHS are left for the caller.
-    fn ensure_thru_max(
-        &mut self,
-        system: &DataCenterSystem,
-        background_mw: &[f64],
-        kept: &[Vec<usize>],
-        caps: &[u64],
-    ) -> Result<usize, CoreError> {
-        self.stamp += 1;
-        if let Some(idx) = Self::cache_lookup(&mut self.thru_max, kept, caps, self.stamp) {
-            self.note_hit();
-            return Ok(idx);
-        }
-        self.note_miss(2, kept, caps);
-        let mut m = Model::new("throughput_max", Sense::Maximize);
-        let vars = build_piecewise_core(&mut m, system, background_mw, self.integral_servers);
-        m.add_constraint(
-            "offered",
-            vars.lam.iter().map(|&v| (v, 1.0)).collect(),
-            ConstraintOp::Le,
-            0.0,
-        );
-        let cost_terms: Vec<(VarId, f64)> = vars
-            .levels
-            .iter()
-            .flatten()
-            .map(|&(_, r, q, _)| (q, r))
-            .collect();
-        m.add_constraint("budget", cost_terms, ConstraintOp::Le, 0.0);
-        m.set_objective(vars.lam.iter().map(|&v| (v, 1.0)).collect(), 0.0);
-        let im = IncrementalModel::new(m)?;
-        let lvl_rows = Self::resolve_level_rows(&im, &vars);
-        let (idx, evicted) = Self::cache_insert(
-            &mut self.thru_max,
-            StepModel {
-                im,
-                vars,
-                kept: kept.to_vec(),
-                caps: caps.to_vec(),
-                lvl_rows,
-                last_used: self.stamp,
-            },
-        );
-        self.note_eviction(evicted);
+        cache[idx].sync_levels(&params)?;
         Ok(idx)
     }
 }
 
-/// Counts full model builds (cache misses on the (kept, caps) key).
-/// The counter is the deterministic work metric the perf gate tracks
-/// for the scratch-reuse refactor: on a flat-cap month it stays near
-/// the number of *distinct* kept-level sets the background visits —
+/// Counts full model builds (cache misses on the kept-level key). The
+/// counter is the deterministic work metric the perf gate tracks for the
+/// scratch-reuse refactor: on a month, flat caps or a cap schedule, it
+/// stays near the number of *distinct* kept-level sets the run visits —
 /// a handful — far below `2 × hours`.
 fn record_rebuild() {
     if billcap_obs::enabled() {
@@ -508,12 +518,8 @@ impl HourBackend for EngineCore {
                 capacity,
             });
         }
-        let params = Self::level_params(system, background_mw);
-        let kept = Self::kept_key(&params);
-        let caps = Self::caps_key(system);
-        let idx = self.ensure_cost_min(system, background_mw, &kept, &caps)?;
+        let idx = self.step_model(Step::CostMin, system, background_mw)?;
         let step = &mut self.cost_min[idx];
-        Self::sync_levels(step, &params)?;
         step.im.set_rhs("demand", lambda / RATE_SCALE)?;
         crate::speclint::lint_model_if_enabled(step.im.model())?;
         let sol = self.min_solver.solve(&step.im)?;
@@ -534,12 +540,8 @@ impl HourBackend for EngineCore {
                 got: background_mw.len(),
             });
         }
-        let params = Self::level_params(system, background_mw);
-        let kept = Self::kept_key(&params);
-        let caps = Self::caps_key(system);
-        let idx = self.ensure_thru_max(system, background_mw, &kept, &caps)?;
+        let idx = self.step_model(Step::ThruMax, system, background_mw)?;
         let step = &mut self.thru_max[idx];
-        Self::sync_levels(step, &params)?;
         step.im.set_rhs("offered", lambda / RATE_SCALE)?;
         step.im.set_rhs("budget", budget.max(0.0))?;
         crate::speclint::lint_model_if_enabled(step.im.model())?;
@@ -554,6 +556,8 @@ mod tests {
     use super::*;
     use crate::capper::{BillCapper, HourOutcome};
     use crate::spec::DataCenterSystem;
+    use billcap_milp::Model;
+    use std::collections::BTreeSet;
 
     /// Bitwise equality on everything deterministic in a decision
     /// (wall-clock ns fields are machine noise and excluded).
@@ -721,7 +725,7 @@ mod tests {
             let fresh = capper
                 .decide_hour(&capped, offered, premium, &background, budget)
                 .unwrap();
-            // Engine path: re-cap in place; models rebuild on the key.
+            // Engine path: re-cap in place; caps sync as model values.
             engine.set_site_caps(sched.caps_at(h));
             let served = engine
                 .decide_hour(offered, premium, &background, budget)
@@ -794,6 +798,254 @@ mod tests {
         }
         assert_eq!(fresh.drain_built_keys(), keys);
         assert_eq!(fresh.cache_stats(), stats);
+
+        // Under a per-hour cap schedule the caps are synced values, so
+        // the engine builds once per distinct (step, kept) key, however
+        // many cap vectors the schedule mints.
+        let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
+        let sched = crate::capsched::CapSchedule::derating(&base_caps, 24, 0.35, 42);
+        let run = |engine: &mut DecisionEngine| {
+            let mut kept_keys = BTreeSet::new();
+            let mut cap_keys = BTreeSet::new();
+            for (h, (offered, premium, background, budget)) in hours.iter().enumerate() {
+                engine.set_site_caps(sched.caps_at(h));
+                let decision = engine
+                    .decide_hour(*offered, *premium, background, *budget)
+                    .unwrap();
+                let kept =
+                    EngineCore::kept_key(&EngineCore::level_params(engine.system(), background));
+                let caps: Vec<u64> = sched.caps_at(h).iter().map(|c| c.to_bits()).collect();
+                let mut steps = vec![Step::CostMin];
+                if decision.outcome != HourOutcome::WithinBudget {
+                    steps.push(Step::ThruMax);
+                }
+                for step in steps {
+                    kept_keys.insert((step, kept.clone()));
+                    cap_keys.insert((step, kept.clone(), caps.clone()));
+                }
+            }
+            (kept_keys, cap_keys)
+        };
+        let mut scheduled = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let (kept_keys, cap_keys) = run(&mut scheduled);
+        let stats = scheduled.cache_stats();
+        assert_eq!(
+            stats.misses,
+            kept_keys.len() as u64,
+            "one build per kept key"
+        );
+        assert_eq!(stats.evictions, 0, "caps never mint cache entries");
+        assert!(
+            kept_keys.len() < cap_keys.len(),
+            "the schedule must revisit kept keys under new caps"
+        );
+        let keys = scheduled.drain_built_keys();
+        let expected: BTreeSet<u64> = kept_keys
+            .iter()
+            .map(|(step, kept)| EngineCore::structure_fingerprint(*step, kept))
+            .collect();
+        assert_eq!(keys.iter().copied().collect::<BTreeSet<_>>(), expected);
+        let mut twin = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        run(&mut twin);
+        assert_eq!(twin.drain_built_keys(), keys);
+        assert_eq!(twin.cache_stats(), stats);
+    }
+
+    /// Asserts two models have the same structure and values, every
+    /// float compared by bit pattern.
+    fn assert_models_bitwise_equal(a: &Model, b: &Model, ctx: &str) {
+        assert_eq!(a.name, b.name, "{ctx}: model name");
+        assert_eq!(a.sense, b.sense, "{ctx}: sense");
+        assert_eq!(a.num_vars(), b.num_vars(), "{ctx}: variable count");
+        for (x, y) in a.variables().iter().zip(b.variables()) {
+            assert_eq!(x.name, y.name, "{ctx}: variable name");
+            assert_eq!(x.var_type, y.var_type, "{ctx}: type of {}", x.name);
+            assert_eq!(x.lb.to_bits(), y.lb.to_bits(), "{ctx}: lb of {}", x.name);
+            assert_eq!(x.ub.to_bits(), y.ub.to_bits(), "{ctx}: ub of {}", x.name);
+        }
+        let term_bits = |t: &[(billcap_milp::VarId, f64)]| {
+            t.iter().map(|&(v, c)| (v, c.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(a.num_constraints(), b.num_constraints(), "{ctx}: row count");
+        for (x, y) in a.constraints().iter().zip(b.constraints()) {
+            assert_eq!(x.name, y.name, "{ctx}: row name");
+            assert_eq!(x.op, y.op, "{ctx}: op of {}", x.name);
+            assert_eq!(
+                term_bits(&x.terms),
+                term_bits(&y.terms),
+                "{ctx}: {}",
+                x.name
+            );
+            assert_eq!(x.rhs.to_bits(), y.rhs.to_bits(), "{ctx}: rhs of {}", x.name);
+        }
+        assert_eq!(
+            term_bits(a.objective()),
+            term_bits(b.objective()),
+            "{ctx}: objective"
+        );
+        assert_eq!(
+            a.objective_constant().to_bits(),
+            b.objective_constant().to_bits(),
+            "{ctx}: objective constant"
+        );
+    }
+
+    #[test]
+    fn cap_sync_leaves_models_identical_to_fresh_builds() {
+        let sys = DataCenterSystem::paper_system(1);
+        let base: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
+        let with = |edits: &[(usize, f64)]| {
+            let mut caps = base.clone();
+            for &(i, cap) in edits {
+                caps[i] = cap;
+            }
+            caps
+        };
+        let bg = vec![330.0, 410.0, 280.0];
+        // At 330 MW background site 0 keeps its 450-600 MW level while
+        // the cap reaches 120 MW across the breakpoint; 100 MW prunes it.
+        let hours = [
+            (base.clone(), bg.clone()),                               // build
+            (with(&[(1, 50.0), (2, 60.0)]), bg.clone()),              // derate
+            (base.clone(), bg.clone()),                               // restored
+            (with(&[(0, 100.0)]), bg.clone()),                        // prunes a level
+            (with(&[(0, sys.sites[0].base_power_mw())]), bg.clone()), // cap = base power
+            (with(&[(0, 100.0), (2, 60.0)]), vec![335.0, 405.0, 290.0]),
+            (with(&[(2, 60.0)]), bg.clone()),
+        ];
+        for integral_servers in [false, true] {
+            let mut engine = DecisionEngine::new(sys.clone(), CapperConfig { integral_servers });
+            let (mut misses, mut synced_hits) = (0, 0);
+            for (h, (caps, bg)) in hours.iter().enumerate() {
+                engine.set_site_caps(caps);
+                let kept = EngineCore::kept_key(&EngineCore::level_params(&engine.system, bg));
+                let cap_bits: Vec<u64> = caps.iter().map(|c| c.to_bits()).collect();
+                for step in [Step::CostMin, Step::ThruMax] {
+                    let ctx = format!("hour {h} {step:?} integral {integral_servers}");
+                    let prior = engine
+                        .core
+                        .cache(step)
+                        .iter()
+                        .find(|s| s.kept == kept)
+                        .map(|s| s.caps.clone());
+                    let before = engine.core.stats;
+                    let (lambda, budget) = (4e8, 3000.0);
+                    let fresh = match step {
+                        Step::CostMin => {
+                            engine.core.minimize(&engine.system, lambda, bg).unwrap();
+                            cost_min_model(&engine.system, lambda, bg, integral_servers).0
+                        }
+                        Step::ThruMax => {
+                            engine
+                                .core
+                                .maximize(&engine.system, lambda, bg, budget)
+                                .unwrap();
+                            throughput_max_model(
+                                &engine.system,
+                                lambda,
+                                bg,
+                                budget,
+                                integral_servers,
+                            )
+                            .0
+                        }
+                    };
+                    let hit = engine.core.stats.hits > before.hits;
+                    assert_eq!(hit, prior.is_some(), "{ctx}: hit iff a kept model existed");
+                    match prior {
+                        Some(prior) if prior != cap_bits => synced_hits += 1,
+                        Some(_) => {}
+                        None => misses += 1,
+                    }
+                    let served = engine.core.cache(step).iter().find(|s| s.kept == kept);
+                    let served = served
+                        .map(|s| s.im.model())
+                        .expect("served model is cached");
+                    assert_models_bitwise_equal(served, &fresh, &ctx);
+                }
+            }
+            assert_eq!(misses, 4, "two kept keys per step");
+            assert_eq!(
+                synced_hits, 10,
+                "every cap move after a build is a synced hit"
+            );
+        }
+    }
+
+    /// The outcome class of a decision: `Ok`, or the error variant (and
+    /// the solver error's variant under [`CoreError::Solver`]).
+    fn outcome_class(r: &Result<HourDecision, CoreError>) -> String {
+        match r {
+            Ok(_) => "ok".into(),
+            Err(CoreError::Solver(e)) => format!("solver {:?}", std::mem::discriminant(e)),
+            Err(e) => format!("{:?}", std::mem::discriminant(e)),
+        }
+    }
+
+    #[test]
+    fn bad_caps_fail_like_the_capper_on_hits_and_misses() {
+        let sys = DataCenterSystem::paper_system(1);
+        let base: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
+        let below_base = |f: f64| f * sys.sites[2].base_power_mw();
+        let site2 = |cap: f64| {
+            let mut caps = base.clone();
+            caps[2] = cap;
+            caps
+        };
+        // At 280 MW background site 2 keeps only its zero-power level for
+        // any cap short of 170 MW, NaN included, so the bad caps below
+        // land on the base model's kept key.
+        let bg = [330.0, 410.0, 280.0];
+        let caps = [
+            base.clone(),
+            site2(f64::NAN),
+            site2(f64::NAN),
+            site2(below_base(0.5)),
+            site2(below_base(0.25)),
+            site2(f64::NAN),
+            site2(f64::INFINITY),
+            base.clone(),
+            site2(f64::NAN),
+            base.clone(),
+        ];
+        let capper = BillCapper::default();
+        for budget in [f64::INFINITY, 1.0] {
+            let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+            let mut seen = BTreeSet::new();
+            for (h, caps) in caps.iter().enumerate() {
+                let mut capped = sys.clone();
+                for (site, &cap) in capped.sites.iter_mut().zip(caps) {
+                    site.power_cap_mw = cap;
+                }
+                let fresh = capper.decide_hour(&capped, 4e8, 2e8, &bg, budget);
+                let before = engine.cache_stats();
+                engine.set_site_caps(caps);
+                let served = engine.decide_hour(4e8, 2e8, &bg, budget);
+                let ctx = format!("budget {budget} hour {h} caps {caps:?}");
+                assert_eq!(outcome_class(&served), outcome_class(&fresh), "{ctx}");
+                if let (Ok(a), Ok(b)) = (&served, &fresh) {
+                    assert_decisions_bitwise_equal(a, b, &ctx);
+                }
+                // A failing hour stops at step 1: one lookup, a hit or
+                // a miss. An `Ok` hour counts as a hit only if nothing
+                // was built.
+                let hit = engine.cache_stats().misses == before.misses;
+                seen.insert((caps[2].to_bits(), hit, served.is_ok()));
+            }
+            let (nan, low, lower) = (
+                f64::NAN.to_bits(),
+                below_base(0.5).to_bits(),
+                below_base(0.25).to_bits(),
+            );
+            assert!(seen.contains(&(nan, true, false)), "NaN on a kept-key hit");
+            assert!(seen.contains(&(nan, false, false)), "NaN on a miss");
+            assert!(seen.contains(&(lower, true, false)), "below base on a hit");
+            assert!(seen.contains(&(low, false, false)), "below base on a miss");
+            assert!(
+                seen.contains(&(base[2].to_bits(), false, true)),
+                "rebuilt after a drop"
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,44 @@
 //! premium-only cost minimization when even that cannot fit the budget.
 
 use crate::error::CoreError;
-use crate::minimize::{build_piecewise_core, extract_allocation, Allocation, RATE_SCALE};
+use crate::minimize::{
+    build_piecewise_core, extract_allocation, Allocation, PiecewiseVars, RATE_SCALE,
+};
 use crate::spec::DataCenterSystem;
 use billcap_milp::{ConstraintOp, MipSolver, Model, Sense, VarId};
+
+/// Builds the Step-2 model: the piecewise core, the `offered` row
+/// (`Σλ_i ≤ lambda`), the `budget` row (`Σ r_ik q_ik ≤ budget`) and the
+/// admitted-rate objective.
+pub(crate) fn throughput_max_model(
+    system: &DataCenterSystem,
+    lambda: f64,
+    background_mw: &[f64],
+    budget: f64,
+    integral_servers: bool,
+) -> (Model, PiecewiseVars) {
+    let mut m = Model::new("throughput_max", Sense::Maximize);
+    let vars = build_piecewise_core(&mut m, system, background_mw, integral_servers);
+    // Admit at most the offered workload (paper: the total assigned
+    // requests may not exceed the arrivals).
+    m.add_constraint(
+        "offered",
+        vars.lam.iter().map(|&v| (v, 1.0)).collect(),
+        ConstraintOp::Le,
+        lambda / RATE_SCALE,
+    );
+    // Budget: sum of r_ik * q_ik <= Cs over the reachable levels.
+    let cost_terms: Vec<(VarId, f64)> = vars
+        .levels
+        .iter()
+        .flatten()
+        .map(|&(_, r, q, _)| (q, r))
+        .collect();
+    m.add_constraint("budget", cost_terms, ConstraintOp::Le, budget.max(0.0));
+    // Objective: total admitted rate.
+    m.set_objective(vars.lam.iter().map(|&v| (v, 1.0)).collect(), 0.0);
+    (m, vars)
+}
 
 /// The Step-2 optimizer.
 #[derive(Debug, Clone, Default)]
@@ -39,30 +74,8 @@ impl ThroughputMaximizer {
                 got: background_mw.len(),
             });
         }
-        let mut m = Model::new("throughput_max", Sense::Maximize);
-        let vars = build_piecewise_core(&mut m, system, background_mw, self.integral_servers);
-
-        // Admit at most the offered workload (paper: the total assigned
-        // requests may not exceed the arrivals).
-        m.add_constraint(
-            "offered",
-            vars.lam.iter().map(|&v| (v, 1.0)).collect(),
-            ConstraintOp::Le,
-            lambda / RATE_SCALE,
-        );
-
-        // Budget: sum of r_ik * q_ik <= Cs over the reachable levels.
-        let cost_terms: Vec<(VarId, f64)> = vars
-            .levels
-            .iter()
-            .flatten()
-            .map(|&(_, r, q, _)| (q, r))
-            .collect();
-        m.add_constraint("budget", cost_terms, ConstraintOp::Le, budget.max(0.0));
-
-        // Objective: total admitted rate.
-        m.set_objective(vars.lam.iter().map(|&v| (v, 1.0)).collect(), 0.0);
-
+        let (m, vars) =
+            throughput_max_model(system, lambda, background_mw, budget, self.integral_servers);
         crate::speclint::lint_model_if_enabled(&m)?;
         let sol = self.solver.solve(&m)?;
         crate::audit::certify_if_enabled(&m, &sol)?;

@@ -89,6 +89,34 @@ pub(crate) struct LevelParam {
     pub zcoef_lo: f64,
 }
 
+/// The values a site's power cap `Ps_i` writes into the MILP, outside
+/// level pruning and the `lvl_hi` coefficients (both of which
+/// [`site_level_params`] already covers).
+///
+/// The from-scratch builder ([`build_piecewise_core`]) and the engine's
+/// cap sync ([`crate::engine::DecisionEngine::set_site_caps`]) both take
+/// these from this one function, so a synced model carries the same
+/// floats as a fresh build for the same caps.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SiteCapValues {
+    /// Upper bound of `lam_{i}` (Mreq/h): the site's [`DataCenterSpec::max_rate`].
+    pub lam_ub: f64,
+    /// Upper bound of every `q_{i}_{k}` (MW).
+    pub q_ub: f64,
+    /// Right-hand side of the `cap_{i}` row (MW).
+    pub cap_rhs: f64,
+}
+
+/// Computes the cap-dependent bounds and right-hand side of `site`.
+pub(crate) fn site_cap_values(site: &DataCenterSpec) -> SiteCapValues {
+    let cap = site.power_cap_mw;
+    SiteCapValues {
+        lam_ub: site.max_rate() / RATE_SCALE,
+        q_ub: cap.max(0.0),
+        cap_rhs: cap,
+    }
+}
+
 /// Computes the kept (non-pruned) price levels of `site` under `policy`
 /// with background demand `d`, and their interval-row coefficients.
 pub(crate) fn site_level_params(
@@ -154,9 +182,8 @@ pub(crate) fn build_piecewise_core(
         let d = background_mw[i];
         let a = site.mw_per_request() * RATE_SCALE; // MW per Mreq/h
         let b = site.base_power_mw();
-        let cap = site.power_cap_mw;
-        let lam_ub = site.max_rate() / RATE_SCALE;
-        let lam_i = m.add_cont(format!("lam_{i}"), 0.0, lam_ub);
+        let caps = site_cap_values(site);
+        let lam_i = m.add_cont(format!("lam_{i}"), 0.0, caps.lam_ub);
 
         // Optional integral server count: n_i integer with
         // n_i >= lam/mu + headroom; power then rides on n_i.
@@ -189,7 +216,7 @@ pub(crate) fn build_piecewise_core(
         let mut levels_i = Vec::new();
         for p in site_level_params(site, system.policy(i), d) {
             let k = p.k;
-            let q = m.add_cont(format!("q_{i}_{k}"), 0.0, cap.max(0.0));
+            let q = m.add_cont(format!("q_{i}_{k}"), 0.0, caps.q_ub);
             let z = m.add_binary(format!("z_{i}_{k}"));
             // q <= u * z.
             m.add_constraint(
@@ -228,7 +255,7 @@ pub(crate) fn build_piecewise_core(
             format!("cap_{i}"),
             levels_i.iter().map(|&(_, _, q, _)| (q, 1.0)).collect(),
             ConstraintOp::Le,
-            cap,
+            caps.cap_rhs,
         );
 
         lam.push(lam_i);
@@ -291,6 +318,33 @@ pub(crate) fn extract_allocation(
     }
 }
 
+/// Builds the Step-1 model: the piecewise core, the `demand` row
+/// (`Σλ_i = lambda`, paper eq. 2a) and the billed-cost objective.
+pub(crate) fn cost_min_model(
+    system: &DataCenterSystem,
+    lambda: f64,
+    background_mw: &[f64],
+    integral_servers: bool,
+) -> (Model, PiecewiseVars) {
+    let mut m = Model::new("cost_min", Sense::Minimize);
+    let vars = build_piecewise_core(&mut m, system, background_mw, integral_servers);
+    m.add_constraint(
+        "demand",
+        vars.lam.iter().map(|&v| (v, 1.0)).collect(),
+        ConstraintOp::Eq,
+        lambda / RATE_SCALE,
+    );
+    // Objective: sum of r_ik * q_ik over the reachable levels.
+    let obj: Vec<(VarId, f64)> = vars
+        .levels
+        .iter()
+        .flatten()
+        .map(|&(_, r, q, _)| (q, r))
+        .collect();
+    m.set_objective(obj, 0.0);
+    (m, vars)
+}
+
 /// The Step-1 optimizer.
 #[derive(Debug, Clone, Default)]
 pub struct CostMinimizer {
@@ -324,26 +378,7 @@ impl CostMinimizer {
             });
         }
 
-        let mut m = Model::new("cost_min", Sense::Minimize);
-        let vars = build_piecewise_core(&mut m, system, background_mw, self.integral_servers);
-
-        // All requests must be served (paper eq. 2a).
-        m.add_constraint(
-            "demand",
-            vars.lam.iter().map(|&v| (v, 1.0)).collect(),
-            ConstraintOp::Eq,
-            lambda / RATE_SCALE,
-        );
-
-        // Objective: sum of r_ik * q_ik over the reachable levels.
-        let obj: Vec<(VarId, f64)> = vars
-            .levels
-            .iter()
-            .flatten()
-            .map(|&(_, r, q, _)| (q, r))
-            .collect();
-        m.set_objective(obj, 0.0);
-
+        let (m, vars) = cost_min_model(system, lambda, background_mw, self.integral_servers);
         crate::speclint::lint_model_if_enabled(&m)?;
         let sol = self.solver.solve(&m)?;
         crate::audit::certify_if_enabled(&m, &sol)?;

@@ -364,7 +364,10 @@ pub fn lint_env_mode() -> LintMode {
 /// static-infeasibility proof maps to [`SolveError::Infeasible`] — the
 /// same error the solver itself would return — so the capper's step-2
 /// fallback (zero achievable throughput under a starvation budget) keeps
-/// working; any other Error finding becomes [`CoreError::Lint`].
+/// working; any other Error finding becomes [`CoreError::Lint`]. A model
+/// that fails [`Model::validate`] (which `lint_model` also files under
+/// `M007`) gets the solver's own error, [`SolveError::InvalidModel`], so
+/// a malformed model is never reported as infeasible.
 pub(crate) fn lint_model_if_enabled(model: &Model) -> Result<(), CoreError> {
     let mode = lint_env_mode();
     if mode == LintMode::Off {
@@ -384,6 +387,7 @@ pub(crate) fn lint_model_if_enabled(model: &Model) -> Result<(), CoreError> {
             Ok(())
         }
         LintMode::Deny => {
+            model.validate()?;
             if report.errors().all(|f| f.code == "M007") {
                 return Err(CoreError::Solver(SolveError::Infeasible));
             }

@@ -182,6 +182,18 @@ impl IncrementalModel {
         self.model.set_constraint_rhs(idx, rhs)
     }
 
+    /// [`Self::set_rhs`] by row index (see [`Self::row`]) — the
+    /// hot-loop variant that skips the name lookup. An index past the
+    /// last row is an error.
+    pub fn set_rhs_at(&mut self, idx: usize, rhs: f64) -> Result<(), SolveError> {
+        if !rhs.is_finite() {
+            return Err(SolveError::InvalidModel(format!(
+                "non-finite rhs {rhs} for row #{idx}"
+            )));
+        }
+        self.model.set_constraint_rhs(idx, rhs)
+    }
+
     /// Replaces the coefficient of `v` in the named row. The term must
     /// already exist — value-only mutation cannot add nonzeros.
     pub fn set_coeff(&mut self, row: &str, v: VarId, coeff: f64) -> Result<(), SolveError> {
@@ -365,6 +377,33 @@ mod tests {
         assert!(im.set_rhs("nope", 1.0).is_err());
         assert!(im.set_rhs("c1", f64::NAN).is_err());
         assert!(im.set_var_bounds(y, 2.0, 1.0).is_err());
+    }
+
+    #[test]
+    fn indexed_rhs_matches_named_rhs_and_rejects_bad_input() {
+        let mut named = IncrementalModel::new(lp()).unwrap();
+        let mut indexed = IncrementalModel::new(lp()).unwrap();
+        for (row, rhs) in [("c1", 2.5), ("c2", -0.0), ("c1", 1e-300)] {
+            named.set_rhs(row, rhs).unwrap();
+            let idx = indexed.row(row).unwrap();
+            indexed.set_rhs_at(idx, rhs).unwrap();
+            let bits = |im: &IncrementalModel| {
+                im.model()
+                    .constraints()
+                    .iter()
+                    .map(|c| c.rhs.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&indexed), bits(&named), "row {row} rhs {rhs}");
+        }
+        let before = indexed.model().constraints()[0].rhs.to_bits();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(indexed.set_rhs_at(0, bad).is_err(), "rhs {bad}");
+        }
+        assert_eq!(indexed.model().constraints()[0].rhs.to_bits(), before);
+        assert!(indexed.set_rhs_at(2, 1.0).is_err());
+        assert!(indexed.set_rhs_at(usize::MAX, 1.0).is_err());
+        assert_eq!(indexed.structural_hash(), structural_hash(&lp()));
     }
 
     #[test]

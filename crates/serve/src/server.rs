@@ -32,8 +32,10 @@
 //!   reproducible across thread counts on a fixed replay. Unique
 //!   rebuilds are counted as the cardinality of the set of
 //!   structure fingerprints drained from every engine
-//!   ([`DecisionEngine::drain_built_keys`]); the *set* is
-//!   schedule-invariant even though which worker built what is not.
+//!   ([`DecisionEngine::drain_built_keys`]). A fingerprint covers the
+//!   step and its kept price levels only (caps are synced values, not
+//!   structure), so the *set* is schedule-invariant even though which
+//!   worker built what is not.
 //! * **Advisory signals** — windowed latency histograms
 //!   (enqueue-to-respond and solve-only, microseconds), queue-depth
 //!   gauges, uptime — are wall-clock and may differ run to run.

@@ -62,9 +62,11 @@ impl Strategy {
 /// sample.
 ///
 /// Reuse is bitwise-safe: the engine's rebuild key covers everything
-/// structural (kept price levels, per-site caps), so a decision never
-/// depends on what the scratch decided before — `run_month_scratch`
-/// with a reused scratch equals [`run_month_fresh`] bit for bit.
+/// structural (the kept price levels) and every value, per-site caps
+/// included, is rewritten to the hour's inputs before a solve, so a
+/// decision never depends on what the scratch decided before —
+/// `run_month_scratch` with a reused scratch equals [`run_month_fresh`]
+/// bit for bit.
 #[derive(Default)]
 pub struct MonthScratch {
     /// Retained engine plus the fingerprint of the base system it was

@@ -6,8 +6,9 @@
 //! Everything lives in one `#[test]` because the global recorder and the
 //! enable flag are process-wide state.
 
+use billcap::core::CapSchedule;
 use billcap::obs;
-use billcap::sim::{run_month, Scenario, Strategy};
+use billcap::sim::{run_month, run_month_scratch, MonthScratch, Scenario, Strategy};
 
 fn hour_field(fields: &[(String, f64)], name: &str) -> Option<f64> {
     fields.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
@@ -111,4 +112,33 @@ fn traced_week_is_consistent_with_report() {
     let jsonl = obs::export::to_jsonl(&snap);
     let back = obs::export::parse_jsonl(&jsonl).expect("parseable JSONL");
     assert_eq!(back, snap);
+
+    // A derated week: the caps move every afternoon hour, but they are
+    // values of the retained models, so the engine builds only once per
+    // distinct kept-level key and never evicts.
+    let base_caps: Vec<f64> = scenario
+        .system
+        .sites
+        .iter()
+        .map(|s| s.power_cap_mw)
+        .collect();
+    let sched = CapSchedule::derating(&base_caps, 168, 0.25, 42);
+    obs::set_enabled(true);
+    obs::reset();
+    run_month_scratch(
+        &scenario,
+        Strategy::CostCapping,
+        Some(80_000.0),
+        false,
+        Some(&sched),
+        &mut MonthScratch::new(),
+    )
+    .unwrap();
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+    // Exact work counters: a model rebuilt on a cap move (rather than
+    // synced) shows up here as extra rebuilds and evictions.
+    assert_eq!(snap.counters["core.engine.rebuilds"], 22);
+    assert_eq!(snap.counters["core.engine.cache.hit"], 482);
+    assert_eq!(snap.counters.get("core.engine.cache.evict"), None);
 }
