@@ -151,7 +151,7 @@ pub mod serve_bench {
             let (offered, premium, bg, budget) = &hours[i % hours.len()];
             i += 1;
             let key = DecisionKey::new(engine.system(), false, *offered, *premium, bg, *budget);
-            let d = match cache.get(&key) {
+            let d = match cache.get(&key).cloned() {
                 Some(hit) => hit,
                 None => {
                     let fresh = engine

@@ -4,15 +4,21 @@
 //! requests: identical `(system, inputs)` tuples recur whenever a
 //! workload trace revisits an operating point. Since
 //! [`crate::BillCapper::decide_hour`] is a pure function of its inputs,
-//! a finished [`HourDecision`] can be replayed verbatim for an exact
-//! match — the cache keys on **raw bits**, never tolerances, so a hit
-//! is bitwise-identical to a fresh solve by construction and two
+//! a finished decision can be replayed verbatim for an exact match —
+//! the cache keys on **raw bits**, never tolerances, so a hit is
+//! bitwise-identical to a fresh solve by construction and two
 //! almost-equal inputs never alias.
+//!
+//! What a hit replays is up to the owner: the cache is generic over its
+//! value, an [`HourDecision`] by default. The decision server stores the
+//! rendered response body instead, so a hit costs no re-rendering.
 //!
 //! The system itself is folded into the key as an FNV-1a fingerprint of
 //! every number the MILPs read from it (site power/queueing parameters
 //! and the full pricing schedule), so one cache instance can safely
-//! serve requests that name different policies.
+//! serve requests that name different policies. A long-lived caller
+//! computes [`system_fingerprint`] once per system and builds keys with
+//! [`DecisionKey::with_fingerprint`].
 
 use crate::capper::HourDecision;
 use crate::spec::DataCenterSystem;
@@ -87,7 +93,8 @@ pub struct DecisionKey {
 }
 
 impl DecisionKey {
-    /// Builds the key for one request against `system`.
+    /// Builds the key for one request against `system`, hashing the
+    /// whole system spec.
     pub fn new(
         system: &DataCenterSystem,
         integral_servers: bool,
@@ -96,8 +103,28 @@ impl DecisionKey {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Self {
+        Self::with_fingerprint(
+            system_fingerprint(system),
+            integral_servers,
+            offered,
+            premium_offered,
+            background_mw,
+            hourly_budget,
+        )
+    }
+
+    /// Builds the key for one request against the system whose
+    /// [`system_fingerprint`] is `system`, without re-hashing the spec.
+    pub fn with_fingerprint(
+        system: u64,
+        integral_servers: bool,
+        offered: f64,
+        premium_offered: f64,
+        background_mw: &[f64],
+        hourly_budget: f64,
+    ) -> Self {
         Self {
-            system: system_fingerprint(system),
+            system,
             integral_servers,
             offered: offered.to_bits(),
             premium_offered: premium_offered.to_bits(),
@@ -112,9 +139,13 @@ impl DecisionKey {
 /// FIFO (not LRU) keeps eviction deterministic under concurrent
 /// readers: the eviction order depends only on insertion order, never
 /// on who happened to read an entry last.
+///
+/// `V` is what an entry holds: an [`HourDecision`] by default, or any
+/// other image of one, such as the decision server's rendered response
+/// body. Capacity, eviction order and counters do not depend on `V`.
 #[derive(Debug)]
-pub struct DecisionCache {
-    map: HashMap<DecisionKey, HourDecision>,
+pub struct DecisionCache<V = HourDecision> {
+    map: HashMap<DecisionKey, V>,
     order: VecDeque<DecisionKey>,
     capacity: usize,
     hits: u64,
@@ -125,7 +156,9 @@ pub struct DecisionCache {
 impl DecisionCache {
     /// Default capacity: a month of hourly decisions.
     pub const DEFAULT_CAPACITY: usize = 744;
+}
 
+impl<V> DecisionCache<V> {
     /// Creates a cache holding at most `capacity` decisions
     /// (minimum 1).
     pub fn new(capacity: usize) -> Self {
@@ -142,9 +175,9 @@ impl DecisionCache {
 
     /// Looks up a decision, recording a hit or miss (mirrored to the
     /// `core.cache.hit` / `core.cache.miss` counters when tracing is
-    /// enabled).
-    pub fn get(&mut self, key: &DecisionKey) -> Option<HourDecision> {
-        let found = self.map.get(key).cloned();
+    /// enabled). A hit borrows the stored value; nothing is cloned.
+    pub fn get(&mut self, key: &DecisionKey) -> Option<&V> {
+        let found = self.map.get(key);
         if found.is_some() {
             self.hits += 1;
             if billcap_obs::enabled() {
@@ -162,7 +195,7 @@ impl DecisionCache {
     /// Stores a decision, evicting the oldest entry when full.
     /// Re-inserting an existing key refreshes the value without
     /// growing the FIFO.
-    pub fn insert(&mut self, key: DecisionKey, decision: HourDecision) {
+    pub fn insert(&mut self, key: DecisionKey, decision: V) {
         match self.map.entry(key.clone()) {
             Entry::Occupied(mut e) => {
                 e.insert(decision);
@@ -214,9 +247,9 @@ impl DecisionCache {
     }
 }
 
-impl Default for DecisionCache {
+impl<V> Default for DecisionCache<V> {
     fn default() -> Self {
-        Self::new(Self::DEFAULT_CAPACITY)
+        Self::new(DecisionCache::DEFAULT_CAPACITY)
     }
 }
 
@@ -265,6 +298,15 @@ mod tests {
         assert_ne!(negzero, poszero);
         let integral = DecisionKey::new(&sys, true, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
         assert_ne!(base, integral);
+        let prehashed = DecisionKey::with_fingerprint(
+            system_fingerprint(&sys),
+            false,
+            4e8,
+            2e8,
+            &[330.0, 410.0, 280.0],
+            1e9,
+        );
+        assert_eq!(base, prehashed, "a kept fingerprint keys like a fresh hash");
     }
 
     #[test]

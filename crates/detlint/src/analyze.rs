@@ -56,7 +56,10 @@ pub fn default_roots() -> Vec<RootSpec> {
         "DecisionEngine::decide_hour",
         "BillCapper::decide_hour",
         "DecisionKey::new",
+        "DecisionKey::with_fingerprint",
         "system_fingerprint",
+        "render_decision_frame",
+        "render_decision_body",
         "run_month",
         "run_month_with",
         "run_month_fresh",

@@ -9,12 +9,15 @@
 //!
 //! Three layers:
 //!
-//! * [`protocol`] — framing, request/response schema, and the
+//! * [`protocol`] — framing, request/response schema, the direct
+//!   decision-frame renderer ([`protocol::render_decision_body`],
+//!   [`protocol::render_decision_frame`]), and the
 //!   [`protocol::DecisionMsg::bitwise_matches`] differential check.
-//! * [`server`] — the reader/worker pool: per-worker
-//!   [`billcap_core::DecisionEngine`]s (incremental model reuse), a
-//!   shared [`billcap_core::DecisionCache`], and in-band error
-//!   responses for malformed input.
+//! * [`server`] — the reader/worker pool: a buffered reader,
+//!   per-worker [`billcap_core::DecisionEngine`]s (incremental model
+//!   reuse), a shared [`billcap_core::DecisionCache`] of rendered
+//!   response bodies, one `write_all` per response frame, and in-band
+//!   error responses for malformed input.
 //! * [`replay`] — a differential harness that replays a simulated
 //!   month through the server and verifies every response against
 //!   sequential fresh-model decisions.

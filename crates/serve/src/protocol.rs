@@ -21,6 +21,13 @@
 //! `solves`/`nodes`/`lp_iterations` counters. Wall-clock fields of
 //! [`billcap_core::DecisionTrace`] are machine noise and never cross
 //! the wire.
+//!
+//! Two renderers produce decision frames. [`Response::to_value`] builds
+//! a [`Value`] tree: the client-side API and the test oracle. The
+//! server writes bytes directly with [`render_decision_body`] and
+//! [`render_decision_frame`], which produce exactly the bytes of the
+//! `Value` rendering without building the tree, so the body can be
+//! rendered once and served again behind any id.
 
 use billcap_core::{HourDecision, HourOutcome};
 use billcap_obs::json::Value;
@@ -126,16 +133,98 @@ pub fn read_frame<R: Read + ?Sized>(
     Ok(Some(payload))
 }
 
-/// Writes one frame (header + payload). The caller flushes.
-pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len()).map_err(|_| {
+/// The 4-byte big-endian header announcing a `len`-byte payload.
+fn frame_header(len: usize) -> std::io::Result<[u8; 4]> {
+    let len = u32::try_from(len).map_err(|_| {
         std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
             "frame payload exceeds u32::MAX",
         )
     })?;
-    w.write_all(&len.to_be_bytes())?;
+    Ok(len.to_be_bytes())
+}
+
+/// Writes one frame (header + payload). The caller flushes.
+pub fn write_frame<W: Write + ?Sized>(w: &mut W, payload: &[u8]) -> std::io::Result<()> {
+    w.write_all(&frame_header(payload.len())?)?;
     w.write_all(payload)
+}
+
+/// Renders one whole decision response frame into `out`, replacing its
+/// contents: the header, `{"type":"decision","id":N,"cached":B` and
+/// `body`, the id-free rest from [`render_decision_body`].
+///
+/// The payload is byte-identical to
+/// `Response::Decision(DecisionMsg::from_decision(id, d, cached)).to_value().render()`
+/// for the decision `d` that `body` was rendered from.
+pub fn render_decision_frame(
+    out: &mut Vec<u8>,
+    id: u64,
+    cached: bool,
+    body: &[u8],
+) -> std::io::Result<()> {
+    out.clear();
+    out.extend_from_slice(&[0; 4]);
+    // `DecisionMsg::to_value` renders the id as `Value::Int(id as i64)`.
+    let _ = write!(
+        out,
+        "{{\"type\":\"decision\",\"id\":{},\"cached\":{cached}",
+        id as i64
+    );
+    out.extend_from_slice(body);
+    let header = frame_header(out.len() - 4)?;
+    out[..4].copy_from_slice(&header);
+    Ok(())
+}
+
+/// Renders the id-free body of a decision response:
+/// `,"outcome":…,"lp_iterations":N}`. Keys come in the order of
+/// [`DecisionMsg::to_value`], floats in the same shortest-round-trip
+/// `{:?}` form and integers in the same `i64` form, so the body
+/// completes [`render_decision_frame`]'s prefix into the exact bytes of
+/// the `Value` rendering.
+pub fn render_decision_body(d: &HourDecision) -> Box<[u8]> {
+    // `{:?}` renders an `f64` as `Value::Float` does and an `i64` as
+    // `Value::Int` does.
+    fn field(out: &mut Vec<u8>, key: &str, x: impl std::fmt::Debug) {
+        let _ = write!(out, ",\"{key}\":{x:?}");
+    }
+    fn list<T: std::fmt::Debug>(out: &mut Vec<u8>, key: &str, items: impl Iterator<Item = T>) {
+        let _ = write!(out, ",\"{key}\":[");
+        for (i, x) in items.enumerate() {
+            if i > 0 {
+                out.push(b',');
+            }
+            let _ = write!(out, "{x:?}");
+        }
+        out.push(b']');
+    }
+    let a = &d.allocation;
+    let mut out = Vec::new();
+    let _ = write!(out, ",\"outcome\":\"{}\"", outcome_tag(d.outcome));
+    field(&mut out, "offered", d.offered);
+    field(&mut out, "premium_offered", d.premium_offered);
+    field(&mut out, "premium_served", d.premium_served);
+    field(&mut out, "ordinary_served", d.ordinary_served);
+    // As `budget_to_value`: a non-finite budget renders as `null`.
+    if d.budget.is_finite() {
+        field(&mut out, "budget", d.budget);
+    } else {
+        out.extend_from_slice(b",\"budget\":null");
+    }
+    list(&mut out, "lambda", a.lambda.iter());
+    list(&mut out, "servers", a.servers.iter().map(|&s| s as i64));
+    list(&mut out, "power_mw", a.power_mw.iter());
+    list(&mut out, "price", a.price.iter());
+    list(&mut out, "level", a.level.iter().map(|&k| k as i64));
+    list(&mut out, "cost", a.cost.iter());
+    field(&mut out, "total_cost", a.total_cost);
+    field(&mut out, "total_lambda", a.total_lambda);
+    field(&mut out, "solves", d.trace.solves as i64);
+    field(&mut out, "nodes", d.trace.nodes as i64);
+    field(&mut out, "lp_iterations", d.trace.lp_iterations as i64);
+    out.push(b'}');
+    out.into_boxed_slice()
 }
 
 /// Renders a maybe-infinite budget: `null` encodes `+∞`.
@@ -833,6 +922,54 @@ mod tests {
                 back.bitwise_matches(&d).unwrap();
             }
             other => panic!("parsed {other:?}"),
+        }
+    }
+
+    /// The direct renderer against its oracle, the `Value`-tree render.
+    fn assert_direct_render_matches(id: u64, d: &HourDecision, cached: bool) {
+        let expected = Response::Decision(DecisionMsg::from_decision(id, d, cached))
+            .to_value()
+            .render();
+        let mut frame = Vec::new();
+        render_decision_frame(&mut frame, id, cached, &render_decision_body(d)).unwrap();
+        assert_eq!(
+            std::str::from_utf8(&frame[4..]).unwrap(),
+            expected,
+            "id {id}, cached {cached}"
+        );
+        assert_eq!(
+            read_frame(&mut Cursor::new(&frame), MAX_FRAME)
+                .unwrap()
+                .unwrap(),
+            expected.as_bytes(),
+            "the header must announce the payload length"
+        );
+    }
+
+    #[test]
+    fn direct_decision_render_is_byte_identical_to_the_value_render() {
+        use billcap_core::{BillCapper, DataCenterSystem};
+        use billcap_sim::Scenario;
+        let plan = crate::replay::build_plan(1, 42, 168, Some(Scenario::STRINGENT_BUDGET)).unwrap();
+        let mut decisions = plan.expected;
+        assert!(decisions.iter().all(|d| d.budget.is_finite()));
+        let sys = DataCenterSystem::paper_system(1);
+        let unlimited = BillCapper::default()
+            .decide_hour(&sys, 6e8, 3.6e8, &[330.0, 410.0, 280.0], f64::INFINITY)
+            .unwrap();
+        assert!(
+            Response::Decision(DecisionMsg::from_decision(0, &unlimited, false))
+                .to_value()
+                .render()
+                .contains("\"budget\":null")
+        );
+        decisions.push(unlimited);
+        for (t, d) in decisions.iter().enumerate() {
+            for cached in [false, true] {
+                for id in [0, t as u64, i64::MAX as u64] {
+                    assert_direct_render_matches(id, d, cached);
+                }
+            }
         }
     }
 

@@ -12,9 +12,16 @@
 //! ```
 //!
 //! * Each worker owns one [`DecisionEngine`] per pricing policy, so
-//!   model reuse never crosses threads and needs no locking.
+//!   model reuse never crosses threads and needs no locking. The
+//!   engine's [`system_fingerprint`] is hashed once, when the engine is
+//!   created; cache keys reuse it.
 //! * The decision cache (optional) is shared: one hour solved by any
-//!   worker is a hit for every worker.
+//!   worker is a hit for every worker. It holds rendered response
+//!   bodies, not decisions: a miss renders its answer exactly once
+//!   ([`render_decision_body`]) and a hit splices the request id in
+//!   front of the stored bytes ([`render_decision_frame`]).
+//! * The reader reads through a [`BufReader`]; every response frame,
+//!   header included, leaves in one `write_all`.
 //! * Malformed requests get an in-band `error` response and the stream
 //!   continues; framing errors (truncation, oversized length) poison
 //!   the stream — the server emits one final `error` frame and shuts
@@ -54,15 +61,17 @@
 //! [`billcap_core::BillCapper::decide_hour`] on the same request.
 
 use crate::protocol::{
-    read_frame, write_frame, ControlMsg, DecisionMsg, FrameError, Request, Response, MAX_FRAME,
+    read_frame, render_decision_body, render_decision_frame, write_frame, ControlMsg, FrameError,
+    Request, Response, MAX_FRAME,
 };
 use billcap_core::{
-    CapperConfig, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey, EngineStats,
+    system_fingerprint, CapperConfig, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey,
+    EngineStats,
 };
 use billcap_obs::{MetricsDoc, QuantileSummary, Stopwatch, TraceSink, WindowedHistogram};
 use billcap_rt::run_workers;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, PoisonError};
 
@@ -251,11 +260,21 @@ struct Queue {
     done: bool,
 }
 
+/// Which exact counter a response frame moves.
+#[derive(Clone, Copy)]
+enum FrameKind {
+    Decision,
+    Error,
+    Control,
+}
+
 struct Shared<'t, W: Write> {
     queue: Mutex<Queue>,
     available: Condvar,
     writer: Mutex<W>,
-    cache: Option<Mutex<DecisionCache>>,
+    /// Rendered decision bodies ([`render_decision_body`]), keyed like
+    /// decisions: a hit splices its id in front and never re-renders.
+    cache: Option<Mutex<DecisionCache<Box<[u8]>>>>,
     tele: &'t ServerTelemetry,
     requests: AtomicU64,
     decisions: AtomicU64,
@@ -268,24 +287,39 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 }
 
 impl<W: Write> Shared<'_, W> {
+    /// Sends a response that has no direct renderer (errors, metrics,
+    /// health) through its `Value` tree, still as one write.
     fn respond(&self, response: &Response) {
+        let kind = match response {
+            Response::Decision(_) => FrameKind::Decision,
+            Response::Error { .. } => FrameKind::Error,
+            Response::Metrics { .. } | Response::Health { .. } => FrameKind::Control,
+        };
+        let mut frame = Vec::new();
+        let rendered = write_frame(&mut frame, response.to_value().render().as_bytes());
+        self.send(kind, rendered.map(|()| frame.as_slice()));
+    }
+
+    /// Writes one rendered frame (header included) with a single
+    /// `write_all`.
+    fn send(&self, kind: FrameKind, frame: std::io::Result<&[u8]>) {
         // Counters move *before* the frame is written so a scrape
         // issued after reading N responses always covers those N.
-        match response {
-            Response::Decision(_) => {
+        match kind {
+            FrameKind::Decision => {
                 self.decisions.fetch_add(1, Ordering::Relaxed);
                 self.tele.decisions.fetch_add(1, Ordering::SeqCst);
             }
-            Response::Error { .. } => {
+            FrameKind::Error => {
                 self.errors.fetch_add(1, Ordering::Relaxed);
                 self.tele.errors.fetch_add(1, Ordering::SeqCst);
             }
-            Response::Metrics { .. } | Response::Health { .. } => {}
+            FrameKind::Control => {}
         }
-        let payload = response.to_value().render();
-        let mut w = lock(&self.writer);
-        let ok = write_frame(&mut *w, payload.as_bytes()).and_then(|()| w.flush());
-        drop(w);
+        let ok = frame.and_then(|bytes| {
+            let mut w = lock(&self.writer);
+            w.write_all(bytes).and_then(|()| w.flush())
+        });
         if ok.is_err() {
             // The client is gone; keep draining the queue so the call
             // terminates, but stop pretending writes matter.
@@ -516,8 +550,10 @@ fn run_reader<R: Read, W: Write>(
     shared: &Shared<'_, W>,
     reader_slot: &Mutex<Option<R>>,
 ) {
+    // Buffered: a burst of small request frames costs one `read` call,
+    // not two per frame (header, then payload).
     let mut reader = match lock(reader_slot).take() {
-        Some(r) => r,
+        Some(r) => BufReader::new(r),
         None => return,
     };
     let instrumented = shared.tele.enabled();
@@ -584,11 +620,16 @@ fn run_reader<R: Read, W: Write>(
 /// A worker's engine plus the stats already folded into telemetry.
 struct EngineState {
     engine: DecisionEngine,
+    /// [`system_fingerprint`] of the engine's system, hashed once at
+    /// creation: cache keys reuse it instead of re-hashing the spec.
+    fingerprint: u64,
     reported: EngineStats,
 }
 
 fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
     let mut engines: HashMap<usize, EngineState> = HashMap::new();
+    // One response buffer per worker, reused for every frame.
+    let mut out = Vec::new();
     loop {
         let entry = {
             let mut q = lock(&shared.queue);
@@ -606,7 +647,7 @@ fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
             }
         };
         let Some((frame, stamp)) = entry else { break };
-        handle_request(cfg, shared, &mut engines, &frame, stamp);
+        handle_request(cfg, shared, &mut engines, &mut out, &frame, stamp);
     }
 }
 
@@ -638,10 +679,11 @@ fn handle_request<W: Write>(
     cfg: &ServeConfig,
     shared: &Shared<'_, W>,
     engines: &mut HashMap<usize, EngineState>,
+    out: &mut Vec<u8>,
     frame: &[u8],
     stamp: Option<Stopwatch>,
 ) {
-    handle_request_inner(cfg, shared, engines, frame);
+    handle_request_inner(cfg, shared, engines, out, frame);
     if let Some(sw) = stamp {
         shared
             .tele
@@ -649,10 +691,14 @@ fn handle_request<W: Write>(
     }
 }
 
+/// Answers one data frame. A decision is rendered once, on the miss
+/// that solves it; a cache hit copies the stored body behind a fresh id
+/// into `out` and formats no float.
 fn handle_request_inner<W: Write>(
     cfg: &ServeConfig,
     shared: &Shared<'_, W>,
     engines: &mut HashMap<usize, EngineState>,
+    out: &mut Vec<u8>,
     frame: &[u8],
 ) {
     let mut span = billcap_obs::span("serve.request");
@@ -681,14 +727,15 @@ fn handle_request_inner<W: Write>(
         );
         e.set_reuse_basis(cfg.reuse_basis);
         EngineState {
+            fingerprint: system_fingerprint(e.system()),
             engine: e,
             reported: EngineStats::default(),
         }
     });
 
     let key = shared.cache.as_ref().map(|_| {
-        DecisionKey::new(
-            state.engine.system(),
+        DecisionKey::with_fingerprint(
+            state.fingerprint,
             cfg.integral_servers,
             req.offered,
             req.premium_offered,
@@ -697,14 +744,16 @@ fn handle_request_inner<W: Write>(
         )
     });
     if let (Some(cache), Some(key)) = (&shared.cache, &key) {
-        let hit = lock(cache).get(key);
-        if let Some(hit) = hit {
+        let mut c = lock(cache);
+        let hit = c
+            .get(key)
+            .map(|body| render_decision_frame(out, req.id, true, body));
+        drop(c);
+        if let Some(rendered) = hit {
             shared.tele.cache_hits.fetch_add(1, Ordering::SeqCst);
             span.field("cached", 1.0);
             drop(span);
-            shared.respond(&Response::Decision(DecisionMsg::from_decision(
-                req.id, &hit, true,
-            )));
+            shared.send(FrameKind::Decision, rendered.map(|()| out.as_slice()));
             return;
         }
         shared.tele.cache_misses.fetch_add(1, Ordering::SeqCst);
@@ -729,10 +778,12 @@ fn handle_request_inner<W: Write>(
             span.field("cost", decision.allocation.total_cost);
             span.field("solves", decision.trace.solves as f64);
             drop(span);
+            let body = render_decision_body(&decision);
+            let rendered = render_decision_frame(out, req.id, false, &body);
             if let (Some(cache), Some(key)) = (&shared.cache, key) {
                 let mut c = lock(cache);
                 let before = c.evictions();
-                c.insert(key, decision.clone());
+                c.insert(key, body);
                 let evicted = c.evictions().saturating_sub(before);
                 drop(c);
                 if evicted > 0 {
@@ -742,9 +793,7 @@ fn handle_request_inner<W: Write>(
                         .fetch_add(evicted, Ordering::SeqCst);
                 }
             }
-            shared.respond(&Response::Decision(DecisionMsg::from_decision(
-                req.id, &decision, false,
-            )));
+            shared.send(FrameKind::Decision, rendered.map(|()| out.as_slice()));
         }
         Err(e) => {
             span.field("error", 1.0);
@@ -795,6 +844,7 @@ pub fn serve_unix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::DecisionMsg;
     use billcap_core::BillCapper;
     use std::io::Cursor;
 
@@ -813,13 +863,21 @@ mod tests {
         buf
     }
 
-    fn responses(out: &[u8]) -> Vec<Response> {
+    /// Raw response payloads, in write order.
+    fn payloads(out: &[u8]) -> Vec<String> {
         let mut cur = Cursor::new(out.to_vec());
         let mut all = Vec::new();
         while let Some(frame) = read_frame(&mut cur, MAX_FRAME).unwrap() {
-            all.push(Response::parse(&frame).unwrap());
+            all.push(String::from_utf8(frame).unwrap());
         }
         all
+    }
+
+    fn responses(out: &[u8]) -> Vec<Response> {
+        payloads(out)
+            .iter()
+            .map(|p| Response::parse(p.as_bytes()).unwrap())
+            .collect()
     }
 
     fn request(id: u64) -> Request {
@@ -881,6 +939,135 @@ mod tests {
             }
         }
         assert_eq!(cached_seen, 2);
+    }
+
+    #[test]
+    fn hit_frame_equals_miss_frame_but_for_the_cached_flag() {
+        let input = encode(&[request(7), request(7)]);
+        let mut out = Vec::new();
+        let stats = serve(&one_worker(), Cursor::new(input), &mut out);
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
+        let frames = payloads(&out);
+        assert_eq!(frames.len(), 2);
+        assert!(frames[0].contains("\"cached\":false"));
+        assert!(frames[1].contains("\"cached\":true"));
+        assert_eq!(
+            frames[1].replacen("\"cached\":true", "\"cached\":false", 1),
+            frames[0]
+        );
+        // And the miss frame is exactly the client-side `Value` render.
+        let sys = DataCenterSystem::paper_system(1);
+        let d = BillCapper::default()
+            .decide_hour(&sys, 5e8, 3e8, &[330.0, 410.0, 280.0], f64::INFINITY)
+            .unwrap();
+        assert_eq!(
+            frames[0],
+            Response::Decision(DecisionMsg::from_decision(7, &d, false))
+                .to_value()
+                .render()
+        );
+    }
+
+    /// Counts `write` calls; accepts every byte it is offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_frame_is_one_write() {
+        // Misses, hits, an in-band error and both control replies.
+        let mut input = encode(&[request(1), request(2), request(3)]);
+        let mut other = request(4);
+        other.offered = 4e8;
+        write_frame(&mut input, other.to_value().render().as_bytes()).unwrap();
+        write_frame(&mut input, b"{\"id\":5,\"policy\":99}").unwrap();
+        for ctl in [
+            ControlMsg::Metrics { id: Some(6) },
+            ControlMsg::Health { id: None },
+        ] {
+            write_frame(&mut input, ctl.to_value().render().as_bytes()).unwrap();
+        }
+        let mut w = CountingWriter::default();
+        let stats = serve(&one_worker(), Cursor::new(input), &mut w);
+        assert_eq!((stats.decisions, stats.errors), (4, 1));
+        assert_eq!((stats.cache_misses, stats.cache_hits), (2, 2));
+        let frames = responses(&w.bytes);
+        assert_eq!(frames.len(), 7);
+        assert_eq!(w.writes, frames.len(), "one write call per frame");
+    }
+
+    #[test]
+    fn bounded_cache_counts_exactly_and_resolves_evicted_keys_identically() {
+        let cfg = ServeConfig {
+            workers: 1,
+            cache_capacity: 4,
+            ..ServeConfig::default()
+        };
+        let distinct: Vec<Request> = (0..10u64)
+            .map(|i| {
+                let mut r = request(i);
+                r.offered += i as f64;
+                r
+            })
+            .collect();
+        // Ten distinct hours, all ten again (FIFO order makes every one
+        // a miss: each was evicted before its repeat), then the four
+        // the cache still holds.
+        let mut stream = distinct.clone();
+        stream.extend(distinct.iter().cloned());
+        stream.extend(distinct[6..].iter().cloned());
+        let mut input = encode(&stream);
+        write_frame(
+            &mut input,
+            ControlMsg::Metrics { id: None }
+                .to_value()
+                .render()
+                .as_bytes(),
+        )
+        .unwrap();
+        let mut out = Vec::new();
+        let stats = serve(&cfg, Cursor::new(input), &mut out);
+        assert_eq!(stats.decisions, 24);
+        assert_eq!(stats.cache_misses, 20);
+        assert_eq!(stats.cache_evictions, 16);
+        assert_eq!(stats.cache_hits, 4);
+
+        let mut frames = payloads(&out);
+        let scrape = frames
+            .iter()
+            .position(|f| f.contains("\"metrics\""))
+            .unwrap();
+        let doc = match Response::parse(frames.remove(scrape).as_bytes()).unwrap() {
+            Response::Metrics { doc, .. } => doc,
+            other => panic!("got {other:?}"),
+        };
+        assert!(doc.gauges["serve.cache.len"] <= 4.0);
+        // One worker answers in request order.
+        assert_eq!(frames.len(), 24);
+        for i in 0..10 {
+            assert!(frames[i].contains("\"cached\":false"));
+            assert_eq!(frames[10 + i], frames[i], "re-solved hour {i}");
+        }
+        for (i, hit) in frames[20..].iter().enumerate() {
+            assert_eq!(
+                hit.replacen("\"cached\":true", "\"cached\":false", 1),
+                frames[6 + i]
+            );
+        }
     }
 
     #[test]
@@ -1108,11 +1295,33 @@ mod tests {
         assert_eq!(doc.tick, 0);
     }
 
+    /// Connects to a `serve_unix` socket that another thread is about
+    /// to bind, retrying until a wall-clock deadline. On give-up it
+    /// connects once more and drops the connection, so a server that
+    /// bound late returns from `accept` instead of hanging the test.
+    #[cfg(unix)]
+    fn connect_before_deadline(path: &std::path::Path) -> std::os::unix::net::UnixStream {
+        use std::os::unix::net::UnixStream;
+        const DEADLINE_NS: u64 = 30_000_000_000;
+        let clock = Stopwatch::start();
+        loop {
+            match UnixStream::connect(path) {
+                Ok(s) => return s,
+                Err(_) if clock.elapsed_ns() < DEADLINE_NS => {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                Err(e) => {
+                    drop(UnixStream::connect(path));
+                    panic!("connect to {} within 30 s: {e}", path.display());
+                }
+            }
+        }
+    }
+
     #[cfg(unix)]
     #[test]
     fn unix_socket_round_trip() {
         use std::io::Write as _;
-        use std::os::unix::net::UnixStream;
         let dir = std::env::temp_dir();
         let path = dir.join(format!("billcap-serve-test-{}.sock", std::process::id()));
         let path_clone = path.clone();
@@ -1126,18 +1335,7 @@ mod tests {
                 let stats = serve_unix(&cfg, &path_clone, true).unwrap();
                 *lock(&server_stats) = stats;
             } else {
-                // Wait for the socket file to appear.
-                let mut tries = 0;
-                let stream = loop {
-                    match UnixStream::connect(&path) {
-                        Ok(s) => break s,
-                        Err(_) if tries < 200 => {
-                            tries += 1;
-                            std::thread::yield_now();
-                        }
-                        Err(e) => panic!("connect: {e}"),
-                    }
-                };
+                let stream = connect_before_deadline(&path);
                 let mut writer = stream.try_clone().unwrap();
                 write_frame(&mut writer, request(5).to_value().render().as_bytes()).unwrap();
                 writer.flush().unwrap();
@@ -1163,7 +1361,6 @@ mod tests {
     #[test]
     fn scrape_after_all_responses_matches_serve_stats() {
         use std::io::Write as _;
-        use std::os::unix::net::UnixStream;
         let path =
             std::env::temp_dir().join(format!("billcap-serve-scrape-{}.sock", std::process::id()));
         let path_clone = path.clone();
@@ -1178,17 +1375,7 @@ mod tests {
                 let stats = serve_unix(&cfg, &path_clone, true).unwrap();
                 *lock(&server_stats) = stats;
             } else {
-                let mut tries = 0;
-                let stream = loop {
-                    match UnixStream::connect(&path) {
-                        Ok(s) => break s,
-                        Err(_) if tries < 200 => {
-                            tries += 1;
-                            std::thread::yield_now();
-                        }
-                        Err(e) => panic!("connect: {e}"),
-                    }
-                };
+                let stream = connect_before_deadline(&path);
                 let mut writer = stream.try_clone().unwrap();
                 let mut reader = stream;
                 // Distinct requests (no cache hits), answered out of
