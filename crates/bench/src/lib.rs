@@ -102,7 +102,7 @@ pub mod serve_bench {
                     black_box(bg),
                     black_box(*budget),
                 )
-                // repolint-allow(unwrap): bench inputs are feasible by construction
+                // detlint-allow(L001): bench inputs are feasible by construction
                 .expect("feasible hour");
             black_box(d.allocation.total_cost)
         });
@@ -120,7 +120,7 @@ pub mod serve_bench {
                     black_box(bg),
                     black_box(*budget),
                 )
-                // repolint-allow(unwrap): bench inputs are feasible by construction
+                // detlint-allow(L001): bench inputs are feasible by construction
                 .expect("feasible hour");
             black_box(d.allocation.total_cost)
         });
@@ -139,7 +139,7 @@ pub mod serve_bench {
                     black_box(bg),
                     black_box(*budget),
                 )
-                // repolint-allow(unwrap): bench inputs are feasible by construction
+                // detlint-allow(L001): bench inputs are feasible by construction
                 .expect("feasible hour");
             black_box(d.allocation.total_cost)
         });
@@ -156,7 +156,7 @@ pub mod serve_bench {
                 None => {
                     let fresh = engine
                         .decide_hour(*offered, *premium, bg, *budget)
-                        // repolint-allow(unwrap): bench inputs are feasible by construction
+                        // detlint-allow(L001): bench inputs are feasible by construction
                         .expect("feasible hour");
                     cache.insert(key, fresh.clone());
                     fresh
@@ -177,7 +177,7 @@ pub mod serve_bench {
 
         let plan = std::sync::Arc::new(
             build_plan(1, 42, 24, None)
-                // repolint-allow(unwrap): the paper scenario always builds
+                // detlint-allow(L001): the paper scenario always builds
                 .expect("plan builds"),
         );
         for (label, telemetry) in [("off", false), ("on", true)] {
@@ -190,7 +190,7 @@ pub mod serve_bench {
             };
             h.bench(&format!("serve_replay/telemetry_{label}"), move || {
                 let outcome = run_replay(&cfg, &plan)
-                    // repolint-allow(unwrap): replay of a valid plan cannot fail
+                    // detlint-allow(L001): replay of a valid plan cannot fail
                     .expect("replay runs");
                 assert_eq!(outcome.decisions.len(), plan.requests.len());
                 black_box(outcome.stats.decisions)

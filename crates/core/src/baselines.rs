@@ -97,7 +97,7 @@ impl MinOnly {
             let headroom = site
                 .queue
                 .qos_headroom(site.response_target)
-                .expect("validated spec"); // repolint-allow(unwrap): spec checked at construction
+                .expect("validated spec"); // detlint-allow(L001): spec checked at construction
             believed_base += price * site.power.server_only_watts_per_server() * headroom / 1e6;
             lam_vars.push(lam);
         }

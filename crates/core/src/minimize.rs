@@ -191,7 +191,7 @@ pub(crate) fn build_piecewise_core(
             let headroom = site
                 .queue
                 .qos_headroom(site.response_target)
-                .expect("validated spec"); // repolint-allow(unwrap): spec checked at construction
+                .expect("validated spec"); // detlint-allow(L001): spec checked at construction
             let n_i = m.add_var(
                 format!("n_{i}"),
                 VarType::Integer,
@@ -293,7 +293,7 @@ pub(crate) fn extract_allocation(
         let &(k, r, _, _) = vars.levels[i]
             .iter()
             .find(|&&(_, _, _, z)| sol.try_int_value(z) == Some(1))
-            .expect("exactly one level is active"); // repolint-allow(unwrap): one_level row guarantees it
+            .expect("exactly one level is active"); // detlint-allow(L001): one_level row guarantees it
         let c = r * p;
         lambda.push(lam);
         servers.push(system.sites[i].servers_for_rate(lam));

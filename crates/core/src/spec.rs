@@ -42,7 +42,7 @@ impl DataCenterSpec {
         let headroom = self
             .queue
             .qos_headroom(self.response_target)
-            .expect("validated spec"); // repolint-allow(unwrap): spec checked at construction
+            .expect("validated spec"); // detlint-allow(L001): spec checked at construction
         self.power.watts_per_server() * headroom / 1e6
     }
 
@@ -57,7 +57,7 @@ impl DataCenterSpec {
         let headroom = self
             .queue
             .qos_headroom(self.response_target)
-            .expect("validated spec"); // repolint-allow(unwrap): spec checked at construction
+            .expect("validated spec"); // detlint-allow(L001): spec checked at construction
                                        // Server-inventory bound.
         let by_servers = (self.max_servers as f64 - headroom).max(0.0) * self.queue.service_rate;
         // Power-cap bound: a_i * lambda + b_i <= Ps_i.
@@ -70,7 +70,7 @@ impl DataCenterSpec {
     pub fn servers_for_rate(&self, lambda: f64) -> u64 {
         self.queue
             .min_servers(lambda, self.response_target)
-            .expect("validated spec") // repolint-allow(unwrap): spec checked at construction
+            .expect("validated spec") // detlint-allow(L001): spec checked at construction
             .min(self.max_servers)
     }
 
@@ -183,7 +183,7 @@ impl DataCenterSystem {
     /// pricing-policy family (0..=3).
     pub fn paper_system(policy: usize) -> Self {
         let sites = (0..3).map(DataCenterSpec::paper_dc).collect();
-        // repolint-allow(unwrap): constants from the paper
+        // detlint-allow(L001): constants from the paper
         Self::new(sites, PricingPolicySet::by_index(policy, 3)).expect("paper system is valid")
     }
 
@@ -231,7 +231,7 @@ impl DataCenterSystem {
                 })
                 .collect(),
         };
-        Self::new(sites, policies).expect("synthetic system is valid") // repolint-allow(unwrap): generated spec is valid
+        Self::new(sites, policies).expect("synthetic system is valid") // detlint-allow(L001): generated spec is valid
     }
 
     /// Number of sites.

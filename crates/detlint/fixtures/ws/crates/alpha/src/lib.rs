@@ -1,6 +1,6 @@
 //! Seeded-violation fixture: the decision crate. `Engine::decide` is
 //! the fixture's determinism root; every taint it reaches must fire.
-
+#![forbid(unsafe_code)]
 use std::collections::HashMap;
 
 /// Decision engine with a hash-ordered weight table.

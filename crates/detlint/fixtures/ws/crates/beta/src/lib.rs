@@ -1,7 +1,7 @@
 //! Seeded-violation fixture: tainted helpers reached from alpha's root
 //! through a multi-hop chain, plus one unreachable taint that must stay
 //! silent.
-
+#![forbid(unsafe_code)]
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::time::Instant;

@@ -1,5 +1,6 @@
-//! Analysis passes: crate discovery, conservative call graph, taint
-//! scan, reachability from determinism roots, and waiver hygiene.
+//! Analysis passes: crate discovery, the per-file layering rules,
+//! conservative call graph, taint scan, reachability from determinism
+//! roots, and waiver hygiene.
 //!
 //! The call graph is a deliberate over-approximation: a method call
 //! `.name(...)` links to *every* workspace function called `name`, a
@@ -9,6 +10,7 @@
 //! because findings are only emitted for taint *sites* — an extra edge
 //! can at worst mark one more function reachable, never invent a site.
 
+use crate::layering;
 use crate::lex::{lex, Waiver};
 use crate::parse::{parse_file, BodyLine, Symbol};
 use crate::report::{sort_findings, Code, Finding};
@@ -535,15 +537,21 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
     // module taint an unrelated `rows: &[usize]` in another.
     let mut file_hash: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
     let mut waiver_reg: Vec<WaiverEntry> = Vec::new();
+    let mut findings: Vec<Finding> = Vec::new();
     let mut files = 0usize;
     for c in &crates {
+        let has_lib = c.src.join("lib.rs").is_file();
         let mut paths = Vec::new();
         rs_files(&c.src, &mut paths);
         for path in paths {
             let text =
                 fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
             let rel = rel_path(root, &path);
-            let items = parse_file(&c.name, &rel, &lex(&text));
+            let lines = lex(&text);
+            let items = parse_file(&c.name, &rel, &lines);
+            let in_src = path.strip_prefix(&c.src).unwrap_or(&path);
+            let used =
+                layering::check_file(&c.name, has_lib, in_src, &rel, &text, &lines, &mut findings);
             files += 1;
             file_hash
                 .entry(rel.clone())
@@ -552,8 +560,8 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
             for w in items.waivers {
                 waiver_reg.push(WaiverEntry {
                     file: rel.clone(),
+                    used: used.contains(&&w),
                     waiver: w,
-                    used: false,
                 });
             }
             symbols.extend(items.symbols);
@@ -638,8 +646,6 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
         edges[i].dedup();
     }
     let edge_count: usize = edges.iter().map(Vec::len).sum();
-
-    let mut findings: Vec<Finding> = Vec::new();
 
     // Pass 4: resolve roots; BFS reachability with predecessor chains.
     let mut queue: VecDeque<usize> = VecDeque::new();
@@ -761,39 +767,24 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
     // Pass 6: waiver hygiene.
     for entry in &waiver_reg {
         let w = &entry.waiver;
+        let mut hygiene = |message: String| {
+            findings.push(Finding::at(Code::D008, &entry.file, w.line, message));
+        };
         if Code::parse(&w.code).is_none() {
-            findings.push(Finding {
-                code: Code::D008,
-                file: entry.file.clone(),
-                line: w.line,
-                function: String::new(),
-                message: format!("waiver names unknown code `{}`", w.code),
-                root: String::new(),
-                chain: String::new(),
-            });
+            hygiene(format!("waiver names unknown code `{}`", w.code));
             continue;
         }
         if !entry.used {
-            findings.push(Finding {
-                code: Code::D008,
-                file: entry.file.clone(),
-                line: w.line,
-                function: String::new(),
-                message: format!("stale waiver: detlint-allow({}) suppresses nothing", w.code),
-                root: String::new(),
-                chain: String::new(),
-            });
+            hygiene(format!(
+                "stale waiver: detlint-allow({}) suppresses nothing",
+                w.code
+            ));
         }
         if w.reason.is_empty() {
-            findings.push(Finding {
-                code: Code::D008,
-                file: entry.file.clone(),
-                line: w.line,
-                function: String::new(),
-                message: format!("waiver detlint-allow({}) carries no reason", w.code),
-                root: String::new(),
-                chain: String::new(),
-            });
+            hygiene(format!(
+                "waiver detlint-allow({}) carries no reason",
+                w.code
+            ));
         }
     }
 

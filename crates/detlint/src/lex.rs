@@ -1,14 +1,16 @@
 //! Lexical pass: strips comments and literals, tracks `#[cfg(test)]`
-//! regions by brace depth, and collects `detlint-allow` waivers.
+//! regions by brace depth and hot regions by marker comments, and
+//! collects `detlint-allow` waivers.
 //!
 //! The downstream passes only ever look at [`Line::code`], so string
 //! literals can never fake a call, a brace, or a taint token, and
-//! comments can never hide one. Waiver directives are recognized in
-//! plain `//` comments only — doc comments (`///`, `//!`) are prose and
-//! stay inert, so documentation may *mention* a waiver without minting
-//! one.
+//! comments can never hide one. A string literal that spans lines
+//! blanks every line up to its closing quote. Waiver directives are
+//! recognized in plain `//` comments only — doc comments (`///`, `//!`)
+//! are prose and stay inert, so documentation may *mention* a waiver
+//! without minting one.
 
-/// A determinism-lint waiver: `// detlint-allow(D003): reason`.
+/// A waiver: `// detlint-allow(D003): reason`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
     /// The waived finding code, e.g. `"D003"`.
@@ -32,6 +34,10 @@ pub struct Line {
     pub waivers: Vec<Waiver>,
     /// Whether the line is inside a `#[cfg(test)]` item.
     pub in_test: bool,
+    /// Whether the line is inside a hot region, from a comment leading
+    /// with `detlint-hot-start(label)` to one leading with
+    /// `detlint-hot-end`, marker lines included.
+    pub hot: bool,
 }
 
 /// Parses `detlint-allow(CODE): reason` out of a comment body.
@@ -48,6 +54,22 @@ fn parse_waiver(comment: &str, line: usize) -> Option<Waiver> {
     Some(Waiver { code, reason, line })
 }
 
+/// Skips the body of a string literal up to its unescaped closing
+/// quote; false when the line ends first.
+fn skip_string(chars: &mut impl Iterator<Item = char>) -> bool {
+    let mut escaped = false;
+    for s in chars {
+        if escaped {
+            escaped = false;
+        } else if s == '\\' {
+            escaped = true;
+        } else if s == '"' {
+            return true;
+        }
+    }
+    false
+}
+
 /// Lexes a file into [`Line`]s.
 pub fn lex(text: &str) -> Vec<Line> {
     let mut out = Vec::new();
@@ -58,14 +80,21 @@ pub fn lex(text: &str) -> Vec<Line> {
     // A `#[cfg(test)]` attribute was seen; the next `{` opens its body.
     let mut pending_test = false;
     let mut in_block_comment = false;
+    // A string literal opened on an earlier line is still open.
+    let mut in_string = false;
     let mut prev_waivers: Vec<Waiver> = Vec::new();
+    let mut in_hot = false;
 
     for (idx, raw) in text.lines().enumerate() {
         let number = idx + 1;
         let in_test_at_start = test_until.is_some();
+        let (mut hot_started, mut hot_ended) = (false, false);
         let mut code = String::new();
         let mut waivers = prev_waivers.clone();
         let mut chars = raw.chars().peekable();
+        if in_string {
+            in_string = !skip_string(&mut chars);
+        }
         while let Some(c) = chars.next() {
             if in_block_comment {
                 if c == '*' && chars.peek() == Some(&'/') {
@@ -85,6 +114,11 @@ pub fn lex(text: &str) -> Vec<Line> {
                             waivers.push(w);
                         }
                     }
+                    // Hot-region markers must lead the comment, so prose
+                    // that merely mentions them stays inert.
+                    let directive = comment.trim_start_matches(['/', '!']).trim_start();
+                    hot_started |= directive.starts_with("detlint-hot-start");
+                    hot_ended |= directive.starts_with("detlint-hot-end");
                     break;
                 }
                 '/' if chars.peek() == Some(&'*') => {
@@ -92,19 +126,8 @@ pub fn lex(text: &str) -> Vec<Line> {
                     in_block_comment = true;
                 }
                 '"' => {
-                    // String literal: skip to the unescaped closing quote.
-                    code.push('"');
-                    let mut escaped = false;
-                    for s in chars.by_ref() {
-                        if escaped {
-                            escaped = false;
-                        } else if s == '\\' {
-                            escaped = true;
-                        } else if s == '"' {
-                            break;
-                        }
-                    }
-                    code.push('"');
+                    code.push_str("\"\"");
+                    in_string = !skip_string(&mut chars);
                 }
                 '\'' => {
                     // Char literal or lifetime. A char literal closes
@@ -163,11 +186,18 @@ pub fn lex(text: &str) -> Vec<Line> {
             Vec::new()
         };
 
+        // A start marker trailing code marks its own line hot; an end
+        // marker's line is still inside the region.
+        in_hot |= hot_started;
+        let hot = in_hot;
+        in_hot &= !hot_ended;
+
         out.push(Line {
             number,
             code,
             waivers,
             in_test: in_test_at_start || test_until.is_some() || touched_test,
+            hot,
         });
     }
     out
@@ -210,6 +240,8 @@ mod tests {
         let ls = lex("/// use `// detlint-allow(D001): why` to waive\nfn f() {}\n");
         assert!(ls[0].waivers.is_empty());
         assert!(ls[1].waivers.is_empty());
+        let ls = lex("//! ```text\n//! // detlint-allow(L001): shown\n//! ```\nfn f() {}\n");
+        assert!(ls.iter().all(|l| l.waivers.is_empty()));
     }
 
     #[test]
@@ -220,5 +252,58 @@ mod tests {
         assert!(ls[3].in_test);
         assert!(ls[4].in_test);
         assert!(!ls[5].in_test);
+    }
+
+    #[test]
+    fn format_string_braces_do_not_corrupt_depth() {
+        let src = "#[cfg(test)]\nmod t {\n  let s = format!(\"{x:.3}}}\");\n}\nfn after() {}\n";
+        let ls = lex(src);
+        assert!(
+            !ls[4].in_test,
+            "braces inside strings must not end the block"
+        );
+    }
+
+    #[test]
+    fn char_literals_and_lifetimes_lex() {
+        let ls = lex("fn f<'a>(x: &'a str) { if c == '{' { } }\n");
+        let opens = ls[0].code.matches('{').count();
+        assert_eq!(opens, ls[0].code.matches('}').count(), "{:?}", ls[0].code);
+    }
+
+    #[test]
+    fn strings_spanning_lines_stay_blank() {
+        let src = "let s = \"head\n    .unwrap() {\n  tail\";\nfn f() {}\n";
+        let ls = lex(src);
+        assert_eq!(ls[0].code, "let s = \"\"");
+        assert_eq!(ls[1].code, "", "a continuation line is not code");
+        assert_eq!(ls[2].code, ";");
+        // The `{` inside the string opened nothing: a test region that
+        // starts after it still closes on its own brace.
+        let ls = lex(&format!(
+            "#[cfg(test)]\nmod t {{\n{src}}}\nfn after() {{}}\n"
+        ));
+        assert!(ls[5].in_test);
+        assert!(!ls[7].in_test, "{:?}", ls[7]);
+    }
+
+    #[test]
+    fn hot_regions_span_their_markers() {
+        let src = "\
+fn cold() {}
+// detlint-hot-start(hour loop)
+let b = Vec::new();
+// detlint-hot-end
+fn cold_again() {}
+let x = 1; // detlint-hot-start(trailing)
+";
+        let hot: Vec<bool> = lex(src).iter().map(|l| l.hot).collect();
+        assert_eq!(hot, [false, true, true, true, false, true]);
+    }
+
+    #[test]
+    fn hot_markers_outside_leading_comments_are_inert() {
+        let src = "let s = \"detlint-hot-start\";\n// see detlint-hot-start\nlet v = Vec::new();\n";
+        assert!(lex(src).iter().all(|l| !l.hot));
     }
 }

@@ -1,18 +1,20 @@
-//! detlint: call-graph-aware determinism static analyzer for the
-//! billcap workspace.
+//! detlint: the billcap workspace's source linter — per-file layering
+//! rules and a call-graph-aware determinism analysis over one lexer.
 //!
 //! Every subsystem since the decision server stakes its correctness on
 //! bitwise determinism — the serve differential replay, the risk-engine
 //! digest, thread-count-invariant telemetry counters. Those contracts
 //! are enforced *dynamically* by tests; detlint proves the complement
 //! *statically*: no nondeterminism source is reachable from a declared
-//! decision root.
+//! decision root. Alongside, it enforces the layering policy the
+//! compiler cannot see (L001–L005).
 //!
 //! # Passes
 //!
 //! 1. **Lex** ([`lex`]): strip comments and literals, track
-//!    `#[cfg(test)]` regions, collect `// detlint-allow(code): reason`
-//!    waivers.
+//!    `#[cfg(test)]` and hot regions, collect
+//!    `// detlint-allow(code): reason` waivers. The layering rules run
+//!    on these lines, file by file.
 //! 2. **Parse** ([`parse`]): a lightweight item parser producing a
 //!    per-crate symbol table (fns, impls, `use` imports, hash-typed
 //!    identifier declarations).
@@ -37,6 +39,14 @@
 //! |      |                 | compensated summation                           |
 //! | D007 | root-missing    | a declared root matched no workspace function   |
 //! | D008 | waiver-hygiene  | stale waiver, unknown code, or missing reason   |
+//! | L001 | unwrap          | `.unwrap()` / `.expect(` in library code        |
+//! | L002 | timing          | `Instant::now` / `SystemTime` outside obs, rt   |
+//! | L003 | thread-spawn    | `thread::spawn` outside rt                      |
+//! | L004 | forbid-unsafe   | crate root without `#![forbid(unsafe_code)]`    |
+//! | L005 | hot-alloc       | `Vec::new()` / `vec![` inside a hot region      |
+//!
+//! The L-codes are per-file and not reachability-gated; their scopes
+//! and exemptions are documented in the `layering` module.
 //!
 //! D001–D006 findings are *reachability-gated*: a taint site in a
 //! function no decision root can reach is not reported. Waivers are
@@ -48,14 +58,16 @@
 //! # Waivers
 //!
 //! `// detlint-allow(D003): advisory wall-clock telemetry` on the site
-//! line or the directly preceding comment line. The reason after the
-//! colon is mandatory (D008 otherwise); doc comments never mint
-//! waivers, so documentation may show the syntax without waiving.
+//! line or the directly preceding comment line, for any code. The
+//! reason after the colon is mandatory (D008 otherwise); doc comments
+//! never mint waivers, so documentation may show the syntax without
+//! waiving.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod analyze;
+mod layering;
 pub mod lex;
 pub mod parse;
 pub mod report;

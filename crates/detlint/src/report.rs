@@ -8,7 +8,8 @@
 
 use std::fmt;
 
-/// A stable determinism-finding code.
+/// A stable finding code: `Dxxx` for determinism, `Lxxx` for the
+/// per-file layering rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// Iteration over a `HashMap`/`HashSet` on a determinism-critical path.
@@ -27,10 +28,20 @@ pub enum Code {
     D007,
     /// Waiver hygiene: stale waiver or waiver without a reason.
     D008,
+    /// `.unwrap()` / `.expect(` in library code.
+    L001,
+    /// Wall-clock read outside `billcap-obs` / `billcap-rt`.
+    L002,
+    /// Raw `thread::spawn` outside `billcap-rt`.
+    L003,
+    /// Crate root without `#![forbid(unsafe_code)]`.
+    L004,
+    /// Allocation inside a marked hot region.
+    L005,
 }
 
 /// All codes, in order.
-pub const ALL_CODES: [Code; 8] = [
+pub const ALL_CODES: [Code; 13] = [
     Code::D001,
     Code::D002,
     Code::D003,
@@ -39,10 +50,15 @@ pub const ALL_CODES: [Code; 8] = [
     Code::D006,
     Code::D007,
     Code::D008,
+    Code::L001,
+    Code::L002,
+    Code::L003,
+    Code::L004,
+    Code::L005,
 ];
 
 impl Code {
-    /// The canonical `Dxxx` string.
+    /// The canonical `Dxxx` / `Lxxx` string.
     pub fn as_str(self) -> &'static str {
         match self {
             Code::D001 => "D001",
@@ -53,6 +69,11 @@ impl Code {
             Code::D006 => "D006",
             Code::D007 => "D007",
             Code::D008 => "D008",
+            Code::L001 => "L001",
+            Code::L002 => "L002",
+            Code::L003 => "L003",
+            Code::L004 => "L004",
+            Code::L005 => "L005",
         }
     }
 
@@ -67,10 +88,15 @@ impl Code {
             Code::D006 => "float-reduction",
             Code::D007 => "root-missing",
             Code::D008 => "waiver-hygiene",
+            Code::L001 => "unwrap",
+            Code::L002 => "timing",
+            Code::L003 => "thread-spawn",
+            Code::L004 => "forbid-unsafe",
+            Code::L005 => "hot-alloc",
         }
     }
 
-    /// Parses a `Dxxx` string.
+    /// Parses a `Dxxx` / `Lxxx` string.
     pub fn parse(s: &str) -> Option<Code> {
         ALL_CODES.iter().copied().find(|c| c.as_str() == s)
     }
@@ -82,17 +108,17 @@ impl fmt::Display for Code {
     }
 }
 
-/// One reported determinism violation.
+/// One reported violation.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// The finding code.
     pub code: Code,
     /// Workspace-relative file path.
     pub file: String,
-    /// 1-based line number of the taint site.
+    /// 1-based line number of the site.
     pub line: usize,
     /// Path of the enclosing function (`crate::Type::fn`), or the
-    /// declared-root / waiver context for D007/D008.
+    /// declared root for D007; empty for D008 and the L-codes.
     pub function: String,
     /// Human-readable description of the site.
     pub message: String,
@@ -103,6 +129,19 @@ pub struct Finding {
 }
 
 impl Finding {
+    /// A finding tied to a line only: no function, root or chain.
+    pub fn at(code: Code, file: &str, line: usize, message: String) -> Finding {
+        Finding {
+            code,
+            file: file.to_string(),
+            line,
+            function: String::new(),
+            message,
+            root: String::new(),
+            chain: String::new(),
+        }
+    }
+
     /// Canonical one-line text render.
     pub fn render(&self) -> String {
         let mut s = format!(

@@ -1,6 +1,7 @@
-//! Golden-file tests: every D-code fires on the seeded fixture tree
-//! with byte-exact output, the JSONL export is stable, the unreachable
-//! taint stays silent, and — the self-host gate — the real workspace is
+//! Golden-file tests: every D- and L-code fires on the seeded fixture
+//! tree with byte-exact output, the JSONL export is stable, the
+//! unreachable taint stays silent, the layering rules keep their scopes
+//! and waivers, and — the self-host gate — the real workspace is
 //! detlint-clean in deny mode.
 
 use detlint::analyze::{analyze, default_roots, Report, RootSpec};
@@ -34,7 +35,7 @@ fn rendered_block(report: &Report, code: Code) -> String {
     out
 }
 
-/// Each D-code must fire on the fixture and match its golden render.
+/// Each code must fire on the fixture and match its golden render.
 #[test]
 fn every_code_fires_and_matches_golden() {
     let report = fixture_report();
@@ -99,6 +100,38 @@ fn reasoned_waiver_suppresses_without_noise() {
             .any(|f| f.file.ends_with("alpha/src/lib.rs") && f.line == 22),
         "the reasoned waiver's site must be fully quiet"
     );
+}
+
+/// The layering rules keep their scopes and waiver semantics. In
+/// gamma's library: the waived unwraps on lines 8 and 10 are quiet, the
+/// stale L002 waiver on line 19 is a D008, only the two unwaived
+/// allocations inside the hot region fire, and the test module from
+/// line 41 trips nothing — its L001 waiver included. In gamma's binary
+/// L001 is off, yet its waiver counts as used. The `rt` crate may read
+/// the clock and spawn threads.
+#[test]
+fn layering_rules_keep_their_scopes() {
+    let report = fixture_report();
+    let in_file = |file: &str| -> Vec<(Code, usize)> {
+        report
+            .findings
+            .iter()
+            .filter(|f| f.file == file)
+            .map(|f| (f.code, f.line))
+            .collect()
+    };
+    assert_eq!(
+        in_file("crates/gamma/src/lib.rs"),
+        [
+            (Code::D008, 19),
+            (Code::L001, 11),
+            (Code::L003, 16),
+            (Code::L005, 29),
+            (Code::L005, 30)
+        ]
+    );
+    assert_eq!(in_file("crates/gamma/src/bin/tool.rs"), [(Code::L004, 1)]);
+    assert_eq!(in_file("crates/rt/src/lib.rs"), []);
 }
 
 /// Findings arrive sorted by (code, file, line).

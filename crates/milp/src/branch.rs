@@ -402,7 +402,7 @@ impl MipSolver {
         let mut lp_iterations = 0usize;
         let obs_on = billcap_obs::enabled();
 
-        // repolint-hot-start(branch-and-bound node loop): runs once per
+        // detlint-hot-start(branch-and-bound node loop): runs once per
         // node; the engine and node backend are built before it.
         while let Some(node) = frontier.pop() {
             if obs_on {
@@ -537,7 +537,7 @@ impl MipSolver {
                 }
             }
         }
-        // repolint-hot-end
+        // detlint-hot-end
 
         match incumbent {
             Some(mut sol) => {

@@ -507,7 +507,7 @@ pub fn presolve(model: &Model) -> Result<PresolveResult, SolveError> {
         let terms: Vec<(VarId, f64)> = row
             .terms
             .iter()
-            .map(|&(v, co)| (new_id[v].expect("unfixed var kept"), co)) // repolint-allow(unwrap): kept vars are renumbered
+            .map(|&(v, co)| (new_id[v].expect("unfixed var kept"), co)) // detlint-allow(L001): kept vars are renumbered
             .collect();
         reduced.add_constraint(row.name.clone(), terms, row.op, row.rhs);
     }
@@ -517,7 +517,7 @@ pub fn presolve(model: &Model) -> Result<PresolveResult, SolveError> {
     for &(v, co) in model.objective() {
         match fixed_value[v.index()] {
             Some(x) => obj_const += co * x,
-            None => obj_terms.push((new_id[v.index()].expect("kept"), co)), // repolint-allow(unwrap): kept vars are renumbered
+            None => obj_terms.push((new_id[v.index()].expect("kept"), co)), // detlint-allow(L001): kept vars are renumbered
         }
     }
     reduced.set_objective(obj_terms, obj_const);

@@ -510,7 +510,7 @@ impl RevisedEngine {
         let mut consecutive_degenerate = 0usize;
         let mut bland = false;
 
-        // repolint-hot-start(dual simplex pivot loop): runs once per
+        // detlint-hot-start(dual simplex pivot loop): runs once per
         // pivot of every node solve; its vectors live outside the loop.
         loop {
             if fact.eta_count() >= self.opts.refactor_every {
@@ -692,7 +692,7 @@ impl RevisedEngine {
                 consecutive_degenerate = 0;
             }
         }
-        // repolint-hot-end
+        // detlint-hot-end
     }
 
     /// Factorizes the basis columns `basic` into `fact`, reusing its

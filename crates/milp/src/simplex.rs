@@ -346,7 +346,7 @@ impl LpSolver {
         if has_artificials {
             self.optimize(&mut t, true, &mut iterations, &mut degenerate)?;
             let phase1_obj =
-                // repolint-allow(unwrap): artificials imply a phase-1 cost row
+                // detlint-allow(L001): artificials imply a phase-1 cost row
                 -t.cost1.as_ref().expect("phase-1 cost row")[total_cols];
             if phase1_obj > 1e-7 {
                 return Err(SolveError::Infeasible);
@@ -448,7 +448,7 @@ impl LpSolver {
             // Entering column. Artificials may enter only in phase 1.
             let limit = if phase1 { cols } else { t.art_start };
             let cost_row: &[f64] = if phase1 {
-                t.cost1.as_ref().expect("phase-1 cost row") // repolint-allow(unwrap): phase1 implies the row
+                t.cost1.as_ref().expect("phase-1 cost row") // detlint-allow(L001): phase1 implies the row
             } else {
                 &t.cost
             };

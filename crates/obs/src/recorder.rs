@@ -85,7 +85,7 @@ fn with_collector<R>(shared: &Arc<SharedRec>, f: impl FnOnce(&mut Collector) -> 
             return f(c);
         }
         list.push(Collector::new(Arc::clone(shared)));
-        let c = list.last_mut().expect("just pushed"); // repolint-allow(unwrap): pushed on the previous line
+        let c = list.last_mut().expect("just pushed"); // detlint-allow(L001): pushed on the previous line
         f(c)
     })
 }

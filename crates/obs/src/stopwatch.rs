@@ -1,7 +1,7 @@
 //! Monotonic stopwatch: the one sanctioned wall-clock handle for crates
 //! outside `billcap-rt`.
 //!
-//! The workspace's source gate (`repolint`) forbids `Instant::now` /
+//! The workspace's source linter (`detlint`, L002) forbids `Instant::now` /
 //! `SystemTime` outside `billcap-obs` and `billcap-rt`, so that timing —
 //! a side effect that makes runs non-reproducible — stays confined to
 //! the observability layer. Library code that needs to *measure* a phase

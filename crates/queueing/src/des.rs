@@ -199,7 +199,7 @@ impl QueueSim {
         for i in 0..total {
             clock += self.interarrival.sample(&mut rng);
             let service = self.service.sample(&mut rng);
-            // repolint-allow(unwrap): the heap always holds exactly `servers` entries
+            // detlint-allow(L001): the heap always holds exactly `servers` entries
             let Reverse(OrderedF64(earliest)) = free_at.pop().expect("non-empty heap");
             let start = earliest.max(clock);
             let finish = start + service;

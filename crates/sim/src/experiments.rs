@@ -37,7 +37,7 @@ pub struct Fig1 {
 
 /// Runs the Figure 1 sweep (0–900 MW in 10 MW steps).
 pub fn fig1() -> Fig1 {
-    let derived = fivebus::derive_policies(900.0, 10.0).expect("five-bus system is connected"); // repolint-allow(unwrap): reference grid
+    let derived = fivebus::derive_policies(900.0, 10.0).expect("five-bus system is connected"); // detlint-allow(L001): reference grid
     let mut series = Vec::new();
     let mut policies = Vec::new();
     for (c, s, p) in derived {
@@ -103,9 +103,9 @@ pub fn fig3(seed: u64) -> Result<Fig3, CoreError> {
     let scenario = Scenario::paper_default(1, seed);
     let mut results: Vec<MonthlyReport> =
         try_par_map(&Strategy::ALL, |&s| run_month(&scenario, s, None))?;
-    let min_only_low = results.pop().expect("three strategies"); // repolint-allow(unwrap): ALL has 3 entries
-    let min_only_avg = results.pop().expect("three strategies"); // repolint-allow(unwrap): ALL has 3 entries
-    let capping = results.pop().expect("three strategies"); // repolint-allow(unwrap): ALL has 3 entries
+    let min_only_low = results.pop().expect("three strategies"); // detlint-allow(L001): ALL has 3 entries
+    let min_only_avg = results.pop().expect("three strategies"); // detlint-allow(L001): ALL has 3 entries
+    let capping = results.pop().expect("three strategies"); // detlint-allow(L001): ALL has 3 entries
     Ok(Fig3 {
         capping,
         min_only_avg,
@@ -415,7 +415,7 @@ pub fn synthetic_system(n: usize) -> DataCenterSystem {
     let policies = PricingPolicySet {
         policies: (0..n).map(|i| StepPolicy::paper_policy(i % 3)).collect(),
     };
-    // repolint-allow(unwrap): generator emits valid specs by construction
+    // detlint-allow(L001): generator emits valid specs by construction
     DataCenterSystem::new(sites, policies).expect("synthetic system is valid")
 }
 
@@ -433,7 +433,7 @@ pub fn solver_scaling(repetitions: usize) -> SolverScaling {
                 let t = Stopwatch::start();
                 let alloc = minimizer
                     .solve(&system, lambda, &background)
-                    .expect("synthetic instance is feasible"); // repolint-allow(unwrap): sized to stay feasible
+                    .expect("synthetic instance is feasible"); // detlint-allow(L001): sized to stay feasible
                 assert!(alloc.total_lambda > 0.0);
                 t.elapsed_secs() * 1e6
             })
@@ -496,7 +496,7 @@ fn server_only_system(system: &DataCenterSystem) -> DataCenterSystem {
             blinded
         })
         .collect();
-    // repolint-allow(unwrap): blinding only changes prices, validity is unchanged
+    // detlint-allow(L001): blinding only changes prices, validity is unchanged
     DataCenterSystem::new(sites, system.policies.clone()).expect("blinded system stays valid")
 }
 
@@ -692,13 +692,13 @@ pub fn hierarchical_comparison(repetitions: usize) -> HierarchicalComparison {
             let t = Stopwatch::start();
             central_cost = minimizer
                 .solve(&system, lambda, &background)
-                .expect("feasible") // repolint-allow(unwrap): demand sized below capacity
+                .expect("feasible") // detlint-allow(L001): demand sized below capacity
                 .total_cost;
             central_times.push(t.elapsed_secs() * 1e6);
             let t = Stopwatch::start();
             hier_cost = hier
                 .solve(&system, lambda, &background)
-                .expect("feasible") // repolint-allow(unwrap): demand sized below capacity
+                .expect("feasible") // detlint-allow(L001): demand sized below capacity
                 .total_cost;
             hier_times.push(t.elapsed_secs() * 1e6);
         }

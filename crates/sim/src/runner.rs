@@ -172,7 +172,7 @@ pub fn run_month_scratch(
     let MonthScratch { engine, background } = scratch;
 
     let mut hours = Vec::with_capacity(horizon);
-    // repolint-hot-start(month hour loop): this loop runs 720× per
+    // detlint-hot-start(month hour loop): this loop runs 720× per
     // Monte-Carlo sample; per-hour allocations belong in MonthScratch.
     for t in 0..horizon {
         let offered = scenario.workload.at(t);
@@ -224,7 +224,7 @@ pub fn run_month_scratch(
         };
         hours.push(record);
     }
-    // repolint-hot-end
+    // detlint-hot-end
 
     Ok(finish_report(strategy, monthly_budget, hours))
 }
