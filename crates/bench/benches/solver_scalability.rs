@@ -4,7 +4,7 @@
 //! bench records the equivalent numbers for the in-tree solver.
 
 use billcap_core::CostMinimizer;
-use billcap_milp::LpSolver;
+use billcap_milp::MipSolver;
 use billcap_rt::Harness;
 use billcap_sim::experiments::synthetic_system;
 use std::hint::black_box;
@@ -60,7 +60,8 @@ fn bench_solver_variants(h: &mut Harness) {
 
 fn bench_raw_simplex(h: &mut Harness) {
     // A dense LP of the size a 13-site relaxation produces, to separate
-    // simplex cost from branch-and-bound overhead.
+    // simplex cost from branch-and-bound overhead (a model with no
+    // integer variables never branches).
     use billcap_milp::{ConstraintOp, Model, Sense};
     let mut m = Model::new("raw", Sense::Minimize);
     let n = 60;
@@ -82,7 +83,7 @@ fn bench_raw_simplex(h: &mut Harness) {
             .collect(),
         0.0,
     );
-    let solver = LpSolver::default();
+    let solver = MipSolver::default();
     h.bench("raw_simplex_60x40", || {
         solver.solve(black_box(&m)).unwrap().objective
     });

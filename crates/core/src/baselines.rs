@@ -11,7 +11,8 @@
 //! 3. **No budget awareness**: it always serves all requests, whatever the
 //!    bill.
 //!
-//! Its decisions are an LP (constant prices ⇒ no binaries). What it
+//! Its decisions are an LP (constant prices ⇒ no binaries), solved on the
+//! revised simplex through [`MipSolver`]'s pure-LP path. What it
 //! actually *pays* is computed by [`crate::evaluate_allocation`] under the
 //! true step prices and full power model. Feasibility (QoS, site power
 //! caps) is enforced with the true limits so that the comparison isolates
@@ -20,7 +21,7 @@
 
 use crate::error::CoreError;
 use crate::spec::DataCenterSystem;
-use billcap_milp::{ConstraintOp, LpSolver, Model, Sense};
+use billcap_milp::{ConstraintOp, MipSolver, MipWorkspace, Model, Sense};
 
 /// Which constant price Min-Only assumes per location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +48,10 @@ pub struct MinOnlyDecision {
 pub struct MinOnly {
     /// The constant-price model the baseline believes in.
     pub assumption: PriceAssumption,
-    /// The LP solver (Min-Only's problem has no binaries).
-    pub lp: LpSolver,
+    solver: MipSolver,
+    /// Kept between hours, so a month of solves stops allocating solver
+    /// buffers after the first.
+    ws: MipWorkspace,
 }
 
 impl MinOnly {
@@ -56,7 +59,8 @@ impl MinOnly {
     pub fn new(assumption: PriceAssumption) -> Self {
         Self {
             assumption,
-            lp: LpSolver::default(),
+            solver: MipSolver::default(),
+            ws: MipWorkspace::default(),
         }
     }
 
@@ -70,7 +74,7 @@ impl MinOnly {
 
     /// Chooses an allocation for `lambda` requests/hour.
     pub fn solve(
-        &self,
+        &mut self,
         system: &DataCenterSystem,
         lambda: f64,
     ) -> Result<MinOnlyDecision, CoreError> {
@@ -108,7 +112,7 @@ impl MinOnly {
             lambda / scale,
         );
         m.set_objective(obj, believed_base);
-        let sol = self.lp.solve(&m)?;
+        let (sol, _) = self.solver.solve_in(&m, None, &mut self.ws)?;
         Ok(MinOnlyDecision {
             lambda: lam_vars.iter().map(|&v| sol.value(v) * scale).collect(),
             believed_cost: sol.objective,

@@ -10,7 +10,7 @@
 
 use crate::linalg::Matrix;
 use crate::network::{BusId, Grid};
-use billcap_milp::{ConstraintOp, LpSolver, Model, Sense, SolveError};
+use billcap_milp::{ConstraintOp, MipSolver, Model, Sense, SolveError};
 use std::fmt;
 
 /// Errors from the dispatch solver.
@@ -51,7 +51,8 @@ pub struct DispatchResult {
 pub struct OpfSolver {
     grid: Grid,
     ptdf: Matrix,
-    lp: LpSolver,
+    /// Solves the dispatch LP (no integer variables, so no branching).
+    solver: MipSolver,
     /// Perturbation size (MW) for LMP extraction.
     pub epsilon_mw: f64,
 }
@@ -63,7 +64,7 @@ impl OpfSolver {
         Ok(Self {
             grid,
             ptdf,
-            lp: LpSolver::default(),
+            solver: MipSolver::default(),
             epsilon_mw: 0.1,
         })
     }
@@ -149,7 +150,7 @@ impl OpfSolver {
             0.0,
         );
 
-        let sol = match self.lp.solve(&m) {
+        let sol = match self.solver.solve(&m) {
             Ok(s) => s,
             Err(SolveError::Infeasible) => return Err(OpfError::Infeasible),
             Err(e) => return Err(OpfError::Solver(e)),

@@ -8,18 +8,16 @@
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarId};
 use crate::presolve::{propagate_from, PropBuffers};
-use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedStats};
-use crate::simplex::LpSolver;
+use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedSolution, RevisedStats};
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
 use crate::INT_TOL;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Branch-and-bound MILP solver.
+/// Branch-and-bound MILP solver over the revised simplex
+/// ([`crate::revised`]), which also solves pure LPs directly.
 #[derive(Debug, Clone)]
 pub struct MipSolver {
-    /// LP solver used for node relaxations.
-    pub lp: LpSolver,
     /// Values within `int_tol` of an integer count as integral.
     pub int_tol: f64,
     /// Hard cap on explored nodes.
@@ -33,12 +31,6 @@ pub struct MipSolver {
     /// implied by the model, so the optimum is unchanged — the search
     /// just starts from a tighter box. Default `true`.
     pub root_propagation: bool,
-    /// Solve node relaxations with the sparse revised simplex
-    /// ([`crate::revised`]) when the model admits a dual-feasible cold
-    /// start; `false` forces the dense two-phase solver everywhere
-    /// (the differential oracle). Models the revised engine cannot
-    /// start (e.g. free variables) fall back to dense automatically.
-    pub revised: bool,
     /// Warm-start each child node's dual simplex from its parent's
     /// optimal basis instead of a cold all-slack basis. Defaults to the
     /// `BILLCAP_WARMSTART` gate: on unless the variable is set to `0`.
@@ -56,12 +48,10 @@ fn warmstart_env() -> bool {
 impl Default for MipSolver {
     fn default() -> Self {
         Self {
-            lp: LpSolver::default(),
             int_tol: INT_TOL,
             max_nodes: 200_000,
             gap_tol: 1e-9,
             root_propagation: true,
-            revised: true,
             warm_start: warmstart_env(),
         }
     }
@@ -102,7 +92,8 @@ struct Node {
     bound: f64,
     depth: usize,
     /// The parent's optimal basis, for warm-starting this node's dual
-    /// simplex. `None` at the root or when the parent solved densely.
+    /// simplex. At the root, the basis carried from a previous solve,
+    /// if any.
     basis: Option<BasisState>,
 }
 
@@ -128,150 +119,73 @@ impl Ord for Node {
     }
 }
 
-/// A node relaxation result, engine-agnostic.
-struct NodeSol {
-    values: Vec<f64>,
-    /// Objective in the model's sense.
-    objective: f64,
-    /// Simplex pivots spent on this node (all attempts).
-    iterations: usize,
-    /// Degenerate pivots among them.
-    degenerate: usize,
-    /// Optimal basis for warm-starting children (`None` from the dense
-    /// fallback — children of a dense node cold-start).
-    basis: Option<BasisState>,
+/// Folds a revised solve's work counters into the search trace (pivot
+/// counts travel separately, in the solution's own stats).
+fn absorb(trace: &mut SolveTrace, stats: &RevisedStats) {
+    trace.factorizations += stats.factorizations;
+    trace.refactorizations += stats.refactorizations;
+    trace.bound_flips += stats.bound_flips;
+    trace.phase1_starts += stats.phase1_starts;
 }
 
-/// Per-search LP backend: the sparse revised simplex with warm starts,
-/// falling back to the dense two-phase solver per node on numerical
-/// trouble or iteration limits, or for the whole search when the model
-/// admits no dual-feasible cold start.
+/// Solves the LP loaded in `engine` under its current bounds: from
+/// `warm` when given, else cold. `verify_warm` runs the basis through
+/// [`RevisedEngine::solve_warm_verified`] first — required when the basis
+/// comes from *outside* this search tree (a previous solve of a mutated
+/// model), where dual feasibility is no longer an invariant; in-tree
+/// parent bases skip the check because bound changes cannot break dual
+/// feasibility.
 ///
-/// The fallback chain per node is `warm → cold → dense`; every rung is
-/// a complete, independent solve of the same relaxation, so a fallback
-/// costs time but never changes the answer.
-struct NodeLp<'a> {
-    solver: &'a MipSolver,
-    /// The workspace's engine, loaded with this search's model.
-    engine: Option<&'a mut RevisedEngine>,
-    /// Dense-fallback clone whose bounds are overwritten per node,
-    /// made the first time a node actually falls back.
-    work: Option<Model>,
-}
-
-impl<'a> NodeLp<'a> {
-    /// Builds the backend, loading `model` into `engine`.
-    /// Revised-startability is decided once, here, with the root bounds:
-    /// children only tighten bounds, which can never turn a startable
-    /// model unstartable.
-    fn new(
-        solver: &'a MipSolver,
-        model: &Model,
-        root_bounds: &[(f64, f64)],
-        engine: &'a mut RevisedEngine,
-    ) -> Self {
-        let engine = if solver.revised {
-            engine.load(model);
-            engine.set_var_bounds(root_bounds);
-            engine.cold_startable().then_some(engine)
+/// The chain is `warm → cold`: a warm attempt that fails numerically or
+/// hits the pivot cap is retried cold, a complete and independent solve
+/// of the same LP, so the retry costs time but never changes the answer.
+/// A cold failure is the caller's error. Every attempt's counters land in
+/// `trace`; the returned solution's pivot counts include a failed warm
+/// attempt's.
+fn solve_lp(
+    engine: &mut RevisedEngine,
+    warm: Option<&BasisState>,
+    verify_warm: bool,
+    trace: &mut SolveTrace,
+) -> Result<RevisedSolution, SolveError> {
+    let mut wasted = RevisedStats::default();
+    let mut result = None;
+    if let Some(w) = warm {
+        let attempt = if verify_warm {
+            engine.solve_warm_verified(w)
         } else {
-            None
+            engine.solve(Some(w))
         };
-        Self {
-            solver,
-            engine,
-            work: None,
-        }
-    }
-
-    /// Folds a revised solve's work counters into the search trace
-    /// (pivot counts travel separately, through [`NodeSol`], matching
-    /// how the dense path accounts for them).
-    fn absorb(trace: &mut SolveTrace, stats: &RevisedStats) {
-        trace.factorizations += stats.factorizations;
-        trace.refactorizations += stats.refactorizations;
-        trace.bound_flips += stats.bound_flips;
-    }
-
-    /// Solves one node relaxation under `bounds`, warm-starting from
-    /// `basis` when enabled and available. `verify_warm` runs the basis
-    /// through [`RevisedEngine::solve_warm_verified`] first — required
-    /// when the basis comes from *outside* this search tree (a previous
-    /// solve of a mutated model), where dual feasibility is no longer an
-    /// invariant; in-tree parent bases skip the check because bound
-    /// changes cannot break dual feasibility.
-    fn solve(
-        &mut self,
-        model: &Model,
-        bounds: &[(f64, f64)],
-        basis: Option<&BasisState>,
-        verify_warm: bool,
-        trace: &mut SolveTrace,
-    ) -> Result<NodeSol, SolveError> {
-        let mut iterations = 0usize;
-        let mut degenerate = 0usize;
-        if let Some(engine) = &mut self.engine {
-            engine.set_var_bounds(bounds);
-            let warm = if self.solver.warm_start { basis } else { None };
-            let mut result = match warm {
-                Some(w) if verify_warm => engine.solve_warm_verified(w),
-                _ => engine.solve(warm),
-            };
-            if warm.is_some() {
-                match &result {
-                    Ok(_) | Err(RevisedError::Infeasible { .. }) => trace.warm_starts += 1,
-                    Err(RevisedError::Numerical { stats }) => {
-                        // The inherited basis went bad numerically; a
-                        // cold start is cheaper than the dense fallback.
-                        Self::absorb(trace, stats);
-                        iterations += stats.iterations;
-                        degenerate += stats.degenerate;
-                        result = engine.solve(None);
-                    }
-                    Err(RevisedError::IterationLimit { .. }) => {}
-                }
+        match attempt {
+            Ok(_) | Err(RevisedError::Infeasible { .. }) => {
+                trace.warm_starts += 1;
+                result = Some(attempt);
             }
-            match result {
-                Ok(sol) => {
-                    Self::absorb(trace, &sol.stats);
-                    return Ok(NodeSol {
-                        objective: model.eval_objective(&sol.values),
-                        values: sol.values,
-                        iterations: iterations + sol.stats.iterations,
-                        degenerate: degenerate + sol.stats.degenerate,
-                        basis: Some(sol.basis),
-                    });
-                }
-                Err(RevisedError::Infeasible { stats }) => {
-                    Self::absorb(trace, &stats);
-                    return Err(SolveError::Infeasible);
-                }
-                Err(e) => {
-                    // Iteration limit or persistent numerical trouble:
-                    // re-solve this node densely. Correctness is the
-                    // dense solver's; only the wasted pivots remain.
-                    let stats = e.stats();
-                    Self::absorb(trace, &stats);
-                    iterations += stats.iterations;
-                    degenerate += stats.degenerate;
-                }
+            Err(e) => {
+                wasted = e.stats();
+                absorb(trace, &wasted);
             }
         }
-        if self.solver.revised {
-            trace.dense_fallbacks += 1;
+    }
+    match result.unwrap_or_else(|| engine.solve(None)) {
+        Ok(mut sol) => {
+            absorb(trace, &sol.stats);
+            sol.stats.iterations += wasted.iterations;
+            sol.stats.degenerate += wasted.degenerate;
+            Ok(sol)
         }
-        let work = self.work.get_or_insert_with(|| model.clone());
-        for (i, &(lb, ub)) in bounds.iter().enumerate() {
-            work.set_var_bounds(VarId(i), lb, ub);
+        Err(e) => {
+            let stats = e.stats();
+            absorb(trace, &stats);
+            Err(match e {
+                RevisedError::Infeasible { .. } => SolveError::Infeasible,
+                RevisedError::Unbounded { .. } => SolveError::Unbounded,
+                RevisedError::IterationLimit { .. } => SolveError::IterationLimit {
+                    iterations: wasted.iterations + stats.iterations,
+                },
+                RevisedError::Numerical { .. } => SolveError::Numerical,
+            })
         }
-        let s = self.solver.lp.solve(work)?;
-        Ok(NodeSol {
-            values: s.values,
-            objective: s.objective,
-            iterations: iterations + s.iterations,
-            degenerate: degenerate + s.degenerate,
-            basis: None,
-        })
     }
 }
 
@@ -295,8 +209,9 @@ impl MipSolver {
     /// nodes still inherit in-tree parent bases unverified, exactly as in
     /// [`solve`](Self::solve).
     ///
-    /// The returned basis is `None` when the root solved densely or when
-    /// warm starts are disabled; callers then cold-start the next solve.
+    /// The returned basis is `None` when the search stopped before its
+    /// root relaxation was solved (an infeasibility proved in set-up);
+    /// callers then cold-start the next solve.
     pub fn solve_with_root_basis(
         &self,
         model: &Model,
@@ -386,7 +301,7 @@ impl MipSolver {
             }
         }
 
-        let mut node_lp = NodeLp::new(self, model, &root_bounds, engine);
+        engine.load(model);
         let mut frontier = BinaryHeap::new();
         frontier.push(Node {
             bounds: root_bounds,
@@ -422,39 +337,34 @@ impl MipSolver {
             nodes += 1;
             trace.max_depth = trace.max_depth.max(node.depth);
 
+            engine.set_var_bounds(&node.bounds);
+            let warm = node.basis.as_ref().filter(|_| self.warm_start);
             // Only the root may carry an out-of-tree basis, so only the
             // root pays the dual-feasibility verification.
-            let verify_warm = node.depth == 0;
-            let lp_sol = match node_lp.solve(
-                model,
-                &node.bounds,
-                node.basis.as_ref(),
-                verify_warm,
-                &mut trace,
-            ) {
+            let lp_sol = match solve_lp(engine, warm, node.depth == 0, &mut trace) {
                 Ok(s) => s,
                 Err(SolveError::Infeasible) => {
                     trace.pruned_infeasible += 1;
                     continue;
                 }
-                Err(SolveError::Unbounded) => {
-                    // The relaxation is unbounded; for the models produced in
-                    // this workspace that implies the MILP is unbounded too.
-                    return Err(SolveError::Unbounded);
-                }
+                // An unbounded relaxation: for the models produced in
+                // this workspace that implies the MILP is unbounded too.
                 Err(e) => return Err(e),
             };
-            lp_iterations += lp_sol.iterations;
-            trace.degenerate_pivots += lp_sol.degenerate;
+            lp_iterations += lp_sol.stats.iterations;
+            trace.degenerate_pivots += lp_sol.stats.degenerate;
             if node.depth == 0 {
                 // The root relaxation's optimal basis is the warm-start
                 // seed for the *next* solve of a mutated model.
-                root_basis_out = lp_sol.basis.clone();
+                root_basis_out = Some(lp_sol.basis.clone());
             }
             if obs_on {
-                billcap_obs::observe("milp.lp.iterations_per_node", lp_sol.iterations as f64);
+                billcap_obs::observe(
+                    "milp.lp.iterations_per_node",
+                    lp_sol.stats.iterations as f64,
+                );
             }
-            let node_key = sign * lp_sol.objective;
+            let node_key = sign * model.eval_objective(&lp_sol.values);
             if node_key >= incumbent_key - self.prune_slack(incumbent_key) {
                 trace.pruned_by_bound += 1;
                 continue; // bound prune
@@ -496,7 +406,7 @@ impl MipSolver {
                             bounds: b,
                             bound: node_key,
                             depth: node.depth + 1,
-                            basis: lp_sol.basis.clone(),
+                            basis: Some(lp_sol.basis.clone()),
                         });
                     }
                     if up_lb <= ub + self.int_tol {
@@ -506,7 +416,7 @@ impl MipSolver {
                             bounds: b,
                             bound: node_key,
                             depth: node.depth + 1,
-                            basis: lp_sol.basis,
+                            basis: Some(lp_sol.basis),
                         });
                     }
                 }
@@ -557,13 +467,11 @@ impl MipSolver {
         }
     }
 
-    /// A pure-LP solve (no integer variables) in `engine`: the revised
-    /// simplex when the model is cold-startable, the dense two-phase
-    /// solver otherwise — both return audited duals. A carried basis is
-    /// tried first via the *verified* warm path (it crossed a model
-    /// mutation, so dual feasibility must be re-proven); rejection costs
-    /// the wasted pivots and falls through to a cold start. A dense solve
-    /// with `revised` on counts in [`SolveTrace::dense_fallbacks`].
+    /// A pure-LP solve (no integer variables) in `engine`, with audited
+    /// duals. A carried basis is tried first via the *verified* warm path
+    /// (it crossed a model mutation, so dual feasibility must be
+    /// re-proven); rejection costs the wasted pivots and falls through to
+    /// a cold start (see [`solve_lp`]).
     fn solve_pure_lp_warm(
         &self,
         model: &Model,
@@ -571,44 +479,18 @@ impl MipSolver {
         engine: &mut RevisedEngine,
         trace: &mut SolveTrace,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
-        if self.revised {
-            engine.load(model);
-            if engine.cold_startable() {
-                let from_revised = |r: crate::revised::RevisedSolution, wasted: usize| {
-                    let basis = r.basis.clone();
-                    (
-                        Solution {
-                            status: Status::Optimal,
-                            objective: model.eval_objective(&r.values),
-                            values: r.values,
-                            iterations: wasted + r.stats.iterations,
-                            degenerate: r.stats.degenerate,
-                            mip: None,
-                            duals: Some(r.duals),
-                        },
-                        Some(basis),
-                    )
-                };
-                let mut wasted = 0usize;
-                if let Some(bs) = warm.filter(|_| self.warm_start) {
-                    match engine.solve_warm_verified(bs) {
-                        Ok(r) => return Ok(from_revised(r, 0)),
-                        // Dual-infeasible or numerically unusable carry-over;
-                        // account for the probe and cold-start below.
-                        Err(e) => wasted = e.stats().iterations,
-                    }
-                }
-                match engine.solve(None) {
-                    Ok(r) => return Ok(from_revised(r, wasted)),
-                    Err(RevisedError::Infeasible { .. }) => return Err(SolveError::Infeasible),
-                    // Numerical trouble or an iteration limit: the dense
-                    // solve below is the authoritative answer.
-                    Err(_) => {}
-                }
-            }
-            trace.dense_fallbacks += 1;
-        }
-        self.lp.solve(model).map(|sol| (sol, None))
+        engine.load(model);
+        let r = solve_lp(engine, warm.filter(|_| self.warm_start), true, trace)?;
+        let sol = Solution {
+            status: Status::Optimal,
+            objective: model.eval_objective(&r.values),
+            values: r.values,
+            iterations: r.stats.iterations,
+            degenerate: r.stats.degenerate,
+            mip: None,
+            duals: Some(r.duals),
+        };
+        Ok((sol, Some(r.basis)))
     }
 
     /// Absolute slack used when pruning against the incumbent.
@@ -699,10 +581,7 @@ fn record_obs(stats: &MipStats) {
     );
     billcap_obs::counter("milp.lp.bound_flips", stats.trace.bound_flips as u64);
     billcap_obs::counter("milp.lp.warm_starts", stats.trace.warm_starts as u64);
-    billcap_obs::counter(
-        "milp.lp.dense_fallbacks",
-        stats.trace.dense_fallbacks as u64,
-    );
+    billcap_obs::counter("milp.lp.phase1_starts", stats.trace.phase1_starts as u64);
     billcap_obs::counter(
         "milp.lp.workspace_reuses",
         stats.trace.workspace_reuses as u64,
@@ -764,6 +643,33 @@ mod tests {
         let s = MipSolver::default().solve(&m).unwrap();
         assert_close(s.objective, 2.0);
         assert!(s.mip.is_some());
+    }
+
+    #[test]
+    fn pure_lp_trace_counts_engine_work_and_a_verified_carry() {
+        // max 3x + 2y s.t. x + y <= 4, x + 3y <= 6, 0 <= x,y <= 3.
+        let mut m = Model::new("lp", Sense::Maximize);
+        let x = m.add_cont("x", 0.0, 3.0);
+        let y = m.add_cont("y", 0.0, 3.0);
+        m.add_constraint("c1", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
+        m.add_constraint("c2", vec![(x, 1.0), (y, 3.0)], ConstraintOp::Le, 6.0);
+        m.set_objective(vec![(x, 3.0), (y, 2.0)], 0.0);
+        let solver = MipSolver {
+            warm_start: true,
+            ..MipSolver::default()
+        };
+        let (cold, basis) = solver.solve_with_root_basis(&m, None).unwrap();
+        let trace = cold.mip.expect("stats").trace;
+        assert!(trace.factorizations >= 1, "{trace:?}");
+        assert_eq!((trace.warm_starts, trace.phase1_starts), (0, 0));
+        // The carried basis is the optimum: verified, it counts as a warm
+        // start and re-solves with no pivot.
+        let (warm, _) = solver.solve_with_root_basis(&m, basis.as_ref()).unwrap();
+        let trace = warm.mip.expect("stats").trace;
+        assert!(trace.factorizations >= 1, "{trace:?}");
+        assert_eq!(trace.warm_starts, 1);
+        assert_eq!(warm.iterations, 0);
+        assert_eq!(warm.values, cold.values);
     }
 
     #[test]

@@ -769,12 +769,9 @@ mod tests {
             objective: m.eval_objective(&r.values),
             values: r.values,
             duals: Some(r.duals),
-            ..MipSolver {
-                revised: false,
-                ..MipSolver::default()
-            }
-            .solve(&m)
-            .expect("dense reference solves")
+            ..LpSolver::default()
+                .solve(&m)
+                .expect("dense reference solves")
         };
         let report = certify_solution(&m, &sol);
         assert!(
@@ -786,16 +783,14 @@ mod tests {
     #[test]
     fn revised_mip_path_duals_certify() {
         // End-to-end: a continuous model through MipSolver's pure-LP path
-        // rides the revised engine by default and must return duals that
+        // rides the revised engine and must return duals that
         // certify.
         let mut m = Model::new("pure_lp", Sense::Minimize);
         let x = m.add_cont("x", 0.0, 10.0);
         let y = m.add_cont("y", 0.0, 10.0);
         m.add_constraint("cover", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0);
         m.set_objective(vec![(x, 2.0), (y, 3.0)], 0.0);
-        let solver = MipSolver::default();
-        assert!(solver.revised, "revised engine is on by default");
-        let sol = solver.solve(&m).unwrap();
+        let sol = MipSolver::default().solve(&m).unwrap();
         assert!(sol.duals.is_some(), "pure-LP path must surface duals");
         let report = certify_solution(&m, &sol);
         assert!(report.certified(), "{report}");

@@ -14,6 +14,9 @@ pub enum SolveError {
         /// Pivots performed before giving up.
         iterations: usize,
     },
+    /// The simplex met a singular or unstable basis it could not
+    /// recover from by refactorizing or restarting cold.
+    Numerical,
     /// The branch-and-bound node limit was reached without proving
     /// optimality. Carries the best incumbent found, if any.
     NodeLimit {
@@ -36,6 +39,7 @@ impl fmt::Display for SolveError {
                     "simplex iteration limit reached ({iterations} iterations)"
                 )
             }
+            SolveError::Numerical => write!(f, "simplex basis is numerically singular"),
             SolveError::NodeLimit { nodes } => {
                 write!(f, "branch-and-bound node limit reached ({nodes} nodes)")
             }
@@ -57,6 +61,7 @@ mod tests {
         assert!(SolveError::IterationLimit { iterations: 7 }
             .to_string()
             .contains('7'));
+        assert!(SolveError::Numerical.to_string().contains("singular"));
         assert!(SolveError::NodeLimit { nodes: 42 }
             .to_string()
             .contains("42"));

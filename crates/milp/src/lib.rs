@@ -11,23 +11,24 @@
 //!
 //! * [`Model`] — a named-variable model builder with bounds, integrality,
 //!   linear constraints and a linear objective.
-//! * [`revised`] — a sparse revised simplex over CSC storage
-//!   ([`sparse`]) and an LU-factorized basis ([`basis`]), with bounded
-//!   variables and a dual entry point that lets branch-and-bound
-//!   warm-start each child from its parent's basis.
-//! * [`simplex`] — a dense two-phase primal simplex solver with Dantzig
-//!   pricing and a Bland's-rule anti-cycling fallback; the correctness
-//!   oracle and fallback for models the revised engine cannot start.
-//! * [`branch`] — a sequential best-bound branch-and-bound MILP solver on
-//!   top of the simplex relaxations, branching on the most fractional
-//!   integer variable.
+//! * [`revised`] — the LP engine: a sparse revised simplex over CSC
+//!   storage ([`sparse`]) and an LU-factorized basis ([`basis`]), with
+//!   bounded variables, a dual phase 1 that starts any model, and a dual
+//!   entry point that lets branch-and-bound warm-start each child from
+//!   its parent's basis.
+//! * [`branch`] — [`MipSolver`]: pure LPs solve directly on the revised
+//!   engine; models with integer variables run a sequential best-bound
+//!   branch-and-bound over its relaxations, branching on the most
+//!   fractional integer variable.
+//! * [`simplex`] and [`oracle`] — test oracles: a dense two-phase primal
+//!   tableau simplex and the exhaustive
+//!   [`brute_force_solve`] built on it. No solve path reaches them.
 //!
 //! The problem sizes produced by the bill-capping formulation are small
 //! (hundreds of rows at the reference scale), and the constraint matrices
 //! are sparse with box-bounded variables — exactly the shape the revised
-//! simplex exploits. Decisions stay bit-comparable across engines; set
-//! `BILLCAP_WARMSTART=0` to force cold starts as a differential oracle,
-//! or [`MipSolver::revised`]` = false` for the dense path everywhere.
+//! simplex exploits. Set `BILLCAP_WARMSTART=0` to force cold starts
+//! everywhere as a differential oracle for the warm-start protocol.
 //!
 //! ## Example
 //!
@@ -84,7 +85,8 @@ pub use revised::{
     BasisState, ColStatus, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution,
     RevisedStats,
 };
-pub use simplex::{LpSolver, Pricing};
+// The dense tableau test oracle, for differential tests.
+pub use simplex::*;
 pub use solution::{MipStats, Solution, SolveTrace, Status};
 pub use sparse::CscMat;
 

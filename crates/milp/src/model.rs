@@ -83,8 +83,8 @@ pub enum Sense {
 ///
 /// The model is self-describing: variables carry names, bounds and
 /// integrality; constraints carry names for diagnostics. Solving is done by
-/// [`crate::LpSolver`] (continuous relaxation) or [`crate::MipSolver`]
-/// (integer-feasible optimum).
+/// [`crate::MipSolver`] (an LP optimum with duals, or an integer-feasible
+/// optimum).
 #[derive(Debug, Clone)]
 pub struct Model {
     /// Model name, used in diagnostics and LP export.

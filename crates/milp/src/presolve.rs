@@ -540,7 +540,8 @@ pub fn presolve(model: &Model) -> Result<PresolveResult, SolveError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LpSolver, MipSolver, Sense};
+    use crate::simplex::LpSolver;
+    use crate::{MipSolver, Sense};
 
     #[test]
     fn singleton_rows_become_bounds() {

@@ -1,7 +1,8 @@
 //! Sparse revised simplex with bounded variables and a dual entry point.
 //!
-//! This is the warm-start engine behind branch-and-bound (see
-//! [`crate::MipSolver`]). Three structural decisions drive it:
+//! This is the one LP engine behind [`crate::MipSolver`]: every pure LP
+//! and every branch-and-bound node relaxation solves here. Three
+//! structural decisions drive it:
 //!
 //! * **Bounds leave the row space.** The model is solved as
 //!   `min c·x  s.t.  A·x + s = b,  l ≤ (x,s) ≤ u`, where each row got a
@@ -27,12 +28,18 @@
 //!   extra pivot, never a wrong answer.
 //!
 //! Cold starts place each structural variable on a bound whose reduced
-//! cost sign is dual-feasible and make every slack basic. Models where
-//! no such placement exists (a free variable with nonzero cost, say) are
-//! not *revised-startable*; callers fall back to the dense two-phase
-//! solver in [`crate::simplex`], which remains the correctness oracle —
-//! `BILLCAP_WARMSTART=0` additionally forces every node onto the cold
-//! path for differential testing.
+//! cost sign is dual-feasible (a zero-cost free variable rests
+//! [`ColStatus::Free`] at 0) and make every slack basic. A model with no
+//! such placement (a free variable with nonzero cost, say) starts with a
+//! dual phase 1 instead: the dual loop solves Fourer's auxiliary problem
+//! — same matrix and costs, `b = 0`, every column boxed by the shape of
+//! its bounds — and its optimal basis, verified dual feasible under the
+//! real bounds, warm-starts the real solve. A basis that fails that check
+//! proves no optimum exists, and one zero-cost solve then tells an
+//! unbounded model from an infeasible one. The dense tableau solver in
+//! [`crate::simplex`] is the test oracle these answers are compared
+//! against; `BILLCAP_WARMSTART=0` additionally forces every node onto the
+//! cold path for differential testing.
 
 use crate::basis::BasisFactorization;
 use crate::model::{ConstraintOp, Model, Sense};
@@ -59,6 +66,9 @@ pub enum ColStatus {
     Lower,
     /// Nonbasic at its upper bound.
     Upper,
+    /// Nonbasic free column resting at 0; it may enter the basis in
+    /// either direction.
+    Free,
 }
 
 /// A warm-start basis: the status of every standard-form column
@@ -77,8 +87,8 @@ pub struct RevisedOptions {
     /// Primal feasibility tolerance (absolute — the bill-capping models
     /// are pre-scaled, see `RATE_SCALE` in `billcap-core`).
     pub feas_tol: f64,
-    /// Dual-pivot cap per node solve; hitting it falls back to the
-    /// dense solver rather than erroring the whole MIP solve.
+    /// Dual-pivot cap per solve; a warm solve that hits it is retried
+    /// cold, a cold one fails with [`RevisedError::IterationLimit`].
     pub max_iterations: usize,
     /// Refactorize once this many eta updates have accumulated.
     pub refactor_every: usize,
@@ -112,6 +122,9 @@ pub struct RevisedStats {
     pub factorizations: usize,
     /// Mid-solve refactorizations (eta-file length or stability).
     pub refactorizations: usize,
+    /// Cold starts that needed the dual phase 1 (no dual-feasible
+    /// placement on the model's bounds).
+    pub phase1_starts: usize,
 }
 
 /// An optimal revised solve.
@@ -136,13 +149,20 @@ pub enum RevisedError {
         /// Work done before the verdict, still accounted for.
         stats: RevisedStats,
     },
-    /// Pivot cap reached; the caller should re-solve densely.
+    /// The objective improves without bound over a nonempty feasible
+    /// set (a sound verdict: phase 1 found no dual-feasible basis and a
+    /// zero-cost solve found a feasible point).
+    Unbounded {
+        /// Work done before the verdict, still accounted for.
+        stats: RevisedStats,
+    },
+    /// Pivot cap reached; a warm attempt should be retried cold.
     IterationLimit {
         /// Work wasted before giving up.
         stats: RevisedStats,
     },
-    /// Singular or unstable basis; the caller should re-solve densely
-    /// (or cold-start if this was a warm attempt).
+    /// Singular or unstable basis, or a warm basis that failed
+    /// verification; a warm attempt should be retried cold.
     Numerical {
         /// Work wasted before giving up.
         stats: RevisedStats,
@@ -155,6 +175,7 @@ impl RevisedError {
     pub fn stats(&self) -> RevisedStats {
         match self {
             Self::Infeasible { stats }
+            | Self::Unbounded { stats }
             | Self::IterationLimit { stats }
             | Self::Numerical { stats } => *stats,
         }
@@ -301,15 +322,17 @@ impl RevisedEngine {
     }
 
     /// Whether a dual-feasible cold-start placement exists under the
-    /// current bounds. Checked once at the root: children only tighten
-    /// bounds, which can never destroy startability.
+    /// current bounds, so that a cold [`solve`](Self::solve) skips the
+    /// dual phase 1. Children only tighten bounds, which can never
+    /// destroy startability.
     pub fn cold_startable(&self) -> bool {
         (0..self.nvars).all(|j| self.cold_place(j).is_some())
     }
 
-    /// Cold-start resting bound of structural column `j`: the bound
+    /// Cold-start resting place of structural column `j`: the bound
     /// matching its reduced-cost sign (with an all-slack basis,
-    /// `rc = c`), or `None` when that bound is infinite.
+    /// `rc = c`), or `None` when that bound is infinite. A zero-cost
+    /// column rests on a finite bound, or free at 0 when it has none.
     fn cold_place(&self, j: usize) -> Option<ColStatus> {
         let (l, u, c) = (self.lb[j], self.ub[j], self.cost[j]);
         if c > ZTOL {
@@ -321,7 +344,7 @@ impl RevisedEngine {
         } else if u.is_finite() {
             Some(ColStatus::Upper)
         } else {
-            None
+            Some(ColStatus::Free)
         }
     }
 
@@ -339,21 +362,29 @@ impl RevisedEngine {
 
     /// Repairs a warm basis for the current bounds: a nonbasic column
     /// whose resting bound became infinite hops to the opposite finite
-    /// bound. Under branch-and-bound this is a no-op (children only
-    /// tighten), but it keeps arbitrary warm starts sound.
-    fn repair(&self, mut status: Vec<ColStatus>) -> Option<Vec<ColStatus>> {
+    /// bound, and a free column that gained a bound rests on it. Under
+    /// branch-and-bound the first is a no-op (children only tighten) and
+    /// the second keeps dual feasibility (a nonbasic free column's
+    /// reduced cost is 0), but both keep arbitrary warm starts sound.
+    /// `None` when the basis does not fit the model or cannot rest.
+    fn repair(&self, warm: &BasisState) -> Option<Vec<ColStatus>> {
+        if warm.status.len() != self.ncols {
+            return None;
+        }
+        let mut status = warm.status.clone();
         for (j, s) in status.iter_mut().enumerate() {
-            match *s {
-                ColStatus::Basic => {}
-                ColStatus::Lower if self.lb[j].is_finite() => {}
-                ColStatus::Upper if self.ub[j].is_finite() => {}
-                ColStatus::Lower => {
-                    *s = self.ub[j].is_finite().then_some(ColStatus::Upper)?;
-                }
-                ColStatus::Upper => {
-                    *s = self.lb[j].is_finite().then_some(ColStatus::Lower)?;
-                }
-            }
+            let (l, u) = (self.lb[j].is_finite(), self.ub[j].is_finite());
+            *s = match *s {
+                ColStatus::Basic => ColStatus::Basic,
+                ColStatus::Lower if l => ColStatus::Lower,
+                ColStatus::Upper if u => ColStatus::Upper,
+                ColStatus::Free if l => ColStatus::Lower,
+                ColStatus::Free if u => ColStatus::Upper,
+                ColStatus::Free => ColStatus::Free,
+                ColStatus::Lower if u => ColStatus::Upper,
+                ColStatus::Upper if l => ColStatus::Lower,
+                ColStatus::Lower | ColStatus::Upper => return None,
+            };
         }
         Some(status)
     }
@@ -363,6 +394,7 @@ impl RevisedEngine {
         let v = match s {
             ColStatus::Lower => self.lb[j],
             ColStatus::Upper => self.ub[j],
+            ColStatus::Free => 0.0,
             ColStatus::Basic => unreachable!("basic column has no resting value"),
         };
         debug_assert!(
@@ -373,24 +405,19 @@ impl RevisedEngine {
     }
 
     /// Solves the current-bounds LP. `warm` supplies a starting basis
-    /// (typically the parent node's optimum); `None` cold-starts.
+    /// (typically the parent node's optimum); `None` cold-starts, through
+    /// the dual phase 1 when the model is not
+    /// [`cold_startable`](Self::cold_startable).
     pub fn solve(&mut self, warm: Option<&BasisState>) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
-        let numerical = |stats: RevisedStats| RevisedError::Numerical { stats };
         let status = match warm {
-            Some(bs) if bs.status.len() == self.ncols => {
-                self.repair(bs.status.clone()).ok_or(numerical(stats))?
-            }
-            Some(_) => return Err(numerical(stats)),
-            None => self.cold_status().ok_or(numerical(stats))?,
+            Some(w) => self.repair(w).ok_or(RevisedError::Numerical { stats })?,
+            None => match self.cold_status() {
+                Some(status) => status,
+                None => return self.phase1(),
+            },
         };
-        self.with_workspace(|e, ws| e.optimize(ws, status, &mut stats))
-            .map(|(values, duals, basis)| RevisedSolution {
-                values,
-                duals,
-                basis,
-                stats,
-            })
+        self.run(status, &mut stats)
     }
 
     /// Like [`solve`](Self::solve) with `Some(warm)`, but *verifies* the
@@ -411,43 +438,140 @@ impl RevisedEngine {
     ) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
         let numerical = |stats: RevisedStats| RevisedError::Numerical { stats };
-        if warm.status.len() != self.ncols {
+        let status = self.repair(warm).ok_or(numerical(stats))?;
+        if !self.dual_feasible(&status, &mut stats)? {
             return Err(numerical(stats));
         }
-        let status = self.repair(warm.status.clone()).ok_or(numerical(stats))?;
+        self.run(status, &mut stats)
+    }
+
+    /// Dual phase 1 for a model with no dual-feasible cold placement
+    /// (Fourer's auxiliary problem). The dual loop solves the model with
+    /// `b = 0` and each column boxed by the shape of its bounds: free
+    /// `[−1, 1]`, lower-bounded `[0, 1]`, upper-bounded `[−1, 0]`, boxed
+    /// `[0, 0]`. Every box is finite, so the auxiliary problem cold-starts
+    /// and, holding 0, has an optimum. Placed on the real bounds, that
+    /// optimal basis is dual feasible exactly when the real model has a
+    /// dual-feasible basis, and then it warm-starts the real solve. When
+    /// it is not, the model has no optimum, and one zero-cost solve
+    /// decides between [`RevisedError::Unbounded`] (a feasible point
+    /// exists) and [`RevisedError::Infeasible`].
+    fn phase1(&mut self) -> Result<RevisedSolution, RevisedError> {
+        let mut stats = RevisedStats {
+            phase1_starts: 1,
+            ..RevisedStats::default()
+        };
+        let (aux_lb, aux_ub): (Vec<f64>, Vec<f64>) = self
+            .lb
+            .iter()
+            .zip(&self.ub)
+            .map(|(l, u)| match (l.is_finite(), u.is_finite()) {
+                (false, false) => (-1.0, 1.0),
+                (true, false) => (0.0, 1.0),
+                (false, true) => (-1.0, 0.0),
+                (true, true) => (0.0, 0.0),
+            })
+            .unzip();
+        let lb = std::mem::replace(&mut self.lb, aux_lb);
+        let ub = std::mem::replace(&mut self.ub, aux_ub);
+        let b = std::mem::replace(&mut self.b, vec![0.0; self.m]);
+        let aux = self.cold_run(&mut stats);
+        self.lb = lb;
+        self.ub = ub;
+        self.b = b;
+        // The auxiliary problem is feasible and bounded, so any error is
+        // numerical trouble, never a verdict on the real model.
+        let aux = aux.map_err(|e| RevisedError::Numerical { stats: e.stats() })?;
+
+        // Each nonbasic column rests where the real bounds allow it: a
+        // boxed column on the bound its reduced-cost sign makes dual
+        // feasible, a one-sided column on its finite bound, a free
+        // column at 0. A column the auxiliary optimum left on an
+        // artificial bound is dual feasible there only at reduced cost 0.
+        let y: Vec<f64> = aux.duals.iter().map(|&d| self.obj_sign * d).collect();
+        let mut status = aux.basis.status;
+        for (j, s) in status.iter_mut().enumerate() {
+            if *s == ColStatus::Basic {
+                continue;
+            }
+            *s = match (self.lb[j].is_finite(), self.ub[j].is_finite()) {
+                (true, true) if self.cost[j] - self.a.col_dot(j, &y) >= 0.0 => ColStatus::Lower,
+                (true, true) => ColStatus::Upper,
+                (true, false) => ColStatus::Lower,
+                (false, true) => ColStatus::Upper,
+                (false, false) => ColStatus::Free,
+            };
+        }
+        if self.dual_feasible(&status, &mut stats)? {
+            return self.run(status, &mut stats);
+        }
+
+        // No dual-feasible basis: the model has no optimum.
+        let cost = std::mem::replace(&mut self.cost, vec![0.0; self.ncols]);
+        let feasible = self.cold_run(&mut stats);
+        self.cost = cost;
+        match feasible {
+            Ok(_) => Err(RevisedError::Unbounded { stats }),
+            Err(RevisedError::Infeasible { .. }) => Err(RevisedError::Infeasible { stats }),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// A cold solve whose placement must exist (every column has a
+    /// finite bound, or zero cost); a missing one is numerical trouble.
+    fn cold_run(&mut self, stats: &mut RevisedStats) -> Result<RevisedSolution, RevisedError> {
+        match self.cold_status() {
+            Some(status) => self.run(status, stats),
+            None => Err(RevisedError::Numerical { stats: *stats }),
+        }
+    }
+
+    /// Runs the dual simplex from the dual-feasible `status`, adding its
+    /// work to `stats`; the solution carries the running total.
+    fn run(
+        &mut self,
+        status: Vec<ColStatus>,
+        stats: &mut RevisedStats,
+    ) -> Result<RevisedSolution, RevisedError> {
+        let (values, duals, basis) = self.with_workspace(|e, ws| e.optimize(ws, status, stats))?;
+        Ok(RevisedSolution {
+            values,
+            duals,
+            basis,
+            stats: *stats,
+        })
+    }
+
+    /// Whether `status` is dual feasible under the current costs: with
+    /// `y = B⁻ᵀ·c_B`, every nonbasic reduced cost (in minimization space)
+    /// has the sign its resting place needs — `rc ≥ 0` at a lower bound,
+    /// `rc ≤ 0` at an upper bound, `rc = 0` free. Fixed columns
+    /// (`l == u`) never enter, so their sign is irrelevant. A singular
+    /// basis is [`RevisedError::Numerical`].
+    fn dual_feasible(
+        &mut self,
+        status: &[ColStatus],
+        stats: &mut RevisedStats,
+    ) -> Result<bool, RevisedError> {
         self.with_workspace(|e, ws| {
-            e.basic_slots(&status, &mut ws.basic, &stats)?;
-            e.factor(&mut ws.fact, &ws.basic, &mut stats)?;
-            // Candidate duals: y = B⁻ᵀ·c_B.
+            e.basic_slots(status, &mut ws.basic, stats)?;
+            e.factor(&mut ws.fact, &ws.basic, stats)?;
             let y = &mut ws.cb;
             y.clear();
             y.extend(ws.basic.iter().map(|&j| e.cost[j]));
             ws.fact.btran(y);
-            // Nonbasic reduced-cost signs in minimization space: a column
-            // at its lower bound needs rc ≥ 0, at its upper bound rc ≤ 0.
-            // Fixed columns (l == u) never enter, so their sign is
-            // irrelevant.
-            for (j, &s) in status.iter().enumerate() {
+            Ok(status.iter().enumerate().all(|(j, &s)| {
                 if s == ColStatus::Basic || e.lb[j] == e.ub[j] {
-                    continue;
+                    return true;
                 }
                 let rc = e.cost[j] - e.a.col_dot(j, y);
-                let ok = match s {
+                match s {
                     ColStatus::Lower => rc >= -DUAL_TOL,
                     ColStatus::Upper => rc <= DUAL_TOL,
-                    ColStatus::Basic => unreachable!("basic filtered above"),
-                };
-                if !ok {
-                    return Err(numerical(stats));
+                    ColStatus::Free => rc.abs() <= DUAL_TOL,
+                    ColStatus::Basic => true,
                 }
-            }
-            e.optimize(ws, status, &mut stats)
-        })
-        .map(|(values, duals, basis)| RevisedSolution {
-            values,
-            duals,
-            basis,
-            stats,
+            }))
         })
     }
 
@@ -590,6 +714,7 @@ impl RevisedEngine {
                 let ok = match s {
                     ColStatus::Lower => abar > ZTOL,
                     ColStatus::Upper => abar < -ZTOL,
+                    ColStatus::Free => abar.abs() > ZTOL,
                     ColStatus::Basic => unreachable!(),
                 };
                 if !ok {
@@ -662,7 +787,8 @@ impl RevisedEngine {
                 status[j] = match status[j] {
                     ColStatus::Lower => ColStatus::Upper,
                     ColStatus::Upper => ColStatus::Lower,
-                    ColStatus::Basic => unreachable!(),
+                    // Only boxed columns flip.
+                    ColStatus::Basic | ColStatus::Free => unreachable!(),
                 };
             }
             stats.bound_flips += flips.len();
@@ -879,8 +1005,18 @@ mod tests {
         let x = m.add_cont("x", f64::NEG_INFINITY, f64::INFINITY);
         m.add_constraint("row", vec![(x, 1.0)], ConstraintOp::Ge, 1.0);
         m.set_objective(vec![(x, 1.0)], 0.0);
-        let engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
         assert!(!engine.cold_startable());
+        // The dual phase 1 starts it anyway: min x s.t. x >= 1 is 1, and
+        // the row's dual is the cost of raising its right-hand side.
+        let sol = engine.solve(None).expect("phase 1 starts a free model");
+        assert_eq!(sol.stats.phase1_starts, 1);
+        assert!((sol.values[0] - 1.0).abs() < 1e-9, "x = {}", sol.values[0]);
+        assert!((sol.duals[0] - 1.0).abs() < 1e-9, "dual {}", sol.duals[0]);
+        // Its basis warm-starts the same model with no phase 1 and no pivot.
+        let again = engine.solve(Some(&sol.basis)).expect("optimal basis");
+        assert_eq!((again.stats.phase1_starts, again.stats.iterations), (0, 0));
+        assert_eq!(again.values, sol.values);
     }
 
     #[test]

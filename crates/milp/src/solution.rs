@@ -38,8 +38,8 @@ pub struct SolveTrace {
     /// length) across all node relaxations.
     pub degenerate_pivots: usize,
     /// Basis factorizations performed by the revised simplex (one per
-    /// node solve, plus any mid-solve refactorizations). Zero when the
-    /// dense fallback handled every node.
+    /// node solve, plus any mid-solve refactorizations and warm-basis
+    /// verifications).
     pub factorizations: usize,
     /// Mid-solve refactorizations: the eta file hit the refactorization
     /// interval, or a pivot looked numerically unstable.
@@ -48,13 +48,14 @@ pub struct SolveTrace {
     /// hopped to their opposite bound without a basis change (the
     /// long-step payoff of bounded-variable handling).
     pub bound_flips: usize,
-    /// Node relaxations that started from the parent's basis instead of
-    /// a cold all-slack basis.
+    /// LP solves that started from a carried basis (the parent's, or a
+    /// previous solve's verified root basis) instead of a cold
+    /// all-slack basis.
     pub warm_starts: usize,
-    /// LP solves that reached the dense two-phase solver although the
-    /// revised simplex was enabled: the model was not cold-startable, or
-    /// every revised rung failed on the relaxation.
-    pub dense_fallbacks: usize,
+    /// Cold LP starts that needed the revised simplex's dual phase 1:
+    /// the model's bounds admitted no dual-feasible cold placement (a
+    /// free variable with nonzero cost, say).
+    pub phase1_starts: usize,
     /// 1 when the solve started on a [`crate::branch::MipWorkspace`]
     /// an earlier solve had used, else 0: summed over a run, the solves
     /// that skipped growing their buffers from empty.

@@ -1,15 +1,16 @@
 //! Differential test suite: branch-and-bound vs the brute-force oracle.
 //!
 //! Seeded random small MILPs are solved by exhaustive enumeration
-//! ([`billcap_milp::brute_force_solve`]) and by `MipSolver`, whose
-//! revised-simplex configurations are also checked against the dense
-//! solver. Every feasible answer must agree on the objective,
-//! infeasibility verdicts must coincide, and every returned solution must
-//! pass the independent certificate checker. Instances reproduce exactly from the seed — no
-//! external fuzzing framework involved.
+//! ([`billcap_milp::brute_force_solve`]) and by `MipSolver`, and seeded
+//! LPs by `MipSolver`'s revised simplex and the dense tableau oracle
+//! ([`billcap_milp::LpSolver`]). Every feasible answer must agree on the
+//! objective, infeasibility and unboundedness verdicts must coincide, and
+//! every returned solution must pass the independent certificate checker.
+//! Instances reproduce exactly from the seed — no external fuzzing
+//! framework involved.
 
 use billcap_milp::{
-    brute_force_solve, certify_solution, ConstraintOp, MipSolver, Model, Sense, Solution,
+    brute_force_solve, certify_solution, ConstraintOp, LpSolver, MipSolver, Model, Sense, Solution,
     SolveError, VarType,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
@@ -162,8 +163,7 @@ fn pure_binary_instances_agree_with_oracle() {
 }
 
 /// Draws a random box-bounded *continuous* LP: every variable has finite
-/// bounds, so the revised engine's dual cold start always exists and the
-/// dense-vs-revised comparison never silently falls back.
+/// bounds, so the revised engine cold-starts without a phase 1.
 fn random_lp(rng: &mut Xoshiro256pp, tag: usize) -> Model {
     let sense = if rng.random::<bool>() {
         Sense::Maximize
@@ -179,10 +179,23 @@ fn random_lp(rng: &mut Xoshiro256pp, tag: usize) -> Model {
             m.add_cont(format!("x{j}"), lb, ub)
         })
         .collect();
+    add_random_rows(rng, &mut m, &vars);
+    m.set_objective(
+        vars.iter()
+            .map(|&v| (v, rng.random_i64_in(-5, 7) as f64))
+            .collect(),
+        rng.random_i64_in(-3, 3) as f64,
+    );
+    m
+}
+
+/// Up to four random rows over `vars` with small integer coefficients,
+/// mixed operators and right-hand sides.
+fn add_random_rows(rng: &mut Xoshiro256pp, m: &mut Model, vars: &[billcap_milp::VarId]) {
     let rows = rng.random_usize_in(1, 4);
     for r in 0..rows {
         let mut terms = Vec::new();
-        for &v in &vars {
+        for &v in vars {
             if rng.random::<f64>() < 0.8 {
                 terms.push((v, rng.random_i64_in(-4, 6) as f64));
             }
@@ -198,16 +211,73 @@ fn random_lp(rng: &mut Xoshiro256pp, tag: usize) -> Model {
         let rhs = rng.random_i64_in(-2, 10) as f64;
         m.add_constraint(format!("r{r}"), terms, op, rhs);
     }
+}
+
+/// Draws a random *general* continuous LP: each variable is free,
+/// lower-bounded only, upper-bounded only or boxed, so many instances
+/// have no dual-feasible cold placement and start with the revised
+/// engine's dual phase 1, and a share are unbounded.
+fn random_general_lp(rng: &mut Xoshiro256pp, tag: usize) -> Model {
+    let sense = if rng.random::<bool>() {
+        Sense::Maximize
+    } else {
+        Sense::Minimize
+    };
+    let mut m = Model::new(format!("general_{tag}"), sense);
+    let n = rng.random_usize_in(1, 5);
+    let vars: Vec<_> = (0..n)
+        .map(|j| {
+            let lb = rng.random_i64_in(-3, 1) as f64;
+            let ub = lb + rng.random_i64_in(1, 6) as f64;
+            let (lb, ub) = match rng.random_below(4) {
+                0 => (f64::NEG_INFINITY, f64::INFINITY),
+                1 => (lb, f64::INFINITY),
+                2 => (f64::NEG_INFINITY, ub),
+                _ => (lb, ub),
+            };
+            m.add_cont(format!("x{j}"), lb, ub)
+        })
+        .collect();
+    add_random_rows(rng, &mut m, &vars);
     m.set_objective(
         vars.iter()
-            .map(|&v| (v, rng.random_i64_in(-5, 7) as f64))
+            .map(|&v| (v, rng.random_i64_in(-5, 5) as f64))
             .collect(),
         rng.random_i64_in(-3, 3) as f64,
     );
     m
 }
 
-/// Dense two-phase simplex vs sparse revised simplex on seeded continuous
+/// The dense tableau oracle vs `MipSolver`'s revised simplex on one LP:
+/// verdicts must coincide, objectives must agree within certificate
+/// tolerance, and both optima (the revised one with its duals) must
+/// certify. Returns the shared verdict.
+fn compare_with_dense(m: &Model, tag: usize) -> Result<(), SolveError> {
+    let dense = LpSolver::default().solve(m);
+    let revised = MipSolver::default().solve(m);
+    match (&dense, &revised) {
+        (Err(d), Err(r)) if d == r => Err(d.clone()),
+        (Ok(d), Ok(r)) => {
+            let tol = 1e-6 * (1.0 + d.objective.abs());
+            assert!(
+                (d.objective - r.objective).abs() <= tol,
+                "case {tag}: dense {} vs revised {}\n{m:?}",
+                d.objective,
+                r.objective
+            );
+            assert_certified(m, d, "dense LP", tag);
+            assert!(
+                r.duals.is_some(),
+                "case {tag}: revised LP solution carries no duals"
+            );
+            assert_certified(m, r, "revised LP", tag);
+            Ok(())
+        }
+        (d, r) => panic!("case {tag}: dense and revised disagree: {d:?} vs {r:?}\n{m:?}"),
+    }
+}
+
+/// Dense two-phase simplex vs sparse revised simplex on seeded box-bounded
 /// LPs: feasibility verdicts must coincide, objectives must agree within
 /// certificate tolerance, and both solutions (duals included) must pass
 /// the independent certificate checker.
@@ -217,38 +287,10 @@ fn dense_and_revised_lps_agree_and_certify() {
     let mut feasible = 0usize;
     let mut infeasible = 0usize;
     for tag in 0..CASES {
-        let m = random_lp(&mut rng, tag);
-        let dense = MipSolver {
-            revised: false,
-            ..MipSolver::default()
-        }
-        .solve(&m);
-        let revised = MipSolver {
-            revised: true,
-            ..MipSolver::default()
-        }
-        .solve(&m);
-        match (&dense, &revised) {
-            (Err(SolveError::Infeasible), Err(SolveError::Infeasible)) => infeasible += 1,
-            (Ok(d), Ok(r)) => {
-                feasible += 1;
-                let tol = 1e-6 * (1.0 + d.objective.abs());
-                assert!(
-                    (d.objective - r.objective).abs() <= tol,
-                    "case {tag}: dense {} vs revised {}\n{m:?}",
-                    d.objective,
-                    r.objective
-                );
-                assert_certified(&m, d, "dense LP", tag);
-                assert_certified(&m, r, "revised LP", tag);
-                assert!(
-                    r.duals.is_some(),
-                    "case {tag}: revised LP solution carries no duals"
-                );
-            }
-            (d, r) => panic!(
-                "case {tag}: dense and revised disagree on feasibility: {d:?} vs {r:?}\n{m:?}"
-            ),
+        match compare_with_dense(&random_lp(&mut rng, tag), tag) {
+            Ok(()) => feasible += 1,
+            Err(SolveError::Infeasible) => infeasible += 1,
+            Err(e) => panic!("case {tag}: a box-bounded LP cannot end in {e}"),
         }
     }
     assert!(
@@ -258,10 +300,40 @@ fn dense_and_revised_lps_agree_and_certify() {
     assert!(infeasible > 0, "no infeasible LPs generated");
 }
 
-/// Warm-started vs cold-started vs dense branch-and-bound on seeded MILPs:
-/// the three configurations must agree on feasibility and (within
-/// certificate tolerance) on the optimal objective, and every incumbent
-/// must certify. This is the `BILLCAP_WARMSTART=0` oracle in unit form.
+/// The same comparison on LPs with free, lower-only and upper-only
+/// variables in both senses: every verdict (optimal, infeasible,
+/// unbounded) must occur, and the revised engine's dual phase 1 must
+/// have started some of them.
+#[test]
+fn general_lps_agree_with_the_dense_oracle() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0x6E4E);
+    let (mut optimal, mut infeasible, mut unbounded, mut phase1) = (0usize, 0, 0, 0);
+    for tag in 0..CASES {
+        let m = random_general_lp(&mut rng, tag);
+        match compare_with_dense(&m, tag) {
+            Ok(()) => optimal += 1,
+            Err(SolveError::Infeasible) => infeasible += 1,
+            Err(SolveError::Unbounded) => unbounded += 1,
+            Err(e) => panic!("case {tag}: unexpected {e}\n{m:?}"),
+        }
+        if let Ok(sol) = MipSolver::default().solve(&m) {
+            phase1 += sol.mip.expect("stats").trace.phase1_starts;
+        }
+    }
+    assert!(
+        optimal >= CASES / 4,
+        "only {optimal}/{CASES} general LPs optimal"
+    );
+    assert!(infeasible > 0, "no infeasible general LPs generated");
+    assert!(unbounded > 0, "no unbounded general LPs generated");
+    assert!(phase1 > 0, "no optimal general LP needed the dual phase 1");
+}
+
+/// Warm-started vs cold-started branch-and-bound vs the brute-force
+/// oracle on seeded MILPs: the three must agree on feasibility and
+/// (within certificate tolerance) on the optimal objective, and every
+/// incumbent must certify. This is the `BILLCAP_WARMSTART=0` oracle in
+/// unit form.
 #[test]
 fn warm_cold_and_dense_mips_agree_and_certify() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x30A7);
@@ -269,50 +341,44 @@ fn warm_cold_and_dense_mips_agree_and_certify() {
     for tag in 0..CASES {
         let m = random_model(&mut rng, tag);
         let warm = MipSolver {
-            revised: true,
             warm_start: true,
             ..MipSolver::default()
         }
         .solve(&m);
         let cold = MipSolver {
-            revised: true,
             warm_start: false,
             ..MipSolver::default()
         }
         .solve(&m);
-        let dense = MipSolver {
-            revised: false,
-            ..MipSolver::default()
-        }
-        .solve(&m);
-        match (&warm, &cold, &dense) {
+        let oracle = brute_force_solve(&m);
+        match (&warm, &cold, &oracle) {
             (
                 Err(SolveError::Infeasible),
                 Err(SolveError::Infeasible),
                 Err(SolveError::Infeasible),
             ) => {}
-            (Ok(w), Ok(c), Ok(d)) => {
+            (Ok(w), Ok(c), Ok(o)) => {
                 feasible += 1;
-                let tol = 1e-6 * (1.0 + d.objective.abs());
+                let tol = 1e-6 * (1.0 + o.objective.abs());
                 assert!(
-                    (w.objective - d.objective).abs() <= tol,
-                    "case {tag}: warm {} vs dense {}\n{m:?}",
+                    (w.objective - o.objective).abs() <= tol,
+                    "case {tag}: warm {} vs oracle {}\n{m:?}",
                     w.objective,
-                    d.objective
+                    o.objective
                 );
                 assert!(
-                    (c.objective - d.objective).abs() <= tol,
-                    "case {tag}: cold {} vs dense {}\n{m:?}",
+                    (c.objective - o.objective).abs() <= tol,
+                    "case {tag}: cold {} vs oracle {}\n{m:?}",
                     c.objective,
-                    d.objective
+                    o.objective
                 );
                 assert_certified(&m, w, "warm-start", tag);
                 assert_certified(&m, c, "cold-start", tag);
-                assert_certified(&m, d, "dense", tag);
+                assert_certified(&m, o, "oracle", tag);
             }
-            (w, c, d) => panic!(
+            (w, c, o) => panic!(
                 "case {tag}: configurations disagree on feasibility: \
-                 warm {w:?} vs cold {c:?} vs dense {d:?}\n{m:?}"
+                 warm {w:?} vs cold {c:?} vs oracle {o:?}\n{m:?}"
             ),
         }
     }

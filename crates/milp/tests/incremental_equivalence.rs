@@ -494,8 +494,8 @@ fn lp_infeasible() -> Model {
 
 /// Two free variables bounded only jointly (`x ± z`), so root
 /// propagation cannot give either a finite bound: no dual-feasible cold
-/// start exists and the whole search runs on the dense fallback. The
-/// relaxation's `y = 1.5` makes it branch.
+/// start exists and the root starts with the revised engine's dual
+/// phase 1. The relaxation's `y = 1.5` makes it branch.
 fn free_variable() -> Model {
     let mut m = Model::new("free", Sense::Minimize);
     let x = m.add_cont("x", f64::NEG_INFINITY, f64::INFINITY);
@@ -510,8 +510,8 @@ fn free_variable() -> Model {
 }
 
 /// One workspace solves a sequence of models that grow and shrink,
-/// fail (infeasible, node limit), skip branching (pure LP) and skip the
-/// revised engine (free variable), twice over. Every result equals a
+/// fail (infeasible, node limit), skip branching (pure LP) and start
+/// with the dual phase 1 (free variable), twice over. Every result equals a
 /// fresh-workspace solve bit for bit, so nothing an earlier solve — or
 /// its error path — left in the workspace leaks into the next one.
 #[test]
@@ -551,9 +551,17 @@ fn one_workspace_serves_changing_shapes_and_error_paths() {
     assert_eq!(fresh(2), Err(SolveError::Infeasible));
     assert_eq!(fresh(4), Err(SolveError::NodeLimit { nodes: 1 }));
     assert!(fresh(5).is_ok_and(|s| s.duals.is_some()));
+    // The free-variable model starts with the dual phase 1 once; its
+    // children warm-start from their parents' bases (or, with warm
+    // starts off, each cold start runs phase 1 again).
     assert!(fresh(6).is_ok_and(|s| {
         let stats = s.mip.expect("stats");
-        stats.nodes > 1 && stats.trace.dense_fallbacks == stats.nodes
+        let (phase1, warm) = if default.warm_start {
+            (1, stats.nodes - 1)
+        } else {
+            (stats.nodes, 0)
+        };
+        stats.nodes > 1 && stats.trace.phase1_starts == phase1 && stats.trace.warm_starts == warm
     }));
     assert_eq!(fresh(8), Err(SolveError::Infeasible));
 }

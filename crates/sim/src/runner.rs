@@ -165,7 +165,7 @@ pub fn run_month_scratch(
     let horizon = scenario.horizon();
     let auditor = audit.then(PlanAuditor::default);
     let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon);
-    let min_only = baseline_for(strategy);
+    let mut min_only = baseline_for(strategy);
     // Working spec for the baselines under a schedule (the engine owns
     // its own copy for the capping path).
     let mut baseline_sys = min_only.is_some().then(|| scenario.system.clone());
@@ -215,7 +215,7 @@ pub fn run_month_scratch(
                 if let Some(sched) = cap_schedule {
                     sched.apply(sys, t);
                 }
-                let min_only = match min_only.as_ref() {
+                let min_only = match min_only.as_mut() {
                     Some(m) => m,
                     None => unreachable!("baseline constructed for baseline strategies"),
                 };
@@ -244,7 +244,7 @@ pub fn run_month_fresh(
     let auditor = audit.then(PlanAuditor::default);
     let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon);
     let capper = BillCapper::default();
-    let min_only = baseline_for(strategy);
+    let mut min_only = baseline_for(strategy);
     let mut capped = scenario.system.clone();
 
     let mut hours = Vec::with_capacity(horizon);
@@ -281,7 +281,7 @@ pub fn run_month_fresh(
                 )
             }
             Strategy::MinOnlyAvg | Strategy::MinOnlyLow => {
-                let min_only = match min_only.as_ref() {
+                let min_only = match min_only.as_mut() {
                     Some(m) => m,
                     None => unreachable!("baseline constructed for baseline strategies"),
                 };
@@ -419,7 +419,7 @@ fn min_only_hour(
     ordinary: f64,
     d: &[f64],
     system: &DataCenterSystem,
-    min_only: &MinOnly,
+    min_only: &mut MinOnly,
 ) -> Result<HourRecord, CoreError> {
     let capacity = system.total_capacity();
     let admitted = offered.min(capacity);

@@ -12,7 +12,7 @@
 //!
 //! | module | contents |
 //! |---|---|
-//! | [`milp`] | two-phase simplex LP + branch-and-bound MILP solver |
+//! | [`milp`] | revised simplex LP + branch-and-bound MILP solver |
 //! | [`market`] | DC-OPF, the PJM five-bus system, step pricing policies |
 //! | [`queueing`] | G/G/m Allen–Cunneen response-time model and sizing |
 //! | [`power`] | server, k-ary fat-tree networking, and cooling power |

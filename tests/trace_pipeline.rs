@@ -62,9 +62,9 @@ fn traced_week_is_consistent_with_report() {
         snap.counters["milp.lp.iterations"] as usize,
         report.total_lp_iterations()
     );
-    // Every LP solve of the week stays on the revised simplex: the dense
-    // solver is never reached as a fallback.
-    assert_eq!(snap.counters["milp.lp.dense_fallbacks"], 0);
+    // Every capper model of the week has a dual-feasible cold start: the
+    // revised simplex never needs its dual phase 1.
+    assert_eq!(snap.counters["milp.lp.phase1_starts"], 0);
     // The week's one DecisionEngine holds two IncrementalSolvers, each
     // with its own MipWorkspace: the cost-min solver (steps 1 and 3) and
     // the throughput-max solver (step 2, which the tight budget makes
