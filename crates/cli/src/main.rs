@@ -25,7 +25,7 @@
 mod args;
 
 use args::{ArgError, Args};
-use billcap_core::{audit_env_enabled, BillCapper, DataCenterSystem, HourOutcome, PlanAuditor};
+use billcap_core::{BillCapper, CapperConfig, DataCenterSystem, HourOutcome, PlanAuditor};
 use billcap_milp::{parse_lp, MipSolver};
 use billcap_serve::{build_plan, run_replay, verify_replay, ServeConfig};
 use billcap_sim::export::monthly_report_csv;
@@ -40,7 +40,7 @@ billcap — electricity bill capping for cloud-scale data centers
 
 USAGE:
   billcap decide-hour --offered R --premium-frac F --budget D
-          [--background MW,MW,MW] [--policy 0..3] [--audit] [--lint]
+          [--background MW,MW,MW] [--policy 0..3] [--audit]
           [--trace FILE]
       Decide one hour's workload dispatch for the paper's 3-site system.
       With --audit, re-verify the plan against the paper's invariants
@@ -49,19 +49,16 @@ USAGE:
 
   billcap simulate-month --strategy capping|min-only-avg|min-only-low
           [--budget DOLLARS] [--policy 0..3] [--seed N] [--csv FILE]
-          [--hours N] [--quiet] [--audit] [--lint] [--trace FILE]
+          [--hours N] [--quiet] [--audit] [--trace FILE]
       Simulate the evaluation month and print the summary
       (optionally dumping the hourly series as CSV). With --audit, every
       capping hour is re-verified and the audit tally is reported.
-      Setting BILLCAP_AUDIT=1 additionally certifies each MILP solve
-      (feasibility, integrality, dual bounds) inside the optimizers.
 
       With --trace FILE, solver tracing is enabled for the run and the
       merged trace (per-hour spans, B&B node counters, price-level
-      histograms) is written to FILE as JSONL. Setting BILLCAP_TRACE to
-      a path does the same without the flag; BILLCAP_TRACE=1 enables
-      collection only. With --hours N, only the first N hours of the
-      month are simulated (--budget then covers just those hours).
+      histograms) is written to FILE as JSONL. With --hours N, only the
+      first N hours of the month are simulated (--budget then covers
+      just those hours).
 
   billcap simulate-risk [--samples N] [--seed N] [--threads N]
           [--cap-schedule none|derate|derate:DEPTH] [--hours N]
@@ -129,8 +126,8 @@ USAGE:
       (4-byte big-endian length prefix + JSON body) on stdin and read
       framed responses on stdout; with --socket PATH a Unix socket is
       served instead (--once exits after the first connection).
-      Requests shard across N decision workers (default: BILLCAP_THREADS
-      or the CPU count), each reusing incrementally-updated MILP models.
+      Requests shard across N decision workers (default: the CPU
+      count), each reusing incrementally-updated MILP models.
       --no-cache disables the shared decision cache; --warm-basis
       carries simplex bases across solves (faster, but answers are no
       longer guaranteed bitwise-identical to the fresh solver).
@@ -170,15 +167,22 @@ USAGE:
   billcap help
       Show this message.
 
-Setting BILLCAP_LINT=deny (or passing --lint to decide-hour /
-simulate-month) additionally runs the model linter inside the
-optimizers before every solve and refuses models with Error findings;
-BILLCAP_LINT=warn prints them and proceeds.
+--audit (decide-hour, simulate-month, simulate-risk) also lints each
+MILP before solving it (refusing Error findings, codes M001-M010) and
+certifies each solution. Debug builds always run these solve checks.
+
+BILLCAP_AUDIT=1 acts as --audit (and checks every serve/replay solve);
+BILLCAP_TRACE=1 enables tracing, and BILLCAP_TRACE=FILE also acts as
+--trace FILE. Both are read once, at startup.
 ";
 
 fn main() -> ExitCode {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
-    match run(tokens) {
+    let env = Env::parse(
+        std::env::var("BILLCAP_AUDIT").ok().as_deref(),
+        std::env::var("BILLCAP_TRACE").ok().as_deref(),
+    );
+    match run(tokens, &env) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");
@@ -187,13 +191,47 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(tokens: Vec<String>) -> Result<(), String> {
+/// `BILLCAP_AUDIT` and `BILLCAP_TRACE`, read once by `main`: the only
+/// environment `billcap` consults (no library crate reads any).
+#[derive(Debug, Default, PartialEq)]
+struct Env {
+    /// `BILLCAP_AUDIT` is set: behave as if `--audit` were passed.
+    audit: bool,
+    /// `BILLCAP_TRACE` is set: enable global tracing.
+    trace: bool,
+    /// `BILLCAP_TRACE` names a file: the default `--trace` path.
+    trace_path: Option<String>,
+}
+
+impl Env {
+    /// Parses the raw variable values. A variable counts as set when it
+    /// is present, non-empty and not `0`; a set `BILLCAP_TRACE` other
+    /// than `1`, `true` or `on` is also a trace path.
+    fn parse(audit: Option<&str>, trace: Option<&str>) -> Self {
+        fn set(v: Option<&str>) -> Option<&str> {
+            v.filter(|v| !v.is_empty() && *v != "0")
+        }
+        let trace = set(trace);
+        Self {
+            audit: set(audit).is_some(),
+            trace: trace.is_some(),
+            trace_path: trace
+                .filter(|v| !matches!(*v, "1" | "true" | "on"))
+                .map(String::from),
+        }
+    }
+}
+
+fn run(tokens: Vec<String>, env: &Env) -> Result<(), String> {
+    if env.trace {
+        billcap_obs::set_enabled(true);
+    }
     let args = Args::parse(tokens);
     let command = args.positional().first().map(String::as_str);
     match command {
-        Some("decide-hour") => decide_hour(&args).map_err(stringify),
-        Some("simulate-month") => simulate_month(&args).map_err(stringify),
-        Some("simulate-risk") => simulate_risk(&args).map_err(stringify),
+        Some("decide-hour") => decide_hour(&args, env).map_err(stringify),
+        Some("simulate-month") => simulate_month(&args, env).map_err(stringify),
+        Some("simulate-risk") => simulate_risk(&args, env).map_err(stringify),
         Some("derive-policies") => derive_policies(&args).map_err(stringify),
         Some("export-trace") => export_trace(&args).map_err(stringify),
         Some("analyze-trace") => analyze_trace(&args).map_err(stringify),
@@ -201,8 +239,8 @@ fn run(tokens: Vec<String>) -> Result<(), String> {
         Some("solve-lp") => solve_lp(&args),
         Some("lint-model") => lint_model_cmd(&args),
         Some("lint-spec") => lint_spec_cmd(&args),
-        Some("serve") => serve_cmd(&args).map_err(stringify),
-        Some("replay") => replay_cmd(&args).map_err(stringify),
+        Some("serve") => serve_cmd(&args, env).map_err(stringify),
+        Some("replay") => replay_cmd(&args, env).map_err(stringify),
         Some("watch") => watch_cmd(&args).map_err(stringify),
         Some("analyze-series") => analyze_series_cmd(&args).map_err(stringify),
         Some("help") | None => {
@@ -217,21 +255,13 @@ fn stringify(e: ArgError) -> String {
     e.0
 }
 
-/// Arms the optimizers' pre-solve lint gate when `--lint` is passed
-/// (equivalent to `BILLCAP_LINT=deny` in the environment).
-fn arm_lint(args: &Args) {
-    if args.has("lint") {
-        std::env::set_var("BILLCAP_LINT", "deny");
-    }
-}
-
 /// Resolves the trace output path (`--trace FILE`, or a path-valued
 /// `BILLCAP_TRACE`) and enables global tracing when one is found.
-fn begin_trace(args: &Args) -> Option<String> {
+fn begin_trace(args: &Args, env: &Env) -> Option<String> {
     let path = args
         .get("trace")
         .map(String::from)
-        .or_else(billcap_obs::env_trace_path);
+        .or_else(|| env.trace_path.clone());
     if path.is_some() {
         billcap_obs::set_enabled(true);
     }
@@ -259,7 +289,7 @@ fn policy_arg(args: &Args) -> Result<usize, ArgError> {
     Ok(p)
 }
 
-fn decide_hour(args: &Args) -> Result<(), ArgError> {
+fn decide_hour(args: &Args, env: &Env) -> Result<(), ArgError> {
     args.check_known(&[
         "offered",
         "premium-frac",
@@ -267,7 +297,6 @@ fn decide_hour(args: &Args) -> Result<(), ArgError> {
         "background",
         "policy",
         "audit",
-        "lint",
         "trace",
     ])?;
     let offered: f64 = args.require("offered")?;
@@ -276,8 +305,8 @@ fn decide_hour(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("--premium-frac must be in [0, 1]".into()));
     }
     let budget: f64 = args.require("budget")?;
-    arm_lint(args);
-    let trace_path = begin_trace(args);
+    let audit = args.has("audit") || env.audit;
+    let trace_path = begin_trace(args, env);
     let background = args
         .get_f64_list("background")?
         .unwrap_or_else(|| vec![360.0, 410.0, 430.0]);
@@ -288,7 +317,11 @@ fn decide_hour(args: &Args) -> Result<(), ArgError> {
             system.len()
         )));
     }
-    let decision = BillCapper::default()
+    // An audited run forces the per-solve checks on; otherwise they
+    // follow the build profile's default.
+    let mut config = CapperConfig::default();
+    config.audit |= audit;
+    let decision = BillCapper::new(config)
         .decide_hour(
             &system,
             offered,
@@ -318,7 +351,7 @@ fn decide_hour(args: &Args) -> Result<(), ArgError> {
         );
     }
     println!("hour cost ${:.2} vs budget ${budget:.2}", decision.cost());
-    if args.has("audit") {
+    if audit {
         let report = PlanAuditor::default().audit_decision(&system, &decision, &background);
         println!("audit: {report}");
         if !report.passed() {
@@ -331,9 +364,9 @@ fn decide_hour(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn simulate_month(args: &Args) -> Result<(), ArgError> {
+fn simulate_month(args: &Args, env: &Env) -> Result<(), ArgError> {
     args.check_known(&[
-        "strategy", "budget", "policy", "seed", "csv", "hours", "quiet", "audit", "lint", "trace",
+        "strategy", "budget", "policy", "seed", "csv", "hours", "quiet", "audit", "trace",
     ])?;
     let strategy = match args.get("strategy").unwrap_or("capping") {
         "capping" => Strategy::CostCapping,
@@ -353,9 +386,8 @@ fn simulate_month(args: &Args) -> Result<(), ArgError> {
         ),
         None => None,
     };
-    let audit = args.has("audit") || audit_env_enabled();
-    arm_lint(args);
-    let trace_path = begin_trace(args);
+    let audit = args.has("audit") || env.audit;
+    let trace_path = begin_trace(args, env);
     let mut scenario = Scenario::paper_default(policy_arg(args)?, seed);
     if let Some(raw) = args.get("hours") {
         let hours: usize = raw
@@ -436,7 +468,7 @@ fn simulate_month(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn simulate_risk(args: &Args) -> Result<(), ArgError> {
+fn simulate_risk(args: &Args, env: &Env) -> Result<(), ArgError> {
     args.check_known(&[
         "samples",
         "seed",
@@ -485,7 +517,7 @@ fn simulate_risk(args: &Args) -> Result<(), ArgError> {
         hours,
         monthly_budget,
         schedule,
-        audit: args.has("audit") || audit_env_enabled(),
+        audit: args.has("audit") || env.audit,
         ..RiskConfig::default()
     };
     let (sample_results, summary) = RiskEngine::new(config)
@@ -745,8 +777,9 @@ fn lint_spec_cmd(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Builds a [`ServeConfig`] from the flags `serve` and `replay` share.
-fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
+/// Builds a [`ServeConfig`] from the flags `serve` and `replay` share;
+/// `BILLCAP_AUDIT` forces every engine's per-solve checks on.
+fn serve_config(args: &Args, env: &Env) -> Result<ServeConfig, ArgError> {
     let mut cfg = ServeConfig::default();
     if let Some(raw) = args.get("workers") {
         let workers: usize = raw
@@ -759,7 +792,8 @@ fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
     }
     cfg.cache = !args.has("no-cache");
     cfg.reuse_basis = args.has("warm-basis");
-    cfg.integral_servers = args.has("integral");
+    cfg.capper.integral_servers = args.has("integral");
+    cfg.capper.audit |= env.audit;
     cfg.telemetry = !args.has("no-telemetry");
     cfg.window_requests = args.get_or("window-requests", cfg.window_requests)?;
     if let Some(path) = args.get("metrics-stream") {
@@ -779,11 +813,11 @@ const SERVE_CONFIG_FLAGS: [&str; 7] = [
     "metrics-stream",
 ];
 
-fn serve_cmd(args: &Args) -> Result<(), ArgError> {
+fn serve_cmd(args: &Args, env: &Env) -> Result<(), ArgError> {
     let mut known = vec!["socket", "once"];
     known.extend_from_slice(&SERVE_CONFIG_FLAGS);
     args.check_known(&known)?;
-    let cfg = serve_config(args)?;
+    let cfg = serve_config(args, env)?;
     if let Some(path) = args.get("socket") {
         #[cfg(unix)]
         {
@@ -821,7 +855,7 @@ fn serve_cmd(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn replay_cmd(args: &Args) -> Result<(), ArgError> {
+fn replay_cmd(args: &Args, env: &Env) -> Result<(), ArgError> {
     let mut known = vec!["hours", "seed", "policy", "budget", "uncapped", "check"];
     known.extend_from_slice(&SERVE_CONFIG_FLAGS);
     args.check_known(&known)?;
@@ -839,7 +873,7 @@ fn replay_cmd(args: &Args) -> Result<(), ArgError> {
     } else {
         Some(args.get_or("budget", Scenario::STRINGENT_BUDGET)?)
     };
-    let cfg = serve_config(args)?;
+    let cfg = serve_config(args, env)?;
 
     eprintln!("building {hours}-hour plan (policy {policy}, seed {seed})...");
     let plan = build_plan(policy, seed, hours, budget).map_err(|e| ArgError(e.to_string()))?;
@@ -998,13 +1032,17 @@ mod tests {
     use super::*;
 
     fn run_str(s: &str) -> Result<(), String> {
-        run(s.split_whitespace().map(String::from).collect())
+        run_vec(s.split_whitespace().map(String::from).collect())
+    }
+
+    fn run_vec(tokens: Vec<String>) -> Result<(), String> {
+        run(tokens, &Env::default())
     }
 
     #[test]
     fn help_and_unknown_commands() {
         assert!(run_str("help").is_ok());
-        assert!(run(vec![]).is_ok());
+        assert!(run_vec(vec![]).is_ok());
         assert!(run_str("frobnicate").is_err());
     }
 
@@ -1307,6 +1345,45 @@ mod tests {
     }
 
     #[test]
+    fn env_is_parsed_once_at_the_edge() {
+        for off in [None, Some(""), Some("0")] {
+            assert_eq!(Env::parse(off, off), Env::default());
+        }
+        for switch in ["1", "true", "on"] {
+            let env = Env::parse(Some(switch), Some(switch));
+            let only_switches = Env {
+                audit: true,
+                trace: true,
+                trace_path: None,
+            };
+            assert_eq!(env, only_switches);
+            // A switch value enables tracing and names no file.
+            assert!(run(
+                "decide-hour --offered 6e8 --budget 1e9"
+                    .split_whitespace()
+                    .map(String::from)
+                    .collect(),
+                &env
+            )
+            .is_ok());
+            assert!(billcap_obs::enabled());
+        }
+        // A path value enables tracing and is where the trace goes.
+        let dir = std::env::temp_dir().join("billcap_cli_env_trace_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hour.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let env = Env::parse(None, path.to_str());
+        assert!(env.trace && !env.audit);
+        assert_eq!(env.trace_path.as_deref(), path.to_str());
+        let tokens = "decide-hour --offered 6e8 --budget 1e9";
+        assert!(run(tokens.split_whitespace().map(String::from).collect(), &env).is_ok());
+        let text = std::fs::read_to_string(&path).unwrap();
+        let snap = billcap_obs::export::parse_jsonl(&text).unwrap();
+        assert!(snap.spans.keys().any(|p| p.contains("step1")));
+    }
+
+    #[test]
     fn watch_validation() {
         let err = run_str("watch").unwrap_err();
         assert!(err.contains("--socket"), "got: {err}");
@@ -1348,7 +1425,7 @@ mod tests {
         // No SLO: plain table, success.
         assert!(run_str(&format!("analyze-series {}", clean.display())).is_ok());
         // Clean baseline passes its SLO.
-        assert!(run(vec![
+        assert!(run_vec(vec![
             "analyze-series".into(),
             clean.display().to_string(),
             "--slo".into(),
@@ -1359,7 +1436,7 @@ mod tests {
         // An injected violation window flips the verdict.
         let burned = dir.join("burned.jsonl");
         write_series_fixture(&burned, &[200.0, 50_000.0, 200.0]);
-        let err = run(vec![
+        let err = run_vec(vec![
             "analyze-series".into(),
             burned.display().to_string(),
             "--slo".into(),
@@ -1368,7 +1445,7 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("SLO violated"), "got: {err}");
         // ... unless the error budget allows it.
-        assert!(run(vec![
+        assert!(run_vec(vec![
             "analyze-series".into(),
             burned.display().to_string(),
             "--slo".into(),
@@ -1389,7 +1466,7 @@ mod tests {
         assert!(err.contains("no metrics documents"), "got: {err}");
         let clean = dir.join("spec.jsonl");
         write_series_fixture(&clean, &[200.0]);
-        let err = run(vec![
+        let err = run_vec(vec![
             "analyze-series".into(),
             clean.display().to_string(),
             "--slo".into(),
@@ -1426,7 +1503,7 @@ mod tests {
                     std::thread::sleep(std::time::Duration::from_millis(1));
                 }
                 let res = if sock.exists() {
-                    run(vec![
+                    run_vec(vec![
                         "watch".into(),
                         "--socket".into(),
                         sock.display().to_string(),

@@ -25,38 +25,61 @@
 //!
 //! Companion to [`billcap_milp::certify_solution`], which checks the
 //! *solver's* arithmetic; this module checks the *formulation* against
-//! the paper. Both are wired into solves and the sim runner behind the
-//! `BILLCAP_AUDIT` env var / `--audit` CLI flag.
+//! the paper. The certificate check runs inside every capper solve when
+//! [`crate::CapperConfig::audit`] is on; the plan audit runs in the sim
+//! runner when its `audit` argument is set (the CLI's `--audit`).
 
 use crate::capper::{HourDecision, HourOutcome};
 use crate::error::CoreError;
 use crate::minimize::{Allocation, BREAKPOINT_MARGIN_MW};
 use crate::spec::DataCenterSystem;
-use billcap_milp::{certify_solution, Model, Solution};
+use billcap_milp::{certify_solution, Model, Solution, SolveError};
 use std::fmt;
 
-/// True when the `BILLCAP_AUDIT` environment variable asks for auditing
-/// (any non-empty value other than `0`). Tests set it to exercise the
-/// certification layer on every solve; the CLI `--audit` flag forces it.
-pub fn audit_env_enabled() -> bool {
-    // detlint-allow(D004): BILLCAP_AUDIT toggles an advisory certification log, never the decision
-    std::env::var("BILLCAP_AUDIT").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// Certifies a MILP solution when [`audit_env_enabled`], turning a failed
-/// certificate into a hard [`CoreError::Audit`]: a solve whose arithmetic
-/// cannot be verified must not become a dispatch plan.
-pub(crate) fn certify_if_enabled(model: &Model, sol: &Solution) -> Result<(), CoreError> {
-    if audit_env_enabled() {
-        let report = certify_solution(model, sol);
-        if !report.certified() {
-            return Err(CoreError::Audit(format!(
-                "solve '{}' failed certification: {report}",
-                model.name
-            )));
-        }
+/// Solves `model` with `solve`, checked when `audit` is on
+/// ([`crate::CapperConfig::audit`]).
+///
+/// First, [`billcap_milp::lint_model`] gates the solve. A model whose
+/// *only* Error finding is the `M007` static-infeasibility proof maps to
+/// [`SolveError::Infeasible`] — the same error the solver itself would
+/// return — so the capper's step-2 fallback (zero achievable throughput
+/// under a starvation budget) keeps working; any other Error finding
+/// becomes [`CoreError::Lint`]. A model that fails [`Model::validate`]
+/// (which `lint_model` also files under `M007`) gets the solver's own
+/// error, [`SolveError::InvalidModel`]. Then a solution whose
+/// certificate fails becomes a hard [`CoreError::Audit`]: a solve whose
+/// arithmetic cannot be verified must not become a dispatch plan. Each
+/// solution that passes both checks bumps the exact counter
+/// `core.audit.solves`.
+pub(crate) fn checked_solve(
+    audit: bool,
+    model: &Model,
+    solve: impl FnOnce() -> Result<Solution, SolveError>,
+) -> Result<Solution, CoreError> {
+    if !audit {
+        return Ok(solve()?);
     }
-    Ok(())
+    let lint = billcap_milp::lint_model(model);
+    if !lint.is_clean() {
+        model.validate()?;
+        if lint.errors().all(|f| f.code == "M007") {
+            return Err(CoreError::Solver(SolveError::Infeasible));
+        }
+        let errors: Vec<String> = lint.errors().map(|f| f.to_string()).collect();
+        return Err(CoreError::Lint(errors.join("; ")));
+    }
+    let sol = solve()?;
+    let report = certify_solution(model, &sol);
+    if !report.certified() {
+        return Err(CoreError::Audit(format!(
+            "solve '{}' failed certification: {report}",
+            model.name
+        )));
+    }
+    if billcap_obs::enabled() {
+        billcap_obs::counter("core.audit.solves", 1);
+    }
+    Ok(sol)
 }
 
 /// One violated paper invariant found by the [`PlanAuditor`].
@@ -745,14 +768,5 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, PlanViolation::PremiumShed { .. })));
-    }
-
-    #[test]
-    fn audit_env_flag_parses() {
-        // The variable is process-global, so instead of mutating it the
-        // test checks agreement with the documented rule for whatever
-        // value the environment currently holds.
-        let expected = std::env::var("BILLCAP_AUDIT").is_ok_and(|v| !v.is_empty() && v != "0");
-        assert_eq!(audit_env_enabled(), expected);
     }
 }

@@ -16,14 +16,32 @@ use crate::error::CoreError;
 use crate::maximize::ThroughputMaximizer;
 use crate::minimize::{Allocation, CostMinimizer};
 use crate::spec::DataCenterSystem;
-use billcap_milp::SolveError;
+use billcap_milp::{MipSolver, SolveError};
 use billcap_obs::Stopwatch;
 
-/// Tuning knobs for the capper.
-#[derive(Debug, Clone, Default)]
+/// Tuning knobs for the capper: the one place its settings live. The
+/// binaries build it from their flags and pass it down; no library
+/// reads the environment.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapperConfig {
     /// Model server counts as integers inside the MILPs.
     pub integral_servers: bool,
+    /// Check every solve: the pre-solve model lint refuses a model with
+    /// Error-severity findings ([`CoreError::Lint`]), and the solution
+    /// must pass [`billcap_milp::certify_solution`]
+    /// ([`CoreError::Audit`]). Neither check changes a decision. On by
+    /// default in debug builds, so the test suite runs checked; off by
+    /// default in release builds, where it costs time on every hour.
+    pub audit: bool,
+}
+
+impl Default for CapperConfig {
+    fn default() -> Self {
+        Self {
+            integral_servers: false,
+            audit: cfg!(debug_assertions),
+        }
+    }
 }
 
 /// Which branch of the algorithm produced the hour's decision.
@@ -123,12 +141,14 @@ impl BillCapper {
     pub fn new(config: CapperConfig) -> Self {
         Self {
             minimizer: CostMinimizer {
+                solver: MipSolver::default(),
                 integral_servers: config.integral_servers,
-                ..Default::default()
+                audit: config.audit,
             },
             maximizer: ThroughputMaximizer {
+                solver: MipSolver::default(),
                 integral_servers: config.integral_servers,
-                ..Default::default()
+                audit: config.audit,
             },
         }
     }

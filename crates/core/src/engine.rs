@@ -35,9 +35,15 @@
 //! the exact floats the fresh builder would, so the solver sees an
 //! identical model either way. Basis reuse ([`DecisionEngine::
 //! set_reuse_basis`]) trades that guarantee for speed: the optimum is
-//! preserved (and re-certified under `BILLCAP_AUDIT`), but alternative
-//! optima may tie-break differently in the last ulp.
+//! preserved (and re-certified when [`CapperConfig::audit`] is on), but
+//! alternative optima may tie-break differently in the last ulp.
+//!
+//! The engine takes its settings from the [`CapperConfig`] it is built
+//! with, like the fresh capper: `integral_servers` shapes the models,
+//! and `audit` lints each model before a solve and certifies each
+//! solution.
 
+use crate::audit::checked_solve;
 use crate::capper::{decide_hour_impl, CapperConfig, HourBackend, HourDecision};
 use crate::error::CoreError;
 use crate::maximize::throughput_max_model;
@@ -97,6 +103,8 @@ const STEP_CACHE_CAP: usize = 24;
 /// fresh-model capper.
 struct EngineCore {
     integral_servers: bool,
+    /// Lint and certify every solve ([`CapperConfig::audit`]).
+    audit: bool,
     /// Serves steps 1 and 3 (both are `cost_min` solves, differing only
     /// in the demand RHS).
     min_solver: IncrementalSolver,
@@ -142,6 +150,7 @@ impl DecisionEngine {
             system,
             core: EngineCore {
                 integral_servers: config.integral_servers,
+                audit: config.audit,
                 min_solver: IncrementalSolver::new(MipSolver::default()),
                 max_solver: IncrementalSolver::new(MipSolver::default()),
                 cost_min: Vec::new(),
@@ -175,7 +184,7 @@ impl DecisionEngine {
     }
 
     /// Toggles root-basis carry-over between solves. Off by default;
-    /// turning it on keeps optima (certified under `BILLCAP_AUDIT`) but
+    /// turning it on keeps optima (certified when audited) but
     /// forfeits bitwise identity with the fresh-model capper.
     pub fn set_reuse_basis(&mut self, on: bool) {
         self.core.min_solver.reuse_basis = on;
@@ -521,9 +530,8 @@ impl HourBackend for EngineCore {
         let idx = self.step_model(Step::CostMin, system, background_mw)?;
         let step = &mut self.cost_min[idx];
         step.im.set_rhs("demand", lambda / RATE_SCALE)?;
-        crate::speclint::lint_model_if_enabled(step.im.model())?;
-        let sol = self.min_solver.solve(&step.im)?;
-        crate::audit::certify_if_enabled(step.im.model(), &sol)?;
+        let solver = &mut self.min_solver;
+        let sol = checked_solve(self.audit, step.im.model(), || solver.solve(&step.im))?;
         Ok(extract_allocation(system, &step.vars, &sol))
     }
 
@@ -544,9 +552,8 @@ impl HourBackend for EngineCore {
         let step = &mut self.thru_max[idx];
         step.im.set_rhs("offered", lambda / RATE_SCALE)?;
         step.im.set_rhs("budget", budget.max(0.0))?;
-        crate::speclint::lint_model_if_enabled(step.im.model())?;
-        let sol = self.max_solver.solve(&step.im)?;
-        crate::audit::certify_if_enabled(step.im.model(), &sol)?;
+        let solver = &mut self.max_solver;
+        let sol = checked_solve(self.audit, step.im.model(), || solver.solve(&step.im))?;
         Ok(extract_allocation(system, &step.vars, &sol))
     }
 }
@@ -556,7 +563,7 @@ mod tests {
     use super::*;
     use crate::capper::{BillCapper, HourOutcome};
     use crate::spec::DataCenterSystem;
-    use billcap_milp::Model;
+    use billcap_milp::{Model, SolveError};
     use std::collections::BTreeSet;
 
     /// Bitwise equality on everything deterministic in a decision
@@ -660,11 +667,104 @@ mod tests {
         );
     }
 
+    /// Warm- and cold-started branch-and-bound on the capper's own
+    /// models, over the sweep's inputs with relaxed and integral server
+    /// counts: both solves certify, agree on the verdict and agree on
+    /// the objective within certificate tolerance. Equal bits are not
+    /// required: a cold search can end on another tied optimum. Two
+    /// integral step-1 models need ~110k nodes on either path, so both
+    /// paths stop at a 2,000-node cap there and must report the same
+    /// node limit.
+    #[test]
+    fn cold_starts_agree_with_warm_starts_on_capper_models() {
+        let sys = DataCenterSystem::paper_system(1);
+        let warm = MipSolver {
+            max_nodes: 2_000,
+            ..MipSolver::default()
+        };
+        let cold = MipSolver {
+            warm_start: false,
+            ..warm.clone()
+        };
+        let (mut optima, mut warm_starts, mut cold_starts) = (0, 0, 0);
+        for integral_servers in [false, true] {
+            for (h, (offered, _, background, budget)) in sweep(&sys).into_iter().enumerate() {
+                let mut models =
+                    vec![cost_min_model(&sys, offered, &background, integral_servers).0];
+                if budget.is_finite() {
+                    models.push(
+                        throughput_max_model(&sys, offered, &background, budget, integral_servers)
+                            .0,
+                    );
+                }
+                for m in &models {
+                    let ctx = format!("hour {h} {} integral {integral_servers}", m.name);
+                    match (warm.solve(m), cold.solve(m)) {
+                        (Ok(w), Ok(c)) => {
+                            for (path, sol) in [("warm", &w), ("cold", &c)] {
+                                let report = billcap_milp::certify_solution(m, sol);
+                                assert!(report.certified(), "{ctx} {path}: {report}");
+                            }
+                            let tol = 1e-6 * (1.0 + w.objective.abs());
+                            assert!(
+                                (w.objective - c.objective).abs() <= tol,
+                                "{ctx}: warm {} vs cold {}",
+                                w.objective,
+                                c.objective
+                            );
+                            optima += 1;
+                            warm_starts += w.mip.map_or(0, |s| s.trace.warm_starts);
+                            cold_starts += c.mip.map_or(0, |s| s.trace.warm_starts);
+                        }
+                        (w, c) => assert_eq!(w.err(), c.err(), "{ctx}: verdicts differ"),
+                    }
+                }
+            }
+        }
+        assert!(optima >= 48, "only {optima} optimal models");
+        assert!(warm_starts > 0, "the warm path never warm-started");
+        assert_eq!(cold_starts, 0, "the cold path warm-started");
+    }
+
+    /// A negative site cap contradicts the `lvl_lo` row of the site's
+    /// zero-power level (lint code M004). An audited solve refuses the
+    /// model before the solver sees it; with `audit: false`, in either
+    /// build profile, the solver runs and proves it infeasible. Both
+    /// steps of the fresh capper and of the engine honour the switch.
+    #[test]
+    fn audit_switch_reaches_every_solve() {
+        let mut sys = DataCenterSystem::paper_system(1);
+        sys.sites[0].power_cap_mw = -5.0;
+        let bg = [330.0, 410.0, 280.0];
+        for audit in [true, false] {
+            let config = CapperConfig {
+                audit,
+                ..CapperConfig::default()
+            };
+            let capper = BillCapper::new(config.clone());
+            let mut engine = DecisionEngine::new(sys.clone(), config);
+            let results = [
+                ("capper step 1", capper.minimizer.solve(&sys, 1e8, &bg)),
+                ("capper step 2", capper.maximizer.solve(&sys, 1e8, &bg, 1e4)),
+                ("engine step 1", engine.core.minimize(&sys, 1e8, &bg)),
+                ("engine step 2", engine.core.maximize(&sys, 1e8, &bg, 1e4)),
+            ];
+            for (path, r) in results {
+                match (audit, r) {
+                    (true, Err(CoreError::Lint(msg))) => assert!(msg.contains("M004"), "{msg}"),
+                    (false, Err(CoreError::Solver(SolveError::Infeasible))) => {}
+                    (_, r) => panic!("{path} with audit {audit}: {r:?}"),
+                }
+            }
+        }
+    }
+
     #[test]
     fn engine_matches_fresh_capper_with_integral_servers() {
         let sys = DataCenterSystem::paper_system(1);
         let config = CapperConfig {
             integral_servers: true,
+            ..CapperConfig::default()
         };
         let capper = BillCapper::new(config.clone());
         let mut engine = DecisionEngine::new(sys.clone(), config);
@@ -914,7 +1014,11 @@ mod tests {
             (with(&[(2, 60.0)]), bg.clone()),
         ];
         for integral_servers in [false, true] {
-            let mut engine = DecisionEngine::new(sys.clone(), CapperConfig { integral_servers });
+            let config = CapperConfig {
+                integral_servers,
+                ..CapperConfig::default()
+            };
+            let mut engine = DecisionEngine::new(sys.clone(), config);
             let (mut misses, mut synced_hits) = (0, 0);
             for (h, (caps, bg)) in hours.iter().enumerate() {
                 engine.set_site_caps(caps);

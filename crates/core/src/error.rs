@@ -28,11 +28,12 @@ pub enum CoreError {
         /// Actual length supplied.
         got: usize,
     },
-    /// A solve or plan failed independent certification (`BILLCAP_AUDIT` /
-    /// `--audit`); the message carries the violated invariants.
+    /// An audited solve ([`crate::CapperConfig::audit`]) or plan failed
+    /// independent certification; the message carries the violated
+    /// invariants.
     Audit(String),
-    /// The pre-solve lint (`BILLCAP_LINT=deny` / `--lint`) found
-    /// Error-severity defects in the model; the message carries them.
+    /// An audited solve's pre-solve lint found Error-severity defects
+    /// in the model; the message carries them.
     Lint(String),
 }
 

@@ -69,7 +69,7 @@ pub mod priority;
 pub mod spec;
 pub mod speclint;
 
-pub use audit::{audit_env_enabled, AuditReport, PlanAuditor, PlanViolation};
+pub use audit::{AuditReport, PlanAuditor, PlanViolation};
 pub use baselines::{MinOnly, PriceAssumption};
 pub use cache::{system_fingerprint, DecisionCache, DecisionKey};
 pub use capper::{BillCapper, CapperConfig, DecisionTrace, HourDecision, HourOutcome};
@@ -83,6 +83,5 @@ pub use minimize::{Allocation, CostMinimizer};
 pub use priority::{ClassDecision, PriorityClass};
 pub use spec::{DataCenterSpec, DataCenterSystem};
 pub use speclint::{
-    lint_budget_weights, lint_cap_schedule, lint_env_mode, lint_premium_fraction, lint_system,
-    LintMode, SpecReport,
+    lint_budget_weights, lint_cap_schedule, lint_premium_fraction, lint_system, SpecReport,
 };

@@ -48,12 +48,21 @@ pub(crate) fn throughput_max_model(
 }
 
 /// The Step-2 optimizer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ThroughputMaximizer {
     /// The MILP solver.
     pub solver: MipSolver,
     /// Model server counts as integers inside the MILP (ablation mode).
     pub integral_servers: bool,
+    /// Lint each model before solving and certify each solution
+    /// ([`crate::CapperConfig::audit`]).
+    pub audit: bool,
+}
+
+impl Default for ThroughputMaximizer {
+    fn default() -> Self {
+        crate::BillCapper::default().maximizer
+    }
 }
 
 impl ThroughputMaximizer {
@@ -76,9 +85,7 @@ impl ThroughputMaximizer {
         }
         let (m, vars) =
             throughput_max_model(system, lambda, background_mw, budget, self.integral_servers);
-        crate::speclint::lint_model_if_enabled(&m)?;
-        let sol = self.solver.solve(&m)?;
-        crate::audit::certify_if_enabled(&m, &sol)?;
+        let sol = crate::audit::checked_solve(self.audit, &m, || self.solver.solve(&m))?;
         Ok(extract_allocation(system, &vars, &sol))
     }
 }

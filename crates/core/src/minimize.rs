@@ -346,13 +346,22 @@ pub(crate) fn cost_min_model(
 }
 
 /// The Step-1 optimizer.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct CostMinimizer {
     /// The MILP solver.
     pub solver: MipSolver,
     /// Model server counts as integers inside the MILP (ablation mode;
     /// the default relaxes them and lets the local optimizer round up).
     pub integral_servers: bool,
+    /// Lint each model before solving and certify each solution
+    /// ([`crate::CapperConfig::audit`]).
+    pub audit: bool,
+}
+
+impl Default for CostMinimizer {
+    fn default() -> Self {
+        crate::BillCapper::default().minimizer
+    }
 }
 
 impl CostMinimizer {
@@ -379,9 +388,7 @@ impl CostMinimizer {
         }
 
         let (m, vars) = cost_min_model(system, lambda, background_mw, self.integral_servers);
-        crate::speclint::lint_model_if_enabled(&m)?;
-        let sol = self.solver.solve(&m)?;
-        crate::audit::certify_if_enabled(&m, &sol)?;
+        let sol = crate::audit::checked_solve(self.audit, &m, || self.solver.solve(&m))?;
         Ok(extract_allocation(system, &vars, &sol))
     }
 }

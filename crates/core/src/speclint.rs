@@ -21,14 +21,13 @@
 //! | S009 | Info    | price level unreachable within the site's power cap |
 //! | S010 | Error   | cap schedule malformed for the system, or derates a site below its idle power |
 //!
-//! The `BILLCAP_LINT` environment variable (or the CLI `--lint` flag)
-//! arms a pre-flight inside both optimizers: `deny` refuses to solve a
-//! model with Error-severity findings, `warn` prints them and proceeds.
+//! The same idea guards every capper solve: with
+//! [`crate::CapperConfig::audit`] on, both optimizers run
+//! [`billcap_milp::lint_model`] on each model before solving it and
+//! refuse a model with Error-severity findings (see [`crate::audit`]).
 
-use crate::error::CoreError;
 use crate::spec::DataCenterSystem;
 use billcap_milp::lint::{Finding, Severity};
-use billcap_milp::{Model, SolveError};
 use std::fmt;
 
 /// Result of linting a spec: findings only (a spec has no coefficient
@@ -336,66 +335,6 @@ pub fn lint_premium_fraction(frac: f64) -> SpecReport {
     SpecReport { findings }
 }
 
-/// How the `BILLCAP_LINT` pre-flight behaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LintMode {
-    /// No pre-flight (the default).
-    Off,
-    /// Print Error-severity findings to stderr, then solve anyway.
-    Warn,
-    /// Refuse to solve a model with Error-severity findings.
-    Deny,
-}
-
-/// The lint mode requested by the `BILLCAP_LINT` environment variable:
-/// `deny` (or the CLI `--lint` flag, which sets it) refuses bad models,
-/// `warn`/`1` prints and proceeds, anything else is off.
-pub fn lint_env_mode() -> LintMode {
-    // detlint-allow(D004): BILLCAP_LINT selects diagnostic strictness, not decision inputs
-    match std::env::var("BILLCAP_LINT") {
-        Ok(v) if v == "deny" => LintMode::Deny,
-        Ok(v) if v == "warn" || v == "1" => LintMode::Warn,
-        _ => LintMode::Off,
-    }
-}
-
-/// Pre-flight hook both optimizers call before solving. Under
-/// [`LintMode::Deny`], a model whose *only* Error finding is the `M007`
-/// static-infeasibility proof maps to [`SolveError::Infeasible`] — the
-/// same error the solver itself would return — so the capper's step-2
-/// fallback (zero achievable throughput under a starvation budget) keeps
-/// working; any other Error finding becomes [`CoreError::Lint`]. A model
-/// that fails [`Model::validate`] (which `lint_model` also files under
-/// `M007`) gets the solver's own error, [`SolveError::InvalidModel`], so
-/// a malformed model is never reported as infeasible.
-pub(crate) fn lint_model_if_enabled(model: &Model) -> Result<(), CoreError> {
-    let mode = lint_env_mode();
-    if mode == LintMode::Off {
-        return Ok(());
-    }
-    let report = billcap_milp::lint_model(model);
-    if report.is_clean() {
-        return Ok(());
-    }
-    let errors: Vec<String> = report.errors().map(|f| f.to_string()).collect();
-    match mode {
-        LintMode::Off => unreachable!("handled above"),
-        LintMode::Warn => {
-            for e in &errors {
-                eprintln!("lint: {e}");
-            }
-            Ok(())
-        }
-        LintMode::Deny => {
-            model.validate()?;
-            if report.errors().all(|f| f.code == "M007") {
-                return Err(CoreError::Solver(SolveError::Infeasible));
-            }
-            Err(CoreError::Lint(errors.join("; ")))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,14 +496,5 @@ mod tests {
             let v = billcap_obs::json::Value::parse(line).expect("valid JSON");
             assert!(v.get("code").is_some());
         }
-    }
-
-    #[test]
-    fn env_mode_parsing() {
-        // Can't set env vars safely under the parallel test harness, so
-        // exercise only the current (unset/inherited) state's contract:
-        // the mode is one of the three variants and Off means no lint.
-        let m = lint_env_mode();
-        assert!(matches!(m, LintMode::Off | LintMode::Warn | LintMode::Deny));
     }
 }

@@ -32,17 +32,10 @@ pub struct MipSolver {
     /// just starts from a tighter box. Default `true`.
     pub root_propagation: bool,
     /// Warm-start each child node's dual simplex from its parent's
-    /// optimal basis instead of a cold all-slack basis. Defaults to the
-    /// `BILLCAP_WARMSTART` gate: on unless the variable is set to `0`.
+    /// optimal basis instead of a cold all-slack basis. Default `true`;
+    /// `false` runs every node cold, the differential oracle the tests
+    /// compare the warm path against.
     pub warm_start: bool,
-}
-
-/// The `BILLCAP_WARMSTART` gate: warm starts are on by default and
-/// disabled only by an explicit `0` (the cold path then serves as a
-/// differential oracle in CI).
-fn warmstart_env() -> bool {
-    // detlint-allow(D004): BILLCAP_WARMSTART gates a speedup whose output the differential oracle proves identical
-    !matches!(std::env::var("BILLCAP_WARMSTART"), Ok(v) if v == "0")
 }
 
 impl Default for MipSolver {
@@ -52,7 +45,7 @@ impl Default for MipSolver {
             max_nodes: 200_000,
             gap_tol: 1e-9,
             root_propagation: true,
-            warm_start: warmstart_env(),
+            warm_start: true,
         }
     }
 }

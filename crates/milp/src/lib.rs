@@ -27,8 +27,9 @@
 //! The problem sizes produced by the bill-capping formulation are small
 //! (hundreds of rows at the reference scale), and the constraint matrices
 //! are sparse with box-bounded variables — exactly the shape the revised
-//! simplex exploits. Set `BILLCAP_WARMSTART=0` to force cold starts
-//! everywhere as a differential oracle for the warm-start protocol.
+//! simplex exploits. [`MipSolver::warm_start`] set to `false` forces cold
+//! starts everywhere, the differential oracle for the warm-start
+//! protocol.
 //!
 //! ## Example
 //!

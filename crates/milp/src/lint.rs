@@ -24,9 +24,9 @@
 //!
 //! Severities gate behavior: `Error` findings mean the model is broken
 //! and solving it wastes work or returns garbage; `Warning` findings
-//! deserve a look; `Info` findings are structural facts. The optimizers
-//! honor `BILLCAP_LINT=deny` by refusing to solve models with `Error`
-//! findings (see `billcap-core`).
+//! deserve a look; `Info` findings are structural facts. With their
+//! `audit` switch on, the capper's optimizers refuse to solve models
+//! with `Error` findings (see `billcap-core`).
 
 use crate::model::{ConstraintOp, Model, VarType};
 use crate::presolve::propagate_bounds;

@@ -38,8 +38,8 @@
 //! proves no optimum exists, and one zero-cost solve then tells an
 //! unbounded model from an infeasible one. The dense tableau solver in
 //! [`crate::simplex`] is the test oracle these answers are compared
-//! against; `BILLCAP_WARMSTART=0` additionally forces every node onto the
-//! cold path for differential testing.
+//! against; `MipSolver { warm_start: false, .. }` additionally forces every
+//! node onto the cold path for differential testing.
 
 use crate::basis::BasisFactorization;
 use crate::model::{ConstraintOp, Model, Sense};

@@ -332,8 +332,9 @@ fn general_lps_agree_with_the_dense_oracle() {
 /// Warm-started vs cold-started branch-and-bound vs the brute-force
 /// oracle on seeded MILPs: the three must agree on feasibility and
 /// (within certificate tolerance) on the optimal objective, and every
-/// incumbent must certify. This is the `BILLCAP_WARMSTART=0` oracle in
-/// unit form.
+/// incumbent must certify. The cold path is the oracle for warm starts
+/// on random models; `billcap-core`'s engine tests run the same check
+/// on the capper's own models.
 #[test]
 fn warm_cold_and_dense_mips_agree_and_certify() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x30A7);

@@ -552,16 +552,12 @@ fn one_workspace_serves_changing_shapes_and_error_paths() {
     assert_eq!(fresh(4), Err(SolveError::NodeLimit { nodes: 1 }));
     assert!(fresh(5).is_ok_and(|s| s.duals.is_some()));
     // The free-variable model starts with the dual phase 1 once; its
-    // children warm-start from their parents' bases (or, with warm
-    // starts off, each cold start runs phase 1 again).
+    // children warm-start from their parents' bases.
     assert!(fresh(6).is_ok_and(|s| {
         let stats = s.mip.expect("stats");
-        let (phase1, warm) = if default.warm_start {
-            (1, stats.nodes - 1)
-        } else {
-            (stats.nodes, 0)
-        };
-        stats.nodes > 1 && stats.trace.phase1_starts == phase1 && stats.trace.warm_starts == warm
+        stats.nodes > 1
+            && stats.trace.phase1_starts == 1
+            && stats.trace.warm_starts == stats.nodes - 1
     }));
     assert_eq!(fresh(8), Err(SolveError::Infeasible));
 }

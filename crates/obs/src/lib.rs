@@ -26,17 +26,16 @@
 //!
 //! Library code records through the *global* recorder via the
 //! free functions ([`span`], [`counter`], [`gauge`], [`observe`], …).
-//! These are no-ops unless tracing is enabled — either by the
-//! `BILLCAP_TRACE` environment variable (any non-empty value other than
-//! `0`; a path-like value additionally suggests an output file, see
-//! [`env_trace_path`]) or programmatically via [`set_enabled`]. The
-//! disabled fast path is a single relaxed atomic load, so instrumented
-//! hot loops cost effectively nothing by default.
+//! These are no-ops until a binary turns tracing on with
+//! [`set_enabled`] (the `billcap` CLI does so for `--trace` and
+//! `BILLCAP_TRACE`; no library reads the environment). The disabled
+//! fast path is a single relaxed atomic load, so instrumented hot
+//! loops cost effectively nothing by default.
 //!
 //! ## Example
 //!
 //! ```
-//! // Instance API: always records, independent of BILLCAP_TRACE.
+//! // Instance API: always records, independent of `set_enabled`.
 //! let rec = billcap_obs::Recorder::new();
 //! {
 //!     let mut hour = rec.span("hour");
@@ -75,60 +74,25 @@ pub use telemetry::{
     DeltaTracker, MetricsDoc, QuantileSummary, TraceSink, WindowedHistogram, METRICS_VERSION,
 };
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Default histogram bucket bounds used by [`Recorder::observe`] and
 /// the global [`observe`].
 pub use metrics::DEFAULT_BOUNDS;
 
-/// Name of the environment variable that enables tracing.
-pub const TRACE_ENV: &str = "BILLCAP_TRACE";
+static ENABLED: AtomicBool = AtomicBool::new(false);
 
-// 0 = not yet read from the environment, 1 = disabled, 2 = enabled.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-fn init_state_from_env() -> u8 {
-    // detlint-allow(D004): BILLCAP_TRACE toggles advisory tracing only
-    let on = match std::env::var(TRACE_ENV) {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    };
-    let state = if on { 2 } else { 1 };
-    // If another thread raced us, keep its answer for consistency.
-    match STATE.compare_exchange(0, state, Ordering::Relaxed, Ordering::Relaxed) {
-        Ok(_) => state,
-        Err(prev) => prev,
-    }
-}
-
-/// Whether global tracing is enabled.
-///
-/// The first call reads [`TRACE_ENV`]; afterwards this is a single
-/// relaxed atomic load, cheap enough for hot loops.
+/// Whether global tracing is enabled: a single relaxed atomic load,
+/// cheap enough for hot loops. Off until [`set_enabled`] turns it on.
 #[inline]
 pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        0 => init_state_from_env() == 2,
-        s => s == 2,
-    }
+    ENABLED.load(Ordering::Relaxed)
 }
 
-/// Forces global tracing on or off, overriding [`TRACE_ENV`].
+/// Turns global tracing on or off.
 pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// When [`TRACE_ENV`] is set to something that looks like an output
-/// path (not empty, `0`, `1`, `true`, or `on`), returns that path.
-///
-/// Lets `BILLCAP_TRACE=trace.jsonl billcap simulate-month ...` both
-/// enable tracing and pick the output file without a `--trace` flag.
-pub fn env_trace_path() -> Option<String> {
-    match std::env::var(TRACE_ENV) {
-        Ok(v) if !v.is_empty() && !matches!(v.as_str(), "0" | "1" | "true" | "on") => Some(v),
-        _ => None,
-    }
+    ENABLED.store(on, Ordering::Relaxed);
 }
 
 static GLOBAL: OnceLock<Recorder> = OnceLock::new();

@@ -32,17 +32,10 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-/// Default worker count: `BILLCAP_THREADS` if set to a positive integer,
-/// otherwise the machine's available parallelism (1 if unknown).
+/// Default worker count: the machine's available parallelism (1 if
+/// unknown). Callers that want another count pass it explicitly (the
+/// CLI's `--threads` and `--workers`).
 pub fn num_threads() -> usize {
-    // detlint-allow(D004): BILLCAP_THREADS sizes the pool; results are thread-count-invariant by contract
-    if let Ok(raw) = std::env::var("BILLCAP_THREADS") {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

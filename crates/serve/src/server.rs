@@ -102,8 +102,10 @@ pub struct ServeConfig {
     pub reuse_basis: bool,
     /// Maximum accepted frame payload, bytes.
     pub max_frame: usize,
-    /// Model server counts as integers inside the MILPs.
-    pub integral_servers: bool,
+    /// The capper settings every decision engine is built with:
+    /// integral server counts, and the per-solve lint and certificate
+    /// checks.
+    pub capper: CapperConfig,
     /// Record per-request latency and rotate metrics windows. Work
     /// counters are maintained regardless; this switch only gates the
     /// wall-clock instrumentation (the measurable overhead).
@@ -126,7 +128,7 @@ impl Default for ServeConfig {
             cache_capacity: DecisionCache::DEFAULT_CAPACITY,
             reuse_basis: false,
             max_frame: MAX_FRAME,
-            integral_servers: false,
+            capper: CapperConfig::default(),
             telemetry: true,
             window_requests: 64,
             latency_windows: 8,
@@ -719,12 +721,7 @@ fn handle_request_inner<W: Write>(
 
     let state = engines.entry(req.policy).or_insert_with(|| {
         let system = DataCenterSystem::paper_system(req.policy);
-        let mut e = DecisionEngine::new(
-            system,
-            CapperConfig {
-                integral_servers: cfg.integral_servers,
-            },
-        );
+        let mut e = DecisionEngine::new(system, cfg.capper.clone());
         e.set_reuse_basis(cfg.reuse_basis);
         EngineState {
             fingerprint: system_fingerprint(e.system()),
@@ -736,7 +733,7 @@ fn handle_request_inner<W: Write>(
     let key = shared.cache.as_ref().map(|_| {
         DecisionKey::with_fingerprint(
             state.fingerprint,
-            cfg.integral_servers,
+            cfg.capper.integral_servers,
             req.offered,
             req.premium_offered,
             &req.background_mw,

@@ -13,7 +13,7 @@ use billcap_core::{AuditReport, HourOutcome};
 /// makes the result far less sensitive to magnitude disparities, and —
 /// because inputs always arrive in index order (the worker pool returns
 /// results in input order at every thread count) — the exact same
-/// floating-point operations run regardless of `BILLCAP_THREADS`,
+/// floating-point operations run regardless of the worker count,
 /// which is what makes risk summaries bitwise-reproducible.
 pub fn stable_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
     let mut sum = 0.0f64;

@@ -103,7 +103,7 @@ pub struct RiskConfig {
     pub samples: usize,
     /// Root seed of the [`SeedStream`]; sample `i` uses `seed(i)`.
     pub root_seed: u64,
-    /// Worker threads (0 = the pool default, `BILLCAP_THREADS` aware).
+    /// Worker threads (0 = the machine's available parallelism).
     pub threads: usize,
     /// Pricing-policy family (0..=3), as in [`Scenario::paper_default`].
     pub policy: usize,
@@ -132,7 +132,8 @@ pub struct RiskConfig {
     pub predictor_error: f64,
     /// Time-varying power caps for the run.
     pub schedule: ScheduleSpec,
-    /// Run the per-hour plan audit inside every sample.
+    /// Run the per-hour plan audit inside every sample, and lint and
+    /// certify every capper solve ([`billcap_core::CapperConfig::audit`]).
     pub audit: bool,
 }
 

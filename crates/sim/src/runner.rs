@@ -20,9 +20,8 @@
 use crate::metrics::{HourAudit, HourRecord, HourTrace, MonthlyReport};
 use crate::scenario::Scenario;
 use billcap_core::{
-    audit_env_enabled, evaluate_allocation, system_fingerprint, BillCapper, CapSchedule,
-    CapperConfig, CoreError, DataCenterSystem, DecisionEngine, HourDecision, MinOnly, PlanAuditor,
-    PriceAssumption,
+    evaluate_allocation, system_fingerprint, BillCapper, CapSchedule, CapperConfig, CoreError,
+    DataCenterSystem, DecisionEngine, HourDecision, MinOnly, PlanAuditor, PriceAssumption,
 };
 use billcap_workload::Budgeter;
 
@@ -66,13 +65,15 @@ impl Strategy {
 /// included, is rewritten to the hour's inputs before a solve, so a
 /// decision never depends on what the scratch decided before —
 /// `run_month_scratch` with a reused scratch equals [`run_month_fresh`]
-/// bit for bit.
+/// bit for bit. Each run's capper config is part of the engine's key,
+/// so one run's `audit` setting never reaches the next.
 #[derive(Default)]
 pub struct MonthScratch {
-    /// Retained engine plus the fingerprint of the base system it was
-    /// built from (caps may be schedule-mutated between hours; the
-    /// fingerprint always describes the *uncapped* base spec).
-    engine: Option<(u64, DecisionEngine)>,
+    /// Retained engine plus the fingerprint of the base system and the
+    /// config it was built from (caps may be schedule-mutated between
+    /// hours; the fingerprint always describes the *uncapped* base
+    /// spec).
+    engine: Option<(u64, CapperConfig, DecisionEngine)>,
     /// Reusable hour-sized background-demand vector.
     background: Vec<f64>,
 }
@@ -84,26 +85,25 @@ impl MonthScratch {
     }
 }
 
-/// Returns the retained engine for `system`, (re)building it when the
-/// scratch last served a different system, and resetting any cap
-/// mutation a previous month's schedule left behind.
+/// Returns the retained engine for `system` and `config`, (re)building
+/// it when the scratch last served a different system or config, and
+/// resetting any cap mutation a previous month's schedule left behind.
 fn ensure_engine<'a>(
-    slot: &'a mut Option<(u64, DecisionEngine)>,
+    slot: &'a mut Option<(u64, CapperConfig, DecisionEngine)>,
     system: &DataCenterSystem,
+    config: &CapperConfig,
 ) -> &'a mut DecisionEngine {
     let fp = system_fingerprint(system);
-    let rebuild = !matches!(slot, Some((have, _)) if *have == fp);
+    let rebuild = !matches!(slot, Some((have, c, _)) if *have == fp && c == config);
     if rebuild {
-        *slot = Some((
-            fp,
-            DecisionEngine::new(system.clone(), CapperConfig::default()),
-        ));
-    } else if let Some((_, engine)) = slot.as_mut() {
+        let engine = DecisionEngine::new(system.clone(), config.clone());
+        *slot = Some((fp, config.clone(), engine));
+    } else if let Some((_, _, engine)) = slot.as_mut() {
         let caps: Vec<f64> = system.sites.iter().map(|s| s.power_cap_mw).collect();
         engine.set_site_caps(&caps);
     }
     match slot.as_mut() {
-        Some((_, engine)) => engine,
+        Some((_, _, engine)) => engine,
         None => unreachable!("slot filled above"),
     }
 }
@@ -119,7 +119,7 @@ pub fn run_month(
     strategy: Strategy,
     monthly_budget: Option<f64>,
 ) -> Result<MonthlyReport, CoreError> {
-    run_month_with(scenario, strategy, monthly_budget, audit_env_enabled())
+    run_month_with(scenario, strategy, monthly_budget, false)
 }
 
 /// [`run_month`] with the plan audit explicitly on or off.
@@ -128,10 +128,11 @@ pub fn run_month(
 /// [`PlanAuditor`] against the paper's invariants (power caps, G/G/m
 /// response time, step-price consistency, budget-with-override, premium
 /// QoS) and the outcome is recorded on the [`HourRecord`]. Baselines are
-/// not audited — they violate the capper's invariants by design. The
-/// solver-level certificate check is separate: it runs inside the
-/// optimizers whenever `BILLCAP_AUDIT` is set and turns a bad certificate
-/// into a hard [`CoreError::Audit`].
+/// not audited — they violate the capper's invariants by design. `audit`
+/// also forces [`CapperConfig::audit`] on for the capper, so every solve
+/// is linted first and its certificate checked (a bad one is a hard
+/// [`CoreError::Audit`]); with `audit` off those checks follow
+/// [`CapperConfig::default`].
 pub fn run_month_with(
     scenario: &Scenario,
     strategy: Strategy,
@@ -169,6 +170,8 @@ pub fn run_month_scratch(
     // Working spec for the baselines under a schedule (the engine owns
     // its own copy for the capping path).
     let mut baseline_sys = min_only.is_some().then(|| scenario.system.clone());
+    let mut config = CapperConfig::default();
+    config.audit |= audit;
     let MonthScratch { engine, background } = scratch;
 
     let mut hours = Vec::with_capacity(horizon);
@@ -182,7 +185,7 @@ pub fn run_month_scratch(
 
         let record = match strategy {
             Strategy::CostCapping => {
-                let engine = ensure_engine(engine, &scenario.system);
+                let engine = ensure_engine(engine, &scenario.system, &config);
                 if let Some(sched) = cap_schedule {
                     engine.set_site_caps(sched.caps_at(t));
                 }
@@ -243,7 +246,9 @@ pub fn run_month_fresh(
     let horizon = scenario.horizon();
     let auditor = audit.then(PlanAuditor::default);
     let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon);
-    let capper = BillCapper::default();
+    let mut config = CapperConfig::default();
+    config.audit |= audit;
+    let capper = BillCapper::new(config);
     let mut min_only = baseline_for(strategy);
     let mut capped = scenario.system.clone();
 
@@ -603,17 +608,19 @@ mod tests {
     fn scratch_reuse_matches_fresh_run_bitwise() {
         let s = short_scenario();
         let mut scratch = MonthScratch::new();
-        for strategy in Strategy::ALL {
-            for budget in [None, Some(80_000.0)] {
-                let fresh = run_month_fresh(&s, strategy, budget, true, None).unwrap();
-                // The same scratch serves every run — reuse must not leak.
-                let reused =
-                    run_month_scratch(&s, strategy, budget, true, None, &mut scratch).unwrap();
-                assert_reports_bitwise_equal(
-                    &reused,
-                    &fresh,
-                    &format!("{} budget={budget:?}", strategy.name()),
-                );
+        for audit in [true, false] {
+            for strategy in Strategy::ALL {
+                for budget in [None, Some(80_000.0)] {
+                    let ctx = format!("{} budget={budget:?} audit={audit}", strategy.name());
+                    let fresh = run_month_fresh(&s, strategy, budget, audit, None).unwrap();
+                    // The same scratch serves every run — reuse must not leak.
+                    let reused =
+                        run_month_scratch(&s, strategy, budget, audit, None, &mut scratch).unwrap();
+                    assert_reports_bitwise_equal(&reused, &fresh, &ctx);
+                    let audited = audit && strategy == Strategy::CostCapping;
+                    let expected = if audited { 168 } else { 0 };
+                    assert_eq!(reused.audited_hours(), expected, "{ctx}");
+                }
             }
         }
     }

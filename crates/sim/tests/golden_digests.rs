@@ -67,3 +67,13 @@ fn derated_risk_summary_matches_the_golden_digest() {
     let (_, summary) = RiskEngine::new(config).run().expect("risk run");
     assert_eq!(summary.digest(), RISK_DERATE_DIGEST);
 }
+
+/// Tracing records spans and counters around every solve, but never
+/// feeds back into one: with global tracing on, both digests hold.
+#[test]
+fn tracing_never_moves_a_decision() {
+    billcap_obs::set_enabled(true);
+    stringent_month_costs_match_the_golden_digest();
+    derated_risk_summary_matches_the_golden_digest();
+    billcap_obs::set_enabled(false);
+}

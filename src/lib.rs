@@ -21,7 +21,7 @@
 //! | [`sim`] | monthly simulation harness and per-figure experiments |
 //! | [`serve`] | decide-hour daemon: framed JSON protocol, worker-pool server, differential replay |
 //! | [`rt`] | deterministic RNG, worker pool, and bench harness (no external deps) |
-//! | [`obs`] | tracing spans, counters and histograms (`BILLCAP_TRACE` / `--trace`) |
+//! | [`obs`] | tracing spans, counters and histograms (`set_enabled`; the CLI's `--trace`) |
 //! | [`obs_analyze`] | trace consumers: span-tree profiler, flamegraph export, trace diffing, perf-trajectory gate |
 //!
 //! ## Quickstart

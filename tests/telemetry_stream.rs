@@ -62,7 +62,8 @@ fn run_scraped(workers: usize, stream_path: Option<&std::path::Path>) -> Scraped
         // holds exactly HOURS observations regardless of which window
         // each solve happened to land in (with the default ring of 8,
         // a solve finishing early enough lands in an evicted window —
-        // observed under BILLCAP_LINT=deny, where solves are slower).
+        // observed with the pre-solve lint gate on, where solves are
+        // slower).
         latency_windows: 16,
         metrics_stream: stream_path.map(|p| p.to_path_buf()),
         ..ServeConfig::default()
