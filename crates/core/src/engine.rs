@@ -667,19 +667,44 @@ mod tests {
         );
     }
 
+    /// The capper's step models over the sweep's inputs, with relaxed
+    /// and integral server counts, each with a context label: step 1
+    /// every hour, step 2 in the hours with a finite budget.
+    fn sweep_models(sys: &DataCenterSystem) -> Vec<(String, Model)> {
+        let mut models = Vec::new();
+        for integral_servers in [false, true] {
+            for (h, (offered, _, background, budget)) in sweep(sys).into_iter().enumerate() {
+                let mut step = vec![cost_min_model(sys, offered, &background, integral_servers).0];
+                if budget.is_finite() {
+                    step.push(
+                        throughput_max_model(sys, offered, &background, budget, integral_servers).0,
+                    );
+                }
+                for m in step {
+                    models.push((
+                        format!("hour {h} {} integral {integral_servers}", m.name),
+                        m,
+                    ));
+                }
+            }
+        }
+        models
+    }
+
+    /// Two integral step-1 models of the sweep need ~110k nodes, so the
+    /// path comparisons below stop at this cap and must report the same
+    /// node limit there.
+    const SWEEP_NODE_CAP: usize = 2_000;
+
     /// Warm- and cold-started branch-and-bound on the capper's own
-    /// models, over the sweep's inputs with relaxed and integral server
-    /// counts: both solves certify, agree on the verdict and agree on
+    /// models: both solves certify, agree on the verdict and agree on
     /// the objective within certificate tolerance. Equal bits are not
-    /// required: a cold search can end on another tied optimum. Two
-    /// integral step-1 models need ~110k nodes on either path, so both
-    /// paths stop at a 2,000-node cap there and must report the same
-    /// node limit.
+    /// required: a cold search can end on another tied optimum.
     #[test]
     fn cold_starts_agree_with_warm_starts_on_capper_models() {
         let sys = DataCenterSystem::paper_system(1);
         let warm = MipSolver {
-            max_nodes: 2_000,
+            max_nodes: SWEEP_NODE_CAP,
             ..MipSolver::default()
         };
         let cold = MipSolver {
@@ -687,43 +712,72 @@ mod tests {
             ..warm.clone()
         };
         let (mut optima, mut warm_starts, mut cold_starts) = (0, 0, 0);
-        for integral_servers in [false, true] {
-            for (h, (offered, _, background, budget)) in sweep(&sys).into_iter().enumerate() {
-                let mut models =
-                    vec![cost_min_model(&sys, offered, &background, integral_servers).0];
-                if budget.is_finite() {
-                    models.push(
-                        throughput_max_model(&sys, offered, &background, budget, integral_servers)
-                            .0,
-                    );
-                }
-                for m in &models {
-                    let ctx = format!("hour {h} {} integral {integral_servers}", m.name);
-                    match (warm.solve(m), cold.solve(m)) {
-                        (Ok(w), Ok(c)) => {
-                            for (path, sol) in [("warm", &w), ("cold", &c)] {
-                                let report = billcap_milp::certify_solution(m, sol);
-                                assert!(report.certified(), "{ctx} {path}: {report}");
-                            }
-                            let tol = 1e-6 * (1.0 + w.objective.abs());
-                            assert!(
-                                (w.objective - c.objective).abs() <= tol,
-                                "{ctx}: warm {} vs cold {}",
-                                w.objective,
-                                c.objective
-                            );
-                            optima += 1;
-                            warm_starts += w.mip.map_or(0, |s| s.trace.warm_starts);
-                            cold_starts += c.mip.map_or(0, |s| s.trace.warm_starts);
-                        }
-                        (w, c) => assert_eq!(w.err(), c.err(), "{ctx}: verdicts differ"),
+        for (ctx, m) in &sweep_models(&sys) {
+            match (warm.solve(m), cold.solve(m)) {
+                (Ok(w), Ok(c)) => {
+                    for (path, sol) in [("warm", &w), ("cold", &c)] {
+                        let report = billcap_milp::certify_solution(m, sol);
+                        assert!(report.certified(), "{ctx} {path}: {report}");
                     }
+                    let tol = 1e-6 * (1.0 + w.objective.abs());
+                    assert!(
+                        (w.objective - c.objective).abs() <= tol,
+                        "{ctx}: warm {} vs cold {}",
+                        w.objective,
+                        c.objective
+                    );
+                    optima += 1;
+                    warm_starts += w.mip.map_or(0, |s| s.trace.warm_starts);
+                    cold_starts += c.mip.map_or(0, |s| s.trace.warm_starts);
                 }
+                (w, c) => assert_eq!(w.err(), c.err(), "{ctx}: verdicts differ"),
             }
         }
         assert!(optima >= 48, "only {optima} optimal models");
         assert!(warm_starts > 0, "the warm path never warm-started");
         assert_eq!(cold_starts, 0, "the cold path warm-started");
+    }
+
+    /// The capper's step models, solved by default (the revised simplex
+    /// updates `x_B` and the duals between refactorizations) and with
+    /// `refactor_every: 1` (a refactorization, and so a rebuild of both,
+    /// after every pivot): the same verdict and status, objectives within
+    /// 1e-9 relative, and both solutions certified.
+    #[test]
+    fn pivot_updates_agree_with_per_pivot_rebuilds_on_capper_models() {
+        let sys = DataCenterSystem::paper_system(1);
+        let solver = MipSolver {
+            max_nodes: SWEEP_NODE_CAP,
+            ..MipSolver::default()
+        };
+        let rebuild = billcap_milp::RevisedOptions {
+            refactor_every: 1,
+            ..billcap_milp::RevisedOptions::default()
+        };
+        let mut optima = 0;
+        for (ctx, m) in &sweep_models(&sys) {
+            let mut ws = billcap_milp::MipWorkspace::with_lp_options(rebuild);
+            let rebuilt = solver.solve_in(m, None, &mut ws).map(|(sol, _)| sol);
+            match (solver.solve(m), rebuilt) {
+                (Ok(u), Ok(r)) => {
+                    for (path, sol) in [("updated", &u), ("rebuilt", &r)] {
+                        let report = billcap_milp::certify_solution(m, sol);
+                        assert!(report.certified(), "{ctx} {path}: {report}");
+                    }
+                    assert_eq!(u.status, r.status, "{ctx}: status");
+                    let tol = 1e-9 * u.objective.abs().max(1.0);
+                    assert!(
+                        (u.objective - r.objective).abs() <= tol,
+                        "{ctx}: updated {} vs rebuilt {}",
+                        u.objective,
+                        r.objective
+                    );
+                    optima += 1;
+                }
+                (u, r) => assert_eq!(u.err(), r.err(), "{ctx}: verdicts differ"),
+            }
+        }
+        assert!(optima >= 48, "only {optima} optimal models");
     }
 
     /// A negative site cap contradicts the `lvl_lo` row of the site's

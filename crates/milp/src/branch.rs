@@ -8,7 +8,9 @@
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarId};
 use crate::presolve::{propagate_from, PropBuffers};
-use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedSolution, RevisedStats};
+use crate::revised::{
+    BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution, RevisedStats,
+};
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
 use crate::INT_TOL;
 use std::cmp::Ordering;
@@ -57,8 +59,8 @@ impl Default for MipSolver {
 ///
 /// * the revised engine: its CSC `[A | I]`, costs, bounds, right-hand
 ///   side and CSC placement scratch, plus its solve workspace (basis
-///   list, LU factorization, eta file, `x_B`, `c_B`, `ρ`, `w` and the
-///   ratio-test buffers);
+///   list, LU factorization, eta file, `x_B`, the duals `y`, `ρ`, `w`,
+///   the bound-flip image and the ratio-test buffers);
 /// * the root bound propagation's `≤` rows, bound arrays and
 ///   integrality flags.
 ///
@@ -74,6 +76,19 @@ pub struct MipWorkspace {
     prop: PropBuffers,
     /// Whether a solve has started on this workspace.
     used: bool,
+}
+
+impl MipWorkspace {
+    /// An empty workspace whose LP engine runs with `opts` rather than
+    /// [`RevisedOptions::default`]. The differential tests use it to
+    /// solve with `refactor_every: 1`, which rebuilds the basic solution
+    /// and the duals on every pivot instead of updating them.
+    pub fn with_lp_options(opts: RevisedOptions) -> Self {
+        Self {
+            engine: RevisedEngine::with_options(opts),
+            ..Self::default()
+        }
+    }
 }
 
 /// An open node: per-variable bound overrides plus the parent's bound.
@@ -119,6 +134,11 @@ fn absorb(trace: &mut SolveTrace, stats: &RevisedStats) {
     trace.refactorizations += stats.refactorizations;
     trace.bound_flips += stats.bound_flips;
     trace.phase1_starts += stats.phase1_starts;
+    trace.ftran_calls += stats.ftran_calls;
+    trace.btran_calls += stats.btran_calls;
+    trace.xb_refreshes += stats.xb_refreshes;
+    trace.bland_switches += stats.bland_switches;
+    trace.exit_dual_violations += stats.exit_dual_violations;
 }
 
 /// Solves the LP loaded in `engine` under its current bounds: from
@@ -575,6 +595,14 @@ fn record_obs(stats: &MipStats) {
     billcap_obs::counter("milp.lp.bound_flips", stats.trace.bound_flips as u64);
     billcap_obs::counter("milp.lp.warm_starts", stats.trace.warm_starts as u64);
     billcap_obs::counter("milp.lp.phase1_starts", stats.trace.phase1_starts as u64);
+    billcap_obs::counter("milp.lp.ftran_calls", stats.trace.ftran_calls as u64);
+    billcap_obs::counter("milp.lp.btran_calls", stats.trace.btran_calls as u64);
+    billcap_obs::counter("milp.lp.xb_refreshes", stats.trace.xb_refreshes as u64);
+    billcap_obs::counter("milp.lp.bland_switches", stats.trace.bland_switches as u64);
+    billcap_obs::counter(
+        "milp.lp.exit_dual_violations",
+        stats.trace.exit_dual_violations as u64,
+    );
     billcap_obs::counter(
         "milp.lp.workspace_reuses",
         stats.trace.workspace_reuses as u64,

@@ -20,12 +20,20 @@
 //!   breakpoints and *flips* boxed nonbasic variables to their opposite
 //!   bound when that is cheaper than a pivot (counted in
 //!   [`crate::SolveTrace::bound_flips`]).
-//! * **Recompute, don't update.** The iteration recomputes the basic
-//!   solution, duals and reduced costs from the factorization every
-//!   pivot rather than maintaining them incrementally. At bill-capping
-//!   sizes (m ≤ ~250) the FTRAN/BTRAN solves are microseconds, and fresh
-//!   values make the method self-correcting: numerical drift can cost an
-//!   extra pivot, never a wrong answer.
+//! * **Update between refactorizations, recompute at the edges.** A
+//!   pivot updates the basic solution and the duals instead of
+//!   rebuilding them: `x_B` steps along the entering column's FTRAN
+//!   image (already computed for the pivot check), plus one extra FTRAN
+//!   of the flipped columns when the ratio test flips any, and the duals
+//!   step along the leaving row `ρ` (already computed for pricing).
+//!   Both are rebuilt from the factorization at the solve start and
+//!   after every (re)factorization, and `x_B` once more before optimality
+//!   is accepted — a violation there means drift, and the loop keeps
+//!   pivoting. At exit every nonbasic reduced cost is checked against
+//!   freshly computed duals; a violation is [`RevisedError::Numerical`],
+//!   which callers retry cold. So drift can cost a pivot or a retry,
+//!   never a wrong answer, and the returned values and duals always come
+//!   from the final factorization.
 //!
 //! Cold starts place each structural variable on a bound whose reduced
 //! cost sign is dual-feasible (a zero-cost free variable rests
@@ -125,6 +133,21 @@ pub struct RevisedStats {
     /// Cold starts that needed the dual phase 1 (no dual-feasible
     /// placement on the model's bounds).
     pub phase1_starts: usize,
+    /// FTRAN solves (`B·z = b`): basic-solution rebuilds, entering
+    /// columns and bound-flip corrections.
+    pub ftran_calls: usize,
+    /// BTRAN solves (`Bᵀ·y = c`): dual rebuilds, leaving rows and the
+    /// duals of the returned solution.
+    pub btran_calls: usize,
+    /// Basic solutions rebuilt from the factorization rather than
+    /// updated.
+    pub xb_refreshes: usize,
+    /// Dual-loop runs that switched to Bland's rule (at most one per
+    /// run: the switch is sticky).
+    pub bland_switches: usize,
+    /// Optimal-looking exits whose fresh duals showed a nonbasic reduced
+    /// cost of the wrong sign, reported as [`RevisedError::Numerical`].
+    pub exit_dual_violations: usize,
 }
 
 /// An optimal revised solve.
@@ -195,14 +218,17 @@ struct Workspace {
     fact: BasisFactorization,
     /// Basic solution, slot-indexed.
     xb: Vec<f64>,
-    /// Basic costs, then (after BTRAN) the row-indexed duals.
-    cb: Vec<f64>,
+    /// Row-indexed duals `y = B⁻ᵀ·c_B`: rebuilt from the
+    /// factorization, then updated by each pivot.
+    y: Vec<f64>,
     /// Leaving row of `B⁻¹`.
     rho: Vec<f64>,
     /// FTRAN image of the entering column.
     w: Vec<f64>,
-    /// Entering candidates `(col, abar, ratio)` of one pivot.
-    eligible: Vec<(usize, f64, f64)>,
+    /// FTRAN image of one pivot's bound flips, `B⁻¹·Σ aⱼ·Δxⱼ`.
+    flip_delta: Vec<f64>,
+    /// Entering candidates `(col, abar, rc, ratio)` of one pivot.
+    eligible: Vec<(usize, f64, f64, f64)>,
     /// Columns the ratio test flips in one pivot.
     flips: Vec<usize>,
 }
@@ -251,12 +277,18 @@ impl RevisedEngine {
     /// public solver entry points validate before reaching here): a
     /// default engine with `opts`, loaded.
     pub fn new(model: &Model, opts: RevisedOptions) -> Self {
-        let mut engine = Self {
-            opts,
-            ..Self::default()
-        };
+        let mut engine = Self::with_options(opts);
         engine.load(model);
         engine
+    }
+
+    /// An engine with `opts` holding the empty problem, ready for a
+    /// first [`load`](Self::load).
+    pub(crate) fn with_options(opts: RevisedOptions) -> Self {
+        Self {
+            opts,
+            ..Self::default()
+        }
     }
 
     /// Replaces the problem by `model`'s standard form (assumed
@@ -556,23 +588,64 @@ impl RevisedEngine {
         self.with_workspace(|e, ws| {
             e.basic_slots(status, &mut ws.basic, stats)?;
             e.factor(&mut ws.fact, &ws.basic, stats)?;
-            let y = &mut ws.cb;
-            y.clear();
-            y.extend(ws.basic.iter().map(|&j| e.cost[j]));
-            ws.fact.btran(y);
-            Ok(status.iter().enumerate().all(|(j, &s)| {
-                if s == ColStatus::Basic || e.lb[j] == e.ub[j] {
-                    return true;
-                }
-                let rc = e.cost[j] - e.a.col_dot(j, y);
-                match s {
-                    ColStatus::Lower => rc >= -DUAL_TOL,
-                    ColStatus::Upper => rc <= DUAL_TOL,
-                    ColStatus::Free => rc.abs() <= DUAL_TOL,
-                    ColStatus::Basic => true,
-                }
-            }))
+            e.fresh_duals(&ws.basic, &mut ws.fact, &mut ws.y, stats);
+            Ok(e.duals_fit(status, &ws.y))
         })
+    }
+
+    /// Whether every nonbasic reduced cost `rc = c − aᵀ·y` (minimization
+    /// space) has the sign its resting place needs within [`DUAL_TOL`]:
+    /// `rc ≥ 0` at a lower bound, `rc ≤ 0` at an upper bound, `rc = 0`
+    /// free. Fixed columns (`l == u`) never enter, so their sign is
+    /// irrelevant.
+    fn duals_fit(&self, status: &[ColStatus], y: &[f64]) -> bool {
+        status.iter().enumerate().all(|(j, &s)| {
+            if s == ColStatus::Basic || self.lb[j] == self.ub[j] {
+                return true;
+            }
+            let rc = self.cost[j] - self.a.col_dot(j, y);
+            match s {
+                ColStatus::Lower => rc >= -DUAL_TOL,
+                ColStatus::Upper => rc <= DUAL_TOL,
+                ColStatus::Free => rc.abs() <= DUAL_TOL,
+                ColStatus::Basic => true,
+            }
+        })
+    }
+
+    /// Rebuilds the row-indexed duals `y = B⁻ᵀ·c_B` from the current
+    /// factorization.
+    fn fresh_duals(
+        &self,
+        basic: &[usize],
+        fact: &mut BasisFactorization,
+        y: &mut Vec<f64>,
+        stats: &mut RevisedStats,
+    ) {
+        y.clear();
+        y.extend(basic.iter().map(|&j| self.cost[j]));
+        fact.btran(y);
+        stats.btran_calls += 1;
+    }
+
+    /// Rebuilds the basic solution `x_B = B⁻¹(b − N·x_N)` from the
+    /// current factorization.
+    fn fresh_primal(
+        &self,
+        status: &[ColStatus],
+        fact: &mut BasisFactorization,
+        xb: &mut [f64],
+        stats: &mut RevisedStats,
+    ) {
+        xb.copy_from_slice(&self.b);
+        for (j, &s) in status.iter().enumerate() {
+            if s != ColStatus::Basic {
+                self.a.scatter_col(j, -self.nb_value(j, s), xb);
+            }
+        }
+        fact.ftran(xb);
+        stats.ftran_calls += 1;
+        stats.xb_refreshes += 1;
     }
 
     /// Runs `f` with the workspace lent out, so `f` can read the engine
@@ -616,9 +689,10 @@ impl RevisedEngine {
             basic,
             fact,
             xb,
-            cb,
+            y,
             rho,
             w,
+            flip_delta,
             eligible,
             flips,
         } = ws;
@@ -627,10 +701,19 @@ impl RevisedEngine {
         let mut fresh = true; // no etas since the last factorization
 
         // Sized by the first solve; every element is written before it
-        // is read.
-        for v in [&mut *xb, &mut *cb, &mut *rho, &mut *w] {
+        // is read (`y` is rebuilt to size by `fresh_duals`).
+        for v in [&mut *xb, &mut *rho, &mut *w, &mut *flip_delta] {
             v.resize(m, 0.0);
         }
+        self.fresh_primal(&status, fact, xb, stats);
+        // `xb_fresh`: x_B was rebuilt from the current factorization and
+        // no pivot has updated it since. `duals_valid`: `y` holds the
+        // current basis's duals, rebuilt or updated; they are rebuilt
+        // only when a pivot first needs them, so a solve that starts
+        // optimal never pays for them.
+        let mut xb_fresh = true;
+        let mut duals_valid = false;
+        let mut pivoted = false;
         let mut consecutive_degenerate = 0usize;
         let mut bland = false;
 
@@ -640,16 +723,9 @@ impl RevisedEngine {
             if fact.eta_count() >= self.opts.refactor_every {
                 self.refactor(fact, basic, stats)?;
                 fresh = true;
+                self.fresh_primal(&status, fact, xb, stats);
+                (xb_fresh, duals_valid) = (true, false);
             }
-
-            // Basic solution, recomputed fresh: x_B = B⁻¹(b − N·x_N).
-            xb.copy_from_slice(&self.b);
-            for (j, &s) in status.iter().enumerate() {
-                if s != ColStatus::Basic {
-                    self.a.scatter_col(j, -self.nb_value(j, s), xb);
-                }
-            }
-            fact.ftran(xb);
 
             // Leaving choice: the basic column with the largest bound
             // violation (Bland mode: the smallest-index violated column).
@@ -685,22 +761,31 @@ impl RevisedEngine {
                 }
             }
             let Some((r_slot, violation, delta)) = leave else {
-                // Primal feasible + dual feasible (invariant) = optimal.
-                return Ok(self.extract(status, basic, xb, cb, fact));
+                if !xb_fresh {
+                    // Updated values look optimal: confirm on a rebuilt
+                    // x_B, and keep pivoting if drift hid a violation.
+                    self.fresh_primal(&status, fact, xb, stats);
+                    xb_fresh = true;
+                    continue;
+                }
+                // Primal feasible + dual feasible (invariant, re-checked
+                // on fresh duals after any updated pivot) = optimal.
+                return self.extract(status, basic, xb, y, fact, stats, pivoted);
             };
 
             if stats.iterations >= self.opts.max_iterations {
                 return Err(RevisedError::IterationLimit { stats: *stats });
             }
 
-            // Duals and the leaving row of B⁻¹, both fresh.
-            for (slot, &j) in basic.iter().enumerate() {
-                cb[slot] = self.cost[j];
+            // The duals, and the leaving row of B⁻¹.
+            if !duals_valid {
+                self.fresh_duals(basic, fact, y, stats);
+                duals_valid = true;
             }
-            fact.btran(cb); // now row-indexed y
             rho.iter_mut().for_each(|v| *v = 0.0);
             rho[r_slot] = 1.0;
             fact.btran(rho); // row-indexed e_rᵀB⁻¹
+            stats.btran_calls += 1;
 
             // Price the nonbasic columns: the entering candidate set.
             // `abar` is the leaving-row entry oriented so that moving an
@@ -720,9 +805,9 @@ impl RevisedEngine {
                 if !ok {
                     continue;
                 }
-                let rc = self.cost[j] - self.a.col_dot(j, cb);
+                let rc = self.cost[j] - self.a.col_dot(j, y);
                 let ratio = (rc / abar).max(0.0);
-                eligible.push((j, abar, ratio));
+                eligible.push((j, abar, rc, ratio));
             }
 
             // Ratio test.
@@ -732,36 +817,36 @@ impl RevisedEngine {
                 // no bound flips. Guarantees finiteness.
                 let min_ratio = eligible
                     .iter()
-                    .map(|&(_, _, r)| r)
+                    .map(|&(_, _, _, r)| r)
                     .fold(f64::INFINITY, f64::min);
                 eligible
                     .iter()
-                    .find(|&&(_, _, r)| r <= min_ratio + ZTOL)
-                    .map(|&(j, abar, ratio)| (j, abar, ratio))
+                    .find(|&&(_, _, _, r)| r <= min_ratio + ZTOL)
+                    .copied()
             } else {
                 // Bound-flipping ratio test: walk breakpoints in ratio
                 // order; boxed columns whose full flip still leaves the
                 // row violated flip in place of a pivot.
                 eligible.sort_by(|a, b| {
-                    (a.2, a.0)
-                        .partial_cmp(&(b.2, b.0))
+                    (a.3, a.0)
+                        .partial_cmp(&(b.3, b.0))
                         .unwrap_or(std::cmp::Ordering::Equal)
                 });
                 let mut v = violation;
                 let mut chosen = None;
-                for &(j, abar, ratio) in eligible.iter() {
+                for &(j, abar, rc, ratio) in eligible.iter() {
                     let range = self.ub[j] - self.lb[j];
                     if range.is_finite() && v - abar.abs() * range > self.opts.feas_tol {
                         flips.push(j);
                         v -= abar.abs() * range;
                     } else {
-                        chosen = Some((j, abar, ratio));
+                        chosen = Some((j, abar, rc, ratio));
                         break;
                     }
                 }
                 chosen
             };
-            let Some((q, _abar_q, ratio_q)) = entering else {
+            let Some((q, abar_q, rc_q, ratio_q)) = entering else {
                 // No entering column can repair the violation even with
                 // every boxed column flipped: the row is infeasible.
                 return Err(RevisedError::Infeasible { stats: *stats });
@@ -771,6 +856,7 @@ impl RevisedEngine {
             w.iter_mut().for_each(|v| *v = 0.0);
             self.a.scatter_col(q, 1.0, w);
             fact.ftran(w);
+            stats.ftran_calls += 1;
             if w[r_slot].abs() <= PIVOT_TOL {
                 if fresh {
                     return Err(RevisedError::Numerical { stats: *stats });
@@ -779,25 +865,55 @@ impl RevisedEngine {
                 // whole iteration from exact values.
                 self.refactor(fact, basic, stats)?;
                 fresh = true;
+                self.fresh_primal(&status, fact, xb, stats);
+                (xb_fresh, duals_valid) = (true, false);
                 continue;
             }
 
-            // Commit: flips, then the basis exchange.
-            for &j in flips.iter() {
-                status[j] = match status[j] {
-                    ColStatus::Lower => ColStatus::Upper,
-                    ColStatus::Upper => ColStatus::Lower,
-                    // Only boxed columns flip.
-                    ColStatus::Basic | ColStatus::Free => unreachable!(),
-                };
+            // Commit. Flips first: they move x_B by B⁻¹·Σ aⱼ·Δxⱼ, solved
+            // through the outgoing factorization.
+            if !flips.is_empty() {
+                flip_delta.iter_mut().for_each(|v| *v = 0.0);
+                for &j in flips.iter() {
+                    let (range, flipped) = match status[j] {
+                        ColStatus::Lower => (self.ub[j] - self.lb[j], ColStatus::Upper),
+                        ColStatus::Upper => (self.lb[j] - self.ub[j], ColStatus::Lower),
+                        // Only boxed columns flip.
+                        ColStatus::Basic | ColStatus::Free => unreachable!(),
+                    };
+                    self.a.scatter_col(j, range, flip_delta);
+                    status[j] = flipped;
+                }
+                fact.ftran(flip_delta);
+                stats.ftran_calls += 1;
+                for (x, d) in xb.iter_mut().zip(flip_delta.iter()) {
+                    *x -= d;
+                }
             }
             stats.bound_flips += flips.len();
+            // Primal step: the entering column moves by θ_p, which lands
+            // the leaving column on the bound it violated.
             let leaving_col = basic[r_slot];
-            status[leaving_col] = if delta > 0.0 {
-                ColStatus::Upper // left through its upper bound
+            let (bound, leaves_at) = if delta > 0.0 {
+                (self.ub[leaving_col], ColStatus::Upper)
             } else {
-                ColStatus::Lower
+                (self.lb[leaving_col], ColStatus::Lower)
             };
+            let theta_p = (xb[r_slot] - bound) / w[r_slot];
+            let entering_value = self.nb_value(q, status[q]) + theta_p;
+            for (x, wi) in xb.iter_mut().zip(w.iter()) {
+                *x -= theta_p * wi;
+            }
+            xb[r_slot] = entering_value;
+            // Dual step: y += θ_d·ρ zeroes the entering reduced cost
+            // (αⱼ = aⱼ·ρ = delta·abar, so rcⱼ falls by θ_d·αⱼ).
+            let theta_d = rc_q / (delta * abar_q);
+            for (yi, ri) in y.iter_mut().zip(rho.iter()) {
+                *yi += theta_d * ri;
+            }
+            xb_fresh = false;
+            pivoted = true;
+            status[leaving_col] = leaves_at;
             status[q] = ColStatus::Basic;
             basic[r_slot] = q;
             if fact.push_eta(r_slot, w) {
@@ -805,14 +921,17 @@ impl RevisedEngine {
             } else {
                 self.refactor(fact, basic, stats)?;
                 fresh = true;
+                self.fresh_primal(&status, fact, xb, stats);
+                (xb_fresh, duals_valid) = (true, false);
             }
 
             stats.iterations += 1;
             if ratio_q <= ZTOL {
                 stats.degenerate += 1;
                 consecutive_degenerate += 1;
-                if consecutive_degenerate >= self.opts.bland_after_degenerate {
+                if !bland && consecutive_degenerate >= self.opts.bland_after_degenerate {
                     bland = true; // sticky: stay safe for the rest of the solve
+                    stats.bland_switches += 1;
                 }
             } else {
                 consecutive_degenerate = 0;
@@ -852,14 +971,25 @@ impl RevisedEngine {
 
     /// Assembles the optimal solution: clamped structural values, duals
     /// in the model's sense, and the basis for warm-starting children.
+    /// The duals are rebuilt from the final factorization; when the
+    /// loop pivoted on updated duals (`check_duals`), a nonbasic reduced
+    /// cost of the wrong sign under them is [`RevisedError::Numerical`].
+    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
     fn extract(
         &self,
         status: Vec<ColStatus>,
         basic: &[usize],
         xb: &[f64],
-        cb: &mut [f64],
+        y: &mut Vec<f64>,
         fact: &mut BasisFactorization,
-    ) -> (Vec<f64>, Vec<f64>, BasisState) {
+        stats: &mut RevisedStats,
+        check_duals: bool,
+    ) -> Result<(Vec<f64>, Vec<f64>, BasisState), RevisedError> {
+        self.fresh_duals(basic, fact, y, stats);
+        if check_duals && !self.duals_fit(&status, y) {
+            stats.exit_dual_violations += 1;
+            return Err(RevisedError::Numerical { stats: *stats });
+        }
         let mut values = vec![0.0; self.nvars];
         for (slot, &j) in basic.iter().enumerate() {
             if j < self.nvars {
@@ -874,12 +1004,8 @@ impl RevisedEngine {
             // keeps integer rounding and child bound ranges honest.
             *x = x.min(self.ub[j]).max(self.lb[j]);
         }
-        for (slot, &j) in basic.iter().enumerate() {
-            cb[slot] = self.cost[j];
-        }
-        fact.btran(cb);
-        let duals = cb.iter().map(|&y| self.obj_sign * y + 0.0).collect();
-        (values, duals, BasisState { status })
+        let duals = y.iter().map(|&y| self.obj_sign * y + 0.0).collect();
+        Ok((values, duals, BasisState { status }))
     }
 }
 
@@ -1081,6 +1207,60 @@ mod tests {
         let sol = solve_cold(&m);
         assert!((sol.values[0] - 3.0).abs() < 1e-9);
         assert!((sol.duals[0] - 2.0).abs() < 1e-9, "dual {}", sol.duals[0]);
+    }
+
+    #[test]
+    fn one_pivot_costs_one_ftran_and_one_btran_between_rebuilds() {
+        // min y s.t. x + y >= 1 on [0, 10] boxes: the zero-cost x enters
+        // at ratio 0 (a degenerate pivot) and repairs the row.
+        let mut m = Model::new("degenerate", Sense::Minimize);
+        let x = m.add_cont("x", 0.0, 10.0);
+        let y = m.add_cont("y", 0.0, 10.0);
+        m.add_constraint("cover", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 1.0);
+        m.set_objective(vec![(y, 1.0)], 0.0);
+        for (after, switches) in [(1, 1), (16, 0)] {
+            let opts = RevisedOptions {
+                bland_after_degenerate: after,
+                ..RevisedOptions::default()
+            };
+            let sol = RevisedEngine::new(&m, opts).solve(None).expect("solvable");
+            assert_eq!(sol.values, vec![1.0, 0.0]);
+            let s = sol.stats;
+            assert_eq!((s.iterations, s.degenerate), (1, 1));
+            assert_eq!(s.bland_switches, switches, "Bland after {after}");
+            // FTRANs: x_B at the start, the entering column, x_B again to
+            // confirm the optimum. BTRANs: the duals at the first pivot,
+            // the leaving row, the returned duals.
+            assert_eq!((s.ftran_calls, s.btran_calls, s.xb_refreshes), (3, 3, 2));
+            assert_eq!(s.exit_dual_violations, 0);
+        }
+    }
+
+    #[test]
+    fn exit_check_refuses_a_dual_infeasible_finish() {
+        // min x + 2y − z s.t. x + y >= 1, boxes [0, 10], from a basis
+        // with every structural at its lower bound: z (rc = −1) is dual
+        // infeasible there. One pivot repairs the row without touching
+        // z, and the fresh duals at exit expose the bad sign instead of
+        // returning z = 0 as optimal.
+        let mut m = Model::new("stale", Sense::Minimize);
+        let x = m.add_cont("x", 0.0, 10.0);
+        let y = m.add_cont("y", 0.0, 10.0);
+        let z = m.add_cont("z", 0.0, 10.0);
+        m.add_constraint("cover", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 1.0);
+        m.set_objective(vec![(x, 1.0), (y, 2.0), (z, -1.0)], 0.0);
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let mut status = vec![ColStatus::Lower; 3];
+        status.push(ColStatus::Basic);
+        match engine.solve(Some(&BasisState { status })) {
+            Err(RevisedError::Numerical { stats }) => {
+                assert_eq!((stats.iterations, stats.exit_dual_violations), (1, 1));
+            }
+            other => panic!("expected a refused exit, got {other:?}"),
+        }
+        let cold = engine.solve(None).expect("solvable");
+        assert_eq!(cold.values, vec![1.0, 0.0, 10.0]);
+        assert_eq!(cold.stats.exit_dual_violations, 0);
     }
 
     #[test]

@@ -56,6 +56,22 @@ pub struct SolveTrace {
     /// the model's bounds admitted no dual-feasible cold placement (a
     /// free variable with nonzero cost, say).
     pub phase1_starts: usize,
+    /// FTRAN solves in the revised simplex: basic-solution rebuilds,
+    /// entering columns and bound-flip corrections.
+    pub ftran_calls: usize,
+    /// BTRAN solves in the revised simplex: dual rebuilds, leaving rows
+    /// and the duals of each returned solution.
+    pub btran_calls: usize,
+    /// Basic solutions rebuilt from the factorization (at each start,
+    /// after each refactorization, and to confirm an updated optimum)
+    /// rather than updated by a pivot.
+    pub xb_refreshes: usize,
+    /// LP solves whose dual loop switched to Bland's rule after a run of
+    /// degenerate pivots.
+    pub bland_switches: usize,
+    /// LP exits whose fresh duals contradicted the updated ones (a
+    /// nonbasic reduced cost of the wrong sign); each was retried cold.
+    pub exit_dual_violations: usize,
     /// 1 when the solve started on a [`crate::branch::MipWorkspace`]
     /// an earlier solve had used, else 0: summed over a run, the solves
     /// that skipped growing their buffers from empty.

@@ -10,8 +10,8 @@
 //! framework involved.
 
 use billcap_milp::{
-    brute_force_solve, certify_solution, ConstraintOp, LpSolver, MipSolver, Model, Sense, Solution,
-    SolveError, VarType,
+    brute_force_solve, certify_solution, ConstraintOp, LpSolver, MipSolver, MipWorkspace, Model,
+    RevisedOptions, Sense, Solution, SolveError, VarType,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
 
@@ -387,6 +387,70 @@ fn warm_cold_and_dense_mips_agree_and_certify() {
         feasible >= CASES / 2,
         "only {feasible}/{CASES} instances feasible"
     );
+}
+
+/// Solves `m` by default — the revised simplex updates `x_B` and the
+/// duals between refactorizations — and with `refactor_every: 1`, which
+/// refactorizes after every pivot and so rebuilds both each time. The
+/// two must reach the same verdict and status, objectives within 1e-9
+/// relative, and certified solutions. Returns whether `m` had an
+/// optimum.
+fn updates_match_rebuilds(m: &Model, tag: usize) -> bool {
+    let solver = MipSolver::default();
+    let updated = solver.solve(m);
+    let mut ws = MipWorkspace::with_lp_options(RevisedOptions {
+        refactor_every: 1,
+        ..RevisedOptions::default()
+    });
+    let rebuilt = solver.solve_in(m, None, &mut ws).map(|(sol, _)| sol);
+    match (&updated, &rebuilt) {
+        (Ok(u), Ok(r)) => {
+            assert_eq!(u.status, r.status, "case {tag}: status\n{m:?}");
+            let tol = 1e-9 * u.objective.abs().max(1.0);
+            assert!(
+                (u.objective - r.objective).abs() <= tol,
+                "case {tag}: updated {} vs rebuilt {}\n{m:?}",
+                u.objective,
+                r.objective
+            );
+            assert_certified(m, u, "updated", tag);
+            assert_certified(m, r, "rebuilt", tag);
+            // Every pivot was followed by a refactorization and rebuild
+            // (infeasible nodes' pivots are not in `lp_iterations`).
+            let stats = r.mip.expect("stats");
+            assert!(
+                stats.trace.refactorizations >= stats.lp_iterations,
+                "case {tag}"
+            );
+            assert!(stats.trace.xb_refreshes > stats.lp_iterations, "case {tag}");
+            true
+        }
+        (Err(u), Err(r)) if u == r => false,
+        (u, r) => panic!("case {tag}: updated {u:?} vs rebuilt {r:?}\n{m:?}"),
+    }
+}
+
+/// [`updates_match_rebuilds`] over the seeded MILPs, box-bounded LPs and
+/// general LPs of the suites above.
+#[test]
+fn pivot_updates_agree_with_per_pivot_rebuilds() {
+    let mut optimal = 0usize;
+    let mut rng = Xoshiro256pp::seed_from_u64(0xD1FF);
+    for tag in 0..CASES {
+        optimal += usize::from(updates_match_rebuilds(&random_model(&mut rng, tag), tag));
+    }
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5EED);
+    for tag in 0..CASES {
+        optimal += usize::from(updates_match_rebuilds(&random_lp(&mut rng, tag), tag));
+    }
+    let mut rng = Xoshiro256pp::seed_from_u64(0x6E4E);
+    for tag in 0..CASES {
+        optimal += usize::from(updates_match_rebuilds(
+            &random_general_lp(&mut rng, tag),
+            tag,
+        ));
+    }
+    assert!(optimal >= CASES, "only {optimal} of {} optimal", 3 * CASES);
 }
 
 /// The certifier must reject what the solver never produced: a corrupted

@@ -87,10 +87,13 @@ fn profile_flame_and_diff_round_trip_a_traced_week() {
         report_ab.render()
     );
 
-    // --- Injected span slowdown past the threshold is caught.
+    // --- Injected span slowdown past both thresholds is caught. A 10x
+    // slowdown alone clears `time_rel` but can stay under `time_abs_ns`
+    // when the week runs fast (an optimized build), so the injection
+    // also adds twice the absolute threshold.
     let mut slowed = snap_b.clone();
     if let Some(s) = slowed.spans.get_mut("hour") {
-        s.total_ns *= 10;
+        s.total_ns = s.total_ns * 10 + 2 * cfg.time_abs_ns as u64;
     }
     let report_slow = diff_snapshots(&snap_a, &slowed, &cfg);
     assert!(report_slow.has_regressions());

@@ -65,6 +65,22 @@ fn traced_week_is_consistent_with_report() {
     // Every capper model of the week has a dual-feasible cold start: the
     // revised simplex never needs its dual phase 1.
     assert_eq!(snap.counters["milp.lp.phase1_starts"], 0);
+    // Pivot-kernel work, exact: a pivot updates x_B and the duals, so
+    // it costs about one FTRAN (the entering column, plus one more when
+    // the ratio test flips bounds) and one BTRAN (the leaving row); the
+    // rebuilds happen once per LP start, refactorization and optimal
+    // exit. Recomputing both every pivot cost ~2.2 of each.
+    let pivots = snap.counters["milp.lp.iterations"];
+    assert_eq!(pivots, 2824);
+    assert_eq!(snap.counters["milp.lp.ftran_calls"], 4797);
+    assert_eq!(snap.counters["milp.lp.btran_calls"], 3746);
+    assert_eq!(snap.counters["milp.lp.xb_refreshes"], 923);
+    assert!(snap.counters["milp.lp.ftran_calls"] * 10 <= pivots * 18);
+    assert!(snap.counters["milp.lp.btran_calls"] * 10 <= pivots * 15);
+    // No solve of the week needed Bland's rule, and the fresh duals at
+    // every exit agreed with the updated ones.
+    assert_eq!(snap.counters["milp.lp.bland_switches"], 0);
+    assert_eq!(snap.counters["milp.lp.exit_dual_violations"], 0);
     // The week's one DecisionEngine holds two IncrementalSolvers, each
     // with its own MipWorkspace: the cost-min solver (steps 1 and 3) and
     // the throughput-max solver (step 2, which the tight budget makes
