@@ -78,7 +78,8 @@ pub mod serve_bench {
     /// Registers the decide-hour strategy benches: one full decision per
     /// iteration, cycling through [`hour_cycle`].
     ///
-    /// * `serve_decide/cold` — a fresh [`BillCapper`] model build per solve.
+    /// * `serve_decide/cold` — a one-shot [`BillCapper`] decision: a new
+    ///   engine, and so a model build, per hour.
     /// * `serve_decide/incremental` — a retained [`DecisionEngine`] in exact
     ///   mode (bitwise-identical answers; value-only model mutation).
     /// * `serve_decide/warm_basis` — the engine with root-basis reuse on.

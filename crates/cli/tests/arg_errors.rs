@@ -17,12 +17,15 @@ fn billcap(args: &[&str]) -> Output {
         .expect("spawn billcap")
 }
 
-/// Asserts the invocation fails and mentions `needle` on stderr.
+/// Asserts the invocation fails with exit code 1 (an error, not a
+/// panic's 101) and mentions `needle` on stderr.
 fn assert_fails_mentioning(args: &[&str], needle: &str) {
     let out = billcap(args);
-    assert!(
-        !out.status.success(),
-        "billcap {args:?} unexpectedly succeeded"
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "billcap {args:?}: stderr {:?}",
+        String::from_utf8_lossy(&out.stderr)
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -96,6 +99,19 @@ fn out_of_range_values_are_rejected() {
             "7",
         ],
         "--policy",
+    );
+    // Hour inputs the decider rejects before building a model.
+    assert_fails_mentioning(
+        &["decide-hour", "--offered", "-1e8", "--budget", "1e9"],
+        "offered rate",
+    );
+    assert_fails_mentioning(
+        &["decide-hour", "--offered", "NaN", "--budget", "1e9"],
+        "offered rate",
+    );
+    assert_fails_mentioning(
+        &["decide-hour", "--offered", "6e8", "--budget", "NaN"],
+        "budget must be",
     );
 }
 

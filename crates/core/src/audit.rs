@@ -1,6 +1,6 @@
 //! First-principles audit of capper output (the paper's invariants).
 //!
-//! [`crate::BillCapper`] promises a lot: every site stays under its power
+//! The bill capper ([`crate::DecisionEngine`]) promises a lot: every site stays under its power
 //! cap, response times meet the G/G/m target, the billed price level is
 //! the one the actual regional load lands in, budgets hold except for the
 //! premium-overrun hour, and premium traffic is never shed. All of that

@@ -2,10 +2,10 @@
 //!
 //! The serve daemon (and replay clients) see repeated decide-hour
 //! requests: identical `(system, inputs)` tuples recur whenever a
-//! workload trace revisits an operating point. Since
-//! [`crate::BillCapper::decide_hour`] is a pure function of its inputs,
-//! a finished decision can be replayed verbatim for an exact match —
-//! the cache keys on **raw bits**, never tolerances, so a hit is
+//! workload trace revisits an operating point. Since a decision
+//! ([`crate::DecisionEngine::decide_hour`]) is a pure function of its
+//! inputs, a finished decision can be replayed verbatim for an exact
+//! match — the cache keys on **raw bits**, never tolerances, so a hit is
 //! bitwise-identical to a fresh solve by construction and two
 //! almost-equal inputs never alias.
 //!

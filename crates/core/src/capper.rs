@@ -1,23 +1,27 @@
-//! The two-step bill capper (paper Section III).
+//! The bill capper's hour decision (paper Section III): its types, its
+//! input rules and [`BillCapper`], the one-shot front over
+//! [`DecisionEngine`].
 //!
 //! Each invocation period (hour):
 //!
-//! 1. Run [`CostMinimizer`]. If the minimized cost fits the hour's budget,
-//!    enforce that allocation — every request (premium and ordinary) is
-//!    served.
-//! 2. Otherwise run [`ThroughputMaximizer`] under the budget. If the
-//!    achievable throughput covers at least the premium rate, serve all
-//!    premium plus as much ordinary traffic as the budget allows.
-//! 3. If even premium traffic cannot fit, re-run the cost minimizer on the
-//!    premium rate alone and knowingly violate the hour's budget: premium
-//!    QoS is the revenue source and is never sacrificed.
+//! 1. Run the cost minimizer. If the minimized cost fits the hour's
+//!    budget, enforce that allocation — every request (premium and
+//!    ordinary) is served.
+//! 2. Otherwise maximize throughput under the budget. If the achievable
+//!    throughput covers at least the premium rate, serve all premium
+//!    plus as much ordinary traffic as the budget allows.
+//! 3. If even premium traffic cannot fit, re-run the cost minimizer on
+//!    the premium rate alone and knowingly violate the hour's budget:
+//!    premium QoS is the revenue source and is never sacrificed.
+//!
+//! [`DecisionEngine`] is the only implementation of these steps. A
+//! [`BillCapper`] holds nothing but its [`CapperConfig`]: every call
+//! builds an engine for the system it is given, decides, and drops it.
 
+use crate::engine::DecisionEngine;
 use crate::error::CoreError;
-use crate::maximize::ThroughputMaximizer;
-use crate::minimize::{Allocation, CostMinimizer};
+use crate::minimize::Allocation;
 use crate::spec::DataCenterSystem;
-use billcap_milp::{MipSolver, SolveError};
-use billcap_obs::Stopwatch;
 
 /// Tuning knobs for the capper: the one place its settings live. The
 /// binaries build it from their flags and pass it down; no library
@@ -56,7 +60,7 @@ pub enum HourOutcome {
 }
 
 /// Per-hour solver effort, collected unconditionally by
-/// [`BillCapper::decide_hour`].
+/// [`DecisionEngine::decide_hour`].
 ///
 /// Wall-clock fields are machine-dependent; the node/iteration counts are
 /// deterministic (see [`billcap_milp::SolveTrace`]). A step that was
@@ -78,7 +82,7 @@ pub struct DecisionTrace {
 }
 
 impl DecisionTrace {
-    fn absorb(&mut self, alloc: &Allocation) {
+    pub(crate) fn absorb(&mut self, alloc: &Allocation) {
         self.solves += 1;
         if let Some(stats) = &alloc.stats {
             self.nodes += stats.nodes;
@@ -121,47 +125,65 @@ impl HourDecision {
     }
 }
 
-/// The bill-capping orchestrator.
-#[derive(Debug, Clone)]
-pub struct BillCapper {
-    /// The step-1 (and step-3) cost minimizer.
-    pub minimizer: CostMinimizer,
-    /// The step-2 throughput maximizer.
-    pub maximizer: ThroughputMaximizer,
+/// Checks one hour's inputs before any model is built: the offered and
+/// premium rates finite and non-negative, premium no more than offered,
+/// every background demand finite and non-negative, and a budget that
+/// is a number above `−∞` (`+∞` means uncapped). A bad input is
+/// [`CoreError::InvalidInput`]. Every decision runs this check first;
+/// the decision server runs it on each request as it parses it.
+pub fn validate_hour_inputs(
+    offered: f64,
+    premium_offered: f64,
+    background_mw: &[f64],
+    hourly_budget: f64,
+) -> Result<(), CoreError> {
+    let invalid = |msg: String| Err(CoreError::InvalidInput(msg));
+    if !offered.is_finite() || offered < 0.0 {
+        return invalid(format!("offered rate {offered} must be finite and >= 0"));
+    }
+    if !premium_offered.is_finite() || premium_offered < 0.0 {
+        return invalid(format!(
+            "premium rate {premium_offered} must be finite and >= 0"
+        ));
+    }
+    if premium_offered > offered {
+        return invalid(format!(
+            "premium rate {premium_offered} exceeds offered rate {offered}"
+        ));
+    }
+    for (i, d) in background_mw.iter().enumerate() {
+        if !d.is_finite() || *d < 0.0 {
+            return invalid(format!("background[{i}] = {d} must be finite and >= 0"));
+        }
+    }
+    if hourly_budget.is_nan() || hourly_budget == f64::NEG_INFINITY {
+        return invalid("budget must be a finite number or null".into());
+    }
+    Ok(())
 }
 
-impl Default for BillCapper {
-    fn default() -> Self {
-        Self::new(CapperConfig::default())
-    }
+/// The bill capper for callers that decide one hour at a time: a
+/// [`CapperConfig`] and nothing else. Each decision builds a
+/// [`DecisionEngine`] for the system it is given and drops it
+/// afterwards, so no state carries from one call to the next. A caller
+/// that decides hour after hour for one system keeps a
+/// [`DecisionEngine`] instead and skips the rebuilds; the decisions are
+/// the same bit for bit.
+#[derive(Debug, Clone, Default)]
+pub struct BillCapper {
+    /// The settings every decision's engine is built with.
+    pub config: CapperConfig,
 }
 
 impl BillCapper {
     /// Builds a capper from a config.
     pub fn new(config: CapperConfig) -> Self {
-        Self {
-            minimizer: CostMinimizer {
-                solver: MipSolver::default(),
-                integral_servers: config.integral_servers,
-                audit: config.audit,
-            },
-            maximizer: ThroughputMaximizer {
-                solver: MipSolver::default(),
-                integral_servers: config.integral_servers,
-                audit: config.audit,
-            },
-        }
+        Self { config }
     }
 
-    /// Decides one hour's allocation.
-    ///
-    /// `offered` is the total arrival rate, `premium_offered` the premium
-    /// share (`<= offered`), `background_mw` the regional non-DC demand,
-    /// and `hourly_budget` the budgeter's allotment for this hour.
-    ///
-    /// If the offered load exceeds deliverable capacity (an extreme flash
-    /// crowd), ordinary traffic is shed first to bring it within capacity;
-    /// premium beyond capacity is an error.
+    /// Decides one hour's allocation for `system`: what
+    /// [`DecisionEngine::decide_hour`] decides with the same inputs, on a
+    /// one-shot engine.
     pub fn decide_hour(
         &self,
         system: &DataCenterSystem,
@@ -170,194 +192,12 @@ impl BillCapper {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Result<HourDecision, CoreError> {
-        let mut backend = FreshBackend {
-            minimizer: &self.minimizer,
-            maximizer: &self.maximizer,
-        };
-        decide_hour_impl(
-            &mut backend,
-            system,
+        DecisionEngine::new(system.clone(), self.config.clone()).decide_hour(
             offered,
             premium_offered,
             background_mw,
             hourly_budget,
         )
-    }
-}
-
-/// How [`decide_hour_impl`] obtains the two optimization steps. The
-/// reference implementation ([`FreshBackend`]) builds a fresh MILP per
-/// call; [`crate::DecisionEngine`] mutates retained models in place. Both
-/// must produce bitwise-identical allocations on identical inputs.
-pub(crate) trait HourBackend {
-    /// Step 1/3: cost-minimize serving `lambda` requests/hour.
-    fn minimize(
-        &mut self,
-        system: &DataCenterSystem,
-        lambda: f64,
-        background_mw: &[f64],
-    ) -> Result<Allocation, CoreError>;
-
-    /// Step 2: maximize admitted throughput within `budget`.
-    fn maximize(
-        &mut self,
-        system: &DataCenterSystem,
-        lambda: f64,
-        background_mw: &[f64],
-        budget: f64,
-    ) -> Result<Allocation, CoreError>;
-}
-
-/// Backend that rebuilds each model from scratch (the original behavior).
-struct FreshBackend<'a> {
-    minimizer: &'a CostMinimizer,
-    maximizer: &'a ThroughputMaximizer,
-}
-
-impl HourBackend for FreshBackend<'_> {
-    fn minimize(
-        &mut self,
-        system: &DataCenterSystem,
-        lambda: f64,
-        background_mw: &[f64],
-    ) -> Result<Allocation, CoreError> {
-        self.minimizer.solve(system, lambda, background_mw)
-    }
-
-    fn maximize(
-        &mut self,
-        system: &DataCenterSystem,
-        lambda: f64,
-        background_mw: &[f64],
-        budget: f64,
-    ) -> Result<Allocation, CoreError> {
-        self.maximizer.solve(system, lambda, background_mw, budget)
-    }
-}
-
-/// The three-step capping algorithm, generic over how each MILP is
-/// produced. Shared verbatim between [`BillCapper::decide_hour`] and
-/// [`crate::DecisionEngine::decide_hour`] so the control flow (and thus
-/// every comparison and arithmetic op on the way to a decision) cannot
-/// drift between them.
-pub(crate) fn decide_hour_impl<B: HourBackend + ?Sized>(
-    backend: &mut B,
-    system: &DataCenterSystem,
-    offered: f64,
-    premium_offered: f64,
-    background_mw: &[f64],
-    hourly_budget: f64,
-) -> Result<HourDecision, CoreError> {
-    assert!(
-        premium_offered <= offered + 1e-9,
-        "premium rate cannot exceed the total"
-    );
-    let capacity = system.total_capacity();
-    if premium_offered > capacity {
-        return Err(CoreError::InsufficientCapacity {
-            demanded: premium_offered,
-            capacity,
-        });
-    }
-    // Capacity clamp: shed un-servable ordinary traffic up front.
-    let offered = offered.min(capacity);
-    let mut trace = DecisionTrace::default();
-
-    // Step 1: cost minimization over the whole offered load.
-    let t0 = Stopwatch::start();
-    let mut span1 = billcap_obs::span("step1");
-    let step1 = backend.minimize(system, offered, background_mw)?;
-    span1.field("cost", step1.total_cost);
-    drop(span1);
-    trace.step1_ns = t0.elapsed_ns();
-    trace.absorb(&step1);
-    if step1.total_cost <= hourly_budget {
-        record_outcome(HourOutcome::WithinBudget, &step1, hourly_budget);
-        return Ok(HourDecision {
-            outcome: HourOutcome::WithinBudget,
-            offered,
-            premium_offered,
-            premium_served: premium_offered,
-            ordinary_served: offered - premium_offered,
-            budget: hourly_budget,
-            allocation: step1,
-            trace,
-        });
-    }
-
-    // Step 2: throughput maximization within the budget.
-    let t0 = Stopwatch::start();
-    let mut span2 = billcap_obs::span("step2");
-    let step2 = match backend.maximize(system, offered, background_mw, hourly_budget) {
-        Ok(a) => Some(a),
-        // A budget below the unavoidable base-power cost is infeasible;
-        // treat as zero achievable throughput.
-        Err(CoreError::Solver(SolveError::Infeasible)) => None,
-        Err(e) => return Err(e),
-    };
-    if let Some(a) = &step2 {
-        span2.field("admitted", a.total_lambda);
-    }
-    drop(span2);
-    trace.step2_ns = t0.elapsed_ns();
-    if let Some(step2) = step2 {
-        trace.absorb(&step2);
-        if step2.total_lambda >= premium_offered - 1e-6 {
-            let ordinary = (step2.total_lambda - premium_offered).max(0.0);
-            record_outcome(HourOutcome::Throttled, &step2, hourly_budget);
-            return Ok(HourDecision {
-                outcome: HourOutcome::Throttled,
-                offered,
-                premium_offered,
-                premium_served: premium_offered,
-                ordinary_served: ordinary,
-                budget: hourly_budget,
-                allocation: step2,
-                trace,
-            });
-        }
-    }
-
-    // Premium override: serve premium at minimum cost, budget be damned.
-    let t0 = Stopwatch::start();
-    let mut span3 = billcap_obs::span("step3");
-    let step3 = backend.minimize(system, premium_offered, background_mw)?;
-    span3.field("cost", step3.total_cost);
-    drop(span3);
-    trace.step3_ns = t0.elapsed_ns();
-    trace.absorb(&step3);
-    record_outcome(HourOutcome::PremiumOverride, &step3, hourly_budget);
-    Ok(HourDecision {
-        outcome: HourOutcome::PremiumOverride,
-        offered,
-        premium_offered,
-        premium_served: premium_offered,
-        ordinary_served: 0.0,
-        budget: hourly_budget,
-        allocation: step3,
-        trace,
-    })
-}
-
-/// Emits the per-hour outcome counters, the budget-slack gauge, and the
-/// price-level-selection histogram when tracing is enabled.
-fn record_outcome(outcome: HourOutcome, alloc: &Allocation, budget: f64) {
-    if !billcap_obs::enabled() {
-        return;
-    }
-    let name = match outcome {
-        HourOutcome::WithinBudget => "core.capper.within_budget",
-        HourOutcome::Throttled => "core.capper.throttled",
-        HourOutcome::PremiumOverride => "core.capper.premium_override",
-    };
-    billcap_obs::counter(name, 1);
-    if budget.is_finite() {
-        billcap_obs::gauge("core.capper.budget_slack", budget - alloc.total_cost);
-    }
-    // One observation per site-hour: which price level the site landed in.
-    const LEVEL_BOUNDS: [f64; 5] = [0.0, 1.0, 2.0, 3.0, 4.0];
-    for &k in &alloc.level {
-        billcap_obs::observe_with("core.capper.price_level", k as f64, &LEVEL_BOUNDS);
     }
 }
 

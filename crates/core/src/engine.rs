@@ -1,13 +1,17 @@
-//! Incremental decision engine: the bill capper with retained MILPs.
+//! The decision engine: the bill capper's three steps (paper Section
+//! III, see [`crate::capper`]) over MILPs it keeps between hours.
 //!
-//! [`crate::BillCapper`] rebuilds both optimization models from scratch
-//! every hour. The models' *shape* barely moves, though: variables and
-//! rows are fixed by the data-center spec, and only the kept price-level
-//! set per site (a function of the background demand `d` and the power
-//! cap relative to the policy breakpoints) changes structure.
-//! [`DecisionEngine`] exploits that: it builds each step's model once,
-//! and between hours rewrites only the values that depend on the
-//! inputs —
+//! This is the only implementation of the steps. [`crate::BillCapper`]
+//! and the class decider ([`crate::BillCapper::decide_hour_classes`])
+//! build a one-shot engine per call; the month loops, the risk engine
+//! and the decision server keep one for many hours. A one-shot engine
+//! builds both step models from scratch. The models' *shape* barely
+//! moves from hour to hour, though: variables and rows are fixed by the
+//! data-center spec, and only the kept price-level set per site (a
+//! function of the background demand `d` and the power cap relative to
+//! the policy breakpoints) changes structure. A retained engine exploits
+//! that: it builds each step's model once, and between hours rewrites
+//! only the values that depend on the inputs —
 //!
 //! * the `z` coefficients of the `lvl_hi_{i}_{k}` / `lvl_lo_{i}_{k}`
 //!   interval rows (functions of `d_i` and the cap),
@@ -25,26 +29,27 @@
 //! after the first day a month-long run stops rebuilding entirely, with
 //! flat or hourly-moving caps alike.
 //!
-//! **Bitwise contract:** with basis reuse off (the default), every
-//! decision is bit-for-bit identical to [`crate::BillCapper::decide_hour`]
-//! on the same inputs. Both paths share the model builders
-//! (`minimize::cost_min_model`, `maximize::throughput_max_model`), the
-//! level and cap math (`minimize::site_level_params`,
-//! `minimize::site_cap_values`) and the step orchestration
-//! (`capper::decide_hour_impl`), and the value mutators write
-//! the exact floats the fresh builder would, so the solver sees an
-//! identical model either way. Basis reuse ([`DecisionEngine::
-//! set_reuse_basis`]) trades that guarantee for speed: the optimum is
-//! preserved (and re-certified when [`CapperConfig::audit`] is on), but
-//! alternative optima may tie-break differently in the last ulp.
+//! **Bitwise contract:** with basis reuse off (the default), a retained
+//! engine decides exactly like a one-shot engine on the same inputs, and
+//! each step's allocation matches [`crate::CostMinimizer::solve`] (steps
+//! 1 and 3) or [`crate::ThroughputMaximizer::solve`] (step 2) bit for
+//! bit. All three share the model builders (`minimize::cost_min_model`,
+//! `maximize::throughput_max_model`) and the level and cap math
+//! (`minimize::site_level_params`, `minimize::site_cap_values`), and
+//! the value mutators write the exact floats the builders would, so
+//! the solver sees an identical model either way. Basis reuse
+//! ([`DecisionEngine::set_reuse_basis`]) trades that guarantee for
+//! speed: the optimum is preserved (and re-certified when
+//! [`CapperConfig::audit`] is on), but alternative optima may
+//! tie-break differently in the last ulp.
 //!
 //! The engine takes its settings from the [`CapperConfig`] it is built
-//! with, like the fresh capper: `integral_servers` shapes the models,
+//! with: `integral_servers` shapes the models,
 //! and `audit` lints each model before a solve and certifies each
 //! solution.
 
 use crate::audit::checked_solve;
-use crate::capper::{decide_hour_impl, CapperConfig, HourBackend, HourDecision};
+use crate::capper::{validate_hour_inputs, CapperConfig, DecisionTrace, HourDecision, HourOutcome};
 use crate::error::CoreError;
 use crate::maximize::throughput_max_model;
 use crate::minimize::{
@@ -52,7 +57,8 @@ use crate::minimize::{
     PiecewiseVars, RATE_SCALE,
 };
 use crate::spec::DataCenterSystem;
-use billcap_milp::{IncrementalModel, IncrementalSolver, MipSolver, Model};
+use billcap_milp::{IncrementalModel, IncrementalSolver, MipSolver, Model, SolveError};
+use billcap_obs::Stopwatch;
 
 /// The two retained model shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,12 +86,6 @@ struct StepModel {
     /// A site whose current cap has the same bits skips the rewrite;
     /// bit equality (not `==` on floats) keeps a NaN cap deterministic.
     caps: Vec<u64>,
-    /// `(lvl_hi, lvl_lo)` row indices per `(site, kept slot)`, resolved
-    /// once at build time so the per-hour coefficient sync skips the
-    /// name formatting and hash lookups.
-    lvl_rows: Vec<Vec<(usize, usize)>>,
-    /// `cap_i` row index per site, resolved once at build time.
-    cap_rows: Vec<usize>,
     /// LRU stamp for cache eviction.
     last_used: u64,
 }
@@ -98,9 +98,8 @@ struct StepModel {
 /// adversarial background.
 const STEP_CACHE_CAP: usize = 24;
 
-/// The retained solver state behind a [`DecisionEngine`]; implements
-/// [`HourBackend`] so [`decide_hour_impl`] drives it exactly like the
-/// fresh-model capper.
+/// The retained solver state behind a [`DecisionEngine`]: one solve per
+/// step, each on a cached model synced to the hour's inputs.
 struct EngineCore {
     integral_servers: bool,
     /// Lint and certify every solve ([`CapperConfig::audit`]).
@@ -134,9 +133,9 @@ pub struct EngineStats {
     pub evictions: u64,
 }
 
-/// A [`crate::BillCapper`] that keeps its MILPs (and optionally their
-/// root bases) alive between hours. See the module docs for the reuse
-/// strategy and the bitwise contract.
+/// The bill capper for one system, keeping its MILPs (and optionally
+/// their root bases) alive between hours. See the module docs for the
+/// reuse strategy and the bitwise contract.
 pub struct DecisionEngine {
     system: DataCenterSystem,
     core: EngineCore,
@@ -185,7 +184,7 @@ impl DecisionEngine {
 
     /// Toggles root-basis carry-over between solves. Off by default;
     /// turning it on keeps optima (certified when audited) but
-    /// forfeits bitwise identity with the fresh-model capper.
+    /// forfeits bitwise identity with a one-shot engine.
     pub fn set_reuse_basis(&mut self, on: bool) {
         self.core.min_solver.reuse_basis = on;
         self.core.max_solver.reuse_basis = on;
@@ -210,9 +209,9 @@ impl DecisionEngine {
     /// is bitwise-identical to a fresh build for the current inputs.
     ///
     /// Bad caps (NaN, infinite, below base power) are accepted here and
-    /// fail or succeed in the decision exactly as they do for
-    /// [`crate::BillCapper`]. A model whose cap rewrite fails part-way
-    /// is dropped from the cache, never served half-written.
+    /// fail or succeed in the decision exactly as they do for a one-shot
+    /// engine. A model whose cap rewrite fails part-way is dropped from
+    /// the cache, never served half-written.
     ///
     /// # Panics
     ///
@@ -230,8 +229,17 @@ impl DecisionEngine {
         }
     }
 
-    /// Decides one hour's allocation. Same contract as
-    /// [`crate::BillCapper::decide_hour`].
+    /// Decides one hour's allocation (the steps are listed in
+    /// [`crate::capper`]).
+    ///
+    /// `offered` is the total arrival rate, `premium_offered` the premium
+    /// share (`<= offered`), `background_mw` the regional non-DC demand,
+    /// and `hourly_budget` the budgeter's allotment for this hour. Inputs
+    /// that break [`validate_hour_inputs`] are rejected.
+    ///
+    /// If the offered load exceeds deliverable capacity (an extreme flash
+    /// crowd), ordinary traffic is shed first to bring it within capacity;
+    /// premium beyond capacity is an error.
     pub fn decide_hour(
         &mut self,
         offered: f64,
@@ -239,28 +247,140 @@ impl DecisionEngine {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Result<HourDecision, CoreError> {
-        decide_hour_impl(
-            &mut self.core,
-            &self.system,
-            offered,
+        let steps = self.decide(offered, premium_offered, background_mw, hourly_budget)?;
+        Ok(HourDecision {
+            outcome: steps.outcome,
+            offered: steps.offered,
             premium_offered,
-            background_mw,
-            hourly_budget,
-        )
+            premium_served: premium_offered,
+            // Premium never exceeds the clamped offered rate, so this
+            // clamps only a step-2 admission a hair under the premium.
+            ordinary_served: (steps.served - premium_offered).max(0.0),
+            budget: hourly_budget,
+            allocation: steps.allocation,
+            trace: steps.trace,
+        })
+    }
+
+    /// The three steps, for every front: `guaranteed` is the rate served
+    /// whatever the budget (the premium rate, or the guaranteed prefix of
+    /// a class decision).
+    pub(crate) fn decide(
+        &mut self,
+        offered: f64,
+        guaranteed: f64,
+        background_mw: &[f64],
+        hourly_budget: f64,
+    ) -> Result<Steps, CoreError> {
+        validate_hour_inputs(offered, guaranteed, background_mw, hourly_budget)?;
+        let (core, system) = (&mut self.core, &self.system);
+        let capacity = system.total_capacity();
+        if guaranteed > capacity {
+            return Err(CoreError::InsufficientCapacity {
+                demanded: guaranteed,
+                capacity,
+            });
+        }
+        // Capacity clamp: shed un-servable ordinary traffic up front.
+        let offered = offered.min(capacity);
+        let mut trace = DecisionTrace::default();
+        let (outcome, served, allocation) = 'steps: {
+            // Step 1: cost minimization over the whole offered load.
+            let t0 = Stopwatch::start();
+            let mut span1 = billcap_obs::span("step1");
+            let step1 = core.minimize(system, offered, background_mw)?;
+            span1.field("cost", step1.total_cost);
+            drop(span1);
+            trace.step1_ns = t0.elapsed_ns();
+            trace.absorb(&step1);
+            if step1.total_cost <= hourly_budget {
+                break 'steps (HourOutcome::WithinBudget, offered, step1);
+            }
+
+            // Step 2: throughput maximization within the budget.
+            let t0 = Stopwatch::start();
+            let mut span2 = billcap_obs::span("step2");
+            let step2 = match core.maximize(system, offered, background_mw, hourly_budget) {
+                Ok(a) => Some(a),
+                // A budget below the unavoidable base-power cost is
+                // infeasible; treat as zero achievable throughput.
+                Err(CoreError::Solver(SolveError::Infeasible)) => None,
+                Err(e) => return Err(e),
+            };
+            if let Some(a) = &step2 {
+                span2.field("admitted", a.total_lambda);
+            }
+            drop(span2);
+            trace.step2_ns = t0.elapsed_ns();
+            if let Some(step2) = step2 {
+                trace.absorb(&step2);
+                if step2.total_lambda >= guaranteed - 1e-6 {
+                    break 'steps (HourOutcome::Throttled, step2.total_lambda, step2);
+                }
+            }
+
+            // Guaranteed override: serve the guaranteed rate at minimum
+            // cost, budget be damned.
+            let t0 = Stopwatch::start();
+            let mut span3 = billcap_obs::span("step3");
+            let step3 = core.minimize(system, guaranteed, background_mw)?;
+            span3.field("cost", step3.total_cost);
+            drop(span3);
+            trace.step3_ns = t0.elapsed_ns();
+            trace.absorb(&step3);
+            (HourOutcome::PremiumOverride, guaranteed, step3)
+        };
+        record_outcome(outcome, &allocation, hourly_budget);
+        Ok(Steps {
+            outcome,
+            offered,
+            served,
+            allocation,
+            trace,
+        })
     }
 }
 
-/// Index of the row `name` in a model the caller just built with it.
-fn built_row(im: &IncrementalModel, name: &str) -> usize {
-    match im.row(name) {
-        Some(idx) => idx,
-        None => unreachable!("row {name} created by the build"),
+/// What the three steps decided, for a front to map onto its own
+/// decision type.
+pub(crate) struct Steps {
+    /// Which step's allocation is enforced.
+    pub(crate) outcome: HourOutcome,
+    /// The offered rate after the capacity clamp.
+    pub(crate) offered: f64,
+    /// The total rate served: the clamped offered rate (step 1), the
+    /// admitted rate (step 2) or the guaranteed rate (step 3).
+    pub(crate) served: f64,
+    /// The enforced allocation.
+    pub(crate) allocation: Allocation,
+    /// Solver effort across the steps that ran.
+    pub(crate) trace: DecisionTrace,
+}
+
+/// Emits the per-hour outcome counters, the budget-slack gauge, and the
+/// price-level-selection histogram when tracing is enabled.
+fn record_outcome(outcome: HourOutcome, alloc: &Allocation, budget: f64) {
+    if !billcap_obs::enabled() {
+        return;
+    }
+    let name = match outcome {
+        HourOutcome::WithinBudget => "core.capper.within_budget",
+        HourOutcome::Throttled => "core.capper.throttled",
+        HourOutcome::PremiumOverride => "core.capper.premium_override",
+    };
+    billcap_obs::counter(name, 1);
+    if budget.is_finite() {
+        billcap_obs::gauge("core.capper.budget_slack", budget - alloc.total_cost);
+    }
+    // One observation per site-hour: which price level the site landed in.
+    const LEVEL_BOUNDS: [f64; 5] = [0.0, 1.0, 2.0, 3.0, 4.0];
+    for &k in &alloc.level {
+        billcap_obs::observe_with("core.capper.price_level", k as f64, &LEVEL_BOUNDS);
     }
 }
 
 impl StepModel {
-    /// Wraps a freshly built model, resolving the rows the per-hour
-    /// syncs address by index and recording the caps it was built for.
+    /// Wraps a freshly built model, recording the caps it was built for.
     fn new(
         m: Model,
         vars: PiecewiseVars,
@@ -268,28 +388,8 @@ impl StepModel {
         system: &DataCenterSystem,
         stamp: u64,
     ) -> Result<Self, CoreError> {
-        let im = IncrementalModel::new(m)?;
-        let lvl_rows = vars
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, levels)| {
-                levels
-                    .iter()
-                    .map(|&(k, _, _, _)| {
-                        (
-                            built_row(&im, &format!("lvl_hi_{i}_{k}")),
-                            built_row(&im, &format!("lvl_lo_{i}_{k}")),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-        let cap_rows = (0..vars.lam.len())
-            .map(|i| built_row(&im, &format!("cap_{i}")))
-            .collect();
         Ok(Self {
-            im,
+            im: IncrementalModel::new(m)?,
             vars,
             kept: kept.to_vec(),
             caps: system
@@ -297,8 +397,6 @@ impl StepModel {
                 .iter()
                 .map(|s| s.power_cap_mw.to_bits())
                 .collect(),
-            lvl_rows,
-            cap_rows,
             last_used: stamp,
         })
     }
@@ -318,7 +416,7 @@ impl StepModel {
             for &(_, _, q, _) in &self.vars.levels[i] {
                 self.im.set_var_bounds(q, 0.0, v.q_ub)?;
             }
-            self.im.set_rhs_at(self.cap_rows[i], v.cap_rhs)?;
+            self.im.set_rhs_at(self.vars.cap_rows[i], v.cap_rhs)?;
             self.caps[i] = bits;
         }
         Ok(())
@@ -326,11 +424,11 @@ impl StepModel {
 
     /// Rewrites the interval-row `z` coefficients to this hour's values.
     /// Only called when the kept key matches, so every `(site, slot)`
-    /// pair lines up with a retained `(q, z)` pair and a pre-resolved
+    /// pair lines up with a retained `(q, z)` pair and the builder's
     /// `(lvl_hi, lvl_lo)` row pair.
     fn sync_levels(&mut self, params: &[Vec<LevelParam>]) -> Result<(), CoreError> {
         for (i, site_params) in params.iter().enumerate() {
-            let slots = self.vars.levels[i].iter().zip(&self.lvl_rows[i]);
+            let slots = self.vars.levels[i].iter().zip(&self.vars.lvl_rows[i]);
             for (p, (&(_, _, _, z), &(hi, lo))) in site_params.iter().zip(slots) {
                 self.im.set_coeff_at(hi, z, p.zcoef_hi)?;
                 self.im.set_coeff_at(lo, z, p.zcoef_lo)?;
@@ -450,8 +548,8 @@ impl EngineCore {
     }
 
     /// Returns the cache index of the `step` model for this hour's kept
-    /// levels with its caps and interval rows synced, building it on a cache miss with
-    /// the same builder as the fresh-model capper. The per-solve RHS
+    /// levels with its caps and interval rows synced, building it on a
+    /// cache miss with the step's model builder. The per-solve RHS
     /// (demand, offered, budget) is left for the caller to set.
     fn step_model(
         &mut self,
@@ -507,7 +605,8 @@ fn record_rebuild() {
     }
 }
 
-impl HourBackend for EngineCore {
+impl EngineCore {
+    /// Steps 1 and 3: cost-minimize serving `lambda` requests/hour.
     fn minimize(
         &mut self,
         system: &DataCenterSystem,
@@ -535,6 +634,7 @@ impl HourBackend for EngineCore {
         Ok(extract_allocation(system, &step.vars, &sol))
     }
 
+    /// Step 2: maximize admitted throughput within `budget`.
     fn maximize(
         &mut self,
         system: &DataCenterSystem,
@@ -561,9 +661,10 @@ impl HourBackend for EngineCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capper::{BillCapper, HourOutcome};
-    use crate::spec::DataCenterSystem;
-    use billcap_milp::{Model, SolveError};
+    use crate::capper::BillCapper;
+    use crate::capsched::CapSchedule;
+    use crate::maximize::ThroughputMaximizer;
+    use crate::minimize::CostMinimizer;
     use std::collections::BTreeSet;
 
     /// Bitwise equality on everything deterministic in a decision
@@ -588,7 +689,11 @@ mod tests {
             a.trace.lp_iterations, b.trace.lp_iterations,
             "{ctx}: lp_iterations"
         );
-        let (x, y) = (&a.allocation, &b.allocation);
+        assert_allocations_bitwise_equal(&a.allocation, &b.allocation, ctx);
+    }
+
+    /// Bitwise equality of two allocations' dispatch, prices and costs.
+    fn assert_allocations_bitwise_equal(x: &Allocation, y: &Allocation, ctx: &str) {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&x.lambda), bits(&y.lambda), "{ctx}: lambda");
         assert_eq!(x.servers, y.servers, "{ctx}: servers");
@@ -613,7 +718,7 @@ mod tests {
     /// rebuilds between mutate-only hours). Budgets are anchored to the
     /// hour's actual minimized cost so the throttled branch really runs.
     fn sweep(sys: &DataCenterSystem) -> Vec<(f64, f64, Vec<f64>, f64)> {
-        let minimizer = crate::minimize::CostMinimizer::default();
+        let minimizer = CostMinimizer::default();
         let mut hours = Vec::new();
         for h in 0..24u32 {
             let t = f64::from(h);
@@ -784,7 +889,8 @@ mod tests {
     /// zero-power level (lint code M004). An audited solve refuses the
     /// model before the solver sees it; with `audit: false`, in either
     /// build profile, the solver runs and proves it infeasible. Both
-    /// steps of the fresh capper and of the engine honour the switch.
+    /// optimizers built from a config and both engine steps honour the
+    /// switch.
     #[test]
     fn audit_switch_reaches_every_solve() {
         let mut sys = DataCenterSystem::paper_system(1);
@@ -795,11 +901,12 @@ mod tests {
                 audit,
                 ..CapperConfig::default()
             };
-            let capper = BillCapper::new(config.clone());
+            let minimizer = CostMinimizer::new(&config);
+            let maximizer = ThroughputMaximizer::new(&config);
             let mut engine = DecisionEngine::new(sys.clone(), config);
             let results = [
-                ("capper step 1", capper.minimizer.solve(&sys, 1e8, &bg)),
-                ("capper step 2", capper.maximizer.solve(&sys, 1e8, &bg, 1e4)),
+                ("minimizer", minimizer.solve(&sys, 1e8, &bg)),
+                ("maximizer", maximizer.solve(&sys, 1e8, &bg, 1e4)),
                 ("engine step 1", engine.core.minimize(&sys, 1e8, &bg)),
                 ("engine step 2", engine.core.maximize(&sys, 1e8, &bg, 1e4)),
             ];
@@ -810,6 +917,72 @@ mod tests {
                     (_, r) => panic!("{path} with audit {audit}: {r:?}"),
                 }
             }
+        }
+    }
+
+    /// The step-level reference: every engine step against the optimizer
+    /// that builds and solves the same model from scratch — steps 1 and
+    /// 3 against [`CostMinimizer::solve`], step 2 against
+    /// [`ThroughputMaximizer::solve`] — bit for bit, solver effort
+    /// included. One retained engine per run serves the sweep, so cache
+    /// hits, rebuilds and cap syncs are all compared. Relaxed models run
+    /// every hour and integral ones every 6th, each under flat caps and
+    /// under an afternoon derate.
+    #[test]
+    fn engine_steps_match_the_optimizers_bitwise() {
+        let sys = DataCenterSystem::paper_system(1);
+        let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
+        let derate = CapSchedule::derating(&base_caps, 24, 0.35, 42);
+        let hours = sweep(&sys);
+        let mut compared = [0usize; 2];
+        for integral_servers in [false, true] {
+            let config = CapperConfig {
+                integral_servers,
+                ..CapperConfig::default()
+            };
+            let minimizer = CostMinimizer::new(&config);
+            let maximizer = ThroughputMaximizer::new(&config);
+            let every = if integral_servers { 6 } else { 1 };
+            for derated in [false, true] {
+                let mut engine = DecisionEngine::new(sys.clone(), config.clone());
+                for (h, (offered, premium, bg, budget)) in hours.iter().enumerate().step_by(every) {
+                    let mut capped = sys.clone();
+                    if derated {
+                        derate.apply(&mut capped, h);
+                        engine.set_site_caps(derate.caps_at(h));
+                    }
+                    let ctx = format!("hour {h} integral {integral_servers} derated {derated}");
+                    for (step, lambda) in [("step 1", *offered), ("step 3", *premium)] {
+                        let served = engine.core.minimize(&engine.system, lambda, bg);
+                        let built = minimizer.solve(&capped, lambda, bg);
+                        assert_step_results_equal(&served, &built, &format!("{ctx} {step}"));
+                    }
+                    if budget.is_finite() {
+                        let served = engine.core.maximize(&engine.system, *offered, bg, *budget);
+                        let built = maximizer.solve(&capped, *offered, bg, *budget);
+                        assert_step_results_equal(&served, &built, &format!("{ctx} step 2"));
+                    }
+                    compared[usize::from(integral_servers)] += 1;
+                }
+            }
+        }
+        assert_eq!(compared, [48, 8], "hours compared (relaxed, integral)");
+    }
+
+    /// Both step results fail alike, or both succeed with bitwise-equal
+    /// allocations and equal solver effort.
+    fn assert_step_results_equal(
+        served: &Result<Allocation, CoreError>,
+        built: &Result<Allocation, CoreError>,
+        ctx: &str,
+    ) {
+        match (served, built) {
+            (Ok(x), Ok(y)) => {
+                assert_allocations_bitwise_equal(x, y, ctx);
+                let effort = |a: &Allocation| a.stats.as_ref().map(|s| (s.nodes, s.lp_iterations));
+                assert_eq!(effort(x), effort(y), "{ctx}: solver effort");
+            }
+            (x, y) => assert_eq!(x.as_ref().err(), y.as_ref().err(), "{ctx}: verdicts"),
         }
     }
 
@@ -866,7 +1039,6 @@ mod tests {
 
     #[test]
     fn engine_matches_fresh_capper_under_a_cap_schedule() {
-        use crate::capsched::CapSchedule;
         let sys = DataCenterSystem::paper_system(1);
         let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
         let sched = CapSchedule::derating(&base_caps, 24, 0.35, 42);
@@ -957,7 +1129,7 @@ mod tests {
         // the engine builds once per distinct (step, kept) key, however
         // many cap vectors the schedule mints.
         let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
-        let sched = crate::capsched::CapSchedule::derating(&base_caps, 24, 0.35, 42);
+        let sched = CapSchedule::derating(&base_caps, 24, 0.35, 42);
         let run = |engine: &mut DecisionEngine| {
             let mut kept_keys = BTreeSet::new();
             let mut cap_keys = BTreeSet::new();
@@ -1218,6 +1390,24 @@ mod tests {
         assert!(matches!(
             engine.decide_hour(1e8, 5e7, &[330.0], 1e9),
             Err(CoreError::Dimension { .. })
+        ));
+        // Inputs that would otherwise panic or decide against a NaN.
+        let bg = [330.0, 410.0, 280.0];
+        for (offered, premium, budget, needle) in [
+            (-1e8, 0.0, 1e9, "offered rate"),
+            (f64::NAN, f64::NAN, 1e9, "offered rate"),
+            (1e8, 2e8, 1e9, "exceeds offered"),
+            (1e8, 5e7, f64::NAN, "budget"),
+            (1e8, 5e7, f64::NEG_INFINITY, "budget"),
+        ] {
+            match engine.decide_hour(offered, premium, &bg, budget) {
+                Err(CoreError::InvalidInput(msg)) => assert!(msg.contains(needle), "{msg}"),
+                r => panic!("({offered}, {premium}, {budget}): {r:?}"),
+            }
+        }
+        assert!(matches!(
+            engine.decide_hour(1e8, 5e7, &[330.0, f64::NAN, 280.0], 1e9),
+            Err(CoreError::InvalidInput(_))
         ));
         // The engine still works after the error paths.
         engine

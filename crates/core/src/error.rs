@@ -35,6 +35,9 @@ pub enum CoreError {
     /// An audited solve's pre-solve lint found Error-severity defects
     /// in the model; the message carries them.
     Lint(String),
+    /// An hour's inputs break [`crate::validate_hour_inputs`]; the
+    /// message names the offending value.
+    InvalidInput(String),
 }
 
 impl fmt::Display for CoreError {
@@ -51,6 +54,7 @@ impl fmt::Display for CoreError {
             }
             CoreError::Audit(msg) => write!(f, "audit failed: {msg}"),
             CoreError::Lint(msg) => write!(f, "lint rejected model: {msg}"),
+            CoreError::InvalidInput(msg) => write!(f, "invalid input: {msg}"),
         }
     }
 }

@@ -20,7 +20,8 @@
 //! if even premium traffic alone busts the budget, step 1 re-runs on
 //! premium traffic only and the hour's budget is knowingly violated.
 //!
-//! **[`BillCapper`]** orchestrates the two steps each hour;
+//! **[`DecisionEngine`]** runs the steps each hour, keeping its models
+//! between hours; **[`BillCapper`]** is its one-shot front;
 //! **[`MinOnly`]** implements the state-of-the-art baseline the paper
 //! compares against (constant prices, server-only power model); and
 //! **[`evaluate_allocation`]** applies the *true* cost model to any
@@ -72,7 +73,9 @@ pub mod speclint;
 pub use audit::{AuditReport, PlanAuditor, PlanViolation};
 pub use baselines::{MinOnly, PriceAssumption};
 pub use cache::{system_fingerprint, DecisionCache, DecisionKey};
-pub use capper::{BillCapper, CapperConfig, DecisionTrace, HourDecision, HourOutcome};
+pub use capper::{
+    validate_hour_inputs, BillCapper, CapperConfig, DecisionTrace, HourDecision, HourOutcome,
+};
 pub use capsched::CapSchedule;
 pub use engine::{DecisionEngine, EngineStats};
 pub use error::CoreError;

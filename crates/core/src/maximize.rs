@@ -3,8 +3,8 @@
 //! Invoked when the minimized cost exceeds the hour's budget: maximize the
 //! admitted request rate `Σλ_i ≤ λ` subject to `Σ cost_i ≤ Cs`, reusing the
 //! piecewise-price linearization of step 1. Admission control applies only
-//! to ordinary customers — the caller ([`crate::BillCapper`]) compares the
-//! achievable throughput against the premium rate and falls back to a
+//! to ordinary customers — the decider ([`crate::DecisionEngine`]) compares
+//! the achievable throughput against the premium rate and falls back to a
 //! premium-only cost minimization when even that cannot fit the budget.
 
 use crate::error::CoreError;
@@ -61,11 +61,20 @@ pub struct ThroughputMaximizer {
 
 impl Default for ThroughputMaximizer {
     fn default() -> Self {
-        crate::BillCapper::default().maximizer
+        Self::new(&crate::CapperConfig::default())
     }
 }
 
 impl ThroughputMaximizer {
+    /// A maximizer with `config`'s settings and the default solver.
+    pub(crate) fn new(config: &crate::CapperConfig) -> Self {
+        Self {
+            solver: MipSolver::default(),
+            integral_servers: config.integral_servers,
+            audit: config.audit,
+        }
+    }
+
     /// Maximizes admitted throughput under `budget` ($/hour) for offered
     /// workload `lambda` (requests/hour) and background demand
     /// `background_mw`. The returned allocation may admit less than

@@ -66,6 +66,11 @@ pub(crate) struct PiecewiseVars {
     /// power cap) are pruned before the MILP sees them, which keeps the
     /// binary count small.
     pub levels: Vec<Vec<(usize, f64, VarId, VarId)>>,
+    /// Per site and kept level (same order as `levels`): the row indices
+    /// of its `lvl_hi` and `lvl_lo` interval rows.
+    pub lvl_rows: Vec<Vec<(usize, usize)>>,
+    /// Per site: the row index of its `cap` row.
+    pub cap_rows: Vec<usize>,
 }
 
 /// One kept price level of a site at a given background demand, reduced to
@@ -177,6 +182,8 @@ pub(crate) fn build_piecewise_core(
     let n = system.len();
     let mut lam = Vec::with_capacity(n);
     let mut site_levels = Vec::with_capacity(n);
+    let mut lvl_rows = Vec::with_capacity(n);
+    let mut cap_rows = Vec::with_capacity(n);
 
     for (i, site) in system.sites.iter().enumerate() {
         let d = background_mw[i];
@@ -214,10 +221,13 @@ pub(crate) fn build_piecewise_core(
         let power_const = if integral_servers { 0.0 } else { b };
 
         let mut levels_i = Vec::new();
+        let mut rows_i = Vec::new();
         for p in site_level_params(site, system.policy(i), d) {
             let k = p.k;
             let q = m.add_cont(format!("q_{i}_{k}"), 0.0, caps.q_ub);
             let z = m.add_binary(format!("z_{i}_{k}"));
+            let hi = m.num_constraints();
+            rows_i.push((hi, hi + 1));
             // q <= u * z.
             m.add_constraint(
                 format!("lvl_hi_{i}_{k}"),
@@ -251,6 +261,7 @@ pub(crate) fn build_piecewise_core(
         // Site power cap (each q is individually bounded by cap via its
         // level constraint; this row makes the cap explicit and guards the
         // integral-server mode where n_i drives power).
+        cap_rows.push(m.num_constraints());
         m.add_constraint(
             format!("cap_{i}"),
             levels_i.iter().map(|&(_, _, q, _)| (q, 1.0)).collect(),
@@ -260,11 +271,14 @@ pub(crate) fn build_piecewise_core(
 
         lam.push(lam_i);
         site_levels.push(levels_i);
+        lvl_rows.push(rows_i);
     }
 
     PiecewiseVars {
         lam,
         levels: site_levels,
+        lvl_rows,
+        cap_rows,
     }
 }
 
@@ -360,11 +374,20 @@ pub struct CostMinimizer {
 
 impl Default for CostMinimizer {
     fn default() -> Self {
-        crate::BillCapper::default().minimizer
+        Self::new(&crate::CapperConfig::default())
     }
 }
 
 impl CostMinimizer {
+    /// A minimizer with `config`'s settings and the default solver.
+    pub(crate) fn new(config: &crate::CapperConfig) -> Self {
+        Self {
+            solver: MipSolver::default(),
+            integral_servers: config.integral_servers,
+            audit: config.audit,
+        }
+    }
+
     /// Minimizes the hour's electricity cost for total workload `lambda`
     /// (requests/hour) with per-site background demand `background_mw`.
     pub fn solve(

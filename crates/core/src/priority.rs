@@ -6,14 +6,15 @@
 //! integrated". This module does that integration: any number of traffic
 //! classes in strict priority order, with an arbitrary prefix marked
 //! *guaranteed* (served regardless of budget, like the paper's premium
-//! class). The budgeted throughput from the step-2 MILP is then handed
-//! out in priority order.
+//! class). The decision is the paper's three steps with the guaranteed
+//! prefix in the premium role; the rate they serve is then handed out in
+//! priority order.
 
-use crate::capper::BillCapper;
+use crate::capper::{BillCapper, HourOutcome};
+use crate::engine::DecisionEngine;
 use crate::error::CoreError;
 use crate::minimize::Allocation;
 use crate::spec::DataCenterSystem;
-use billcap_milp::SolveError;
 
 /// One traffic class.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,7 +63,9 @@ impl BillCapper {
     /// Decides one hour for an ordered list of priority classes
     /// (highest priority first; guaranteed classes must form a prefix).
     ///
-    /// Semantics generalize [`BillCapper::decide_hour`]:
+    /// Semantics generalize [`BillCapper::decide_hour`]: the same three
+    /// steps on a one-shot engine, with the guaranteed prefix's total
+    /// rate in the premium role:
     /// 1. minimize cost for the whole offered load — if it fits the
     ///    budget, everyone is served;
     /// 2. otherwise maximize throughput within the budget and hand it out
@@ -91,53 +94,14 @@ impl BillCapper {
             "guaranteed classes must form a prefix of the priority order"
         );
 
-        let capacity = system.total_capacity();
         let guaranteed_rate: f64 = classes[..first_best_effort].iter().map(|c| c.rate).sum();
-        if guaranteed_rate > capacity {
-            return Err(CoreError::InsufficientCapacity {
-                demanded: guaranteed_rate,
-                capacity,
-            });
-        }
-        let offered: f64 = classes.iter().map(|c| c.rate).sum::<f64>().min(capacity);
-
-        // Step 1: full service.
-        let step1 = self.minimizer.solve(system, offered, background_mw)?;
-        if step1.total_cost <= hourly_budget {
-            return Ok(ClassDecision {
-                admitted: distribute(classes, offered),
-                allocation: step1,
-                budget_violated: false,
-            });
-        }
-
-        // Step 2: budgeted throughput.
-        let step2 = match self
-            .maximizer
-            .solve(system, offered, background_mw, hourly_budget)
-        {
-            Ok(a) => Some(a),
-            Err(CoreError::Solver(SolveError::Infeasible)) => None,
-            Err(e) => return Err(e),
-        };
-        if let Some(step2) = step2 {
-            if step2.total_lambda >= guaranteed_rate - 1e-6 {
-                return Ok(ClassDecision {
-                    admitted: distribute(classes, step2.total_lambda),
-                    allocation: step2,
-                    budget_violated: false,
-                });
-            }
-        }
-
-        // Step 3: guaranteed override.
-        let step3 = self
-            .minimizer
-            .solve(system, guaranteed_rate, background_mw)?;
+        let offered: f64 = classes.iter().map(|c| c.rate).sum();
+        let mut engine = DecisionEngine::new(system.clone(), self.config.clone());
+        let steps = engine.decide(offered, guaranteed_rate, background_mw, hourly_budget)?;
         Ok(ClassDecision {
-            admitted: distribute(classes, guaranteed_rate),
-            allocation: step3,
-            budget_violated: true,
+            admitted: distribute(classes, steps.served),
+            allocation: steps.allocation,
+            budget_violated: steps.outcome == HourOutcome::PremiumOverride,
         })
     }
 }
@@ -219,12 +183,14 @@ mod tests {
 
     #[test]
     fn two_classes_reduce_to_the_paper_scheme() {
-        // premium/ordinary via the class API must match decide_hour.
+        // premium/ordinary via the class API must match decide_hour bit
+        // for bit: both are the same three steps.
         let sys = DataCenterSystem::paper_system(1);
         let d = background();
         let offered = 8e8;
         let premium = 0.8 * offered;
         let capper = BillCapper::default();
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for budget in [1.0, 2500.0, 1e9] {
             let classic = capper
                 .decide_hour(&sys, offered, premium, &d, budget)
@@ -240,15 +206,22 @@ mod tests {
                     budget,
                 )
                 .unwrap();
-            assert!(
-                (classy.admitted[0] - classic.premium_served).abs() < 1.0,
-                "budget {budget}"
+            let ctx = format!("budget {budget}");
+            assert_eq!(
+                bits(&classy.admitted),
+                bits(&[classic.premium_served, classic.ordinary_served]),
+                "{ctx}: admitted"
             );
-            assert!(
-                (classy.admitted[1] - classic.ordinary_served).abs() < 1.0,
-                "budget {budget}: {} vs {}",
-                classy.admitted[1],
-                classic.ordinary_served
+            let (x, y) = (&classy.allocation, &classic.allocation);
+            assert_eq!(bits(&x.lambda), bits(&y.lambda), "{ctx}: lambda");
+            assert_eq!(x.servers, y.servers, "{ctx}: servers");
+            assert_eq!(bits(&x.power_mw), bits(&y.power_mw), "{ctx}: power");
+            assert_eq!(bits(&x.cost), bits(&y.cost), "{ctx}: cost");
+            assert_eq!(x.level, y.level, "{ctx}: level");
+            assert_eq!(
+                classy.budget_violated,
+                classic.outcome == HourOutcome::PremiumOverride,
+                "{ctx}: violation iff premium override"
             );
         }
     }

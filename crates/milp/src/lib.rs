@@ -79,9 +79,7 @@ pub use io::{parse_lp, write_lp};
 pub use lint::{lint_model, Finding, LintReport, ModelStats, Severity};
 pub use model::{Constraint, ConstraintOp, Model, Sense, VarId, VarType, Variable};
 pub use oracle::{brute_force_solve, brute_force_solve_capped};
-pub use presolve::{
-    presolve, propagate_bounds, propagate_bounds_with, PresolveResult, Propagation,
-};
+pub use presolve::{propagate_bounds, propagate_bounds_with, Propagation};
 pub use revised::{
     BasisState, ColStatus, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution,
     RevisedStats,

@@ -1,30 +1,21 @@
-//! Presolve: problem reductions applied before the simplex/branch-and-bound.
+//! Activity-based bound propagation, the one presolve reduction the
+//! solver runs.
 //!
-//! Four classic, always-safe reductions run to a fixpoint:
-//!
-//! 1. **Singleton rows** (`a·x ⋈ b` with one variable) become bound
-//!    updates and are dropped.
-//! 2. **Fixed variables** (`lb == ub`) are substituted into every row and
-//!    removed from the model.
-//! 3. **Empty rows** are checked for consistency and dropped (an
-//!    inconsistent one proves infeasibility without any simplex work).
-//! 4. **Activity-based bound propagation** across multi-term rows: each
-//!    row's minimum activity implies a bound on every participating
-//!    variable (e.g. the big-M row `q − u·z ≤ 0` with `z ∈ [0, 1]`
-//!    implies `q ≤ u`). See [`propagate_bounds`], which is also exposed
-//!    standalone for the branch-and-bound root and the model linter.
-//!
-//! The result keeps a mapping back to the original variable space so the
-//! reduced model's solution can be [`PresolveResult::restore`]d. The
-//! reductions preserve the optimal objective exactly; the property tests
-//! verify `solve(presolve(m)) == solve(m)` on random integer programs.
+//! Each row's minimum activity implies a bound on every participating
+//! variable (e.g. the big-M row `q − u·z ≤ 0` with `z ∈ [0, 1]` implies
+//! `q ≤ u`), and sweeps repeat to a fixpoint. A singleton row folds into
+//! its variable's bounds the same way, and an emptied domain is a static
+//! proof of infeasibility. [`propagate_bounds`] runs it on a model's
+//! declared bounds, [`propagate_bounds_with`] on an explicit box; the
+//! branch-and-bound root (see [`crate::MipSolver::root_propagation`])
+//! and the model linter (`M007`) use it.
 
 use crate::error::SolveError;
-use crate::model::{ConstraintOp, Model, VarId, VarType};
+use crate::model::{ConstraintOp, Model, VarType};
 use crate::INT_TOL;
 
 /// Cap on propagation sweeps: geometric bound chains (`x ≤ αy`, `y ≤ αx`)
-/// converge but can take many rounds; the cap keeps presolve O(rows).
+/// converge but can take many rounds; the cap keeps propagation O(rows).
 const PROP_MAX_ROUNDS: usize = 32;
 
 /// Relative improvement a propagated bound must achieve to be applied.
@@ -32,45 +23,12 @@ const PROP_MAX_ROUNDS: usize = 32;
 /// round-off in the activity sums can never cut off the true optimum.
 const PROP_EPS: f64 = 1e-7;
 
-/// Outcome of presolving a model.
-#[derive(Debug, Clone)]
-pub struct PresolveResult {
-    /// The reduced model (possibly identical to the input).
-    pub reduced: Model,
-    /// For each reduced-model variable, the original variable it maps to.
-    pub kept: Vec<VarId>,
-    /// Original variables eliminated by fixing, with their values.
-    pub fixed: Vec<(VarId, f64)>,
-    /// Number of constraints removed.
-    pub dropped_rows: usize,
-    /// Bound tightenings contributed by activity-based propagation
-    /// (beyond singleton-row folds and integer rounding).
-    pub propagated: usize,
-    /// Total number of original variables.
-    original_vars: usize,
-}
-
-impl PresolveResult {
-    /// Lifts a reduced-model solution vector back to the original
-    /// variable space.
-    pub fn restore(&self, reduced_values: &[f64]) -> Vec<f64> {
-        assert_eq!(reduced_values.len(), self.kept.len(), "solution size");
-        let mut out = vec![0.0; self.original_vars];
-        for (&orig, &v) in self.kept.iter().zip(reduced_values) {
-            out[orig.index()] = v;
-        }
-        for &(orig, v) in &self.fixed {
-            out[orig.index()] = v;
-        }
-        out
-    }
-}
-
 /// Outcome of standalone activity-based bound propagation
 /// ([`propagate_bounds`]).
 #[derive(Debug, Clone)]
 pub struct Propagation {
-    /// Propagated `(lb, ub)` per variable, indexed by [`VarId::index`].
+    /// Propagated `(lb, ub)` per variable, indexed by
+    /// [`crate::VarId::index`].
     /// Always at least as tight as the model's declared bounds; integer
     /// bounds are rounded inward.
     pub bounds: Vec<(f64, f64)>,
@@ -326,222 +284,10 @@ pub(crate) fn propagate_from(
     Ok((tightened, rounds))
 }
 
-/// Applies the reductions to a fixpoint. Returns
-/// [`SolveError::Infeasible`] when a reduction proves infeasibility.
-pub fn presolve(model: &Model) -> Result<PresolveResult, SolveError> {
-    model.validate()?;
-    // Working copies of bounds and rows in the ORIGINAL variable space.
-    let mut lb: Vec<f64> = model.variables().iter().map(|v| v.lb).collect();
-    let mut ub: Vec<f64> = model.variables().iter().map(|v| v.ub).collect();
-    let is_int: Vec<bool> = model
-        .variables()
-        .iter()
-        .map(|v| matches!(v.var_type, VarType::Integer | VarType::Binary))
-        .collect();
-    #[derive(Clone)]
-    struct Row {
-        name: String,
-        terms: Vec<(usize, f64)>,
-        op: ConstraintOp,
-        rhs: f64,
-        alive: bool,
-    }
-    let mut rows: Vec<Row> = model
-        .constraints()
-        .iter()
-        .map(|c| Row {
-            name: c.name.clone(),
-            terms: c.terms.iter().map(|&(v, co)| (v.index(), co)).collect(),
-            op: c.op,
-            rhs: c.rhs,
-            alive: true,
-        })
-        .collect();
-    let mut fixed_value: Vec<Option<f64>> = vec![None; model.num_vars()];
-    let tol = 1e-9;
-    let mut prop_rounds = 0usize;
-    let mut prop_tightened = 0usize;
-    let mut le_rows = LeRows::default();
-
-    let mut changed = true;
-    while changed {
-        changed = false;
-
-        // Integer bound rounding + fixed-variable detection.
-        for i in 0..lb.len() {
-            if fixed_value[i].is_some() {
-                continue;
-            }
-            if is_int[i] {
-                let rl = if lb[i].is_finite() {
-                    (lb[i] - INT_TOL).ceil()
-                } else {
-                    lb[i]
-                };
-                let ru = if ub[i].is_finite() {
-                    (ub[i] + INT_TOL).floor()
-                } else {
-                    ub[i]
-                };
-                if rl != lb[i] || ru != ub[i] {
-                    lb[i] = rl;
-                    ub[i] = ru;
-                    changed = true;
-                }
-            }
-            if lb[i] > ub[i] + tol {
-                return Err(SolveError::Infeasible);
-            }
-            if (ub[i] - lb[i]).abs() <= tol {
-                fixed_value[i] = Some(lb[i]);
-                changed = true;
-            }
-        }
-
-        // Substitute fixed variables into rows; handle singleton/empty rows.
-        for row in rows.iter_mut().filter(|r| r.alive) {
-            // Substitution.
-            let before = row.terms.len();
-            let mut rhs = row.rhs;
-            row.terms.retain(|&(v, co)| {
-                if let Some(x) = fixed_value[v] {
-                    rhs -= co * x;
-                    false
-                } else {
-                    true
-                }
-            });
-            if row.terms.len() != before {
-                row.rhs = rhs;
-                changed = true;
-            }
-
-            match row.terms.as_slice() {
-                [] => {
-                    // Empty row: verify and drop.
-                    let ok = match row.op {
-                        ConstraintOp::Le => 0.0 <= row.rhs + tol,
-                        ConstraintOp::Ge => 0.0 >= row.rhs - tol,
-                        ConstraintOp::Eq => row.rhs.abs() <= tol,
-                    };
-                    if !ok {
-                        return Err(SolveError::Infeasible);
-                    }
-                    row.alive = false;
-                    changed = true;
-                }
-                &[(v, co)] if co.abs() > tol => {
-                    // Singleton row: fold into the variable's bounds.
-                    let bound = row.rhs / co;
-                    let op = if co > 0.0 {
-                        row.op
-                    } else {
-                        match row.op {
-                            ConstraintOp::Le => ConstraintOp::Ge,
-                            ConstraintOp::Ge => ConstraintOp::Le,
-                            ConstraintOp::Eq => ConstraintOp::Eq,
-                        }
-                    };
-                    match op {
-                        ConstraintOp::Le => {
-                            if bound < ub[v] {
-                                ub[v] = bound;
-                                changed = true;
-                            }
-                        }
-                        ConstraintOp::Ge => {
-                            if bound > lb[v] {
-                                lb[v] = bound;
-                                changed = true;
-                            }
-                        }
-                        ConstraintOp::Eq => {
-                            if bound < lb[v] - tol || bound > ub[v] + tol {
-                                return Err(SolveError::Infeasible);
-                            }
-                            lb[v] = bound;
-                            ub[v] = bound;
-                            changed = true;
-                        }
-                    }
-                    row.alive = false;
-                }
-                _ => {}
-            }
-        }
-
-        // Activity-based bound propagation across the surviving
-        // multi-term rows: tightened bounds feed the next iteration's
-        // singleton/fixed-variable rules (a propagated `lb == ub` fixes
-        // the variable on the following sweep).
-        if prop_rounds < PROP_MAX_ROUNDS {
-            le_rows.clear();
-            for row in rows.iter().filter(|r| r.alive && r.terms.len() >= 2) {
-                le_rows.push(row.terms.iter().copied(), row.op, row.rhs);
-            }
-            if propagate_pass(&le_rows, &mut lb, &mut ub, &is_int, &mut prop_tightened)? {
-                prop_rounds += 1;
-                changed = true;
-            }
-        }
-    }
-
-    // Assemble the reduced model.
-    let mut reduced = Model::new(format!("{}:presolved", model.name), model.sense);
-    let mut kept: Vec<VarId> = Vec::new();
-    let mut new_id: Vec<Option<VarId>> = vec![None; model.num_vars()];
-    for (i, v) in model.variables().iter().enumerate() {
-        if fixed_value[i].is_some() {
-            continue;
-        }
-        let id = reduced.add_var(v.name.clone(), v.var_type, lb[i], ub[i]);
-        new_id[i] = Some(id);
-        kept.push(VarId::from_index(i));
-    }
-    let mut dropped_rows = 0;
-    for row in &rows {
-        if !row.alive {
-            dropped_rows += 1;
-            continue;
-        }
-        let terms: Vec<(VarId, f64)> = row
-            .terms
-            .iter()
-            .map(|&(v, co)| (new_id[v].expect("unfixed var kept"), co)) // detlint-allow(L001): kept vars are renumbered
-            .collect();
-        reduced.add_constraint(row.name.clone(), terms, row.op, row.rhs);
-    }
-    // Objective: substitute fixed variables into the constant.
-    let mut obj_terms: Vec<(VarId, f64)> = Vec::new();
-    let mut obj_const = model.objective_constant();
-    for &(v, co) in model.objective() {
-        match fixed_value[v.index()] {
-            Some(x) => obj_const += co * x,
-            None => obj_terms.push((new_id[v.index()].expect("kept"), co)), // detlint-allow(L001): kept vars are renumbered
-        }
-    }
-    reduced.set_objective(obj_terms, obj_const);
-
-    let fixed = fixed_value
-        .iter()
-        .enumerate()
-        .filter_map(|(i, x)| x.map(|x| (VarId::from_index(i), x)))
-        .collect();
-    Ok(PresolveResult {
-        reduced,
-        kept,
-        fixed,
-        dropped_rows,
-        propagated: prop_tightened,
-        original_vars: model.num_vars(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::LpSolver;
-    use crate::{MipSolver, Sense};
+    use crate::Sense;
 
     #[test]
     fn singleton_rows_become_bounds() {
@@ -552,54 +298,33 @@ mod tests {
         m.add_constraint("cy", vec![(y, -1.0)], ConstraintOp::Le, -3.0); // y >= 3
         m.add_constraint("joint", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 20.0);
         m.set_objective(vec![(x, 1.0), (y, 1.0)], 0.0);
-        let p = presolve(&m).unwrap();
-        assert_eq!(p.reduced.num_constraints(), 1);
-        assert_eq!(p.dropped_rows, 2);
-        let v = &p.reduced.variables()[0];
-        assert_eq!((v.lb, v.ub), (0.0, 5.0));
-        let w = &p.reduced.variables()[1];
-        assert_eq!(w.lb, 3.0);
-        // Propagation additionally bounds y through the joint row:
-        // y <= 20 - min(x) = 20 (plus the continuous safety slack).
-        assert!(w.ub >= 20.0 && w.ub < 20.01, "y ub {}", w.ub);
-        assert!(p.propagated >= 1);
+        let prop = propagate_bounds(&m).unwrap();
+        // Continuous tightenings carry the PROP_EPS safety slack.
+        let (xl, xu) = prop.bounds[x.index()];
+        assert!(xl == 0.0 && (5.0..5.01).contains(&xu), "x in [{xl}, {xu}]");
+        // y >= 3 from its singleton row; y <= 20 - min(x) = 20 through
+        // the joint row.
+        let (yl, yu) = prop.bounds[y.index()];
+        assert!(yl > 2.99 && yl <= 3.0, "y lb {yl}");
+        assert!((20.0..20.01).contains(&yu), "y ub {yu}");
+        assert!(prop.tightened >= 3);
     }
 
     #[test]
-    fn fixed_variables_are_substituted() {
-        let mut m = Model::new("f", Sense::Minimize);
-        let x = m.add_cont("x", 7.0, 7.0); // fixed
-        let y = m.add_cont("y", 0.0, 100.0);
-        m.add_constraint("c", vec![(x, 2.0), (y, 1.0)], ConstraintOp::Ge, 20.0);
-        m.set_objective(vec![(x, 3.0), (y, 1.0)], 0.0);
-        let p = presolve(&m).unwrap();
-        assert_eq!(p.reduced.num_vars(), 1);
-        assert_eq!(p.fixed, vec![(x, 7.0)]);
-        // Row became y >= 6 (singleton) and was folded into bounds.
-        assert_eq!(p.reduced.num_constraints(), 0);
-        assert_eq!(p.reduced.variables()[0].lb, 6.0);
-        // Objective constant absorbed 3 * 7.
-        assert_eq!(p.reduced.objective_constant(), 21.0);
-        let _ = y;
-    }
-
-    #[test]
-    fn detects_infeasible_singleton_chain() {
+    fn singleton_contradictions_prove_infeasibility() {
+        // x >= 8 and x <= 3.
         let mut m = Model::new("inf", Sense::Minimize);
         let x = m.add_cont("x", 0.0, 10.0);
         m.add_constraint("lo", vec![(x, 1.0)], ConstraintOp::Ge, 8.0);
         m.add_constraint("hi", vec![(x, 1.0)], ConstraintOp::Le, 3.0);
         m.set_objective(vec![(x, 1.0)], 0.0);
-        assert_eq!(presolve(&m).unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
-    fn detects_empty_row_contradiction() {
-        let mut m = Model::new("empty", Sense::Minimize);
-        let x = m.add_cont("x", 2.0, 2.0); // fixed at 2
+        assert_eq!(propagate_bounds(&m).unwrap_err(), SolveError::Infeasible);
+        // x fixed at 2 by its bounds, x >= 5 by a row.
+        let mut m = Model::new("fixed", Sense::Minimize);
+        let x = m.add_cont("x", 2.0, 2.0);
         m.add_constraint("c", vec![(x, 1.0)], ConstraintOp::Ge, 5.0);
         m.set_objective(vec![(x, 1.0)], 0.0);
-        assert_eq!(presolve(&m).unwrap_err(), SolveError::Infeasible);
+        assert_eq!(propagate_bounds(&m).unwrap_err(), SolveError::Infeasible);
     }
 
     #[test]
@@ -631,90 +356,10 @@ mod tests {
         let mut m = Model::new("int", Sense::Maximize);
         let x = m.add_var("x", VarType::Integer, 0.3, 4.7);
         m.set_objective(vec![(x, 1.0)], 0.0);
-        let p = presolve(&m).unwrap();
-        let v = &p.reduced.variables()[0];
-        assert_eq!((v.lb, v.ub), (1.0, 4.0));
-    }
-
-    #[test]
-    fn restore_reassembles_full_solution() {
-        let mut m = Model::new("r", Sense::Maximize);
-        let x = m.add_cont("x", 5.0, 5.0); // fixed
-        let y = m.add_cont("y", 0.0, 10.0);
-        let z = m.add_cont("z", 0.0, 10.0);
-        m.add_constraint("c", vec![(y, 1.0), (z, 1.0)], ConstraintOp::Le, 8.0);
-        m.set_objective(vec![(x, 1.0), (y, 2.0), (z, 1.0)], 0.0);
-        let p = presolve(&m).unwrap();
-        let sol = LpSolver::default().solve(&p.reduced).unwrap();
-        let full = p.restore(&sol.values);
-        assert_eq!(full.len(), 3);
-        assert_eq!(full[x.index()], 5.0);
-        assert!(m.is_feasible(&full, 1e-7));
-        // Total objective including the fixed part.
-        let obj = m.eval_objective(&full);
-        assert!((obj - (5.0 + 16.0)).abs() < 1e-9, "obj {obj}");
-    }
-
-    #[test]
-    fn restore_mixes_fixed_kept_and_singleton_bounded_vars() {
-        // Four variables exercising every restore path at once: one fixed
-        // by declaration, one fixed by an equality singleton row, one
-        // whose bounds come from a folded singleton row, one untouched.
-        let mut m = Model::new("mix", Sense::Maximize);
-        let a = m.add_cont("a", 2.0, 2.0); // fixed by bounds
-        let b = m.add_cont("b", 0.0, 50.0); // fixed by the eq row below
-        let c = m.add_cont("c", 0.0, 100.0); // singleton-bounded to <= 9
-        let d = m.add_var("d", VarType::Integer, 0.0, 6.0); // kept
-        m.add_constraint("fix_b", vec![(b, 3.0)], ConstraintOp::Eq, 12.0); // b = 4
-        m.add_constraint("cap_c", vec![(c, 2.0)], ConstraintOp::Le, 18.0); // c <= 9
-        m.add_constraint(
-            "joint",
-            vec![(a, 1.0), (b, 1.0), (c, 1.0), (d, 1.0)],
-            ConstraintOp::Le,
-            17.0,
-        );
-        m.set_objective(vec![(a, 1.0), (b, 1.0), (c, 2.0), (d, 3.0)], 0.0);
-        let p = presolve(&m).unwrap();
-        // a and b were eliminated; c and d survive with folded bounds.
-        assert_eq!(p.reduced.num_vars(), 2);
-        let mut fixed = p.fixed.clone();
-        fixed.sort_by_key(|&(v, _)| v.index());
-        assert_eq!(fixed, vec![(a, 2.0), (b, 4.0)]);
-        assert_eq!(p.kept, vec![c, d]);
-        let sol = MipSolver::default().solve(&p.reduced).unwrap();
-        let full = p.restore(&sol.values);
-        assert_eq!(full.len(), 4);
-        assert_eq!(full[a.index()], 2.0);
-        assert_eq!(full[b.index()], 4.0);
-        assert!(m.is_feasible(&full, 1e-6));
-        // Direct solve agrees with solve-reduced-then-restore.
-        let direct = MipSolver::default().solve(&m).unwrap();
-        assert!((m.eval_objective(&full) - direct.objective).abs() < 1e-9);
-    }
-
-    #[test]
-    fn presolved_milp_preserves_optimum() {
-        // max 10a + 13b + 7c with a forced and a bounded-away variable.
-        let mut m = Model::new("mip", Sense::Maximize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_constraint("force_a", vec![(a, 1.0)], ConstraintOp::Ge, 1.0);
-        m.add_constraint(
-            "w",
-            vec![(a, 3.0), (b, 4.0), (c, 2.0)],
-            ConstraintOp::Le,
-            6.0,
-        );
-        m.set_objective(vec![(a, 10.0), (b, 13.0), (c, 7.0)], 0.0);
-        let direct = MipSolver::default().solve(&m).unwrap();
-        let p = presolve(&m).unwrap();
-        assert!(p.reduced.num_vars() < 3, "a should be fixed by presolve");
-        let reduced_sol = MipSolver::default().solve(&p.reduced).unwrap();
-        let full = p.restore(&reduced_sol.values);
-        let obj = m.eval_objective(&full);
-        assert!((obj - direct.objective).abs() < 1e-9);
-        assert!(m.is_feasible(&full, 1e-6));
+        let prop = propagate_bounds(&m).unwrap();
+        assert_eq!(prop.bounds[x.index()], (1.0, 4.0));
+        // Rounding is not counted as a tightening.
+        assert_eq!(prop.tightened, 0);
     }
 
     #[test]
@@ -742,8 +387,6 @@ mod tests {
         m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 25.0);
         m.set_objective(vec![(x, 1.0)], 0.0);
         assert_eq!(propagate_bounds(&m).unwrap_err(), SolveError::Infeasible);
-        // presolve reaches the same verdict through its propagation rule.
-        assert_eq!(presolve(&m).unwrap_err(), SolveError::Infeasible);
     }
 
     #[test]
@@ -835,9 +478,8 @@ mod tests {
         let y = m.add_cont("y", 0.0, 10.0);
         m.add_constraint("c", vec![(x, 1.0), (y, 2.0)], ConstraintOp::Ge, 4.0);
         m.set_objective(vec![(x, 1.0), (y, 1.0)], 0.0);
-        let p = presolve(&m).unwrap();
-        assert_eq!(p.reduced.num_vars(), 2);
-        assert_eq!(p.reduced.num_constraints(), 1);
-        assert_eq!(p.dropped_rows, 0);
+        let prop = propagate_bounds(&m).unwrap();
+        assert_eq!(prop.bounds, vec![(0.0, 10.0), (0.0, 10.0)]);
+        assert_eq!((prop.tightened, prop.rounds), (0, 0));
     }
 }

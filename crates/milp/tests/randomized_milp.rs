@@ -7,8 +7,8 @@
 //! with no external property-testing framework required.
 
 use billcap_milp::{
-    parse_lp, presolve, write_lp, ConstraintOp, LpSolver, MipSolver, Model, Sense, SolveError,
-    VarType,
+    parse_lp, propagate_bounds, write_lp, ConstraintOp, LpSolver, MipSolver, Model, Sense,
+    SolveError, VarType,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
 
@@ -173,34 +173,13 @@ fn objective_scaling_and_rhs_monotonicity() {
     });
 }
 
-/// Presolve preserves the optimum exactly: solving the reduced model
-/// and restoring gives the same objective as solving directly.
+/// Root bound propagation on models that actually trigger it: the base
+/// instance is decorated with a fixed variable coupled into a multi-term
+/// row, a singleton row tightening a bound, and a big-M indicator row.
+/// Propagation must tighten something without moving the fixed variable,
+/// and disabling it in the branch-and-bound must not move the optimum.
 #[test]
-fn presolve_preserves_optimum() {
-    for_random_ips(0x4000, |_, ip| {
-        let model = build_model(ip, true);
-        let direct = MipSolver::default().solve(&model).unwrap();
-        let p = presolve(&model).expect("x = 0 is feasible, presolve cannot prove infeasible");
-        let reduced_sol = MipSolver::default().solve(&p.reduced).unwrap();
-        let full = p.restore(&reduced_sol.values);
-        let obj = model.eval_objective(&full);
-        assert!(
-            (obj - direct.objective).abs() < 1e-6,
-            "presolved {obj} vs direct {}",
-            direct.objective
-        );
-        assert!(model.is_feasible(&full, 1e-6));
-    });
-}
-
-/// Presolve equivalence on models that actually trigger its rules: the
-/// base instance is decorated with a fixed variable substituted into a
-/// coupling row, a singleton row folding into bounds, and a big-M
-/// indicator row for the propagation pass. Solving the reduced model and
-/// restoring must match the direct solve — and so must disabling root
-/// propagation in the branch-and-bound.
-#[test]
-fn presolve_equivalence_with_fixed_singleton_and_bigm_rows() {
+fn root_propagation_preserves_optimum_with_fixed_singleton_and_bigm_rows() {
     let no_prop = MipSolver {
         root_propagation: false,
         ..Default::default()
@@ -241,24 +220,13 @@ fn presolve_equivalence_with_fixed_singleton_and_bigm_rows() {
         model.set_objective(obj, 0.0);
 
         let direct = MipSolver::default().solve(&model).expect("x=0, z=0 works");
-        let p = presolve(&model).expect("a feasible point exists");
+        let prop = propagate_bounds(&model).expect("a feasible point exists");
         assert!(
-            p.propagated >= 1,
+            prop.tightened >= 1,
             "the big-M row must trigger at least one propagated tightening"
         );
-        assert!(
-            p.fixed.iter().any(|&(v, x)| v == fixed && x == fv),
-            "declared-fixed variable must be eliminated"
-        );
-        let reduced_sol = MipSolver::default().solve(&p.reduced).unwrap();
-        let full = p.restore(&reduced_sol.values);
-        let obj = model.eval_objective(&full);
-        assert!(
-            (obj - direct.objective).abs() < 1e-6,
-            "presolved {obj} vs direct {}",
-            direct.objective
-        );
-        assert!(model.is_feasible(&full, 1e-6));
+        assert_eq!(prop.bounds[fixed.index()], (fv, fv), "fixed variable moved");
+        assert!(model.is_feasible(&direct.values, 1e-6));
 
         let unpropagated = no_prop.solve(&model).unwrap();
         assert!(

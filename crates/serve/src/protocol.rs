@@ -29,7 +29,7 @@
 //! `Value` rendering without building the tree, so the body can be
 //! rendered once and served again behind any id.
 
-use billcap_core::{HourDecision, HourOutcome};
+use billcap_core::{validate_hour_inputs, CoreError, HourDecision, HourOutcome};
 use billcap_obs::json::Value;
 use billcap_obs::MetricsDoc;
 use std::io::{Read, Write};
@@ -357,35 +357,20 @@ impl Request {
                 self.policy
             ));
         }
-        if !self.offered.is_finite() || self.offered < 0.0 {
-            return Err(format!(
-                "offered rate {} must be finite and >= 0",
-                self.offered
-            ));
-        }
-        if !self.premium_offered.is_finite() || self.premium_offered < 0.0 {
-            return Err(format!(
-                "premium rate {} must be finite and >= 0",
-                self.premium_offered
-            ));
-        }
-        if self.premium_offered > self.offered {
-            return Err(format!(
-                "premium rate {} exceeds offered rate {}",
-                self.premium_offered, self.offered
-            ));
-        }
         if self.background_mw.is_empty() {
             return Err("background demand vector is empty".into());
         }
-        for (i, d) in self.background_mw.iter().enumerate() {
-            if !d.is_finite() || *d < 0.0 {
-                return Err(format!("background[{i}] = {d} must be finite and >= 0"));
-            }
-        }
-        if self.hourly_budget.is_nan() || self.hourly_budget == f64::NEG_INFINITY {
-            return Err("budget must be a finite number or null".into());
-        }
+        // The decider's own input rules, with its messages.
+        validate_hour_inputs(
+            self.offered,
+            self.premium_offered,
+            &self.background_mw,
+            self.hourly_budget,
+        )
+        .map_err(|e| match e {
+            CoreError::InvalidInput(msg) => msg,
+            e => e.to_string(),
+        })?;
         Ok(())
     }
 }

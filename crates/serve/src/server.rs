@@ -56,9 +56,12 @@
 //! non-blocking [`TraceSink`] (drops are counted, memory never grows).
 //!
 //! Responses are written in completion order; clients correlate by
-//! `id`. With the cache off and basis reuse off, every response body is
-//! bitwise-identical to a fresh in-process
-//! [`billcap_core::BillCapper::decide_hour`] on the same request.
+//! `id`. With basis reuse off, every response body is bitwise-identical
+//! to an in-process one-shot decision
+//! ([`billcap_core::BillCapper::decide_hour`]) on the same request: the
+//! workers' retained engines decide exactly like one-shot engines (the
+//! engine's bitwise contract), and a cache hit replays a body rendered
+//! from such a decision.
 
 use crate::protocol::{
     read_frame, render_decision_body, render_decision_frame, write_frame, ControlMsg, FrameError,

@@ -1,26 +1,27 @@
 //! The hourly simulation loop.
 //!
-//! Two implementations of the same month semantics:
+//! One loop, two public entry points that differ only in how long the
+//! capper's [`DecisionEngine`] lives:
 //!
 //! * [`run_month_scratch`] — the production loop. Decisions come from a
-//!   retained [`DecisionEngine`] (build-once/mutate-values MILPs), the
-//!   per-hour background vector fills a reusable buffer, and both live
-//!   in a caller-owned [`MonthScratch`] so a Monte-Carlo worker pays
-//!   model construction once per fleet, not once per hour × sample.
-//! * [`run_month_fresh`] — the reference loop: a fresh [`BillCapper`]
-//!   model build and fresh allocations every hour, exactly the
-//!   pre-reuse behavior. It exists as the differential oracle: the
-//!   scratch path must match it bitwise on every decision (the engine's
-//!   contract), which `tests/risk_determinism.rs` enforces.
+//!   retained engine (build-once/mutate-values MILPs), the per-hour
+//!   background vector fills a reusable buffer, and both live in a
+//!   caller-owned [`MonthScratch`] so a Monte-Carlo worker pays model
+//!   construction once per fleet, not once per hour × sample.
+//! * [`run_month_fresh`] — the reference: the same loop with the engine
+//!   dropped before every hour, so each decision is made by a one-shot
+//!   engine that builds its models from scratch. The retained engine
+//!   must match it bitwise on every decision (the engine's contract),
+//!   which `tests/risk_determinism.rs` enforces.
 //!
-//! Both paths accept an optional [`CapSchedule`] that re-caps every
-//! site at every hour; the audit and the realized billing always see
-//! the hour's capped system.
+//! Both accept an optional [`CapSchedule`] that re-caps every site at
+//! every hour; the audit and the realized billing always see the
+//! hour's capped system.
 
 use crate::metrics::{HourAudit, HourRecord, HourTrace, MonthlyReport};
 use crate::scenario::Scenario;
 use billcap_core::{
-    evaluate_allocation, system_fingerprint, BillCapper, CapSchedule, CapperConfig, CoreError,
+    evaluate_allocation, system_fingerprint, CapSchedule, CapperConfig, CoreError,
     DataCenterSystem, DecisionEngine, HourDecision, MinOnly, PlanAuditor, PriceAssumption,
 };
 use billcap_workload::Budgeter;
@@ -163,6 +164,51 @@ pub fn run_month_scratch(
     cap_schedule: Option<&CapSchedule>,
     scratch: &mut MonthScratch,
 ) -> Result<MonthlyReport, CoreError> {
+    month_loop(
+        scenario,
+        strategy,
+        monthly_budget,
+        audit,
+        cap_schedule,
+        scratch,
+        false,
+    )
+}
+
+/// The reference month: [`run_month_scratch`]'s loop with the engine
+/// dropped before every hour, so each hour is decided by a one-shot
+/// engine that builds its models from scratch. The differential oracle
+/// for [`run_month_scratch`]; semantics, including the optional cap
+/// schedule, are identical.
+pub fn run_month_fresh(
+    scenario: &Scenario,
+    strategy: Strategy,
+    monthly_budget: Option<f64>,
+    audit: bool,
+    cap_schedule: Option<&CapSchedule>,
+) -> Result<MonthlyReport, CoreError> {
+    month_loop(
+        scenario,
+        strategy,
+        monthly_budget,
+        audit,
+        cap_schedule,
+        &mut MonthScratch::new(),
+        true,
+    )
+}
+
+/// The month loop behind both entry points. With `one_shot` set the
+/// capper's engine is dropped before every hour.
+fn month_loop(
+    scenario: &Scenario,
+    strategy: Strategy,
+    monthly_budget: Option<f64>,
+    audit: bool,
+    cap_schedule: Option<&CapSchedule>,
+    scratch: &mut MonthScratch,
+    one_shot: bool,
+) -> Result<MonthlyReport, CoreError> {
     let horizon = scenario.horizon();
     let auditor = audit.then(PlanAuditor::default);
     let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon);
@@ -185,6 +231,9 @@ pub fn run_month_scratch(
 
         let record = match strategy {
             Strategy::CostCapping => {
+                if one_shot {
+                    *engine = None;
+                }
                 let engine = ensure_engine(engine, &scenario.system, &config);
                 if let Some(sched) = cap_schedule {
                     engine.set_site_caps(sched.caps_at(t));
@@ -232,75 +281,8 @@ pub fn run_month_scratch(
     Ok(finish_report(strategy, monthly_budget, hours))
 }
 
-/// The reference month loop: a fresh model build and fresh allocations
-/// every hour (the pre-reuse behavior, kept as the differential oracle
-/// for [`run_month_scratch`]). Semantics — including the optional cap
-/// schedule — are identical; only the reuse strategy differs.
-pub fn run_month_fresh(
-    scenario: &Scenario,
-    strategy: Strategy,
-    monthly_budget: Option<f64>,
-    audit: bool,
-    cap_schedule: Option<&CapSchedule>,
-) -> Result<MonthlyReport, CoreError> {
-    let horizon = scenario.horizon();
-    let auditor = audit.then(PlanAuditor::default);
-    let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon);
-    let mut config = CapperConfig::default();
-    config.audit |= audit;
-    let capper = BillCapper::new(config);
-    let mut min_only = baseline_for(strategy);
-    let mut capped = scenario.system.clone();
-
-    let mut hours = Vec::with_capacity(horizon);
-    for t in 0..horizon {
-        let offered = scenario.workload.at(t);
-        let premium = scenario.split.premium(offered);
-        let ordinary = scenario.split.ordinary(offered);
-        let d = scenario.background_at(t);
-        if let Some(sched) = cap_schedule {
-            sched.apply(&mut capped, t);
-        }
-
-        let record = match strategy {
-            Strategy::CostCapping => {
-                let hourly_budget = budgeter
-                    .as_ref()
-                    .map(Budgeter::hourly_budget)
-                    .unwrap_or(f64::INFINITY);
-                let t_start = billcap_obs::Stopwatch::start();
-                let hour_span = billcap_obs::span("hour");
-                let decision = capper.decide_hour(&capped, offered, premium, &d, hourly_budget)?;
-                finish_capping_hour(
-                    t,
-                    offered,
-                    premium,
-                    ordinary,
-                    &d,
-                    decision,
-                    &capped,
-                    auditor.as_ref(),
-                    &mut budgeter,
-                    t_start,
-                    hour_span,
-                )
-            }
-            Strategy::MinOnlyAvg | Strategy::MinOnlyLow => {
-                let min_only = match min_only.as_mut() {
-                    Some(m) => m,
-                    None => unreachable!("baseline constructed for baseline strategies"),
-                };
-                min_only_hour(t, offered, premium, ordinary, &d, &capped, min_only)?
-            }
-        };
-        hours.push(record);
-    }
-
-    Ok(finish_report(strategy, monthly_budget, hours))
-}
-
-/// Budgeter construction shared by both loops: only Cost Capping with a
-/// monthly budget gets one.
+/// Budgeter construction: only Cost Capping with a monthly budget gets
+/// one.
 fn make_budgeter(
     scenario: &Scenario,
     strategy: Strategy,
@@ -341,9 +323,7 @@ fn finish_report(
 
 /// Everything that happens to a Cost Capping hour *after* the decision:
 /// audit, realized billing, budget bookkeeping, observability, record
-/// assembly. Shared verbatim between [`run_month_scratch`] and
-/// [`run_month_fresh`] so the two paths cannot drift — the only
-/// difference between them is who produced `decision`.
+/// assembly.
 #[allow(clippy::too_many_arguments)]
 fn finish_capping_hour(
     t: usize,
@@ -414,7 +394,7 @@ fn finish_capping_hour(
     }
 }
 
-/// One baseline (Min-Only) hour, shared between both loops. Min-Only
+/// One baseline (Min-Only) hour. Min-Only
 /// serves everything it physically can, budget or not; extreme flash
 /// crowds get the same capacity clamp the capper applies.
 fn min_only_hour(
