@@ -1,5 +1,5 @@
 //! Decision-server throughput: per-decision strategy benches (cold
-//! model build vs. incremental reuse vs. warm bases vs. cache hits) and
+//! model build vs. retained models vs. cache hits) and
 //! an end-to-end replay table — decisions/sec for a simulated week fired
 //! through the in-process server at 1 and 4 workers, the numbers the
 //! EXPERIMENTS.md "Decision server throughput" table quotes.
@@ -15,29 +15,25 @@ fn fast() -> bool {
         .unwrap_or(false)
 }
 
-/// One end-to-end replay; returns decisions/sec. `label` names the row.
-fn replay_row(plan: &ReplayPlan, workers: usize, cache: bool, reuse_basis: bool, check: bool) {
+/// One end-to-end replay, verified bitwise against the sequential
+/// fresh decisions; prints decisions/sec.
+fn replay_row(plan: &ReplayPlan, workers: usize, cache: bool) {
     let cfg = ServeConfig {
         workers,
         cache,
-        reuse_basis,
         ..ServeConfig::default()
     };
     let outcome = run_replay(&cfg, plan).expect("replay runs");
     assert_eq!(outcome.decisions.len(), plan.requests.len());
-    if check {
-        verify_replay(plan, &outcome).expect("bitwise-identical responses");
-    }
-    let mode = match (cache, reuse_basis) {
-        (false, false) => "incremental",
-        (true, false) => "incremental+cache",
-        (false, true) => "warm-basis",
-        (true, true) => "warm-basis+cache",
+    verify_replay(plan, &outcome).expect("bitwise-identical responses");
+    let mode = if cache {
+        "incremental+cache"
+    } else {
+        "incremental"
     };
     println!(
-        "  workers={workers:<2} {mode:<18} {:>9.1} decisions/sec{}",
+        "  workers={workers:<2} {mode:<18} {:>9.1} decisions/sec  (verified bitwise)",
         outcome.decisions_per_sec(),
-        if check { "  (verified bitwise)" } else { "" }
     );
 }
 
@@ -47,11 +43,8 @@ fn replay_table() {
     let plan = build_plan(1, 42, hours, Some(Scenario::STRINGENT_BUDGET)).expect("plan builds");
     println!("serve_replay/{hours}h (policy 1, seed 42, stringent budget):");
     for workers in [1usize, 4] {
-        // Exact modes are verified bitwise against the sequential fresh
-        // decisions on every run; warm-basis trades that guarantee away.
-        replay_row(&plan, workers, false, false, true);
-        replay_row(&plan, workers, true, false, true);
-        replay_row(&plan, workers, false, true, false);
+        replay_row(&plan, workers, false);
+        replay_row(&plan, workers, true);
     }
 }
 

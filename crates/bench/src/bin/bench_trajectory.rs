@@ -196,8 +196,8 @@ fn run() -> Result<(), String> {
     let mut h = Harness::with_config(BenchConfig::default());
     bench_solvers(&mut h);
     bench_month_runs(&mut h);
-    // The decision-server strategy benches (cold vs incremental vs warm
-    // vs cached) — the serve subsystem's perf claim lives in this file —
+    // The decision-server strategy benches (cold vs incremental vs
+    // cached) — the serve subsystem's perf claim lives in this file —
     // plus the telemetry-overhead replay pair (disabled vs enabled).
     billcap_bench::serve_bench::bench_decide_strategies(&mut h);
     billcap_bench::serve_bench::bench_replay_telemetry(&mut h);

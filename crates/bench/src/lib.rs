@@ -80,9 +80,8 @@ pub mod serve_bench {
     ///
     /// * `serve_decide/cold` — a one-shot [`BillCapper`] decision: a new
     ///   engine, and so a model build, per hour.
-    /// * `serve_decide/incremental` — a retained [`DecisionEngine`] in exact
-    ///   mode (bitwise-identical answers; value-only model mutation).
-    /// * `serve_decide/warm_basis` — the engine with root-basis reuse on.
+    /// * `serve_decide/incremental` — a retained [`DecisionEngine`]
+    ///   (value-only model mutation, bitwise-identical answers).
     /// * `serve_decide/cached` — repeat hours answered from a [`DecisionCache`].
     pub fn bench_decide_strategies(h: &mut Harness) {
         let system = super::helpers::paper_system();
@@ -115,25 +114,6 @@ pub mod serve_bench {
             let (offered, premium, bg, budget) = &hours_inc[i % hours_inc.len()];
             i += 1;
             let d = engine
-                .decide_hour(
-                    black_box(*offered),
-                    black_box(*premium),
-                    black_box(bg),
-                    black_box(*budget),
-                )
-                // detlint-allow(L001): bench inputs are feasible by construction
-                .expect("feasible hour");
-            black_box(d.allocation.total_cost)
-        });
-
-        let mut warm = DecisionEngine::new(system.clone(), CapperConfig::default());
-        warm.set_reuse_basis(true);
-        let mut i = 0usize;
-        let hours_warm = hours.clone();
-        h.bench("serve_decide/warm_basis", move || {
-            let (offered, premium, bg, budget) = &hours_warm[i % hours_warm.len()];
-            i += 1;
-            let d = warm
                 .decide_hour(
                     black_box(*offered),
                     black_box(*premium),

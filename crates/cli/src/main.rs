@@ -120,17 +120,16 @@ USAGE:
       Error-severity findings; --json emits JSONL.
 
   billcap serve [--socket PATH [--once]] [--workers N] [--no-cache]
-          [--warm-basis] [--integral] [--metrics-stream FILE]
+          [--integral] [--metrics-stream FILE]
           [--window-requests N] [--no-telemetry]
       Run the decide-hour daemon. Clients send framed JSON requests
       (4-byte big-endian length prefix + JSON body) on stdin and read
       framed responses on stdout; with --socket PATH a Unix socket is
       served instead (--once exits after the first connection).
       Requests shard across N decision workers (default: the CPU
-      count), each reusing incrementally-updated MILP models.
-      --no-cache disables the shared decision cache; --warm-basis
-      carries simplex bases across solves (faster, but answers are no
-      longer guaranteed bitwise-identical to the fresh solver).
+      count), each keeping its MILP models between requests and
+      rewriting only their values. --no-cache disables the shared
+      decision cache.
 
       The server answers in-band `{\"op\":\"metrics\"}` and
       `{\"op\":\"health\"}` control frames from the reader thread without
@@ -791,7 +790,6 @@ fn serve_config(args: &Args, env: &Env) -> Result<ServeConfig, ArgError> {
         cfg.workers = workers;
     }
     cfg.cache = !args.has("no-cache");
-    cfg.reuse_basis = args.has("warm-basis");
     cfg.capper.integral_servers = args.has("integral");
     cfg.capper.audit |= env.audit;
     cfg.telemetry = !args.has("no-telemetry");
@@ -803,10 +801,9 @@ fn serve_config(args: &Args, env: &Env) -> Result<ServeConfig, ArgError> {
 }
 
 /// The flags [`serve_config`] consumes, shared by `serve` and `replay`.
-const SERVE_CONFIG_FLAGS: [&str; 7] = [
+const SERVE_CONFIG_FLAGS: [&str; 6] = [
     "workers",
     "no-cache",
-    "warm-basis",
     "integral",
     "no-telemetry",
     "window-requests",

@@ -54,6 +54,10 @@ fn unknown_flag_is_rejected_everywhere() {
         args.push("1");
         assert_fails_mentioning(&args, "--frobnicate");
     }
+    // A retired switch is an unknown flag, not a silent default.
+    for cmd in ["serve", "replay"] {
+        assert_fails_mentioning(&[cmd, "--warm-basis"], "--warm-basis");
+    }
 }
 
 #[test]

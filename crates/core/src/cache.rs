@@ -25,16 +25,17 @@ use crate::spec::DataCenterSystem;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
-/// 64-bit FNV-1a over little-endian words.
+/// 64-bit FNV-1a over little-endian words: this crate's one fingerprint
+/// hash (it also keys the engine's built structures).
 #[derive(Debug, Clone, Copy)]
-struct Fnv(u64);
+pub(crate) struct Fnv(pub(crate) u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write_u64(&mut self, v: u64) {
+    pub(crate) fn write_u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);

@@ -29,19 +29,21 @@
 //! after the first day a month-long run stops rebuilding entirely, with
 //! flat or hourly-moving caps alike.
 //!
-//! **Bitwise contract:** with basis reuse off (the default), a retained
-//! engine decides exactly like a one-shot engine on the same inputs, and
-//! each step's allocation matches [`crate::CostMinimizer::solve`] (steps
-//! 1 and 3) or [`crate::ThroughputMaximizer::solve`] (step 2) bit for
-//! bit. All three share the model builders (`minimize::cost_min_model`,
+//! Every value is written by row index (the builders return the indices
+//! in `PiecewiseVars`) into a plain [`Model`], and every solve of every
+//! step runs cold from the model in the engine's one [`MipWorkspace`],
+//! whose buffers are refilled rather than reallocated.
+//!
+//! **Bitwise contract:** a retained engine decides exactly like a
+//! one-shot engine on the same inputs, and each step's allocation
+//! matches [`crate::CostMinimizer::solve`] (steps 1 and 3) or
+//! [`crate::ThroughputMaximizer::solve`] (step 2) bit for bit. All three
+//! share the model builders (`minimize::cost_min_model`,
 //! `maximize::throughput_max_model`) and the level and cap math
-//! (`minimize::site_level_params`, `minimize::site_cap_values`), and
-//! the value mutators write the exact floats the builders would, so
-//! the solver sees an identical model either way. Basis reuse
-//! ([`DecisionEngine::set_reuse_basis`]) trades that guarantee for
-//! speed: the optimum is preserved (and re-certified when
-//! [`CapperConfig::audit`] is on), but alternative optima may
-//! tie-break differently in the last ulp.
+//! (`minimize::site_level_params`, `minimize::site_cap_values`), the
+//! value writes put in the exact floats the builders would, and a kept
+//! workspace solves bitwise like a fresh one, so the solver sees an
+//! identical model and returns identical bits either way.
 //!
 //! The engine takes its settings from the [`CapperConfig`] it is built
 //! with: `integral_servers` shapes the models,
@@ -49,6 +51,7 @@
 //! solution.
 
 use crate::audit::checked_solve;
+use crate::cache::Fnv;
 use crate::capper::{validate_hour_inputs, CapperConfig, DecisionTrace, HourDecision, HourOutcome};
 use crate::error::CoreError;
 use crate::maximize::throughput_max_model;
@@ -57,7 +60,7 @@ use crate::minimize::{
     PiecewiseVars, RATE_SCALE,
 };
 use crate::spec::DataCenterSystem;
-use billcap_milp::{IncrementalModel, IncrementalSolver, MipSolver, Model, SolveError};
+use billcap_milp::{MipSolver, MipWorkspace, Model, SolveError};
 use billcap_obs::Stopwatch;
 
 /// The two retained model shapes.
@@ -70,11 +73,11 @@ enum Step {
     ThruMax,
 }
 
-/// One retained step model: the incremental wrapper, the variable
-/// handles, the key its structure was built for, and the caps its
+/// One retained step model: the model, its variable handles and row
+/// indices, the key its structure was built for, and the caps its
 /// values were last written for.
 struct StepModel {
-    im: IncrementalModel,
+    model: Model,
     vars: PiecewiseVars,
     /// Kept price-level indices per site — the structural key. When the
     /// hour's key differs the engine switches models, never patches
@@ -104,10 +107,10 @@ struct EngineCore {
     integral_servers: bool,
     /// Lint and certify every solve ([`CapperConfig::audit`]).
     audit: bool,
-    /// Serves steps 1 and 3 (both are `cost_min` solves, differing only
-    /// in the demand RHS).
-    min_solver: IncrementalSolver,
-    max_solver: IncrementalSolver,
+    /// Runs every step's solve.
+    solver: MipSolver,
+    /// The buffers every solve of every step refills.
+    ws: MipWorkspace,
     cost_min: Vec<StepModel>,
     thru_max: Vec<StepModel>,
     /// Monotonic use counter driving the caches' LRU eviction.
@@ -133,9 +136,9 @@ pub struct EngineStats {
     pub evictions: u64,
 }
 
-/// The bill capper for one system, keeping its MILPs (and optionally
-/// their root bases) alive between hours. See the module docs for the
-/// reuse strategy and the bitwise contract.
+/// The bill capper for one system, keeping its MILPs alive between
+/// hours. See the module docs for the reuse strategy and the bitwise
+/// contract.
 pub struct DecisionEngine {
     system: DataCenterSystem,
     core: EngineCore,
@@ -150,8 +153,8 @@ impl DecisionEngine {
             core: EngineCore {
                 integral_servers: config.integral_servers,
                 audit: config.audit,
-                min_solver: IncrementalSolver::new(MipSolver::default()),
-                max_solver: IncrementalSolver::new(MipSolver::default()),
+                solver: MipSolver::default(),
+                ws: MipWorkspace::default(),
                 cost_min: Vec::new(),
                 thru_max: Vec::new(),
                 stamp: 0,
@@ -180,23 +183,6 @@ impl DecisionEngine {
     /// The system this engine decides for.
     pub fn system(&self) -> &DataCenterSystem {
         &self.system
-    }
-
-    /// Toggles root-basis carry-over between solves. Off by default;
-    /// turning it on keeps optima (certified when audited) but
-    /// forfeits bitwise identity with a one-shot engine.
-    pub fn set_reuse_basis(&mut self, on: bool) {
-        self.core.min_solver.reuse_basis = on;
-        self.core.max_solver.reuse_basis = on;
-        if !on {
-            self.core.min_solver.reset();
-            self.core.max_solver.reset();
-        }
-    }
-
-    /// Whether root-basis carry-over is enabled.
-    pub fn reuse_basis(&self) -> bool {
-        self.core.min_solver.reuse_basis
     }
 
     /// Re-caps every site for the next decisions (a
@@ -380,16 +366,19 @@ fn record_outcome(outcome: HourOutcome, alloc: &Allocation, budget: f64) {
 }
 
 impl StepModel {
-    /// Wraps a freshly built model, recording the caps it was built for.
+    /// Keeps a freshly built model, recording the caps it was built for.
+    /// A model that fails [`Model::validate`] (a NaN or infinite cap) is
+    /// refused, so it never enters the cache.
     fn new(
-        m: Model,
+        model: Model,
         vars: PiecewiseVars,
         kept: &[Vec<usize>],
         system: &DataCenterSystem,
         stamp: u64,
     ) -> Result<Self, CoreError> {
+        model.validate()?;
         Ok(Self {
-            im: IncrementalModel::new(m)?,
+            model,
             vars,
             kept: kept.to_vec(),
             caps: system
@@ -404,7 +393,9 @@ impl StepModel {
     /// Rewrites the cap-dependent values of every site whose cap bits
     /// differ from those the model was last written for. The kept key
     /// already matches, so the `q` handles line up with this hour's
-    /// levels.
+    /// levels. An upper bound that is NaN or below its zero lower bound,
+    /// or a non-finite `cap_i` RHS, fails the sync as it would fail
+    /// [`Model::validate`].
     fn sync_caps(&mut self, system: &DataCenterSystem) -> Result<(), CoreError> {
         for (i, site) in system.sites.iter().enumerate() {
             let bits = site.power_cap_mw.to_bits();
@@ -412,11 +403,19 @@ impl StepModel {
                 continue;
             }
             let v = site_cap_values(site);
-            self.im.set_var_bounds(self.vars.lam[i], 0.0, v.lam_ub)?;
-            for &(_, _, q, _) in &self.vars.levels[i] {
-                self.im.set_var_bounds(q, 0.0, v.q_ub)?;
+            for ub in [v.lam_ub, v.q_ub] {
+                if ub.is_nan() || ub < 0.0 {
+                    return Err(CoreError::Solver(SolveError::InvalidModel(format!(
+                        "invalid bounds [0, {ub}] for site {i}"
+                    ))));
+                }
             }
-            self.im.set_rhs_at(self.vars.cap_rows[i], v.cap_rhs)?;
+            self.model.set_var_bounds(self.vars.lam[i], 0.0, v.lam_ub);
+            for &(_, _, q, _) in &self.vars.levels[i] {
+                self.model.set_var_bounds(q, 0.0, v.q_ub);
+            }
+            self.model
+                .set_constraint_rhs(self.vars.cap_rows[i], v.cap_rhs)?;
             self.caps[i] = bits;
         }
         Ok(())
@@ -430,8 +429,8 @@ impl StepModel {
         for (i, site_params) in params.iter().enumerate() {
             let slots = self.vars.levels[i].iter().zip(&self.vars.lvl_rows[i]);
             for (p, (&(_, _, _, z), &(hi, lo))) in site_params.iter().zip(slots) {
-                self.im.set_coeff_at(hi, z, p.zcoef_hi)?;
-                self.im.set_coeff_at(lo, z, p.zcoef_lo)?;
+                self.model.set_constraint_coeff(hi, z, p.zcoef_hi)?;
+                self.model.set_constraint_coeff(lo, z, p.zcoef_lo)?;
             }
         }
         Ok(())
@@ -495,26 +494,19 @@ impl EngineCore {
     /// order — which makes sets of fingerprints comparable across
     /// engines and thread counts.
     fn structure_fingerprint(step: Step, kept: &[Vec<usize>]) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        let mut eat = |x: u64| {
-            for b in x.to_le_bytes() {
-                h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-            }
-        };
-        eat(match step {
+        let mut h = Fnv::new();
+        h.write_u64(match step {
             Step::CostMin => 1,
             Step::ThruMax => 2,
         });
-        eat(kept.len() as u64);
+        h.write_u64(kept.len() as u64);
         for site in kept {
-            eat(site.len() as u64);
+            h.write_u64(site.len() as u64);
             for &k in site {
-                eat(k as u64);
+                h.write_u64(k as u64);
             }
         }
-        h
+        h.0
     }
 
     /// Bumps the telemetry for a step-cache hit.
@@ -628,9 +620,12 @@ impl EngineCore {
         }
         let idx = self.step_model(Step::CostMin, system, background_mw)?;
         let step = &mut self.cost_min[idx];
-        step.im.set_rhs("demand", lambda / RATE_SCALE)?;
-        let solver = &mut self.min_solver;
-        let sol = checked_solve(self.audit, step.im.model(), || solver.solve(&step.im))?;
+        step.model
+            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
+        let (solver, ws) = (&self.solver, &mut self.ws);
+        let sol = checked_solve(self.audit, &step.model, || {
+            solver.solve_in(&step.model, None, ws).map(|(sol, _)| sol)
+        })?;
         Ok(extract_allocation(system, &step.vars, &sol))
     }
 
@@ -650,10 +645,15 @@ impl EngineCore {
         }
         let idx = self.step_model(Step::ThruMax, system, background_mw)?;
         let step = &mut self.thru_max[idx];
-        step.im.set_rhs("offered", lambda / RATE_SCALE)?;
-        step.im.set_rhs("budget", budget.max(0.0))?;
-        let solver = &mut self.max_solver;
-        let sol = checked_solve(self.audit, step.im.model(), || solver.solve(&step.im))?;
+        step.model
+            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
+        if let Some(row) = step.vars.budget_row {
+            step.model.set_constraint_rhs(row, budget.max(0.0))?;
+        }
+        let (solver, ws) = (&self.solver, &mut self.ws);
+        let sol = checked_solve(self.audit, &step.model, || {
+            solver.solve_in(&step.model, None, ws).map(|(sol, _)| sol)
+        })?;
         Ok(extract_allocation(system, &step.vars, &sol))
     }
 }
@@ -1009,35 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn basis_reuse_preserves_the_decision_outcome() {
-        let sys = DataCenterSystem::paper_system(1);
-        let capper = BillCapper::default();
-        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
-        engine.set_reuse_basis(true);
-        assert!(engine.reuse_basis());
-        for (offered, premium, background, budget) in sweep(&sys) {
-            let fresh = capper
-                .decide_hour(&sys, offered, premium, &background, budget)
-                .unwrap();
-            let served = engine
-                .decide_hour(offered, premium, &background, budget)
-                .unwrap();
-            assert_eq!(served.outcome, fresh.outcome);
-            let scale = fresh.cost().abs().max(1.0);
-            assert!(
-                (served.cost() - fresh.cost()).abs() <= 1e-7 * scale,
-                "cost {} vs {}",
-                served.cost(),
-                fresh.cost()
-            );
-            assert!(
-                (served.allocation.total_lambda - fresh.allocation.total_lambda).abs()
-                    <= 1e-6 * fresh.allocation.total_lambda.max(1.0)
-            );
-        }
-    }
-
-    #[test]
     fn engine_matches_fresh_capper_under_a_cap_schedule() {
         let sys = DataCenterSystem::paper_system(1);
         let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
@@ -1288,9 +1259,7 @@ mod tests {
                         None => misses += 1,
                     }
                     let served = engine.core.cache(step).iter().find(|s| s.kept == kept);
-                    let served = served
-                        .map(|s| s.im.model())
-                        .expect("served model is cached");
+                    let served = served.map(|s| &s.model).expect("served model is cached");
                     assert_models_bitwise_equal(served, &fresh, &ctx);
                 }
             }

@@ -14,7 +14,7 @@ use crate::minimize::{
 use crate::spec::DataCenterSystem;
 use billcap_milp::{ConstraintOp, MipSolver, Model, Sense, VarId};
 
-/// Builds the Step-2 model: the piecewise core, the `offered` row
+/// Builds the Step-2 model: the piecewise core with the `offered` row
 /// (`Σλ_i ≤ lambda`), the `budget` row (`Σ r_ik q_ik ≤ budget`) and the
 /// admitted-rate objective.
 pub(crate) fn throughput_max_model(
@@ -25,15 +25,10 @@ pub(crate) fn throughput_max_model(
     integral_servers: bool,
 ) -> (Model, PiecewiseVars) {
     let mut m = Model::new("throughput_max", Sense::Maximize);
-    let vars = build_piecewise_core(&mut m, system, background_mw, integral_servers);
     // Admit at most the offered workload (paper: the total assigned
     // requests may not exceed the arrivals).
-    m.add_constraint(
-        "offered",
-        vars.lam.iter().map(|&v| (v, 1.0)).collect(),
-        ConstraintOp::Le,
-        lambda / RATE_SCALE,
-    );
+    let offered = ("offered", ConstraintOp::Le, lambda / RATE_SCALE);
+    let mut vars = build_piecewise_core(&mut m, system, background_mw, integral_servers, offered);
     // Budget: sum of r_ik * q_ik <= Cs over the reachable levels.
     let cost_terms: Vec<(VarId, f64)> = vars
         .levels
@@ -41,6 +36,7 @@ pub(crate) fn throughput_max_model(
         .flatten()
         .map(|&(_, r, q, _)| (q, r))
         .collect();
+    vars.budget_row = Some(m.num_constraints());
     m.add_constraint("budget", cost_terms, ConstraintOp::Le, budget.max(0.0));
     // Objective: total admitted rate.
     m.set_objective(vars.lam.iter().map(|&v| (v, 1.0)).collect(), 0.0);

@@ -71,6 +71,11 @@ pub(crate) struct PiecewiseVars {
     pub lvl_rows: Vec<Vec<(usize, usize)>>,
     /// Per site: the row index of its `cap` row.
     pub cap_rows: Vec<usize>,
+    /// The row index of the step's rate row, `Σ lam_i` against the
+    /// offered rate: `demand` (step 1) or `offered` (step 2).
+    pub rate_row: usize,
+    /// The row index of step 2's `budget` row; `None` in a step-1 model.
+    pub budget_row: Option<usize>,
 }
 
 /// One kept price level of a site at a given background demand, reduced to
@@ -78,7 +83,7 @@ pub(crate) struct PiecewiseVars {
 /// `lvl_hi` / `lvl_lo` interval rows.
 ///
 /// Both the from-scratch builder ([`build_piecewise_core`]) and the
-/// incremental mutator ([`crate::engine::DecisionEngine`]) derive these
+/// retained-model value sync ([`crate::engine::DecisionEngine`]) derive these
 /// from this one function, so the two paths produce float-for-float
 /// identical models whenever the kept-level sets match — the bitwise
 /// reproducibility of the decision server rides on that.
@@ -171,13 +176,16 @@ pub(crate) fn site_level_params(
 }
 
 /// Builds the common variables and constraints of both optimization steps:
-/// rate bounds, the power identity, level selection, and level-interval
-/// restrictions. Returns the variable handles.
+/// rate bounds, the power identity, level selection, level-interval
+/// restrictions and, last, the step's rate row `Σ lam_i op rate`, with
+/// `(name, op, rate)` from `rate_row`. Returns the variable handles and
+/// row indices.
 pub(crate) fn build_piecewise_core(
     m: &mut Model,
     system: &DataCenterSystem,
     background_mw: &[f64],
     integral_servers: bool,
+    rate_row: (&str, ConstraintOp, f64),
 ) -> PiecewiseVars {
     let n = system.len();
     let mut lam = Vec::with_capacity(n);
@@ -274,11 +282,17 @@ pub(crate) fn build_piecewise_core(
         lvl_rows.push(rows_i);
     }
 
+    let (name, op, rate) = rate_row;
+    let rate_row = m.num_constraints();
+    m.add_constraint(name, lam.iter().map(|&v| (v, 1.0)).collect(), op, rate);
+
     PiecewiseVars {
         lam,
         levels: site_levels,
         lvl_rows,
         cap_rows,
+        rate_row,
+        budget_row: None,
     }
 }
 
@@ -341,13 +355,8 @@ pub(crate) fn cost_min_model(
     integral_servers: bool,
 ) -> (Model, PiecewiseVars) {
     let mut m = Model::new("cost_min", Sense::Minimize);
-    let vars = build_piecewise_core(&mut m, system, background_mw, integral_servers);
-    m.add_constraint(
-        "demand",
-        vars.lam.iter().map(|&v| (v, 1.0)).collect(),
-        ConstraintOp::Eq,
-        lambda / RATE_SCALE,
-    );
+    let demand = ("demand", ConstraintOp::Eq, lambda / RATE_SCALE);
+    let vars = build_piecewise_core(&mut m, system, background_mw, integral_servers, demand);
     // Objective: sum of r_ik * q_ik over the reachable levels.
     let obj: Vec<(VarId, f64)> = vars
         .levels

@@ -72,6 +72,11 @@ impl BillCapper {
     ///    in priority order;
     /// 3. if even the guaranteed prefix does not fit, serve exactly the
     ///    guaranteed traffic at minimum cost and report a violation.
+    ///
+    /// An empty class list, a class rate that is negative or not finite,
+    /// and guaranteed classes that do not form a prefix are
+    /// [`CoreError::InvalidInput`], as are hour inputs that break
+    /// [`crate::capper::validate_hour_inputs`].
     pub fn decide_hour_classes(
         &self,
         system: &DataCenterSystem,
@@ -79,20 +84,23 @@ impl BillCapper {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Result<ClassDecision, CoreError> {
-        assert!(!classes.is_empty(), "need at least one class");
-        assert!(
-            classes.iter().all(|c| c.rate >= 0.0),
-            "class rates must be non-negative"
-        );
-        // Guaranteed prefix check.
+        let invalid = |msg: String| Err(CoreError::InvalidInput(msg));
+        if classes.is_empty() {
+            return invalid("need at least one class".into());
+        }
+        if let Some(c) = classes.iter().find(|c| !c.rate.is_finite() || c.rate < 0.0) {
+            return invalid(format!(
+                "class '{}' rate {} must be finite and >= 0",
+                c.name, c.rate
+            ));
+        }
         let first_best_effort = classes
             .iter()
             .position(|c| !c.guaranteed)
             .unwrap_or(classes.len());
-        assert!(
-            classes[first_best_effort..].iter().all(|c| !c.guaranteed),
-            "guaranteed classes must form a prefix of the priority order"
-        );
+        if classes[first_best_effort..].iter().any(|c| c.guaranteed) {
+            return invalid("guaranteed classes must form a prefix of the priority order".into());
+        }
 
         let guaranteed_rate: f64 = classes[..first_best_effort].iter().map(|c| c.rate).sum();
         let offered: f64 = classes.iter().map(|c| c.rate).sum();
@@ -237,13 +245,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prefix")]
     fn interleaved_guarantees_rejected() {
         let sys = DataCenterSystem::paper_system(1);
-        let bad = vec![
-            PriorityClass::best_effort("free", 1e8),
-            PriorityClass::guaranteed("paid", 1e8),
-        ];
-        let _ = BillCapper::default().decide_hour_classes(&sys, &bad, &background(), 1e9);
+        for (bad, needle) in [
+            (
+                vec![
+                    PriorityClass::best_effort("free", 1e8),
+                    PriorityClass::guaranteed("paid", 1e8),
+                ],
+                "prefix",
+            ),
+            (vec![], "at least one class"),
+            (
+                vec![
+                    PriorityClass::guaranteed("paid", 1e8),
+                    PriorityClass::best_effort("free", f64::NAN),
+                ],
+                "rate",
+            ),
+            (vec![PriorityClass::guaranteed("paid", -1e8)], "rate"),
+        ] {
+            match BillCapper::default().decide_hour_classes(&sys, &bad, &background(), 1e9) {
+                Err(CoreError::InvalidInput(msg)) => assert!(msg.contains(needle), "{msg}"),
+                r => panic!("{bad:?}: {r:?}"),
+            }
+        }
     }
 }

@@ -53,9 +53,9 @@ impl Default for MipSolver {
 }
 
 /// Every buffer a MILP solve refills, kept between solves so a caller
-/// that solves model after model ([`crate::IncrementalSolver`]) stops
-/// paying for set-up allocations once the buffers have grown to its
-/// largest model:
+/// that solves model after model (the bill capper's decision engine
+/// keeps one for all its steps) stops paying for set-up allocations
+/// once the buffers have grown to its largest model:
 ///
 /// * the revised engine: its CSC `[A | I]`, costs, bounds, right-hand
 ///   side and CSC placement scratch, plus its solve workspace (basis
@@ -211,8 +211,9 @@ impl MipSolver {
 
     /// Like [`solve`](Self::solve), but warm-starts the *root* relaxation
     /// from a basis carried over from a previous solve and returns this
-    /// solve's root-optimal basis for the next one — the cross-solve
-    /// warm-start loop behind [`crate::incremental::IncrementalSolver`].
+    /// solve's root-optimal basis for the next one. A caller that carries
+    /// the basis must keep it with the model it came from, so the next
+    /// solve sees the same structure.
     ///
     /// The supplied basis is for the same constraint/variable *structure*
     /// with possibly different coefficient *values* (RHS, objective,

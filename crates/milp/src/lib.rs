@@ -56,7 +56,6 @@ pub mod branch;
 pub mod certify;
 pub mod error;
 pub mod expr;
-pub mod incremental;
 pub mod io;
 pub mod lint;
 pub mod model;
@@ -74,7 +73,6 @@ pub use certify::{
 };
 pub use error::SolveError;
 pub use expr::LinExpr;
-pub use incremental::{structural_hash, IncrementalModel, IncrementalSolver};
 pub use io::{parse_lp, write_lp};
 pub use lint::{lint_model, Finding, LintReport, ModelStats, Severity};
 pub use model::{Constraint, ConstraintOp, Model, Sense, VarId, VarType, Variable};

@@ -195,13 +195,20 @@ impl Model {
     ///
     /// Value-only mutation: the constraint's terms, operator and name are
     /// untouched, so a solver-side structural cache (sparsity pattern,
-    /// factorization symbolics, [`crate::incremental::IncrementalModel`]'s
-    /// structural hash) stays valid.
+    /// factorization symbolics, a carried basis) stays valid. A
+    /// non-finite `rhs`, which [`Model::validate`] would reject, is an
+    /// error and leaves the row as it was.
     pub fn set_constraint_rhs(&mut self, idx: usize, rhs: f64) -> Result<(), SolveError> {
         let c = self
             .constraints
             .get_mut(idx)
             .ok_or_else(|| SolveError::InvalidModel(format!("no constraint #{idx}")))?;
+        if !rhs.is_finite() {
+            return Err(SolveError::InvalidModel(format!(
+                "non-finite rhs {rhs} for constraint '{}'",
+                c.name
+            )));
+        }
         c.rhs = rhs;
         Ok(())
     }
@@ -210,7 +217,8 @@ impl Model {
     ///
     /// The term must already exist: introducing a new nonzero would change
     /// the sparsity pattern, which value-only mutation promises not to do.
-    /// Errors name the constraint so misuse is diagnosable.
+    /// A non-finite `coeff` is an error too. Errors name the constraint so
+    /// misuse is diagnosable.
     pub fn set_constraint_coeff(
         &mut self,
         idx: usize,
@@ -221,6 +229,12 @@ impl Model {
             .constraints
             .get_mut(idx)
             .ok_or_else(|| SolveError::InvalidModel(format!("no constraint #{idx}")))?;
+        if !coeff.is_finite() {
+            return Err(SolveError::InvalidModel(format!(
+                "non-finite coefficient {coeff} for constraint '{}'",
+                c.name
+            )));
+        }
         match c.terms.iter_mut().find(|(var, _)| *var == v) {
             Some((_, old)) => {
                 *old = coeff;
@@ -236,8 +250,13 @@ impl Model {
 
     /// Replaces the objective coefficient of `v`. Like
     /// [`set_constraint_coeff`](Self::set_constraint_coeff), the term must
-    /// already exist in the objective.
+    /// already exist in the objective and `coeff` must be finite.
     pub fn set_objective_coeff(&mut self, v: VarId, coeff: f64) -> Result<(), SolveError> {
+        if !coeff.is_finite() {
+            return Err(SolveError::InvalidModel(format!(
+                "non-finite objective coefficient {coeff}"
+            )));
+        }
         match self.objective.iter_mut().find(|(var, _)| *var == v) {
             Some((_, old)) => {
                 *old = coeff;
@@ -500,8 +519,44 @@ mod tests {
         m.add_constraint("c", vec![(x, 1.0)], ConstraintOp::Le, 5.0);
         m.set_objective(vec![(x, 3.0)], 0.0);
         assert!(m.set_constraint_rhs(1, 0.0).is_err());
+        assert!(m.set_constraint_rhs(usize::MAX, 0.0).is_err());
         assert!(m.set_constraint_coeff(0, y, 1.0).is_err());
         assert!(m.set_objective_coeff(y, 1.0).is_err());
+    }
+
+    /// Row-indexed RHS writes land on their row only, keep every bit
+    /// (signed zero and subnormals included), and reject the non-finite
+    /// values `validate` would, leaving the model untouched.
+    #[test]
+    fn value_mutators_write_exact_bits_and_reject_non_finite_values() {
+        let mut m = Model::new("t", Sense::Maximize);
+        let x = m.add_cont("x", 0.0, 3.0);
+        let y = m.add_cont("y", 0.0, 3.0);
+        m.add_constraint("c1", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
+        m.add_constraint("c2", vec![(x, 1.0), (y, 3.0)], ConstraintOp::Le, 6.0);
+        m.set_objective(vec![(x, 3.0), (y, 2.0)], 0.0);
+        let rhs_bits = |m: &Model| {
+            m.constraints()
+                .iter()
+                .map(|c| c.rhs.to_bits())
+                .collect::<Vec<_>>()
+        };
+        for (row, rhs) in [(0, 2.5_f64), (1, -0.0), (0, 1e-300)] {
+            let mut expected = rhs_bits(&m);
+            expected[row] = rhs.to_bits();
+            m.set_constraint_rhs(row, rhs).unwrap();
+            assert_eq!(rhs_bits(&m), expected, "row {row} rhs {rhs}");
+        }
+        let before = m.clone();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(m.set_constraint_rhs(0, bad).is_err(), "rhs {bad}");
+            assert!(m.set_constraint_coeff(1, y, bad).is_err(), "coeff {bad}");
+            assert!(m.set_objective_coeff(x, bad).is_err(), "objective {bad}");
+        }
+        assert_eq!(rhs_bits(&m), rhs_bits(&before));
+        assert_eq!(m.constraints()[1].terms, before.constraints()[1].terms);
+        assert_eq!(m.objective(), before.objective());
+        m.validate().unwrap();
     }
 
     #[test]

@@ -60,7 +60,7 @@ const ZTOL: f64 = 1e-9;
 const PIVOT_TOL: f64 = 1e-8;
 
 /// Reduced-cost sign tolerance when *verifying* an externally supplied
-/// warm basis (see [`RevisedEngine::solve_warm_verified`]). Matches the
+/// warm-start basis (see [`RevisedEngine::solve_warm_verified`]). Matches the
 /// default primal `feas_tol` scale: the models are pre-scaled, so an
 /// absolute tolerance is appropriate.
 const DUAL_TOL: f64 = 1e-7;
@@ -184,7 +184,7 @@ pub enum RevisedError {
         /// Work wasted before giving up.
         stats: RevisedStats,
     },
-    /// Singular or unstable basis, or a warm basis that failed
+    /// Singular or unstable basis, or a warm-start basis that failed
     /// verification; a warm attempt should be retried cold.
     Numerical {
         /// Work wasted before giving up.
@@ -392,7 +392,7 @@ impl RevisedEngine {
         Some(status)
     }
 
-    /// Repairs a warm basis for the current bounds: a nonbasic column
+    /// Repairs a warm-start basis for the current bounds: a nonbasic column
     /// whose resting bound became infinite hops to the opposite finite
     /// bound, and a free column that gained a bound rests on it. Under
     /// branch-and-bound the first is a no-op (children only tighten) and
@@ -459,8 +459,8 @@ impl RevisedEngine {
     /// vouches for. That is sound inside branch-and-bound (children
     /// inherit a parent's optimal basis and only bounds change; reduced
     /// costs are bound-independent), but a basis carried *across models*
-    /// — the incremental path reusing last hour's basis after matrix and
-    /// objective edits — can be dual infeasible, and trusting it would
+    /// — a root basis kept from the previous solve of a model whose
+    /// matrix and objective values were edited since — can be dual infeasible, and trusting it would
     /// silently return a suboptimal point as "optimal". Any violation
     /// reports [`RevisedError::Numerical`], which warm-start callers
     /// already treat as "fall back to a cold start".
@@ -1065,7 +1065,7 @@ mod tests {
     #[test]
     fn warm_verified_accepts_still_dual_feasible_basis_across_rhs_change() {
         // RHS changes never affect reduced costs, so last-solve bases stay
-        // dual feasible — the incremental path's common case.
+        // dual feasible — the common case for a carried root basis.
         let m1 = box_model(1.0, -1.0);
         let mut e1 = RevisedEngine::new(&m1, RevisedOptions::default());
         let basis = e1.solve(None).expect("solvable").basis;

@@ -38,8 +38,8 @@ pub struct SolveTrace {
     /// length) across all node relaxations.
     pub degenerate_pivots: usize,
     /// Basis factorizations performed by the revised simplex (one per
-    /// node solve, plus any mid-solve refactorizations and warm-basis
-    /// verifications).
+    /// node solve, plus any mid-solve refactorizations and checks of a
+    /// supplied root basis).
     pub factorizations: usize,
     /// Mid-solve refactorizations: the eta file hit the refactorization
     /// interval, or a pivot looked numerically unstable.

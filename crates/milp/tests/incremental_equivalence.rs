@@ -1,17 +1,19 @@
-//! Incremental-model equivalence: mutate-then-solve must equal
+//! Mutate-in-place equivalence: edit-then-solve must equal
 //! rebuild-then-solve.
 //!
 //! 256 seeded (model, mutation-sequence) cases. Each case draws a small
-//! mixed-integer program, wraps one copy in an [`IncrementalModel`] and
-//! mirrors every mutation into a plain spec that is rebuilt from scratch
-//! each step. After every mutation both paths are solved and compared:
+//! mixed-integer program, keeps one [`Model`] whose values are edited in
+//! place through its row-indexed setters, and mirrors every mutation
+//! into a plain spec that is rebuilt from scratch each step. After every
+//! mutation both paths are solved and compared:
 //!
-//! * **Exact mode** (no basis reuse — the serve daemon's default): the
-//!   mutated model is float-for-float identical to the rebuilt one, so
-//!   the solutions must match *bitwise* (objective bits and every value),
+//! * **No carried basis** (what the decision engine does): the mutated
+//!   model is float-for-float identical to the rebuilt one, so the
+//!   solutions must match *bitwise* (objective bits and every value),
 //!   and infeasibility verdicts must agree.
-//! * **Basis-reuse mode**: the carried root basis may land on a different
-//!   vertex among alternative optima, so objectives are compared within
+//! * **Carried root basis**: each solve hands the previous solve's root
+//!   basis to [`MipSolver::solve_in`]. It may land on a different vertex
+//!   among alternative optima, so objectives are compared within
 //!   tolerance and both solutions must pass the independent
 //!   [`certify_solution`] checker (primal feasibility, integrality,
 //!   objective honesty, bound consistency).
@@ -26,8 +28,8 @@
 //! current optimum, the case where a stale basis is most tempting.
 
 use billcap_milp::{
-    certify_solution, ConstraintOp, IncrementalModel, IncrementalSolver, MipSolver, MipWorkspace,
-    Model, Sense, Solution, SolveError, SolveTrace, VarId, VarType,
+    certify_solution, BasisState, ConstraintOp, MipSolver, MipWorkspace, Model, Sense, Solution,
+    SolveError, SolveTrace, VarId, VarType,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
 use std::cell::{Cell, RefCell};
@@ -101,8 +103,8 @@ impl SpecState {
     }
 }
 
-/// One value-only edit, applied identically to the incremental model and
-/// the rebuild spec.
+/// One value-only edit, applied identically to the kept model and the
+/// rebuild spec.
 #[derive(Debug, Clone, Copy)]
 enum Mutation {
     Rhs { row: usize, rhs: f64 },
@@ -162,27 +164,26 @@ impl Mutation {
         }
     }
 
-    fn apply(self, spec: &mut SpecState, im: &mut IncrementalModel) {
+    fn apply(self, spec: &mut SpecState, m: &mut Model) {
         match self {
             Mutation::Rhs { row, rhs } => {
                 spec.rhs[row] = rhs;
-                im.set_rhs(&format!("c{row}"), rhs).expect("row exists");
+                m.set_constraint_rhs(row, rhs).expect("row exists");
             }
             Mutation::Coeff { row, var, coeff } => {
                 spec.a[row][var] = coeff;
-                im.set_coeff(&format!("c{row}"), VarId::from_index(var), coeff)
+                m.set_constraint_coeff(row, VarId::from_index(var), coeff)
                     .expect("dense rows: every term exists");
             }
             Mutation::Objective { var, coeff } => {
                 spec.c[var] = coeff;
-                im.set_objective_coeff(VarId::from_index(var), coeff)
+                m.set_objective_coeff(VarId::from_index(var), coeff)
                     .expect("dense objective: every term exists");
             }
             Mutation::Bounds { var, lb, ub } => {
                 spec.lb[var] = lb;
                 spec.ub[var] = ub;
-                im.set_var_bounds(VarId::from_index(var), lb, ub)
-                    .expect("ordered bounds");
+                m.set_var_bounds(VarId::from_index(var), lb, ub);
             }
         }
     }
@@ -208,27 +209,22 @@ fn for_random_cases(seed: u64, check: impl Fn(&mut Xoshiro256pp, SpecState)) {
     }
 }
 
-/// Exact mode: mutate-then-solve is bitwise identical to
-/// rebuild-then-solve after every mutation, including agreeing on
-/// infeasibility.
+/// No carried basis: mutate-then-solve in a kept workspace is bitwise
+/// identical to rebuild-then-solve after every mutation, including
+/// agreeing on infeasibility.
 #[test]
 fn exact_mode_matches_rebuild_bitwise() {
+    let solver = MipSolver::default();
     for_random_cases(0xA100, |rng, mut spec| {
-        let mut im = IncrementalModel::new(spec.build()).expect("valid model");
-        let hash = im.structural_hash();
-        let mut inc = IncrementalSolver::new(MipSolver::default());
+        let mut kept = spec.build();
+        let mut ws = MipWorkspace::default();
         let mut last_values: Option<Vec<f64>> = None;
         for step in 0..MUTATIONS_PER_CASE {
             let mutation = Mutation::random(rng, &spec, last_values.as_deref());
-            mutation.apply(&mut spec, &mut im);
-            assert_eq!(
-                im.structural_hash(),
-                hash,
-                "step {step}: value mutation moved the structural hash"
-            );
+            mutation.apply(&mut spec, &mut kept);
             let fresh = spec.build();
-            let a = inc.solve(&im);
-            let b = MipSolver::default().solve(&fresh);
+            let a = solver.solve_in(&kept, None, &mut ws).map(|(sol, _)| sol);
+            let b = solver.solve(&fresh);
             match (&a, &b) {
                 (Ok(sa), Ok(sb)) => {
                     assert_eq!(
@@ -259,22 +255,29 @@ fn exact_mode_matches_rebuild_bitwise() {
     });
 }
 
-/// Basis-reuse mode: the carried root basis never changes the optimum.
+/// Carried root basis: each solve starts its root from the previous
+/// successful solve's root basis, which never changes the optimum.
 /// Objectives match the rebuild oracle within tolerance and every
 /// returned solution passes independent certification.
 #[test]
 fn basis_reuse_preserves_the_optimum() {
+    let solver = MipSolver::default();
     for_random_cases(0xA200, |rng, mut spec| {
-        let mut im = IncrementalModel::new(spec.build()).expect("valid model");
-        let mut warm = IncrementalSolver::new(MipSolver::default());
-        warm.reuse_basis = true;
+        let mut kept = spec.build();
+        let mut ws = MipWorkspace::default();
+        let mut basis: Option<BasisState> = None;
         let mut last_values: Option<Vec<f64>> = None;
         for step in 0..MUTATIONS_PER_CASE {
             let mutation = Mutation::random(rng, &spec, last_values.as_deref());
-            mutation.apply(&mut spec, &mut im);
+            mutation.apply(&mut spec, &mut kept);
             let fresh = spec.build();
-            let a = warm.solve(&im);
-            let b = MipSolver::default().solve(&fresh);
+            let a = solver
+                .solve_in(&kept, basis.as_ref(), &mut ws)
+                .map(|(sol, root)| {
+                    basis = root;
+                    sol
+                });
+            let b = solver.solve(&fresh);
             match (&a, &b) {
                 (Ok(sa), Ok(sb)) => {
                     let scale = sb.objective.abs().max(1.0);
@@ -284,7 +287,7 @@ fn basis_reuse_preserves_the_optimum() {
                         sa.objective,
                         sb.objective
                     );
-                    for (label, model, sol) in [("warm", im.model(), sa), ("rebuild", &fresh, sb)] {
+                    for (label, model, sol) in [("warm", &kept, sa), ("rebuild", &fresh, sb)] {
                         let report = certify_solution(model, sol);
                         assert!(
                             report.certified(),
@@ -311,20 +314,20 @@ fn basis_reuse_preserves_the_optimum() {
 fn solver_matches_rebuild_on_mutated_models() {
     let solver = MipSolver::default();
     for_random_cases(0xA300, |rng, mut spec| {
-        let mut im = IncrementalModel::new(spec.build()).expect("valid model");
+        let mut kept = spec.build();
         for _ in 0..MUTATIONS_PER_CASE {
             let mutation = Mutation::random(rng, &spec, None);
-            mutation.apply(&mut spec, &mut im);
+            mutation.apply(&mut spec, &mut kept);
         }
         let fresh = spec.build();
-        let a = solver.solve(im.model());
+        let a = solver.solve(&kept);
         let b = solver.solve(&fresh);
         match (&a, &b) {
             (Ok(sa), Ok(sb)) => {
                 assert_eq!(sa.objective.to_bits(), sb.objective.to_bits());
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&sa.values), bits(&sb.values), "values diverged");
-                for (label, model, sol) in [("mutated", im.model(), sa), ("rebuild", &fresh, sb)] {
+                for (label, model, sol) in [("mutated", &kept, sa), ("rebuild", &fresh, sb)] {
                     let report = certify_solution(model, sol);
                     assert!(
                         report.certified(),
@@ -571,12 +574,12 @@ fn one_workspace_matches_fresh_solves_across_random_cases() {
     let ws = RefCell::new(MipWorkspace::default());
     let solves = Cell::new(0usize);
     for_random_cases(0xA400, |rng, mut spec| {
-        let mut im = IncrementalModel::new(spec.build()).expect("valid model");
+        let mut model = spec.build();
         for step in 0..MUTATIONS_PER_CASE {
             let mutation = Mutation::random(rng, &spec, None);
-            mutation.apply(&mut spec, &mut im);
+            mutation.apply(&mut spec, &mut model);
             let kept = solver
-                .solve_in(im.model(), None, &mut ws.borrow_mut())
+                .solve_in(&model, None, &mut ws.borrow_mut())
                 .map(|(s, _)| s);
             let fresh = solver.solve(&spec.build());
             assert_same_outcome(&format!("step {step}"), &kept, &fresh, solves.get() > 0);

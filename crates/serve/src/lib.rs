@@ -14,8 +14,8 @@
 //!   [`protocol::render_decision_frame`]), and the
 //!   [`protocol::DecisionMsg::bitwise_matches`] differential check.
 //! * [`server`] — the reader/worker pool: a buffered reader,
-//!   per-worker [`billcap_core::DecisionEngine`]s (incremental model
-//!   reuse), a shared [`billcap_core::DecisionCache`] of rendered
+//!   per-worker [`billcap_core::DecisionEngine`]s (each keeps its
+//!   models and rewrites their values), a shared [`billcap_core::DecisionCache`] of rendered
 //!   response bodies, one `write_all` per response frame, and in-band
 //!   error responses for malformed input.
 //! * [`replay`] — a differential harness that replays a simulated

@@ -100,9 +100,6 @@ pub struct ServeConfig {
     pub cache: bool,
     /// Capacity of the shared decision cache.
     pub cache_capacity: usize,
-    /// Carry root bases across solves inside each engine. Off by
-    /// default: it trades the bitwise-identity guarantee for speed.
-    pub reuse_basis: bool,
     /// Maximum accepted frame payload, bytes.
     pub max_frame: usize,
     /// The capper settings every decision engine is built with:
@@ -129,7 +126,6 @@ impl Default for ServeConfig {
             workers: billcap_rt::num_threads(),
             cache: true,
             cache_capacity: DecisionCache::DEFAULT_CAPACITY,
-            reuse_basis: false,
             max_frame: MAX_FRAME,
             capper: CapperConfig::default(),
             telemetry: true,
@@ -724,8 +720,7 @@ fn handle_request_inner<W: Write>(
 
     let state = engines.entry(req.policy).or_insert_with(|| {
         let system = DataCenterSystem::paper_system(req.policy);
-        let mut e = DecisionEngine::new(system, cfg.capper.clone());
-        e.set_reuse_basis(cfg.reuse_basis);
+        let e = DecisionEngine::new(system, cfg.capper.clone());
         EngineState {
             fingerprint: system_fingerprint(e.system()),
             engine: e,

@@ -81,14 +81,13 @@ fn traced_week_is_consistent_with_report() {
     // every exit agreed with the updated ones.
     assert_eq!(snap.counters["milp.lp.bland_switches"], 0);
     assert_eq!(snap.counters["milp.lp.exit_dual_violations"], 0);
-    // The week's one DecisionEngine holds two IncrementalSolvers, each
-    // with its own MipWorkspace: the cost-min solver (steps 1 and 3) and
-    // the throughput-max solver (step 2, which the tight budget makes
-    // run). Every solve but the first in each workspace reuses it.
+    // The week's one DecisionEngine keeps one MipWorkspace for all
+    // three steps, step 2 included (the tight budget makes it run):
+    // every solve but the engine's first reuses it.
     assert!(snap.spans.contains_key("hour/step2/mip"));
     assert_eq!(
         snap.counters["milp.bnb.solves"] - snap.counters["milp.lp.workspace_reuses"],
-        2
+        1
     );
 
     // Per-hour span fields sum to the report's aggregates.
