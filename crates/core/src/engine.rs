@@ -60,7 +60,7 @@ use crate::minimize::{
     PiecewiseVars, RATE_SCALE,
 };
 use crate::spec::DataCenterSystem;
-use billcap_milp::{MipSolver, MipWorkspace, Model, SolveError};
+use billcap_milp::{MipSolver, MipWorkspace, Model, Solution, SolveError};
 use billcap_obs::Stopwatch;
 
 /// The two retained model shapes.
@@ -367,17 +367,16 @@ fn record_outcome(outcome: HourOutcome, alloc: &Allocation, budget: f64) {
 
 impl StepModel {
     /// Keeps a freshly built model, recording the caps it was built for.
-    /// A model that fails [`Model::validate`] (a NaN or infinite cap) is
-    /// refused, so it never enters the cache.
+    /// It is validated by its first solve, which drops it from the cache
+    /// if it is invalid (see [`EngineCore::solve_step`]).
     fn new(
         model: Model,
         vars: PiecewiseVars,
         kept: &[Vec<usize>],
         system: &DataCenterSystem,
         stamp: u64,
-    ) -> Result<Self, CoreError> {
-        model.validate()?;
-        Ok(Self {
+    ) -> Self {
+        Self {
             model,
             vars,
             kept: kept.to_vec(),
@@ -387,7 +386,7 @@ impl StepModel {
                 .map(|s| s.power_cap_mw.to_bits())
                 .collect(),
             last_used: stamp,
-        })
+        }
     }
 
     /// Rewrites the cap-dependent values of every site whose cap bits
@@ -568,7 +567,7 @@ impl EngineCore {
                         throughput_max_model(system, 0.0, background_mw, 0.0, self.integral_servers)
                     }
                 };
-                let entry = StepModel::new(m, vars, &kept, system, stamp)?;
+                let entry = StepModel::new(m, vars, &kept, system, stamp);
                 let (idx, evicted) = Self::cache_insert(self.cache(step), entry);
                 self.note_eviction(evicted);
                 idx
@@ -583,6 +582,27 @@ impl EngineCore {
         }
         cache[idx].sync_levels(&params)?;
         Ok(idx)
+    }
+
+    /// Solves the retained `step` model at cache index `idx` as its RHS
+    /// stands. The solve validates the model; one it refuses as
+    /// [`SolveError::InvalidModel`] (a fresh build for a NaN or infinite
+    /// cap) is dropped, as after a failed cap sync, so it never stays
+    /// cached and the next lookup rebuilds it.
+    fn solve_step(&mut self, step: Step, idx: usize) -> Result<Solution, CoreError> {
+        let (solver, ws) = (&self.solver, &mut self.ws);
+        let cache = match step {
+            Step::CostMin => &mut self.cost_min,
+            Step::ThruMax => &mut self.thru_max,
+        };
+        let model = &cache[idx].model;
+        let result = checked_solve(self.audit, model, || {
+            solver.solve_in(model, None, ws).map(|(sol, _)| sol)
+        });
+        if let Err(CoreError::Solver(SolveError::InvalidModel(_))) = result {
+            cache.swap_remove(idx);
+        }
+        result
     }
 }
 
@@ -622,11 +642,8 @@ impl EngineCore {
         let step = &mut self.cost_min[idx];
         step.model
             .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
-        let (solver, ws) = (&self.solver, &mut self.ws);
-        let sol = checked_solve(self.audit, &step.model, || {
-            solver.solve_in(&step.model, None, ws).map(|(sol, _)| sol)
-        })?;
-        Ok(extract_allocation(system, &step.vars, &sol))
+        let sol = self.solve_step(Step::CostMin, idx)?;
+        Ok(extract_allocation(system, &self.cost_min[idx].vars, &sol))
     }
 
     /// Step 2: maximize admitted throughput within `budget`.
@@ -650,11 +667,8 @@ impl EngineCore {
         if let Some(row) = step.vars.budget_row {
             step.model.set_constraint_rhs(row, budget.max(0.0))?;
         }
-        let (solver, ws) = (&self.solver, &mut self.ws);
-        let sol = checked_solve(self.audit, &step.model, || {
-            solver.solve_in(&step.model, None, ws).map(|(sol, _)| sol)
-        })?;
-        Ok(extract_allocation(system, &step.vars, &sol))
+        let sol = self.solve_step(Step::ThruMax, idx)?;
+        Ok(extract_allocation(system, &self.thru_max[idx].vars, &sol))
     }
 }
 

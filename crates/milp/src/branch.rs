@@ -139,6 +139,7 @@ fn absorb(trace: &mut SolveTrace, stats: &RevisedStats) {
     trace.xb_refreshes += stats.xb_refreshes;
     trace.bland_switches += stats.bland_switches;
     trace.exit_dual_violations += stats.exit_dual_violations;
+    trace.crash_columns += stats.crash_columns;
 }
 
 /// Solves the LP loaded in `engine` under its current bounds: from
@@ -604,6 +605,7 @@ fn record_obs(stats: &MipStats) {
         "milp.lp.exit_dual_violations",
         stats.trace.exit_dual_violations as u64,
     );
+    billcap_obs::counter("milp.lp.crash_columns", stats.trace.crash_columns as u64);
     billcap_obs::counter(
         "milp.lp.workspace_reuses",
         stats.trace.workspace_reuses as u64,

@@ -37,7 +37,12 @@
 //!
 //! Cold starts place each structural variable on a bound whose reduced
 //! cost sign is dual-feasible (a zero-cost free variable rests
-//! [`ColStatus::Free`] at 0) and make every slack basic. A model with no
+//! [`ColStatus::Free`] at 0) and make every slack basic. A zero-cost
+//! triangular crash then swaps the slack of each equality row it can
+//! for a zero-cost structural column (see
+//! [`crash`](RevisedEngine::crash)): the start is still dual feasible,
+//! and the pivots that would bring those columns in at ratio 0 are never
+//! taken. A model with no
 //! such placement (a free variable with nonzero cost, say) starts with a
 //! dual phase 1 instead: the dual loop solves Fourer's auxiliary problem
 //! — same matrix and costs, `b = 0`, every column boxed by the shape of
@@ -58,6 +63,12 @@ const ZTOL: f64 = 1e-9;
 
 /// Refuse (or retire) a basis whose pivot magnitudes fall below this.
 const PIVOT_TOL: f64 = 1e-8;
+
+/// Smallest entry the cold-start crash pivots on. A crashed column's
+/// entry becomes a diagonal of the triangular start basis, so it stays
+/// well clear of [`PIVOT_TOL`]; the models are pre-scaled, so an
+/// absolute test suffices.
+const CRASH_PIVOT_MIN: f64 = 1e-3;
 
 /// Reduced-cost sign tolerance when *verifying* an externally supplied
 /// warm-start basis (see [`RevisedEngine::solve_warm_verified`]). Matches the
@@ -148,6 +159,9 @@ pub struct RevisedStats {
     /// Optimal-looking exits whose fresh duals showed a nonbasic reduced
     /// cost of the wrong sign, reported as [`RevisedError::Numerical`].
     pub exit_dual_violations: usize,
+    /// Structural columns a cold start's crash made basic in place of an
+    /// equality row's slack.
+    pub crash_columns: usize,
 }
 
 /// An optimal revised solve.
@@ -231,6 +245,8 @@ struct Workspace {
     eligible: Vec<(usize, f64, f64, f64)>,
     /// Columns the ratio test flips in one pivot.
     flips: Vec<usize>,
+    /// Rows the cold-start crash has given a structural column.
+    crashed: Vec<bool>,
 }
 
 /// The standard-form problem plus mutable per-node bounds.
@@ -380,16 +396,71 @@ impl RevisedEngine {
         }
     }
 
-    /// Dual-feasibilizing nonbasic placement: each structural column
-    /// rests on its [`cold_place`](Self::cold_place), every slack
-    /// becomes basic.
-    fn cold_status(&self) -> Option<Vec<ColStatus>> {
+    /// Dual-feasible cold start: each structural column rests on its
+    /// [`cold_place`](Self::cold_place), every slack becomes basic, and
+    /// the [`crash`](Self::crash) then trades equality-row slacks for
+    /// zero-cost columns.
+    fn cold_status(&mut self, stats: &mut RevisedStats) -> Option<Vec<ColStatus>> {
         let mut status = Vec::with_capacity(self.ncols);
         for j in 0..self.nvars {
             status.push(self.cold_place(j)?);
         }
         status.extend(std::iter::repeat_n(ColStatus::Basic, self.m));
+        stats.crash_columns += self.with_workspace(|e, ws| e.crash(&mut status, &mut ws.crashed));
         Some(status)
+    }
+
+    /// Zero-cost triangular crash of the all-slack start (after Bixby,
+    /// "Implementing the Simplex Method: The Initial Basis", 1992). Rows
+    /// are walked in index order; each equality row (fixed slack) takes
+    /// the smallest-index nonbasic structural column whose cost is
+    /// exactly 0, whose entry in the row is at least
+    /// [`CRASH_PIVOT_MIN`] in magnitude, and which has no entry in a row
+    /// crashed earlier. That column becomes basic and the slack rests on
+    /// its zero bound; returns how many rows were crashed.
+    ///
+    /// Every basic cost stays 0, so the start's duals are exactly 0 and
+    /// every reduced cost equals its cost: the cold placement stays dual
+    /// feasible with nothing to verify. Ordered by crash, each crashed
+    /// column is zero in the rows crashed before its own, and the
+    /// remaining slacks are unit columns of uncrashed rows, so the basis
+    /// is triangular and nonsingular. The choice reads only the matrix,
+    /// the costs and the row types, so every caller of a model starts
+    /// from the same basis. Without an equality row and a zero-cost
+    /// column to match, the start stays all-slack.
+    fn crash(&self, status: &mut [ColStatus], crashed: &mut Vec<bool>) -> usize {
+        crashed.clear();
+        crashed.resize(self.m, false);
+        let mut count = 0;
+        for row in 0..self.m {
+            let slack = self.nvars + row;
+            if self.lb[slack] != self.ub[slack] {
+                continue;
+            }
+            let pick = (0..self.nvars).find(|&j| {
+                if status[j] == ColStatus::Basic || self.cost[j] != 0.0 {
+                    return false;
+                }
+                let (rows, vals) = self.a.col(j);
+                let mut entry = 0.0;
+                for (&r, &v) in rows.iter().zip(vals) {
+                    if crashed[r] {
+                        return false;
+                    }
+                    if r == row {
+                        entry = v;
+                    }
+                }
+                entry.abs() >= CRASH_PIVOT_MIN
+            });
+            if let Some(j) = pick {
+                status[j] = ColStatus::Basic;
+                status[slack] = ColStatus::Lower;
+                crashed[row] = true;
+                count += 1;
+            }
+        }
+        count
     }
 
     /// Repairs a warm-start basis for the current bounds: a nonbasic column
@@ -444,7 +515,7 @@ impl RevisedEngine {
         let mut stats = RevisedStats::default();
         let status = match warm {
             Some(w) => self.repair(w).ok_or(RevisedError::Numerical { stats })?,
-            None => match self.cold_status() {
+            None => match self.cold_status(&mut stats) {
                 Some(status) => status,
                 None => return self.phase1(),
             },
@@ -552,7 +623,7 @@ impl RevisedEngine {
     /// A cold solve whose placement must exist (every column has a
     /// finite bound, or zero cost); a missing one is numerical trouble.
     fn cold_run(&mut self, stats: &mut RevisedStats) -> Result<RevisedSolution, RevisedError> {
-        match self.cold_status() {
+        match self.cold_status(stats) {
             Some(status) => self.run(status, stats),
             None => Err(RevisedError::Numerical { stats: *stats }),
         }
@@ -695,6 +766,7 @@ impl RevisedEngine {
             flip_delta,
             eligible,
             flips,
+            crashed: _,
         } = ws;
         self.basic_slots(&status, basic, stats)?;
         self.factor(fact, basic, stats)?;
@@ -1028,6 +1100,155 @@ mod tests {
         m.add_constraint("cap", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 4.0);
         m.set_objective(vec![(x, cx), (y, cy)], 0.0);
         m
+    }
+
+    /// The cold start of `engine`, checked: the basis factors with no
+    /// bump (it is triangular), and its duals are exactly 0 and fit
+    /// every resting place. Returns the placement and the crash count.
+    fn checked_cold_start(engine: &mut RevisedEngine) -> (Vec<ColStatus>, usize) {
+        let mut stats = RevisedStats::default();
+        let status = engine.cold_status(&mut stats).expect("cold startable");
+        engine.with_workspace(|e, ws| {
+            e.basic_slots(&status, &mut ws.basic, &stats)
+                .expect("one basic column per row");
+            e.factor(&mut ws.fact, &ws.basic, &mut stats)
+                .expect("nonsingular");
+            assert_eq!(ws.fact.bump_dim(), 0, "the crash basis is triangular");
+            e.fresh_duals(&ws.basic, &mut ws.fact, &mut ws.y, &mut stats);
+            assert!(ws.y.iter().all(|&y| y == 0.0), "duals {:?}", ws.y);
+            assert!(e.duals_fit(&status, &ws.y));
+        });
+        (status, stats.crash_columns)
+    }
+
+    /// The crash's `(row, column)` pairs, read back from a placement:
+    /// each basic structural column is paired with the first crashed row
+    /// (an equality row whose slack left the basis) it has an entry in.
+    /// Asserts the pairing is one-to-one onto the crashed rows, that is,
+    /// no crashed column has an entry in a row crashed before its own,
+    /// and that each pair passes the crash's cost and pivot tests.
+    fn crash_pairs(engine: &RevisedEngine, status: &[ColStatus]) -> Vec<(usize, usize)> {
+        let crashed: Vec<usize> = (0..engine.m)
+            .filter(|&r| status[engine.nvars + r] != ColStatus::Basic)
+            .collect();
+        let mut pairs = Vec::new();
+        for j in (0..engine.nvars).filter(|&j| status[j] == ColStatus::Basic) {
+            let (rows, vals) = engine.a.col(j);
+            let (row, entry) = rows
+                .iter()
+                .zip(vals)
+                .filter(|&(r, _)| crashed.contains(r))
+                .min_by_key(|&(&r, _)| r)
+                .map(|(&r, &v)| (r, v))
+                .expect("a crashed column has an entry in a crashed row");
+            assert_eq!(engine.cost[j], 0.0, "column {j} costs nothing");
+            assert!(entry.abs() >= CRASH_PIVOT_MIN, "column {j} pivot {entry}");
+            pairs.push((row, j));
+        }
+        pairs.sort_unstable();
+        let rows: Vec<usize> = pairs.iter().map(|&(r, _)| r).collect();
+        assert_eq!(rows, crashed, "one crashed column per crashed row");
+        pairs
+    }
+
+    #[test]
+    fn crash_trades_equality_slacks_for_zero_cost_columns() {
+        // x0..x3 cost 0, y costs 1. Row 0 takes x0. Row 1's smallest
+        // zero-cost column is x0 again, but x0 sits in crashed row 0, so
+        // it takes x2. Row 2 is an inequality. Row 3 offers only x1
+        // (in crashed row 0) and the priced y, row 4 only y and an entry
+        // too small to pivot on: both keep their slacks.
+        let mut m = Model::new("crash", Sense::Minimize);
+        let x: Vec<_> = (0..4)
+            .map(|k| m.add_cont(format!("x{k}"), 0.0, 10.0))
+            .collect();
+        let y = m.add_cont("y", 0.0, 10.0);
+        m.add_constraint("r0", vec![(x[0], 1.0), (x[1], 1.0)], ConstraintOp::Eq, 3.0);
+        m.add_constraint(
+            "r1",
+            vec![(x[0], 1.0), (x[2], 2.0), (y, 1.0)],
+            ConstraintOp::Eq,
+            2.0,
+        );
+        m.add_constraint("r2", vec![(x[1], 1.0), (x[2], 1.0)], ConstraintOp::Le, 5.0);
+        m.add_constraint("r3", vec![(x[1], 1.0), (y, 1.0)], ConstraintOp::Eq, 3.0);
+        m.add_constraint("r4", vec![(x[3], 1e-6), (y, 1.0)], ConstraintOp::Eq, 1.0);
+        m.set_objective(vec![(y, 1.0)], 0.0);
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let (status, crashed) = checked_cold_start(&mut engine);
+        assert_eq!(crashed, 2);
+        assert_eq!(crash_pairs(&engine, &status), vec![(0, 0), (1, 2)]);
+        // Both crashed slacks rest on their zero bound.
+        assert_eq!(status[5..7], [ColStatus::Lower; 2]);
+        let sol = engine.solve(None).expect("solvable");
+        assert_eq!(sol.stats.crash_columns, 2);
+        // y = 1 − 1e-6·x3 is smallest at x3 = 10.
+        assert!((m.eval_objective(&sol.values) - (1.0 - 1e-5)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn no_zero_cost_column_keeps_the_all_slack_start() {
+        // Every column on the equality rows is priced, and the one
+        // zero-cost column sits in an inequality row only.
+        let mut m = Model::new("priced", Sense::Minimize);
+        let a = m.add_cont("a", 0.0, 10.0);
+        let b = m.add_cont("b", 0.0, 10.0);
+        let free = m.add_cont("free", 0.0, 10.0);
+        m.add_constraint("sum", vec![(a, 1.0), (b, 1.0)], ConstraintOp::Eq, 4.0);
+        m.add_constraint("gap", vec![(a, 1.0), (b, -1.0)], ConstraintOp::Eq, 0.0);
+        m.add_constraint("cap", vec![(free, 1.0), (a, 1.0)], ConstraintOp::Le, 9.0);
+        m.set_objective(vec![(a, 1.0), (b, 2.0)], 0.0);
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let (status, crashed) = checked_cold_start(&mut engine);
+        assert_eq!(crashed, 0);
+        let mut all_slack = vec![ColStatus::Lower; 3];
+        all_slack.extend([ColStatus::Basic; 3]);
+        assert_eq!(status, all_slack);
+        let sol = engine.solve(None).expect("solvable");
+        assert_eq!(sol.stats.crash_columns, 0);
+        assert_eq!(sol.values, vec![2.0, 2.0, 0.0]);
+    }
+
+    #[test]
+    fn crash_never_reuses_a_crashed_row() {
+        // Seeded sparse models, most rows equalities and most columns
+        // free of cost, with entries of mixed magnitude: every crash
+        // pairs each crashed row with a column that has no entry in an
+        // earlier crashed row, and its start is triangular with zero
+        // duals.
+        use billcap_rt::{Rng, Xoshiro256pp};
+        let mut rng = Xoshiro256pp::seed_from_u64(23);
+        let mut total = 0;
+        for case in 0..200 {
+            let nvars = rng.random_usize_in(2, 9);
+            let nrows = rng.random_usize_in(1, 8);
+            let mut m = Model::new(format!("case{case}"), Sense::Minimize);
+            let vars: Vec<_> = (0..nvars)
+                .map(|j| m.add_cont(format!("x{j}"), 0.0, 5.0))
+                .collect();
+            for r in 0..nrows {
+                let mut terms = Vec::new();
+                for &v in &vars {
+                    if rng.random_below(2) == 0 {
+                        terms.push((v, [1.0, -2.0, 0.5, 1e-4][rng.random_below(4) as usize]));
+                    }
+                }
+                let op = [ConstraintOp::Eq, ConstraintOp::Eq, ConstraintOp::Le]
+                    [rng.random_below(3) as usize];
+                m.add_constraint(format!("r{r}"), terms, op, rng.random_f64_in(0.0, 3.0));
+            }
+            let obj = vars
+                .iter()
+                .filter(|_| rng.random_below(3) == 0)
+                .map(|&v| (v, 1.0))
+                .collect();
+            m.set_objective(obj, 0.0);
+            let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
+            let (status, crashed) = checked_cold_start(&mut engine);
+            assert_eq!(crash_pairs(&engine, &status).len(), crashed, "case {case}");
+            total += crashed;
+        }
+        assert!(total > 200, "the sweep crashes rows ({total})");
     }
 
     #[test]

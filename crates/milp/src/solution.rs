@@ -72,6 +72,9 @@ pub struct SolveTrace {
     /// LP exits whose fresh duals contradicted the updated ones (a
     /// nonbasic reduced cost of the wrong sign); each was retried cold.
     pub exit_dual_violations: usize,
+    /// Structural columns the cold-start crash made basic in place of an
+    /// equality row's slack: the zero-ratio pivots a cold start skipped.
+    pub crash_columns: usize,
     /// 1 when the solve started on a [`crate::branch::MipWorkspace`]
     /// an earlier solve had used, else 0: summed over a run, the solves
     /// that skipped growing their buffers from empty.
