@@ -715,7 +715,7 @@ fn solve_lp(args: &Args) -> Result<(), String> {
     if let Some(stats) = sol.mip {
         println!(
             "nodes: {}, lp iterations: {}, gap: {:.2e}",
-            stats.nodes, stats.lp_iterations, stats.gap
+            stats.nodes, stats.trace.lp.iterations, stats.gap
         );
     }
     Ok(())

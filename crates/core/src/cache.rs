@@ -143,15 +143,16 @@ impl DecisionKey {
 ///
 /// `V` is what an entry holds: an [`HourDecision`] by default, or any
 /// other image of one, such as the decision server's rendered response
-/// body. Capacity, eviction order and counters do not depend on `V`.
+/// body. Capacity and eviction order do not depend on `V`.
+///
+/// The cache counts nothing itself: [`insert`](Self::insert) returns
+/// how many entries it evicted, and a caller that reports hits, misses
+/// and evictions keeps those counts where it reports them.
 #[derive(Debug)]
 pub struct DecisionCache<V = HourDecision> {
     map: HashMap<DecisionKey, V>,
     order: VecDeque<DecisionKey>,
     capacity: usize,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
 }
 
 impl DecisionCache {
@@ -168,57 +169,38 @@ impl<V> DecisionCache<V> {
             map: HashMap::with_capacity(capacity.min(4096)),
             order: VecDeque::new(),
             capacity,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
         }
     }
 
-    /// Looks up a decision, recording a hit or miss (mirrored to the
-    /// `core.cache.hit` / `core.cache.miss` counters when tracing is
-    /// enabled). A hit borrows the stored value; nothing is cloned.
-    pub fn get(&mut self, key: &DecisionKey) -> Option<&V> {
-        let found = self.map.get(key);
-        if found.is_some() {
-            self.hits += 1;
-            if billcap_obs::enabled() {
-                billcap_obs::counter("core.cache.hit", 1);
-            }
-        } else {
-            self.misses += 1;
-            if billcap_obs::enabled() {
-                billcap_obs::counter("core.cache.miss", 1);
-            }
-        }
-        found
+    /// Looks up a decision. A hit borrows the stored value; nothing is
+    /// cloned.
+    pub fn get(&self, key: &DecisionKey) -> Option<&V> {
+        self.map.get(key)
     }
 
-    /// Stores a decision, evicting the oldest entry when full.
-    /// Re-inserting an existing key refreshes the value without
-    /// growing the FIFO.
-    pub fn insert(&mut self, key: DecisionKey, decision: V) {
+    /// Stores a decision, evicting the oldest entries while the cache
+    /// is over capacity, and returns how many it evicted. Re-inserting
+    /// an existing key refreshes the value without growing the FIFO.
+    pub fn insert(&mut self, key: DecisionKey, decision: V) -> u64 {
         match self.map.entry(key.clone()) {
             Entry::Occupied(mut e) => {
                 e.insert(decision);
-                return;
+                return 0;
             }
             Entry::Vacant(e) => {
                 e.insert(decision);
                 self.order.push_back(key);
             }
         }
+        let mut evicted = 0;
         while self.map.len() > self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                    self.evictions += 1;
-                    if billcap_obs::enabled() {
-                        billcap_obs::counter("core.cache.evict", 1);
-                    }
-                }
-                None => break,
-            }
+            let Some(old) = self.order.pop_front() else {
+                break;
+            };
+            self.map.remove(&old);
+            evicted += 1;
         }
+        evicted
     }
 
     /// Number of cached decisions.
@@ -229,22 +211,6 @@ impl<V> DecisionCache<V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Lookups answered from the cache since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that fell through since construction.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Decisions evicted by the FIFO bound since construction
-    /// (mirrored to `core.cache.evict` when tracing is enabled).
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 }
 
@@ -273,12 +239,10 @@ mod tests {
         let key = DecisionKey::new(&sys, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
         let mut cache = DecisionCache::new(8);
         assert!(cache.get(&key).is_none());
-        cache.insert(key.clone(), d.clone());
+        assert_eq!(cache.insert(key.clone(), d.clone()), 0);
         let hit = cache.get(&key).unwrap();
         assert_eq!(hit.cost().to_bits(), d.cost().to_bits());
         assert_eq!(hit.allocation, d.allocation);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
     }
 
     #[test]
@@ -337,18 +301,18 @@ mod tests {
                 )
             })
             .collect();
-        for k in &keys {
-            cache.insert(k.clone(), d.clone());
-        }
+        let evicted: Vec<u64> = keys
+            .iter()
+            .map(|k| cache.insert(k.clone(), d.clone()))
+            .collect();
+        assert_eq!(evicted, [0, 0, 1]);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
         assert!(cache.get(&keys[0]).is_none(), "oldest must be evicted");
         assert!(cache.get(&keys[1]).is_some());
         assert!(cache.get(&keys[2]).is_some());
         // Re-inserting an existing key must not evict anything.
-        cache.insert(keys[2].clone(), d.clone());
+        assert_eq!(cache.insert(keys[2].clone(), d.clone()), 0);
         assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
         assert!(cache.get(&keys[1]).is_some());
     }
 }

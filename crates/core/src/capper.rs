@@ -86,7 +86,7 @@ impl DecisionTrace {
         self.solves += 1;
         if let Some(stats) = &alloc.stats {
             self.nodes += stats.nodes;
-            self.lp_iterations += stats.lp_iterations;
+            self.lp_iterations += stats.trace.lp.iterations;
         }
     }
 }

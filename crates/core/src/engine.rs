@@ -62,6 +62,7 @@ use crate::minimize::{
 use crate::spec::DataCenterSystem;
 use billcap_milp::{MipSolver, MipWorkspace, Model, Solution, SolveError};
 use billcap_obs::Stopwatch;
+use std::collections::BTreeSet;
 
 /// The two retained model shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -117,10 +118,12 @@ struct EngineCore {
     stamp: u64,
     /// Step-model cache telemetry across both steps' caches.
     stats: EngineStats,
-    /// Fingerprints of structures built since the last
+    /// Fingerprints of the distinct structures built since the last
     /// [`DecisionEngine::drain_built_keys`], for the server's
-    /// unique-rebuild registry.
-    built_keys: Vec<u64>,
+    /// unique-rebuild registry. A set, so an engine nobody drains holds
+    /// one entry per distinct structure, however often LRU churn
+    /// rebuilds it.
+    built_keys: BTreeSet<u64>,
 }
 
 /// Step-model LRU telemetry for one engine: exact work counters,
@@ -159,7 +162,7 @@ impl DecisionEngine {
                 thru_max: Vec::new(),
                 stamp: 0,
                 stats: EngineStats::default(),
-                built_keys: Vec::new(),
+                built_keys: BTreeSet::new(),
             },
         }
     }
@@ -169,15 +172,17 @@ impl DecisionEngine {
         self.core.stats
     }
 
-    /// Removes and returns the fingerprints of every model structure
-    /// built since the previous call (empty when only cached models
-    /// served). A fingerprint is a pure function of
-    /// `(step, kept levels)`, so the *set* of fingerprints drained
-    /// over a request sequence is independent of how the sequence was
-    /// sharded across engines — the server aggregates them into a
-    /// thread-count-invariant unique-rebuild counter.
+    /// Removes and returns the fingerprints of the distinct model
+    /// structures built since the previous call, in ascending order
+    /// (empty when only cached models served). A fingerprint is a pure
+    /// function of `(step, kept levels)`, so the *set* of fingerprints
+    /// drained over a request sequence is independent of how the
+    /// sequence was sharded across engines — the server aggregates them
+    /// into a thread-count-invariant unique-rebuild counter.
     pub fn drain_built_keys(&mut self) -> Vec<u64> {
         std::mem::take(&mut self.core.built_keys)
+            .into_iter()
+            .collect()
     }
 
     /// The system this engine decides for.
@@ -516,16 +521,20 @@ impl EngineCore {
         }
     }
 
-    /// Bumps the telemetry for a step-cache miss (always a rebuild) and
-    /// remembers the built structure's fingerprint.
+    /// Bumps the telemetry for a step-cache miss and remembers the
+    /// built structure's fingerprint. Every miss builds a model, so the
+    /// one event is emitted under both names the readers use:
+    /// `core.engine.cache.miss` next to the hit and evict counters, and
+    /// `core.engine.rebuilds`, the full-build count the perf gate and
+    /// the benchmark ledger track.
     fn note_miss(&mut self, step: Step, kept: &[Vec<usize>]) {
         self.stats.misses += 1;
         self.built_keys
-            .push(Self::structure_fingerprint(step, kept));
+            .insert(Self::structure_fingerprint(step, kept));
         if billcap_obs::enabled() {
             billcap_obs::counter("core.engine.cache.miss", 1);
+            billcap_obs::counter("core.engine.rebuilds", 1);
         }
-        record_rebuild();
     }
 
     /// Bumps the telemetry when an insert evicted a retained model.
@@ -606,17 +615,6 @@ impl EngineCore {
     }
 }
 
-/// Counts full model builds (cache misses on the kept-level key). The
-/// counter is the deterministic work metric the perf gate tracks for the
-/// scratch-reuse refactor: on a month, flat caps or a cap schedule, it
-/// stays near the number of *distinct* kept-level sets the run visits —
-/// a handful — far below `2 × hours`.
-fn record_rebuild() {
-    if billcap_obs::enabled() {
-        billcap_obs::counter("core.engine.rebuilds", 1);
-    }
-}
-
 impl EngineCore {
     /// Steps 1 and 3: cost-minimize serving `lambda` requests/hour.
     fn minimize(
@@ -679,7 +677,6 @@ mod tests {
     use crate::capsched::CapSchedule;
     use crate::maximize::ThroughputMaximizer;
     use crate::minimize::CostMinimizer;
-    use std::collections::BTreeSet;
 
     /// Bitwise equality on everything deterministic in a decision
     /// (wall-clock ns fields are machine noise and excluded).
@@ -993,7 +990,8 @@ mod tests {
         match (served, built) {
             (Ok(x), Ok(y)) => {
                 assert_allocations_bitwise_equal(x, y, ctx);
-                let effort = |a: &Allocation| a.stats.as_ref().map(|s| (s.nodes, s.lp_iterations));
+                let effort =
+                    |a: &Allocation| a.stats.as_ref().map(|s| (s.nodes, s.trace.lp.iterations));
                 assert_eq!(effort(x), effort(y), "{ctx}: solver effort");
             }
             (x, y) => assert_eq!(x.as_ref().err(), y.as_ref().err(), "{ctx}: verdicts"),
@@ -1160,6 +1158,49 @@ mod tests {
         run(&mut twin);
         assert_eq!(twin.drain_built_keys(), keys);
         assert_eq!(twin.cache_stats(), stats);
+    }
+
+    #[test]
+    fn undrained_built_keys_hold_each_distinct_structure_once() {
+        // More distinct step-1 kept-level keys than the cache holds,
+        // visited twice in order: the LRU evicts each before its repeat,
+        // so every visit rebuilds. An engine nobody drains (a month loop,
+        // the risk engine, the CLI) must hold one key per distinct
+        // structure, not one per build.
+        let sys = DataCenterSystem::paper_system(1);
+        let wanted = STEP_CACHE_CAP + 6;
+        let grid = || (0..=12).map(|k| 50.0 * f64::from(k));
+        let mut seen = BTreeSet::new();
+        let mut backgrounds = Vec::new();
+        for d0 in grid() {
+            for d1 in grid() {
+                for d2 in grid() {
+                    let background = vec![d0, d1, d2];
+                    let kept = EngineCore::kept_key(&EngineCore::level_params(&sys, &background));
+                    if backgrounds.len() < wanted && seen.insert(kept) {
+                        backgrounds.push(background);
+                    }
+                }
+            }
+        }
+        assert_eq!(backgrounds.len(), wanted, "the grid has enough keys");
+
+        let mut engine = DecisionEngine::new(sys, CapperConfig::default());
+        let mut distinct = BTreeSet::new();
+        for background in backgrounds.iter().chain(&backgrounds) {
+            engine
+                .decide_hour(2e8, 1e8, background, f64::INFINITY)
+                .unwrap();
+            distinct.insert(EngineCore::kept_key(&EngineCore::level_params(
+                engine.system(),
+                background,
+            )));
+            assert!(engine.core.built_keys.len() <= distinct.len());
+        }
+        let stats = engine.cache_stats();
+        assert_eq!(stats.misses, 2 * wanted as u64, "every visit rebuilt");
+        assert!(stats.evictions > 0);
+        assert_eq!(engine.drain_built_keys().len(), wanted);
     }
 
     /// Asserts two models have the same structure and values, every

@@ -8,24 +8,21 @@
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarId};
 use crate::presolve::{propagate_from, PropBuffers};
-use crate::revised::{
-    BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution, RevisedStats,
-};
+use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution};
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
-use crate::INT_TOL;
+use crate::{GAP_TOL, INT_TOL};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// Branch-and-bound MILP solver over the revised simplex
 /// ([`crate::revised`]), which also solves pure LPs directly.
+///
+/// Values within [`INT_TOL`] of an integer count as integral, and the
+/// search stops at a relative gap of [`GAP_TOL`].
 #[derive(Debug, Clone)]
 pub struct MipSolver {
-    /// Values within `int_tol` of an integer count as integral.
-    pub int_tol: f64,
     /// Hard cap on explored nodes.
     pub max_nodes: usize,
-    /// Terminate when the relative gap falls below this value.
-    pub gap_tol: f64,
     /// Run activity-based bound propagation
     /// ([`crate::presolve::propagate_bounds`]) on the root node's bounds
     /// before the search (integer path only; pure-LP solves are
@@ -43,9 +40,7 @@ pub struct MipSolver {
 impl Default for MipSolver {
     fn default() -> Self {
         Self {
-            int_tol: INT_TOL,
             max_nodes: 200_000,
-            gap_tol: 1e-9,
             root_propagation: true,
             warm_start: true,
         }
@@ -127,21 +122,6 @@ impl Ord for Node {
     }
 }
 
-/// Folds a revised solve's work counters into the search trace (pivot
-/// counts travel separately, in the solution's own stats).
-fn absorb(trace: &mut SolveTrace, stats: &RevisedStats) {
-    trace.factorizations += stats.factorizations;
-    trace.refactorizations += stats.refactorizations;
-    trace.bound_flips += stats.bound_flips;
-    trace.phase1_starts += stats.phase1_starts;
-    trace.ftran_calls += stats.ftran_calls;
-    trace.btran_calls += stats.btran_calls;
-    trace.xb_refreshes += stats.xb_refreshes;
-    trace.bland_switches += stats.bland_switches;
-    trace.exit_dual_violations += stats.exit_dual_violations;
-    trace.crash_columns += stats.crash_columns;
-}
-
 /// Solves the LP loaded in `engine` under its current bounds: from
 /// `warm` when given, else cold. `verify_warm` runs the basis through
 /// [`RevisedEngine::solve_warm_verified`] first — required when the basis
@@ -153,16 +133,16 @@ fn absorb(trace: &mut SolveTrace, stats: &RevisedStats) {
 /// The chain is `warm → cold`: a warm attempt that fails numerically or
 /// hits the pivot cap is retried cold, a complete and independent solve
 /// of the same LP, so the retry costs time but never changes the answer.
-/// A cold failure is the caller's error. Every attempt's counters land in
-/// `trace`; the returned solution's pivot counts include a failed warm
-/// attempt's.
+/// A cold failure is the caller's error. Every attempt's counters, a
+/// failed warm attempt's and an infeasible verdict's included, land in
+/// `trace.lp`.
 fn solve_lp(
     engine: &mut RevisedEngine,
     warm: Option<&BasisState>,
     verify_warm: bool,
     trace: &mut SolveTrace,
 ) -> Result<RevisedSolution, SolveError> {
-    let mut wasted = RevisedStats::default();
+    let pivots_before = trace.lp.iterations;
     let mut result = None;
     if let Some(w) = warm {
         let attempt = if verify_warm {
@@ -175,32 +155,46 @@ fn solve_lp(
                 trace.warm_starts += 1;
                 result = Some(attempt);
             }
-            Err(e) => {
-                wasted = e.stats();
-                absorb(trace, &wasted);
-            }
+            Err(e) => trace.lp += e.stats(),
         }
     }
     match result.unwrap_or_else(|| engine.solve(None)) {
-        Ok(mut sol) => {
-            absorb(trace, &sol.stats);
-            sol.stats.iterations += wasted.iterations;
-            sol.stats.degenerate += wasted.degenerate;
+        Ok(sol) => {
+            trace.lp += sol.stats;
             Ok(sol)
         }
         Err(e) => {
-            let stats = e.stats();
-            absorb(trace, &stats);
+            trace.lp += e.stats();
             Err(match e {
                 RevisedError::Infeasible { .. } => SolveError::Infeasible,
                 RevisedError::Unbounded { .. } => SolveError::Unbounded,
                 RevisedError::IterationLimit { .. } => SolveError::IterationLimit {
-                    iterations: wasted.iterations + stats.iterations,
+                    iterations: trace.lp.iterations - pivots_before,
                 },
                 RevisedError::Numerical { .. } => SolveError::Numerical,
             })
         }
     }
+}
+
+/// Stamps a search's totals on the solution it returns: the pivot
+/// counts come from `trace.lp`, so they cover every LP the search ran.
+fn with_stats(
+    mut sol: Solution,
+    nodes: usize,
+    best_bound: f64,
+    gap: f64,
+    trace: SolveTrace,
+) -> Solution {
+    sol.iterations = trace.lp.iterations;
+    sol.degenerate = trace.lp.degenerate;
+    sol.mip = Some(MipStats {
+        nodes,
+        best_bound,
+        gap,
+        trace,
+    });
+    sol
 }
 
 impl MipSolver {
@@ -257,16 +251,10 @@ impl MipSolver {
         model.validate()?;
         let int_vars = model.integer_vars();
         if int_vars.is_empty() {
-            let (mut sol, basis) =
+            let (sol, basis) =
                 self.solve_pure_lp_warm(model, root_basis, &mut ws.engine, &mut trace)?;
-            trace.degenerate_pivots = sol.degenerate;
-            sol.mip = Some(MipStats {
-                nodes: 1,
-                lp_iterations: sol.iterations,
-                best_bound: sol.objective,
-                gap: 0.0,
-                trace,
-            });
+            let best_bound = sol.objective;
+            let sol = with_stats(sol, 1, best_bound, 0.0, trace);
             finish_obs(&mut mip_span, Some(&sol));
             return Ok((sol, basis));
         }
@@ -282,12 +270,12 @@ impl MipSolver {
         for &v in &int_vars {
             let (lb, ub) = root_bounds[v.index()];
             let lb = if lb.is_finite() {
-                (lb - self.int_tol).ceil()
+                (lb - INT_TOL).ceil()
             } else {
                 lb
             };
             let ub = if ub.is_finite() {
-                (ub + self.int_tol).floor()
+                (ub + INT_TOL).floor()
             } else {
                 ub
             };
@@ -329,7 +317,6 @@ impl MipSolver {
         let mut incumbent: Option<Solution> = None;
         let mut incumbent_key = f64::INFINITY;
         let mut nodes = 0usize;
-        let mut lp_iterations = 0usize;
         let obs_on = billcap_obs::enabled();
 
         // detlint-hot-start(branch-and-bound node loop): runs once per
@@ -344,8 +331,7 @@ impl MipSolver {
                 continue;
             }
             if nodes >= self.max_nodes {
-                let sol =
-                    self.finish_at_limit(incumbent, nodes, lp_iterations, sign, &frontier, trace);
+                let sol = self.finish_at_limit(incumbent, nodes, sign, &frontier, trace);
                 finish_obs(&mut mip_span, sol.as_ref().ok());
                 return sol.map(|s| (s, root_basis_out));
             }
@@ -354,6 +340,7 @@ impl MipSolver {
 
             engine.set_var_bounds(&node.bounds);
             let warm = node.basis.as_ref().filter(|_| self.warm_start);
+            let pivots_before = trace.lp.iterations;
             // Only the root may carry an out-of-tree basis, so only the
             // root pays the dual-feasibility verification.
             let lp_sol = match solve_lp(engine, warm, node.depth == 0, &mut trace) {
@@ -366,8 +353,6 @@ impl MipSolver {
                 // this workspace that implies the MILP is unbounded too.
                 Err(e) => return Err(e),
             };
-            lp_iterations += lp_sol.stats.iterations;
-            trace.degenerate_pivots += lp_sol.stats.degenerate;
             if node.depth == 0 {
                 // The root relaxation's optimal basis is the warm-start
                 // seed for the *next* solve of a mutated model.
@@ -376,7 +361,7 @@ impl MipSolver {
             if obs_on {
                 billcap_obs::observe(
                     "milp.lp.iterations_per_node",
-                    lp_sol.stats.iterations as f64,
+                    (trace.lp.iterations - pivots_before) as f64,
                 );
             }
             let node_key = sign * model.eval_objective(&lp_sol.values);
@@ -403,7 +388,7 @@ impl MipSolver {
                             status: Status::Optimal,
                             objective,
                             values,
-                            iterations: lp_iterations,
+                            iterations: 0,
                             degenerate: 0,
                             mip: None,
                             duals: None,
@@ -414,7 +399,7 @@ impl MipSolver {
                     let (lb, ub) = node.bounds[v.index()];
                     let down_ub = x.floor();
                     let up_lb = x.ceil();
-                    if down_ub >= lb - self.int_tol {
+                    if down_ub >= lb - INT_TOL {
                         let mut b = node.bounds.clone();
                         b[v.index()] = (lb, down_ub);
                         frontier.push(Node {
@@ -424,7 +409,7 @@ impl MipSolver {
                             basis: Some(lp_sol.basis.clone()),
                         });
                     }
-                    if up_lb <= ub + self.int_tol {
+                    if up_lb <= ub + INT_TOL {
                         let mut b = node.bounds;
                         b[v.index()] = (up_lb, ub);
                         frontier.push(Node {
@@ -446,17 +431,8 @@ impl MipSolver {
                 // dual bound, so clamp before reporting.
                 let fb = fb.min(incumbent_key);
                 let gap = (incumbent_key - fb) / incumbent_key.abs().max(1.0);
-                if gap <= self.gap_tol {
-                    let mut sol = inc.clone();
-                    sol.iterations = lp_iterations;
-                    sol.degenerate = trace.degenerate_pivots;
-                    sol.mip = Some(MipStats {
-                        nodes,
-                        lp_iterations,
-                        best_bound: sign * fb,
-                        gap,
-                        trace,
-                    });
+                if gap <= GAP_TOL {
+                    let sol = with_stats(inc.clone(), nodes, sign * fb, gap, trace);
                     finish_obs(&mut mip_span, Some(&sol));
                     return Ok((sol, root_basis_out));
                 }
@@ -465,16 +441,9 @@ impl MipSolver {
         // detlint-hot-end
 
         match incumbent {
-            Some(mut sol) => {
-                sol.iterations = lp_iterations;
-                sol.degenerate = trace.degenerate_pivots;
-                sol.mip = Some(MipStats {
-                    nodes,
-                    lp_iterations,
-                    best_bound: sol.objective,
-                    gap: 0.0,
-                    trace,
-                });
+            Some(sol) => {
+                let best_bound = sol.objective;
+                let sol = with_stats(sol, nodes, best_bound, 0.0, trace);
                 finish_obs(&mut mip_span, Some(&sol));
                 Ok((sol, root_basis_out))
             }
@@ -500,8 +469,8 @@ impl MipSolver {
             status: Status::Optimal,
             objective: model.eval_objective(&r.values),
             values: r.values,
-            iterations: r.stats.iterations,
-            degenerate: r.stats.degenerate,
+            iterations: 0,
+            degenerate: 0,
             mip: None,
             duals: Some(r.duals),
         };
@@ -511,7 +480,7 @@ impl MipSolver {
     /// Absolute slack used when pruning against the incumbent.
     fn prune_slack(&self, incumbent_key: f64) -> f64 {
         if incumbent_key.is_finite() {
-            self.gap_tol * incumbent_key.abs().max(1.0)
+            GAP_TOL * incumbent_key.abs().max(1.0)
         } else {
             0.0
         }
@@ -524,7 +493,7 @@ impl MipSolver {
         for &v in int_vars {
             let x = values[v.index()];
             let frac = (x - x.round()).abs();
-            if frac > self.int_tol {
+            if frac > INT_TOL {
                 let score = (x - x.floor()).min(x.ceil() - x); // distance to nearest int
                 if best.is_none_or(|(_, _, s)| score > s) {
                     best = Some((v, x, score));
@@ -538,7 +507,6 @@ impl MipSolver {
         &self,
         incumbent: Option<Solution>,
         nodes: usize,
-        lp_iterations: usize,
         sign: f64,
         frontier: &BinaryHeap<Node>,
         trace: SolveTrace,
@@ -546,21 +514,12 @@ impl MipSolver {
         match incumbent {
             Some(mut sol) => {
                 sol.status = Status::Feasible;
-                sol.iterations = lp_iterations;
-                sol.degenerate = trace.degenerate_pivots;
                 let bound_key = frontier
                     .peek()
                     .map_or(sign * sol.objective, |n| n.bound)
                     .min(sign * sol.objective);
                 let gap = (sign * sol.objective - bound_key).abs() / sol.objective.abs().max(1.0);
-                sol.mip = Some(MipStats {
-                    nodes,
-                    lp_iterations,
-                    best_bound: sign * bound_key,
-                    gap,
-                    trace,
-                });
-                Ok(sol)
+                Ok(with_stats(sol, nodes, sign * bound_key, gap, trace))
             }
             None => Err(SolveError::NodeLimit { nodes }),
         }
@@ -573,43 +532,19 @@ fn record_obs(stats: &MipStats) {
     if !billcap_obs::enabled() {
         return;
     }
-    billcap_obs::counter("milp.bnb.solves", 1);
-    billcap_obs::counter("milp.bnb.nodes", stats.nodes as u64);
-    billcap_obs::counter("milp.lp.iterations", stats.lp_iterations as u64);
-    billcap_obs::counter("milp.bnb.pruned_bound", stats.trace.pruned_by_bound as u64);
-    billcap_obs::counter(
-        "milp.bnb.pruned_infeasible",
-        stats.trace.pruned_infeasible as u64,
-    );
-    billcap_obs::counter(
-        "milp.bnb.incumbent_updates",
-        stats.trace.incumbent_updates as u64,
-    );
-    billcap_obs::counter(
-        "milp.lp.degenerate_pivots",
-        stats.trace.degenerate_pivots as u64,
-    );
-    billcap_obs::counter("milp.lp.factorizations", stats.trace.factorizations as u64);
-    billcap_obs::counter(
-        "milp.lp.refactorizations",
-        stats.trace.refactorizations as u64,
-    );
-    billcap_obs::counter("milp.lp.bound_flips", stats.trace.bound_flips as u64);
-    billcap_obs::counter("milp.lp.warm_starts", stats.trace.warm_starts as u64);
-    billcap_obs::counter("milp.lp.phase1_starts", stats.trace.phase1_starts as u64);
-    billcap_obs::counter("milp.lp.ftran_calls", stats.trace.ftran_calls as u64);
-    billcap_obs::counter("milp.lp.btran_calls", stats.trace.btran_calls as u64);
-    billcap_obs::counter("milp.lp.xb_refreshes", stats.trace.xb_refreshes as u64);
-    billcap_obs::counter("milp.lp.bland_switches", stats.trace.bland_switches as u64);
-    billcap_obs::counter(
-        "milp.lp.exit_dual_violations",
-        stats.trace.exit_dual_violations as u64,
-    );
-    billcap_obs::counter("milp.lp.crash_columns", stats.trace.crash_columns as u64);
-    billcap_obs::counter(
-        "milp.lp.workspace_reuses",
-        stats.trace.workspace_reuses as u64,
-    );
+    let t = &stats.trace;
+    let search = [
+        ("milp.bnb.solves", 1),
+        ("milp.bnb.nodes", stats.nodes),
+        ("milp.bnb.pruned_bound", t.pruned_by_bound),
+        ("milp.bnb.pruned_infeasible", t.pruned_infeasible),
+        ("milp.bnb.incumbent_updates", t.incumbent_updates),
+        ("milp.lp.warm_starts", t.warm_starts),
+        ("milp.lp.workspace_reuses", t.workspace_reuses),
+    ];
+    for (name, value) in search.into_iter().chain(t.lp.counters()) {
+        billcap_obs::counter(name, value as u64);
+    }
 }
 
 /// Completes a solve's `mip` span: attaches the headline counters as
@@ -621,7 +556,7 @@ fn finish_obs(span: &mut billcap_obs::Span, sol: Option<&Solution>) {
     };
     if span.is_enabled() {
         span.field("nodes", stats.nodes as f64);
-        span.field("lp_iterations", stats.lp_iterations as f64);
+        span.field("lp_iterations", stats.trace.lp.iterations as f64);
         span.field("incumbents", stats.trace.incumbent_updates as f64);
         span.field("max_depth", stats.trace.max_depth as f64);
     }
@@ -684,13 +619,13 @@ mod tests {
         };
         let (cold, basis) = solver.solve_with_root_basis(&m, None).unwrap();
         let trace = cold.mip.expect("stats").trace;
-        assert!(trace.factorizations >= 1, "{trace:?}");
-        assert_eq!((trace.warm_starts, trace.phase1_starts), (0, 0));
+        assert!(trace.lp.factorizations >= 1, "{trace:?}");
+        assert_eq!((trace.warm_starts, trace.lp.phase1_starts), (0, 0));
         // The carried basis is the optimum: verified, it counts as a warm
         // start and re-solves with no pivot.
         let (warm, _) = solver.solve_with_root_basis(&m, basis.as_ref()).unwrap();
         let trace = warm.mip.expect("stats").trace;
-        assert!(trace.factorizations >= 1, "{trace:?}");
+        assert!(trace.lp.factorizations >= 1, "{trace:?}");
         assert_eq!(trace.warm_starts, 1);
         assert_eq!(warm.iterations, 0);
         assert_eq!(warm.values, cold.values);

@@ -93,3 +93,9 @@ pub const TOL: f64 = 1e-9;
 /// Default integrality tolerance: a value within `INT_TOL` of an integer is
 /// accepted as integral by the branch-and-bound search.
 pub const INT_TOL: f64 = 1e-6;
+
+/// Relative optimality gap at which branch-and-bound stops: the search
+/// returns its incumbent once the best open bound is within `GAP_TOL`
+/// of it (relative to `max(1, |incumbent|)`), and prunes nodes by the
+/// same slack.
+pub const GAP_TOL: f64 = 1e-9;

@@ -48,7 +48,6 @@ pub fn brute_force_solve_capped(
         let mut sol = lp.solve(model)?;
         sol.mip = Some(MipStats {
             nodes: 1,
-            lp_iterations: sol.iterations,
             best_bound: sol.objective,
             gap: 0.0,
             trace: Default::default(),
@@ -139,7 +138,6 @@ pub fn brute_force_solve_capped(
                     degenerate: 0,
                     mip: Some(MipStats {
                         nodes,
-                        lp_iterations,
                         best_bound: objective,
                         gap: 0.0,
                         trace: Default::default(),

@@ -19,7 +19,7 @@
 //!   of a full two-phase solve. The ratio test walks the dual
 //!   breakpoints and *flips* boxed nonbasic variables to their opposite
 //!   bound when that is cheaper than a pivot (counted in
-//!   [`crate::SolveTrace::bound_flips`]).
+//!   [`RevisedStats::bound_flips`]).
 //! * **Update between refactorizations, recompute at the edges.** A
 //!   pivot updates the basic solution and the duals instead of
 //!   rebuilding them: `x_B` steps along the entering column's FTRAN
@@ -39,8 +39,8 @@
 //! cost sign is dual-feasible (a zero-cost free variable rests
 //! [`ColStatus::Free`] at 0) and make every slack basic. A zero-cost
 //! triangular crash then swaps the slack of each equality row it can
-//! for a zero-cost structural column (see
-//! [`crash`](RevisedEngine::crash)): the start is still dual feasible,
+//! for a zero-cost structural column (see `RevisedEngine::crash`): the
+//! start is still dual feasible,
 //! and the pivots that would bring those columns in at ratio 0 are never
 //! taken. A model with no
 //! such placement (a free variable with nonzero cost, say) starts with a
@@ -127,8 +127,12 @@ impl Default for RevisedOptions {
     }
 }
 
-/// Work counters from one revised solve, merged into
-/// [`crate::SolveTrace`] by branch-and-bound.
+/// Work counters from one revised solve. Branch-and-bound sums them
+/// over every solve of a search into [`crate::SolveTrace::lp`].
+///
+/// One table, `RevisedStats::COUNTERS`, lists every field once with
+/// the name the trace recorder emits it under; `+=` and the emitter both
+/// walk it, so a new counter is one field and one row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RevisedStats {
     /// Dual simplex pivots.
@@ -162,6 +166,44 @@ pub struct RevisedStats {
     /// Structural columns a cold start's crash made basic in place of an
     /// equality row's slack.
     pub crash_columns: usize,
+}
+
+/// One [`RevisedStats`] counter, by mutable reference.
+type StatField = fn(&mut RevisedStats) -> &mut usize;
+
+impl RevisedStats {
+    /// Every counter with the name the trace recorder emits it under.
+    pub(crate) const COUNTERS: [(&'static str, StatField); 12] = [
+        ("milp.lp.iterations", |s| &mut s.iterations),
+        ("milp.lp.degenerate_pivots", |s| &mut s.degenerate),
+        ("milp.lp.bound_flips", |s| &mut s.bound_flips),
+        ("milp.lp.factorizations", |s| &mut s.factorizations),
+        ("milp.lp.refactorizations", |s| &mut s.refactorizations),
+        ("milp.lp.phase1_starts", |s| &mut s.phase1_starts),
+        ("milp.lp.ftran_calls", |s| &mut s.ftran_calls),
+        ("milp.lp.btran_calls", |s| &mut s.btran_calls),
+        ("milp.lp.xb_refreshes", |s| &mut s.xb_refreshes),
+        ("milp.lp.bland_switches", |s| &mut s.bland_switches),
+        ("milp.lp.exit_dual_violations", |s| {
+            &mut s.exit_dual_violations
+        }),
+        ("milp.lp.crash_columns", |s| &mut s.crash_columns),
+    ];
+
+    /// `(name, value)` of every counter, in [`Self::COUNTERS`] order.
+    pub(crate) fn counters(mut self) -> impl Iterator<Item = (&'static str, usize)> {
+        Self::COUNTERS
+            .into_iter()
+            .map(move |(name, field)| (name, *field(&mut self)))
+    }
+}
+
+impl std::ops::AddAssign for RevisedStats {
+    fn add_assign(&mut self, mut rhs: Self) {
+        for (_, field) in Self::COUNTERS {
+            *field(self) += *field(&mut rhs);
+        }
+    }
 }
 
 /// An optimal revised solve.
@@ -1085,6 +1127,32 @@ impl RevisedEngine {
 mod tests {
     use super::*;
     use crate::model::{ConstraintOp, Model, Sense};
+
+    #[test]
+    fn the_counter_table_names_every_field_once() {
+        // A field missing from the table would never be summed or emitted.
+        assert_eq!(
+            std::mem::size_of::<RevisedStats>(),
+            RevisedStats::COUNTERS.len() * std::mem::size_of::<usize>()
+        );
+        let mut distinct = RevisedStats::default();
+        for (i, (_, field)) in RevisedStats::COUNTERS.into_iter().enumerate() {
+            *field(&mut distinct) = i + 1;
+        }
+        let values: Vec<usize> = distinct.counters().map(|(_, v)| v).collect();
+        assert_eq!(
+            values,
+            (1..=RevisedStats::COUNTERS.len()).collect::<Vec<_>>()
+        );
+        let names: std::collections::BTreeSet<_> = distinct.counters().map(|(n, _)| n).collect();
+        assert_eq!(names.len(), RevisedStats::COUNTERS.len());
+        let mut sum = distinct;
+        sum += distinct;
+        assert!(sum
+            .counters()
+            .zip(distinct.counters())
+            .all(|(s, d)| s.1 == 2 * d.1));
+    }
 
     fn solve_cold(model: &Model) -> RevisedSolution {
         let mut engine = RevisedEngine::new(model, RevisedOptions::default());

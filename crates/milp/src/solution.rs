@@ -1,6 +1,7 @@
 //! Solver output types.
 
 use crate::model::VarId;
+use crate::revised::RevisedStats;
 use crate::INT_TOL;
 
 /// Quality of a returned solution.
@@ -34,51 +35,18 @@ pub struct SolveTrace {
     pub max_depth: usize,
     /// Largest open-node frontier observed.
     pub max_frontier: usize,
-    /// Total degenerate simplex pivots (ratio-test steps with ~zero step
-    /// length) across all node relaxations.
-    pub degenerate_pivots: usize,
-    /// Basis factorizations performed by the revised simplex (one per
-    /// node solve, plus any mid-solve refactorizations and checks of a
-    /// supplied root basis).
-    pub factorizations: usize,
-    /// Mid-solve refactorizations: the eta file hit the refactorization
-    /// interval, or a pivot looked numerically unstable.
-    pub refactorizations: usize,
-    /// Bound flips performed by the dual ratio test — nonbasic variables
-    /// hopped to their opposite bound without a basis change (the
-    /// long-step payoff of bounded-variable handling).
-    pub bound_flips: usize,
     /// LP solves that started from a carried basis (the parent's, or a
     /// previous solve's verified root basis) instead of a cold
     /// all-slack basis.
     pub warm_starts: usize,
-    /// Cold LP starts that needed the revised simplex's dual phase 1:
-    /// the model's bounds admitted no dual-feasible cold placement (a
-    /// free variable with nonzero cost, say).
-    pub phase1_starts: usize,
-    /// FTRAN solves in the revised simplex: basic-solution rebuilds,
-    /// entering columns and bound-flip corrections.
-    pub ftran_calls: usize,
-    /// BTRAN solves in the revised simplex: dual rebuilds, leaving rows
-    /// and the duals of each returned solution.
-    pub btran_calls: usize,
-    /// Basic solutions rebuilt from the factorization (at each start,
-    /// after each refactorization, and to confirm an updated optimum)
-    /// rather than updated by a pivot.
-    pub xb_refreshes: usize,
-    /// LP solves whose dual loop switched to Bland's rule after a run of
-    /// degenerate pivots.
-    pub bland_switches: usize,
-    /// LP exits whose fresh duals contradicted the updated ones (a
-    /// nonbasic reduced cost of the wrong sign); each was retried cold.
-    pub exit_dual_violations: usize,
-    /// Structural columns the cold-start crash made basic in place of an
-    /// equality row's slack: the zero-ratio pivots a cold start skipped.
-    pub crash_columns: usize,
     /// 1 when the solve started on a [`crate::branch::MipWorkspace`]
     /// an earlier solve had used, else 0: summed over a run, the solves
     /// that skipped growing their buffers from empty.
     pub workspace_reuses: usize,
+    /// The LP engine's work counters, summed over every revised solve
+    /// the search ran: node relaxations, infeasible nodes and warm
+    /// attempts that failed and were retried cold.
+    pub lp: RevisedStats,
 }
 
 /// Search statistics from a MIP solve.
@@ -86,8 +54,6 @@ pub struct SolveTrace {
 pub struct MipStats {
     /// Branch-and-bound nodes whose LP relaxation was solved.
     pub nodes: usize,
-    /// Total simplex iterations across all node relaxations.
-    pub lp_iterations: usize,
     /// Best dual bound at termination (equals the objective when optimal).
     pub best_bound: f64,
     /// Relative optimality gap `|obj - bound| / max(1, |obj|)`.
@@ -219,7 +185,6 @@ mod tests {
     fn implied_gap_matches_definition() {
         let stats = MipStats {
             nodes: 1,
-            lp_iterations: 1,
             best_bound: 90.0,
             gap: 0.1,
             trace: SolveTrace::default(),

@@ -380,7 +380,10 @@ fn assert_same_outcome(
     assert_eq!(km.trace.workspace_reuses, usize::from(reused), "{ctx}");
     assert_eq!(fm.trace.workspace_reuses, 0, "{ctx}: fresh workspace");
     assert_eq!(km.nodes, fm.nodes, "{ctx}: nodes");
-    assert_eq!(km.lp_iterations, fm.lp_iterations, "{ctx}: lp iterations");
+    assert_eq!(
+        km.trace.lp.iterations, fm.trace.lp.iterations,
+        "{ctx}: lp iterations"
+    );
     assert_eq!(
         km.best_bound.to_bits(),
         fm.best_bound.to_bits(),
@@ -559,7 +562,7 @@ fn one_workspace_serves_changing_shapes_and_error_paths() {
     assert!(fresh(6).is_ok_and(|s| {
         let stats = s.mip.expect("stats");
         stats.nodes > 1
-            && stats.trace.phase1_starts == 1
+            && stats.trace.lp.phase1_starts == 1
             && stats.trace.warm_starts == stats.nodes - 1
     }));
     assert_eq!(fresh(8), Err(SolveError::Infeasible));

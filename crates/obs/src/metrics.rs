@@ -201,33 +201,6 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
         self.invalid += other.invalid;
     }
-
-    /// Counts/sums accumulated since `baseline` (an earlier snapshot of
-    /// the same histogram), as a new histogram with the same bounds.
-    ///
-    /// `min`/`max` cannot be un-merged, so the delta carries the
-    /// *lifetime* min/max; use a
-    /// [`WindowedHistogram`](crate::telemetry::WindowedHistogram) when
-    /// recent extrema matter.
-    ///
-    /// # Panics
-    /// Panics if the bucket bounds differ.
-    pub fn delta_since(&self, baseline: &HistogramSnapshot) -> HistogramSnapshot {
-        assert_eq!(
-            self.bounds, baseline.bounds,
-            "cannot delta histograms with different bounds"
-        );
-        let mut d = HistogramSnapshot::new(&self.bounds);
-        for (i, (c, b)) in self.counts.iter().zip(&baseline.counts).enumerate() {
-            d.counts[i] = c.saturating_sub(*b);
-        }
-        d.sum = self.sum - baseline.sum;
-        d.count = self.count.saturating_sub(baseline.count);
-        d.invalid = self.invalid.saturating_sub(baseline.invalid);
-        d.min = self.min;
-        d.max = self.max;
-        d
-    }
 }
 
 /// Aggregate statistics for all completed spans sharing one path.
@@ -354,58 +327,6 @@ impl TraceSnapshot {
     pub fn sort_events(&mut self) {
         self.events.sort_by_key(|e| (e.start_ns, e.thread, e.seq));
     }
-
-    /// Everything accumulated since `baseline` (an earlier snapshot of
-    /// the same recorder), for bounded-cost repeated scraping.
-    ///
-    /// Semantics per record kind:
-    /// * **counters** — arithmetic difference; entries whose delta is
-    ///   zero are omitted, so an idle period yields an empty delta.
-    /// * **histograms** — per-bucket count deltas via
-    ///   [`HistogramSnapshot::delta_since`] (lifetime min/max); omitted
-    ///   when no observation (valid or invalid) landed in the period.
-    /// * **spans** — count/total deltas with lifetime min/max; omitted
-    ///   when no span completed in the period.
-    /// * **gauges** — last-write-wins state, passed through as-is (a
-    ///   gauge has no meaningful difference).
-    /// * **events** — *not* included; the per-span event stream belongs
-    ///   to the export path, not to periodic scraping.
-    pub fn delta_since(&self, baseline: &TraceSnapshot) -> TraceSnapshot {
-        let mut d = TraceSnapshot::default();
-        for (k, v) in &self.counters {
-            let dv = v.saturating_sub(baseline.counters.get(k).copied().unwrap_or(0));
-            if dv > 0 {
-                d.counters.insert(k.clone(), dv);
-            }
-        }
-        for (k, h) in &self.histograms {
-            let dh = match baseline.histograms.get(k) {
-                Some(b) if b.bounds == h.bounds => h.delta_since(b),
-                _ => h.clone(),
-            };
-            if dh.observations() > 0 {
-                d.histograms.insert(k.clone(), dh);
-            }
-        }
-        for (k, s) in &self.spans {
-            let base = baseline.spans.get(k).copied().unwrap_or_default();
-            let count = s.count.saturating_sub(base.count);
-            if count > 0 {
-                d.spans.insert(
-                    k.clone(),
-                    SpanStats {
-                        count,
-                        total_ns: s.total_ns.saturating_sub(base.total_ns),
-                        min_ns: s.min_ns,
-                        max_ns: s.max_ns,
-                    },
-                );
-            }
-        }
-        d.gauges = self.gauges.clone();
-        d.orphans = self.orphans.saturating_sub(baseline.orphans);
-        d
-    }
 }
 
 #[cfg(test)]
@@ -508,72 +429,6 @@ mod tests {
         let mut inf_only = HistogramSnapshot::new(&[1.0, 5.0]);
         inf_only.observe(f64::INFINITY);
         assert_eq!(inf_only.quantile(1.0), Some(5.0));
-    }
-
-    #[test]
-    fn histogram_delta_since_subtracts_counts() {
-        let mut h = HistogramSnapshot::new(&[1.0, 5.0]);
-        h.observe(0.5);
-        h.observe(f64::NAN);
-        let base = h.clone();
-        h.observe(3.0);
-        h.observe(9.0);
-        h.observe(f64::NAN);
-        let d = h.delta_since(&base);
-        assert_eq!(d.counts, vec![0, 1, 1]);
-        assert_eq!(d.count, 2);
-        assert_eq!(d.invalid, 1);
-        assert_eq!(d.sum, 3.0 + 9.0);
-        assert_eq!(d.observations(), 3);
-        // Lifetime extrema, as documented.
-        assert_eq!(d.min, 0.5);
-        assert_eq!(d.max, 9.0);
-    }
-
-    #[test]
-    fn snapshot_delta_since_omits_idle_records() {
-        let mut base = TraceSnapshot::default();
-        base.counters.insert("busy".into(), 2);
-        base.counters.insert("idle".into(), 7);
-        let mut hb = HistogramSnapshot::new(&[1.0]);
-        hb.observe(0.5);
-        base.histograms.insert("h_idle".into(), hb.clone());
-        let mut sb = SpanStats::default();
-        sb.record(10);
-        base.spans.insert("s_idle".into(), sb);
-
-        let mut cur = base.clone();
-        *cur.counters.get_mut("busy").expect("busy") += 3;
-        cur.counters.insert("fresh".into(), 1);
-        let mut hc = hb.clone();
-        hc.observe(2.0);
-        cur.histograms.insert("h_busy".into(), hc);
-        cur.gauges.insert("g".into(), GaugeStat::single(4.0));
-        let mut sc = SpanStats::default();
-        sc.record(5);
-        cur.spans.insert("s_busy".into(), sc);
-
-        let d = cur.delta_since(&base);
-        assert_eq!(d.counters.len(), 2);
-        assert_eq!(d.counters["busy"], 3);
-        assert_eq!(d.counters["fresh"], 1);
-        assert!(!d.counters.contains_key("idle"));
-        assert_eq!(d.histograms.len(), 1);
-        // h_busy is new to the current snapshot (no baseline entry), so
-        // the delta is its full contents: the cloned 0.5 plus the 2.0.
-        assert_eq!(d.histograms["h_busy"].count, 2);
-        assert_eq!(d.histograms["h_busy"].counts, vec![1, 1]);
-        assert_eq!(d.spans.len(), 1);
-        assert_eq!(d.spans["s_busy"].count, 1);
-        // Gauges pass through last-write state.
-        assert_eq!(d.gauges["g"].last, 4.0);
-        assert_eq!(d.orphans, 0);
-
-        // Delta against an empty baseline is the snapshot itself minus
-        // the idle-record pruning (nothing idle here to prune).
-        let all = cur.delta_since(&TraceSnapshot::default());
-        assert_eq!(all.counters["idle"], 7);
-        assert_eq!(all.histograms["h_idle"].count, 1);
     }
 
     #[test]

@@ -217,18 +217,6 @@ impl Recorder {
         snap
     }
 
-    /// Snapshots the recorder and returns only what accumulated since
-    /// `tracker`'s last call, advancing the tracker's baseline.
-    ///
-    /// This is the scrape-friendly variant of [`snapshot`](Self::snapshot):
-    /// repeated calls cost O(delta), and an idle period yields an
-    /// empty delta. See
-    /// [`TraceSnapshot::delta_since`](crate::TraceSnapshot::delta_since)
-    /// for the per-record semantics.
-    pub fn delta_since(&self, tracker: &mut crate::telemetry::DeltaTracker) -> TraceSnapshot {
-        tracker.delta(&self.snapshot())
-    }
-
     /// Clears the shared aggregate and this thread's buffer. Other
     /// threads' unflushed buffers (if any) survive a reset.
     pub fn reset(&self) {

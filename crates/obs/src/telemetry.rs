@@ -1,6 +1,6 @@
 //! Continuous-telemetry building blocks: windowed histograms for
-//! *recent* latency quantiles, delta trackers for bounded-cost repeated
-//! scraping, a bounded non-blocking trace sink, and the versioned
+//! *recent* latency quantiles, a bounded non-blocking trace sink, and
+//! the versioned
 //! metrics document scraped over the wire by `billcap-serve`'s
 //! `metrics` control frame.
 //!
@@ -9,7 +9,7 @@
 //! belong to the server that owns these objects.
 
 use crate::json::Value;
-use crate::metrics::{HistogramSnapshot, TraceSnapshot};
+use crate::metrics::HistogramSnapshot;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -91,35 +91,6 @@ impl WindowedHistogram {
             m.merge(h);
         }
         m
-    }
-}
-
-/// Remembers the last snapshot handed out so repeated scrapes cost
-/// O(delta), not O(lifetime). See [`TraceSnapshot::delta_since`] for
-/// the per-record semantics.
-#[derive(Debug, Default)]
-pub struct DeltaTracker {
-    last: TraceSnapshot,
-}
-
-impl DeltaTracker {
-    /// A tracker whose baseline is the empty snapshot (the first call
-    /// to [`delta`](Self::delta) returns everything).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns what `current` accumulated since the previous call and
-    /// makes `current` the new baseline.
-    pub fn delta(&mut self, current: &TraceSnapshot) -> TraceSnapshot {
-        let d = current.delta_since(&self.last);
-        self.last = current.clone();
-        d
-    }
-
-    /// The baseline the next [`delta`](Self::delta) will subtract.
-    pub fn baseline(&self) -> &TraceSnapshot {
-        &self.last
     }
 }
 
@@ -440,19 +411,6 @@ mod tests {
     #[should_panic(expected = "at least one window")]
     fn windowed_histogram_rejects_zero_windows() {
         WindowedHistogram::new(&[1.0], 0);
-    }
-
-    #[test]
-    fn delta_tracker_advances_baseline() {
-        let mut cur = TraceSnapshot::default();
-        cur.counters.insert("n".into(), 5);
-        let mut t = DeltaTracker::new();
-        assert_eq!(t.delta(&cur).counters["n"], 5);
-        // Nothing new -> empty delta.
-        assert!(t.delta(&cur).counters.is_empty());
-        cur.counters.insert("n".into(), 9);
-        assert_eq!(t.delta(&cur).counters["n"], 4);
-        assert_eq!(t.baseline().counters["n"], 9);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Telemetry primitives under the `billcap-rt` pool: work counters must
-//! be thread-count invariant, delta scrapes must partition the lifetime
-//! totals, and a `WindowedHistogram` behind a mutex must stay coherent
-//! while workers record against concurrent rotate/merge — the exact
-//! shape the serve daemon uses.
+//! be thread-count invariant, and a `WindowedHistogram` behind a mutex
+//! must stay coherent while workers record against concurrent
+//! rotate/merge — the exact shape the serve daemon uses.
 //!
 //! Instance [`Recorder`]s (not the process-global one) keep these tests
 //! independent of the global tracing switch and of each other.
 
-use billcap_obs::{DeltaTracker, Recorder, WindowedHistogram};
+use billcap_obs::{Recorder, WindowedHistogram};
 use billcap_rt::{par_map_threads, run_workers, Rng, Xoshiro256pp};
 use std::sync::{Mutex, PoisonError};
 
@@ -42,35 +41,6 @@ fn work_counters_are_thread_count_invariant() {
             Some(b) => assert_eq!(*b, shape, "threads={threads} drifted"),
         }
     }
-}
-
-/// Scraping between pool batches partitions the lifetime totals: the
-/// deltas sum exactly to what was recorded, and an idle scrape is
-/// empty.
-#[test]
-fn delta_scrapes_partition_pool_work() {
-    let r = Recorder::new();
-    let mut tracker = DeltaTracker::new();
-    let items: Vec<u64> = (0..400).collect();
-
-    let _ = par_map_threads(&items[..150], 4, |&x| {
-        r.counter("batch.items", 1);
-        x
-    });
-    let d1 = r.delta_since(&mut tracker);
-    assert_eq!(d1.counters["batch.items"], 150);
-
-    let _ = par_map_threads(&items[150..], 4, |&x| {
-        r.counter("batch.items", 1);
-        x
-    });
-    let d2 = r.delta_since(&mut tracker);
-    assert_eq!(d2.counters["batch.items"], 250);
-
-    // Nothing happened since: the delta is empty, the baseline intact.
-    let d3 = r.delta_since(&mut tracker);
-    assert!(d3.counters.is_empty());
-    assert_eq!(r.snapshot().counters["batch.items"], 400);
 }
 
 /// Workers hammer a shared `WindowedHistogram` while another worker
@@ -116,17 +86,15 @@ fn windowed_histogram_stays_coherent_under_concurrent_rotation() {
 }
 
 /// Seeded fuzz loop interleaving record / rotate / scrape on one
-/// driver: whatever the interleaving, the scraped counter deltas sum to
-/// exactly what was recorded and every merged view stays coherent.
+/// driver: whatever the interleaving, every scrape counts exactly what
+/// was recorded before it and every merged view stays coherent.
 #[test]
 fn fuzzed_interleaving_of_scrape_rotate_record_conserves_counts() {
     let r = Recorder::new();
-    let mut tracker = DeltaTracker::new();
     let mut wh = WindowedHistogram::new(&[1.0, 10.0], 3);
     let mut rng = Xoshiro256pp::seed_from_u64(0x7e1e);
 
     let mut recorded = 0u64;
-    let mut scraped = 0u64;
     for _ in 0..5_000 {
         match rng.random_usize_in(0, 3) {
             0 => {
@@ -140,16 +108,10 @@ fn fuzzed_interleaving_of_scrape_rotate_record_conserves_counts() {
             }
             2 => wh.rotate(),
             _ => {
-                let d = r.delta_since(&mut tracker);
-                scraped += d.counters.get("fuzz.n").copied().unwrap_or(0);
+                let scraped = r.snapshot().counters.get("fuzz.n").copied();
+                assert_eq!(scraped.unwrap_or(0), recorded);
             }
         }
     }
-    scraped += r
-        .delta_since(&mut tracker)
-        .counters
-        .get("fuzz.n")
-        .copied()
-        .unwrap_or(0);
-    assert_eq!(scraped, recorded, "deltas must partition the lifetime");
+    assert_eq!(r.snapshot().counters["fuzz.n"], recorded);
 }

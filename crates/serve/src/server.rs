@@ -56,8 +56,8 @@
 //! non-blocking [`TraceSink`] (drops are counted, memory never grows).
 //!
 //! Responses are written in completion order; clients correlate by
-//! `id`. With basis reuse off, every response body is bitwise-identical
-//! to an in-process one-shot decision
+//! `id`. Every response body is bitwise-identical to an in-process
+//! one-shot decision
 //! ([`billcap_core::BillCapper::decide_hour`]) on the same request: the
 //! workers' retained engines decide exactly like one-shot engines (the
 //! engine's bitwise contract), and a cache hit replays a body rendered
@@ -136,7 +136,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// What one [`serve`] call processed.
+/// What one [`serve`] call processed: how far its [`ServerTelemetry`]
+/// work counters moved over the call. Calls that share one telemetry
+/// must not overlap for the counts to be the call's own;
+/// [`serve_unix`] serves its connections one at a time.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Frames received and dispatched to workers.
@@ -246,6 +249,20 @@ impl ServerTelemetry {
         lock(&self.engine_keys).len() as u64
     }
 
+    /// The work counters [`ServeStats`] reports, as they stand.
+    fn work(&self) -> ServeStats {
+        let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
+        ServeStats {
+            requests: load(&self.requests),
+            decisions: load(&self.decisions),
+            errors: load(&self.errors),
+            cache_hits: load(&self.cache_hits),
+            cache_misses: load(&self.cache_misses),
+            cache_evictions: load(&self.cache_evictions),
+            frame_error: None,
+        }
+    }
+
     fn record_request_us(&self, us: f64) {
         lock(&self.latency).request_us.record(us);
     }
@@ -277,9 +294,6 @@ struct Shared<'t, W: Write> {
     /// decisions: a hit splices its id in front and never re-renders.
     cache: Option<Mutex<DecisionCache<Box<[u8]>>>>,
     tele: &'t ServerTelemetry,
-    requests: AtomicU64,
-    decisions: AtomicU64,
-    errors: AtomicU64,
     frame_error: Mutex<Option<String>>,
 }
 
@@ -308,11 +322,9 @@ impl<W: Write> Shared<'_, W> {
         // issued after reading N responses always covers those N.
         match kind {
             FrameKind::Decision => {
-                self.decisions.fetch_add(1, Ordering::Relaxed);
                 self.tele.decisions.fetch_add(1, Ordering::SeqCst);
             }
             FrameKind::Error => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
                 self.tele.errors.fetch_add(1, Ordering::SeqCst);
             }
             FrameKind::Control => {}
@@ -478,7 +490,7 @@ where
 
 /// [`serve`] against caller-owned telemetry. Counters and latency
 /// windows in `tele` accumulate across calls; the returned
-/// [`ServeStats`] still covers only this call.
+/// [`ServeStats`] is what they gained during this call.
 pub fn serve_with<R, W>(
     cfg: &ServeConfig,
     reader: R,
@@ -490,6 +502,7 @@ where
     W: Write + Send,
 {
     let workers = cfg.workers.max(1);
+    let start = tele.work();
     let shared = Shared {
         queue: Mutex::new(Queue {
             frames: VecDeque::new(),
@@ -501,9 +514,6 @@ where
             .cache
             .then(|| Mutex::new(DecisionCache::new(cfg.cache_capacity))),
         tele,
-        requests: AtomicU64::new(0),
-        decisions: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
         frame_error: Mutex::new(None),
     };
     let reader_slot: Mutex<Option<R>> = Mutex::new(Some(reader));
@@ -526,23 +536,18 @@ where
         emit_window(cfg, &shared);
     }
 
-    let (cache_hits, cache_misses, cache_evictions) = shared
-        .cache
-        .as_ref()
-        .map(|c| {
-            let c = lock(c);
-            (c.hits(), c.misses(), c.evictions())
-        })
-        .unwrap_or((0, 0, 0));
-    let frame_error = lock(&shared.frame_error).clone();
+    let end = tele.work();
     ServeStats {
-        requests: shared.requests.load(Ordering::Relaxed),
-        decisions: shared.decisions.load(Ordering::Relaxed),
-        errors: shared.errors.load(Ordering::Relaxed),
-        cache_hits,
-        cache_misses,
-        cache_evictions,
-        frame_error,
+        requests: end.requests - start.requests,
+        decisions: end.decisions - start.decisions,
+        errors: end.errors - start.errors,
+        cache_hits: end.cache_hits - start.cache_hits,
+        cache_misses: end.cache_misses - start.cache_misses,
+        cache_evictions: end.cache_evictions - start.cache_evictions,
+        frame_error: shared
+            .frame_error
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
     }
 }
 
@@ -579,7 +584,6 @@ fn run_reader<R: Read, W: Write>(
                         }
                     }
                 }
-                shared.requests.fetch_add(1, Ordering::Relaxed);
                 shared.tele.requests.fetch_add(1, Ordering::SeqCst);
                 data_frames += 1;
                 let stamp = instrumented.then(Stopwatch::start);
@@ -739,11 +743,9 @@ fn handle_request_inner<W: Write>(
         )
     });
     if let (Some(cache), Some(key)) = (&shared.cache, &key) {
-        let mut c = lock(cache);
-        let hit = c
+        let hit = lock(cache)
             .get(key)
             .map(|body| render_decision_frame(out, req.id, true, body));
-        drop(c);
         if let Some(rendered) = hit {
             shared.tele.cache_hits.fetch_add(1, Ordering::SeqCst);
             span.field("cached", 1.0);
@@ -776,11 +778,7 @@ fn handle_request_inner<W: Write>(
             let body = render_decision_body(&decision);
             let rendered = render_decision_frame(out, req.id, false, &body);
             if let (Some(cache), Some(key)) = (&shared.cache, key) {
-                let mut c = lock(cache);
-                let before = c.evictions();
-                c.insert(key, body);
-                let evicted = c.evictions().saturating_sub(before);
-                drop(c);
+                let evicted = lock(cache).insert(key, body);
                 if evicted > 0 {
                     shared
                         .tele
@@ -1415,5 +1413,69 @@ mod tests {
         assert_eq!(doc.counters["serve.cache.miss"], stats.cache_misses);
         assert_eq!(doc.counters["serve.cache.evict"], stats.cache_evictions);
         assert_eq!(stats.decisions, 6);
+    }
+
+    /// [`serve_unix`] keeps one telemetry for all its connections: each
+    /// connection's [`ServeStats`] counts only its own work, and a scrape
+    /// on a later connection counts every earlier one.
+    #[test]
+    fn sequential_connections_on_one_telemetry_count_their_own_work() {
+        let cfg = ServeConfig {
+            workers: 1,
+            cache_capacity: 2,
+            ..ServeConfig::default()
+        };
+        let tele = ServerTelemetry::new(&cfg);
+        let hour = |id: u64, k: u64| {
+            let mut r = request(id);
+            r.offered += k as f64;
+            r
+        };
+        // Three distinct hours and a repeat of the last: the third insert
+        // evicts the first.
+        let first = encode(&[hour(1, 0), hour(2, 1), hour(3, 2), hour(4, 2)]);
+        let a = serve_with(&cfg, Cursor::new(first), Vec::new(), &tele);
+        // A fresh connection's cache: one miss, one hit, one bad frame.
+        let mut second = encode(&[hour(5, 0), hour(6, 0)]);
+        write_frame(&mut second, b"{\"id\":7,\"policy\":99}").unwrap();
+        let b = serve_with(&cfg, Cursor::new(second), Vec::new(), &tele);
+        let counts = |s: &ServeStats| {
+            [
+                s.requests,
+                s.decisions,
+                s.errors,
+                s.cache_hits,
+                s.cache_misses,
+                s.cache_evictions,
+            ]
+        };
+        assert_eq!(counts(&a), [4, 4, 0, 1, 3, 1]);
+        assert_eq!(counts(&b), [3, 2, 1, 1, 1, 0]);
+
+        let mut scrape = Vec::new();
+        let metrics = ControlMsg::Metrics { id: Some(8) }.to_value().render();
+        write_frame(&mut scrape, metrics.as_bytes()).unwrap();
+        let mut out = Vec::new();
+        let c = serve_with(&cfg, Cursor::new(scrape), &mut out, &tele);
+        assert_eq!(c, ServeStats::default(), "a scrape is no work");
+        let doc = match responses(&out).as_slice() {
+            [Response::Metrics { doc, .. }] => doc.clone(),
+            other => panic!("got {other:?}"),
+        };
+        let scraped = [
+            "serve.requests",
+            "serve.decisions",
+            "serve.errors",
+            "serve.cache.hit",
+            "serve.cache.miss",
+            "serve.cache.evict",
+        ]
+        .map(|name| doc.counters[name]);
+        let both: Vec<u64> = counts(&a)
+            .iter()
+            .zip(counts(&b))
+            .map(|(x, y)| x + y)
+            .collect();
+        assert_eq!(scraped.to_vec(), both);
     }
 }

@@ -204,7 +204,7 @@ fn propagation_reduces_bnb_nodes_on_reference_week() {
         for (i, alloc) in [a, b].into_iter().enumerate() {
             let stats = alloc.stats.as_ref().expect("a MIP solve");
             nodes[i] += stats.nodes;
-            iters[i] += stats.lp_iterations;
+            iters[i] += stats.trace.lp.iterations;
         }
     };
     let same = |x: f64, y: f64| (x - y).abs() <= 1e-6 * x.abs().max(1.0);
