@@ -1,8 +1,9 @@
 //! Decision-server throughput: per-decision strategy benches (cold
-//! model build vs. retained models vs. cache hits) and
-//! an end-to-end replay table — decisions/sec for a simulated week fired
-//! through the in-process server at 1 and 4 workers, the numbers the
-//! EXPERIMENTS.md "Decision server throughput" table quotes.
+//! model build vs. retained models vs. cache hits), the wire-protocol
+//! decoders, and an end-to-end replay table — decisions/sec for a
+//! simulated week fired through the in-process server at 1 and 4
+//! workers, the numbers the EXPERIMENTS.md "Decision server
+//! throughput" table quotes.
 
 use billcap_bench::serve_bench;
 use billcap_rt::Harness;
@@ -52,6 +53,8 @@ fn main() {
     let mut h = Harness::from_args();
     serve_bench::bench_decide_strategies(&mut h);
     serve_bench::bench_replay_telemetry(&mut h);
+    let plan = build_plan(1, 42, 24, Some(Scenario::STRINGENT_BUDGET)).expect("plan builds");
+    serve_bench::bench_protocol(&mut h, &plan);
     h.finish();
     replay_table();
 }

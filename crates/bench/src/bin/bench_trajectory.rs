@@ -198,9 +198,13 @@ fn run() -> Result<(), String> {
     bench_month_runs(&mut h);
     // The decision-server strategy benches (cold vs incremental vs
     // cached) — the serve subsystem's perf claim lives in this file —
-    // plus the telemetry-overhead replay pair (disabled vs enabled).
+    // the telemetry-overhead replay pair (disabled vs enabled) and the
+    // wire-protocol decoders.
     billcap_bench::serve_bench::bench_decide_strategies(&mut h);
     billcap_bench::serve_bench::bench_replay_telemetry(&mut h);
+    let plan = billcap_serve::build_plan(1, 42, 24, Some(Scenario::STRINGENT_BUDGET))
+        .map_err(|e| format!("building the protocol benches' plan: {e}"))?;
+    billcap_bench::serve_bench::bench_protocol(&mut h, &plan);
     let benches: Vec<BenchPoint> = h
         .results()
         .iter()

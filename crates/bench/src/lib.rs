@@ -147,6 +147,48 @@ pub mod serve_bench {
         });
     }
 
+    /// Registers the wire-protocol codec benches over the frames of a
+    /// replay plan, one frame per iteration:
+    ///
+    /// * `protocol/decode_request` — [`Request::parse`] of a request
+    ///   frame, the server's per-request decode.
+    /// * `protocol/parse_response` — [`Response::parse`] of a decision
+    ///   response frame, the client's per-response decode.
+    ///
+    /// [`Request::parse`]: billcap_serve::protocol::Request::parse
+    /// [`Response::parse`]: billcap_serve::protocol::Response::parse
+    pub fn bench_protocol(h: &mut Harness, plan: &billcap_serve::ReplayPlan) {
+        use billcap_serve::protocol::{DecisionMsg, Request, Response};
+
+        let requests: Vec<String> = plan
+            .requests
+            .iter()
+            .map(|r| r.to_value().render())
+            .collect();
+        let responses: Vec<String> = plan
+            .expected
+            .iter()
+            .enumerate()
+            .map(|(i, d)| {
+                Response::Decision(DecisionMsg::from_decision(i as u64, d, false))
+                    .to_value()
+                    .render()
+            })
+            .collect();
+        let mut i = 0usize;
+        h.bench("protocol/decode_request", move || {
+            let frame = &requests[i % requests.len()];
+            i += 1;
+            black_box(Request::parse(black_box(frame.as_bytes())).is_ok())
+        });
+        let mut i = 0usize;
+        h.bench("protocol/parse_response", move || {
+            let frame = &responses[i % responses.len()];
+            i += 1;
+            black_box(Response::parse(black_box(frame.as_bytes())).is_ok())
+        });
+    }
+
     /// Registers the telemetry-overhead pair: the same short in-process
     /// replay (one worker, identical request stream) with latency
     /// recording and window rotation disabled vs. enabled. The two

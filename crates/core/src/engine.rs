@@ -167,9 +167,12 @@ impl DecisionEngine {
         }
     }
 
-    /// Step-model cache counters accumulated by this engine.
-    pub fn cache_stats(&self) -> EngineStats {
-        self.core.stats
+    /// Removes and returns the step-model cache counters accumulated
+    /// since the previous call (or since the engine was built), leaving
+    /// them at zero: a caller that folds them into its own totals reads
+    /// each event once.
+    pub fn drain_cache_stats(&mut self) -> EngineStats {
+        std::mem::take(&mut self.core.stats)
     }
 
     /// Removes and returns the fingerprints of the distinct model
@@ -1082,14 +1085,14 @@ mod tests {
     fn cache_stats_and_built_keys_track_the_lru() {
         let sys = DataCenterSystem::paper_system(1);
         let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
-        assert_eq!(engine.cache_stats(), EngineStats::default());
+        assert_eq!(engine.drain_cache_stats(), EngineStats::default());
         let hours = sweep(&sys);
         for (offered, premium, background, budget) in &hours {
             engine
                 .decide_hour(*offered, *premium, background, *budget)
                 .unwrap();
         }
-        let stats = engine.cache_stats();
+        let stats = engine.drain_cache_stats();
         assert!(stats.misses > 0, "first day must build models");
         assert!(stats.hits > 0, "revisited kept-sets must hit");
         assert_eq!(stats.evictions, 0, "a day's keys fit in the cache");
@@ -1106,7 +1109,12 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(fresh.drain_built_keys(), keys);
-        assert_eq!(fresh.cache_stats(), stats);
+        assert_eq!(fresh.drain_cache_stats(), stats);
+        assert_eq!(
+            fresh.drain_cache_stats(),
+            EngineStats::default(),
+            "drain zeroes"
+        );
 
         // Under a per-hour cap schedule the caps are synced values, so
         // the engine builds once per distinct (step, kept) key, however
@@ -1137,7 +1145,7 @@ mod tests {
         };
         let mut scheduled = DecisionEngine::new(sys.clone(), CapperConfig::default());
         let (kept_keys, cap_keys) = run(&mut scheduled);
-        let stats = scheduled.cache_stats();
+        let stats = scheduled.drain_cache_stats();
         assert_eq!(
             stats.misses,
             kept_keys.len() as u64,
@@ -1157,7 +1165,7 @@ mod tests {
         let mut twin = DecisionEngine::new(sys.clone(), CapperConfig::default());
         run(&mut twin);
         assert_eq!(twin.drain_built_keys(), keys);
-        assert_eq!(twin.cache_stats(), stats);
+        assert_eq!(twin.drain_cache_stats(), stats);
     }
 
     #[test]
@@ -1197,7 +1205,7 @@ mod tests {
             )));
             assert!(engine.core.built_keys.len() <= distinct.len());
         }
-        let stats = engine.cache_stats();
+        let stats = engine.drain_cache_stats();
         assert_eq!(stats.misses, 2 * wanted as u64, "every visit rebuilt");
         assert!(stats.evictions > 0);
         assert_eq!(engine.drain_built_keys().len(), wanted);
@@ -1372,7 +1380,7 @@ mod tests {
                     site.power_cap_mw = cap;
                 }
                 let fresh = capper.decide_hour(&capped, 4e8, 2e8, &bg, budget);
-                let before = engine.cache_stats();
+                engine.drain_cache_stats();
                 engine.set_site_caps(caps);
                 let served = engine.decide_hour(4e8, 2e8, &bg, budget);
                 let ctx = format!("budget {budget} hour {h} caps {caps:?}");
@@ -1383,7 +1391,7 @@ mod tests {
                 // A failing hour stops at step 1: one lookup, a hit or
                 // a miss. An `Ok` hour counts as a hit only if nothing
                 // was built.
-                let hit = engine.cache_stats().misses == before.misses;
+                let hit = engine.drain_cache_stats().misses == 0;
                 seen.insert((caps[2].to_bits(), hit, served.is_ok()));
             }
             let (nan, low, lower) = (

@@ -343,7 +343,15 @@ impl MipSolver {
             let pivots_before = trace.lp.iterations;
             // Only the root may carry an out-of-tree basis, so only the
             // root pays the dual-feasibility verification.
-            let lp_sol = match solve_lp(engine, warm, node.depth == 0, &mut trace) {
+            let lp = solve_lp(engine, warm, node.depth == 0, &mut trace);
+            if obs_on {
+                // Every node's pivots, infeasible nodes' included.
+                billcap_obs::observe(
+                    "milp.lp.iterations_per_node",
+                    (trace.lp.iterations - pivots_before) as f64,
+                );
+            }
+            let lp_sol = match lp {
                 Ok(s) => s,
                 Err(SolveError::Infeasible) => {
                     trace.pruned_infeasible += 1;
@@ -357,12 +365,6 @@ impl MipSolver {
                 // The root relaxation's optimal basis is the warm-start
                 // seed for the *next* solve of a mutated model.
                 root_basis_out = Some(lp_sol.basis.clone());
-            }
-            if obs_on {
-                billcap_obs::observe(
-                    "milp.lp.iterations_per_node",
-                    (trace.lp.iterations - pivots_before) as f64,
-                );
             }
             let node_key = sign * model.eval_objective(&lp_sol.values);
             if node_key >= incumbent_key - self.prune_slack(incumbent_key) {

@@ -6,7 +6,8 @@
 //! The seeded differential generators supply the solves: MILPs whose
 //! searches prune infeasible nodes (the pivots of those nodes must
 //! count), box-bounded and general LPs, warm and cold searches, and a
-//! workspace kept across solves.
+//! workspace kept across solves. Each MILP's per-node pivot histogram
+//! sums its `lp.iterations`, one observation per expanded node.
 //!
 //! The trace recorder is process-global, so this file is its own test
 //! binary and holds one `#[test]`.
@@ -63,14 +64,16 @@ fn milp_counters_sum_the_returned_traces() {
     let mut kept = MipWorkspace::default();
     let mut expected: BTreeMap<&str, u64> = BTreeMap::new();
     let (mut solves, mut failures, mut infeasible_nodes) = (0, 0, 0);
-    let mut infeasible_node_pivots = 0;
-    // Pivots of the nodes that reached an LP optimum, from the per-node
-    // histogram (pure LPs record none).
-    let node_pivots = || {
+    let mut pivoting_infeasible_nodes = 0;
+    // The per-node pivot histogram, as (observations, observations of
+    // zero pivots, pivot sum); pure LPs observe nothing.
+    let per_node = || {
         billcap_obs::snapshot()
             .histograms
             .get("milp.lp.iterations_per_node")
-            .map_or(0, |h| h.sum as usize)
+            .map_or((0, 0, 0), |h| {
+                (h.count as usize, h.counts[0] as usize, h.sum as usize)
+            })
     };
 
     billcap_obs::set_enabled(true);
@@ -82,7 +85,7 @@ fn milp_counters_sum_the_returned_traces() {
         } else {
             cold.clone()
         };
-        let pivots_before = node_pivots();
+        let (count_before, zero_before, sum_before) = per_node();
         let result = if i % 3 == 0 {
             solver.solve(m)
         } else {
@@ -99,14 +102,16 @@ fn milp_counters_sum_the_returned_traces() {
         solves += 1;
         infeasible_nodes += stats.trace.pruned_infeasible;
         if !m.integer_vars().is_empty() {
-            // The search's pivots are its optimal nodes' plus its
-            // infeasible nodes'.
-            let optimal_nodes = node_pivots() - pivots_before;
-            let rest = stats.trace.lp.iterations - optimal_nodes;
-            if stats.trace.pruned_infeasible == 0 {
-                assert_eq!(rest, 0, "model {i}");
-            }
-            infeasible_node_pivots += rest;
+            // Every expanded node observes its pivots once, infeasible
+            // nodes included, so the histogram sums the search's pivots.
+            let (count, zero, sum) = per_node();
+            assert_eq!(count - count_before, stats.nodes, "model {i}");
+            assert_eq!(sum - sum_before, stats.trace.lp.iterations, "model {i}");
+            // Nodes that pivoted beyond the LP-optimal nodes' number
+            // can only be infeasible nodes.
+            let pivoting = (count - count_before) - (zero - zero_before);
+            let optimal = stats.nodes - stats.trace.pruned_infeasible;
+            pivoting_infeasible_nodes += pivoting.saturating_sub(optimal);
         }
         for (name, value) in ledger(stats.nodes, &stats.trace) {
             *expected.entry(name).or_default() += value as u64;
@@ -130,7 +135,7 @@ fn milp_counters_sum_the_returned_traces() {
         "{solves} solved, {failures} failed"
     );
     assert!(infeasible_nodes > 0, "no search pruned an infeasible node");
-    assert!(infeasible_node_pivots > 0, "no infeasible node pivoted");
+    assert!(pivoting_infeasible_nodes > 0, "no infeasible node pivoted");
     for name in ["milp.lp.warm_starts", "milp.lp.workspace_reuses"] {
         assert!(expected[name] > 0, "{name} never moved");
     }

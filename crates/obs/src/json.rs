@@ -12,7 +12,13 @@
 //! Non-finite floats are not representable in JSON and are rejected at
 //! serialization time by debug assertion (the recorder never produces
 //! them).
+//!
+//! Parsing runs on [`Lexer`], a pull lexer that reads a document in one
+//! forward pass. [`Value::parse`] builds a tree on it; a reader that
+//! wants only a few fields (the decision server's request decoder)
+//! drives it directly and builds none.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -126,13 +132,9 @@ impl Value {
     /// Parses a complete JSON document. Trailing non-whitespace is an
     /// error.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError::at(pos, "trailing characters"));
-        }
+        let mut lx = Lexer::new(text);
+        let value = parse_value(&mut lx)?;
+        lx.finish()?;
         Ok(value)
     }
 }
@@ -208,177 +210,332 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A JSON number as the [`Lexer`] reads it: the payload of a
+/// [`Value::Int`] or a [`Value::Float`], without the tree.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Number {
+    /// A number without fraction or exponent part.
+    Int(i64),
+    /// A number carrying a fraction or exponent part.
+    Float(f64),
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), JsonError> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(JsonError::at(*pos, format!("expected {:?}", c as char)))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Value::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_keyword(
-    bytes: &[u8],
-    pos: &mut usize,
-    word: &str,
-    value: Value,
-) -> Result<Value, JsonError> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(JsonError::at(*pos, format!("expected {word:?}")))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    let start = *pos;
-    let mut is_float = false;
-    while let Some(&b) = bytes.get(*pos) {
-        match b {
-            b'0'..=b'9' | b'-' | b'+' => *pos += 1,
-            b'.' | b'e' | b'E' => {
-                is_float = true;
-                *pos += 1;
-            }
-            _ => break,
+impl Number {
+    /// The number as an `f64`, as [`Value::as_f64`] reads it.
+    pub fn as_f64(self) -> f64 {
+        match self {
+            Number::Int(i) => i as f64,
+            Number::Float(f) => f,
         }
     }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| JsonError::at(start, "invalid number"))?;
-    if is_float {
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| JsonError::at(start, format!("invalid number {text:?}")))
-    } else {
-        text.parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| JsonError::at(start, format!("invalid number {text:?}")))
+
+    /// The number as a `u64`, as [`Value::as_u64`] reads it: a
+    /// non-negative [`Number::Int`].
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            Number::Int(i) if i >= 0 => Some(i as u64),
+            _ => None,
+        }
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(JsonError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+/// The start of a JSON value, as [`Lexer::value`] reads it: a whole
+/// scalar, or the opening bracket of a container whose [`Items`]
+/// follow.
+#[derive(Debug)]
+pub enum Token<'a> {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// A number.
+    Num(Number),
+    /// A string, borrowed from the input unless it held an escape.
+    Str(Cow<'a, str>),
+    /// `{`: key/value items follow (read each key with [`Lexer::key`]).
+    Obj(Items),
+    /// `[`: value items follow.
+    Arr(Items),
+}
+
+/// The items of an object or array whose opening bracket was read.
+#[derive(Debug)]
+pub struct Items {
+    close: u8,
+    started: bool,
+}
+
+impl Items {
+    /// Steps to the next item: `true` when one follows, with the `,`
+    /// before it consumed; `false` once the closing bracket is.
+    pub fn next(&mut self, lx: &mut Lexer<'_>) -> Result<bool, JsonError> {
+        lx.skip_ws();
+        let first = !std::mem::replace(&mut self.started, true);
+        match lx.bytes().get(lx.pos) {
+            Some(&c) if c == self.close => {
+                lx.pos += 1;
+                Ok(false)
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::at(*pos, "invalid \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at(*pos, "invalid \\u escape"))?;
-                        // The exporters only emit BMP control escapes;
-                        // surrogate pairs are out of scope.
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| JsonError::at(*pos, "invalid codepoint"))?,
-                        );
-                        *pos += 4;
+            _ if first => Ok(true),
+            Some(b',') => {
+                lx.pos += 1;
+                Ok(true)
+            }
+            _ => Err(JsonError::at(
+                lx.pos,
+                format!("expected ',' or '{}'", self.close as char),
+            )),
+        }
+    }
+
+    fn is_object(&self) -> bool {
+        self.close == b'}'
+    }
+}
+
+/// A pull lexer over one JSON document: each call reads the next token
+/// in a single forward pass, and strings come back borrowed from the
+/// input unless they hold an escape.
+///
+/// [`Value::parse`] builds its tree on it; a caller that wants a few
+/// fields can drive it directly and build nothing. Errors carry the
+/// byte offset into the document.
+#[derive(Debug)]
+pub struct Lexer<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Lexer<'a> {
+    /// A lexer at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Self { text, pos: 0 }
+    }
+
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
+    fn skip_ws(&mut self) {
+        let bytes = self.bytes();
+        while self.pos < bytes.len() && matches!(bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r') {
+            self.pos += 1;
+        }
+    }
+
+    fn expect_byte(&mut self, c: u8) -> Result<(), JsonError> {
+        if self.bytes().get(self.pos) == Some(&c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(JsonError::at(self.pos, format!("expected {:?}", c as char)))
+        }
+    }
+
+    /// Reads the start of the next value: a whole scalar, or the
+    /// opening bracket of an object or array.
+    pub fn value(&mut self) -> Result<Token<'a>, JsonError> {
+        self.skip_ws();
+        match self.bytes().get(self.pos) {
+            None => Err(JsonError::at(self.pos, "unexpected end of input")),
+            Some(b'{') => {
+                self.pos += 1;
+                Ok(Token::Obj(Items {
+                    close: b'}',
+                    started: false,
+                }))
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                Ok(Token::Arr(Items {
+                    close: b']',
+                    started: false,
+                }))
+            }
+            Some(b'"') => self.string().map(Token::Str),
+            Some(b't') => self.keyword("true", Token::Bool(true)),
+            Some(b'f') => self.keyword("false", Token::Bool(false)),
+            Some(b'n') => self.keyword("null", Token::Null),
+            Some(_) => self.number().map(Token::Num),
+        }
+    }
+
+    /// Reads an object key and the `:` after it.
+    pub fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect_byte(b':')?;
+        Ok(key)
+    }
+
+    /// Finishes a value whose start `token` was read: skips a
+    /// container's items, checking their syntax; a scalar is already
+    /// whole. Nesting is tracked on the heap, not the call stack.
+    pub fn skip_rest(&mut self, token: Token<'a>) -> Result<(), JsonError> {
+        let mut open = Vec::new();
+        let mut token = token;
+        loop {
+            if let Token::Obj(items) | Token::Arr(items) = token {
+                open.push(items);
+            }
+            loop {
+                let Some(items) = open.last_mut() else {
+                    return Ok(());
+                };
+                if items.next(self)? {
+                    if items.is_object() {
+                        self.key()?;
                     }
-                    _ => return Err(JsonError::at(*pos, "invalid escape")),
+                    break;
                 }
-                *pos += 1;
+                open.pop();
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid utf-8"))?;
-                let c = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| JsonError::at(*pos, "unexpected end of input"))?;
-                out.push(c);
-                *pos += c.len_utf8();
+            token = self.value()?;
+        }
+    }
+
+    /// Skips one whole value, checking its syntax.
+    pub fn skip_value(&mut self) -> Result<(), JsonError> {
+        let token = self.value()?;
+        self.skip_rest(token)
+    }
+
+    /// Reads one whole value: the number it is, or `None` once a value
+    /// of another type has been skipped.
+    pub fn number_or_skip(&mut self) -> Result<Option<Number>, JsonError> {
+        match self.value()? {
+            Token::Num(n) => Ok(Some(n)),
+            token => self.skip_rest(token).map(|()| None),
+        }
+    }
+
+    /// Ends the document: only whitespace may follow.
+    pub fn finish(mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(JsonError::at(self.pos, "trailing characters"))
+        }
+    }
+
+    fn keyword(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, JsonError> {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(JsonError::at(self.pos, format!("expected {word:?}")))
+        }
+    }
+
+    fn number(&mut self) -> Result<Number, JsonError> {
+        let bytes = self.bytes();
+        let start = self.pos;
+        let mut is_float = false;
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
+                b'.' | b'e' | b'E' => {
+                    is_float = true;
+                    self.pos += 1;
+                }
+                _ => break,
             }
+        }
+        let text = &self.text[start..self.pos];
+        let parsed = if is_float {
+            text.parse::<f64>().map(Number::Float).ok()
+        } else {
+            text.parse::<i64>().map(Number::Int).ok()
+        };
+        parsed.ok_or_else(|| JsonError::at(start, format!("invalid number {text:?}")))
+    }
+
+    /// Reads a string. Each run up to the next `"` or `\` is copied
+    /// whole: both delimiters are ASCII, so a run of a `&str` is valid
+    /// UTF-8 and needs no decoding. A string without escapes is
+    /// borrowed and copies nothing.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.expect_byte(b'"')?;
+        let bytes = self.bytes();
+        let mut owned: Option<String> = None;
+        loop {
+            let start = self.pos;
+            let Some(len) = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\') else {
+                self.pos = bytes.len();
+                return Err(JsonError::at(self.pos, "unterminated string"));
+            };
+            self.pos += len;
+            let run = &self.text[start..self.pos];
+            if bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut out) => {
+                        out.push_str(run);
+                        Cow::Owned(out)
+                    }
+                });
+            }
+            let out = owned.get_or_insert_with(String::new);
+            out.push_str(run);
+            self.pos += 1;
+            match bytes.get(self.pos) {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'u') => {
+                    let at = self.pos;
+                    let hex = bytes
+                        .get(at + 1..at + 5)
+                        .ok_or_else(|| JsonError::at(at, "truncated \\u escape"))?;
+                    let hex = std::str::from_utf8(hex)
+                        .map_err(|_| JsonError::at(at, "invalid \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| JsonError::at(at, "invalid \\u escape"))?;
+                    // The exporters only emit BMP control escapes;
+                    // surrogate pairs are out of scope.
+                    out.push(
+                        char::from_u32(code)
+                            .ok_or_else(|| JsonError::at(at, "invalid codepoint"))?,
+                    );
+                    self.pos += 4;
+                }
+                _ => return Err(JsonError::at(self.pos, "invalid escape")),
+            }
+            self.pos += 1;
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
+/// Builds the [`Value`] tree of the value starting at the lexer.
+fn parse_value(lx: &mut Lexer<'_>) -> Result<Value, JsonError> {
+    Ok(match lx.value()? {
+        Token::Null => Value::Null,
+        Token::Bool(b) => Value::Bool(b),
+        Token::Num(Number::Int(i)) => Value::Int(i),
+        Token::Num(Number::Float(f)) => Value::Float(f),
+        Token::Str(s) => Value::Str(s.into_owned()),
+        Token::Arr(mut items) => {
+            let mut out = Vec::new();
+            while items.next(lx)? {
+                out.push(parse_value(lx)?);
             }
-            _ => return Err(JsonError::at(*pos, "expected ',' or ']'")),
+            Value::Arr(out)
         }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, JsonError> {
-    expect(bytes, pos, b'{')?;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(pairs));
+        Token::Obj(mut items) => {
+            let mut out = Vec::new();
+            while items.next(lx)? {
+                let key = lx.key()?.into_owned();
+                out.push((key, parse_value(lx)?));
             }
-            _ => return Err(JsonError::at(*pos, "expected ',' or '}'")),
+            Value::Obj(out)
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -455,6 +612,79 @@ mod tests {
         assert!(Value::parse("\"unterminated").is_err());
         assert!(Value::parse("{\"a\":1} trailing").is_err());
         assert!(Value::parse("nul").is_err());
+    }
+
+    fn parse_err(text: &str) -> (usize, String) {
+        let e = Value::parse(text).unwrap_err();
+        (e.offset, e.message)
+    }
+
+    #[test]
+    fn multi_byte_runs_copy_whole() {
+        for s in ["é", "日本", "🦀", "aé日本🦀z", r"日本\n🦀\u00e9é"] {
+            let decoded = s.replace("\\n", "\n").replace("\\u00e9", "é");
+            assert_eq!(
+                Value::parse(&format!("\"{s}\"")).unwrap(),
+                Value::Str(decoded),
+                "{s:?}"
+            );
+        }
+        // Keys and nested strings take the same scan.
+        let v = Value::parse(r#"{"日本":["🦀","é"]}"#).unwrap();
+        assert_eq!(
+            v.get("日本").unwrap().as_arr().unwrap()[0].as_str(),
+            Some("🦀")
+        );
+    }
+
+    #[test]
+    fn every_escape_kind_decodes() {
+        assert_eq!(
+            Value::parse(r#""q\"b\\s\/n\nr\rt\tu\u0041\u00e9\u65e5\u001f+\u+041""#).unwrap(),
+            Value::Str("q\"b\\s/n\nr\rt\tuAé日\u{1f}+A".into())
+        );
+        // Escapes back to back, and at both ends of a run.
+        assert_eq!(
+            Value::parse(r#""\n\t""#).unwrap(),
+            Value::Str("\n\t".into())
+        );
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_one_pass() {
+        let body = "é日本🦀x".repeat((1 << 20) / 11);
+        assert_eq!(
+            Value::parse(&format!("\"{body}\"")).unwrap(),
+            Value::Str(body.clone())
+        );
+        assert_eq!(
+            Value::parse(&format!("[\"{body}\\n\"]")).unwrap(),
+            Value::Arr(vec![Value::Str(format!("{body}\n"))])
+        );
+        let open = format!("\"{body}");
+        assert_eq!(parse_err(&open), (open.len(), "unterminated string".into()));
+    }
+
+    #[test]
+    fn bad_strings_keep_their_offsets_and_messages() {
+        for (text, offset, message) in [
+            (r#""abc"#, 4, "unterminated string"),
+            (r#""日本"#, 7, "unterminated string"),
+            (r#""a\"#, 3, "invalid escape"),
+            (r#""a\x""#, 3, "invalid escape"),
+            (r#""\"#, 2, "invalid escape"),
+            (r#""\u12"#, 2, "truncated \\u escape"),
+            (r#""\u12g4""#, 2, "invalid \\u escape"),
+            (r#""\u-041""#, 2, "invalid \\u escape"),
+            (r#""\u12é""#, 2, "invalid \\u escape"),
+            (r#""\ud800""#, 2, "invalid codepoint"),
+            (r#""\u0041"#, 7, "unterminated string"),
+            (r#"{"a\x":1}"#, 4, "invalid escape"),
+            (r#"{"a":"b}"#, 8, "unterminated string"),
+            (r#"{1:2}"#, 1, "expected '\"'"),
+        ] {
+            assert_eq!(parse_err(text), (offset, message.to_string()), "{text:?}");
+        }
     }
 
     #[test]

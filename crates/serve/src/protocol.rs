@@ -30,7 +30,7 @@
 //! rendered once and served again behind any id.
 
 use billcap_core::{validate_hour_inputs, CoreError, HourDecision, HourOutcome};
-use billcap_obs::json::Value;
+use billcap_obs::json::{JsonError, Lexer, Number, Token, Value};
 use billcap_obs::MetricsDoc;
 use std::io::{Read, Write};
 
@@ -315,36 +315,25 @@ impl Request {
     /// Parses and validates a request payload. On failure the error
     /// carries the request id when one could be extracted, so the
     /// server can still correlate the error response.
+    ///
+    /// The payload is decoded in one pass of the JSON [`Lexer`]
+    /// straight into the request's fields; no [`Value`] is built. The
+    /// whole document is syntax-checked before any field error, the
+    /// first occurrence of a key wins, and unknown keys are skipped.
     pub fn parse(payload: &[u8]) -> Result<Request, RequestError> {
         let text = std::str::from_utf8(payload).map_err(|e| RequestError {
             id: None,
             message: format!("payload is not UTF-8: {e}"),
         })?;
-        let v = Value::parse(text).map_err(|e| RequestError {
+        let fields = RequestFields::decode(text).map_err(|e| RequestError {
             id: None,
             message: format!("payload is not JSON: {e}"),
         })?;
-        let id = v.get("id").and_then(Value::as_u64);
-        let fail = |message: String| RequestError { id, message };
-        let id_val = id.ok_or_else(|| fail("missing or non-integer field 'id'".into()))?;
-        let policy = v
-            .get("policy")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| fail("missing or non-integer field 'policy'".into()))?
-            as usize;
-        let offered = require_f64(&v, "offered").map_err(&fail)?;
-        let premium_offered = require_f64(&v, "premium").map_err(&fail)?;
-        let background_mw = require_f64_vec(&v, "background").map_err(&fail)?;
-        let hourly_budget = budget_from_value(v.get("budget")).map_err(&fail)?;
-        let req = Request {
-            id: id_val,
-            policy,
-            offered,
-            premium_offered,
-            background_mw,
-            hourly_budget,
-        };
-        req.validate().map_err(&fail)?;
+        let req = fields.into_request()?;
+        req.validate().map_err(|message| RequestError {
+            id: Some(req.id),
+            message,
+        })?;
         Ok(req)
     }
 
@@ -383,6 +372,127 @@ pub struct RequestError {
     /// What went wrong.
     pub message: String,
 }
+
+/// Capacity of the decoded background vector: one allocation holds
+/// every site of the networks up to 16 sites, the paper's included.
+const BACKGROUND_CAPACITY: usize = 16;
+
+const NON_ARRAY_BACKGROUND: &str = "missing or non-array field 'background'";
+
+/// The request's fields as one lexer pass finds them. Each is `None`
+/// until its key first occurs, then holds what that occurrence's value
+/// gave, `None` inside when the value had the wrong type.
+#[derive(Default)]
+struct RequestFields {
+    id: Option<Option<u64>>,
+    policy: Option<Option<u64>>,
+    offered: Option<Option<f64>>,
+    premium: Option<Option<f64>>,
+    /// The values, or the field error the array earned.
+    background: Option<Result<Vec<f64>, &'static str>>,
+    /// `null` reads as `+∞`.
+    budget: Option<Option<f64>>,
+}
+
+// detlint-hot-start(request decoder): runs once per request frame; its
+// one allocation is the background vector.
+impl RequestFields {
+    /// Reads the whole document, checking its syntax end to end.
+    fn decode(text: &str) -> Result<Self, JsonError> {
+        let mut lx = Lexer::new(text);
+        let mut f = Self::default();
+        match lx.value()? {
+            Token::Obj(mut items) => {
+                while items.next(&mut lx)? {
+                    let key = lx.key()?;
+                    match &*key {
+                        "id" if f.id.is_none() => {
+                            f.id = Some(lx.number_or_skip()?.and_then(Number::as_u64));
+                        }
+                        "policy" if f.policy.is_none() => {
+                            f.policy = Some(lx.number_or_skip()?.and_then(Number::as_u64));
+                        }
+                        "offered" if f.offered.is_none() => {
+                            f.offered = Some(lx.number_or_skip()?.map(Number::as_f64));
+                        }
+                        "premium" if f.premium.is_none() => {
+                            f.premium = Some(lx.number_or_skip()?.map(Number::as_f64));
+                        }
+                        "background" if f.background.is_none() => {
+                            f.background = Some(decode_background(&mut lx)?);
+                        }
+                        "budget" if f.budget.is_none() => {
+                            f.budget = Some(match lx.value()? {
+                                Token::Null => Some(f64::INFINITY),
+                                Token::Num(n) => Some(n.as_f64()),
+                                token => lx.skip_rest(token).map(|()| None)?,
+                            });
+                        }
+                        _ => lx.skip_value()?,
+                    }
+                }
+            }
+            token => lx.skip_rest(token)?,
+        }
+        lx.finish()?;
+        Ok(f)
+    }
+
+    /// The request, or the first field error in field order (`id`,
+    /// `policy`, `offered`, `premium`, `background`, `budget`),
+    /// carrying the id when it parsed.
+    fn into_request(self) -> Result<Request, RequestError> {
+        let id = self.id.flatten();
+        let fail = |message: String| RequestError { id, message };
+        let non_numeric = |key: &str| fail(format!("missing or non-numeric field '{key}'"));
+        Ok(Request {
+            id: id.ok_or_else(|| fail("missing or non-integer field 'id'".into()))?,
+            policy: self
+                .policy
+                .flatten()
+                .ok_or_else(|| fail("missing or non-integer field 'policy'".into()))?
+                as usize,
+            offered: self
+                .offered
+                .flatten()
+                .ok_or_else(|| non_numeric("offered"))?,
+            premium_offered: self
+                .premium
+                .flatten()
+                .ok_or_else(|| non_numeric("premium"))?,
+            background_mw: self
+                .background
+                .unwrap_or(Err(NON_ARRAY_BACKGROUND))
+                .map_err(|message| fail(message.into()))?,
+            hourly_budget: self
+                .budget
+                .unwrap_or(Some(f64::INFINITY))
+                .ok_or_else(|| fail("budget must be a number or null".into()))?,
+        })
+    }
+}
+
+/// Reads the `background` value: its numbers, or the field error a
+/// non-array or a non-numeric element earns.
+fn decode_background(lx: &mut Lexer<'_>) -> Result<Result<Vec<f64>, &'static str>, JsonError> {
+    let mut items = match lx.value()? {
+        Token::Arr(items) => items,
+        token => {
+            lx.skip_rest(token)?;
+            return Ok(Err(NON_ARRAY_BACKGROUND));
+        }
+    };
+    let mut out = Ok(Vec::with_capacity(BACKGROUND_CAPACITY));
+    while items.next(lx)? {
+        match (lx.number_or_skip()?, &mut out) {
+            (Some(n), Ok(values)) => values.push(n.as_f64()),
+            (Some(_), Err(_)) => {}
+            (None, _) => out = Err("non-numeric element in 'background'"),
+        }
+    }
+    Ok(out)
+}
+// detlint-hot-end
 
 /// An in-band control frame: `{"op":"metrics"}` or `{"op":"health"}`,
 /// with an optional `id` echoed on the response.

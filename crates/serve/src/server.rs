@@ -622,13 +622,12 @@ fn run_reader<R: Read, W: Write>(
     shared.available.notify_all();
 }
 
-/// A worker's engine plus the stats already folded into telemetry.
+/// A worker's engine and its system's fingerprint.
 struct EngineState {
     engine: DecisionEngine,
     /// [`system_fingerprint`] of the engine's system, hashed once at
     /// creation: cache keys reuse it instead of re-hashing the spec.
     fingerprint: u64,
-    reported: EngineStats,
 }
 
 fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
@@ -656,14 +655,15 @@ fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
     }
 }
 
-/// Folds the engine's LRU stat deltas and drained structure keys into
-/// the shared telemetry. Draining is unconditional so the engine's
+/// Drains the engine's LRU stats and built structure keys into the
+/// shared telemetry. Draining is unconditional so the engine's
 /// built-key buffer stays bounded on long-lived servers.
 fn sync_engine_telemetry(tele: &ServerTelemetry, state: &mut EngineState) {
-    let cur = state.engine.cache_stats();
-    let hits = cur.hits.saturating_sub(state.reported.hits);
-    let misses = cur.misses.saturating_sub(state.reported.misses);
-    let evictions = cur.evictions.saturating_sub(state.reported.evictions);
+    let EngineStats {
+        hits,
+        misses,
+        evictions,
+    } = state.engine.drain_cache_stats();
     if hits > 0 {
         tele.engine_hits.fetch_add(hits, Ordering::SeqCst);
     }
@@ -673,7 +673,6 @@ fn sync_engine_telemetry(tele: &ServerTelemetry, state: &mut EngineState) {
     if evictions > 0 {
         tele.engine_evictions.fetch_add(evictions, Ordering::SeqCst);
     }
-    state.reported = cur;
     let keys = state.engine.drain_built_keys();
     if !keys.is_empty() {
         lock(&tele.engine_keys).extend(keys);
@@ -728,7 +727,6 @@ fn handle_request_inner<W: Write>(
         EngineState {
             fingerprint: system_fingerprint(e.system()),
             engine: e,
-            reported: EngineStats::default(),
         }
     });
 
