@@ -6,6 +6,7 @@
 //! billcap simulate-month --strategy capping [--budget 1.5e6] [--seed 42]
 //!         [--policy 1] [--csv month.csv]
 //! billcap derive-policies [--max-load 900] [--step 10]
+//! billcap corpus
 //! billcap export-trace --kind workload [--hours 720] [--seed 42]
 //! billcap analyze-trace month.jsonl [--flame out.folded] [--top 5]
 //! billcap diff-trace base.jsonl current.jsonl [--threshold 10]
@@ -28,6 +29,7 @@ use args::{ArgError, Args};
 use billcap_core::{BillCapper, CapperConfig, DataCenterSystem, HourOutcome, PlanAuditor};
 use billcap_milp::{parse_lp, MipSolver};
 use billcap_serve::{build_plan, run_replay, verify_replay, ServeConfig};
+use billcap_sim::corpus::run_corpus;
 use billcap_sim::export::monthly_report_csv;
 use billcap_sim::risk::to_jsonl;
 use billcap_sim::{run_month_with, RiskConfig, RiskEngine, Scenario, ScheduleSpec, Strategy};
@@ -95,6 +97,14 @@ USAGE:
   billcap derive-policies [--max-load MW] [--step MW]
       Derive the locational step pricing policies from the PJM
       five-bus system (the paper's Figure 1).
+
+  billcap corpus
+      Simulate the 144-month decision corpus (Cost Capping under
+      policies 1-3 x seeds 42-49 x budgets $1.5M, $2.5M and none x flat
+      and afternoon-derated caps) and print one line per month: its
+      outcome counts and an FNV-1a digest of every hour's decision bits.
+      The output must equal baselines/corpus.txt byte for byte unless a
+      change moves decisions on purpose.
 
   billcap export-trace --kind workload|background0|background1|background2|
           temperature0|temperature1|temperature2
@@ -232,6 +242,7 @@ fn run(tokens: Vec<String>, env: &Env) -> Result<(), String> {
         Some("simulate-month") => simulate_month(&args, env).map_err(stringify),
         Some("simulate-risk") => simulate_risk(&args, env).map_err(stringify),
         Some("derive-policies") => derive_policies(&args).map_err(stringify),
+        Some("corpus") => corpus(&args).map_err(stringify),
         Some("export-trace") => export_trace(&args).map_err(stringify),
         Some("analyze-trace") => analyze_trace(&args).map_err(stringify),
         Some("diff-trace") => diff_trace(&args).map_err(stringify),
@@ -566,6 +577,13 @@ fn derive_policies(args: &Args) -> Result<(), ArgError> {
             .collect();
         println!("{consumer:?}: {}", levels.join("  "));
     }
+    Ok(())
+}
+
+fn corpus(args: &Args) -> Result<(), ArgError> {
+    args.check_known(&[])?;
+    let lines = run_corpus().map_err(|e| ArgError(e.to_string()))?;
+    print!("{lines}");
     Ok(())
 }
 
@@ -1141,6 +1159,7 @@ mod tests {
             "simulate-month --quiet --bogus 1",
             "simulate-risk --quiet --bogus 1",
             "derive-policies --bogus 1",
+            "corpus --bogus 1",
             "export-trace --bogus 1",
             "analyze-trace x.jsonl --bogus 1",
             "diff-trace a.jsonl b.jsonl --bogus 1",

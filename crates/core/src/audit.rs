@@ -42,8 +42,8 @@ use std::fmt;
 /// First, [`billcap_milp::lint_model`] gates the solve. A model whose
 /// *only* Error finding is the `M007` static-infeasibility proof maps to
 /// [`SolveError::Infeasible`] — the same error the solver itself would
-/// return — so the capper's step-2 fallback (zero achievable throughput
-/// under a starvation budget) keeps working; any other Error finding
+/// return — so a checked solve fails as an unchecked one does; any
+/// other Error finding
 /// becomes [`CoreError::Lint`]. A model that fails [`Model::validate`]
 /// (which `lint_model` also files under `M007`) gets the solver's own
 /// error, [`SolveError::InvalidModel`]. Then a solution whose

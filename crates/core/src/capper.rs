@@ -2,17 +2,29 @@
 //! input rules and [`BillCapper`], the one-shot front over
 //! [`DecisionEngine`].
 //!
-//! Each invocation period (hour):
+//! Each invocation period (hour) runs the paper's steps in this order:
 //!
-//! 1. Run the cost minimizer. If the minimized cost fits the hour's
-//!    budget, enforce that allocation — every request (premium and
-//!    ordinary) is served.
-//! 2. Otherwise maximize throughput under the budget. If the achievable
-//!    throughput covers at least the premium rate, serve all premium
-//!    plus as much ordinary traffic as the budget allows.
-//! 3. If even premium traffic cannot fit, re-run the cost minimizer on
-//!    the premium rate alone and knowingly violate the hour's budget:
-//!    premium QoS is the revenue source and is never sacrificed.
+//! 1. **Step 1.** Run the cost minimizer on the whole offered load. If
+//!    the minimized cost fits the hour's budget, enforce that
+//!    allocation — every request (premium and ordinary) is served.
+//! 2. **Step 3.** Otherwise re-run the cost minimizer on the premium
+//!    rate alone. If even that cost exceeds the budget, enforce it and
+//!    knowingly violate the hour's budget
+//!    ([`HourOutcome::PremiumOverride`]): premium QoS is the revenue
+//!    source and is never sacrificed.
+//! 3. **Step 2.** Otherwise maximize throughput under the budget and
+//!    serve all premium plus as much ordinary traffic as the budget
+//!    allows ([`HourOutcome::Throttled`]). Step 3's allocation fits the
+//!    budget and serves the premium rate, so step 2 is feasible and
+//!    admits at least that much; a step 2 that fails or admits less is
+//!    a solver fault and an error, never a decision.
+//!
+//! The steps keep the paper's numbers (the span names and the
+//! [`DecisionTrace`] fields use them) but step 3 runs before step 2:
+//! pricing the premium load first is the paper's own override test, and
+//! it spares an override hour the throughput maximization it would
+//! discard. An hour solves once within budget, three times throttled
+//! and twice overridden.
 //!
 //! [`DecisionEngine`] is the only implementation of these steps. A
 //! [`BillCapper`] holds nothing but its [`CapperConfig`]: every call
@@ -55,7 +67,9 @@ pub enum HourOutcome {
     WithinBudget,
     /// Step 2 throttled ordinary traffic to fit the budget.
     Throttled,
-    /// Premium alone busts the budget: premium served, budget violated.
+    /// Premium alone busts the budget: step 3's minimum cost of serving
+    /// the premium rate exceeds it, so that allocation is enforced and
+    /// the budget violated. Step 2 does not run.
     PremiumOverride,
 }
 
@@ -64,7 +78,8 @@ pub enum HourOutcome {
 ///
 /// Wall-clock fields are machine-dependent; the node/iteration counts are
 /// deterministic (see [`billcap_milp::SolveTrace`]). A step that was
-/// not run (step 2 and 3 are skipped when the budget fits) reports zero.
+/// not run reports zero: steps 2 and 3 when the budget fits, step 2
+/// under a premium override.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecisionTrace {
     /// Wall time of step 1 (cost minimization), nanoseconds.
@@ -73,7 +88,8 @@ pub struct DecisionTrace {
     pub step2_ns: u64,
     /// Wall time of step 3 (premium-only re-minimization), nanoseconds.
     pub step3_ns: u64,
-    /// MILP solves performed this hour (1–3).
+    /// MILP solves performed this hour: 1 within budget, 3 throttled
+    /// (steps 1, 3 and 2), 2 under a premium override (steps 1 and 3).
     pub solves: usize,
     /// Branch-and-bound nodes across all solves this hour.
     pub nodes: usize,

@@ -291,30 +291,8 @@ impl DecisionEngine {
                 break 'steps (HourOutcome::WithinBudget, offered, step1);
             }
 
-            // Step 2: throughput maximization within the budget.
-            let t0 = Stopwatch::start();
-            let mut span2 = billcap_obs::span("step2");
-            let step2 = match core.maximize(system, offered, background_mw, hourly_budget) {
-                Ok(a) => Some(a),
-                // A budget below the unavoidable base-power cost is
-                // infeasible; treat as zero achievable throughput.
-                Err(CoreError::Solver(SolveError::Infeasible)) => None,
-                Err(e) => return Err(e),
-            };
-            if let Some(a) = &step2 {
-                span2.field("admitted", a.total_lambda);
-            }
-            drop(span2);
-            trace.step2_ns = t0.elapsed_ns();
-            if let Some(step2) = step2 {
-                trace.absorb(&step2);
-                if step2.total_lambda >= guaranteed - 1e-6 {
-                    break 'steps (HourOutcome::Throttled, step2.total_lambda, step2);
-                }
-            }
-
-            // Guaranteed override: serve the guaranteed rate at minimum
-            // cost, budget be damned.
+            // Step 3: price the guaranteed load alone. If even that busts
+            // the budget, serve it at minimum cost, budget be damned.
             let t0 = Stopwatch::start();
             let mut span3 = billcap_obs::span("step3");
             let step3 = core.minimize(system, guaranteed, background_mw)?;
@@ -322,7 +300,29 @@ impl DecisionEngine {
             drop(span3);
             trace.step3_ns = t0.elapsed_ns();
             trace.absorb(&step3);
-            (HourOutcome::PremiumOverride, guaranteed, step3)
+            if step3.total_cost > hourly_budget {
+                break 'steps (HourOutcome::PremiumOverride, guaranteed, step3);
+            }
+
+            // Step 2: throughput maximization within the budget. Step 3's
+            // allocation fits the budget and serves the guaranteed load,
+            // so step 2 is feasible and admits at least that much; a
+            // solver that says otherwise is wrong, not the budget.
+            let t0 = Stopwatch::start();
+            let mut span2 = billcap_obs::span("step2");
+            let step2 = core.maximize(system, offered, background_mw, hourly_budget)?;
+            span2.field("admitted", step2.total_lambda);
+            drop(span2);
+            trace.step2_ns = t0.elapsed_ns();
+            trace.absorb(&step2);
+            if step2.total_lambda < guaranteed - 1e-6 {
+                return Err(CoreError::Audit(format!(
+                    "step 2 admitted {} of the guaranteed {guaranteed}, which step 3 \
+                     serves within the budget {hourly_budget} at cost {}",
+                    step2.total_lambda, step3.total_cost
+                )));
+            }
+            (HourOutcome::Throttled, step2.total_lambda, step2)
         };
         record_outcome(outcome, &allocation, hourly_budget);
         Ok(Steps {
@@ -1132,8 +1132,10 @@ mod tests {
                 let kept =
                     EngineCore::kept_key(&EngineCore::level_params(engine.system(), background));
                 let caps: Vec<u64> = sched.caps_at(h).iter().map(|c| c.to_bits()).collect();
+                // Steps 1 and 3 share the cost-min model; only a
+                // throttled hour runs step 2.
                 let mut steps = vec![Step::CostMin];
-                if decision.outcome != HourOutcome::WithinBudget {
+                if decision.outcome == HourOutcome::Throttled {
                     steps.push(Step::ThruMax);
                 }
                 for step in steps {

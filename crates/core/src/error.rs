@@ -29,7 +29,9 @@ pub enum CoreError {
         got: usize,
     },
     /// An audited solve ([`crate::CapperConfig::audit`]) or plan failed
-    /// independent certification; the message carries the violated
+    /// independent certification, or a decision's steps contradict each
+    /// other (step 2 admitting less than the guaranteed rate that step 3
+    /// serves within the budget); the message carries the violated
     /// invariants.
     Audit(String),
     /// An audited solve's pre-solve lint found Error-severity defects

@@ -17,8 +17,9 @@
 //! **Step 2 — [`ThroughputMaximizer`]** (paper Section V): when the
 //! minimized cost exceeds the hour's budget, maximize admitted throughput
 //! subject to `Σ cost_i ≤ budget`. Premium customers are always served:
-//! if even premium traffic alone busts the budget, step 1 re-runs on
-//! premium traffic only and the hour's budget is knowingly violated.
+//! before throttling, step 1 re-runs on premium traffic only, and if even
+//! that busts the budget its allocation is enforced and the hour's
+//! budget knowingly violated (step 2 then never runs).
 //!
 //! **[`DecisionEngine`]** runs the steps each hour, keeping its models
 //! between hours; **[`BillCapper`]** is its one-shot front;

@@ -1,11 +1,12 @@
 //! Step 2: throughput maximization within a cost budget (paper Section V).
 //!
-//! Invoked when the minimized cost exceeds the hour's budget: maximize the
-//! admitted request rate `Σλ_i ≤ λ` subject to `Σ cost_i ≤ Cs`, reusing the
-//! piecewise-price linearization of step 1. Admission control applies only
-//! to ordinary customers — the decider ([`crate::DecisionEngine`]) compares
-//! the achievable throughput against the premium rate and falls back to a
-//! premium-only cost minimization when even that cannot fit the budget.
+//! Invoked when the minimized cost exceeds the hour's budget but the
+//! premium load alone fits it: maximize the admitted request rate
+//! `Σλ_i ≤ λ` subject to `Σ cost_i ≤ Cs`, reusing the piecewise-price
+//! linearization of step 1. Admission control applies only to ordinary
+//! customers — the decider ([`crate::DecisionEngine`]) prices the premium
+//! rate first (a premium-only cost minimization) and overrides the budget
+//! without running this step when even that cannot fit.
 
 use crate::error::CoreError;
 use crate::minimize::{

@@ -68,10 +68,11 @@ impl BillCapper {
     /// rate in the premium role:
     /// 1. minimize cost for the whole offered load — if it fits the
     ///    budget, everyone is served;
-    /// 2. otherwise maximize throughput within the budget and hand it out
-    ///    in priority order;
-    /// 3. if even the guaranteed prefix does not fit, serve exactly the
-    ///    guaranteed traffic at minimum cost and report a violation.
+    /// 2. otherwise minimize the cost of the guaranteed prefix alone —
+    ///    if even that busts the budget, serve exactly the guaranteed
+    ///    traffic at that cost and report a violation;
+    /// 3. otherwise maximize throughput within the budget and hand it
+    ///    out in priority order.
     ///
     /// An empty class list, a class rate that is negative or not finite,
     /// and guaranteed classes that do not form a prefix are

@@ -14,9 +14,10 @@
 //! them).
 //!
 //! Parsing runs on [`Lexer`], a pull lexer that reads a document in one
-//! forward pass. [`Value::parse`] builds a tree on it; a reader that
-//! wants only a few fields (the decision server's request decoder)
-//! drives it directly and builds none.
+//! forward pass. [`Value::parse`] builds a tree on it, at most
+//! [`MAX_DEPTH`] containers deep; a reader that wants only a few fields
+//! (the decision server's request decoder) drives it directly and
+//! builds none.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -130,10 +131,12 @@ impl Value {
     }
 
     /// Parses a complete JSON document. Trailing non-whitespace is an
-    /// error.
+    /// error, and so is nesting deeper than [`MAX_DEPTH`]: the error
+    /// points at the bracket that opens the container one level too
+    /// deep.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
         let mut lx = Lexer::new(text);
-        let value = parse_value(&mut lx)?;
+        let value = parse_value(&mut lx, 0)?;
         lx.finish()?;
         Ok(value)
     }
@@ -512,9 +515,24 @@ impl<'a> Lexer<'a> {
     }
 }
 
-/// Builds the [`Value`] tree of the value starting at the lexer.
-fn parse_value(lx: &mut Lexer<'_>) -> Result<Value, JsonError> {
-    Ok(match lx.value()? {
+/// The deepest container nesting [`Value::parse`] accepts. The tree
+/// builder (and the tree's drop) recurse once per level, so an
+/// unbounded depth would let one small document overflow the stack and
+/// abort the process; every document the workspace writes stays a few
+/// levels deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Builds the [`Value`] tree of the value starting at the lexer, whose
+/// enclosing containers are `depth` levels deep.
+fn parse_value(lx: &mut Lexer<'_>, depth: usize) -> Result<Value, JsonError> {
+    let token = lx.value()?;
+    if matches!(token, Token::Arr(_) | Token::Obj(_)) && depth == MAX_DEPTH {
+        return Err(JsonError::at(
+            lx.pos - 1,
+            format!("nesting deeper than {MAX_DEPTH} levels"),
+        ));
+    }
+    Ok(match token {
         Token::Null => Value::Null,
         Token::Bool(b) => Value::Bool(b),
         Token::Num(Number::Int(i)) => Value::Int(i),
@@ -523,7 +541,7 @@ fn parse_value(lx: &mut Lexer<'_>) -> Result<Value, JsonError> {
         Token::Arr(mut items) => {
             let mut out = Vec::new();
             while items.next(lx)? {
-                out.push(parse_value(lx)?);
+                out.push(parse_value(lx, depth + 1)?);
             }
             Value::Arr(out)
         }
@@ -531,7 +549,7 @@ fn parse_value(lx: &mut Lexer<'_>) -> Result<Value, JsonError> {
             let mut out = Vec::new();
             while items.next(lx)? {
                 let key = lx.key()?.into_owned();
-                out.push((key, parse_value(lx)?));
+                out.push((key, parse_value(lx, depth + 1)?));
             }
             Value::Obj(out)
         }
@@ -685,6 +703,28 @@ mod tests {
         ] {
             assert_eq!(parse_err(text), (offset, message.to_string()), "{text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_offending_bracket() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        let deepest = nested("[", "]", MAX_DEPTH);
+        assert!(Value::parse(&deepest).is_ok());
+        let message = format!("nesting deeper than {MAX_DEPTH} levels");
+        assert_eq!(
+            parse_err(&nested("[", "]", MAX_DEPTH + 1)),
+            (MAX_DEPTH, message.clone())
+        );
+        // 1 MiB of nesting fails at the same bracket, without recursing
+        // past it; objects count like arrays.
+        assert_eq!(
+            parse_err(&nested("[", "]", 1 << 19)),
+            (MAX_DEPTH, message.clone())
+        );
+        let objects = nested("{\"a\":", "}", MAX_DEPTH + 1);
+        assert_eq!(parse_err(&objects), (5 * MAX_DEPTH, message));
     }
 
     #[test]

@@ -158,6 +158,29 @@ fn semantic_errors_carry_the_request_id() {
 }
 
 #[test]
+fn a_deeply_nested_control_frame_gets_an_error_and_the_stream_goes_on() {
+    // One MiB of nesting under "op": the reader thread parses control
+    // frames itself, so a decoder that recursed per level would take the
+    // whole process down before the decide request behind it.
+    let depth = (MAX_FRAME - "{\"op\":}".len()) / 2;
+    let payload = format!("{{\"op\":{}{}}}", "[".repeat(depth), "]".repeat(depth));
+    assert_eq!(payload.len(), MAX_FRAME - 1);
+    let mut input = raw_frame(payload.as_bytes());
+    input.extend(frame_of(&valid_request(5)));
+    let (responses, _) = run(input, 1);
+    assert_eq!(responses.len(), 2);
+    assert!(
+        responses.iter().any(|r| matches!(
+            r,
+            Response::Error { id: None, message }
+                if message.starts_with("bad control frame") && message.contains("nesting")
+        )),
+        "{responses:?}"
+    );
+    assert_eq!(decision_ids(&responses), vec![5]);
+}
+
+#[test]
 fn mid_request_disconnect_drops_cleanly() {
     // A client that vanishes halfway through a payload: the bytes sent
     // so far look like a truncated frame. Requests already queued are

@@ -15,6 +15,9 @@
 //!   the scratch-reuse production loop and the fresh-allocation
 //!   reference oracle, bitwise-identical by contract.
 //! * [`metrics`] — per-hour records and monthly aggregates.
+//! * [`corpus`] — the 144-month decision corpus: one digest per month,
+//!   committed in `baselines/corpus.txt` to prove a change moves no
+//!   decision bit.
 //! * [`risk`] — the Monte-Carlo risk engine: N perturbed-seed month
 //!   simulations fanned across the worker pool, aggregated into
 //!   P50/P95/P99 bill and violation distributions.
@@ -27,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod corpus;
 pub mod experiments;
 pub mod export;
 pub mod metrics;

@@ -385,10 +385,10 @@ impl RiskSummary {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds 32-bit halves, unlike `billcap_core`'s byte-wise FNV-1a: the golden digests pin its bits.
-fn fnv(h: u64, x: u64) -> u64 {
+pub(crate) fn fnv(h: u64, x: u64) -> u64 {
     let mut h = h;
     for shift in [0u32, 32] {
         h = (h ^ ((x >> shift) & 0xffff_ffff)).wrapping_mul(0x1000_0000_01b3);

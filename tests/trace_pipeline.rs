@@ -16,8 +16,8 @@ fn hour_field(fields: &[(String, f64)], name: &str) -> Option<f64> {
 
 #[test]
 fn traced_week_is_consistent_with_report() {
-    // One-week scenario with a tight budget so all three outcome
-    // branches (within / throttled / override) can appear.
+    // One-week scenario with a budget so tight that every hour takes
+    // the premium override.
     let mut scenario = Scenario::paper_default(1, 42);
     scenario.workload = scenario.workload.slice(0, 168);
     scenario.background = scenario
@@ -68,7 +68,7 @@ fn traced_week_is_consistent_with_report() {
     // Every cold start crashes its equality rows onto zero-cost columns
     // (the `one_level_i` binaries, and each site's `lam_i` in its power
     // row), so no pivot is spent bringing them in at ratio 0.
-    assert_eq!(snap.counters["milp.lp.crash_columns"], 2022);
+    assert_eq!(snap.counters["milp.lp.crash_columns"], 2016);
     // Pivot-kernel work, exact: a pivot updates x_B and the duals, so
     // it costs one FTRAN for the entering column (plus one more when the
     // ratio test flips bounds) and one BTRAN for the leaving row.
@@ -80,13 +80,13 @@ fn traced_week_is_consistent_with_report() {
     // the first pivot, one at exit). Recomputing both every pivot
     // (`refactor_every: 1`) reads above 2 FTRANs and 1.6 BTRANs here.
     let pivots = snap.counters["milp.lp.iterations"];
-    assert_eq!(pivots, 1352);
+    assert_eq!(pivots, 1351);
     let ftrans = snap.counters["milp.lp.ftran_calls"];
     let btrans = snap.counters["milp.lp.btran_calls"];
     let xb_refreshes = snap.counters["milp.lp.xb_refreshes"];
-    assert_eq!(ftrans, 2608);
-    assert_eq!(btrans, 2274);
-    assert_eq!(xb_refreshes, 922);
+    assert_eq!(ftrans, 2604);
+    assert_eq!(btrans, 2271);
+    assert_eq!(xb_refreshes, 920);
     let refactorizations = snap.counters["milp.lp.refactorizations"];
     let starts = snap.counters["milp.lp.factorizations"] - refactorizations;
     let kernel_ftrans = ftrans - (xb_refreshes - refactorizations);
@@ -97,10 +97,15 @@ fn traced_week_is_consistent_with_report() {
     // every exit agreed with the updated ones.
     assert_eq!(snap.counters["milp.lp.bland_switches"], 0);
     assert_eq!(snap.counters["milp.lp.exit_dual_violations"], 0);
-    // The week's one DecisionEngine keeps one MipWorkspace for all
-    // three steps, step 2 included (the tight budget makes it run):
-    // every solve but the engine's first reuses it.
-    assert!(snap.spans.contains_key("hour/step2/mip"));
+    // The $80k budget is below the premium load's cost in every hour:
+    // each hour prices the premium load (step 3) after step 1, finds it
+    // over budget and overrides, so step 2 never runs. The week's one
+    // DecisionEngine keeps one MipWorkspace for every solve: all but the
+    // engine's first reuse it.
+    assert_eq!(snap.counters["core.capper.premium_override"], 168);
+    assert_eq!(snap.spans["hour/step3"].count, 168);
+    assert!(snap.spans.contains_key("hour/step3/mip"));
+    assert!(!snap.spans.contains_key("hour/step2"));
     assert_eq!(
         snap.counters["milp.bnb.solves"] - snap.counters["milp.lp.workspace_reuses"],
         1
@@ -168,8 +173,9 @@ fn traced_week_is_consistent_with_report() {
     let snap = obs::snapshot();
     obs::set_enabled(false);
     // Exact work counters: a model rebuilt on a cap move (rather than
-    // synced) shows up here as extra rebuilds and evictions.
-    assert_eq!(snap.counters["core.engine.rebuilds"], 22);
-    assert_eq!(snap.counters["core.engine.cache.hit"], 482);
+    // synced) shows up here as extra rebuilds and evictions. Every hour
+    // overrides again, so only the cost-min model is ever built.
+    assert_eq!(snap.counters["core.engine.rebuilds"], 11);
+    assert_eq!(snap.counters["core.engine.cache.hit"], 325);
     assert_eq!(snap.counters.get("core.engine.cache.evict"), None);
 }
