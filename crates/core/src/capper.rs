@@ -7,6 +7,14 @@
 //! 1. **Step 1.** Run the cost minimizer on the whole offered load. If
 //!    the minimized cost fits the hour's budget, enforce that
 //!    allocation — every request (premium and ordinary) is served.
+//!    Step 1 is skipped when the budget is below a certified floor on
+//!    its cost ([`crate::step1_cost_floor`]): a lower bound `lb` that
+//!    prices each site's power at its cheapest kept level and fills the
+//!    sites cheapest-first, less a margin of `2·10⁻⁶` of the bound's
+//!    dollar scale plus one absolute row tolerance per row at its price,
+//!    which covers the solver's feasibility tolerance. Step 1 would bust
+//!    such a budget for certain, so skipping it leaves the decision as
+//!    it was, bit for bit, with one solve fewer.
 //! 2. **Step 3.** Otherwise re-run the cost minimizer on the premium
 //!    rate alone. If even that cost exceeds the budget, enforce it and
 //!    knowingly violate the hour's budget
@@ -23,8 +31,10 @@
 //! [`DecisionTrace`] fields use them) but step 3 runs before step 2:
 //! pricing the premium load first is the paper's own override test, and
 //! it spares an override hour the throughput maximization it would
-//! discard. An hour solves once within budget, three times throttled
-//! and twice overridden.
+//! discard. An hour solves once within budget, two or three times
+//! throttled and once or twice overridden: one solve fewer when the
+//! budget is under step 1's floor, as it is in every hour after a
+//! fleet has spent its monthly budget.
 //!
 //! [`DecisionEngine`] is the only implementation of these steps. A
 //! [`BillCapper`] holds nothing but its [`CapperConfig`]: every call
@@ -79,7 +89,8 @@ pub enum HourOutcome {
 /// Wall-clock fields are machine-dependent; the node/iteration counts are
 /// deterministic (see [`billcap_milp::SolveTrace`]). A step that was
 /// not run reports zero: steps 2 and 3 when the budget fits, step 2
-/// under a premium override.
+/// under a premium override, step 1 when the budget is below its cost
+/// floor.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DecisionTrace {
     /// Wall time of step 1 (cost minimization), nanoseconds.
@@ -88,8 +99,10 @@ pub struct DecisionTrace {
     pub step2_ns: u64,
     /// Wall time of step 3 (premium-only re-minimization), nanoseconds.
     pub step3_ns: u64,
-    /// MILP solves performed this hour: 1 within budget, 3 throttled
-    /// (steps 1, 3 and 2), 2 under a premium override (steps 1 and 3).
+    /// MILP solves performed this hour: 1 within budget, 2–3 throttled
+    /// (steps 1, 3 and 2) and 1–2 under a premium override (steps 1 and
+    /// 3); step 1 is skipped, one solve fewer, when the budget is below
+    /// its certified cost floor ([`crate::step1_cost_floor`]).
     pub solves: usize,
     /// Branch-and-bound nodes across all solves this hour.
     pub nodes: usize,
@@ -134,10 +147,18 @@ impl HourDecision {
         self.allocation.total_cost
     }
 
-    /// True when the enforced cost exceeds the hour's budget (only possible
-    /// under [`HourOutcome::PremiumOverride`]).
+    /// True when the enforced cost exceeds the hour's budget. A
+    /// [`HourOutcome::PremiumOverride`] always does: the engine overrides
+    /// only when step 3's cost is strictly above the budget, by however
+    /// little. The other outcomes fit the budget by construction, and
+    /// report a violation only past a relative tolerance of `1e-9`.
     pub fn violates_budget(&self) -> bool {
-        self.cost() > self.budget * (1.0 + 1e-9)
+        match self.outcome {
+            HourOutcome::PremiumOverride => true,
+            HourOutcome::WithinBudget | HourOutcome::Throttled => {
+                self.cost() > self.budget * (1.0 + 1e-9)
+            }
+        }
     }
 }
 

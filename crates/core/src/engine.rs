@@ -56,8 +56,8 @@ use crate::capper::{validate_hour_inputs, CapperConfig, DecisionTrace, HourDecis
 use crate::error::CoreError;
 use crate::maximize::throughput_max_model;
 use crate::minimize::{
-    cost_min_model, extract_allocation, site_cap_values, site_level_params, Allocation, LevelParam,
-    PiecewiseVars, RATE_SCALE,
+    cost_floor, cost_min_model, extract_allocation, level_params, site_cap_values, Allocation,
+    LevelParam, PiecewiseVars, RATE_SCALE,
 };
 use crate::spec::DataCenterSystem;
 use billcap_milp::{MipSolver, MipWorkspace, Model, Solution, SolveError};
@@ -275,27 +275,40 @@ impl DecisionEngine {
                 capacity,
             });
         }
+        if background_mw.len() != system.len() {
+            return Err(CoreError::Dimension {
+                expected: system.len(),
+                got: background_mw.len(),
+            });
+        }
         // Capacity clamp: shed un-servable ordinary traffic up front.
         let offered = offered.min(capacity);
+        let levels = HourLevels::new(system, background_mw);
+        // A budget under the certified floor of step 1's cost would be
+        // busted by step 1 for certain: skip straight to step 3.
+        let step1_bounded =
+            cost_floor(system, &levels.params, offered).is_some_and(|floor| hourly_budget < floor);
         let mut trace = DecisionTrace::default();
         let (outcome, served, allocation) = 'steps: {
             // Step 1: cost minimization over the whole offered load.
-            let t0 = Stopwatch::start();
-            let mut span1 = billcap_obs::span("step1");
-            let step1 = core.minimize(system, offered, background_mw)?;
-            span1.field("cost", step1.total_cost);
-            drop(span1);
-            trace.step1_ns = t0.elapsed_ns();
-            trace.absorb(&step1);
-            if step1.total_cost <= hourly_budget {
-                break 'steps (HourOutcome::WithinBudget, offered, step1);
+            if !step1_bounded {
+                let t0 = Stopwatch::start();
+                let mut span1 = billcap_obs::span("step1");
+                let step1 = core.minimize_at(system, background_mw, &levels, offered)?;
+                span1.field("cost", step1.total_cost);
+                drop(span1);
+                trace.step1_ns = t0.elapsed_ns();
+                trace.absorb(&step1);
+                if step1.total_cost <= hourly_budget {
+                    break 'steps (HourOutcome::WithinBudget, offered, step1);
+                }
             }
 
             // Step 3: price the guaranteed load alone. If even that busts
             // the budget, serve it at minimum cost, budget be damned.
             let t0 = Stopwatch::start();
             let mut span3 = billcap_obs::span("step3");
-            let step3 = core.minimize(system, guaranteed, background_mw)?;
+            let step3 = core.minimize_at(system, background_mw, &levels, guaranteed)?;
             span3.field("cost", step3.total_cost);
             drop(span3);
             trace.step3_ns = t0.elapsed_ns();
@@ -310,7 +323,7 @@ impl DecisionEngine {
             // solver that says otherwise is wrong, not the budget.
             let t0 = Stopwatch::start();
             let mut span2 = billcap_obs::span("step2");
-            let step2 = core.maximize(system, offered, background_mw, hourly_budget)?;
+            let step2 = core.maximize_at(system, background_mw, &levels, offered, hourly_budget)?;
             span2.field("admitted", step2.total_lambda);
             drop(span2);
             trace.step2_ns = t0.elapsed_ns();
@@ -324,7 +337,7 @@ impl DecisionEngine {
             }
             (HourOutcome::Throttled, step2.total_lambda, step2)
         };
-        record_outcome(outcome, &allocation, hourly_budget);
+        record_outcome(outcome, step1_bounded, &allocation, hourly_budget);
         Ok(Steps {
             outcome,
             offered,
@@ -351,11 +364,16 @@ pub(crate) struct Steps {
     pub(crate) trace: DecisionTrace,
 }
 
-/// Emits the per-hour outcome counters, the budget-slack gauge, and the
-/// price-level-selection histogram when tracing is enabled.
-fn record_outcome(outcome: HourOutcome, alloc: &Allocation, budget: f64) {
+/// Emits the per-hour outcome counters (with
+/// `core.capper.step1_bounded` for an hour that skipped step 1), the
+/// budget-slack gauge, and the price-level-selection histogram when
+/// tracing is enabled.
+fn record_outcome(outcome: HourOutcome, step1_bounded: bool, alloc: &Allocation, budget: f64) {
     if !billcap_obs::enabled() {
         return;
+    }
+    if step1_bounded {
+        billcap_obs::counter("core.capper.step1_bounded", 1);
     }
     let name = match outcome {
         HourOutcome::WithinBudget => "core.capper.within_budget",
@@ -370,6 +388,24 @@ fn record_outcome(outcome: HourOutcome, alloc: &Allocation, budget: f64) {
     const LEVEL_BOUNDS: [f64; 5] = [0.0, 1.0, 2.0, 3.0, 4.0];
     for &k in &alloc.level {
         billcap_obs::observe_with("core.capper.price_level", k as f64, &LEVEL_BOUNDS);
+    }
+}
+
+/// One hour's kept price levels, computed once per decision: the
+/// interval-row values every step's model sync writes, the key every
+/// step's cache lookup matches, and the prices step 1's cost floor
+/// reads.
+struct HourLevels {
+    params: Vec<Vec<LevelParam>>,
+    kept: Vec<Vec<usize>>,
+}
+
+impl HourLevels {
+    /// `background_mw` must have one entry per site.
+    fn new(system: &DataCenterSystem, background_mw: &[f64]) -> Self {
+        let params = level_params(system, background_mw);
+        let kept = EngineCore::kept_key(&params);
+        Self { params, kept }
     }
 }
 
@@ -446,13 +482,9 @@ impl StepModel {
 
 impl EngineCore {
     /// Per-site kept-level parameters for this hour's background vector.
+    #[cfg(test)]
     fn level_params(system: &DataCenterSystem, background_mw: &[f64]) -> Vec<Vec<LevelParam>> {
-        system
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, site)| site_level_params(site, system.policy(i), background_mw[i]))
-            .collect()
+        level_params(system, background_mw)
     }
 
     fn kept_key(params: &[Vec<LevelParam>]) -> Vec<Vec<usize>> {
@@ -551,7 +583,7 @@ impl EngineCore {
     }
 
     /// Returns the cache index of the `step` model for this hour's kept
-    /// levels with its caps and interval rows synced, building it on a
+    /// `levels` with its caps and interval rows synced, building it on a
     /// cache miss with the step's model builder. The per-solve RHS
     /// (demand, offered, budget) is left for the caller to set.
     fn step_model(
@@ -559,18 +591,18 @@ impl EngineCore {
         step: Step,
         system: &DataCenterSystem,
         background_mw: &[f64],
+        levels: &HourLevels,
     ) -> Result<usize, CoreError> {
-        let params = Self::level_params(system, background_mw);
-        let kept = Self::kept_key(&params);
+        let kept = &levels.kept;
         self.stamp += 1;
         let stamp = self.stamp;
-        let idx = match Self::cache_lookup(self.cache(step), &kept, stamp) {
+        let idx = match Self::cache_lookup(self.cache(step), kept, stamp) {
             Some(idx) => {
                 self.note_hit();
                 idx
             }
             None => {
-                self.note_miss(step, &kept);
+                self.note_miss(step, kept);
                 let (m, vars) = match step {
                     Step::CostMin => {
                         cost_min_model(system, 0.0, background_mw, self.integral_servers)
@@ -579,7 +611,7 @@ impl EngineCore {
                         throughput_max_model(system, 0.0, background_mw, 0.0, self.integral_servers)
                     }
                 };
-                let entry = StepModel::new(m, vars, &kept, system, stamp);
+                let entry = StepModel::new(m, vars, kept, system, stamp);
                 let (idx, evicted) = Self::cache_insert(self.cache(step), entry);
                 self.note_eviction(evicted);
                 idx
@@ -592,7 +624,7 @@ impl EngineCore {
             cache.swap_remove(idx);
             return Err(e);
         }
-        cache[idx].sync_levels(&params)?;
+        cache[idx].sync_levels(&levels.params)?;
         Ok(idx)
     }
 
@@ -619,7 +651,47 @@ impl EngineCore {
 }
 
 impl EngineCore {
-    /// Steps 1 and 3: cost-minimize serving `lambda` requests/hour.
+    /// Steps 1 and 3: cost-minimize serving `lambda` requests/hour, at
+    /// most the system's capacity.
+    fn minimize_at(
+        &mut self,
+        system: &DataCenterSystem,
+        background_mw: &[f64],
+        levels: &HourLevels,
+        lambda: f64,
+    ) -> Result<Allocation, CoreError> {
+        let idx = self.step_model(Step::CostMin, system, background_mw, levels)?;
+        let step = &mut self.cost_min[idx];
+        step.model
+            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
+        let sol = self.solve_step(Step::CostMin, idx)?;
+        Ok(extract_allocation(system, &self.cost_min[idx].vars, &sol))
+    }
+
+    /// Step 2: maximize admitted throughput within `budget`.
+    fn maximize_at(
+        &mut self,
+        system: &DataCenterSystem,
+        background_mw: &[f64],
+        levels: &HourLevels,
+        lambda: f64,
+        budget: f64,
+    ) -> Result<Allocation, CoreError> {
+        let idx = self.step_model(Step::ThruMax, system, background_mw, levels)?;
+        let step = &mut self.thru_max[idx];
+        step.model
+            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
+        if let Some(row) = step.vars.budget_row {
+            step.model.set_constraint_rhs(row, budget.max(0.0))?;
+        }
+        let sol = self.solve_step(Step::ThruMax, idx)?;
+        Ok(extract_allocation(system, &self.thru_max[idx].vars, &sol))
+    }
+
+    /// One step-1/3 solve on its own, checked like
+    /// [`crate::CostMinimizer::solve`], for the tests that compare a
+    /// single step against the optimizers.
+    #[cfg(test)]
     fn minimize(
         &mut self,
         system: &DataCenterSystem,
@@ -639,15 +711,12 @@ impl EngineCore {
                 capacity,
             });
         }
-        let idx = self.step_model(Step::CostMin, system, background_mw)?;
-        let step = &mut self.cost_min[idx];
-        step.model
-            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
-        let sol = self.solve_step(Step::CostMin, idx)?;
-        Ok(extract_allocation(system, &self.cost_min[idx].vars, &sol))
+        let levels = HourLevels::new(system, background_mw);
+        self.minimize_at(system, background_mw, &levels, lambda)
     }
 
-    /// Step 2: maximize admitted throughput within `budget`.
+    /// One step-2 solve on its own, for the same tests.
+    #[cfg(test)]
     fn maximize(
         &mut self,
         system: &DataCenterSystem,
@@ -661,15 +730,8 @@ impl EngineCore {
                 got: background_mw.len(),
             });
         }
-        let idx = self.step_model(Step::ThruMax, system, background_mw)?;
-        let step = &mut self.thru_max[idx];
-        step.model
-            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
-        if let Some(row) = step.vars.budget_row {
-            step.model.set_constraint_rhs(row, budget.max(0.0))?;
-        }
-        let sol = self.solve_step(Step::ThruMax, idx)?;
-        Ok(extract_allocation(system, &self.thru_max[idx].vars, &sol))
+        let levels = HourLevels::new(system, background_mw);
+        self.maximize_at(system, background_mw, &levels, lambda, budget)
     }
 }
 
@@ -1390,9 +1452,10 @@ mod tests {
                 if let (Ok(a), Ok(b)) = (&served, &fresh) {
                     assert_decisions_bitwise_equal(a, b, &ctx);
                 }
-                // A failing hour stops at step 1: one lookup, a hit or
-                // a miss. An `Ok` hour counts as a hit only if nothing
-                // was built.
+                // A failing hour stops at its first solve (step 1, or
+                // step 3 when the budget is under step 1's floor): one
+                // lookup, a hit or a miss. An `Ok` hour counts as a hit
+                // only if nothing was built.
                 let hit = engine.drain_cache_stats().misses == 0;
                 seen.insert((caps[2].to_bits(), hit, served.is_ok()));
             }

@@ -83,7 +83,7 @@ pub use error::CoreError;
 pub use evaluate::{evaluate_allocation, RealizedCost};
 pub use hierarchical::HierarchicalMinimizer;
 pub use maximize::ThroughputMaximizer;
-pub use minimize::{Allocation, CostMinimizer};
+pub use minimize::{step1_cost_floor, Allocation, CostMinimizer};
 pub use priority::{ClassDecision, PriorityClass};
 pub use spec::{DataCenterSpec, DataCenterSystem};
 pub use speclint::{

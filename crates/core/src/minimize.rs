@@ -175,6 +175,149 @@ pub(crate) fn site_level_params(
     out
 }
 
+/// The feasibility tolerance [`cost_floor`]'s margin grants every row
+/// and bound of a returned solve, relative to `1 + |magnitude|`: the
+/// certificate's primal tolerance ([`billcap_milp::CertifyOptions`]),
+/// ten times the revised simplex's absolute `feas_tol` on these
+/// pre-scaled models.
+const FLOOR_TOL: f64 = 1e-6;
+
+/// A certified floor under the cost of any step-1 solve that serves
+/// `lambda` requests/hour on the model built from `params` (the kept
+/// levels [`site_level_params`] derives for the hour), or `None` when
+/// it cannot vouch for one.
+///
+/// **The bound.** For site `i` let `r_i` be its cheapest kept price,
+/// `a_i = mw_per_request · RATE_SCALE`, `b_i` its base power and
+/// `ub_i = max_rate / RATE_SCALE` the `lam_i` upper bound. Every point
+/// of the model has `q ≥ 0`, so it costs
+/// `Σ_k r_ik·q_ik ≥ Σ_i r_i·Σ_k q_ik ≥ Σ_i r_i·(b_i + a_i·lam_i)`: the
+/// power row makes `Σ_k q_ik = a_i·lam_i + b_i` with relaxed servers,
+/// and `wps·n_i ≥ b_i + a_i·lam_i` (the `servers_i` row) with integral
+/// ones. Over `lam_i ∈ [0, ub_i]` with `Σ lam_i = Λ = lambda / RATE_SCALE`
+/// across the `n` sites, the right side is least when the sites fill in increasing
+/// `c_i = r_i·a_i`, each up to `ub_i`: `lb` is `Σ r_i·b_i` plus that
+/// fractional knapsack.
+///
+/// **The margin.** [`extract_allocation`] bills each site
+/// `price × Σ_k max(q_ik, 0)`, where the price is a kept one, so at least
+/// `r_i`, and the clamp only adds: the recomputed cost never undercuts
+/// `Σ r_i·Σ_k q_ik`. Branch-and-bound's gap only returns a costlier
+/// feasible point. What can undercut `lb` is a returned point that meets
+/// each row and bound only to within `t·(1 + |magnitude|)`,
+/// `t = FLOOR_TOL`:
+/// * site `i`'s power row can fall short by `t·(1 + 2·p_i)` MW, with
+///   `p_i ≤ b_i + a_i·ub_i`, each MW at `r_i` (with integral servers the
+///   `servers_i` row and the snap of `n_i` to an integer move it by
+///   `wps ≪ 1` times as much);
+/// * the demand row can fall short by `t·(1 + 2Λ)`, each `lam_i` bound
+///   give by `t·(1 + ub_i)`, and each rate unit so moved saves at most
+///   `c_max = max_i c_i`.
+///
+/// Summed, with `W = Σ_i r_i·(b_i + a_i·ub_i) + c_max·(Λ + Σ_i ub_i)`
+/// the dollar scale of every term (`W ≥ lb`), no solve returns less than
+/// `lb − margin` where
+///
+/// `margin = t·2W + t·(Σ_i r_i + c_max·(1 + 2n))`:
+///
+/// a relative part, `2t` of the scale, which also swamps the rounding of
+/// these `O(n)` float operations, and an absolute part, one unit of each
+/// row's absolute tolerance at its price. The floor is `lb − margin`.
+///
+/// No floor when a kept price is negative or non-finite, a power cap or
+/// any term is non-finite, `lambda` is negative, or `params` does not
+/// have one entry per site: those hours keep running step 1, and so
+/// every error path stays as it was.
+pub(crate) fn cost_floor(
+    system: &DataCenterSystem,
+    params: &[Vec<LevelParam>],
+    lambda: f64,
+) -> Option<f64> {
+    if params.len() != system.len() || !lambda.is_finite() || lambda < 0.0 {
+        return None;
+    }
+    // (c_i, ub_i) per site for the knapsack, and the sums that need no
+    // order.
+    let mut fill = Vec::with_capacity(params.len());
+    let (mut base_cost, mut full_cost, mut price_sum, mut ub_sum) = (0.0, 0.0, 0.0, 0.0);
+    let mut c_max: f64 = 0.0;
+    for (site, levels) in system.sites.iter().zip(params) {
+        let mut r = f64::INFINITY;
+        for p in levels {
+            if !p.price.is_finite() || p.price < 0.0 {
+                return None;
+            }
+            r = r.min(p.price);
+        }
+        let (a, b) = (site.mw_per_request() * RATE_SCALE, site.base_power_mw());
+        let ub = site_cap_values(site).lam_ub;
+        let c = r * a;
+        if ![r, a, b, ub, c, site.power_cap_mw]
+            .iter()
+            .all(|v| v.is_finite())
+        {
+            return None;
+        }
+        base_cost += r * b;
+        full_cost += r * (b + a * ub);
+        price_sum += r;
+        ub_sum += ub;
+        c_max = c_max.max(c);
+        fill.push((c, ub));
+    }
+    fill.sort_by(|x, y| x.0.total_cmp(&y.0));
+    let demand = lambda / RATE_SCALE;
+    let (mut left, mut lb) = (demand, base_cost);
+    for (c, ub) in fill {
+        if left <= 0.0 {
+            break;
+        }
+        let take = left.min(ub);
+        lb += c * take;
+        left -= take;
+    }
+    let scale = full_cost + c_max * (demand + ub_sum);
+    let n = system.len() as f64;
+    let margin = FLOOR_TOL * 2.0 * scale + FLOOR_TOL * (price_sum + c_max * (1.0 + 2.0 * n));
+    let floor = lb - margin;
+    floor.is_finite().then_some(floor)
+}
+
+/// A certified floor under the minimum cost of serving `lambda`
+/// requests/hour against `background_mw` ([`CostMinimizer::solve`]
+/// never returns less), or `None` when no floor can be vouched for: a
+/// negative or non-finite price, a non-finite input, or a background
+/// without one entry per site. The bound is `Σ r_i·b_i` plus a
+/// fractional knapsack over the sites' cheapest kept prices, less a
+/// margin for the solver's feasibility tolerance; both are derived at
+/// `cost_floor` in this module. The decision engine skips step 1 when
+/// the hour's budget is below this floor, since step 1 would bust it
+/// for certain.
+pub fn step1_cost_floor(
+    system: &DataCenterSystem,
+    lambda: f64,
+    background_mw: &[f64],
+) -> Option<f64> {
+    if background_mw.len() != system.len() || background_mw.iter().any(|d| !d.is_finite()) {
+        return None;
+    }
+    cost_floor(system, &level_params(system, background_mw), lambda)
+}
+
+/// Per-site kept-level parameters for one hour's background vector
+/// (one entry per site; `background_mw` must have as many).
+pub(crate) fn level_params(
+    system: &DataCenterSystem,
+    background_mw: &[f64],
+) -> Vec<Vec<LevelParam>> {
+    system
+        .sites
+        .iter()
+        .enumerate()
+        .map(|(i, site)| site_level_params(site, system.policy(i), background_mw[i]))
+        .collect()
+}
+
 /// Builds the common variables and constraints of both optimization steps:
 /// rate bounds, the power identity, level selection, level-interval
 /// restrictions and, last, the step's rate row `Σ lam_i op rate`, with

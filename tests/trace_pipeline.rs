@@ -17,7 +17,8 @@ fn hour_field(fields: &[(String, f64)], name: &str) -> Option<f64> {
 #[test]
 fn traced_week_is_consistent_with_report() {
     // One-week scenario with a budget so tight that every hour takes
-    // the premium override.
+    // the premium override, and is below step 1's certified cost floor:
+    // every hour skips step 1 and solves step 3 alone.
     let mut scenario = Scenario::paper_default(1, 42);
     scenario.workload = scenario.workload.slice(0, 168);
     scenario.background = scenario
@@ -37,8 +38,8 @@ fn traced_week_is_consistent_with_report() {
     assert_eq!(snap.orphans, 0, "unbalanced spans");
     assert_eq!(snap.spans["hour"].count, 168);
     assert_eq!(snap.counters["sim.hours"], 168);
-    assert_eq!(snap.spans["hour/step1"].count, 168);
-    assert!(snap.spans.contains_key("hour/step1/mip"));
+    assert_eq!(snap.counters["core.capper.step1_bounded"], 168);
+    assert!(!snap.spans.contains_key("hour/step1"));
 
     // Outcome counters partition the hours.
     let outcome_total: u64 = [
@@ -62,44 +63,17 @@ fn traced_week_is_consistent_with_report() {
         snap.counters["milp.lp.iterations"] as usize,
         report.total_lp_iterations()
     );
-    // Every capper model of the week has a dual-feasible cold start: the
-    // revised simplex never needs its dual phase 1.
+    // Every step-3 model of the week has a dual-feasible cold start that
+    // crashes its six equality rows, and no solve needs Bland's rule or
+    // finds its updated duals stale at exit (the step-1 week below pins
+    // the pivot-kernel work).
     assert_eq!(snap.counters["milp.lp.phase1_starts"], 0);
-    // Every cold start crashes its equality rows onto zero-cost columns
-    // (the `one_level_i` binaries, and each site's `lam_i` in its power
-    // row), so no pivot is spent bringing them in at ratio 0.
-    assert_eq!(snap.counters["milp.lp.crash_columns"], 2016);
-    // Pivot-kernel work, exact: a pivot updates x_B and the duals, so
-    // it costs one FTRAN for the entering column (plus one more when the
-    // ratio test flips bounds) and one BTRAN for the leaving row.
-    // Rebuilds happen at each LP start and exit (x_B and the duals) and
-    // after each mid-solve refactorization. The ratios below take the
-    // start and exit rebuilds out, so they measure per-pivot work however
-    // few pivots a start takes: every x_B rebuild not owed to a
-    // refactorization, and two dual rebuilds per start (at most one on
-    // the first pivot, one at exit). Recomputing both every pivot
-    // (`refactor_every: 1`) reads above 2 FTRANs and 1.6 BTRANs here.
-    let pivots = snap.counters["milp.lp.iterations"];
-    assert_eq!(pivots, 1351);
-    let ftrans = snap.counters["milp.lp.ftran_calls"];
-    let btrans = snap.counters["milp.lp.btran_calls"];
-    let xb_refreshes = snap.counters["milp.lp.xb_refreshes"];
-    assert_eq!(ftrans, 2604);
-    assert_eq!(btrans, 2271);
-    assert_eq!(xb_refreshes, 920);
-    let refactorizations = snap.counters["milp.lp.refactorizations"];
-    let starts = snap.counters["milp.lp.factorizations"] - refactorizations;
-    let kernel_ftrans = ftrans - (xb_refreshes - refactorizations);
-    let kernel_btrans = btrans - 2 * starts;
-    assert!(kernel_ftrans * 10 <= pivots * 15);
-    assert!(kernel_btrans * 10 <= pivots * 12);
-    // No solve of the week needed Bland's rule, and the fresh duals at
-    // every exit agreed with the updated ones.
+    assert_eq!(snap.counters["milp.lp.crash_columns"], 1008);
     assert_eq!(snap.counters["milp.lp.bland_switches"], 0);
     assert_eq!(snap.counters["milp.lp.exit_dual_violations"], 0);
     // The $80k budget is below the premium load's cost in every hour:
-    // each hour prices the premium load (step 3) after step 1, finds it
-    // over budget and overrides, so step 2 never runs. The week's one
+    // each hour prices the premium load (step 3), finds it over budget
+    // and overrides, so step 2 never runs. The week's one
     // DecisionEngine keeps one MipWorkspace for every solve: all but the
     // engine's first reuse it.
     assert_eq!(snap.counters["core.capper.premium_override"], 168);
@@ -149,6 +123,54 @@ fn traced_week_is_consistent_with_report() {
     let back = obs::export::parse_jsonl(&jsonl).expect("parseable JSONL");
     assert_eq!(back, snap);
 
+    // An unbudgeted week: every hour fits, so step 1 is the only step
+    // and its floor never applies.
+    obs::set_enabled(true);
+    obs::reset();
+    run_month(&scenario, Strategy::CostCapping, None).unwrap();
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+    assert_eq!(snap.orphans, 0, "unbalanced spans");
+    assert_eq!(snap.spans["hour/step1"].count, 168);
+    assert!(snap.spans.contains_key("hour/step1/mip"));
+    assert_eq!(snap.counters["core.capper.within_budget"], 168);
+    assert_eq!(snap.counters.get("core.capper.step1_bounded"), None);
+    // Every step-1 model of the week has a dual-feasible cold start: the
+    // revised simplex never needs its dual phase 1.
+    assert_eq!(snap.counters["milp.lp.phase1_starts"], 0);
+    // Every cold start crashes its equality rows onto zero-cost columns
+    // (the `one_level_i` binaries, and each site's `lam_i` in its power
+    // row), so no pivot is spent bringing them in at ratio 0.
+    assert_eq!(snap.counters["milp.lp.crash_columns"], 1008);
+    // Pivot-kernel work, exact: a pivot updates x_B and the duals, so
+    // it costs one FTRAN for the entering column (plus one more when the
+    // ratio test flips bounds) and one BTRAN for the leaving row.
+    // Rebuilds happen at each LP start and exit (x_B and the duals) and
+    // after each mid-solve refactorization. The ratios below take the
+    // start and exit rebuilds out, so they measure per-pivot work however
+    // few pivots a start takes: every x_B rebuild not owed to a
+    // refactorization, and two dual rebuilds per start (at most one on
+    // the first pivot, one at exit). Recomputing both every pivot
+    // (`refactor_every: 1`) reads above 2 FTRANs and 1.6 BTRANs here.
+    let pivots = snap.counters["milp.lp.iterations"];
+    assert_eq!(pivots, 728);
+    let ftrans = snap.counters["milp.lp.ftran_calls"];
+    let btrans = snap.counters["milp.lp.btran_calls"];
+    let xb_refreshes = snap.counters["milp.lp.xb_refreshes"];
+    assert_eq!(ftrans, 1406);
+    assert_eq!(btrans, 1236);
+    assert_eq!(xb_refreshes, 508);
+    let refactorizations = snap.counters["milp.lp.refactorizations"];
+    let starts = snap.counters["milp.lp.factorizations"] - refactorizations;
+    let kernel_ftrans = ftrans - (xb_refreshes - refactorizations);
+    let kernel_btrans = btrans - 2 * starts;
+    assert!(kernel_ftrans * 10 <= pivots * 15);
+    assert!(kernel_btrans * 10 <= pivots * 12);
+    // No solve of the week needed Bland's rule, and the fresh duals at
+    // every exit agreed with the updated ones.
+    assert_eq!(snap.counters["milp.lp.bland_switches"], 0);
+    assert_eq!(snap.counters["milp.lp.exit_dual_violations"], 0);
+
     // A derated week: the caps move every afternoon hour, but they are
     // values of the retained models, so the engine builds only once per
     // distinct kept-level key and never evicts.
@@ -174,8 +196,10 @@ fn traced_week_is_consistent_with_report() {
     obs::set_enabled(false);
     // Exact work counters: a model rebuilt on a cap move (rather than
     // synced) shows up here as extra rebuilds and evictions. Every hour
-    // overrides again, so only the cost-min model is ever built.
+    // overrides again under step 1's floor, so only the cost-min model
+    // is ever built, and it serves one lookup (step 3's) per hour.
+    assert_eq!(snap.counters["core.capper.step1_bounded"], 168);
     assert_eq!(snap.counters["core.engine.rebuilds"], 11);
-    assert_eq!(snap.counters["core.engine.cache.hit"], 325);
+    assert_eq!(snap.counters["core.engine.cache.hit"], 157);
     assert_eq!(snap.counters.get("core.engine.cache.evict"), None);
 }
