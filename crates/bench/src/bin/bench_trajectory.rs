@@ -23,8 +23,8 @@ use billcap_obs_analyze::trajectory::{BenchPoint, BenchTrajectory, TraceAggregat
 use billcap_rt::{BenchConfig, Harness};
 use billcap_sim::experiments::synthetic_system;
 use billcap_sim::{
-    run_month_fresh, run_month_scratch, run_month_with, MonthScratch, RiskConfig, RiskEngine,
-    Scenario, Strategy,
+    run_month, run_month_fresh, run_month_scratch, MonthScratch, RiskConfig, RiskEngine, Scenario,
+    Strategy,
 };
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -169,7 +169,7 @@ fn traced_reference_run() -> Result<TraceAggregates, String> {
     // the reference run exercises throttled hours (step 2) as well as
     // within-budget ones.
     let budget = Scenario::STRINGENT_BUDGET * REFERENCE_HOURS as f64 / 720.0;
-    run_month_with(&scenario, Strategy::CostCapping, Some(budget), false)
+    run_month(&scenario, Strategy::CostCapping, Some(budget))
         .map_err(|e| format!("reference run failed: {e}"))?;
     let snap = billcap_obs::snapshot();
     billcap_obs::set_enabled(false);

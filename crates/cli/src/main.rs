@@ -26,13 +26,13 @@
 mod args;
 
 use args::{ArgError, Args};
-use billcap_core::{BillCapper, CapperConfig, DataCenterSystem, HourOutcome, PlanAuditor};
+use billcap_core::{BillCapper, DataCenterSystem, HourOutcome};
 use billcap_milp::{parse_lp, MipSolver};
 use billcap_serve::{build_plan, run_replay, verify_replay, ServeConfig};
 use billcap_sim::corpus::run_corpus;
 use billcap_sim::export::monthly_report_csv;
 use billcap_sim::risk::to_jsonl;
-use billcap_sim::{run_month_with, RiskConfig, RiskEngine, Scenario, ScheduleSpec, Strategy};
+use billcap_sim::{run_month, RiskConfig, RiskEngine, Scenario, ScheduleSpec, Strategy};
 use billcap_workload::{BackgroundDemand, TemperatureModel, TraceConfig, TraceGenerator};
 use std::process::ExitCode;
 
@@ -42,19 +42,14 @@ billcap — electricity bill capping for cloud-scale data centers
 
 USAGE:
   billcap decide-hour --offered R --premium-frac F --budget D
-          [--background MW,MW,MW] [--policy 0..3] [--audit]
-          [--trace FILE]
+          [--background MW,MW,MW] [--policy 0..3] [--trace FILE]
       Decide one hour's workload dispatch for the paper's 3-site system.
-      With --audit, re-verify the plan against the paper's invariants
-      (power caps, G/G/m response time, step-price level, budget rules)
-      and fail if any are violated.
 
   billcap simulate-month --strategy capping|min-only-avg|min-only-low
           [--budget DOLLARS] [--policy 0..3] [--seed N] [--csv FILE]
-          [--hours N] [--quiet] [--audit] [--trace FILE]
+          [--hours N] [--quiet] [--trace FILE]
       Simulate the evaluation month and print the summary
-      (optionally dumping the hourly series as CSV). With --audit, every
-      capping hour is re-verified and the audit tally is reported.
+      (optionally dumping the hourly series as CSV).
 
       With --trace FILE, solver tracing is enabled for the run and the
       merged trace (per-hour spans, B&B node counters, price-level
@@ -64,7 +59,7 @@ USAGE:
 
   billcap simulate-risk [--samples N] [--seed N] [--threads N]
           [--cap-schedule none|derate|derate:DEPTH] [--hours N]
-          [--budget DOLLARS | --uncapped] [--policy 0..3] [--audit]
+          [--budget DOLLARS | --uncapped] [--policy 0..3]
           [--json FILE] [--quiet]
       Monte-Carlo risk run: N perturbed-seed month simulations (workload
       level/growth jitter, extra flash crowds, background-demand shifts,
@@ -176,21 +171,20 @@ USAGE:
   billcap help
       Show this message.
 
---audit (decide-hour, simulate-month, simulate-risk) also lints each
-MILP before solving it (refusing Error findings, codes M001-M010) and
-certifies each solution. Debug builds always run these solve checks.
+Every decision is checked, in every build and on every command: each
+MILP model is linted once, when it is built (refusing Error findings,
+codes M001-M010), each solution is certified, and each hour's plan is
+audited against the paper's invariants (power caps, G/G/m response
+time, step-price level, budget rules, premium always served). A failed
+check is an error, never a decision.
 
-BILLCAP_AUDIT=1 acts as --audit (and checks every serve/replay solve);
 BILLCAP_TRACE=1 enables tracing, and BILLCAP_TRACE=FILE also acts as
---trace FILE. Both are read once, at startup.
+--trace FILE. It is read once, at startup.
 ";
 
 fn main() -> ExitCode {
     let tokens: Vec<String> = std::env::args().skip(1).collect();
-    let env = Env::parse(
-        std::env::var("BILLCAP_AUDIT").ok().as_deref(),
-        std::env::var("BILLCAP_TRACE").ok().as_deref(),
-    );
+    let env = Env::parse(std::env::var("BILLCAP_TRACE").ok().as_deref());
     match run(tokens, &env) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
@@ -200,12 +194,10 @@ fn main() -> ExitCode {
     }
 }
 
-/// `BILLCAP_AUDIT` and `BILLCAP_TRACE`, read once by `main`: the only
-/// environment `billcap` consults (no library crate reads any).
+/// `BILLCAP_TRACE`, read once by `main`: the only environment `billcap`
+/// consults (no library crate reads any).
 #[derive(Debug, Default, PartialEq)]
 struct Env {
-    /// `BILLCAP_AUDIT` is set: behave as if `--audit` were passed.
-    audit: bool,
     /// `BILLCAP_TRACE` is set: enable global tracing.
     trace: bool,
     /// `BILLCAP_TRACE` names a file: the default `--trace` path.
@@ -213,16 +205,12 @@ struct Env {
 }
 
 impl Env {
-    /// Parses the raw variable values. A variable counts as set when it
-    /// is present, non-empty and not `0`; a set `BILLCAP_TRACE` other
-    /// than `1`, `true` or `on` is also a trace path.
-    fn parse(audit: Option<&str>, trace: Option<&str>) -> Self {
-        fn set(v: Option<&str>) -> Option<&str> {
-            v.filter(|v| !v.is_empty() && *v != "0")
-        }
-        let trace = set(trace);
+    /// Parses the raw variable value. It counts as set when it is
+    /// present, non-empty and not `0`; a set value other than `1`,
+    /// `true` or `on` is also a trace path.
+    fn parse(trace: Option<&str>) -> Self {
+        let trace = trace.filter(|v| !v.is_empty() && *v != "0");
         Self {
-            audit: set(audit).is_some(),
             trace: trace.is_some(),
             trace_path: trace
                 .filter(|v| !matches!(*v, "1" | "true" | "on"))
@@ -240,7 +228,7 @@ fn run(tokens: Vec<String>, env: &Env) -> Result<(), String> {
     match command {
         Some("decide-hour") => decide_hour(&args, env).map_err(stringify),
         Some("simulate-month") => simulate_month(&args, env).map_err(stringify),
-        Some("simulate-risk") => simulate_risk(&args, env).map_err(stringify),
+        Some("simulate-risk") => simulate_risk(&args).map_err(stringify),
         Some("derive-policies") => derive_policies(&args).map_err(stringify),
         Some("corpus") => corpus(&args).map_err(stringify),
         Some("export-trace") => export_trace(&args).map_err(stringify),
@@ -249,8 +237,8 @@ fn run(tokens: Vec<String>, env: &Env) -> Result<(), String> {
         Some("solve-lp") => solve_lp(&args),
         Some("lint-model") => lint_model_cmd(&args),
         Some("lint-spec") => lint_spec_cmd(&args),
-        Some("serve") => serve_cmd(&args, env).map_err(stringify),
-        Some("replay") => replay_cmd(&args, env).map_err(stringify),
+        Some("serve") => serve_cmd(&args).map_err(stringify),
+        Some("replay") => replay_cmd(&args).map_err(stringify),
         Some("watch") => watch_cmd(&args).map_err(stringify),
         Some("analyze-series") => analyze_series_cmd(&args).map_err(stringify),
         Some("help") | None => {
@@ -306,7 +294,6 @@ fn decide_hour(args: &Args, env: &Env) -> Result<(), ArgError> {
         "budget",
         "background",
         "policy",
-        "audit",
         "trace",
     ])?;
     let offered: f64 = args.require("offered")?;
@@ -315,7 +302,6 @@ fn decide_hour(args: &Args, env: &Env) -> Result<(), ArgError> {
         return Err(ArgError("--premium-frac must be in [0, 1]".into()));
     }
     let budget: f64 = args.require("budget")?;
-    let audit = args.has("audit") || env.audit;
     let trace_path = begin_trace(args, env);
     let background = args
         .get_f64_list("background")?
@@ -327,11 +313,7 @@ fn decide_hour(args: &Args, env: &Env) -> Result<(), ArgError> {
             system.len()
         )));
     }
-    // An audited run forces the per-solve checks on; otherwise they
-    // follow the build profile's default.
-    let mut config = CapperConfig::default();
-    config.audit |= audit;
-    let decision = BillCapper::new(config)
+    let decision = BillCapper::default()
         .decide_hour(
             &system,
             offered,
@@ -361,13 +343,6 @@ fn decide_hour(args: &Args, env: &Env) -> Result<(), ArgError> {
         );
     }
     println!("hour cost ${:.2} vs budget ${budget:.2}", decision.cost());
-    if audit {
-        let report = PlanAuditor::default().audit_decision(&system, &decision, &background);
-        println!("audit: {report}");
-        if !report.passed() {
-            return Err(ArgError(format!("plan audit failed: {report}")));
-        }
-    }
     if let Some(path) = &trace_path {
         write_trace(path)?;
     }
@@ -376,7 +351,7 @@ fn decide_hour(args: &Args, env: &Env) -> Result<(), ArgError> {
 
 fn simulate_month(args: &Args, env: &Env) -> Result<(), ArgError> {
     args.check_known(&[
-        "strategy", "budget", "policy", "seed", "csv", "hours", "quiet", "audit", "trace",
+        "strategy", "budget", "policy", "seed", "csv", "hours", "quiet", "trace",
     ])?;
     let strategy = match args.get("strategy").unwrap_or("capping") {
         "capping" => Strategy::CostCapping,
@@ -396,7 +371,6 @@ fn simulate_month(args: &Args, env: &Env) -> Result<(), ArgError> {
         ),
         None => None,
     };
-    let audit = args.has("audit") || env.audit;
     let trace_path = begin_trace(args, env);
     let mut scenario = Scenario::paper_default(policy_arg(args)?, seed);
     if let Some(raw) = args.get("hours") {
@@ -416,8 +390,7 @@ fn simulate_month(args: &Args, env: &Env) -> Result<(), ArgError> {
             .map(|b| b.slice(0, hours))
             .collect();
     }
-    let report =
-        run_month_with(&scenario, strategy, budget, audit).map_err(|e| ArgError(e.to_string()))?;
+    let report = run_month(&scenario, strategy, budget).map_err(|e| ArgError(e.to_string()))?;
     if let Some(path) = &trace_path {
         write_trace(path)?;
     }
@@ -432,12 +405,6 @@ fn simulate_month(args: &Args, env: &Env) -> Result<(), ArgError> {
         if let Some(path) = args.get("csv") {
             std::fs::write(path, monthly_report_csv(&report))
                 .map_err(|e| ArgError(format!("writing {path:?}: {e}")))?;
-        }
-        if let Some((hour, a)) = report.first_audit_failure() {
-            return Err(ArgError(format!(
-                "plan audit failed at hour {hour}: {}",
-                a.failures.join("; ")
-            )));
         }
         return Ok(());
     }
@@ -461,24 +428,10 @@ fn simulate_month(args: &Args, env: &Env) -> Result<(), ArgError> {
             .map_err(|e| ArgError(format!("writing {path:?}: {e}")))?;
         println!("hourly series written to {path}");
     }
-    if audit {
-        let audited = report.audited_hours();
-        let failures = report.audit_failures();
-        println!(
-            "audit: {}/{audited} audited hours passed",
-            audited - failures
-        );
-        if let Some((hour, a)) = report.first_audit_failure() {
-            return Err(ArgError(format!(
-                "plan audit failed at hour {hour}: {}",
-                a.failures.join("; ")
-            )));
-        }
-    }
     Ok(())
 }
 
-fn simulate_risk(args: &Args, env: &Env) -> Result<(), ArgError> {
+fn simulate_risk(args: &Args) -> Result<(), ArgError> {
     args.check_known(&[
         "samples",
         "seed",
@@ -488,7 +441,6 @@ fn simulate_risk(args: &Args, env: &Env) -> Result<(), ArgError> {
         "budget",
         "uncapped",
         "policy",
-        "audit",
         "json",
         "quiet",
     ])?;
@@ -527,7 +479,6 @@ fn simulate_risk(args: &Args, env: &Env) -> Result<(), ArgError> {
         hours,
         monthly_budget,
         schedule,
-        audit: args.has("audit") || env.audit,
         ..RiskConfig::default()
     };
     let (sample_results, summary) = RiskEngine::new(config)
@@ -794,9 +745,8 @@ fn lint_spec_cmd(args: &Args) -> Result<(), String> {
     }
 }
 
-/// Builds a [`ServeConfig`] from the flags `serve` and `replay` share;
-/// `BILLCAP_AUDIT` forces every engine's per-solve checks on.
-fn serve_config(args: &Args, env: &Env) -> Result<ServeConfig, ArgError> {
+/// Builds a [`ServeConfig`] from the flags `serve` and `replay` share.
+fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
     let mut cfg = ServeConfig::default();
     if let Some(raw) = args.get("workers") {
         let workers: usize = raw
@@ -809,7 +759,6 @@ fn serve_config(args: &Args, env: &Env) -> Result<ServeConfig, ArgError> {
     }
     cfg.cache = !args.has("no-cache");
     cfg.capper.integral_servers = args.has("integral");
-    cfg.capper.audit |= env.audit;
     cfg.telemetry = !args.has("no-telemetry");
     cfg.window_requests = args.get_or("window-requests", cfg.window_requests)?;
     if let Some(path) = args.get("metrics-stream") {
@@ -828,11 +777,11 @@ const SERVE_CONFIG_FLAGS: [&str; 6] = [
     "metrics-stream",
 ];
 
-fn serve_cmd(args: &Args, env: &Env) -> Result<(), ArgError> {
+fn serve_cmd(args: &Args) -> Result<(), ArgError> {
     let mut known = vec!["socket", "once"];
     known.extend_from_slice(&SERVE_CONFIG_FLAGS);
     args.check_known(&known)?;
-    let cfg = serve_config(args, env)?;
+    let cfg = serve_config(args)?;
     if let Some(path) = args.get("socket") {
         #[cfg(unix)]
         {
@@ -870,7 +819,7 @@ fn serve_cmd(args: &Args, env: &Env) -> Result<(), ArgError> {
     Ok(())
 }
 
-fn replay_cmd(args: &Args, env: &Env) -> Result<(), ArgError> {
+fn replay_cmd(args: &Args) -> Result<(), ArgError> {
     let mut known = vec!["hours", "seed", "policy", "budget", "uncapped", "check"];
     known.extend_from_slice(&SERVE_CONFIG_FLAGS);
     args.check_known(&known)?;
@@ -888,7 +837,7 @@ fn replay_cmd(args: &Args, env: &Env) -> Result<(), ArgError> {
     } else {
         Some(args.get_or("budget", Scenario::STRINGENT_BUDGET)?)
     };
-    let cfg = serve_config(args, env)?;
+    let cfg = serve_config(args)?;
 
     eprintln!("building {hours}-hour plan (policy {policy}, seed {seed})...");
     let plan = build_plan(policy, seed, hours, budget).map_err(|e| ArgError(e.to_string()))?;
@@ -1067,13 +1016,20 @@ mod tests {
     }
 
     #[test]
-    fn decide_hour_audited() {
-        assert!(
-            run_str("decide-hour --offered 6e8 --premium-frac 0.8 --budget 1e9 --audit").is_ok()
-        );
-        // A starvation budget takes the premium-override branch; the audit
-        // must accept the sanctioned overrun.
-        assert!(run_str("decide-hour --offered 6e8 --premium-frac 0.8 --budget 1 --audit").is_ok());
+    fn decide_hour_is_always_audited() {
+        assert!(run_str("decide-hour --offered 6e8 --premium-frac 0.8 --budget 1e9").is_ok());
+        // A starvation budget takes the premium-override branch; the
+        // engine's plan audit must accept the sanctioned overrun.
+        assert!(run_str("decide-hour --offered 6e8 --premium-frac 0.8 --budget 1").is_ok());
+        // The checks have no switch: `--audit` is an unknown flag.
+        for cmd in [
+            "decide-hour --offered 6e8 --budget 1e9 --audit",
+            "simulate-month --hours 1 --quiet --audit",
+            "simulate-risk --samples 1 --hours 1 --audit",
+        ] {
+            let err = run_str(cmd).unwrap_err();
+            assert!(err.contains("unknown flag(s) --audit"), "{cmd}: {err}");
+        }
     }
 
     #[test]
@@ -1363,12 +1319,11 @@ mod tests {
     #[test]
     fn env_is_parsed_once_at_the_edge() {
         for off in [None, Some(""), Some("0")] {
-            assert_eq!(Env::parse(off, off), Env::default());
+            assert_eq!(Env::parse(off), Env::default());
         }
         for switch in ["1", "true", "on"] {
-            let env = Env::parse(Some(switch), Some(switch));
+            let env = Env::parse(Some(switch));
             let only_switches = Env {
-                audit: true,
                 trace: true,
                 trace_path: None,
             };
@@ -1389,8 +1344,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("hour.jsonl");
         let _ = std::fs::remove_file(&path);
-        let env = Env::parse(None, path.to_str());
-        assert!(env.trace && !env.audit);
+        let env = Env::parse(path.to_str());
+        assert!(env.trace);
         assert_eq!(env.trace_path.as_deref(), path.to_str());
         let tokens = "decide-hour --offered 6e8 --budget 1e9";
         assert!(run(tokens.split_whitespace().map(String::from).collect(), &env).is_ok());

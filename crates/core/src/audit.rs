@@ -4,8 +4,8 @@
 //! cap, response times meet the G/G/m target, the billed price level is
 //! the one the actual regional load lands in, budgets hold except for the
 //! premium-overrun hour, and premium traffic is never shed. All of that
-//! is currently enforced *inside* the MILP — so a formulation bug would
-//! produce confidently wrong plans with nothing to catch them.
+//! is enforced *inside* the MILP, so a formulation bug would produce
+//! confidently wrong plans if nothing re-derived them.
 //!
 //! [`PlanAuditor`] re-derives each invariant without the MILP:
 //!
@@ -25,9 +25,13 @@
 //!
 //! Companion to [`billcap_milp::certify_solution`], which checks the
 //! *solver's* arithmetic; this module checks the *formulation* against
-//! the paper. The certificate check runs inside every capper solve when
-//! [`crate::CapperConfig::audit`] is on; the plan audit runs in the sim
-//! runner when its `audit` argument is set (the CLI's `--audit`).
+//! the paper. Both run in every build, on every path: every capper solve
+//! is certified, and [`crate::DecisionEngine`] audits every decision it
+//! makes before returning it, so the month loop, the risk engine, the
+//! decision server, [`crate::BillCapper`] and the class decider all get
+//! the same checks once. The model lint runs once per built model: the
+//! engine lints each step model when it builds it, and the optimizers,
+//! which build a model per call, lint every model they solve.
 
 use crate::capper::{HourDecision, HourOutcome};
 use crate::error::CoreError;
@@ -36,38 +40,34 @@ use crate::spec::DataCenterSystem;
 use billcap_milp::{certify_solution, Model, Solution, SolveError};
 use std::fmt;
 
-/// Solves `model` with `solve`, checked when `audit` is on
-/// ([`crate::CapperConfig::audit`]).
-///
-/// First, [`billcap_milp::lint_model`] gates the solve. A model whose
-/// *only* Error finding is the `M007` static-infeasibility proof maps to
-/// [`SolveError::Infeasible`] — the same error the solver itself would
-/// return — so a checked solve fails as an unchecked one does; any
-/// other Error finding
-/// becomes [`CoreError::Lint`]. A model that fails [`Model::validate`]
-/// (which `lint_model` also files under `M007`) gets the solver's own
-/// error, [`SolveError::InvalidModel`]. Then a solution whose
-/// certificate fails becomes a hard [`CoreError::Audit`]: a solve whose
-/// arithmetic cannot be verified must not become a dispatch plan. Each
-/// solution that passes both checks bumps the exact counter
-/// `core.audit.solves`.
+/// Refuses a freshly built model that [`billcap_milp::lint_model`]
+/// finds Error-severity defects in. A model whose *only* Error finding
+/// is the `M007` static-infeasibility proof maps to
+/// [`SolveError::Infeasible`], the error the solver itself would
+/// return; any other Error finding becomes [`CoreError::Lint`]. A model
+/// that fails [`Model::validate`] (which `lint_model` also files under
+/// `M007`) gets the solver's own error, [`SolveError::InvalidModel`].
+pub(crate) fn lint_built(model: &Model) -> Result<(), CoreError> {
+    let lint = billcap_milp::lint_model(model);
+    if lint.is_clean() {
+        return Ok(());
+    }
+    model.validate()?;
+    if lint.errors().all(|f| f.code == "M007") {
+        return Err(CoreError::Solver(SolveError::Infeasible));
+    }
+    let errors: Vec<String> = lint.errors().map(|f| f.to_string()).collect();
+    Err(CoreError::Lint(errors.join("; ")))
+}
+
+/// Solves `model` with `solve` and certifies the solution. A solution
+/// whose certificate fails becomes a hard [`CoreError::Audit`]: a solve
+/// whose arithmetic cannot be verified must not become a dispatch plan.
+/// Each certified solution bumps the exact counter `core.audit.solves`.
 pub(crate) fn checked_solve(
-    audit: bool,
     model: &Model,
     solve: impl FnOnce() -> Result<Solution, SolveError>,
 ) -> Result<Solution, CoreError> {
-    if !audit {
-        return Ok(solve()?);
-    }
-    let lint = billcap_milp::lint_model(model);
-    if !lint.is_clean() {
-        model.validate()?;
-        if lint.errors().all(|f| f.code == "M007") {
-            return Err(CoreError::Solver(SolveError::Infeasible));
-        }
-        let errors: Vec<String> = lint.errors().map(|f| f.to_string()).collect();
-        return Err(CoreError::Lint(errors.join("; ")));
-    }
     let sol = solve()?;
     let report = certify_solution(model, &sol);
     if !report.certified() {
@@ -80,6 +80,25 @@ pub(crate) fn checked_solve(
         billcap_obs::counter("core.audit.solves", 1);
     }
     Ok(sol)
+}
+
+/// Audits a decision against the paper's invariants on `system` (its
+/// caps as decided) and `background_mw`. A failed audit is a hard
+/// [`CoreError::Audit`]; each passed one bumps the exact counter
+/// `core.audit.plans`.
+pub(crate) fn audited_plan(
+    system: &DataCenterSystem,
+    decision: &HourDecision,
+    background_mw: &[f64],
+) -> Result<(), CoreError> {
+    let report = PlanAuditor.audit_decision(system, decision, background_mw);
+    if !report.passed() {
+        return Err(CoreError::Audit(format!("hour plan: {report}")));
+    }
+    if billcap_obs::enabled() {
+        billcap_obs::counter("core.audit.plans", 1);
+    }
+    Ok(())
 }
 
 /// One violated paper invariant found by the [`PlanAuditor`].
@@ -349,35 +368,27 @@ impl fmt::Display for AuditReport {
     }
 }
 
+/// Relative tolerance for cost and rate comparisons.
+const REL_TOL: f64 = 1e-6;
+/// Relative tolerance for the affine-power identity. Looser than
+/// [`REL_TOL`]: the integral-server mode's ceil rounding moves power by
+/// up to one server's worth.
+const POWER_REL_TOL: f64 = 5e-3;
+/// Slack (MW) allowed around a price level's interval. Covers the
+/// formulation's deliberate breakpoint margin
+/// (`minimize::BREAKPOINT_MARGIN_MW`) plus the idle-site widening (a
+/// site's base power, a few kW).
+const LEVEL_MARGIN_MW: f64 = 2.0 * BREAKPOINT_MARGIN_MW;
+/// Relative slack on the response-time target.
+const QOS_REL_TOL: f64 = 1e-9;
+
 /// Audits capper output against the paper's invariants, recomputed from
 /// first principles (no MILP involved). See the module docs for the list.
-#[derive(Debug, Clone)]
-pub struct PlanAuditor {
-    /// Relative tolerance for cost/rate comparisons.
-    pub rel_tol: f64,
-    /// Relative tolerance for the affine-power identity. Looser than
-    /// `rel_tol`: the integral-server mode's ceil rounding moves power by
-    /// up to one server's worth.
-    pub power_rel_tol: f64,
-    /// Slack (MW) allowed around a price level's interval. Must cover the
-    /// formulation's deliberate breakpoint margin
-    /// (`minimize::BREAKPOINT_MARGIN_MW`) plus the idle-site widening
-    /// (a site's base power, a few kW).
-    pub level_margin_mw: f64,
-    /// Relative slack on the response-time target.
-    pub qos_rel_tol: f64,
-}
-
-impl Default for PlanAuditor {
-    fn default() -> Self {
-        Self {
-            rel_tol: 1e-6,
-            power_rel_tol: 5e-3,
-            level_margin_mw: 2.0 * BREAKPOINT_MARGIN_MW,
-            qos_rel_tol: 1e-9,
-        }
-    }
-}
+/// It holds no settings: its tolerances are fixed. Build it with
+/// [`PlanAuditor::default`].
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct PlanAuditor;
 
 impl PlanAuditor {
     /// Audits a single allocation (either optimizer's output) against the
@@ -418,17 +429,15 @@ impl PlanAuditor {
             let p = alloc.power_mw[i];
             let servers = alloc.servers[i];
 
-            report.check(lam.is_finite() && lam >= -self.rel_tol, || {
+            report.check(lam.is_finite() && lam >= -REL_TOL, || {
                 PlanViolation::BadValue {
                     what: format!("site {i} lambda"),
                     value: lam,
                 }
             });
-            report.check(p.is_finite() && p >= -self.rel_tol, || {
-                PlanViolation::BadValue {
-                    what: format!("site {i} power"),
-                    value: p,
-                }
+            report.check(p.is_finite() && p >= -REL_TOL, || PlanViolation::BadValue {
+                what: format!("site {i} power"),
+                value: p,
             });
             if !(lam.is_finite() && p.is_finite()) {
                 continue;
@@ -436,7 +445,7 @@ impl PlanAuditor {
 
             // Power cap p_i <= Ps_i.
             let cap = site.power_cap_mw;
-            report.check(p <= cap * (1.0 + self.rel_tol) + 1e-6, || {
+            report.check(p <= cap * (1.0 + REL_TOL) + 1e-6, || {
                 PlanViolation::PowerCap {
                     site: i,
                     power_mw: p,
@@ -448,7 +457,7 @@ impl PlanAuditor {
             // own power model at lam — a fabricated split cannot pass.
             let expected_p = site.power_for_rate_mw(lam);
             report.check(
-                (p - expected_p).abs() <= self.power_rel_tol * (1.0 + expected_p),
+                (p - expected_p).abs() <= POWER_REL_TOL * (1.0 + expected_p),
                 || PlanViolation::PowerIdentity {
                     site: i,
                     reported_mw: p,
@@ -468,7 +477,7 @@ impl PlanAuditor {
             let target = site.response_target;
             report.check(
                 site.queue
-                    .meets_target(servers, lam, target * (1.0 + self.qos_rel_tol)),
+                    .meets_target(servers, lam, target * (1.0 + QOS_REL_TOL)),
                 || PlanViolation::ResponseTime {
                     site: i,
                     response: site
@@ -487,7 +496,7 @@ impl PlanAuditor {
                 None => report.check(false, || PlanViolation::UnknownLevel { site: i, level: k }),
                 Some((lo, hi, price)) => {
                     report.check(
-                        (alloc.price[i] - price).abs() <= self.rel_tol * (1.0 + price),
+                        (alloc.price[i] - price).abs() <= REL_TOL * (1.0 + price),
                         || PlanViolation::PriceValue {
                             site: i,
                             level: k,
@@ -497,7 +506,7 @@ impl PlanAuditor {
                     );
                     let load = p + background_mw[i];
                     report.check(
-                        load >= lo - self.level_margin_mw && load <= hi + self.level_margin_mw,
+                        load >= lo - LEVEL_MARGIN_MW && load <= hi + LEVEL_MARGIN_MW,
                         || PlanViolation::PriceLevel {
                             site: i,
                             level: k,
@@ -512,7 +521,7 @@ impl PlanAuditor {
             // Cost arithmetic: cost_i = price_i * p_i.
             let expected_cost = alloc.price[i] * p;
             report.check(
-                (alloc.cost[i] - expected_cost).abs() <= self.rel_tol * (1.0 + expected_cost.abs()),
+                (alloc.cost[i] - expected_cost).abs() <= REL_TOL * (1.0 + expected_cost.abs()),
                 || PlanViolation::CostArithmetic {
                     what: format!("site {i} cost"),
                     reported: alloc.cost[i],
@@ -524,7 +533,7 @@ impl PlanAuditor {
         }
 
         report.check(
-            (alloc.total_cost - total_cost).abs() <= self.rel_tol * (1.0 + total_cost.abs()),
+            (alloc.total_cost - total_cost).abs() <= REL_TOL * (1.0 + total_cost.abs()),
             || PlanViolation::CostArithmetic {
                 what: "total cost".to_string(),
                 reported: alloc.total_cost,
@@ -532,7 +541,7 @@ impl PlanAuditor {
             },
         );
         report.check(
-            (alloc.total_lambda - total_lambda).abs() <= self.rel_tol * (1.0 + total_lambda),
+            (alloc.total_lambda - total_lambda).abs() <= REL_TOL * (1.0 + total_lambda),
             || PlanViolation::CostArithmetic {
                 what: "total lambda".to_string(),
                 reported: alloc.total_lambda,
@@ -555,7 +564,7 @@ impl PlanAuditor {
         let mut report = self.audit_allocation(system, &decision.allocation, background_mw);
 
         let served = decision.premium_served + decision.ordinary_served;
-        let rate_tol = self.rel_tol * (1.0 + decision.offered);
+        let rate_tol = REL_TOL * (1.0 + decision.offered);
 
         // Premium is never shed (the paper's revenue-protection rule).
         report.check(
@@ -582,7 +591,7 @@ impl PlanAuditor {
         );
         // Budget compliance, with the premium-override exception.
         let cost = decision.cost();
-        let budget_ok = cost <= decision.budget * (1.0 + self.rel_tol) + self.rel_tol;
+        let budget_ok = cost <= decision.budget * (1.0 + REL_TOL) + REL_TOL;
         report.check(
             budget_ok || decision.outcome == HourOutcome::PremiumOverride,
             || PlanViolation::BudgetExceeded {
@@ -613,6 +622,58 @@ mod tests {
 
     fn background() -> Vec<f64> {
         vec![330.0, 410.0, 280.0]
+    }
+
+    /// The certificate check refuses a solution whose values were moved
+    /// after the solve, as [`CoreError::Audit`], and passes the genuine
+    /// one.
+    #[test]
+    fn checked_solve_refuses_a_corrupted_solution() {
+        let sys = DataCenterSystem::paper_system(1);
+        let (m, vars) = crate::minimize::cost_min_model(&sys, 5e8, &background(), false);
+        let sol = billcap_milp::MipSolver::default().solve(&m).unwrap();
+        assert!(checked_solve(&m, || Ok(sol.clone())).is_ok());
+        let mut bad = sol.clone();
+        bad.values[vars.lam[0].index()] += 1.0;
+        match checked_solve(&m, || Ok(bad)) {
+            Err(CoreError::Audit(msg)) => assert!(msg.contains("certification"), "{msg}"),
+            r => panic!("a corrupted solution must be refused: {r:?}"),
+        }
+        let mut bad = sol;
+        bad.objective *= 0.9;
+        assert!(matches!(
+            checked_solve(&m, || Ok(bad)),
+            Err(CoreError::Audit(_))
+        ));
+    }
+
+    /// The engine's plan audit refuses a decision that sheds premium or
+    /// busts its budget outside an override, as [`CoreError::Audit`],
+    /// and passes the genuine one.
+    #[test]
+    fn audited_plan_refuses_a_corrupted_decision() {
+        let sys = DataCenterSystem::paper_system(1);
+        let d = background();
+        let dec = BillCapper::default()
+            .decide_hour(&sys, 8e8, 0.8 * 8e8, &d, f64::INFINITY)
+            .unwrap();
+        assert_eq!(audited_plan(&sys, &dec, &d), Ok(()));
+        let mut shed = dec.clone();
+        shed.premium_served = 0.5 * shed.premium_offered;
+        let mut over = dec.clone();
+        over.budget = 0.5 * over.cost();
+        let mut capped = sys.clone();
+        capped.sites[0].power_cap_mw = 0.5 * dec.allocation.power_mw[0];
+        for (what, sys, bad) in [
+            ("shed", &sys, &shed),
+            ("over", &sys, &over),
+            ("cap", &capped, &dec),
+        ] {
+            match audited_plan(sys, bad, &d) {
+                Err(CoreError::Audit(msg)) => assert!(msg.contains("hour plan"), "{msg}"),
+                r => panic!("{what}: a corrupted plan must be refused: {r:?}"),
+            }
+        }
     }
 
     #[test]

@@ -47,27 +47,12 @@ use crate::spec::DataCenterSystem;
 
 /// Tuning knobs for the capper: the one place its settings live. The
 /// binaries build it from their flags and pass it down; no library
-/// reads the environment.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// reads the environment. Every solve is certified and every decision
+/// audited whatever the config (see [`crate::audit`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CapperConfig {
     /// Model server counts as integers inside the MILPs.
     pub integral_servers: bool,
-    /// Check every solve: the pre-solve model lint refuses a model with
-    /// Error-severity findings ([`CoreError::Lint`]), and the solution
-    /// must pass [`billcap_milp::certify_solution`]
-    /// ([`CoreError::Audit`]). Neither check changes a decision. On by
-    /// default in debug builds, so the test suite runs checked; off by
-    /// default in release builds, where it costs time on every hour.
-    pub audit: bool,
-}
-
-impl Default for CapperConfig {
-    fn default() -> Self {
-        Self {
-            integral_servers: false,
-            audit: cfg!(debug_assertions),
-        }
-    }
 }
 
 /// Which branch of the algorithm produced the hour's decision.
@@ -195,6 +180,23 @@ pub fn validate_hour_inputs(
     }
     if hourly_budget.is_nan() || hourly_budget == f64::NEG_INFINITY {
         return invalid("budget must be a finite number or null".into());
+    }
+    Ok(())
+}
+
+/// Checks the power caps an hour is decided under: each finite and at
+/// least its site's base (QoS headroom) power, the idle draw S006 and
+/// S010 demand of a spec and a cap schedule. A bad cap is
+/// [`CoreError::InvalidInput`], refused before any model is looked up,
+/// so a retained model and a fresh build fail it alike.
+pub(crate) fn validate_caps(system: &DataCenterSystem) -> Result<(), CoreError> {
+    for (i, site) in system.sites.iter().enumerate() {
+        let (cap, base) = (site.power_cap_mw, site.base_power_mw());
+        if !cap.is_finite() || cap < base {
+            return Err(CoreError::InvalidInput(format!(
+                "site {i} power cap {cap} MW must be finite and at least its base power {base} MW"
+            )));
+        }
     }
     Ok(())
 }

@@ -45,14 +45,17 @@
 //! workspace solves bitwise like a fresh one, so the solver sees an
 //! identical model and returns identical bits either way.
 //!
-//! The engine takes its settings from the [`CapperConfig`] it is built
-//! with: `integral_servers` shapes the models,
-//! and `audit` lints each model before a solve and certifies each
-//! solution.
+//! The engine takes its one setting, `integral_servers`, from the
+//! [`CapperConfig`] it is built with. Its checks take none: it lints
+//! each model once, when it builds it, certifies every solution, and
+//! audits every decision against the paper's invariants before it
+//! returns it (see [`crate::audit`]).
 
-use crate::audit::checked_solve;
+use crate::audit::{audited_plan, checked_solve, lint_built};
 use crate::cache::Fnv;
-use crate::capper::{validate_hour_inputs, CapperConfig, DecisionTrace, HourDecision, HourOutcome};
+use crate::capper::{
+    validate_caps, validate_hour_inputs, CapperConfig, DecisionTrace, HourDecision, HourOutcome,
+};
 use crate::error::CoreError;
 use crate::maximize::throughput_max_model;
 use crate::minimize::{
@@ -60,7 +63,7 @@ use crate::minimize::{
     LevelParam, PiecewiseVars, RATE_SCALE,
 };
 use crate::spec::DataCenterSystem;
-use billcap_milp::{MipSolver, MipWorkspace, Model, Solution, SolveError};
+use billcap_milp::{MipSolver, MipWorkspace, Model};
 use billcap_obs::Stopwatch;
 use std::collections::BTreeSet;
 
@@ -106,8 +109,6 @@ const STEP_CACHE_CAP: usize = 24;
 /// step, each on a cached model synced to the hour's inputs.
 struct EngineCore {
     integral_servers: bool,
-    /// Lint and certify every solve ([`CapperConfig::audit`]).
-    audit: bool,
     /// Runs every step's solve.
     solver: MipSolver,
     /// The buffers every solve of every step refills.
@@ -155,7 +156,6 @@ impl DecisionEngine {
             system,
             core: EngineCore {
                 integral_servers: config.integral_servers,
-                audit: config.audit,
                 solver: MipSolver::default(),
                 ws: MipWorkspace::default(),
                 cost_min: Vec::new(),
@@ -202,10 +202,9 @@ impl DecisionEngine {
     /// key). Decisions stay independent of cap history: a served model
     /// is bitwise-identical to a fresh build for the current inputs.
     ///
-    /// Bad caps (NaN, infinite, below base power) are accepted here and
-    /// fail or succeed in the decision exactly as they do for a one-shot
-    /// engine. A model whose cap rewrite fails part-way is dropped from
-    /// the cache, never served half-written.
+    /// Bad caps (NaN, infinite, below base power) are accepted here; the
+    /// next decision refuses them as [`CoreError::InvalidInput`] before
+    /// it looks up a model, as a one-shot engine does.
     ///
     /// # Panics
     ///
@@ -229,7 +228,8 @@ impl DecisionEngine {
     /// `offered` is the total arrival rate, `premium_offered` the premium
     /// share (`<= offered`), `background_mw` the regional non-DC demand,
     /// and `hourly_budget` the budgeter's allotment for this hour. Inputs
-    /// that break [`validate_hour_inputs`] are rejected.
+    /// that break [`validate_hour_inputs`] are rejected, as are power caps
+    /// that are not finite or sit below a site's base power.
     ///
     /// If the offered load exceeds deliverable capacity (an extreme flash
     /// crowd), ordinary traffic is shed first to bring it within capacity;
@@ -241,32 +241,26 @@ impl DecisionEngine {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Result<HourDecision, CoreError> {
-        let steps = self.decide(offered, premium_offered, background_mw, hourly_budget)?;
-        Ok(HourDecision {
-            outcome: steps.outcome,
-            offered: steps.offered,
-            premium_offered,
-            premium_served: premium_offered,
-            // Premium never exceeds the clamped offered rate, so this
-            // clamps only a step-2 admission a hair under the premium.
-            ordinary_served: (steps.served - premium_offered).max(0.0),
-            budget: hourly_budget,
-            allocation: steps.allocation,
-            trace: steps.trace,
-        })
+        let (decision, _) = self.decide(offered, premium_offered, background_mw, hourly_budget)?;
+        Ok(decision)
     }
 
     /// The three steps, for every front: `guaranteed` is the rate served
     /// whatever the budget (the premium rate, or the guaranteed prefix of
-    /// a class decision).
+    /// a class decision), in the decision's premium role. Returns the
+    /// decision, audited by [`crate::PlanAuditor`] (a failed audit is
+    /// [`CoreError::Audit`]), and the total rate served: the clamped
+    /// offered rate (step 1), the admitted rate (step 2) or the
+    /// guaranteed rate (step 3).
     pub(crate) fn decide(
         &mut self,
         offered: f64,
         guaranteed: f64,
         background_mw: &[f64],
         hourly_budget: f64,
-    ) -> Result<Steps, CoreError> {
+    ) -> Result<(HourDecision, f64), CoreError> {
         validate_hour_inputs(offered, guaranteed, background_mw, hourly_budget)?;
+        validate_caps(&self.system)?;
         let (core, system) = (&mut self.core, &self.system);
         let capacity = system.total_capacity();
         if guaranteed > capacity {
@@ -294,7 +288,8 @@ impl DecisionEngine {
             if !step1_bounded {
                 let t0 = Stopwatch::start();
                 let mut span1 = billcap_obs::span("step1");
-                let step1 = core.minimize_at(system, background_mw, &levels, offered)?;
+                let step1 =
+                    core.solve_at(Step::CostMin, system, background_mw, &levels, offered, 0.0)?;
                 span1.field("cost", step1.total_cost);
                 drop(span1);
                 trace.step1_ns = t0.elapsed_ns();
@@ -308,7 +303,14 @@ impl DecisionEngine {
             // the budget, serve it at minimum cost, budget be damned.
             let t0 = Stopwatch::start();
             let mut span3 = billcap_obs::span("step3");
-            let step3 = core.minimize_at(system, background_mw, &levels, guaranteed)?;
+            let step3 = core.solve_at(
+                Step::CostMin,
+                system,
+                background_mw,
+                &levels,
+                guaranteed,
+                0.0,
+            )?;
             span3.field("cost", step3.total_cost);
             drop(span3);
             trace.step3_ns = t0.elapsed_ns();
@@ -323,7 +325,14 @@ impl DecisionEngine {
             // solver that says otherwise is wrong, not the budget.
             let t0 = Stopwatch::start();
             let mut span2 = billcap_obs::span("step2");
-            let step2 = core.maximize_at(system, background_mw, &levels, offered, hourly_budget)?;
+            let step2 = core.solve_at(
+                Step::ThruMax,
+                system,
+                background_mw,
+                &levels,
+                offered,
+                hourly_budget,
+            )?;
             span2.field("admitted", step2.total_lambda);
             drop(span2);
             trace.step2_ns = t0.elapsed_ns();
@@ -337,31 +346,22 @@ impl DecisionEngine {
             }
             (HourOutcome::Throttled, step2.total_lambda, step2)
         };
-        record_outcome(outcome, step1_bounded, &allocation, hourly_budget);
-        Ok(Steps {
+        let decision = HourDecision {
             outcome,
             offered,
-            served,
+            premium_offered: guaranteed,
+            premium_served: guaranteed,
+            // The guaranteed rate never exceeds the clamped offered rate,
+            // so this clamps only a step-2 admission a hair under it.
+            ordinary_served: (served - guaranteed).max(0.0),
+            budget: hourly_budget,
             allocation,
             trace,
-        })
+        };
+        audited_plan(system, &decision, background_mw)?;
+        record_outcome(outcome, step1_bounded, &decision.allocation, hourly_budget);
+        Ok((decision, served))
     }
-}
-
-/// What the three steps decided, for a front to map onto its own
-/// decision type.
-pub(crate) struct Steps {
-    /// Which step's allocation is enforced.
-    pub(crate) outcome: HourOutcome,
-    /// The offered rate after the capacity clamp.
-    pub(crate) offered: f64,
-    /// The total rate served: the clamped offered rate (step 1), the
-    /// admitted rate (step 2) or the guaranteed rate (step 3).
-    pub(crate) served: f64,
-    /// The enforced allocation.
-    pub(crate) allocation: Allocation,
-    /// Solver effort across the steps that ran.
-    pub(crate) trace: DecisionTrace,
 }
 
 /// Emits the per-hour outcome counters (with
@@ -410,9 +410,8 @@ impl HourLevels {
 }
 
 impl StepModel {
-    /// Keeps a freshly built model, recording the caps it was built for.
-    /// It is validated by its first solve, which drops it from the cache
-    /// if it is invalid (see [`EngineCore::solve_step`]).
+    /// Keeps a freshly built model that passed its lint, recording the
+    /// caps it was built for.
     fn new(
         model: Model,
         vars: PiecewiseVars,
@@ -433,26 +432,31 @@ impl StepModel {
         }
     }
 
-    /// Rewrites the cap-dependent values of every site whose cap bits
-    /// differ from those the model was last written for. The kept key
-    /// already matches, so the `q` handles line up with this hour's
-    /// levels. An upper bound that is NaN or below its zero lower bound,
-    /// or a non-finite `cap_i` RHS, fails the sync as it would fail
-    /// [`Model::validate`].
-    fn sync_caps(&mut self, system: &DataCenterSystem) -> Result<(), CoreError> {
+    /// Rewrites every value of a retained model that depends on the
+    /// hour's inputs, writing the exact floats the builders would:
+    ///
+    /// * per site whose cap bits differ from those the model was last
+    ///   written for, the `lam` and `q` upper bounds and the `cap_i`
+    ///   RHS. The kept key already matches, so the `q` handles line up
+    ///   with this hour's levels;
+    /// * the interval-row `z` coefficients. Every `(site, slot)` pair
+    ///   lines up with a retained `(q, z)` pair and the builder's
+    ///   `(lvl_hi, lvl_lo)` row pair;
+    /// * the rate row RHS `lambda / RATE_SCALE`, and the budget row RHS
+    ///   `budget.max(0.0)` when the model has one.
+    fn sync(
+        &mut self,
+        system: &DataCenterSystem,
+        params: &[Vec<LevelParam>],
+        lambda: f64,
+        budget: f64,
+    ) -> Result<(), CoreError> {
         for (i, site) in system.sites.iter().enumerate() {
             let bits = site.power_cap_mw.to_bits();
             if self.caps[i] == bits {
                 continue;
             }
             let v = site_cap_values(site);
-            for ub in [v.lam_ub, v.q_ub] {
-                if ub.is_nan() || ub < 0.0 {
-                    return Err(CoreError::Solver(SolveError::InvalidModel(format!(
-                        "invalid bounds [0, {ub}] for site {i}"
-                    ))));
-                }
-            }
             self.model.set_var_bounds(self.vars.lam[i], 0.0, v.lam_ub);
             for &(_, _, q, _) in &self.vars.levels[i] {
                 self.model.set_var_bounds(q, 0.0, v.q_ub);
@@ -461,20 +465,17 @@ impl StepModel {
                 .set_constraint_rhs(self.vars.cap_rows[i], v.cap_rhs)?;
             self.caps[i] = bits;
         }
-        Ok(())
-    }
-
-    /// Rewrites the interval-row `z` coefficients to this hour's values.
-    /// Only called when the kept key matches, so every `(site, slot)`
-    /// pair lines up with a retained `(q, z)` pair and the builder's
-    /// `(lvl_hi, lvl_lo)` row pair.
-    fn sync_levels(&mut self, params: &[Vec<LevelParam>]) -> Result<(), CoreError> {
         for (i, site_params) in params.iter().enumerate() {
             let slots = self.vars.levels[i].iter().zip(&self.vars.lvl_rows[i]);
             for (p, (&(_, _, _, z), &(hi, lo))) in site_params.iter().zip(slots) {
                 self.model.set_constraint_coeff(hi, z, p.zcoef_hi)?;
                 self.model.set_constraint_coeff(lo, z, p.zcoef_lo)?;
             }
+        }
+        self.model
+            .set_constraint_rhs(self.vars.rate_row, lambda / RATE_SCALE)?;
+        if let Some(row) = self.vars.budget_row {
+            self.model.set_constraint_rhs(row, budget.max(0.0))?;
         }
         Ok(())
     }
@@ -583,114 +584,79 @@ impl EngineCore {
     }
 
     /// Returns the cache index of the `step` model for this hour's kept
-    /// `levels` with its caps and interval rows synced, building it on a
-    /// cache miss with the step's model builder. The per-solve RHS
-    /// (demand, offered, budget) is left for the caller to set.
+    /// `levels`, synced to the hour: caps, interval rows, the rate row
+    /// (`lambda`) and, in step 2's model, the budget row. A cache miss
+    /// builds the model with the step's builder at these values and
+    /// lints it ([`lint_built`]); a model the lint refuses is not kept. A
+    /// retained model is never linted again: its structure is its key's,
+    /// and a hit rewrites only values, from inputs
+    /// [`DecisionEngine::decide`] has validated.
     fn step_model(
         &mut self,
         step: Step,
         system: &DataCenterSystem,
         background_mw: &[f64],
         levels: &HourLevels,
+        lambda: f64,
+        budget: f64,
     ) -> Result<usize, CoreError> {
         let kept = &levels.kept;
         self.stamp += 1;
         let stamp = self.stamp;
-        let idx = match Self::cache_lookup(self.cache(step), kept, stamp) {
-            Some(idx) => {
-                self.note_hit();
-                idx
+        if let Some(idx) = Self::cache_lookup(self.cache(step), kept, stamp) {
+            self.note_hit();
+            let cache = self.cache(step);
+            if let Err(e) = cache[idx].sync(system, &levels.params, lambda, budget) {
+                // Some values may already be rewritten: drop the model so
+                // the next lookup rebuilds it.
+                cache.swap_remove(idx);
+                return Err(e);
             }
-            None => {
-                self.note_miss(step, kept);
-                let (m, vars) = match step {
-                    Step::CostMin => {
-                        cost_min_model(system, 0.0, background_mw, self.integral_servers)
-                    }
-                    Step::ThruMax => {
-                        throughput_max_model(system, 0.0, background_mw, 0.0, self.integral_servers)
-                    }
-                };
-                let entry = StepModel::new(m, vars, kept, system, stamp);
-                let (idx, evicted) = Self::cache_insert(self.cache(step), entry);
-                self.note_eviction(evicted);
-                idx
+            return Ok(idx);
+        }
+        self.note_miss(step, kept);
+        let (m, vars) = match step {
+            Step::CostMin => cost_min_model(system, lambda, background_mw, self.integral_servers),
+            Step::ThruMax => {
+                throughput_max_model(system, lambda, background_mw, budget, self.integral_servers)
             }
         };
-        let cache = self.cache(step);
-        if let Err(e) = cache[idx].sync_caps(system) {
-            // Some of this site's values may already be rewritten: drop
-            // the model so the next lookup rebuilds it.
-            cache.swap_remove(idx);
-            return Err(e);
-        }
-        cache[idx].sync_levels(&levels.params)?;
+        lint_built(&m)?;
+        let entry = StepModel::new(m, vars, kept, system, stamp);
+        let (idx, evicted) = Self::cache_insert(self.cache(step), entry);
+        self.note_eviction(evicted);
         Ok(idx)
     }
 
-    /// Solves the retained `step` model at cache index `idx` as its RHS
-    /// stands. The solve validates the model; one it refuses as
-    /// [`SolveError::InvalidModel`] (a fresh build for a NaN or infinite
-    /// cap) is dropped, as after a failed cap sync, so it never stays
-    /// cached and the next lookup rebuilds it.
-    fn solve_step(&mut self, step: Step, idx: usize) -> Result<Solution, CoreError> {
-        let (solver, ws) = (&self.solver, &mut self.ws);
-        let cache = match step {
-            Step::CostMin => &mut self.cost_min,
-            Step::ThruMax => &mut self.thru_max,
-        };
-        let model = &cache[idx].model;
-        let result = checked_solve(self.audit, model, || {
-            solver.solve_in(model, None, ws).map(|(sol, _)| sol)
-        });
-        if let Err(CoreError::Solver(SolveError::InvalidModel(_))) = result {
-            cache.swap_remove(idx);
-        }
-        result
-    }
-}
-
-impl EngineCore {
-    /// Steps 1 and 3: cost-minimize serving `lambda` requests/hour, at
-    /// most the system's capacity.
-    fn minimize_at(
+    /// One step's solve: the `step` model synced to this hour's inputs
+    /// ([`Self::step_model`]), solved cold in the engine's workspace,
+    /// certified, and read back as an allocation. `budget` reaches step
+    /// 2's model only.
+    fn solve_at(
         &mut self,
-        system: &DataCenterSystem,
-        background_mw: &[f64],
-        levels: &HourLevels,
-        lambda: f64,
-    ) -> Result<Allocation, CoreError> {
-        let idx = self.step_model(Step::CostMin, system, background_mw, levels)?;
-        let step = &mut self.cost_min[idx];
-        step.model
-            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
-        let sol = self.solve_step(Step::CostMin, idx)?;
-        Ok(extract_allocation(system, &self.cost_min[idx].vars, &sol))
-    }
-
-    /// Step 2: maximize admitted throughput within `budget`.
-    fn maximize_at(
-        &mut self,
+        step: Step,
         system: &DataCenterSystem,
         background_mw: &[f64],
         levels: &HourLevels,
         lambda: f64,
         budget: f64,
     ) -> Result<Allocation, CoreError> {
-        let idx = self.step_model(Step::ThruMax, system, background_mw, levels)?;
-        let step = &mut self.thru_max[idx];
-        step.model
-            .set_constraint_rhs(step.vars.rate_row, lambda / RATE_SCALE)?;
-        if let Some(row) = step.vars.budget_row {
-            step.model.set_constraint_rhs(row, budget.max(0.0))?;
-        }
-        let sol = self.solve_step(Step::ThruMax, idx)?;
-        Ok(extract_allocation(system, &self.thru_max[idx].vars, &sol))
+        let idx = self.step_model(step, system, background_mw, levels, lambda, budget)?;
+        let cache = match step {
+            Step::CostMin => &self.cost_min,
+            Step::ThruMax => &self.thru_max,
+        };
+        let StepModel { model, vars, .. } = &cache[idx];
+        let (solver, ws) = (&self.solver, &mut self.ws);
+        let sol = checked_solve(model, || {
+            solver.solve_in(model, None, ws).map(|(sol, _)| sol)
+        })?;
+        Ok(extract_allocation(system, vars, &sol))
     }
 
-    /// One step-1/3 solve on its own, checked like
-    /// [`crate::CostMinimizer::solve`], for the tests that compare a
-    /// single step against the optimizers.
+    /// One step-1/3 solve on its own, with the input checks a decision
+    /// runs before its first lookup, for the tests that compare a single
+    /// step against the optimizers.
     #[cfg(test)]
     fn minimize(
         &mut self,
@@ -711,8 +677,9 @@ impl EngineCore {
                 capacity,
             });
         }
+        validate_caps(system)?;
         let levels = HourLevels::new(system, background_mw);
-        self.minimize_at(system, background_mw, &levels, lambda)
+        self.solve_at(Step::CostMin, system, background_mw, &levels, lambda, 0.0)
     }
 
     /// One step-2 solve on its own, for the same tests.
@@ -730,8 +697,16 @@ impl EngineCore {
                 got: background_mw.len(),
             });
         }
+        validate_caps(system)?;
         let levels = HourLevels::new(system, background_mw);
-        self.maximize_at(system, background_mw, &levels, lambda, budget)
+        self.solve_at(
+            Step::ThruMax,
+            system,
+            background_mw,
+            &levels,
+            lambda,
+            budget,
+        )
     }
 }
 
@@ -872,126 +847,139 @@ mod tests {
         models
     }
 
-    /// Two integral step-1 models of the sweep need ~110k nodes, so the
-    /// path comparisons below stop at this cap and must report the same
-    /// node limit there.
-    const SWEEP_NODE_CAP: usize = 2_000;
+    /// Every step model of the sweep, relaxed or integral, solves to a
+    /// proven optimum within [`SWEEP_NODE_BOUND`] nodes. Branching on
+    /// the price-level binaries before the server counts keeps the
+    /// integral models there: they take 482 nodes in all, at most 35
+    /// each, and the relaxed ones 56, at most 7.
+    #[test]
+    fn sweep_models_solve_within_a_node_bound() {
+        let sys = DataCenterSystem::paper_system(1);
+        for (ctx, m) in &sweep_models(&sys) {
+            let sol = MipSolver::default()
+                .solve(m)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(sol.status, billcap_milp::Status::Optimal, "{ctx}");
+            let nodes = sol.mip.map_or(0, |s| s.nodes);
+            assert!(nodes <= SWEEP_NODE_BOUND, "{ctx}: {nodes} nodes");
+        }
+    }
+
+    /// The most nodes any sweep model may take: about twice the largest
+    /// measured (35).
+    const SWEEP_NODE_BOUND: usize = 64;
 
     /// Warm- and cold-started branch-and-bound on the capper's own
-    /// models: both solves certify, agree on the verdict and agree on
-    /// the objective within certificate tolerance. Equal bits are not
-    /// required: a cold search can end on another tied optimum.
+    /// models, each searched to completion: both solves certify and
+    /// agree on the objective within certificate tolerance. Equal bits
+    /// are not required: a cold search can end on another tied optimum.
     #[test]
     fn cold_starts_agree_with_warm_starts_on_capper_models() {
         let sys = DataCenterSystem::paper_system(1);
-        let warm = MipSolver {
-            max_nodes: SWEEP_NODE_CAP,
-            ..MipSolver::default()
-        };
+        let warm = MipSolver::default();
         let cold = MipSolver {
             warm_start: false,
             ..warm.clone()
         };
-        let (mut optima, mut warm_starts, mut cold_starts) = (0, 0, 0);
+        let (mut warm_starts, mut cold_starts) = (0, 0);
         for (ctx, m) in &sweep_models(&sys) {
-            match (warm.solve(m), cold.solve(m)) {
-                (Ok(w), Ok(c)) => {
-                    for (path, sol) in [("warm", &w), ("cold", &c)] {
-                        let report = billcap_milp::certify_solution(m, sol);
-                        assert!(report.certified(), "{ctx} {path}: {report}");
-                    }
-                    let tol = 1e-6 * (1.0 + w.objective.abs());
-                    assert!(
-                        (w.objective - c.objective).abs() <= tol,
-                        "{ctx}: warm {} vs cold {}",
-                        w.objective,
-                        c.objective
-                    );
-                    optima += 1;
-                    warm_starts += w.mip.map_or(0, |s| s.trace.warm_starts);
-                    cold_starts += c.mip.map_or(0, |s| s.trace.warm_starts);
-                }
-                (w, c) => assert_eq!(w.err(), c.err(), "{ctx}: verdicts differ"),
+            let w = warm.solve(m).unwrap_or_else(|e| panic!("{ctx} warm: {e}"));
+            let c = cold.solve(m).unwrap_or_else(|e| panic!("{ctx} cold: {e}"));
+            for (path, sol) in [("warm", &w), ("cold", &c)] {
+                let report = billcap_milp::certify_solution(m, sol);
+                assert!(report.certified(), "{ctx} {path}: {report}");
             }
+            let tol = 1e-6 * (1.0 + w.objective.abs());
+            assert!(
+                (w.objective - c.objective).abs() <= tol,
+                "{ctx}: warm {} vs cold {}",
+                w.objective,
+                c.objective
+            );
+            warm_starts += w.mip.map_or(0, |s| s.trace.warm_starts);
+            cold_starts += c.mip.map_or(0, |s| s.trace.warm_starts);
         }
-        assert!(optima >= 48, "only {optima} optimal models");
         assert!(warm_starts > 0, "the warm path never warm-started");
         assert_eq!(cold_starts, 0, "the cold path warm-started");
     }
 
-    /// The capper's step models, solved by default (the revised simplex
-    /// updates `x_B` and the duals between refactorizations) and with
-    /// `refactor_every: 1` (a refactorization, and so a rebuild of both,
-    /// after every pivot): the same verdict and status, objectives within
-    /// 1e-9 relative, and both solutions certified.
+    /// The capper's step models, solved to completion by default (the
+    /// revised simplex updates `x_B` and the duals between
+    /// refactorizations) and with `refactor_every: 1` (a
+    /// refactorization, and so a rebuild of both, after every pivot):
+    /// the same status, objectives within 1e-9 relative, and both
+    /// solutions certified.
     #[test]
     fn pivot_updates_agree_with_per_pivot_rebuilds_on_capper_models() {
         let sys = DataCenterSystem::paper_system(1);
-        let solver = MipSolver {
-            max_nodes: SWEEP_NODE_CAP,
-            ..MipSolver::default()
-        };
+        let solver = MipSolver::default();
         let rebuild = billcap_milp::RevisedOptions {
             refactor_every: 1,
             ..billcap_milp::RevisedOptions::default()
         };
-        let mut optima = 0;
         for (ctx, m) in &sweep_models(&sys) {
             let mut ws = billcap_milp::MipWorkspace::with_lp_options(rebuild);
-            let rebuilt = solver.solve_in(m, None, &mut ws).map(|(sol, _)| sol);
-            match (solver.solve(m), rebuilt) {
-                (Ok(u), Ok(r)) => {
-                    for (path, sol) in [("updated", &u), ("rebuilt", &r)] {
-                        let report = billcap_milp::certify_solution(m, sol);
-                        assert!(report.certified(), "{ctx} {path}: {report}");
-                    }
-                    assert_eq!(u.status, r.status, "{ctx}: status");
-                    let tol = 1e-9 * u.objective.abs().max(1.0);
-                    assert!(
-                        (u.objective - r.objective).abs() <= tol,
-                        "{ctx}: updated {} vs rebuilt {}",
-                        u.objective,
-                        r.objective
-                    );
-                    optima += 1;
-                }
-                (u, r) => assert_eq!(u.err(), r.err(), "{ctx}: verdicts differ"),
+            let u = solver
+                .solve(m)
+                .unwrap_or_else(|e| panic!("{ctx} updated: {e}"));
+            let r = solver
+                .solve_in(m, None, &mut ws)
+                .map(|(sol, _)| sol)
+                .unwrap_or_else(|e| panic!("{ctx} rebuilt: {e}"));
+            for (path, sol) in [("updated", &u), ("rebuilt", &r)] {
+                let report = billcap_milp::certify_solution(m, sol);
+                assert!(report.certified(), "{ctx} {path}: {report}");
             }
+            assert_eq!(u.status, r.status, "{ctx}: status");
+            let tol = 1e-9 * u.objective.abs().max(1.0);
+            assert!(
+                (u.objective - r.objective).abs() <= tol,
+                "{ctx}: updated {} vs rebuilt {}",
+                u.objective,
+                r.objective
+            );
         }
-        assert!(optima >= 48, "only {optima} optimal models");
     }
 
-    /// A negative site cap contradicts the `lvl_lo` row of the site's
-    /// zero-power level (lint code M004). An audited solve refuses the
-    /// model before the solver sees it; with `audit: false`, in either
-    /// build profile, the solver runs and proves it infeasible. Both
-    /// optimizers built from a config and both engine steps honour the
-    /// switch.
+    /// A negative site cap is refused as input on every engine step and
+    /// every decision, before any model is looked up. The optimizers
+    /// build and lint a model per call, where the same cap contradicts
+    /// the `lvl_lo` row of the site's zero-power level (lint code M004).
     #[test]
-    fn audit_switch_reaches_every_solve() {
+    fn negative_cap_is_invalid_input_on_every_engine_step() {
         let mut sys = DataCenterSystem::paper_system(1);
         sys.sites[0].power_cap_mw = -5.0;
         let bg = [330.0, 410.0, 280.0];
-        for audit in [true, false] {
-            let config = CapperConfig {
-                audit,
-                ..CapperConfig::default()
-            };
-            let minimizer = CostMinimizer::new(&config);
-            let maximizer = ThroughputMaximizer::new(&config);
-            let mut engine = DecisionEngine::new(sys.clone(), config);
-            let results = [
-                ("minimizer", minimizer.solve(&sys, 1e8, &bg)),
-                ("maximizer", maximizer.solve(&sys, 1e8, &bg, 1e4)),
-                ("engine step 1", engine.core.minimize(&sys, 1e8, &bg)),
-                ("engine step 2", engine.core.maximize(&sys, 1e8, &bg, 1e4)),
-            ];
-            for (path, r) in results {
-                match (audit, r) {
-                    (true, Err(CoreError::Lint(msg))) => assert!(msg.contains("M004"), "{msg}"),
-                    (false, Err(CoreError::Solver(SolveError::Infeasible))) => {}
-                    (_, r) => panic!("{path} with audit {audit}: {r:?}"),
-                }
+        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let results = [
+            (
+                "engine step 1",
+                engine.core.minimize(&sys, 1e8, &bg).map(drop),
+            ),
+            (
+                "engine step 2",
+                engine.core.maximize(&sys, 1e8, &bg, 1e4).map(drop),
+            ),
+            ("decision", engine.decide_hour(1e8, 5e7, &bg, 1e4).map(drop)),
+        ];
+        for (path, r) in results {
+            match r {
+                Err(CoreError::InvalidInput(msg)) => assert!(msg.contains("site 0"), "{msg}"),
+                r => panic!("{path}: {r:?}"),
+            }
+        }
+        assert_eq!(engine.drain_cache_stats(), EngineStats::default());
+        let results = [
+            ("minimizer", CostMinimizer::default().solve(&sys, 1e8, &bg)),
+            (
+                "maximizer",
+                ThroughputMaximizer::default().solve(&sys, 1e8, &bg, 1e4),
+            ),
+        ];
+        for (path, r) in results {
+            match r {
+                Err(CoreError::Lint(msg)) => assert!(msg.contains("M004"), "{msg}"),
+                r => panic!("{path}: {r:?}"),
             }
         }
     }
@@ -1012,10 +1000,7 @@ mod tests {
         let hours = sweep(&sys);
         let mut compared = [0usize; 2];
         for integral_servers in [false, true] {
-            let config = CapperConfig {
-                integral_servers,
-                ..CapperConfig::default()
-            };
+            let config = CapperConfig { integral_servers };
             let minimizer = CostMinimizer::new(&config);
             let maximizer = ThroughputMaximizer::new(&config);
             let every = if integral_servers { 6 } else { 1 };
@@ -1068,7 +1053,6 @@ mod tests {
         let sys = DataCenterSystem::paper_system(1);
         let config = CapperConfig {
             integral_servers: true,
-            ..CapperConfig::default()
         };
         let capper = BillCapper::new(config.clone());
         let mut engine = DecisionEngine::new(sys.clone(), config);
@@ -1338,10 +1322,7 @@ mod tests {
             (with(&[(2, 60.0)]), bg.clone()),
         ];
         for integral_servers in [false, true] {
-            let config = CapperConfig {
-                integral_servers,
-                ..CapperConfig::default()
-            };
+            let config = CapperConfig { integral_servers };
             let mut engine = DecisionEngine::new(sys.clone(), config);
             let (mut misses, mut synced_hits) = (0, 0);
             for (h, (caps, bg)) in hours.iter().enumerate() {
@@ -1420,7 +1401,7 @@ mod tests {
         };
         // At 280 MW background site 2 keeps only its zero-power level for
         // any cap short of 170 MW, NaN included, so the bad caps below
-        // land on the base model's kept key.
+        // would land on the base model's kept key.
         let bg = [330.0, 410.0, 280.0];
         let caps = [
             base.clone(),
@@ -1437,7 +1418,7 @@ mod tests {
         let capper = BillCapper::default();
         for budget in [f64::INFINITY, 1.0] {
             let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
-            let mut seen = BTreeSet::new();
+            let mut builds = Vec::new();
             for (h, caps) in caps.iter().enumerate() {
                 let mut capped = sys.clone();
                 for (site, &cap) in capped.sites.iter_mut().zip(caps) {
@@ -1452,26 +1433,18 @@ mod tests {
                 if let (Ok(a), Ok(b)) = (&served, &fresh) {
                     assert_decisions_bitwise_equal(a, b, &ctx);
                 }
-                // A failing hour stops at its first solve (step 1, or
-                // step 3 when the budget is under step 1's floor): one
-                // lookup, a hit or a miss. An `Ok` hour counts as a hit
-                // only if nothing was built.
-                let hit = engine.drain_cache_stats().misses == 0;
-                seen.insert((caps[2].to_bits(), hit, served.is_ok()));
+                // A bad cap is refused before any lookup; a good hour
+                // looks its models up, and builds only the first time.
+                let stats = engine.drain_cache_stats();
+                if caps == &base {
+                    assert!(served.is_ok(), "{ctx}");
+                    builds.push(stats.misses > 0);
+                } else {
+                    assert!(matches!(served, Err(CoreError::InvalidInput(_))), "{ctx}");
+                    assert_eq!(stats, EngineStats::default(), "{ctx}: no lookup");
+                }
             }
-            let (nan, low, lower) = (
-                f64::NAN.to_bits(),
-                below_base(0.5).to_bits(),
-                below_base(0.25).to_bits(),
-            );
-            assert!(seen.contains(&(nan, true, false)), "NaN on a kept-key hit");
-            assert!(seen.contains(&(nan, false, false)), "NaN on a miss");
-            assert!(seen.contains(&(lower, true, false)), "below base on a hit");
-            assert!(seen.contains(&(low, false, false)), "below base on a miss");
-            assert!(
-                seen.contains(&(base[2].to_bits(), false, true)),
-                "rebuilt after a drop"
-            );
+            assert_eq!(builds, [true, false, false], "budget {budget}");
         }
     }
 

@@ -28,17 +28,18 @@ pub enum CoreError {
         /// Actual length supplied.
         got: usize,
     },
-    /// An audited solve ([`crate::CapperConfig::audit`]) or plan failed
-    /// independent certification, or a decision's steps contradict each
-    /// other (step 2 admitting less than the guaranteed rate that step 3
-    /// serves within the budget); the message carries the violated
-    /// invariants.
+    /// A solve failed its certificate or a decision failed its plan
+    /// audit (both always run, see [`crate::audit`]), or a decision's
+    /// steps contradict each other (step 2 admitting less than the
+    /// guaranteed rate that step 3 serves within the budget); the
+    /// message carries the violated invariants.
     Audit(String),
-    /// An audited solve's pre-solve lint found Error-severity defects
-    /// in the model; the message carries them.
+    /// The lint of a freshly built model found Error-severity defects in
+    /// it; the message carries them.
     Lint(String),
-    /// An hour's inputs break [`crate::validate_hour_inputs`]; the
-    /// message names the offending value.
+    /// An hour's inputs break [`crate::validate_hour_inputs`], or a site's
+    /// power cap is not finite or sits below its base power; the message
+    /// names the offending value.
     InvalidInput(String),
 }
 

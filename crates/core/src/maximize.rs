@@ -44,16 +44,14 @@ pub(crate) fn throughput_max_model(
     (m, vars)
 }
 
-/// The Step-2 optimizer.
+/// The Step-2 optimizer. It builds a model per call, so it lints every
+/// model it solves and certifies every solution (see [`crate::audit`]).
 #[derive(Debug, Clone)]
 pub struct ThroughputMaximizer {
     /// The MILP solver.
     pub solver: MipSolver,
     /// Model server counts as integers inside the MILP (ablation mode).
     pub integral_servers: bool,
-    /// Lint each model before solving and certify each solution
-    /// ([`crate::CapperConfig::audit`]).
-    pub audit: bool,
 }
 
 impl Default for ThroughputMaximizer {
@@ -68,7 +66,6 @@ impl ThroughputMaximizer {
         Self {
             solver: MipSolver::default(),
             integral_servers: config.integral_servers,
-            audit: config.audit,
         }
     }
 
@@ -91,7 +88,8 @@ impl ThroughputMaximizer {
         }
         let (m, vars) =
             throughput_max_model(system, lambda, background_mw, budget, self.integral_servers);
-        let sol = crate::audit::checked_solve(self.audit, &m, || self.solver.solve(&m))?;
+        crate::audit::lint_built(&m)?;
+        let sol = crate::audit::checked_solve(&m, || self.solver.solve(&m))?;
         Ok(extract_allocation(system, &vars, &sol))
     }
 }

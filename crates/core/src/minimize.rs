@@ -511,7 +511,8 @@ pub(crate) fn cost_min_model(
     (m, vars)
 }
 
-/// The Step-1 optimizer.
+/// The Step-1 optimizer. It builds a model per call, so it lints every
+/// model it solves and certifies every solution (see [`crate::audit`]).
 #[derive(Debug, Clone)]
 pub struct CostMinimizer {
     /// The MILP solver.
@@ -519,9 +520,6 @@ pub struct CostMinimizer {
     /// Model server counts as integers inside the MILP (ablation mode;
     /// the default relaxes them and lets the local optimizer round up).
     pub integral_servers: bool,
-    /// Lint each model before solving and certify each solution
-    /// ([`crate::CapperConfig::audit`]).
-    pub audit: bool,
 }
 
 impl Default for CostMinimizer {
@@ -536,7 +534,6 @@ impl CostMinimizer {
         Self {
             solver: MipSolver::default(),
             integral_servers: config.integral_servers,
-            audit: config.audit,
         }
     }
 
@@ -563,7 +560,8 @@ impl CostMinimizer {
         }
 
         let (m, vars) = cost_min_model(system, lambda, background_mw, self.integral_servers);
-        let sol = crate::audit::checked_solve(self.audit, &m, || self.solver.solve(&m))?;
+        crate::audit::lint_built(&m)?;
+        let sol = crate::audit::checked_solve(&m, || self.solver.solve(&m))?;
         Ok(extract_allocation(system, &vars, &sol))
     }
 }

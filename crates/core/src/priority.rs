@@ -106,11 +106,12 @@ impl BillCapper {
         let guaranteed_rate: f64 = classes[..first_best_effort].iter().map(|c| c.rate).sum();
         let offered: f64 = classes.iter().map(|c| c.rate).sum();
         let mut engine = DecisionEngine::new(system.clone(), self.config.clone());
-        let steps = engine.decide(offered, guaranteed_rate, background_mw, hourly_budget)?;
+        let (decision, served) =
+            engine.decide(offered, guaranteed_rate, background_mw, hourly_budget)?;
         Ok(ClassDecision {
-            admitted: distribute(classes, steps.served),
-            allocation: steps.allocation,
-            budget_violated: steps.outcome == HourOutcome::PremiumOverride,
+            admitted: distribute(classes, served),
+            allocation: decision.allocation,
+            budget_violated: decision.outcome == HourOutcome::PremiumOverride,
         })
     }
 }

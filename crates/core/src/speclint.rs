@@ -21,10 +21,9 @@
 //! | S009 | Info    | price level unreachable within the site's power cap |
 //! | S010 | Error   | cap schedule malformed for the system, or derates a site below its idle power |
 //!
-//! The same idea guards every capper solve: with
-//! [`crate::CapperConfig::audit`] on, both optimizers run
-//! [`billcap_milp::lint_model`] on each model before solving it and
-//! refuse a model with Error-severity findings (see [`crate::audit`]).
+//! The same idea guards every capper model: [`billcap_milp::lint_model`]
+//! runs on each model when it is built, and a model with Error-severity
+//! findings is refused (see [`crate::audit`]).
 
 use crate::spec::DataCenterSystem;
 use billcap_milp::lint::{Finding, Severity};

@@ -3,26 +3,20 @@
 //! and overrides only when that minimum cost still exceeds the budget.
 //! A budget below step 1's certified cost floor skips step 1, since it
 //! would bust the budget for certain; every other solve runs as before.
-//! Every solve here is linted and certified (`audit: true`).
+//! Every solve here is certified and every decision audited, as they
+//! all are.
 
 use billcap_core::{
-    step1_cost_floor, Allocation, BillCapper, CapperConfig, CostMinimizer, DataCenterSystem,
-    HourDecision, HourOutcome,
+    step1_cost_floor, Allocation, BillCapper, CostMinimizer, DataCenterSystem, HourDecision,
+    HourOutcome,
 };
 
 const OFFERED: f64 = 8e8;
 const PREMIUM: f64 = 0.8 * OFFERED;
 const BACKGROUND: [f64; 3] = [330.0, 410.0, 280.0];
 
-fn audited() -> CapperConfig {
-    CapperConfig {
-        audit: true,
-        ..CapperConfig::default()
-    }
-}
-
 fn decide(budget: f64) -> HourDecision {
-    BillCapper::new(audited())
+    BillCapper::default()
         .decide_hour(
             &DataCenterSystem::paper_system(1),
             OFFERED,
@@ -35,11 +29,7 @@ fn decide(budget: f64) -> HourDecision {
 
 /// Certified minimum cost of serving `lambda` alone.
 fn min_cost(lambda: f64) -> Allocation {
-    let minimizer = CostMinimizer {
-        audit: true,
-        ..CostMinimizer::default()
-    };
-    minimizer
+    CostMinimizer::default()
         .solve(&DataCenterSystem::paper_system(1), lambda, &BACKGROUND)
         .expect("certified min-cost solve")
 }

@@ -38,7 +38,6 @@ fn system(policy: usize, derated: bool, h: usize) -> DataCenterSystem {
 fn minimizer(integral_servers: bool) -> CostMinimizer {
     CostMinimizer {
         integral_servers,
-        audit: true,
         ..CostMinimizer::default()
     }
 }
@@ -108,7 +107,6 @@ fn unbounded_decision(
     }
     let maximizer = ThroughputMaximizer {
         integral_servers,
-        audit: true,
         ..ThroughputMaximizer::default()
     };
     let step2 = maximizer.solve(sys, offered, bg, budget).unwrap();
@@ -125,12 +123,7 @@ fn a_budget_under_the_floor_decides_like_the_full_path() {
     let mut outcomes = [0usize; 2];
     for policy in 1..=3 {
         for integral_servers in [false, true] {
-            // Every solve of these decisions follows the build's default
-            // audit switch: off in a release build.
-            let capper = BillCapper::new(CapperConfig {
-                integral_servers,
-                ..CapperConfig::default()
-            });
+            let capper = BillCapper::new(CapperConfig { integral_servers });
             let every = if integral_servers { 6 } else { 1 };
             for derated in [false, true] {
                 for h in (0..24).step_by(every) {

@@ -63,7 +63,6 @@ pub fn default_roots() -> Vec<RootSpec> {
         "render_decision_frame",
         "render_decision_body",
         "run_month",
-        "run_month_with",
         "run_month_fresh",
         "run_month_scratch",
         "RiskEngine::run",

@@ -6,7 +6,7 @@
 //! model, so a solve returns the same bits on every run.
 
 use crate::error::SolveError;
-use crate::model::{Model, Sense, VarId};
+use crate::model::{Model, Sense, VarId, VarType};
 use crate::presolve::{propagate_from, PropBuffers};
 use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution};
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
@@ -373,7 +373,7 @@ impl MipSolver {
             }
 
             // Find branching variable.
-            let frac = self.select_branch_var(&int_vars, &lp_sol.values);
+            let frac = self.select_branch_var(model, &int_vars, &lp_sol.values);
             match frac {
                 None => {
                     // Integer feasible: round off float noise and accept.
@@ -488,21 +488,40 @@ impl MipSolver {
         }
     }
 
-    /// The most fractional integer variable (first in index order on a
-    /// tie), or `None` when every integer variable is integral.
-    fn select_branch_var(&self, int_vars: &[VarId], values: &[f64]) -> Option<(VarId, f64)> {
-        let mut best: Option<(VarId, f64, f64)> = None; // (var, value, score)
+    /// The branching variable: the most fractional `Binary`, or, when
+    /// every binary is integral, the most fractional general `Integer`;
+    /// the first in index order on a tie. `None` when every integer
+    /// variable is integral.
+    ///
+    /// Binaries go first because in the capper's models they are the
+    /// price-level choices, which carry the paper's step price and so
+    /// drive the bound, while a general integer is a site's server
+    /// count, where one server is about 10⁻⁵ of the site. Branching on
+    /// server counts while a level choice is still fractional splits the
+    /// tree on a detail that barely moves the bound.
+    fn select_branch_var(
+        &self,
+        model: &Model,
+        int_vars: &[VarId],
+        values: &[f64],
+    ) -> Option<(VarId, f64)> {
+        let mut best: Option<(VarId, f64, bool, f64)> = None; // (var, value, binary, score)
         for &v in int_vars {
             let x = values[v.index()];
             let frac = (x - x.round()).abs();
             if frac > INT_TOL {
+                let binary = model.variables()[v.index()].var_type == VarType::Binary;
                 let score = (x - x.floor()).min(x.ceil() - x); // distance to nearest int
-                if best.is_none_or(|(_, _, s)| score > s) {
-                    best = Some((v, x, score));
+                let better = match best {
+                    None => true,
+                    Some((_, _, b, s)) => (binary && !b) || (binary == b && score > s),
+                };
+                if better {
+                    best = Some((v, x, binary, score));
                 }
             }
         }
-        best.map(|(v, x, _)| (v, x))
+        best.map(|(v, x, _, _)| (v, x))
     }
 
     fn finish_at_limit(

@@ -122,7 +122,6 @@ mod tests {
                 lambda: vec![],
                 power_mw: vec![],
                 price: vec![],
-                audit: None,
                 trace: None,
             }],
         };

@@ -1,6 +1,6 @@
 //! Per-hour records and monthly aggregates.
 
-use billcap_core::{AuditReport, HourOutcome};
+use billcap_core::HourOutcome;
 
 /// Compensated (Neumaier/Kahan–Babuška) summation.
 ///
@@ -28,32 +28,6 @@ pub fn stable_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
         sum = t;
     }
     sum + comp
-}
-
-/// Outcome of the per-hour plan audit, kept as plain data so records stay
-/// cheap to clone and compare. `None` on an [`HourRecord`] means the hour
-/// was not audited (baselines, or auditing off).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HourAudit {
-    /// Number of invariant checks performed.
-    pub checks: usize,
-    /// Violated invariants, rendered for reporting (empty = passed).
-    pub failures: Vec<String>,
-}
-
-impl HourAudit {
-    /// Flattens a [`PlanAuditor`](billcap_core::PlanAuditor) report.
-    pub fn from_report(report: &AuditReport) -> Self {
-        Self {
-            checks: report.checks,
-            failures: report.violations.iter().map(|v| v.to_string()).collect(),
-        }
-    }
-
-    /// True when every invariant held.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
 /// Solver-effort and budget-state observability for one simulated hour.
@@ -101,8 +75,6 @@ pub struct HourRecord {
     pub power_mw: Vec<f64>,
     /// Per-site realized price ($/MWh).
     pub price: Vec<f64>,
-    /// Plan-audit outcome for the hour (`None` when not audited).
-    pub audit: Option<HourAudit>,
     /// Solver-effort trace (`None` for baselines).
     pub trace: Option<HourTrace>,
 }
@@ -196,35 +168,6 @@ impl MonthlyReport {
         self.hours.iter().map(|h| h.realized_cost).collect()
     }
 
-    /// Hours that carried a plan audit.
-    pub fn audited_hours(&self) -> usize {
-        self.hours.iter().filter(|h| h.audit.is_some()).count()
-    }
-
-    /// Audited hours whose plan violated at least one invariant.
-    pub fn audit_failures(&self) -> usize {
-        self.hours
-            .iter()
-            .filter(|h| h.audit.as_ref().is_some_and(|a| !a.passed()))
-            .count()
-    }
-
-    /// The first failing hour and its violations, for diagnostics.
-    pub fn first_audit_failure(&self) -> Option<(usize, &HourAudit)> {
-        self.hours.iter().find_map(|h| {
-            h.audit
-                .as_ref()
-                .filter(|a| !a.passed())
-                .map(|a| (h.hour, a))
-        })
-    }
-
-    /// True when every audited hour passed (vacuously true when nothing
-    /// was audited — check [`MonthlyReport::audited_hours`] separately).
-    pub fn audit_clean(&self) -> bool {
-        self.audit_failures() == 0
-    }
-
     /// Hours that carried a solver-effort trace.
     pub fn traced_hours(&self) -> usize {
         self.hours.iter().filter(|h| h.trace.is_some()).count()
@@ -268,7 +211,6 @@ mod tests {
             lambda: vec![],
             power_mw: vec![],
             price: vec![],
-            audit: None,
             trace: None,
         }
     }
@@ -362,32 +304,5 @@ mod tests {
             ],
         };
         assert_eq!(r.violation_magnitude(), 10.0);
-    }
-
-    #[test]
-    fn audit_aggregates() {
-        let mut pass = record(10.0, None);
-        pass.audit = Some(HourAudit {
-            checks: 30,
-            failures: vec![],
-        });
-        let mut fail = record(10.0, None);
-        fail.hour = 1;
-        fail.audit = Some(HourAudit {
-            checks: 30,
-            failures: vec!["site 0: power 200 MW exceeds cap 120 MW".into()],
-        });
-        let unaudited = record(10.0, None);
-        let r = MonthlyReport {
-            strategy_name: "t".into(),
-            monthly_budget: None,
-            hours: vec![pass, fail, unaudited],
-        };
-        assert_eq!(r.audited_hours(), 2);
-        assert_eq!(r.audit_failures(), 1);
-        assert!(!r.audit_clean());
-        let (hour, audit) = r.first_audit_failure().unwrap();
-        assert_eq!(hour, 1);
-        assert!(audit.failures[0].contains("exceeds cap"));
     }
 }

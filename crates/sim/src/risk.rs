@@ -6,7 +6,7 @@
 //! with what probability does the capper blow the budget anyway". The
 //! risk engine answers the latter by fanning `samples` perturbed-seed
 //! month simulations across the `billcap-rt` worker pool and aggregating
-//! the per-sample [`MonthlyReport`]s into quantile
+//! the per-sample [`MonthlyReport`](crate::MonthlyReport)s into quantile
 //! summaries (see `docs/METHODOLOGY.md` for the sampling model).
 //!
 //! Each sample perturbs the *inputs* the paper treats as uncertain:
@@ -30,7 +30,7 @@
 //! reduced with [`stable_sum`] in that order, so the entire
 //! [`RiskSummary`] is bitwise identical at any thread count.
 
-use crate::metrics::{stable_sum, MonthlyReport};
+use crate::metrics::stable_sum;
 use crate::runner::{run_month_scratch, MonthScratch, Strategy};
 use crate::scenario::Scenario;
 use crate::table;
@@ -132,9 +132,6 @@ pub struct RiskConfig {
     pub predictor_error: f64,
     /// Time-varying power caps for the run.
     pub schedule: ScheduleSpec,
-    /// Run the per-hour plan audit inside every sample, and lint and
-    /// certify every capper solve ([`billcap_core::CapperConfig::audit`]).
-    pub audit: bool,
 }
 
 impl Default for RiskConfig {
@@ -157,7 +154,6 @@ impl Default for RiskConfig {
             background_jitter: 0.05,
             predictor_error: 0.05,
             schedule: ScheduleSpec::Flat,
-            audit: false,
         }
     }
 }
@@ -535,11 +531,10 @@ fn run_sample(
         &scenario,
         Strategy::CostCapping,
         cfg.monthly_budget,
-        cfg.audit,
+        false,
         schedule,
         scratch,
     )?;
-    audit_outcome(&capper)?;
     let min_only = run_month_scratch(
         &scenario,
         Strategy::MinOnlyAvg,
@@ -574,19 +569,6 @@ fn run_sample(
         min_only_bill,
         savings_ratio,
     })
-}
-
-/// The first failed plan audit of a month as [`CoreError::Audit`]: an
-/// audited sample whose plan broke an invariant fails the risk run
-/// instead of entering its statistics.
-fn audit_outcome(report: &MonthlyReport) -> Result<(), CoreError> {
-    match report.first_audit_failure() {
-        Some((hour, audit)) => Err(CoreError::Audit(format!(
-            "hour {hour}: {}",
-            audit.failures.join("; ")
-        ))),
-        None => Ok(()),
-    }
 }
 
 /// A uniform draw in `[-1, 1]`.
@@ -693,42 +675,6 @@ mod tests {
             );
             assert_eq!(x.hourly_violations, y.hourly_violations);
             assert_eq!(x.violates_budget, y.violates_budget);
-        }
-    }
-
-    #[test]
-    fn failed_plan_audit_fails_the_sample() {
-        let cfg = RiskConfig {
-            audit: true,
-            ..quick_config(1)
-        };
-        let seed = SeedStream::new(cfg.root_seed).seed(0);
-        let mut scratch = MonthScratch::new();
-        assert!(run_sample(&cfg, None, 0, seed, &mut scratch).is_ok());
-
-        // The same month with one hour's audit failed: the outcome
-        // names the hour and the broken invariant.
-        let mut report = run_month_scratch(
-            &sample_scenario(&cfg, seed),
-            Strategy::CostCapping,
-            cfg.monthly_budget,
-            true,
-            None,
-            &mut scratch,
-        )
-        .expect("month runs");
-        assert_eq!(report.audited_hours(), 48);
-        assert_eq!(audit_outcome(&report), Ok(()));
-        let audit = report.hours[7].audit.as_mut().expect("audited hour");
-        audit.failures.push("premium shortfall".to_string());
-        match audit_outcome(&report) {
-            Err(CoreError::Audit(msg)) => {
-                assert!(
-                    msg.contains("hour 7") && msg.contains("premium shortfall"),
-                    "{msg}"
-                )
-            }
-            other => panic!("a failed audit must surface, got {other:?}"),
         }
     }
 

@@ -15,14 +15,18 @@
 //!   which `tests/risk_determinism.rs` enforces.
 //!
 //! Both accept an optional [`CapSchedule`] that re-caps every site at
-//! every hour; the audit and the realized billing always see the
-//! hour's capped system.
+//! every hour; the engine's plan audit and the realized billing always
+//! see the hour's capped system. Every capping hour is checked by the
+//! engine itself: each solve certified, each decision audited against
+//! the paper's invariants (a failure ends the month with
+//! [`CoreError::Audit`]). Baselines are not audited: they break the
+//! capper's invariants by design.
 
-use crate::metrics::{HourAudit, HourRecord, HourTrace, MonthlyReport};
+use crate::metrics::{HourRecord, HourTrace, MonthlyReport};
 use crate::scenario::Scenario;
 use billcap_core::{
     evaluate_allocation, system_fingerprint, CapSchedule, CapperConfig, CoreError,
-    DataCenterSystem, DecisionEngine, HourDecision, MinOnly, PlanAuditor, PriceAssumption,
+    DataCenterSystem, DecisionEngine, HourDecision, MinOnly, PriceAssumption,
 };
 use billcap_workload::Budgeter;
 
@@ -66,15 +70,13 @@ impl Strategy {
 /// included, is rewritten to the hour's inputs before a solve, so a
 /// decision never depends on what the scratch decided before —
 /// `run_month_scratch` with a reused scratch equals [`run_month_fresh`]
-/// bit for bit. Each run's capper config is part of the engine's key,
-/// so one run's `audit` setting never reaches the next.
+/// bit for bit.
 #[derive(Default)]
 pub struct MonthScratch {
-    /// Retained engine plus the fingerprint of the base system and the
-    /// config it was built from (caps may be schedule-mutated between
-    /// hours; the fingerprint always describes the *uncapped* base
-    /// spec).
-    engine: Option<(u64, CapperConfig, DecisionEngine)>,
+    /// Retained engine plus the fingerprint of the base system it was
+    /// built from (caps may be schedule-mutated between hours; the
+    /// fingerprint always describes the *uncapped* base spec).
+    engine: Option<(u64, DecisionEngine)>,
     /// Reusable hour-sized background-demand vector.
     background: Vec<f64>,
 }
@@ -86,25 +88,23 @@ impl MonthScratch {
     }
 }
 
-/// Returns the retained engine for `system` and `config`, (re)building
-/// it when the scratch last served a different system or config, and
-/// resetting any cap mutation a previous month's schedule left behind.
+/// Returns the retained engine for `system`, (re)building it when the
+/// scratch last served a different system, and resetting any cap
+/// mutation a previous month's schedule left behind.
 fn ensure_engine<'a>(
-    slot: &'a mut Option<(u64, CapperConfig, DecisionEngine)>,
+    slot: &'a mut Option<(u64, DecisionEngine)>,
     system: &DataCenterSystem,
-    config: &CapperConfig,
 ) -> &'a mut DecisionEngine {
     let fp = system_fingerprint(system);
-    let rebuild = !matches!(slot, Some((have, c, _)) if *have == fp && c == config);
-    if rebuild {
-        let engine = DecisionEngine::new(system.clone(), config.clone());
-        *slot = Some((fp, config.clone(), engine));
-    } else if let Some((_, _, engine)) = slot.as_mut() {
+    if !matches!(slot, Some((have, _)) if *have == fp) {
+        let engine = DecisionEngine::new(system.clone(), CapperConfig::default());
+        *slot = Some((fp, engine));
+    } else if let Some((_, engine)) = slot.as_mut() {
         let caps: Vec<f64> = system.sites.iter().map(|s| s.power_cap_mw).collect();
         engine.set_site_caps(&caps);
     }
     match slot.as_mut() {
-        Some((_, _, engine)) => engine,
+        Some((_, engine)) => engine,
         None => unreachable!("slot filled above"),
     }
 }
@@ -120,47 +120,31 @@ pub fn run_month(
     strategy: Strategy,
     monthly_budget: Option<f64>,
 ) -> Result<MonthlyReport, CoreError> {
-    run_month_with(scenario, strategy, monthly_budget, false)
-}
-
-/// [`run_month`] with the plan audit explicitly on or off.
-///
-/// With `audit` set, every Cost Capping hour's decision is re-checked by
-/// [`PlanAuditor`] against the paper's invariants (power caps, G/G/m
-/// response time, step-price consistency, budget-with-override, premium
-/// QoS) and the outcome is recorded on the [`HourRecord`]. Baselines are
-/// not audited — they violate the capper's invariants by design. `audit`
-/// also forces [`CapperConfig::audit`] on for the capper, so every solve
-/// is linted first and its certificate checked (a bad one is a hard
-/// [`CoreError::Audit`]); with `audit` off those checks follow
-/// [`CapperConfig::default`].
-pub fn run_month_with(
-    scenario: &Scenario,
-    strategy: Strategy,
-    monthly_budget: Option<f64>,
-    audit: bool,
-) -> Result<MonthlyReport, CoreError> {
-    let mut scratch = MonthScratch::new();
-    run_month_scratch(
+    month_loop(
         scenario,
         strategy,
         monthly_budget,
-        audit,
         None,
-        &mut scratch,
+        &mut MonthScratch::new(),
+        false,
     )
 }
 
 /// The production month loop: retained models, reused buffers, optional
 /// time-varying caps. See the module docs for the scratch-reuse
 /// contract. The schedule (when present) re-caps every site each hour;
-/// the capper's models, the audit, and the realized billing all see the
-/// capped system.
+/// the capper's models, its plan audit, and the realized billing all see
+/// the capped system.
+///
+/// `_audit` is ignored: every solve is certified and every decision
+/// audited in every build. The argument stays only because the
+/// end-to-end benchmark passes it; the benchmark change that merges the
+/// month entry points (ROADMAP item 11) removes it.
 pub fn run_month_scratch(
     scenario: &Scenario,
     strategy: Strategy,
     monthly_budget: Option<f64>,
-    audit: bool,
+    _audit: bool,
     cap_schedule: Option<&CapSchedule>,
     scratch: &mut MonthScratch,
 ) -> Result<MonthlyReport, CoreError> {
@@ -168,7 +152,6 @@ pub fn run_month_scratch(
         scenario,
         strategy,
         monthly_budget,
-        audit,
         cap_schedule,
         scratch,
         false,
@@ -179,19 +162,18 @@ pub fn run_month_scratch(
 /// dropped before every hour, so each hour is decided by a one-shot
 /// engine that builds its models from scratch. The differential oracle
 /// for [`run_month_scratch`]; semantics, including the optional cap
-/// schedule, are identical.
+/// schedule and the ignored `_audit`, are identical.
 pub fn run_month_fresh(
     scenario: &Scenario,
     strategy: Strategy,
     monthly_budget: Option<f64>,
-    audit: bool,
+    _audit: bool,
     cap_schedule: Option<&CapSchedule>,
 ) -> Result<MonthlyReport, CoreError> {
     month_loop(
         scenario,
         strategy,
         monthly_budget,
-        audit,
         cap_schedule,
         &mut MonthScratch::new(),
         true,
@@ -204,20 +186,16 @@ fn month_loop(
     scenario: &Scenario,
     strategy: Strategy,
     monthly_budget: Option<f64>,
-    audit: bool,
     cap_schedule: Option<&CapSchedule>,
     scratch: &mut MonthScratch,
     one_shot: bool,
 ) -> Result<MonthlyReport, CoreError> {
     let horizon = scenario.horizon();
-    let auditor = audit.then(PlanAuditor::default);
     let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon);
     let mut min_only = baseline_for(strategy);
     // Working spec for the baselines under a schedule (the engine owns
     // its own copy for the capping path).
     let mut baseline_sys = min_only.is_some().then(|| scenario.system.clone());
-    let mut config = CapperConfig::default();
-    config.audit |= audit;
     let MonthScratch { engine, background } = scratch;
 
     let mut hours = Vec::with_capacity(horizon);
@@ -234,7 +212,7 @@ fn month_loop(
                 if one_shot {
                     *engine = None;
                 }
-                let engine = ensure_engine(engine, &scenario.system, &config);
+                let engine = ensure_engine(engine, &scenario.system);
                 if let Some(sched) = cap_schedule {
                     engine.set_site_caps(sched.caps_at(t));
                 }
@@ -253,7 +231,6 @@ fn month_loop(
                     background,
                     decision,
                     engine.system(),
-                    auditor.as_ref(),
                     &mut budgeter,
                     t_start,
                     hour_span,
@@ -322,8 +299,7 @@ fn finish_report(
 }
 
 /// Everything that happens to a Cost Capping hour *after* the decision:
-/// audit, realized billing, budget bookkeeping, observability, record
-/// assembly.
+/// realized billing, budget bookkeeping, observability, record assembly.
 #[allow(clippy::too_many_arguments)]
 fn finish_capping_hour(
     t: usize,
@@ -333,12 +309,10 @@ fn finish_capping_hour(
     d: &[f64],
     decision: HourDecision,
     system: &DataCenterSystem,
-    auditor: Option<&PlanAuditor>,
     budgeter: &mut Option<Budgeter>,
     t_start: billcap_obs::Stopwatch,
     mut hour_span: billcap_obs::Span,
 ) -> HourRecord {
-    let audit = auditor.map(|a| HourAudit::from_report(&a.audit_decision(system, &decision, d)));
     let realized = evaluate_allocation(system, &decision.allocation.lambda, d);
     if let Some(b) = budgeter.as_mut() {
         b.record_spend(realized.total_cost);
@@ -389,7 +363,6 @@ fn finish_capping_hour(
         lambda: decision.allocation.lambda.clone(),
         power_mw: realized.power_mw,
         price: realized.price,
-        audit,
         trace: Some(trace),
     }
 }
@@ -425,7 +398,6 @@ fn min_only_hour(
         lambda: decision.lambda.clone(),
         power_mw: realized.power_mw,
         price: realized.price,
-        audit: None,
         trace: None,
     })
 }
@@ -493,26 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn audited_month_is_clean_and_recorded() {
-        let s = short_scenario();
-        // Tight budget so all three outcomes (within/throttled/override)
-        // can appear, each with its own invariant set.
-        let r = run_month_with(&s, Strategy::CostCapping, Some(80_000.0), true).unwrap();
-        assert_eq!(r.audited_hours(), 168);
-        assert!(
-            r.audit_clean(),
-            "audit failures: {:?}",
-            r.first_audit_failure()
-        );
-        // Baselines are never audited.
-        let b = run_month_with(&s, Strategy::MinOnlyAvg, None, true).unwrap();
-        assert_eq!(b.audited_hours(), 0);
-        // And auditing off leaves records unaudited.
-        let off = run_month_with(&s, Strategy::CostCapping, None, false).unwrap();
-        assert_eq!(off.audited_hours(), 0);
-    }
-
-    #[test]
     fn believed_vs_realized_gap_direction() {
         // Min-Only (Low) underestimates its bill; Cost Capping's believed
         // (linearized) cost is within a fraction of a percent of realized.
@@ -568,7 +520,6 @@ mod tests {
             assert_eq!(bits(&x.lambda), bits(&y.lambda), "{ctx} h{h}: lambda");
             assert_eq!(bits(&x.power_mw), bits(&y.power_mw), "{ctx} h{h}: power");
             assert_eq!(bits(&x.price), bits(&y.price), "{ctx} h{h}: price");
-            assert_eq!(x.audit, y.audit, "{ctx} h{h}: audit");
             let (tx, ty) = (&x.trace, &y.trace);
             assert_eq!(tx.is_some(), ty.is_some(), "{ctx} h{h}: trace presence");
             if let (Some(tx), Some(ty)) = (tx, ty) {
@@ -588,19 +539,14 @@ mod tests {
     fn scratch_reuse_matches_fresh_run_bitwise() {
         let s = short_scenario();
         let mut scratch = MonthScratch::new();
-        for audit in [true, false] {
-            for strategy in Strategy::ALL {
-                for budget in [None, Some(80_000.0)] {
-                    let ctx = format!("{} budget={budget:?} audit={audit}", strategy.name());
-                    let fresh = run_month_fresh(&s, strategy, budget, audit, None).unwrap();
-                    // The same scratch serves every run — reuse must not leak.
-                    let reused =
-                        run_month_scratch(&s, strategy, budget, audit, None, &mut scratch).unwrap();
-                    assert_reports_bitwise_equal(&reused, &fresh, &ctx);
-                    let audited = audit && strategy == Strategy::CostCapping;
-                    let expected = if audited { 168 } else { 0 };
-                    assert_eq!(reused.audited_hours(), expected, "{ctx}");
-                }
+        for strategy in Strategy::ALL {
+            for budget in [None, Some(80_000.0)] {
+                let ctx = format!("{} budget={budget:?}", strategy.name());
+                let fresh = run_month_fresh(&s, strategy, budget, false, None).unwrap();
+                // The same scratch serves every run — reuse must not leak.
+                let reused =
+                    run_month_scratch(&s, strategy, budget, false, None, &mut scratch).unwrap();
+                assert_reports_bitwise_equal(&reused, &fresh, &ctx);
             }
         }
     }
@@ -615,22 +561,15 @@ mod tests {
             &s,
             Strategy::CostCapping,
             None,
-            true,
+            false,
             Some(&sched),
             &mut scratch,
         )
         .unwrap();
-        // Every hour audited (against the capped system) and clean.
-        assert_eq!(capped.audited_hours(), 168);
-        assert!(
-            capped.audit_clean(),
-            "audit failures under schedule: {:?}",
-            capped.first_audit_failure()
-        );
         // The derate must actually bind somewhere: the capped month's
         // dispatch differs from the flat-cap month's.
         let flat =
-            run_month_scratch(&s, Strategy::CostCapping, None, true, None, &mut scratch).unwrap();
+            run_month_scratch(&s, Strategy::CostCapping, None, false, None, &mut scratch).unwrap();
         assert!(
             capped
                 .hours
@@ -640,7 +579,7 @@ mod tests {
             "a 35% afternoon derate should move at least one hour's dispatch"
         );
         // And the scratch path matches the fresh path under the schedule.
-        let fresh = run_month_fresh(&s, Strategy::CostCapping, None, true, Some(&sched)).unwrap();
+        let fresh = run_month_fresh(&s, Strategy::CostCapping, None, false, Some(&sched)).unwrap();
         assert_reports_bitwise_equal(&capped, &fresh, "capped month");
     }
 
@@ -654,15 +593,15 @@ mod tests {
             &s,
             Strategy::CostCapping,
             Some(80_000.0),
-            true,
+            false,
             Some(&sched),
             &mut scratch,
         )
         .unwrap();
-        // First-principles re-check outside the auditor: every hour's
-        // realized per-site power obeys that hour's scheduled cap (the
-        // tolerance mirrors the auditor's power_rel_tol headroom for
-        // integral-server rounding at a binding cap).
+        // First-principles re-check outside the engine's plan audit:
+        // every hour's realized per-site power obeys that hour's
+        // scheduled cap (the tolerance mirrors the audit's power-identity
+        // headroom for integral-server rounding at a binding cap).
         for h in &r.hours {
             let caps = sched.caps_at(h.hour);
             for (i, &p) in h.power_mw.iter().enumerate() {
@@ -674,7 +613,6 @@ mod tests {
                 );
             }
         }
-        assert!(r.audit_clean(), "{:?}", r.first_audit_failure());
     }
 
     #[test]

@@ -14,7 +14,7 @@ use billcap::core::{
 use billcap::milp::{certify_solution, ConstraintOp, LpSolver, MipSolver, Model, Sense};
 use billcap::queueing::{GgmModel, QueueSim};
 use billcap::rt::{Rng, Xoshiro256pp};
-use billcap::sim::{run_month_with, Scenario, Strategy};
+use billcap::sim::{run_month, Scenario, Strategy};
 
 fn system() -> DataCenterSystem {
     DataCenterSystem::paper_system(1)
@@ -52,20 +52,15 @@ fn genuine_pipeline_outputs_audit_clean() {
     }
 }
 
-/// A full audited week of the simulated month is clean under a budget
-/// tight enough to exercise all three hour outcomes.
+/// A full week of the simulated month is clean under a budget tight
+/// enough to exercise all three hour outcomes: the engine audits every
+/// hour's plan, and a failed audit would end the run with an error.
 #[test]
 fn audited_simulation_week_is_clean() {
     let mut s = Scenario::paper_default(1, 7);
     s.workload = s.workload.slice(0, 168);
     s.background = s.background.iter().map(|b| b.slice(0, 168)).collect();
-    let r = run_month_with(&s, Strategy::CostCapping, Some(80_000.0), true).unwrap();
-    assert_eq!(r.audited_hours(), 168);
-    assert!(
-        r.audit_clean(),
-        "first failure: {:?}",
-        r.first_audit_failure()
-    );
+    let r = run_month(&s, Strategy::CostCapping, Some(80_000.0)).unwrap();
     // The tight budget must actually constrain some hours, so the audit
     // exercised more than the easy WithinBudget invariants.
     assert!(
