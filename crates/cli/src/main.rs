@@ -806,9 +806,10 @@ fn serve_cmd(args: &Args) -> Result<(), ArgError> {
     if args.has("once") {
         return Err(ArgError("--once requires --socket".into()));
     }
+    let tele = billcap_serve::ServerTelemetry::open(&cfg).map_err(|e| ArgError(e.to_string()))?;
     // The unlocked handles: the lock guards are not Send, and the
     // server moves reader/writer onto pool threads.
-    let stats = billcap_serve::serve(&cfg, std::io::stdin(), std::io::stdout());
+    let stats = billcap_serve::serve_with(&cfg, std::io::stdin(), std::io::stdout(), &tele);
     eprintln!(
         "served {} requests: {} decisions ({} cached), {} errors",
         stats.requests, stats.decisions, stats.cache_hits, stats.errors

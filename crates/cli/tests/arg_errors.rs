@@ -135,6 +135,34 @@ fn serve_on_closed_stdin_exits_cleanly() {
 }
 
 #[test]
+fn unopenable_metrics_stream_fails_every_front() {
+    // A stream path under a directory that does not exist: every front
+    // refuses it before serving, and names it.
+    let dir = std::env::temp_dir().join(format!("billcap-no-such-dir-{}", std::process::id()));
+    let stream = dir.join("m.jsonl");
+    let stream = stream.to_str().expect("temp paths are UTF-8");
+    let socket = std::env::temp_dir().join(format!("billcap-stream-{}.sock", std::process::id()));
+    let socket = socket.to_str().expect("temp paths are UTF-8");
+    assert_fails_mentioning(&["serve", "--metrics-stream", stream], stream);
+    assert_fails_mentioning(
+        &["replay", "--hours", "4", "--metrics-stream", stream],
+        stream,
+    );
+    assert_fails_mentioning(
+        &[
+            "serve",
+            "--socket",
+            socket,
+            "--once",
+            "--metrics-stream",
+            stream,
+        ],
+        stream,
+    );
+    assert!(!dir.exists(), "no front creates the directory");
+}
+
+#[test]
 fn unknown_subcommand_suggests_help() {
     assert_fails_mentioning(&["frobnicate"], "billcap help");
 }

@@ -29,9 +29,11 @@
 //! is certified, and [`crate::DecisionEngine`] audits every decision it
 //! makes before returning it, so the month loop, the risk engine, the
 //! decision server, [`crate::BillCapper`] and the class decider all get
-//! the same checks once. The model lint runs once per built model: the
-//! engine lints each step model when it builds it, and the optimizers,
-//! which build a model per call, lint every model they solve.
+//! the same checks once. The model lint and the certificate each have
+//! one call site, the engine's step path: it lints each step model once,
+//! when it builds it, and certifies every solve. [`crate::CostMinimizer`]
+//! and [`crate::ThroughputMaximizer`] are one-shot fronts over that path,
+//! so each of their calls builds, lints and certifies one model.
 
 use crate::capper::{HourDecision, HourOutcome};
 use crate::error::CoreError;

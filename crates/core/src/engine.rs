@@ -35,21 +35,23 @@
 //! whose buffers are refilled rather than reallocated.
 //!
 //! **Bitwise contract:** a retained engine decides exactly like a
-//! one-shot engine on the same inputs, and each step's allocation
-//! matches [`crate::CostMinimizer::solve`] (steps 1 and 3) or
-//! [`crate::ThroughputMaximizer::solve`] (step 2) bit for bit. All three
-//! share the model builders (`minimize::cost_min_model`,
-//! `maximize::throughput_max_model`) and the level and cap math
-//! (`minimize::site_level_params`, `minimize::site_cap_values`), the
-//! value writes put in the exact floats the builders would, and a kept
-//! workspace solves bitwise like a fresh one, so the solver sees an
-//! identical model and returns identical bits either way.
+//! one-shot engine on the same inputs. Both build their step models
+//! with the same builders (`minimize::cost_min_model`,
+//! `maximize::throughput_max_model`) and write values with the same
+//! level and cap math (`minimize::site_level_params`,
+//! `minimize::site_cap_values`), so a synced model carries the exact
+//! floats a fresh build would; and a kept workspace solves bitwise like
+//! a fresh one, so the solver sees an identical model and returns
+//! identical bits either way. [`crate::CostMinimizer::solve`] (steps 1
+//! and 3) and [`crate::ThroughputMaximizer::solve`] (step 2) are
+//! one-shot fronts over a single step of this path.
 //!
 //! The engine takes its one setting, `integral_servers`, from the
 //! [`CapperConfig`] it is built with. Its checks take none: it lints
 //! each model once, when it builds it, certifies every solution, and
 //! audits every decision against the paper's invariants before it
-//! returns it (see [`crate::audit`]).
+//! returns it (see [`crate::audit`]). This is the one place a step
+//! model is built, linted, solved and certified.
 
 use crate::audit::{audited_plan, checked_solve, lint_built};
 use crate::cache::Fnv;
@@ -106,8 +108,9 @@ struct StepModel {
 const STEP_CACHE_CAP: usize = 24;
 
 /// The retained solver state behind a [`DecisionEngine`]: one solve per
-/// step, each on a cached model synced to the hour's inputs.
-struct EngineCore {
+/// step, each on a cached model synced to the hour's inputs. The step
+/// optimizers each run one step on a core of their own.
+pub(crate) struct EngineCore {
     integral_servers: bool,
     /// Runs every step's solve.
     solver: MipSolver,
@@ -154,16 +157,7 @@ impl DecisionEngine {
     pub fn new(system: DataCenterSystem, config: CapperConfig) -> Self {
         Self {
             system,
-            core: EngineCore {
-                integral_servers: config.integral_servers,
-                solver: MipSolver::default(),
-                ws: MipWorkspace::default(),
-                cost_min: Vec::new(),
-                thru_max: Vec::new(),
-                stamp: 0,
-                stats: EngineStats::default(),
-                built_keys: BTreeSet::new(),
-            },
+            core: EngineCore::new(MipSolver::default(), config.integral_servers),
         }
     }
 
@@ -269,15 +263,9 @@ impl DecisionEngine {
                 capacity,
             });
         }
-        if background_mw.len() != system.len() {
-            return Err(CoreError::Dimension {
-                expected: system.len(),
-                got: background_mw.len(),
-            });
-        }
+        let levels = HourLevels::new(system, background_mw)?;
         // Capacity clamp: shed un-servable ordinary traffic up front.
         let offered = offered.min(capacity);
-        let levels = HourLevels::new(system, background_mw);
         // A budget under the certified floor of step 1's cost would be
         // busted by step 1 for certain: skip straight to step 3.
         let step1_bounded =
@@ -401,11 +389,18 @@ struct HourLevels {
 }
 
 impl HourLevels {
-    /// `background_mw` must have one entry per site.
-    fn new(system: &DataCenterSystem, background_mw: &[f64]) -> Self {
+    /// The hour's levels, or [`CoreError::Dimension`] when
+    /// `background_mw` does not have one entry per site.
+    fn new(system: &DataCenterSystem, background_mw: &[f64]) -> Result<Self, CoreError> {
+        if background_mw.len() != system.len() {
+            return Err(CoreError::Dimension {
+                expected: system.len(),
+                got: background_mw.len(),
+            });
+        }
         let params = level_params(system, background_mw);
         let kept = EngineCore::kept_key(&params);
-        Self { params, kept }
+        Ok(Self { params, kept })
     }
 }
 
@@ -482,6 +477,20 @@ impl StepModel {
 }
 
 impl EngineCore {
+    /// A core with no models yet, solving with `solver`.
+    pub(crate) fn new(solver: MipSolver, integral_servers: bool) -> Self {
+        Self {
+            integral_servers,
+            solver,
+            ws: MipWorkspace::default(),
+            cost_min: Vec::new(),
+            thru_max: Vec::new(),
+            stamp: 0,
+            stats: EngineStats::default(),
+            built_keys: BTreeSet::new(),
+        }
+    }
+
     /// Per-site kept-level parameters for this hour's background vector.
     #[cfg(test)]
     fn level_params(system: &DataCenterSystem, background_mw: &[f64]) -> Vec<Vec<LevelParam>> {
@@ -654,22 +663,17 @@ impl EngineCore {
         Ok(extract_allocation(system, vars, &sol))
     }
 
-    /// One step-1/3 solve on its own, with the input checks a decision
-    /// runs before its first lookup, for the tests that compare a single
-    /// step against the optimizers.
-    #[cfg(test)]
-    fn minimize(
+    /// One step-1/3 solve on its own: minimizes the cost of serving
+    /// `lambda` requests/hour against `background_mw`, after the input
+    /// checks a decision runs before its first lookup.
+    /// [`crate::CostMinimizer::solve`] runs it on a one-shot core.
+    pub(crate) fn minimize(
         &mut self,
         system: &DataCenterSystem,
         lambda: f64,
         background_mw: &[f64],
     ) -> Result<Allocation, CoreError> {
-        if background_mw.len() != system.len() {
-            return Err(CoreError::Dimension {
-                expected: system.len(),
-                got: background_mw.len(),
-            });
-        }
+        let levels = HourLevels::new(system, background_mw)?;
         let capacity = system.total_capacity();
         if lambda > capacity {
             return Err(CoreError::InsufficientCapacity {
@@ -678,27 +682,21 @@ impl EngineCore {
             });
         }
         validate_caps(system)?;
-        let levels = HourLevels::new(system, background_mw);
         self.solve_at(Step::CostMin, system, background_mw, &levels, lambda, 0.0)
     }
 
-    /// One step-2 solve on its own, for the same tests.
-    #[cfg(test)]
-    fn maximize(
+    /// One step-2 solve on its own: maximizes the rate admitted out of
+    /// `lambda` within `budget`, after the same checks.
+    /// [`crate::ThroughputMaximizer::solve`] runs it on a one-shot core.
+    pub(crate) fn maximize(
         &mut self,
         system: &DataCenterSystem,
         lambda: f64,
         background_mw: &[f64],
         budget: f64,
     ) -> Result<Allocation, CoreError> {
-        if background_mw.len() != system.len() {
-            return Err(CoreError::Dimension {
-                expected: system.len(),
-                got: background_mw.len(),
-            });
-        }
+        let levels = HourLevels::new(system, background_mw)?;
         validate_caps(system)?;
-        let levels = HourLevels::new(system, background_mw);
         self.solve_at(
             Step::ThruMax,
             system,
@@ -941,10 +939,8 @@ mod tests {
         }
     }
 
-    /// A negative site cap is refused as input on every engine step and
-    /// every decision, before any model is looked up. The optimizers
-    /// build and lint a model per call, where the same cap contradicts
-    /// the `lvl_lo` row of the site's zero-power level (lint code M004).
+    /// A negative site cap is refused as input on every engine step,
+    /// every decision and both optimizers, before any model is looked up.
     #[test]
     fn negative_cap_is_invalid_input_on_every_engine_step() {
         let mut sys = DataCenterSystem::paper_system(1);
@@ -961,6 +957,16 @@ mod tests {
                 engine.core.maximize(&sys, 1e8, &bg, 1e4).map(drop),
             ),
             ("decision", engine.decide_hour(1e8, 5e7, &bg, 1e4).map(drop)),
+            (
+                "minimizer",
+                CostMinimizer::default().solve(&sys, 1e8, &bg).map(drop),
+            ),
+            (
+                "maximizer",
+                ThroughputMaximizer::default()
+                    .solve(&sys, 1e8, &bg, 1e4)
+                    .map(drop),
+            ),
         ];
         for (path, r) in results {
             match r {
@@ -969,19 +975,6 @@ mod tests {
             }
         }
         assert_eq!(engine.drain_cache_stats(), EngineStats::default());
-        let results = [
-            ("minimizer", CostMinimizer::default().solve(&sys, 1e8, &bg)),
-            (
-                "maximizer",
-                ThroughputMaximizer::default().solve(&sys, 1e8, &bg, 1e4),
-            ),
-        ];
-        for (path, r) in results {
-            match r {
-                Err(CoreError::Lint(msg)) => assert!(msg.contains("M004"), "{msg}"),
-                r => panic!("{path}: {r:?}"),
-            }
-        }
     }
 
     /// The step-level reference: every engine step against the optimizer

@@ -22,7 +22,10 @@
 //! budget knowingly violated (step 2 then never runs).
 //!
 //! **[`DecisionEngine`]** runs the steps each hour, keeping its models
-//! between hours; **[`BillCapper`]** is its one-shot front;
+//! between hours, and is the one place a step model is built, linted,
+//! solved and certified; **[`BillCapper`]** is its one-shot front for a
+//! decision, and the two optimizers are its one-shot fronts for a
+//! single step;
 //! **[`MinOnly`]** implements the state-of-the-art baseline the paper
 //! compares against (constant prices, server-only power model); and
 //! **[`evaluate_allocation`]** applies the *true* cost model to any

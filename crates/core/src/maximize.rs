@@ -8,10 +8,9 @@
 //! rate first (a premium-only cost minimization) and overrides the budget
 //! without running this step when even that cannot fit.
 
+use crate::engine::EngineCore;
 use crate::error::CoreError;
-use crate::minimize::{
-    build_piecewise_core, extract_allocation, Allocation, PiecewiseVars, RATE_SCALE,
-};
+use crate::minimize::{build_piecewise_core, Allocation, PiecewiseVars, RATE_SCALE};
 use crate::spec::DataCenterSystem;
 use billcap_milp::{ConstraintOp, MipSolver, Model, Sense, VarId};
 
@@ -44,8 +43,10 @@ pub(crate) fn throughput_max_model(
     (m, vars)
 }
 
-/// The Step-2 optimizer. It builds a model per call, so it lints every
-/// model it solves and certifies every solution (see [`crate::audit`]).
+/// The Step-2 optimizer: a one-shot front over the decision engine's
+/// step path, like [`crate::CostMinimizer`]. Each call builds the step
+/// model on a fresh engine core, lints it, solves it with
+/// [`Self::solver`] and certifies the solution (see [`crate::audit`]).
 #[derive(Debug, Clone)]
 pub struct ThroughputMaximizer {
     /// The MILP solver.
@@ -72,7 +73,9 @@ impl ThroughputMaximizer {
     /// Maximizes admitted throughput under `budget` ($/hour) for offered
     /// workload `lambda` (requests/hour) and background demand
     /// `background_mw`. The returned allocation may admit less than
-    /// `lambda`; it never costs more than `budget`.
+    /// `lambda`; it never costs more than `budget`. A background without
+    /// one entry per site, or a power cap that is not finite or sits below
+    /// a site's base power, is refused before any model is built.
     pub fn solve(
         &self,
         system: &DataCenterSystem,
@@ -80,17 +83,12 @@ impl ThroughputMaximizer {
         background_mw: &[f64],
         budget: f64,
     ) -> Result<Allocation, CoreError> {
-        if background_mw.len() != system.len() {
-            return Err(CoreError::Dimension {
-                expected: system.len(),
-                got: background_mw.len(),
-            });
-        }
-        let (m, vars) =
-            throughput_max_model(system, lambda, background_mw, budget, self.integral_servers);
-        crate::audit::lint_built(&m)?;
-        let sol = crate::audit::checked_solve(&m, || self.solver.solve(&m))?;
-        Ok(extract_allocation(system, &vars, &sol))
+        EngineCore::new(self.solver.clone(), self.integral_servers).maximize(
+            system,
+            lambda,
+            background_mw,
+            budget,
+        )
     }
 }
 

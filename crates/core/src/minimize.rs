@@ -19,6 +19,7 @@
 //! Internally rates are scaled to millions of requests/hour so all MILP
 //! coefficients sit within a few orders of magnitude of one.
 
+use crate::engine::EngineCore;
 use crate::error::CoreError;
 use crate::spec::{DataCenterSpec, DataCenterSystem};
 use billcap_market::StepPolicy;
@@ -177,7 +178,7 @@ pub(crate) fn site_level_params(
 
 /// The feasibility tolerance [`cost_floor`]'s margin grants every row
 /// and bound of a returned solve, relative to `1 + |magnitude|`: the
-/// certificate's primal tolerance ([`billcap_milp::CertifyOptions`]),
+/// certificate's primal tolerance ([`billcap_milp::certify_solution`]),
 /// ten times the revised simplex's absolute `feas_tol` on these
 /// pre-scaled models.
 const FLOOR_TOL: f64 = 1e-6;
@@ -511,8 +512,11 @@ pub(crate) fn cost_min_model(
     (m, vars)
 }
 
-/// The Step-1 optimizer. It builds a model per call, so it lints every
-/// model it solves and certifies every solution (see [`crate::audit`]).
+/// The Step-1 optimizer: a one-shot front over the decision engine's
+/// step path, as [`crate::BillCapper`] is over a whole decision. Each
+/// call builds the step model on a fresh engine core, lints it, solves
+/// it with [`Self::solver`] and certifies the solution (see
+/// [`crate::audit`]).
 #[derive(Debug, Clone)]
 pub struct CostMinimizer {
     /// The MILP solver.
@@ -539,30 +543,21 @@ impl CostMinimizer {
 
     /// Minimizes the hour's electricity cost for total workload `lambda`
     /// (requests/hour) with per-site background demand `background_mw`.
+    /// Inputs are checked as a decision checks them: a background without
+    /// one entry per site, a workload over capacity, or a power cap that
+    /// is not finite or sits below a site's base power is refused before
+    /// any model is built.
     pub fn solve(
         &self,
         system: &DataCenterSystem,
         lambda: f64,
         background_mw: &[f64],
     ) -> Result<Allocation, CoreError> {
-        if background_mw.len() != system.len() {
-            return Err(CoreError::Dimension {
-                expected: system.len(),
-                got: background_mw.len(),
-            });
-        }
-        let capacity = system.total_capacity();
-        if lambda > capacity {
-            return Err(CoreError::InsufficientCapacity {
-                demanded: lambda,
-                capacity,
-            });
-        }
-
-        let (m, vars) = cost_min_model(system, lambda, background_mw, self.integral_servers);
-        crate::audit::lint_built(&m)?;
-        let sol = crate::audit::checked_solve(&m, || self.solver.solve(&m))?;
-        Ok(extract_allocation(system, &vars, &sol))
+        EngineCore::new(self.solver.clone(), self.integral_servers).minimize(
+            system,
+            lambda,
+            background_mw,
+        )
     }
 }
 

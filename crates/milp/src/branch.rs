@@ -2,8 +2,10 @@
 //!
 //! The search is sequential: open nodes wait in a best-bound heap
 //! (ties broken by depth), and each node branches on its most
-//! fractional integer variable. Node order is a pure function of the
-//! model, so a solve returns the same bits on every run.
+//! fractional binary variable, or on its most fractional general
+//! integer variable once every binary is integral. Node order is a
+//! pure function of the model, so a solve returns the same bits on
+//! every run.
 
 use crate::error::SolveError;
 use crate::model::{Model, Sense, VarId, VarType};
@@ -201,39 +203,32 @@ impl MipSolver {
     /// Solves `model` to integer optimality (or best incumbent at the node
     /// limit, reported with [`Status::Feasible`]).
     pub fn solve(&self, model: &Model) -> Result<Solution, SolveError> {
-        self.solve_with_root_basis(model, None).map(|(sol, _)| sol)
+        self.solve_in(model, None, &mut MipWorkspace::default())
+            .map(|(sol, _)| sol)
     }
 
-    /// Like [`solve`](Self::solve), but warm-starts the *root* relaxation
-    /// from a basis carried over from a previous solve and returns this
-    /// solve's root-optimal basis for the next one. A caller that carries
-    /// the basis must keep it with the model it came from, so the next
-    /// solve sees the same structure.
+    /// [`solve`](Self::solve) in the buffers of `ws`, warm-starting the
+    /// *root* relaxation from `root_basis` when given, and returning this
+    /// solve's root-optimal basis for the next one — the one search
+    /// behind every entry point.
     ///
-    /// The supplied basis is for the same constraint/variable *structure*
+    /// A caller that keeps `ws` between solves skips the set-up
+    /// allocations; the result is bitwise the same as with a fresh
+    /// workspace (see [`MipWorkspace`]).
+    ///
+    /// A caller that carries the basis must keep it with the model it
+    /// came from, so the next solve sees the same structure. The
+    /// supplied basis is for the same constraint/variable *structure*
     /// with possibly different coefficient *values* (RHS, objective,
     /// matrix entries, bounds), so dual feasibility is no longer an
     /// invariant; the root solve verifies it and silently cold-starts on
     /// any violation — a correctness guarantee, not best-effort. Child
-    /// nodes still inherit in-tree parent bases unverified, exactly as in
-    /// [`solve`](Self::solve).
+    /// nodes still inherit in-tree parent bases unverified, exactly as
+    /// without a root basis.
     ///
     /// The returned basis is `None` when the search stopped before its
     /// root relaxation was solved (an infeasibility proved in set-up);
     /// callers then cold-start the next solve.
-    pub fn solve_with_root_basis(
-        &self,
-        model: &Model,
-        root_basis: Option<&BasisState>,
-    ) -> Result<(Solution, Option<BasisState>), SolveError> {
-        self.solve_in(model, root_basis, &mut MipWorkspace::default())
-    }
-
-    /// [`solve_with_root_basis`](Self::solve_with_root_basis) in the
-    /// buffers of `ws` — the one search behind every entry point. A
-    /// caller that keeps `ws` between solves skips the set-up
-    /// allocations; the result is bitwise the same as with a fresh
-    /// workspace (see [`MipWorkspace`]).
     pub fn solve_in(
         &self,
         model: &Model,
@@ -638,13 +633,17 @@ mod tests {
             warm_start: true,
             ..MipSolver::default()
         };
-        let (cold, basis) = solver.solve_with_root_basis(&m, None).unwrap();
+        let (cold, basis) = solver
+            .solve_in(&m, None, &mut MipWorkspace::default())
+            .unwrap();
         let trace = cold.mip.expect("stats").trace;
         assert!(trace.lp.factorizations >= 1, "{trace:?}");
         assert_eq!((trace.warm_starts, trace.lp.phase1_starts), (0, 0));
         // The carried basis is the optimum: verified, it counts as a warm
         // start and re-solves with no pivot.
-        let (warm, _) = solver.solve_with_root_basis(&m, basis.as_ref()).unwrap();
+        let (warm, _) = solver
+            .solve_in(&m, basis.as_ref(), &mut MipWorkspace::default())
+            .unwrap();
         let trace = warm.mip.expect("stats").trace;
         assert!(trace.lp.factorizations >= 1, "{trace:?}");
         assert_eq!(trace.warm_starts, 1);

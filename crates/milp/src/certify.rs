@@ -34,34 +34,20 @@ use crate::solution::{Solution, Status};
 use crate::INT_TOL;
 use std::fmt;
 
-/// Tolerances used by [`certify_solution_with`].
-///
-/// These are deliberately looser than the solver's internal `1e-9`
-/// working tolerance: certification asks "is this answer trustworthy",
-/// not "did the final pivot converge to machine precision".
-#[derive(Debug, Clone, Copy)]
-pub struct CertifyOptions {
-    /// Primal feasibility tolerance, scaled by row/bound magnitude.
-    pub tol: f64,
-    /// Integrality tolerance for integer/binary variables.
-    pub int_tol: f64,
-    /// Dual feasibility / complementary-slackness tolerance.
-    pub dual_tol: f64,
-    /// Slack allowed between the reported gap and the gap implied by
-    /// `objective` and `best_bound`.
-    pub gap_tol: f64,
-}
+// The certificate's tolerances. They are deliberately looser than the
+// solver's internal `1e-9` working tolerance: certification asks "is
+// this answer trustworthy", not "did the final pivot converge to
+// machine precision".
 
-impl Default for CertifyOptions {
-    fn default() -> Self {
-        Self {
-            tol: 1e-6,
-            int_tol: INT_TOL,
-            dual_tol: 1e-6,
-            gap_tol: 1e-6,
-        }
-    }
-}
+/// Primal feasibility tolerance, scaled by row/bound magnitude.
+const PRIMAL_TOL: f64 = 1e-6;
+/// Integrality tolerance for integer/binary variables.
+const INTEGRALITY_TOL: f64 = INT_TOL;
+/// Dual feasibility / complementary-slackness tolerance.
+const DUAL_TOL: f64 = 1e-6;
+/// Slack allowed between the reported gap and the gap implied by
+/// `objective` and `best_bound`.
+const GAP_REPORT_TOL: f64 = 1e-6;
 
 /// One violated invariant, with the magnitude of the violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -375,19 +361,10 @@ fn row_eval(c: &Constraint, values: &[f64]) -> (f64, f64) {
     (lhs, 1.0 + c.rhs.abs().max(max_term))
 }
 
-/// Certifies `sol` against `model` with default tolerances.
-pub fn certify_solution(model: &Model, sol: &Solution) -> CertifyReport {
-    certify_solution_with(model, sol, &CertifyOptions::default())
-}
-
 /// Certifies `sol` against `model`: primal feasibility, integrality,
 /// objective honesty, MIP bound consistency, and (when duals are present)
 /// the full dual certificate. See the module docs for the invariant list.
-pub fn certify_solution_with(
-    model: &Model,
-    sol: &Solution,
-    opts: &CertifyOptions,
-) -> CertifyReport {
+pub fn certify_solution(model: &Model, sol: &Solution) -> CertifyReport {
     let mut report = CertifyReport::default();
     let n = model.num_vars();
     report.check(sol.values.len() == n, || Violation::Dimension {
@@ -412,7 +389,7 @@ pub fn certify_solution_with(
         if !x.is_finite() {
             continue;
         }
-        let bound_tol = opts.tol
+        let bound_tol = PRIMAL_TOL
             * (1.0
                 + finite_or(var.lb, 0.0)
                     .abs()
@@ -428,7 +405,7 @@ pub fn certify_solution_with(
         });
         if matches!(var.var_type, VarType::Integer | VarType::Binary) {
             let distance = (x - x.round()).abs();
-            report.check(distance <= opts.int_tol, || Violation::Integrality {
+            report.check(distance <= INTEGRALITY_TOL, || Violation::Integrality {
                 var: i,
                 name: var.name.clone(),
                 value: x,
@@ -445,7 +422,7 @@ pub fn certify_solution_with(
         // without re-adjusting the continuous variables), so every row
         // inherits up to |a_j| * int_tol of displacement per integer
         // term on top of the magnitude-scaled float tolerance.
-        let t = opts.tol * scale + opts.int_tol * int_coeff_mass(model, c);
+        let t = PRIMAL_TOL * scale + INTEGRALITY_TOL * int_coeff_mass(model, c);
         let slack = match c.op {
             ConstraintOp::Le => lhs - c.rhs,
             ConstraintOp::Ge => c.rhs - lhs,
@@ -464,7 +441,7 @@ pub fn certify_solution_with(
     // --- objective honesty ---
     let recomputed = model.eval_objective(&sol.values);
     let obj_err = (sol.objective - recomputed).abs();
-    report.check(obj_err <= opts.tol * (1.0 + recomputed.abs()), || {
+    report.check(obj_err <= PRIMAL_TOL * (1.0 + recomputed.abs()), || {
         Violation::Objective {
             reported: sol.objective,
             recomputed,
@@ -481,21 +458,21 @@ pub fn certify_solution_with(
         };
         // The dual bound may pass the objective only by float noise
         // (plus the solver's own relative gap tolerance).
-        report.check(excess <= opts.tol * scale, || Violation::BoundSide {
+        report.check(excess <= PRIMAL_TOL * scale, || Violation::BoundSide {
             objective: sol.objective,
             best_bound: stats.best_bound,
             excess,
         });
         let implied = stats.implied_gap(sol.objective);
         report.check(
-            (stats.gap - implied).abs() <= opts.gap_tol || excess.abs() <= opts.tol * scale,
+            (stats.gap - implied).abs() <= GAP_REPORT_TOL || excess.abs() <= PRIMAL_TOL * scale,
             || Violation::GapMismatch {
                 reported: stats.gap,
                 implied,
             },
         );
         if sol.status == Status::Optimal {
-            report.check(stats.gap <= opts.gap_tol, || Violation::OptimalWithGap {
+            report.check(stats.gap <= GAP_REPORT_TOL, || Violation::OptimalWithGap {
                 gap: stats.gap,
             });
         }
@@ -503,7 +480,7 @@ pub fn certify_solution_with(
 
     // --- dual certificate (LP solves) ---
     if let Some(duals) = &sol.duals {
-        audit_duals(model, sol, duals, opts, &mut report);
+        audit_duals(model, sol, duals, &mut report);
     }
 
     report
@@ -523,13 +500,7 @@ fn finite_or(x: f64, fallback: f64) -> f64 {
 /// Everything is done in *minimization space* (`key = sign * objective`):
 /// there a `<=` row's dual is non-positive, a `>=` row's non-negative,
 /// and the bounded-variable dual objective never exceeds the primal.
-fn audit_duals(
-    model: &Model,
-    sol: &Solution,
-    duals: &[f64],
-    opts: &CertifyOptions,
-    report: &mut CertifyReport,
-) {
+fn audit_duals(model: &Model, sol: &Solution, duals: &[f64], report: &mut CertifyReport) {
     let m = model.num_constraints();
     report.check(duals.len() == m, || Violation::DualCount {
         expected: m,
@@ -547,7 +518,7 @@ fn audit_duals(
     for (i, (c, &d)) in model.constraints().iter().zip(duals).enumerate() {
         let y = sign * d; // dual in minimization space
         let (lhs, scale) = row_eval(c, &sol.values);
-        let dual_tol = opts.dual_tol * (1.0 + y.abs());
+        let dual_tol = DUAL_TOL * (1.0 + y.abs());
         let wrong_sign = match c.op {
             ConstraintOp::Le => y > dual_tol,
             ConstraintOp::Ge => y < -dual_tol,
@@ -560,8 +531,8 @@ fn audit_duals(
         });
         if !matches!(c.op, ConstraintOp::Eq) {
             let row_slack = (lhs - c.rhs).abs();
-            let active = row_slack <= opts.tol * scale;
-            report.check(y.abs() <= opts.dual_tol || active, || {
+            let active = row_slack <= PRIMAL_TOL * scale;
+            report.check(y.abs() <= DUAL_TOL || active, || {
                 Violation::ComplementarySlackness {
                     index: i,
                     name: c.name.clone(),
@@ -597,15 +568,15 @@ fn audit_duals(
     let mut dual_obj_ok = true;
     for (j, var) in model.variables().iter().enumerate() {
         let x = sol.values[j];
-        let bound_tol = opts.tol
+        let bound_tol = PRIMAL_TOL
             * (1.0
                 + finite_or(var.lb, 0.0)
                     .abs()
                     .max(finite_or(var.ub, 0.0).abs()))
-            + opts.tol;
+            + PRIMAL_TOL;
         let at_lb = var.lb.is_finite() && x - var.lb <= bound_tol;
         let at_ub = var.ub.is_finite() && var.ub - x <= bound_tol;
-        let t = opts.dual_tol * rc_scale[j];
+        let t = DUAL_TOL * rc_scale[j];
         let feasible = match (at_lb, at_ub) {
             (true, true) => true, // (near-)fixed variable: any reduced cost
             (true, false) => rc[j] >= -t,
@@ -644,12 +615,10 @@ fn audit_duals(
         let primal = sign * sol.objective;
         let scale = 1.0 + primal.abs().max(dual_obj.abs());
         let error = (primal - dual_obj).abs();
-        report.check(error <= opts.dual_tol * scale * 10.0, || {
-            Violation::Duality {
-                primal: sol.objective,
-                dual: sign * dual_obj,
-                error,
-            }
+        report.check(error <= DUAL_TOL * scale * 10.0, || Violation::Duality {
+            primal: sol.objective,
+            dual: sign * dual_obj,
+            error,
         });
     }
 }

@@ -19,7 +19,8 @@
 //! * [`branch`] — [`MipSolver`]: pure LPs solve directly on the revised
 //!   engine; models with integer variables run a sequential best-bound
 //!   branch-and-bound over its relaxations, branching on the most
-//!   fractional integer variable.
+//!   fractional binary variable first and, once every binary is
+//!   integral, on the most fractional general integer variable.
 //! * [`simplex`] and [`oracle`] — test oracles: a dense two-phase primal
 //!   tableau simplex and the exhaustive
 //!   [`brute_force_solve`] built on it. No solve path reaches them.
@@ -55,7 +56,6 @@ pub mod basis;
 pub mod branch;
 pub mod certify;
 pub mod error;
-pub mod expr;
 pub mod io;
 pub mod lint;
 pub mod model;
@@ -68,16 +68,13 @@ pub mod sparse;
 
 pub use basis::BasisFactorization;
 pub use branch::{MipSolver, MipWorkspace};
-pub use certify::{
-    certify_solution, certify_solution_with, CertifyOptions, CertifyReport, Violation,
-};
+pub use certify::{certify_solution, CertifyReport, Violation};
 pub use error::SolveError;
-pub use expr::LinExpr;
 pub use io::{parse_lp, write_lp};
 pub use lint::{lint_model, Finding, LintReport, ModelStats, Severity};
 pub use model::{Constraint, ConstraintOp, Model, Sense, VarId, VarType, Variable};
 pub use oracle::{brute_force_solve, brute_force_solve_capped};
-pub use presolve::{propagate_bounds, propagate_bounds_with, Propagation};
+pub use presolve::{propagate_bounds, Propagation};
 pub use revised::{
     BasisState, ColStatus, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution,
     RevisedStats,

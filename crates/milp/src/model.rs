@@ -1,7 +1,6 @@
 //! Model builder: variables, bounds, integrality, constraints, objective.
 
 use crate::error::SolveError;
-use crate::expr::LinExpr;
 
 /// Opaque handle to a variable within a [`Model`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -159,29 +158,10 @@ impl Model {
         });
     }
 
-    /// Adds a constraint `expr op rhs` from a [`LinExpr`]; the expression's
-    /// constant is moved to the right-hand side.
-    pub fn add_expr_constraint(
-        &mut self,
-        name: impl Into<String>,
-        expr: LinExpr,
-        op: ConstraintOp,
-        rhs: f64,
-    ) {
-        let (terms, constant) = expr.into_parts();
-        self.add_constraint(name, terms, op, rhs - constant);
-    }
-
     /// Sets the objective from raw terms plus a constant offset.
     pub fn set_objective(&mut self, terms: Vec<(VarId, f64)>, constant: f64) {
         self.objective = terms;
         self.objective_constant = constant;
-    }
-
-    /// Sets the objective from a [`LinExpr`].
-    pub fn set_objective_expr(&mut self, expr: LinExpr) {
-        let (terms, constant) = expr.into_parts();
-        self.set_objective(terms, constant);
     }
 
     /// Tightens the bounds of an existing variable (used by branch-and-bound).
@@ -462,17 +442,6 @@ mod tests {
         let x = m.add_cont("x", 0.0, 1.0);
         m.add_constraint("c", vec![(x, f64::NAN)], ConstraintOp::Le, 1.0);
         assert!(m.validate().is_err());
-    }
-
-    #[test]
-    fn expr_constraint_moves_constant_to_rhs() {
-        let mut m = Model::new("t", Sense::Minimize);
-        let x = m.add_cont("x", 0.0, 10.0);
-        let e = LinExpr::var(x) + 3.0;
-        m.add_expr_constraint("c", e, ConstraintOp::Le, 5.0);
-        let c = &m.constraints()[0];
-        assert_eq!(c.rhs, 2.0);
-        assert_eq!(c.terms, vec![(x, 1.0)]);
     }
 
     #[test]

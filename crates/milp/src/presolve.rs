@@ -6,9 +6,9 @@
 //! `q ≤ u`), and sweeps repeat to a fixpoint. A singleton row folds into
 //! its variable's bounds the same way, and an emptied domain is a static
 //! proof of infeasibility. [`propagate_bounds`] runs it on a model's
-//! declared bounds, [`propagate_bounds_with`] on an explicit box; the
-//! branch-and-bound root (see [`crate::MipSolver::root_propagation`])
-//! and the model linter (`M007`) use it.
+//! declared bounds; the branch-and-bound root (see
+//! [`crate::MipSolver::root_propagation`]) and the model linter
+//! (`M007`) use it.
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model, VarType};
@@ -196,22 +196,9 @@ fn propagate_pass(
 /// Returns [`SolveError::Infeasible`] when propagation empties a
 /// variable's domain: a proof of infeasibility with zero simplex work.
 pub fn propagate_bounds(model: &Model) -> Result<Propagation, SolveError> {
-    propagate_bounds_with(model, &model.var_bounds())
-}
-
-/// [`propagate_bounds`] from an explicit starting box instead of the
-/// model's declared bounds. `bounds` must be at least as tight as the
-/// declared bounds (a branch-and-bound node's box always is); the
-/// returned bounds are implied by `bounds` plus the constraints, so a
-/// node may substitute them for its own box without changing the set of
-/// integer-feasible completions.
-pub fn propagate_bounds_with(
-    model: &Model,
-    bounds: &[(f64, f64)],
-) -> Result<Propagation, SolveError> {
     model.validate()?;
     let mut buf = PropBuffers::default();
-    let (tightened, rounds) = propagate_from(model, bounds, &mut buf)?;
+    let (tightened, rounds) = propagate_from(model, &model.var_bounds(), &mut buf)?;
     Ok(Propagation {
         bounds: buf.lb.iter().copied().zip(buf.ub.iter().copied()).collect(),
         tightened,
@@ -231,10 +218,14 @@ pub(crate) struct PropBuffers {
     is_int: Vec<bool>,
 }
 
-/// [`propagate_bounds_with`] for a model the caller has already
-/// validated (the branch-and-bound root), into `buf`'s arrays: the
-/// propagated bounds land in `buf.lb` / `buf.ub`, and the return value
-/// is `(tightenings, rounds)` as in [`Propagation`].
+/// [`propagate_bounds`] from an explicit starting box, for a model the
+/// caller has already validated (the branch-and-bound root), into
+/// `buf`'s arrays. `bounds` must be at least as tight as the declared
+/// bounds (a branch-and-bound node's box always is); the propagated
+/// bounds are implied by `bounds` plus the constraints, so a node may
+/// substitute them for its own box without changing the set of
+/// integer-feasible completions. They land in `buf.lb` / `buf.ub`, and
+/// the return value is `(tightenings, rounds)` as in [`Propagation`].
 pub(crate) fn propagate_from(
     model: &Model,
     bounds: &[(f64, f64)],
@@ -346,9 +337,10 @@ mod tests {
         };
         let root = propagate_bounds(&m).unwrap();
         close(root.bounds[x.index()], (0.0, 6.0));
-        let node = propagate_bounds_with(&m, &[(0.0, 10.0), (4.0, 10.0)]).unwrap();
-        close(node.bounds[x.index()], (0.0, 2.0));
-        close(node.bounds[y.index()], (4.0, 6.0));
+        let mut node = PropBuffers::default();
+        propagate_from(&m, &[(0.0, 10.0), (4.0, 10.0)], &mut node).unwrap();
+        close((node.lb[x.index()], node.ub[x.index()]), (0.0, 2.0));
+        close((node.lb[y.index()], node.ub[y.index()]), (4.0, 6.0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! loop exactly — same [`Scenario`], same [`Budgeter`] spend-feedback,
 //! same per-hour inputs — but records the *requests* alongside the
 //! expected [`HourDecision`]s. [`run_replay`] then fires the whole plan
-//! through [`serve`] as one frame stream (a 168-hour "firehose"), and
+//! through [`serve_with`] as one frame stream (a 168-hour "firehose"), and
 //! [`verify_replay`] demands bitwise identity on every answer.
 //!
 //! Budget feedback is why the plan must be built sequentially: hour
@@ -14,7 +14,7 @@
 //! server itself is order-free — each request carries its own budget.
 
 use crate::protocol::{read_frame, write_frame, DecisionMsg, Response, MAX_FRAME};
-use crate::server::{serve, ServeConfig, ServeStats};
+use crate::server::{serve_with, ServeConfig, ServeStats, ServerTelemetry};
 use billcap_core::{evaluate_allocation, BillCapper, CoreError, DataCenterSystem, HourDecision};
 use billcap_sim::Scenario;
 use billcap_workload::Budgeter;
@@ -121,14 +121,16 @@ impl ReplayOutcome {
     }
 }
 
-/// Fires the plan's request stream through an in-process [`serve`] call
-/// and collects the responses. Fails on unparseable response frames —
-/// the server must never emit those.
+/// Fires the plan's request stream through an in-process [`serve_with`]
+/// call and collects the responses. Fails when `cfg.metrics_stream`
+/// cannot be created ([`ServerTelemetry::open`]) and on unparseable
+/// response frames — the server must never emit those.
 pub fn run_replay(cfg: &ServeConfig, plan: &ReplayPlan) -> Result<ReplayOutcome, String> {
+    let tele = ServerTelemetry::open(cfg).map_err(|e| e.to_string())?;
     let input = encode_requests(plan);
     let mut out: Vec<u8> = Vec::new();
     let watch = billcap_obs::Stopwatch::start();
-    let stats = serve(cfg, Cursor::new(input), &mut out);
+    let stats = serve_with(cfg, Cursor::new(input), &mut out, &tele);
     let elapsed_ns = watch.elapsed_ns();
 
     let mut decisions = Vec::new();

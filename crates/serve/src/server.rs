@@ -100,11 +100,8 @@ pub struct ServeConfig {
     pub cache: bool,
     /// Capacity of the shared decision cache.
     pub cache_capacity: usize,
-    /// Maximum accepted frame payload, bytes.
-    pub max_frame: usize,
-    /// The capper settings every decision engine is built with:
-    /// integral server counts, and the per-solve lint and certificate
-    /// checks.
+    /// The capper settings every decision engine is built with
+    /// (integral server counts).
     pub capper: CapperConfig,
     /// Record per-request latency and rotate metrics windows. Work
     /// counters are maintained regardless; this switch only gates the
@@ -116,7 +113,8 @@ pub struct ServeConfig {
     pub window_requests: u64,
     /// Number of retained latency windows (ring size `W`).
     pub latency_windows: usize,
-    /// Append one metrics JSONL line per window rotation to this file.
+    /// Append one metrics JSONL line per window rotation to this file,
+    /// created by [`ServerTelemetry::open`].
     pub metrics_stream: Option<std::path::PathBuf>,
 }
 
@@ -126,7 +124,6 @@ impl Default for ServeConfig {
             workers: billcap_rt::num_threads(),
             cache: true,
             cache_capacity: DecisionCache::DEFAULT_CAPACITY,
-            max_frame: MAX_FRAME,
             capper: CapperConfig::default(),
             telemetry: true,
             window_requests: 64,
@@ -196,8 +193,8 @@ pub struct ServerTelemetry {
 }
 
 impl ServerTelemetry {
-    /// Fresh telemetry configured from `cfg` (no stream attached).
-    pub fn new(cfg: &ServeConfig) -> Self {
+    /// Fresh telemetry configured from `cfg`, with no stream attached.
+    fn new(cfg: &ServeConfig) -> Self {
         let windows = cfg.latency_windows.max(1);
         Self {
             epoch: Stopwatch::start(),
@@ -223,10 +220,19 @@ impl ServerTelemetry {
         }
     }
 
-    /// Attaches the JSONL stream the sink drains to on each rotation.
-    pub fn with_stream(self, out: Box<dyn Write + Send>) -> Self {
-        *lock(&self.stream) = Some(out);
-        self
+    /// Fresh telemetry configured from `cfg`, draining to the JSONL
+    /// file `cfg.metrics_stream` names, when it names one: the one place
+    /// a server opens its metrics stream. A file that cannot be created
+    /// is an error naming its path.
+    pub fn open(cfg: &ServeConfig) -> std::io::Result<Self> {
+        let tele = Self::new(cfg);
+        if let Some(path) = &cfg.metrics_stream {
+            let file = std::fs::File::create(path).map_err(|e| {
+                std::io::Error::new(e.kind(), format!("metrics stream {}: {e}", path.display()))
+            })?;
+            *lock(&tele.stream) = Some(Box::new(file));
+        }
+        Ok(tele)
     }
 
     /// Whether wall-clock instrumentation is on.
@@ -471,21 +477,25 @@ fn emit_window<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
 /// returns. Panics never escape worker threads for malformed input —
 /// every bad request is answered in-band.
 ///
-/// Telemetry is created fresh for this call; to share telemetry across
-/// calls (as [`serve_unix`] does per process), use [`serve_with`].
+/// Telemetry is created fresh for this call and writes no metrics
+/// stream. To stream metrics, or to share telemetry across calls (as
+/// [`serve_unix`] does per process), build it with
+/// [`ServerTelemetry::open`] and call [`serve_with`].
+///
+/// # Panics
+///
+/// Panics when `cfg.metrics_stream` is set: opening the stream can fail,
+/// and only [`ServerTelemetry::open`] returns that error.
 pub fn serve<R, W>(cfg: &ServeConfig, reader: R, writer: W) -> ServeStats
 where
     R: Read + Send,
     W: Write + Send,
 {
-    let mut tele = ServerTelemetry::new(cfg);
-    if let Some(path) = &cfg.metrics_stream {
-        match std::fs::File::create(path) {
-            Ok(f) => tele = tele.with_stream(Box::new(f)),
-            Err(_) => billcap_obs::counter("serve.stream_open_failed", 1),
-        }
-    }
-    serve_with(cfg, reader, writer, &tele)
+    assert!(
+        cfg.metrics_stream.is_none(),
+        "serve writes no metrics stream: open one with ServerTelemetry::open and call serve_with"
+    );
+    serve_with(cfg, reader, writer, &ServerTelemetry::new(cfg))
 }
 
 /// [`serve`] against caller-owned telemetry. Counters and latency
@@ -565,7 +575,7 @@ fn run_reader<R: Read, W: Write>(
     let instrumented = shared.tele.enabled();
     let mut data_frames: u64 = 0;
     loop {
-        match read_frame(&mut reader, cfg.max_frame) {
+        match read_frame(&mut reader, MAX_FRAME) {
             Ok(Some(frame)) => {
                 if ControlMsg::maybe_control(&frame) {
                     match ControlMsg::parse(&frame) {
@@ -813,14 +823,11 @@ pub fn serve_unix(
     once: bool,
 ) -> std::io::Result<Vec<ServeStats>> {
     use std::os::unix::net::UnixListener;
+    let tele = ServerTelemetry::open(cfg)?;
     if path.exists() {
         std::fs::remove_file(path)?;
     }
     let listener = UnixListener::bind(path)?;
-    let mut tele = ServerTelemetry::new(cfg);
-    if let Some(stream_path) = &cfg.metrics_stream {
-        tele = tele.with_stream(Box::new(std::fs::File::create(stream_path)?));
-    }
     let mut all = Vec::new();
     loop {
         let (stream, _addr) = listener.accept()?;
@@ -1221,7 +1228,8 @@ mod tests {
         };
         let input = encode(&(0..5).map(request).collect::<Vec<_>>());
         let mut out = Vec::new();
-        let stats = serve(&cfg, Cursor::new(input), &mut out);
+        let tele = ServerTelemetry::open(&cfg).unwrap();
+        let stats = serve_with(&cfg, Cursor::new(input), &mut out, &tele);
         assert_eq!(stats.decisions, 5);
 
         let text = std::fs::read_to_string(&path).unwrap();
