@@ -28,7 +28,7 @@ mod args;
 use args::{ArgError, Args};
 use billcap_core::{BillCapper, DataCenterSystem, HourOutcome};
 use billcap_milp::{parse_lp, MipSolver};
-use billcap_serve::{build_plan, run_replay, verify_replay, ServeConfig};
+use billcap_serve::{build_plan, run_replay_with, verify_replay, ServeConfig, ServerTelemetry};
 use billcap_sim::corpus::run_corpus;
 use billcap_sim::export::monthly_report_csv;
 use billcap_sim::risk::to_jsonl;
@@ -806,7 +806,7 @@ fn serve_cmd(args: &Args) -> Result<(), ArgError> {
     if args.has("once") {
         return Err(ArgError("--once requires --socket".into()));
     }
-    let tele = billcap_serve::ServerTelemetry::open(&cfg).map_err(|e| ArgError(e.to_string()))?;
+    let tele = ServerTelemetry::open(&cfg).map_err(|e| ArgError(e.to_string()))?;
     // The unlocked handles: the lock guards are not Send, and the
     // server moves reader/writer onto pool threads.
     let stats = billcap_serve::serve_with(&cfg, std::io::stdin(), std::io::stdout(), &tele);
@@ -839,10 +839,13 @@ fn replay_cmd(args: &Args) -> Result<(), ArgError> {
         Some(args.get_or("budget", Scenario::STRINGENT_BUDGET)?)
     };
     let cfg = serve_config(args)?;
+    // Open the metrics stream first: a bad path fails before the plan,
+    // a whole budgeted simulation, is built.
+    let tele = ServerTelemetry::open(&cfg).map_err(|e| ArgError(e.to_string()))?;
 
     eprintln!("building {hours}-hour plan (policy {policy}, seed {seed})...");
     let plan = build_plan(policy, seed, hours, budget).map_err(|e| ArgError(e.to_string()))?;
-    let outcome = run_replay(&cfg, &plan).map_err(ArgError)?;
+    let outcome = run_replay_with(&cfg, &plan, &tele).map_err(ArgError)?;
     println!(
         "replayed {} hours on {} workers: {:.1} decisions/sec ({} cached, {} errors)",
         outcome.decisions.len(),

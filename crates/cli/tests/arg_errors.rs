@@ -144,9 +144,12 @@ fn unopenable_metrics_stream_fails_every_front() {
     let socket = std::env::temp_dir().join(format!("billcap-stream-{}.sock", std::process::id()));
     let socket = socket.to_str().expect("temp paths are UTF-8");
     assert_fails_mentioning(&["serve", "--metrics-stream", stream], stream);
-    assert_fails_mentioning(
-        &["replay", "--hours", "4", "--metrics-stream", stream],
-        stream,
+    let replay = ["replay", "--hours", "4", "--metrics-stream", stream];
+    assert_fails_mentioning(&replay, stream);
+    let stderr = String::from_utf8_lossy(&billcap(&replay).stderr).into_owned();
+    assert!(
+        !stderr.contains("building"),
+        "replay built its plan before opening the stream: {stderr:?}"
     );
     assert_fails_mentioning(
         &[

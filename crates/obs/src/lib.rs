@@ -70,7 +70,7 @@ pub mod telemetry;
 pub use metrics::{GaugeStat, HistogramSnapshot, SpanEvent, SpanStats, TraceSnapshot};
 pub use recorder::{Recorder, Span};
 pub use stopwatch::Stopwatch;
-pub use telemetry::{MetricsDoc, QuantileSummary, TraceSink, WindowedHistogram, METRICS_VERSION};
+pub use telemetry::{MetricsDoc, QuantileSummary, WindowedHistogram, METRICS_VERSION};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

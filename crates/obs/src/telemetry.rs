@@ -1,29 +1,18 @@
 //! Continuous-telemetry building blocks: windowed histograms for
-//! *recent* latency quantiles, a bounded non-blocking trace sink, and
-//! the versioned
-//! metrics document scraped over the wire by `billcap-serve`'s
-//! `metrics` control frame.
+//! *recent* latency quantiles and the versioned metrics document
+//! scraped over the wire by `billcap-serve`'s `metrics` control frame.
 //!
-//! Everything here is plain data plus a little synchronization; the
-//! policy questions (what to record, when to rotate, where to drain)
-//! belong to the server that owns these objects.
+//! Everything here is plain data; the policy questions (what to
+//! record, when to rotate, where to write) belong to the server that
+//! owns these objects.
 
 use crate::json::Value;
 use crate::metrics::HistogramSnapshot;
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, Write};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::collections::BTreeMap;
 
 /// Version of the JSON metrics document ([`MetricsDoc`]). Bumped on
 /// any incompatible schema change; consumers must check it.
 pub const METRICS_VERSION: u64 = 1;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A poisoned telemetry mutex only means a panicking thread held it;
-    // the plain data inside is still usable for monitoring.
-    m.lock().unwrap_or_else(|p| p.into_inner())
-}
 
 /// A ring of fixed-bucket histograms rotated on a logical tick.
 ///
@@ -91,83 +80,6 @@ impl WindowedHistogram {
             m.merge(h);
         }
         m
-    }
-}
-
-/// A bounded, non-blocking buffer of JSONL lines between a producer on
-/// the serving path and a writer that drains it off to the side.
-///
-/// [`push_line`](Self::push_line) never blocks and never grows the
-/// buffer past its capacity: when the buffer is full *or* the lock is
-/// momentarily contended by the drainer, the line is counted in
-/// [`dropped`](Self::dropped) and discarded (newest-dropped policy —
-/// the backlog already queued is older and therefore drained first).
-/// Work counters are scraped separately via `metrics` frames, so a
-/// dropped sink line loses a latency sample, never an exact counter.
-#[derive(Debug)]
-pub struct TraceSink {
-    lines: Mutex<VecDeque<String>>,
-    capacity: usize,
-    emitted: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl TraceSink {
-    /// A sink holding at most `capacity` pending lines.
-    ///
-    /// # Panics
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity >= 1, "sink needs room for at least one line");
-        Self {
-            lines: Mutex::new(VecDeque::with_capacity(capacity)),
-            capacity,
-            emitted: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Enqueues one line without blocking. Returns `false` (and bumps
-    /// the drop counter) when the sink is full or contended.
-    pub fn push_line(&self, line: String) -> bool {
-        if let Ok(mut q) = self.lines.try_lock() {
-            if q.len() < self.capacity {
-                q.push_back(line);
-                self.emitted.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        self.dropped.fetch_add(1, Ordering::Relaxed);
-        false
-    }
-
-    /// Writes and removes every pending line (newline-terminated) to
-    /// `out`, returning how many were written. Blocks on the sink lock
-    /// — call from the drain side, never from the hot path.
-    pub fn drain_to<W: Write>(&self, out: &mut W) -> io::Result<u64> {
-        let batch: Vec<String> = lock(&self.lines).drain(..).collect();
-        let mut n = 0u64;
-        for line in &batch {
-            out.write_all(line.as_bytes())?;
-            out.write_all(b"\n")?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    /// Lines accepted so far (drained or still pending).
-    pub fn emitted(&self) -> u64 {
-        self.emitted.load(Ordering::Relaxed)
-    }
-
-    /// Lines discarded because the sink was full or contended.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Lines currently pending.
-    pub fn pending(&self) -> usize {
-        lock(&self.lines).len()
     }
 }
 
@@ -411,25 +323,6 @@ mod tests {
     #[should_panic(expected = "at least one window")]
     fn windowed_histogram_rejects_zero_windows() {
         WindowedHistogram::new(&[1.0], 0);
-    }
-
-    #[test]
-    fn trace_sink_is_bounded_and_counts_drops() {
-        let sink = TraceSink::new(2);
-        assert!(sink.push_line("a".into()));
-        assert!(sink.push_line("b".into()));
-        assert!(!sink.push_line("c".into())); // full -> dropped
-        assert_eq!(sink.emitted(), 2);
-        assert_eq!(sink.dropped(), 1);
-        assert_eq!(sink.pending(), 2);
-
-        let mut out = Vec::new();
-        assert_eq!(sink.drain_to(&mut out).unwrap(), 2);
-        assert_eq!(String::from_utf8(out).unwrap(), "a\nb\n");
-        assert_eq!(sink.pending(), 0);
-        // Room again after draining.
-        assert!(sink.push_line("d".into()));
-        assert_eq!(sink.emitted(), 3);
     }
 
     #[test]

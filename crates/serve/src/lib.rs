@@ -56,8 +56,9 @@
 //!
 //! ## Telemetry
 //!
-//! The server continuously maintains exact work counters and windowed
-//! latency histograms ([`server::ServerTelemetry`]). Clients scrape
+//! The server continuously maintains exact work counters, advisory
+//! counts and windowed latency histograms ([`server::ServerTelemetry`],
+//! every count one row of one ledger table). Clients scrape
 //! them in-band with `{"op":"metrics"}` / `{"op":"health"}` control
 //! frames ([`protocol::ControlMsg`]), answered by the reader thread
 //! without touching the decision workers; a configured
@@ -76,7 +77,8 @@ pub use protocol::{
     MAX_FRAME,
 };
 pub use replay::{
-    build_plan, encode_requests, run_replay, verify_replay, ReplayOutcome, ReplayPlan,
+    build_plan, encode_requests, run_replay, run_replay_with, verify_replay, ReplayOutcome,
+    ReplayPlan,
 };
 pub use server::{serve, serve_with, ServeConfig, ServeStats, ServerTelemetry};
 

@@ -127,10 +127,20 @@ impl ReplayOutcome {
 /// response frames — the server must never emit those.
 pub fn run_replay(cfg: &ServeConfig, plan: &ReplayPlan) -> Result<ReplayOutcome, String> {
     let tele = ServerTelemetry::open(cfg).map_err(|e| e.to_string())?;
+    run_replay_with(cfg, plan, &tele)
+}
+
+/// [`run_replay`] against caller-opened telemetry, so a caller can
+/// refuse an unopenable metrics stream before it builds the plan.
+pub fn run_replay_with(
+    cfg: &ServeConfig,
+    plan: &ReplayPlan,
+    tele: &ServerTelemetry,
+) -> Result<ReplayOutcome, String> {
     let input = encode_requests(plan);
     let mut out: Vec<u8> = Vec::new();
     let watch = billcap_obs::Stopwatch::start();
-    let stats = serve_with(cfg, Cursor::new(input), &mut out, &tele);
+    let stats = serve_with(cfg, Cursor::new(input), &mut out, tele);
     let elapsed_ns = watch.elapsed_ns();
 
     let mut decisions = Vec::new();

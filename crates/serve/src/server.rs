@@ -31,29 +31,37 @@
 //!
 //! A [`ServerTelemetry`] instance accompanies every serve call (one
 //! per *process* under [`serve_unix`], so counters survive across
-//! connections). It splits observability into two strict tiers:
+//! connections). It is the server's only ledger: every count it keeps
+//! is one row of one table, a name and a tier over one atomic, and
+//! scrapes, the metrics stream, [`ServeStats`] and `health` all read
+//! that table. The tier splits observability in two:
 //!
-//! * **Work counters** (`serve.requests`, `serve.decisions`,
-//!   `serve.cache.*`, `core.engine.rebuilds_unique`, …) count events
-//!   that are a pure function of the request stream — bitwise
-//!   reproducible across thread counts on a fixed replay. Unique
-//!   rebuilds are counted as the cardinality of the set of
-//!   structure fingerprints drained from every engine
+//! * **Exact work counters** (`serve.requests`, `serve.decisions`,
+//!   `serve.cache.*`, `serve.frame_errors`,
+//!   `core.engine.rebuilds_unique`, …) count events that are a pure
+//!   function of the request stream — bitwise reproducible across
+//!   thread counts on a fixed replay. Unique rebuilds are counted as
+//!   the cardinality of the set of (policy, structure fingerprint)
+//!   pairs drained from every engine
 //!   ([`DecisionEngine::drain_built_keys`]). A fingerprint covers the
 //!   step and its kept price levels only (caps are synced values, not
-//!   structure), so the *set* is schedule-invariant even though which
-//!   worker built what is not.
-//! * **Advisory signals** — windowed latency histograms
+//!   structure), so models of two policies can share one; the policy
+//!   in the key keeps them apart. The *set* is schedule-invariant even
+//!   though which worker built what is not.
+//! * **Advisory signals** — the engines' raw LRU totals, failed
+//!   response and metrics-stream writes, windowed latency histograms
 //!   (enqueue-to-respond and solve-only, microseconds), queue-depth
-//!   gauges, uptime — are wall-clock and may differ run to run.
+//!   gauges, uptime — depend on the schedule, the client or the clock
+//!   and may differ run to run. Scrapes export them as gauges.
 //!
 //! In-band `{"op":"metrics"}` / `{"op":"health"}` control frames
 //! ([`crate::protocol::ControlMsg`]) are answered by the *reader*
 //! thread, never queued, so a scrape observes the workers instead of
 //! competing with them. Every `window_requests` data frames the reader
 //! rotates the latency windows and, when a metrics stream is
-//! configured, appends one [`MetricsDoc`] JSONL line via a bounded
-//! non-blocking [`TraceSink`] (drops are counted, memory never grows).
+//! configured, writes one [`MetricsDoc`] JSONL line straight to it; a
+//! failed write counts in `serve.stream_write_failed` and degrades
+//! `health`.
 //!
 //! Responses are written in completion order; clients correlate by
 //! `id`. Every response body is bitwise-identical to an in-process
@@ -71,7 +79,7 @@ use billcap_core::{
     system_fingerprint, CapperConfig, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey,
     EngineStats,
 };
-use billcap_obs::{MetricsDoc, QuantileSummary, Stopwatch, TraceSink, WindowedHistogram};
+use billcap_obs::{MetricsDoc, QuantileSummary, Stopwatch, WindowedHistogram};
 use billcap_rt::run_workers;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{BufReader, Read, Write};
@@ -84,9 +92,6 @@ const LATENCY_BOUNDS_US: [f64; 12] = [
     50.0, 100.0, 200.0, 500.0, 1_000.0, 2_000.0, 5_000.0, 10_000.0, 20_000.0, 50_000.0, 100_000.0,
     500_000.0,
 ];
-
-/// Pending-line capacity of the metrics trace sink.
-const SINK_CAPACITY: usize = 256;
 
 /// Queue depth beyond which a `health` scrape reports degradation.
 const HEALTH_QUEUE_WARN: usize = 4096;
@@ -174,23 +179,66 @@ pub struct ServerTelemetry {
     epoch: Stopwatch,
     enabled: bool,
     latency: Mutex<LatencyWindows>,
-    sink: TraceSink,
-    stream: Mutex<Option<Box<dyn Write + Send>>>,
-    /// Unique engine step-model structure fingerprints, across all
-    /// workers. The set is thread-count-invariant; see the module docs.
-    engine_keys: Mutex<HashSet<u64>>,
-    requests: AtomicU64,
-    control: AtomicU64,
-    decisions: AtomicU64,
-    errors: AtomicU64,
-    frame_errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    engine_hits: AtomicU64,
-    engine_misses: AtomicU64,
-    engine_evictions: AtomicU64,
+    stream: Option<Mutex<std::fs::File>>,
+    /// (policy, structure fingerprint) of every engine step model
+    /// built, across all workers. The set is thread-count-invariant;
+    /// see the module docs.
+    engine_keys: Mutex<HashSet<(usize, u64)>>,
+    /// One slot per [`LEDGER`] row.
+    counts: [AtomicU64; LEDGER.len()],
 }
+
+/// A count the server keeps: its slot in [`ServerTelemetry`]'s ledger.
+#[derive(Clone, Copy)]
+enum Count {
+    Requests,
+    Control,
+    Decisions,
+    Errors,
+    FrameErrors,
+    CacheHits,
+    CacheMisses,
+    CacheEvictions,
+    RebuildsUnique,
+    EngineHits,
+    EngineMisses,
+    EngineEvictions,
+    WriteFailed,
+    StreamWriteFailed,
+}
+
+/// How a scrape exports a count.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Tier {
+    /// A pure function of the request stream, bitwise equal across
+    /// thread counts: a [`MetricsDoc`] counter.
+    Exact,
+    /// Moved by the schedule or the client: a [`MetricsDoc`] gauge.
+    Advisory,
+}
+
+/// Every count the server keeps, in [`Count`] order: a new count is
+/// one key and one row.
+const LEDGER: [(Count, &str, Tier); 14] = {
+    use Count::*;
+    use Tier::*;
+    [
+        (Requests, "serve.requests", Exact),
+        (Control, "serve.control", Exact),
+        (Decisions, "serve.decisions", Exact),
+        (Errors, "serve.errors", Exact),
+        (FrameErrors, "serve.frame_errors", Exact),
+        (CacheHits, "serve.cache.hit", Exact),
+        (CacheMisses, "serve.cache.miss", Exact),
+        (CacheEvictions, "serve.cache.evict", Exact),
+        (RebuildsUnique, "core.engine.rebuilds_unique", Exact),
+        (EngineHits, "core.engine.cache.hit", Advisory),
+        (EngineMisses, "core.engine.cache.miss", Advisory),
+        (EngineEvictions, "core.engine.cache.evict", Advisory),
+        (WriteFailed, "serve.write_failed", Advisory),
+        (StreamWriteFailed, "serve.stream_write_failed", Advisory),
+    ]
+};
 
 impl ServerTelemetry {
     /// Fresh telemetry configured from `cfg`, with no stream attached.
@@ -203,34 +251,23 @@ impl ServerTelemetry {
                 request_us: WindowedHistogram::new(&LATENCY_BOUNDS_US, windows),
                 solve_us: WindowedHistogram::new(&LATENCY_BOUNDS_US, windows),
             }),
-            sink: TraceSink::new(SINK_CAPACITY),
-            stream: Mutex::new(None),
+            stream: None,
             engine_keys: Mutex::new(HashSet::new()),
-            requests: AtomicU64::new(0),
-            control: AtomicU64::new(0),
-            decisions: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            frame_errors: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_evictions: AtomicU64::new(0),
-            engine_hits: AtomicU64::new(0),
-            engine_misses: AtomicU64::new(0),
-            engine_evictions: AtomicU64::new(0),
+            counts: [const { AtomicU64::new(0) }; LEDGER.len()],
         }
     }
 
-    /// Fresh telemetry configured from `cfg`, draining to the JSONL
-    /// file `cfg.metrics_stream` names, when it names one: the one place
-    /// a server opens its metrics stream. A file that cannot be created
+    /// Fresh telemetry configured from `cfg`, writing to the JSONL file
+    /// `cfg.metrics_stream` names, when it names one: the one place a
+    /// server opens its metrics stream. A file that cannot be created
     /// is an error naming its path.
     pub fn open(cfg: &ServeConfig) -> std::io::Result<Self> {
-        let tele = Self::new(cfg);
+        let mut tele = Self::new(cfg);
         if let Some(path) = &cfg.metrics_stream {
             let file = std::fs::File::create(path).map_err(|e| {
                 std::io::Error::new(e.kind(), format!("metrics stream {}: {e}", path.display()))
             })?;
-            *lock(&tele.stream) = Some(Box::new(file));
+            tele.stream = Some(Mutex::new(file));
         }
         Ok(tele)
     }
@@ -240,33 +277,15 @@ impl ServerTelemetry {
         self.enabled
     }
 
-    /// Metrics lines accepted by the sink so far.
-    pub fn sink_emitted(&self) -> u64 {
-        self.sink.emitted()
-    }
-
-    /// Metrics lines the sink had to drop (bounded-memory policy).
-    pub fn sink_dropped(&self) -> u64 {
-        self.sink.dropped()
-    }
-
-    /// Distinct engine step-model structures built so far.
-    pub fn unique_rebuilds(&self) -> u64 {
-        lock(&self.engine_keys).len() as u64
-    }
-
-    /// The work counters [`ServeStats`] reports, as they stand.
-    fn work(&self) -> ServeStats {
-        let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
-        ServeStats {
-            requests: load(&self.requests),
-            decisions: load(&self.decisions),
-            errors: load(&self.errors),
-            cache_hits: load(&self.cache_hits),
-            cache_misses: load(&self.cache_misses),
-            cache_evictions: load(&self.cache_evictions),
-            frame_error: None,
+    /// Adds `n` to a count; adding zero touches no shared cache line.
+    fn add(&self, count: Count, n: u64) {
+        if n > 0 {
+            self.counts[count as usize].fetch_add(n, Ordering::SeqCst);
         }
+    }
+
+    fn get(&self, count: Count) -> u64 {
+        self.counts[count as usize].load(Ordering::SeqCst)
     }
 
     fn record_request_us(&self, us: f64) {
@@ -284,14 +303,6 @@ struct Queue {
     done: bool,
 }
 
-/// Which exact counter a response frame moves.
-#[derive(Clone, Copy)]
-enum FrameKind {
-    Decision,
-    Error,
-    Control,
-}
-
 struct Shared<'t, W: Write> {
     queue: Mutex<Queue>,
     available: Condvar,
@@ -307,33 +318,45 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-impl<W: Write> Shared<'_, W> {
+impl<'t, W: Write> Shared<'t, W> {
+    /// One connection's state: an empty queue and, when `cfg` asks for
+    /// one, an empty decision cache.
+    fn new(cfg: &ServeConfig, writer: W, tele: &'t ServerTelemetry) -> Self {
+        Self {
+            queue: Mutex::new(Queue {
+                frames: VecDeque::new(),
+                done: false,
+            }),
+            available: Condvar::new(),
+            writer: Mutex::new(writer),
+            cache: cfg
+                .cache
+                .then(|| Mutex::new(DecisionCache::new(cfg.cache_capacity))),
+            tele,
+            frame_error: Mutex::new(None),
+        }
+    }
+
     /// Sends a response that has no direct renderer (errors, metrics,
     /// health) through its `Value` tree, still as one write.
     fn respond(&self, response: &Response) {
-        let kind = match response {
-            Response::Decision(_) => FrameKind::Decision,
-            Response::Error { .. } => FrameKind::Error,
-            Response::Metrics { .. } | Response::Health { .. } => FrameKind::Control,
+        let count = match response {
+            Response::Decision(_) => Some(Count::Decisions),
+            Response::Error { .. } => Some(Count::Errors),
+            Response::Metrics { .. } | Response::Health { .. } => None,
         };
         let mut frame = Vec::new();
         let rendered = write_frame(&mut frame, response.to_value().render().as_bytes());
-        self.send(kind, rendered.map(|()| frame.as_slice()));
+        self.send(count, rendered.map(|()| frame.as_slice()));
     }
 
     /// Writes one rendered frame (header included) with a single
-    /// `write_all`.
-    fn send(&self, kind: FrameKind, frame: std::io::Result<&[u8]>) {
+    /// `write_all`, after moving the exact counter it answers for.
+    fn send(&self, count: Option<Count>, frame: std::io::Result<&[u8]>) {
         // Counters move *before* the frame is written so a scrape
         // issued after reading N responses always covers those N.
-        match kind {
-            FrameKind::Decision => {
-                self.tele.decisions.fetch_add(1, Ordering::SeqCst);
-            }
-            FrameKind::Error => {
-                self.tele.errors.fetch_add(1, Ordering::SeqCst);
-            }
-            FrameKind::Control => {}
+        if let Some(count) = count {
+            self.tele.add(count, 1);
         }
         let ok = frame.and_then(|bytes| {
             let mut w = lock(&self.writer);
@@ -342,13 +365,13 @@ impl<W: Write> Shared<'_, W> {
         if ok.is_err() {
             // The client is gone; keep draining the queue so the call
             // terminates, but stop pretending writes matter.
-            billcap_obs::counter("serve.write_failed", 1);
+            self.tele.add(Count::WriteFailed, 1);
         }
     }
 }
 
 /// Builds the degradation reasons a `health` scrape reports.
-fn health_reasons(queue_depth: usize, sink_dropped: u64, frame_errors: u64) -> Vec<String> {
+fn health_reasons(queue_depth: usize, stream_write_failed: u64, frame_errors: u64) -> Vec<String> {
     let mut reasons = Vec::new();
     if frame_errors > 0 {
         reasons.push(format!("{frame_errors} stream framing error(s)"));
@@ -358,8 +381,10 @@ fn health_reasons(queue_depth: usize, sink_dropped: u64, frame_errors: u64) -> V
             "queue depth {queue_depth} exceeds {HEALTH_QUEUE_WARN}"
         ));
     }
-    if sink_dropped > 0 {
-        reasons.push(format!("trace sink dropped {sink_dropped} metrics line(s)"));
+    if stream_write_failed > 0 {
+        reasons.push(format!(
+            "metrics stream dropped {stream_write_failed} line(s) on failed writes"
+        ));
     }
     reasons
 }
@@ -381,28 +406,17 @@ fn build_doc<W: Write>(
         )
     };
     let mut doc = MetricsDoc::new(tick, t.epoch.elapsed_ns());
-    let load = |a: &AtomicU64| a.load(Ordering::SeqCst);
-    // Exact work counters: reproducible across thread counts.
-    doc.counters
-        .insert("serve.requests".into(), load(&t.requests));
-    doc.counters
-        .insert("serve.control".into(), load(&t.control));
-    doc.counters
-        .insert("serve.decisions".into(), load(&t.decisions));
-    doc.counters.insert("serve.errors".into(), load(&t.errors));
-    doc.counters
-        .insert("serve.cache.hit".into(), load(&t.cache_hits));
-    doc.counters
-        .insert("serve.cache.miss".into(), load(&t.cache_misses));
-    doc.counters
-        .insert("serve.cache.evict".into(), load(&t.cache_evictions));
-    doc.counters
-        .insert("core.engine.rebuilds_unique".into(), t.unique_rebuilds());
-    doc.counters
-        .insert("serve.sink.emitted".into(), t.sink_emitted());
-    doc.counters
-        .insert("serve.sink.dropped".into(), t.sink_dropped());
-    // Advisory gauges: occupancy and schedule-dependent raw totals.
+    for ((_, name, tier), n) in LEDGER.iter().zip(&t.counts) {
+        let n = n.load(Ordering::SeqCst);
+        match tier {
+            Tier::Exact => {
+                doc.counters.insert((*name).into(), n);
+            }
+            Tier::Advisory => {
+                doc.gauges.insert((*name).into(), n as f64);
+            }
+        }
+    }
     doc.gauges
         .insert("serve.queue_depth".into(), queue_depth as f64);
     doc.gauges
@@ -411,16 +425,6 @@ fn build_doc<W: Write>(
         doc.gauges
             .insert("serve.cache.len".into(), lock(cache).len() as f64);
     }
-    doc.gauges
-        .insert("core.engine.cache.hit".into(), load(&t.engine_hits) as f64);
-    doc.gauges.insert(
-        "core.engine.cache.miss".into(),
-        load(&t.engine_misses) as f64,
-    );
-    doc.gauges.insert(
-        "core.engine.cache.evict".into(),
-        load(&t.engine_evictions) as f64,
-    );
     doc.latency.insert("request_us".into(), request_q);
     doc.latency.insert("solve_us".into(), solve_q);
     doc
@@ -428,18 +432,17 @@ fn build_doc<W: Write>(
 
 /// Answers a control frame from the reader thread.
 fn answer_control<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>, ctl: ControlMsg) {
+    let depth = lock(&shared.queue).frames.len();
     match ctl {
         ControlMsg::Metrics { id } => {
-            let depth = lock(&shared.queue).frames.len();
             let doc = build_doc(cfg, shared, depth);
             shared.respond(&Response::Metrics { id, doc });
         }
         ControlMsg::Health { id } => {
-            let depth = lock(&shared.queue).frames.len();
             let reasons = health_reasons(
                 depth,
-                shared.tele.sink_dropped(),
-                shared.tele.frame_errors.load(Ordering::SeqCst),
+                shared.tele.get(Count::StreamWriteFailed),
+                shared.tele.get(Count::FrameErrors),
             );
             shared.respond(&Response::Health {
                 id,
@@ -450,21 +453,22 @@ fn answer_control<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>, ctl: Cont
     }
 }
 
-/// One window rotation: capture the completed window into a JSONL line
-/// (when a stream is attached), then advance the ring.
+/// One window rotation: write the completed window to the metrics
+/// stream as one JSONL line (when a stream is attached), then advance
+/// the ring.
 fn emit_window<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
     let tele = shared.tele;
-    let has_stream = lock(&tele.stream).is_some();
-    if has_stream {
+    if let Some(stream) = &tele.stream {
         let depth = lock(&shared.queue).frames.len();
-        let doc = build_doc(cfg, shared, depth);
-        tele.sink.push_line(doc.render_json());
-        let mut stream = lock(&tele.stream);
-        if let Some(out) = stream.as_mut() {
-            let drained = tele.sink.drain_to(out).and_then(|_| out.flush());
-            if drained.is_err() {
-                billcap_obs::counter("serve.stream_write_failed", 1);
-            }
+        let mut line = build_doc(cfg, shared, depth).render_json();
+        line.push('\n');
+        let mut out = lock(stream);
+        if out
+            .write_all(line.as_bytes())
+            .and_then(|()| out.flush())
+            .is_err()
+        {
+            tele.add(Count::StreamWriteFailed, 1);
         }
     }
     let mut lat = lock(&tele.latency);
@@ -512,20 +516,8 @@ where
     W: Write + Send,
 {
     let workers = cfg.workers.max(1);
-    let start = tele.work();
-    let shared = Shared {
-        queue: Mutex::new(Queue {
-            frames: VecDeque::new(),
-            done: false,
-        }),
-        available: Condvar::new(),
-        writer: Mutex::new(writer),
-        cache: cfg
-            .cache
-            .then(|| Mutex::new(DecisionCache::new(cfg.cache_capacity))),
-        tele,
-        frame_error: Mutex::new(None),
-    };
+    let start = tele.counts.each_ref().map(|n| n.load(Ordering::SeqCst));
+    let shared = Shared::new(cfg, writer, tele);
     let reader_slot: Mutex<Option<R>> = Mutex::new(Some(reader));
 
     run_workers(workers + 1, |w| {
@@ -542,18 +534,18 @@ where
     // final line carries the connection's complete counters and the
     // latency retained in the window ring — a deterministic
     // end-of-stream summary.
-    if tele.enabled() && lock(&tele.stream).is_some() {
+    if tele.enabled() && tele.stream.is_some() {
         emit_window(cfg, &shared);
     }
 
-    let end = tele.work();
+    let moved = |count: Count| tele.get(count) - start[count as usize];
     ServeStats {
-        requests: end.requests - start.requests,
-        decisions: end.decisions - start.decisions,
-        errors: end.errors - start.errors,
-        cache_hits: end.cache_hits - start.cache_hits,
-        cache_misses: end.cache_misses - start.cache_misses,
-        cache_evictions: end.cache_evictions - start.cache_evictions,
+        requests: moved(Count::Requests),
+        decisions: moved(Count::Decisions),
+        errors: moved(Count::Errors),
+        cache_hits: moved(Count::CacheHits),
+        cache_misses: moved(Count::CacheMisses),
+        cache_evictions: moved(Count::CacheEvictions),
         frame_error: shared
             .frame_error
             .into_inner()
@@ -580,7 +572,7 @@ fn run_reader<R: Read, W: Write>(
                 if ControlMsg::maybe_control(&frame) {
                     match ControlMsg::parse(&frame) {
                         Ok(Some(ctl)) => {
-                            shared.tele.control.fetch_add(1, Ordering::SeqCst);
+                            shared.tele.add(Count::Control, 1);
                             answer_control(cfg, shared, ctl);
                             continue;
                         }
@@ -594,15 +586,10 @@ fn run_reader<R: Read, W: Write>(
                         }
                     }
                 }
-                shared.tele.requests.fetch_add(1, Ordering::SeqCst);
+                shared.tele.add(Count::Requests, 1);
                 data_frames += 1;
                 let stamp = instrumented.then(Stopwatch::start);
-                let mut q = lock(&shared.queue);
-                q.frames.push_back((frame, stamp));
-                if billcap_obs::enabled() {
-                    billcap_obs::gauge("serve.queue_depth", q.frames.len() as f64);
-                }
-                drop(q);
+                lock(&shared.queue).frames.push_back((frame, stamp));
                 shared.available.notify_one();
                 if instrumented
                     && cfg.window_requests > 0
@@ -620,8 +607,7 @@ fn run_reader<R: Read, W: Write>(
                     FrameError::Io(io) => format!("stream error: {io}"),
                     other => format!("protocol error: {other}"),
                 };
-                billcap_obs::counter("serve.frame_errors", 1);
-                shared.tele.frame_errors.fetch_add(1, Ordering::SeqCst);
+                shared.tele.add(Count::FrameErrors, 1);
                 *lock(&shared.frame_error) = Some(message.clone());
                 shared.respond(&Response::Error { id: None, message });
                 break;
@@ -666,26 +652,26 @@ fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
 }
 
 /// Drains the engine's LRU stats and built structure keys into the
-/// shared telemetry. Draining is unconditional so the engine's
-/// built-key buffer stays bounded on long-lived servers.
-fn sync_engine_telemetry(tele: &ServerTelemetry, state: &mut EngineState) {
+/// shared telemetry; `policy` is the engine's pricing policy. Draining
+/// is unconditional so the engine's built-key buffer stays bounded on
+/// long-lived servers.
+fn sync_engine_telemetry(tele: &ServerTelemetry, policy: usize, state: &mut EngineState) {
     let EngineStats {
         hits,
         misses,
         evictions,
     } = state.engine.drain_cache_stats();
-    if hits > 0 {
-        tele.engine_hits.fetch_add(hits, Ordering::SeqCst);
-    }
-    if misses > 0 {
-        tele.engine_misses.fetch_add(misses, Ordering::SeqCst);
-    }
-    if evictions > 0 {
-        tele.engine_evictions.fetch_add(evictions, Ordering::SeqCst);
-    }
+    tele.add(Count::EngineHits, hits);
+    tele.add(Count::EngineMisses, misses);
+    tele.add(Count::EngineEvictions, evictions);
     let keys = state.engine.drain_built_keys();
     if !keys.is_empty() {
-        lock(&tele.engine_keys).extend(keys);
+        let mut seen = lock(&tele.engine_keys);
+        let new = keys
+            .into_iter()
+            .filter(|&k| seen.insert((policy, k)))
+            .count();
+        tele.add(Count::RebuildsUnique, new as u64);
     }
 }
 
@@ -755,13 +741,13 @@ fn handle_request_inner<W: Write>(
             .get(key)
             .map(|body| render_decision_frame(out, req.id, true, body));
         if let Some(rendered) = hit {
-            shared.tele.cache_hits.fetch_add(1, Ordering::SeqCst);
+            shared.tele.add(Count::CacheHits, 1);
             span.field("cached", 1.0);
             drop(span);
-            shared.send(FrameKind::Decision, rendered.map(|()| out.as_slice()));
+            shared.send(Some(Count::Decisions), rendered.map(|()| out.as_slice()));
             return;
         }
-        shared.tele.cache_misses.fetch_add(1, Ordering::SeqCst);
+        shared.tele.add(Count::CacheMisses, 1);
     }
 
     let solve_watch = shared.tele.enabled().then(Stopwatch::start);
@@ -776,7 +762,7 @@ fn handle_request_inner<W: Write>(
             .tele
             .record_solve_us(sw.elapsed_ns() as f64 / 1_000.0);
     }
-    sync_engine_telemetry(shared.tele, state);
+    sync_engine_telemetry(shared.tele, req.policy, state);
 
     match result {
         Ok(decision) => {
@@ -787,14 +773,9 @@ fn handle_request_inner<W: Write>(
             let rendered = render_decision_frame(out, req.id, false, &body);
             if let (Some(cache), Some(key)) = (&shared.cache, key) {
                 let evicted = lock(cache).insert(key, body);
-                if evicted > 0 {
-                    shared
-                        .tele
-                        .cache_evictions
-                        .fetch_add(evicted, Ordering::SeqCst);
-                }
+                shared.tele.add(Count::CacheEvictions, evicted);
             }
-            shared.send(FrameKind::Decision, rendered.map(|()| out.as_slice()));
+            shared.send(Some(Count::Decisions), rendered.map(|()| out.as_slice()));
         }
         Err(e) => {
             span.field("error", 1.0);
@@ -1245,7 +1226,6 @@ mod tests {
         assert_eq!(docs[0].tick, 0);
         assert_eq!(docs[1].tick, 1);
         assert_eq!(docs[1].counters["serve.requests"], 4);
-        assert_eq!(docs[1].counters["serve.sink.dropped"], 0);
         let last = &docs[2];
         assert_eq!(last.tick, 2);
         assert_eq!(last.counters["serve.requests"], 5);
@@ -1483,5 +1463,153 @@ mod tests {
             .map(|(x, y)| x + y)
             .collect();
         assert_eq!(scraped.to_vec(), both);
+    }
+
+    /// Answers `ctl` frames on a fresh connection to `tele`, after any
+    /// earlier connection's pool has joined.
+    fn control_replies(
+        cfg: &ServeConfig,
+        tele: &ServerTelemetry,
+        ctl: &[ControlMsg],
+    ) -> Vec<Response> {
+        let mut input = Vec::new();
+        for c in ctl {
+            write_frame(&mut input, c.to_value().render().as_bytes()).unwrap();
+        }
+        let mut out = Vec::new();
+        serve_with(cfg, Cursor::new(input), &mut out, tele);
+        responses(&out)
+    }
+
+    fn scrape(cfg: &ServeConfig, tele: &ServerTelemetry) -> MetricsDoc {
+        match control_replies(cfg, tele, &[ControlMsg::Metrics { id: None }]).as_slice() {
+            [Response::Metrics { doc, .. }] => doc.clone(),
+            other => panic!("got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_ledger_row_has_a_unique_name_and_reaches_build_doc_once() {
+        let cfg = one_worker();
+        let tele = ServerTelemetry::new(&cfg);
+        for (i, (count, _, _)) in LEDGER.into_iter().enumerate() {
+            assert_eq!(count as usize, i, "row {i} is out of key order");
+            tele.add(count, i as u64 + 1);
+        }
+        let names: std::collections::BTreeSet<&str> = LEDGER.iter().map(|row| row.1).collect();
+        assert_eq!(names.len(), LEDGER.len(), "a name is used twice");
+
+        let doc = build_doc(&cfg, &Shared::new(&cfg, Vec::new(), &tele), 0);
+        for (i, (_, name, tier)) in LEDGER.into_iter().enumerate() {
+            let n = i as u64 + 1;
+            let found = (doc.counters.get(name), doc.gauges.get(name));
+            match tier {
+                Tier::Exact => assert_eq!(found, (Some(&n), None), "{name}"),
+                Tier::Advisory => assert_eq!(found, (None, Some(&(n as f64))), "{name}"),
+            }
+        }
+        // Every exact counter in a scrape is a ledger row.
+        let exact = LEDGER.iter().filter(|row| row.2 == Tier::Exact).count();
+        assert_eq!(doc.counters.len(), exact);
+    }
+
+    /// Refuses every write, like a socket whose client hung up.
+    struct HungUpWriter;
+
+    impl Write for HungUpWriter {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn failed_response_writes_show_in_a_later_scrape() {
+        let cfg = one_worker();
+        let tele = ServerTelemetry::new(&cfg);
+        let mut input = encode(&[request(1), request(2)]);
+        write_frame(&mut input, b"{\"id\":3,\"policy\":99}").unwrap();
+        let lost = serve_with(&cfg, Cursor::new(input), HungUpWriter, &tele);
+        assert_eq!((lost.decisions, lost.errors), (2, 1));
+
+        let doc = scrape(&cfg, &tele);
+        assert_eq!(doc.gauges["serve.write_failed"], 3.0);
+        assert_eq!(doc.gauges["serve.stream_write_failed"], 0.0);
+        assert_eq!(doc.counters["serve.decisions"], 2);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_full_metrics_stream_shows_in_scrapes_and_degrades_health() {
+        let cfg = ServeConfig {
+            workers: 1,
+            window_requests: 1,
+            metrics_stream: Some("/dev/full".into()),
+            ..ServeConfig::default()
+        };
+        let tele = ServerTelemetry::open(&cfg).unwrap();
+        let stats = serve_with(
+            &cfg,
+            Cursor::new(encode(&[request(1), request(2)])),
+            Vec::new(),
+            &tele,
+        );
+        assert_eq!(stats.decisions, 2, "a lost metrics line loses no decision");
+
+        let replies = control_replies(
+            &cfg,
+            &tele,
+            &[
+                ControlMsg::Metrics { id: None },
+                ControlMsg::Health { id: None },
+            ],
+        );
+        match replies.as_slice() {
+            [Response::Metrics { doc, .. }, Response::Health { ok, reasons, .. }] => {
+                assert!(doc.gauges["serve.stream_write_failed"] > 0.0);
+                assert!(!ok);
+                assert!(
+                    reasons.iter().any(|r| r.contains("metrics stream")),
+                    "{reasons:?}"
+                );
+            }
+            other => panic!("got {other:?}"),
+        }
+    }
+
+    /// Models of two pricing policies can share a structure
+    /// fingerprint, so unique rebuilds are counted per policy: the same
+    /// hours under policies 1 and 2 build as many distinct models as
+    /// the two policies do apart.
+    #[test]
+    fn unique_rebuilds_count_each_policy_apart() {
+        let cfg = ServeConfig {
+            workers: 1,
+            cache: false,
+            ..ServeConfig::default()
+        };
+        let hours = |policy: usize| -> Vec<Request> {
+            (0..6u64)
+                .map(|i| Request {
+                    policy,
+                    background_mw: vec![330.0 - 40.0 * i as f64, 410.0, 280.0 + 30.0 * i as f64],
+                    hourly_budget: if i % 2 == 0 { f64::INFINITY } else { 2_000.0 },
+                    ..request(i)
+                })
+                .collect()
+        };
+        let unique = |requests: &[Request]| {
+            let tele = ServerTelemetry::new(&cfg);
+            let stats = serve_with(&cfg, Cursor::new(encode(requests)), Vec::new(), &tele);
+            assert_eq!(stats.errors, 0);
+            scrape(&cfg, &tele).counters["core.engine.rebuilds_unique"]
+        };
+        let (one, two) = (unique(&hours(1)), unique(&hours(2)));
+        assert!(one > 0 && two > 0);
+        let both: Vec<Request> = hours(1).into_iter().chain(hours(2)).collect();
+        assert_eq!(unique(&both), one + two);
     }
 }

@@ -183,7 +183,6 @@ fn expected_final_counters(run: &ScrapedRun) {
     assert_eq!(c["serve.cache.hit"], 0);
     assert_eq!(c["serve.cache.miss"], HOURS as u64);
     assert_eq!(c["serve.cache.evict"], 0);
-    assert_eq!(c["serve.sink.dropped"], 0);
     assert!(
         c["core.engine.rebuilds_unique"] > 0,
         "the week must build at least one step model"
@@ -213,19 +212,7 @@ fn scraped_work_counters_are_thread_count_invariant() {
     // bitwise-equal across worker counts.
     let c1: &BTreeMap<String, u64> = &one.final_doc.counters;
     let c4: &BTreeMap<String, u64> = &four.final_doc.counters;
-    let strip_sink = |c: &BTreeMap<String, u64>| {
-        // sink.emitted differs only by stream attachment (run `one`
-        // streams to a file, run `four` does not), never by schedule.
-        c.iter()
-            .filter(|(k, _)| *k != "serve.sink.emitted")
-            .map(|(k, v)| (k.clone(), *v))
-            .collect::<BTreeMap<_, _>>()
-    };
-    assert_eq!(
-        strip_sink(c1),
-        strip_sink(c4),
-        "work counters drifted between 1 and 4 workers"
-    );
+    assert_eq!(c1, c4, "work counters drifted between 1 and 4 workers");
 
     // Mid-run scrapes are answered by the reader after it has enqueued
     // the first 100 data frames: the request counter is exact even
