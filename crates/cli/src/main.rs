@@ -172,11 +172,11 @@ USAGE:
       Show this message.
 
 Every decision is checked, in every build and on every command: each
-MILP model is linted once, when it is built (refusing Error findings,
-codes M001-M010), each solution is certified, and each hour's plan is
-audited against the paper's invariants (power caps, G/G/m response
-time, step-price level, budget rules, premium always served). A failed
-check is an error, never a decision.
+MILP model is gated once, when it is built (refusing the lint's Error
+findings: M003, M004, M007, M008), each solution is certified, and
+each hour's plan is audited against the paper's invariants (power
+caps, G/G/m response time, step-price level, budget rules, premium
+always served). A failed check is an error, never a decision.
 
 BILLCAP_TRACE=1 enables tracing, and BILLCAP_TRACE=FILE also acts as
 --trace FILE. It is read once, at startup.

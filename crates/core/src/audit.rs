@@ -42,23 +42,24 @@ use crate::spec::DataCenterSystem;
 use billcap_milp::{certify_solution, Model, Solution, SolveError};
 use std::fmt;
 
-/// Refuses a freshly built model that [`billcap_milp::lint_model`]
-/// finds Error-severity defects in. A model whose *only* Error finding
-/// is the `M007` static-infeasibility proof maps to
+/// Refuses a freshly built model that [`billcap_milp::lint_gate`] finds
+/// Error-severity defects in; the gate runs only the checks that can
+/// file one, and formats nothing for a clean model. A model whose *only*
+/// Error finding is the `M007` static-infeasibility proof maps to
 /// [`SolveError::Infeasible`], the error the solver itself would
 /// return; any other Error finding becomes [`CoreError::Lint`]. A model
-/// that fails [`Model::validate`] (which `lint_model` also files under
+/// that fails [`Model::validate`] (which the gate also files under
 /// `M007`) gets the solver's own error, [`SolveError::InvalidModel`].
 pub(crate) fn lint_built(model: &Model) -> Result<(), CoreError> {
-    let lint = billcap_milp::lint_model(model);
-    if lint.is_clean() {
+    let errors = billcap_milp::lint_gate(model);
+    if errors.is_empty() {
         return Ok(());
     }
     model.validate()?;
-    if lint.errors().all(|f| f.code == "M007") {
+    if errors.iter().all(|f| f.code == "M007") {
         return Err(CoreError::Solver(SolveError::Infeasible));
     }
-    let errors: Vec<String> = lint.errors().map(|f| f.to_string()).collect();
+    let errors: Vec<String> = errors.iter().map(|f| f.to_string()).collect();
     Err(CoreError::Lint(errors.join("; ")))
 }
 

@@ -173,13 +173,24 @@ pub fn validate_hour_inputs(
             "premium rate {premium_offered} exceeds offered rate {offered}"
         ));
     }
-    for (i, d) in background_mw.iter().enumerate() {
-        if !d.is_finite() || *d < 0.0 {
-            return invalid(format!("background[{i}] = {d} must be finite and >= 0"));
-        }
-    }
+    validate_background(background_mw)?;
     if hourly_budget.is_nan() || hourly_budget == f64::NEG_INFINITY {
         return invalid("budget must be a finite number or null".into());
+    }
+    Ok(())
+}
+
+/// Checks that every background demand is finite and at least 0, as
+/// [`validate_hour_inputs`] does: the step models' structure relies on
+/// it (see `minimize::site_level_params`), so every model lookup runs
+/// this check first.
+pub(crate) fn validate_background(background_mw: &[f64]) -> Result<(), CoreError> {
+    for (i, d) in background_mw.iter().enumerate() {
+        if !d.is_finite() || *d < 0.0 {
+            return Err(CoreError::InvalidInput(format!(
+                "background[{i}] = {d} must be finite and >= 0"
+            )));
+        }
     }
     Ok(())
 }

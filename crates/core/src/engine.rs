@@ -14,12 +14,14 @@
 //! only the values that depend on the inputs —
 //!
 //! * the `z` coefficients of the `lvl_hi_{i}_{k}` / `lvl_lo_{i}_{k}`
-//!   interval rows (functions of `d_i` and the cap),
+//!   interval rows (functions of `d_i` and the cap; a site's first kept
+//!   level has no `lvl_lo` row, its floor being 0 by construction),
 //! * the `demand` / `offered` row RHS (`λ / RATE_SCALE`),
 //! * the `budget` row RHS,
 //! * per site whose power cap moved since the model last served (a
 //!   [`crate::CapSchedule`] hour): the `lam_{i}` and `q_{i}_{k}` upper
-//!   bounds and the `cap_{i}` RHS.
+//!   bounds. The cap has no row of its own: it reaches the model through
+//!   the `lvl_hi` ceilings, which the interval sync already rewrites.
 //!
 //! When a background or cap change moves a site across a breakpoint the
 //! kept level set changes, and the engine switches to a model built for
@@ -56,7 +58,8 @@
 use crate::audit::{audited_plan, checked_solve, lint_built};
 use crate::cache::Fnv;
 use crate::capper::{
-    validate_caps, validate_hour_inputs, CapperConfig, DecisionTrace, HourDecision, HourOutcome,
+    validate_background, validate_caps, validate_hour_inputs, CapperConfig, DecisionTrace,
+    HourDecision, HourOutcome,
 };
 use crate::error::CoreError;
 use crate::maximize::throughput_max_model;
@@ -90,8 +93,8 @@ struct StepModel {
     /// structure. Cap-driven pruning shows up here, so caps need no key
     /// of their own.
     kept: Vec<Vec<usize>>,
-    /// Per-site power caps (bit patterns) the cap-dependent values —
-    /// `lam` and `q` upper bounds, `cap_i` RHS — were last written for.
+    /// Per-site power caps (bit patterns) the cap-dependent bounds —
+    /// `lam` and `q` upper bounds — were last written for.
     /// A site whose current cap has the same bits skips the rewrite;
     /// bit equality (not `==` on floats) keeps a NaN cap deterministic.
     caps: Vec<u64>,
@@ -190,10 +193,10 @@ impl DecisionEngine {
     /// Re-caps every site for the next decisions (a
     /// [`crate::CapSchedule`] hour). Caps are *values* of the retained
     /// models: the next [`Self::decide_hour`] rewrites the `lam` and `q`
-    /// upper bounds and the `cap_i` RHS of each site whose cap bits
-    /// moved since the served model last saw them, and switches models
-    /// only when a cap prunes or restores a price level (the kept-level
-    /// key). Decisions stay independent of cap history: a served model
+    /// upper bounds of each site whose cap bits moved since the served
+    /// model last saw them (the `lvl_hi` ceilings, which the cap clamps,
+    /// are rewritten every hour), and switches models only when a cap
+    /// prunes or restores a price level (the kept-level key). Decisions stay independent of cap history: a served model
     /// is bitwise-identical to a fresh build for the current inputs.
     ///
     /// Bad caps (NaN, infinite, below base power) are accepted here; the
@@ -390,7 +393,10 @@ struct HourLevels {
 
 impl HourLevels {
     /// The hour's levels, or [`CoreError::Dimension`] when
-    /// `background_mw` does not have one entry per site.
+    /// `background_mw` does not have one entry per site, or
+    /// [`CoreError::InvalidInput`] when an entry is negative or not
+    /// finite. Every step model is looked up through these levels, so
+    /// every build sees a checked background.
     fn new(system: &DataCenterSystem, background_mw: &[f64]) -> Result<Self, CoreError> {
         if background_mw.len() != system.len() {
             return Err(CoreError::Dimension {
@@ -398,6 +404,7 @@ impl HourLevels {
                 got: background_mw.len(),
             });
         }
+        validate_background(background_mw)?;
         let params = level_params(system, background_mw);
         let kept = EngineCore::kept_key(&params);
         Ok(Self { params, kept })
@@ -431,12 +438,14 @@ impl StepModel {
     /// hour's inputs, writing the exact floats the builders would:
     ///
     /// * per site whose cap bits differ from those the model was last
-    ///   written for, the `lam` and `q` upper bounds and the `cap_i`
-    ///   RHS. The kept key already matches, so the `q` handles line up
-    ///   with this hour's levels;
+    ///   written for, the `lam` and `q` upper bounds. The kept key
+    ///   already matches, so the `q` handles line up with this hour's
+    ///   levels;
     /// * the interval-row `z` coefficients. Every `(site, slot)` pair
     ///   lines up with a retained `(q, z)` pair and the builder's
-    ///   `(lvl_hi, lvl_lo)` row pair;
+    ///   `(lvl_hi, lvl_lo)` row pair. Slot 0 has no `lvl_lo` row: the
+    ///   same key puts the background-holding level first, whose floor
+    ///   coefficient is 0 in every hour;
     /// * the rate row RHS `lambda / RATE_SCALE`, and the budget row RHS
     ///   `budget.max(0.0)` when the model has one.
     fn sync(
@@ -456,15 +465,15 @@ impl StepModel {
             for &(_, _, q, _) in &self.vars.levels[i] {
                 self.model.set_var_bounds(q, 0.0, v.q_ub);
             }
-            self.model
-                .set_constraint_rhs(self.vars.cap_rows[i], v.cap_rhs)?;
             self.caps[i] = bits;
         }
         for (i, site_params) in params.iter().enumerate() {
             let slots = self.vars.levels[i].iter().zip(&self.vars.lvl_rows[i]);
             for (p, (&(_, _, _, z), &(hi, lo))) in site_params.iter().zip(slots) {
                 self.model.set_constraint_coeff(hi, z, p.zcoef_hi)?;
-                self.model.set_constraint_coeff(lo, z, p.zcoef_lo)?;
+                if let Some(lo) = lo {
+                    self.model.set_constraint_coeff(lo, z, p.zcoef_lo)?;
+                }
             }
         }
         self.model
@@ -939,6 +948,32 @@ mod tests {
         }
     }
 
+    /// A negative or non-finite background is refused as input by both
+    /// one-shot optimizers, as a decision refuses it, before any model
+    /// is built: the models' structure assumes it (a site's first kept
+    /// level holds the background).
+    #[test]
+    fn bad_background_is_invalid_input_on_the_optimizers() {
+        let sys = DataCenterSystem::paper_system(1);
+        for d in [-1.0, f64::NAN, f64::INFINITY] {
+            let bg = [330.0, d, 280.0];
+            let results = [
+                CostMinimizer::default().solve(&sys, 1e8, &bg).map(drop),
+                ThroughputMaximizer::default()
+                    .solve(&sys, 1e8, &bg, 1e4)
+                    .map(drop),
+            ];
+            for r in results {
+                match r {
+                    Err(CoreError::InvalidInput(msg)) => {
+                        assert!(msg.contains("background[1]"), "{msg}")
+                    }
+                    r => panic!("background {d}: {r:?}"),
+                }
+            }
+        }
+    }
+
     /// A negative site cap is refused as input on every engine step,
     /// every decision and both optimizers, before any model is looked up.
     #[test]
@@ -1370,6 +1405,141 @@ mod tests {
                 "every cap move after a build is a synced hit"
             );
         }
+    }
+
+    /// The rows `build_piecewise_core` leaves out are implied, on seeded
+    /// hours of Policies 1–3 with caps drawn between each site's base
+    /// power and its spec cap: the first kept level of every site is the
+    /// one holding the background, with a zero floor (its `lvl_lo` row
+    /// would read `q ≥ 0`), and every kept ceiling is at most the cap
+    /// (so a `Σ q ≤ cap` row would be slack). Every case decides bitwise
+    /// alike on a retained engine and a one-shot capper. Every eighth
+    /// case puts one site's cap within 1e-3 MW of its base power, where
+    /// the idle-site widening meets the clamp, and every such decision
+    /// passes the plan audit.
+    #[test]
+    fn dropped_rows_are_implied_on_seeded_hours() {
+        use crate::audit::PlanAuditor;
+        use crate::minimize::site_level_params;
+        use billcap_rt::{Rng, Xoshiro256pp};
+
+        let mut rng = Xoshiro256pp::seed_from_u64(0x5eed_0031);
+        let capper = BillCapper::default();
+        let (mut compared, mut corners) = (0, 0);
+        for policy in 1..=3 {
+            let sys = DataCenterSystem::paper_system(policy);
+            let n = sys.len();
+            let spec_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
+            let bases: Vec<f64> = sys.sites.iter().map(|s| s.base_power_mw()).collect();
+            let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+            for case in 0..40usize {
+                let background: Vec<f64> = (0..n).map(|_| rng.random_f64_in(0.0, 800.0)).collect();
+                let mut caps: Vec<f64> = (0..n)
+                    .map(|i| rng.random_f64_in(bases[i], spec_caps[i]))
+                    .collect();
+                let corner = case % 8 == 0;
+                if corner {
+                    caps[(case / 8) % n] = bases[(case / 8) % n] + 5e-4;
+                }
+                let mut capped = sys.clone();
+                for (site, &cap) in capped.sites.iter_mut().zip(&caps) {
+                    site.power_cap_mw = cap;
+                }
+                let ctx = format!("policy {policy} case {case} bg {background:?} caps {caps:?}");
+                for (i, site) in capped.sites.iter().enumerate() {
+                    let d = background[i];
+                    let params = site_level_params(site, capped.policy(i), d);
+                    let holding = capped
+                        .policy(i)
+                        .levels()
+                        .position(|(lo, hi, _)| lo <= d && d < hi);
+                    assert_eq!(Some(params[0].k), holding, "{ctx} site {i}: first level");
+                    assert_eq!(params[0].zcoef_lo, 0.0, "{ctx} site {i}: first floor");
+                    for p in &params {
+                        assert!(-p.zcoef_hi <= caps[i], "{ctx} site {i} level {}", p.k);
+                    }
+                }
+                let offered = capped.total_capacity() * rng.random_f64_in(0.1, 0.9);
+                let premium = 0.5 * offered;
+                let budget = if case % 3 == 0 {
+                    f64::INFINITY
+                } else {
+                    rng.random_f64_in(0.0, 8000.0)
+                };
+                engine.set_site_caps(&caps);
+                let served = engine
+                    .decide_hour(offered, premium, &background, budget)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                let fresh = capper
+                    .decide_hour(&capped, offered, premium, &background, budget)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                assert_decisions_bitwise_equal(&served, &fresh, &ctx);
+                compared += 1;
+                if corner {
+                    let report = PlanAuditor.audit_decision(&capped, &served, &background);
+                    assert!(report.passed(), "{ctx}: {report}");
+                    corners += 1;
+                }
+            }
+        }
+        assert_eq!((compared, corners), (120, 15));
+    }
+
+    /// Every step model of the sweep, for Policies 1–3 under flat and
+    /// derated caps — step 1 (the offered rate), step 3 (the premium
+    /// rate) and step 2 (the hour's budget, or $10k for an uncapped
+    /// hour) — is minimal and lints clean: no `cap_` row, no `lvl_lo`
+    /// row on a site's first kept level, and no finding above Info. The
+    /// pinned levels (`l = u`, e.g. Policy 1's site 0 at 330 MW) stay as
+    /// M004 ranges, which are Info.
+    #[test]
+    fn every_sweep_model_is_minimal_and_lints_clean() {
+        let mut linted = 0;
+        for policy in 1..=3 {
+            let sys = DataCenterSystem::paper_system(policy);
+            let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
+            let derate = CapSchedule::derating(&base_caps, 24, 0.35, 42);
+            let hours = sweep(&sys);
+            for derated in [false, true] {
+                for (h, (offered, premium, bg, budget)) in hours.iter().enumerate() {
+                    let mut capped = sys.clone();
+                    if derated {
+                        derate.apply(&mut capped, h);
+                    }
+                    let step2_budget = if budget.is_finite() { *budget } else { 1e4 };
+                    let models = [
+                        ("step 1", cost_min_model(&capped, *offered, bg, false).0),
+                        ("step 3", cost_min_model(&capped, *premium, bg, false).0),
+                        (
+                            "step 2",
+                            throughput_max_model(&capped, *offered, bg, step2_budget, false).0,
+                        ),
+                    ];
+                    let first_floors: Vec<String> = level_params(&capped, bg)
+                        .iter()
+                        .enumerate()
+                        .map(|(i, params)| format!("lvl_lo_{i}_{}", params[0].k))
+                        .collect();
+                    for (step, m) in &models {
+                        let ctx = format!("policy {policy} derated {derated} hour {h} {step}");
+                        for row in m.constraints() {
+                            assert!(!row.name.starts_with("cap_"), "{ctx}: {}", row.name);
+                            assert!(!first_floors.contains(&row.name), "{ctx}: {}", row.name);
+                        }
+                        let report = billcap_milp::lint_model(m);
+                        let loud: Vec<_> = report
+                            .findings
+                            .iter()
+                            .filter(|f| f.severity > billcap_milp::Severity::Info)
+                            .collect();
+                        assert!(loud.is_empty(), "{ctx}:\n{report}");
+                        assert!(billcap_milp::lint_gate(m).is_empty(), "{ctx}");
+                        linted += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(linted, 3 * 2 * 24 * 3);
     }
 
     /// The outcome class of a decision: `Ok`, or the error variant (and

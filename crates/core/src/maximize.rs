@@ -74,8 +74,9 @@ impl ThroughputMaximizer {
     /// workload `lambda` (requests/hour) and background demand
     /// `background_mw`. The returned allocation may admit less than
     /// `lambda`; it never costs more than `budget`. A background without
-    /// one entry per site, or a power cap that is not finite or sits below
-    /// a site's base power, is refused before any model is built.
+    /// one entry per site or with a negative or non-finite entry, or a
+    /// power cap that is not finite or sits below a site's base power, is
+    /// refused before any model is built.
     pub fn solve(
         &self,
         system: &DataCenterSystem,

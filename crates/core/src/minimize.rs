@@ -68,10 +68,11 @@ pub(crate) struct PiecewiseVars {
     /// binary count small.
     pub levels: Vec<Vec<(usize, f64, VarId, VarId)>>,
     /// Per site and kept level (same order as `levels`): the row indices
-    /// of its `lvl_hi` and `lvl_lo` interval rows.
-    pub lvl_rows: Vec<Vec<(usize, usize)>>,
-    /// Per site: the row index of its `cap` row.
-    pub cap_rows: Vec<usize>,
+    /// of its `lvl_hi` and `lvl_lo` interval rows. The first kept level
+    /// has no `lvl_lo` row (`None`): its floor is 0 by construction (see
+    /// [`site_level_params`]), so the row would read `q ≥ 0`, which the
+    /// variable's bound already says.
+    pub lvl_rows: Vec<Vec<(usize, Option<usize>)>>,
     /// The row index of the step's rate row, `Σ lam_i` against the
     /// offered rate: `demand` (step 1) or `offered` (step 2).
     pub rate_row: usize,
@@ -100,8 +101,8 @@ pub(crate) struct LevelParam {
     pub zcoef_lo: f64,
 }
 
-/// The values a site's power cap `Ps_i` writes into the MILP, outside
-/// level pruning and the `lvl_hi` coefficients (both of which
+/// The variable bounds a site's power cap `Ps_i` writes into the MILP,
+/// outside level pruning and the `lvl_hi` coefficients (both of which
 /// [`site_level_params`] already covers).
 ///
 /// The from-scratch builder ([`build_piecewise_core`]) and the engine's
@@ -114,22 +115,40 @@ pub(crate) struct SiteCapValues {
     pub lam_ub: f64,
     /// Upper bound of every `q_{i}_{k}` (MW).
     pub q_ub: f64,
-    /// Right-hand side of the `cap_{i}` row (MW).
-    pub cap_rhs: f64,
 }
 
-/// Computes the cap-dependent bounds and right-hand side of `site`.
+/// Computes the cap-dependent bounds of `site`.
 pub(crate) fn site_cap_values(site: &DataCenterSpec) -> SiteCapValues {
-    let cap = site.power_cap_mw;
     SiteCapValues {
         lam_ub: site.max_rate() / RATE_SCALE,
-        q_ub: cap.max(0.0),
-        cap_rhs: cap,
+        q_ub: site.power_cap_mw.max(0.0),
     }
 }
 
 /// Computes the kept (non-pruned) price levels of `site` under `policy`
 /// with background demand `d`, and their interval-row coefficients.
+///
+/// Two facts make rows of [`build_piecewise_core`] redundant, so it does
+/// not emit them. Both assume what every model build has checked first
+/// (the engine's `HourLevels` and [`crate::capper::validate_caps`]): `d`
+/// is finite and at least 0, and the cap is finite and at least the
+/// site's base power `b ≥ 0`.
+///
+/// * **The first kept level holds the background, and its floor is 0.**
+///   The levels tile `[0, ∞)` in increasing order, so exactly one level
+///   has `lo ≤ d < hi` (`holds_zero`), and it is always kept. Any lower
+///   level has `hi ≤ lo_holding ≤ d`, so its ceiling is
+///   `u ≤ hi − BREAKPOINT_MARGIN_MW − d < 0` (the `min` with the cap
+///   can only lower it) and, not holding the background, it is pruned. The holding
+///   level's floor is `l = max(lo − d, 0) = 0` since `lo ≤ d`. So the
+///   first entry of the result has `zcoef_lo == 0`, and its `lvl_lo` row
+///   would read `q ≥ 0`: the variable's own lower bound.
+/// * **Every kept ceiling is at most the cap.** `u = min(hi − margin − d,
+///   cap)`, and the idle-site widening below is clamped at the cap (it
+///   can still reach the base power, since `cap ≥ b`). With `Σ_k z_k = 1`
+///   and `z ≥ 0`, the `lvl_hi` rows give
+///   `Σ_k q_k ≤ Σ_k u_k·z_k ≤ max_k u_k ≤ cap`, in the LP relaxation as
+///   well as at integral `z`: a separate `Σ_k q_k ≤ cap` row is implied.
 pub(crate) fn site_level_params(
     site: &DataCenterSpec,
     policy: &StepPolicy,
@@ -158,8 +177,13 @@ pub(crate) fn site_level_params(
         let holds_zero = lo <= d && d < hi;
         // If the background sits inside the breakpoint margin, an idle
         // site must still be representable: widen this level's ceiling
-        // just enough for the base (QoS headroom) power.
-        let u = if holds_zero { u.max(b + 1e-3) } else { u };
+        // just enough for the base (QoS headroom) power, but never past
+        // the cap (which is at least the base power).
+        let u = if holds_zero {
+            u.max(b + 1e-3).min(cap)
+        } else {
+            u
+        };
         let reachable = u > 0.0 && l <= cap;
         if !(reachable || holds_zero) {
             continue;
@@ -324,6 +348,11 @@ pub(crate) fn level_params(
 /// restrictions and, last, the step's rate row `Σ lam_i op rate`, with
 /// `(name, op, rate)` from `rate_row`. Returns the variable handles and
 /// row indices.
+///
+/// The model carries no row the others imply ([`site_level_params`]
+/// proves both cases): the first kept level of a site has no `lvl_lo`
+/// row, and there is no `Σ_k q_ik ≤ cap` row. The cap reaches the model
+/// through the `lvl_hi` ceilings and the `q` bounds alone.
 pub(crate) fn build_piecewise_core(
     m: &mut Model,
     system: &DataCenterSystem,
@@ -335,7 +364,6 @@ pub(crate) fn build_piecewise_core(
     let mut lam = Vec::with_capacity(n);
     let mut site_levels = Vec::with_capacity(n);
     let mut lvl_rows = Vec::with_capacity(n);
-    let mut cap_rows = Vec::with_capacity(n);
 
     for (i, site) in system.sites.iter().enumerate() {
         let d = background_mw[i];
@@ -374,26 +402,32 @@ pub(crate) fn build_piecewise_core(
 
         let mut levels_i = Vec::new();
         let mut rows_i = Vec::new();
-        for p in site_level_params(site, system.policy(i), d) {
+        for (slot, p) in site_level_params(site, system.policy(i), d)
+            .into_iter()
+            .enumerate()
+        {
             let k = p.k;
             let q = m.add_cont(format!("q_{i}_{k}"), 0.0, caps.q_ub);
             let z = m.add_binary(format!("z_{i}_{k}"));
-            let hi = m.num_constraints();
-            rows_i.push((hi, hi + 1));
             // q <= u * z.
+            let hi = m.num_constraints();
             m.add_constraint(
                 format!("lvl_hi_{i}_{k}"),
                 vec![(q, 1.0), (z, p.zcoef_hi)],
                 ConstraintOp::Le,
                 0.0,
             );
-            // q >= l * z.
-            m.add_constraint(
-                format!("lvl_lo_{i}_{k}"),
-                vec![(q, 1.0), (z, p.zcoef_lo)],
-                ConstraintOp::Ge,
-                0.0,
-            );
+            // q >= l * z, except on the first kept level, where l = 0.
+            let lo = (slot > 0).then(|| {
+                m.add_constraint(
+                    format!("lvl_lo_{i}_{k}"),
+                    vec![(q, 1.0), (z, p.zcoef_lo)],
+                    ConstraintOp::Ge,
+                    0.0,
+                );
+                hi + 1
+            });
+            rows_i.push((hi, lo));
             levels_i.push((k, p.price, q, z));
         }
         debug_assert!(!levels_i.is_empty(), "policy levels tile [0, inf)");
@@ -410,16 +444,10 @@ pub(crate) fn build_piecewise_core(
             terms.push((v, -c));
         }
         m.add_constraint(format!("power_{i}"), terms, ConstraintOp::Eq, power_const);
-        // Site power cap (each q is individually bounded by cap via its
-        // level constraint; this row makes the cap explicit and guards the
-        // integral-server mode where n_i drives power).
-        cap_rows.push(m.num_constraints());
-        m.add_constraint(
-            format!("cap_{i}"),
-            levels_i.iter().map(|&(_, _, q, _)| (q, 1.0)).collect(),
-            ConstraintOp::Le,
-            caps.cap_rhs,
-        );
+        // Site power cap: no row of its own. Each level's ceiling is at
+        // most the cap and exactly one level is active, so the `lvl_hi`
+        // rows already hold Σ_k q_ik (the site's power, whether a_i·lam_i
+        // + b_i or, with integral servers, wps·n_i) to the cap.
 
         lam.push(lam_i);
         site_levels.push(levels_i);
@@ -434,7 +462,6 @@ pub(crate) fn build_piecewise_core(
         lam,
         levels: site_levels,
         lvl_rows,
-        cap_rows,
         rate_row,
         budget_row: None,
     }
@@ -544,9 +571,9 @@ impl CostMinimizer {
     /// Minimizes the hour's electricity cost for total workload `lambda`
     /// (requests/hour) with per-site background demand `background_mw`.
     /// Inputs are checked as a decision checks them: a background without
-    /// one entry per site, a workload over capacity, or a power cap that
-    /// is not finite or sits below a site's base power is refused before
-    /// any model is built.
+    /// one entry per site or with a negative or non-finite entry, a
+    /// workload over capacity, or a power cap that is not finite or sits
+    /// below a site's base power is refused before any model is built.
     pub fn solve(
         &self,
         system: &DataCenterSystem,

@@ -21,9 +21,10 @@
 //! | S009 | Info    | price level unreachable within the site's power cap |
 //! | S010 | Error   | cap schedule malformed for the system, or derates a site below its idle power |
 //!
-//! The same idea guards every capper model: [`billcap_milp::lint_model`]
-//! runs on each model when it is built, and a model with Error-severity
-//! findings is refused (see [`crate::audit`]).
+//! The same idea guards every capper model: [`billcap_milp::lint_gate`]
+//! (the model lint's refusing checks) runs on each model when it is
+//! built, and a model with Error-severity findings is refused (see
+//! [`crate::audit`]).
 
 use crate::spec::DataCenterSystem;
 use billcap_milp::lint::{Finding, Severity};

@@ -71,7 +71,7 @@ pub use branch::{MipSolver, MipWorkspace};
 pub use certify::{certify_solution, CertifyReport, Violation};
 pub use error::SolveError;
 pub use io::{parse_lp, write_lp};
-pub use lint::{lint_model, Finding, LintReport, ModelStats, Severity};
+pub use lint::{lint_gate, lint_model, Finding, LintReport, ModelStats, Severity};
 pub use model::{Constraint, ConstraintOp, Model, Sense, VarId, VarType, Variable};
 pub use oracle::{brute_force_solve, brute_force_solve_capped};
 pub use presolve::{propagate_bounds, Propagation};

@@ -14,7 +14,7 @@
 //! | M001 | Warning | row coefficient range exceeds 1e8 (ill-conditioned) |
 //! | M002 | Warning | big-M row is looser than the bounded variable needs |
 //! | M003 | Error   | exactly-one row over non-binary participants |
-//! | M004 | Error/Warning | contradictory (Error) or redundant (Warning) parallel rows |
+//! | M004 | Error/Warning/Info | contradictory (Error), redundant (Warning) or range (Info) parallel rows |
 //! | M005 | Warning | variable appears in no constraint and no objective |
 //! | M006 | Info    | continuous variable is implied integral |
 //! | M007 | Error   | bounds are statically infeasible (propagation proof) |
@@ -24,9 +24,14 @@
 //!
 //! Severities gate behavior: `Error` findings mean the model is broken
 //! and solving it wastes work or returns garbage; `Warning` findings
-//! deserve a look; `Info` findings are structural facts. With their
-//! `audit` switch on, the capper's optimizers refuse to solve models
-//! with `Error` findings (see `billcap-core`).
+//! deserve a look; `Info` findings are structural facts. Only the
+//! structural validation and M003, M004 (its contradiction case), M007
+//! and M008 can file an `Error`. [`lint_gate`] runs just those checks
+//! and returns their `Error` findings, formatting nothing for a clean
+//! model; the capper's decision engine runs it on every model it builds
+//! and refuses one it finds fault with (see `billcap-core`).
+//! [`lint_model`] runs the same checks through the gate, then adds the
+//! advisory ones.
 
 use crate::model::{ConstraintOp, Model, VarType};
 use crate::presolve::propagate_bounds;
@@ -129,7 +134,7 @@ impl ModelStats {
 /// Result of linting one model: findings plus summary statistics.
 #[derive(Debug, Clone)]
 pub struct LintReport {
-    /// All findings, in check order (M001 … M010).
+    /// All findings, in code order (M001 … M010).
     pub findings: Vec<Finding>,
     /// Model dimensions and conditioning.
     pub stats: ModelStats,
@@ -183,41 +188,68 @@ impl fmt::Display for LintReport {
 /// to analyze (e.g. out-of-range variable references) is itself reported
 /// as an `Error` finding.
 pub fn lint_model(model: &Model) -> LintReport {
-    let mut findings = Vec::new();
     let stats = compute_stats(model);
+    let mut findings = Vec::new();
+    let mut advisory = Vec::new();
+    if refusing_checks(model, &mut findings, Some(&mut advisory)) {
+        check_row_ranges(model, &mut advisory);
+        check_big_m(model, &mut advisory);
+        check_dangling(model, &mut advisory);
+        check_implied_integrality(model, &mut advisory);
+        advisory.push(Finding {
+            code: "M010",
+            severity: Severity::Info,
+            location: model.name.clone(),
+            message: format!(
+                "{} vars ({} integer), {} rows, {} nonzeros, coefficient range {:.1e}",
+                stats.vars,
+                stats.int_vars,
+                stats.rows,
+                stats.nonzeros,
+                stats.dynamic_range()
+            ),
+        });
+        findings.append(&mut advisory);
+        // Stable, so findings of one code keep their check order.
+        findings.sort_by_key(|f| f.code);
+    }
+    LintReport { findings, stats }
+}
 
+/// The checks that can refuse `model`: structural validation (filed
+/// under `M007`), `M003`, `M004`'s contradiction case, `M007` and
+/// `M008`. Returns their `Error` findings; for a clean model that is an
+/// empty vector, and no finding is formatted. [`lint_model`] runs these
+/// same checks and adds the advisory ones.
+pub fn lint_gate(model: &Model) -> Vec<Finding> {
+    let mut errors = Vec::new();
+    refusing_checks(model, &mut errors, None);
+    errors
+}
+
+/// Runs the refusing checks, pushing their `Error` findings onto
+/// `errors` and, when `advisory` is given, the `Warning` and `Info`
+/// findings the same passes yield (M004's duplicates and ranges, M009)
+/// onto it. Returns whether `model` passed structural validation; the
+/// other checks run only on a valid model.
+fn refusing_checks(
+    model: &Model,
+    errors: &mut Vec<Finding>,
+    mut advisory: Option<&mut Vec<Finding>>,
+) -> bool {
     if let Err(e) = model.validate() {
-        findings.push(Finding {
+        errors.push(Finding {
             code: "M007",
             severity: Severity::Error,
             location: model.name.clone(),
             message: format!("model fails structural validation: {e}"),
         });
-        return LintReport { findings, stats };
+        return false;
     }
-
-    check_row_ranges(model, &mut findings);
-    check_big_m(model, &mut findings);
-    check_exactly_one(model, &mut findings);
-    check_parallel_rows(model, &mut findings);
-    check_dangling(model, &mut findings);
-    check_implied_integrality(model, &mut findings);
-    check_propagation(model, &mut findings);
-    findings.push(Finding {
-        code: "M010",
-        severity: Severity::Info,
-        location: model.name.clone(),
-        message: format!(
-            "{} vars ({} integer), {} rows, {} nonzeros, coefficient range {:.1e}",
-            stats.vars,
-            stats.int_vars,
-            stats.rows,
-            stats.nonzeros,
-            stats.dynamic_range()
-        ),
-    });
-
-    LintReport { findings, stats }
+    check_exactly_one(model, errors);
+    check_parallel_rows(model, errors, advisory.as_deref_mut());
+    check_propagation(model, errors, advisory);
+    true
 }
 
 fn compute_stats(model: &Model) -> ModelStats {
@@ -335,10 +367,18 @@ fn check_exactly_one(model: &Model, findings: &mut Vec<Finding>) {
     }
 }
 
-/// M004: rows with identical normalized coefficient vectors. Redundant
-/// pairs waste pivots; contradictory pairs make the model infeasible in
-/// a way that surfaces as a deep simplex failure instead of a message.
-fn check_parallel_rows(model: &Model, findings: &mut Vec<Finding>) {
+/// M004: rows with identical normalized coefficient vectors.
+/// Contradictory pairs make the model infeasible in a way that surfaces
+/// as a deep simplex failure instead of a message (an `Error`, pushed
+/// onto `errors`). The other pairs go to `advisory`, when given: a pair
+/// where one row implies the other wastes pivots (a `Warning`), while a
+/// `≤`/`≥` pair whose intervals meet is a range that needs both rows
+/// (`Info`).
+fn check_parallel_rows(
+    model: &Model,
+    errors: &mut Vec<Finding>,
+    mut advisory: Option<&mut Vec<Finding>>,
+) {
     // Normalize each row: terms sorted by variable, scaled so the first
     // coefficient is +1. The scale flips Le/Ge when negative.
     type Key = Vec<(usize, u64)>;
@@ -371,9 +411,6 @@ fn check_parallel_rows(model: &Model, findings: &mut Vec<Finding>) {
         groups.entry(key).or_default().push((ci, op, c.rhs / scale));
     }
     for rows in groups.values() {
-        if rows.len() < 2 {
-            continue;
-        }
         // Intersect the intervals each row imposes on the shared
         // expression; an empty intersection is a static contradiction.
         for w in rows.windows(2) {
@@ -386,28 +423,49 @@ fn check_parallel_rows(model: &Model, findings: &mut Vec<Finding>) {
             };
             let (lo_a, hi_a) = interval(op_a, rhs_a);
             let (lo_b, hi_b) = interval(op_b, rhs_b);
+            let (lo, hi) = (lo_a.max(lo_b), hi_a.min(hi_b));
             let tol = 1e-9 * rhs_a.abs().max(rhs_b.abs()).max(1.0);
             let name_i = &model.constraints()[i].name;
-            let name_j = &model.constraints()[j].name;
-            if lo_a.max(lo_b) > hi_a.min(hi_b) + tol {
-                findings.push(Finding {
+            let location = || format!("{}:{}", model.name, model.constraints()[j].name);
+            if lo > hi + tol {
+                errors.push(Finding {
                     code: "M004",
                     severity: Severity::Error,
-                    location: format!("{}:{}", model.name, name_j),
+                    location: location(),
                     message: format!(
                         "contradicts parallel row '{name_i}' \
                          (same coefficients, incompatible right-hand sides); \
                          the model is infeasible"
                     ),
                 });
+                continue;
+            }
+            let Some(advisory) = advisory.as_deref_mut() else {
+                continue;
+            };
+            let range = matches!(
+                (op_a, op_b),
+                (ConstraintOp::Le, ConstraintOp::Ge) | (ConstraintOp::Ge, ConstraintOp::Le)
+            );
+            if range {
+                advisory.push(Finding {
+                    code: "M004",
+                    severity: Severity::Info,
+                    location: location(),
+                    message: format!(
+                        "forms a range with parallel row '{name_i}': together they \
+                         hold the scaled expression in [{lo}, {hi}], and neither \
+                         implies the other; keep both"
+                    ),
+                });
             } else {
-                findings.push(Finding {
+                advisory.push(Finding {
                     code: "M004",
                     severity: Severity::Warning,
-                    location: format!("{}:{}", model.name, name_j),
+                    location: location(),
                     message: format!(
-                        "duplicates row '{name_i}' (parallel coefficients); \
-                         drop one of the two"
+                        "duplicates row '{name_i}' (parallel coefficients, and one \
+                         row implies the other); drop the implied one"
                     ),
                 });
             }
@@ -495,13 +553,19 @@ fn check_implied_integrality(model: &Model, findings: &mut Vec<Finding>) {
 
 /// M007/M008/M009: activity-based bound propagation. A propagation-time
 /// infeasibility is a static proof the solver would otherwise discover
-/// through simplex failures; a still-infinite improving-direction bound
-/// on an unconstrained objective variable proves unboundedness.
-fn check_propagation(model: &Model, findings: &mut Vec<Finding>) {
+/// through simplex failures (M007); a still-infinite improving-direction
+/// bound on an unconstrained objective variable proves unboundedness
+/// (M008). Both are `Error`s, pushed onto `errors`; the tightening
+/// summary (M009, `Info`) goes to `advisory`, when given.
+fn check_propagation(
+    model: &Model,
+    errors: &mut Vec<Finding>,
+    advisory: Option<&mut Vec<Finding>>,
+) {
     let prop = match propagate_bounds(model) {
         Ok(p) => p,
         Err(SolveError::Infeasible) => {
-            findings.push(Finding {
+            errors.push(Finding {
                 code: "M007",
                 severity: Severity::Error,
                 location: model.name.clone(),
@@ -513,7 +577,7 @@ fn check_propagation(model: &Model, findings: &mut Vec<Finding>) {
             return;
         }
         Err(e) => {
-            findings.push(Finding {
+            errors.push(Finding {
                 code: "M007",
                 severity: Severity::Error,
                 location: model.name.clone(),
@@ -522,17 +586,19 @@ fn check_propagation(model: &Model, findings: &mut Vec<Finding>) {
             return;
         }
     };
-    if prop.tightened > 0 {
-        findings.push(Finding {
-            code: "M009",
-            severity: Severity::Info,
-            location: model.name.clone(),
-            message: format!(
-                "bound propagation tightened {} bound(s) in {} round(s); \
-                 the branch-and-bound root starts from the tighter box",
-                prop.tightened, prop.rounds
-            ),
-        });
+    if let Some(advisory) = advisory {
+        if prop.tightened > 0 {
+            advisory.push(Finding {
+                code: "M009",
+                severity: Severity::Info,
+                location: model.name.clone(),
+                message: format!(
+                    "bound propagation tightened {} bound(s) in {} round(s); \
+                     the branch-and-bound root starts from the tighter box",
+                    prop.tightened, prop.rounds
+                ),
+            });
+        }
     }
 
     // M008: a variable that no constraint touches, pushed toward an
@@ -560,7 +626,7 @@ fn check_propagation(model: &Model, findings: &mut Vec<Finding>) {
             }
         };
         if improving_to_inf {
-            findings.push(Finding {
+            errors.push(Finding {
                 code: "M008",
                 severity: Severity::Error,
                 location: format!("{}:{}", model.name, model.variables()[v.index()].name),
@@ -771,12 +837,6 @@ mod tests {
             0.0,
         );
         m.add_constraint(
-            "lvl_lo_0_0",
-            vec![(q0, 1.0), (z0, -0.0)],
-            ConstraintOp::Ge,
-            0.0,
-        );
-        m.add_constraint(
             "lvl_hi_0_1",
             vec![(q1, 1.0), (z1, -550.0)],
             ConstraintOp::Le,
@@ -800,10 +860,112 @@ mod tests {
             ConstraintOp::Eq,
             0.004,
         );
-        m.add_constraint("cap_0", vec![(q0, 1.0), (q1, 1.0)], ConstraintOp::Le, 550.0);
         m.add_constraint("demand", vec![(lam, 1.0)], ConstraintOp::Eq, 0.9);
         m.set_objective(vec![(q0, 30.0), (q1, 45.0)], 0.0);
         let r = lint_model(&m);
         assert!(r.is_clean(), "{r}");
+        assert!(!r.has("M004"), "{r}");
+        assert!(lint_gate(&m).is_empty());
+    }
+
+    /// A `≤`/`≥` pair whose intervals meet is a range: both rows are
+    /// needed, so it is reported as Info, not as a duplicate. Pinned
+    /// (`l = u`) is the capper's case: `q − 120·z` held to exactly 0.
+    #[test]
+    fn parallel_le_ge_pair_is_a_range() {
+        for (lo_rhs, hi_rhs) in [(0.0, 0.0), (-5.0, 3.0)] {
+            let mut m = Model::new("range", Sense::Minimize);
+            let q = m.add_cont("q", 0.0, 120.0);
+            let z = m.add_binary("z");
+            m.add_constraint("hi", vec![(q, 1.0), (z, -120.0)], ConstraintOp::Le, hi_rhs);
+            m.add_constraint("lo", vec![(q, 1.0), (z, -120.0)], ConstraintOp::Ge, lo_rhs);
+            m.set_objective(vec![(q, 1.0)], 0.0);
+            let r = lint_model(&m);
+            let m004: Vec<_> = r.findings.iter().filter(|f| f.code == "M004").collect();
+            assert_eq!(m004.len(), 1, "{r}");
+            assert_eq!(m004[0].severity, Severity::Info, "{r}");
+            assert!(m004[0].message.contains("range"), "{r}");
+            assert!(r.is_clean() && lint_gate(&m).is_empty(), "{r}");
+        }
+    }
+
+    /// A parallel pair where one row implies the other (same direction,
+    /// or an equality inside the other's interval) is a duplicate.
+    #[test]
+    fn parallel_implied_pair_is_a_duplicate() {
+        let pairs = [
+            (ConstraintOp::Le, 8.0, ConstraintOp::Le, 9.0),
+            (ConstraintOp::Ge, 1.0, ConstraintOp::Ge, 1.0),
+            (ConstraintOp::Eq, 4.0, ConstraintOp::Le, 6.0),
+            (ConstraintOp::Eq, 4.0, ConstraintOp::Eq, 4.0),
+        ];
+        for (op_a, rhs_a, op_b, rhs_b) in pairs {
+            let mut m = Model::new("dup", Sense::Minimize);
+            let x = m.add_cont("x", 0.0, 10.0);
+            let y = m.add_cont("y", 0.0, 10.0);
+            m.add_constraint("a", vec![(x, 1.0), (y, 1.0)], op_a, rhs_a);
+            m.add_constraint("b", vec![(x, 1.0), (y, 1.0)], op_b, rhs_b);
+            m.set_objective(vec![(x, 1.0)], 0.0);
+            let r = lint_model(&m);
+            let m004: Vec<_> = r.findings.iter().filter(|f| f.code == "M004").collect();
+            assert_eq!(m004.len(), 1, "{op_a:?} {op_b:?}: {r}");
+            assert_eq!(m004[0].severity, Severity::Warning, "{r}");
+            assert!(m004[0].message.contains("duplicates"), "{r}");
+        }
+    }
+
+    /// The gate files exactly the Error findings of the full lint, and
+    /// nothing for a model with only advisory findings.
+    #[test]
+    fn gate_returns_exactly_the_full_lints_errors() {
+        let mut models = Vec::new();
+        // Advisory findings only: a loose big-M, a dangling variable.
+        let mut m = Model::new("advisory", Sense::Minimize);
+        let q = m.add_cont("q", 0.0, 100.0);
+        let z = m.add_binary("z");
+        let _ghost = m.add_cont("ghost", 0.0, 1.0);
+        m.add_constraint("hi", vec![(q, 1.0), (z, -5000.0)], ConstraintOp::Le, 0.0);
+        m.set_objective(vec![(q, 1.0)], 0.0);
+        models.push(m);
+        // Every refusing check: M003, M004 contradiction, M007, M008.
+        let mut m = Model::new("broken", Sense::Maximize);
+        let x = m.add_cont("x", 0.0, 10.0);
+        let y = m.add_cont("y", 0.0, 10.0);
+        let w = m.add_cont("w", 0.0, f64::INFINITY);
+        let z0 = m.add_binary("z0");
+        let z1 = m.add_cont("z1", 0.0, 5.0);
+        m.add_constraint("one", vec![(z0, 1.0), (z1, 1.0)], ConstraintOp::Eq, 1.0);
+        m.add_constraint("a", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 25.0);
+        m.add_constraint("b", vec![(x, 2.0), (y, 2.0)], ConstraintOp::Le, 4.0);
+        m.set_objective(vec![(x, 1.0), (w, 1.0)], 0.0);
+        models.push(m);
+        // Structurally invalid.
+        let mut m = Model::new("invalid", Sense::Minimize);
+        m.add_constraint(
+            "c",
+            vec![(crate::model::VarId::from_index(3), 1.0)],
+            ConstraintOp::Le,
+            1.0,
+        );
+        models.push(m);
+        let mut codes_seen = Vec::new();
+        for m in &models {
+            let full = lint_model(m);
+            let gate = lint_gate(m);
+            let errors: Vec<&Finding> = full.errors().collect();
+            assert_eq!(gate.iter().collect::<Vec<_>>(), errors, "{}", m.name);
+            codes_seen.extend(gate.iter().map(|f| f.code));
+        }
+        assert!(lint_gate(&models[0]).is_empty());
+        for code in ["M003", "M004", "M007"] {
+            assert!(codes_seen.contains(&code), "{code}: {codes_seen:?}");
+        }
+        // M008 needs a feasible box; w alone on a clean model.
+        let mut m = Model::new("unb", Sense::Maximize);
+        let w = m.add_cont("w", 0.0, f64::INFINITY);
+        m.set_objective(vec![(w, 1.0)], 0.0);
+        let gate = lint_gate(&m);
+        assert_eq!(gate.len(), 1);
+        assert_eq!(gate[0].code, "M008");
     }
 }

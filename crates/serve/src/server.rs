@@ -533,12 +533,14 @@ where
     // otherwise never reach the stream. The pool has joined, so this
     // final line carries the connection's complete counters and the
     // latency retained in the window ring — a deterministic
-    // end-of-stream summary.
-    if tele.enabled() && tele.stream.is_some() {
+    // end-of-stream summary. A connection that sent no request (a
+    // `billcap watch` session, control frames only) did no work to
+    // flush: it writes no line and leaves the ring as it was.
+    let moved = |count: Count| tele.get(count) - start[count as usize];
+    if tele.enabled() && tele.stream.is_some() && moved(Count::Requests) > 0 {
         emit_window(cfg, &shared);
     }
 
-    let moved = |count: Count| tele.get(count) - start[count as usize];
     ServeStats {
         requests: moved(Count::Requests),
         decisions: moved(Count::Decisions),
@@ -1237,6 +1239,61 @@ mod tests {
         assert_eq!(last.latency["request_us"].count, 5);
         assert_eq!(last.latency["solve_us"].count, 1);
         assert_eq!(last.counters["serve.cache.hit"], 4);
+    }
+
+    /// A connection that carries only control frames (a `billcap
+    /// watch` session) moves no request counter: it appends no line to
+    /// the metrics stream and leaves the latency ring where it was.
+    #[test]
+    fn control_only_connections_leave_the_stream_and_ring_alone() {
+        let path =
+            std::env::temp_dir().join(format!("billcap-control-only-{}.jsonl", std::process::id()));
+        let cfg = ServeConfig {
+            workers: 1,
+            metrics_stream: Some(path.clone()),
+            ..ServeConfig::default()
+        };
+        let tele = ServerTelemetry::open(&cfg).unwrap();
+        let ring = |tele: &ServerTelemetry| {
+            let lat = lock(&tele.latency);
+            (
+                lat.request_us.tick(),
+                lat.request_us.merged().count,
+                lat.solve_us.merged().count,
+            )
+        };
+        let stats = serve_with(
+            &cfg,
+            Cursor::new(encode(&[request(1), request(2)])),
+            Vec::new(),
+            &tele,
+        );
+        assert_eq!(stats.decisions, 2);
+        let (text, before) = (std::fs::read_to_string(&path).unwrap(), ring(&tele));
+        assert_eq!(
+            text.lines().count(),
+            1,
+            "the working connection's tail line"
+        );
+        assert_eq!(before.1, 2, "the ring holds both requests");
+
+        let replies = control_replies(
+            &cfg,
+            &tele,
+            &[
+                ControlMsg::Metrics { id: None },
+                ControlMsg::Health { id: None },
+            ],
+        );
+        assert_eq!(replies.len(), 2);
+        let after = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(after, text, "a control-only connection wrote a stream line");
+        assert_eq!(
+            ring(&tele),
+            before,
+            "a control-only connection moved the ring"
+        );
     }
 
     #[test]
