@@ -1,6 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out: what the
-//! relaxed-server shortcut buys, what the power-model blind spot costs,
-//! and how budgeter history length behaves. These run the experiment
+//! Ablation benches for the design choices DESIGN.md calls out: what
+//! step-2 budgets cost, what the power-model blind spot costs, and how
+//! budgeter history length behaves. These run the experiment
 //! code; the printed summaries record the measured penalties.
 
 use billcap_bench::helpers;
@@ -9,28 +9,6 @@ use billcap_rt::Harness;
 use billcap_sim::experiments::{self, DEFAULT_SEED};
 use std::hint::black_box;
 use std::sync::Once;
-
-fn bench_integrality(h: &mut Harness) {
-    let system = helpers::paper_system();
-    let d = helpers::background();
-    let relaxed = CostMinimizer::default();
-    h.bench("ablation_integrality/relaxed_servers", || {
-        relaxed
-            .solve(&system, black_box(6e8), &d)
-            .unwrap()
-            .total_cost
-    });
-    let integral = CostMinimizer {
-        integral_servers: true,
-        ..Default::default()
-    };
-    h.bench("ablation_integrality/integral_servers", || {
-        integral
-            .solve(&system, black_box(6e8), &d)
-            .unwrap()
-            .total_cost
-    });
-}
 
 fn bench_step2(h: &mut Harness) {
     let system = helpers::paper_system();
@@ -96,7 +74,6 @@ fn bench_hierarchical(h: &mut Harness) {
 
 fn main() {
     let mut h = Harness::from_args();
-    bench_integrality(&mut h);
     bench_step2(&mut h);
     bench_power_model_ablation(&mut h);
     bench_budgeter_history(&mut h);

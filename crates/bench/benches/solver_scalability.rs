@@ -49,13 +49,6 @@ fn bench_solver_variants(h: &mut Harness) {
     h.bench("solver_variants/best_bound", || {
         minimizer.solve(&system, 5e8, &d).unwrap().total_cost
     });
-    let integral = CostMinimizer {
-        integral_servers: true,
-        ..Default::default()
-    };
-    h.bench("solver_variants/integral_servers", || {
-        integral.solve(&system, 5e8, &d).unwrap().total_cost
-    });
 }
 
 fn bench_raw_simplex(h: &mut Harness) {

@@ -67,10 +67,7 @@ fn bench_solvers(h: &mut Harness) {
     let sys = DataCenterSystem::synthetic(10, 10);
     let background: Vec<f64> = (0..sys.len()).map(|i| 5.0 + 3.0 * i as f64).collect();
     let lambda = 0.45 * sys.total_capacity();
-    let minimizer = CostMinimizer {
-        solver: MipSolver::default(),
-        ..Default::default()
-    };
+    let minimizer = CostMinimizer::default();
     h.bench("bnb_10x10/default_threads", || {
         let alloc = minimizer
             .solve(black_box(&sys), black_box(lambda), black_box(&background))
@@ -86,7 +83,6 @@ fn bench_solvers(h: &mut Harness) {
             warm_start: false,
             ..MipSolver::default()
         },
-        ..Default::default()
     };
     h.bench("bnb_10x10/cold_start", || {
         let alloc = cold

@@ -9,8 +9,8 @@
 //!
 //! * `solver_scalability` — the Section IV-C claim: step-1 MILP solve time
 //!   versus network size (paper: ≤ ~2 ms at 13 sites, 5 price levels,
-//!   10⁸ requests), the integral-server variant, and a raw simplex solve
-//!   of relaxation size.
+//!   10⁸ requests), solver variants, and a raw simplex solve of
+//!   relaxation size.
 //! * `figures` — wall-clock cost of regenerating every evaluation figure
 //!   (Figures 1, 3, 4, 5/6, 7/8, 9, 10); each iteration runs the same
 //!   experiment code as the `paper_experiments` binary and the
@@ -18,9 +18,9 @@
 //! * `components` — substrate microbenches: Erlang-C / G/G/m sizing, step
 //!   policy lookup, DC-OPF dispatch and LMP extraction, trace generation,
 //!   budgeting, and realized-cost evaluation.
-//! * `ablations` — design-choice costs: integral vs. relaxed server
-//!   counts, step-2 budgets, the power-model blind spot, budgeter
-//!   history, network consolidation, weather and hierarchical regions.
+//! * `ablations` — design-choice costs: step-2 budgets, the power-model
+//!   blind spot, budgeter history, network consolidation, weather and
+//!   hierarchical regions.
 //!
 //! Run everything with `cargo bench --workspace`; pass a substring to
 //! filter bench names (`cargo bench --bench solver_scalability --
@@ -50,7 +50,7 @@ pub mod helpers {
 /// generator (so `BENCH_solver.json` records the cold-vs-incremental
 /// ratio the serve subsystem's perf claim rests on).
 pub mod serve_bench {
-    use billcap_core::{BillCapper, CapperConfig, DecisionCache, DecisionEngine, DecisionKey};
+    use billcap_core::{BillCapper, DecisionCache, DecisionEngine, DecisionKey};
     use billcap_rt::Harness;
     use std::hint::black_box;
 
@@ -107,7 +107,7 @@ pub mod serve_bench {
             black_box(d.allocation.total_cost)
         });
 
-        let mut engine = DecisionEngine::new(system.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(system.clone());
         let mut i = 0usize;
         let hours_inc = hours.clone();
         h.bench("serve_decide/incremental", move || {
@@ -126,12 +126,12 @@ pub mod serve_bench {
         });
 
         let mut cache = DecisionCache::new(64);
-        let mut engine = DecisionEngine::new(system.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(system.clone());
         let mut i = 0usize;
         h.bench("serve_decide/cached", move || {
             let (offered, premium, bg, budget) = &hours[i % hours.len()];
             i += 1;
-            let key = DecisionKey::new(engine.system(), false, *offered, *premium, bg, *budget);
+            let key = DecisionKey::new(engine.system(), *offered, *premium, bg, *budget);
             let d = match cache.get(&key).cloned() {
                 Some(hit) => hit,
                 None => {

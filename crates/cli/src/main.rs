@@ -125,8 +125,7 @@ USAGE:
       Error-severity findings; --json emits JSONL.
 
   billcap serve [--socket PATH [--once]] [--workers N] [--no-cache]
-          [--integral] [--metrics-stream FILE]
-          [--window-requests N] [--no-telemetry]
+          [--metrics-stream FILE] [--window-requests N] [--no-telemetry]
       Run the decide-hour daemon. Clients send framed JSON requests
       (4-byte big-endian length prefix + JSON body) on stdin and read
       framed responses on stdout; with --socket PATH a Unix socket is
@@ -758,7 +757,6 @@ fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
         cfg.workers = workers;
     }
     cfg.cache = !args.has("no-cache");
-    cfg.capper.integral_servers = args.has("integral");
     cfg.telemetry = !args.has("no-telemetry");
     cfg.window_requests = args.get_or("window-requests", cfg.window_requests)?;
     if let Some(path) = args.get("metrics-stream") {
@@ -768,10 +766,9 @@ fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
 }
 
 /// The flags [`serve_config`] consumes, shared by `serve` and `replay`.
-const SERVE_CONFIG_FLAGS: [&str; 6] = [
+const SERVE_CONFIG_FLAGS: [&str; 5] = [
     "workers",
     "no-cache",
-    "integral",
     "no-telemetry",
     "window-requests",
     "metrics-stream",

@@ -56,7 +56,9 @@ fn unknown_flag_is_rejected_everywhere() {
     }
     // A retired switch is an unknown flag, not a silent default.
     for cmd in ["serve", "replay"] {
-        assert_fails_mentioning(&[cmd, "--warm-basis"], "--warm-basis");
+        for retired in ["--warm-basis", "--integral"] {
+            assert_fails_mentioning(&[cmd, retired], retired);
+        }
     }
 }
 

@@ -373,10 +373,13 @@ impl fmt::Display for AuditReport {
 
 /// Relative tolerance for cost and rate comparisons.
 const REL_TOL: f64 = 1e-6;
-/// Relative tolerance for the affine-power identity. Looser than
-/// [`REL_TOL`]: the integral-server mode's ceil rounding moves power by
-/// up to one server's worth.
-const POWER_REL_TOL: f64 = 5e-3;
+/// Relative tolerance for the affine-power identity `p = a·λ + b`,
+/// relative to `1 + a·λ + b`. A certified solve meets the power row
+/// `Σ_k q_k − a·lam = b` to within `t·(1 + 2p)` MW, where `t = 10⁻⁶` is
+/// the certificate's primal tolerance (equal to [`REL_TOL`]) and `2p`
+/// bounds the row's magnitude; and `t·(1 + 2p) ≤ 2t·(1 + p)`, as the
+/// margin of `minimize::cost_floor` derives.
+const POWER_REL_TOL: f64 = 2.0 * REL_TOL;
 /// Slack (MW) allowed around a price level's interval. Covers the
 /// formulation's deliberate breakpoint margin
 /// (`minimize::BREAKPOINT_MARGIN_MW`) plus the idle-site widening (a
@@ -633,7 +636,7 @@ mod tests {
     #[test]
     fn checked_solve_refuses_a_corrupted_solution() {
         let sys = DataCenterSystem::paper_system(1);
-        let (m, vars) = crate::minimize::cost_min_model(&sys, 5e8, &background(), false);
+        let (m, vars) = crate::minimize::cost_min_model(&sys, 5e8, &background());
         let sol = billcap_milp::MipSolver::default().solve(&m).unwrap();
         assert!(checked_solve(&m, || Ok(sol.clone())).is_ok());
         let mut bad = sol.clone();
@@ -789,6 +792,35 @@ mod tests {
             .filter(|v| matches!(v, PlanViolation::PowerIdentity { .. }))
             .count();
         assert!(identity_violations >= 2, "{report}");
+    }
+
+    #[test]
+    fn small_power_shift_between_sites_is_caught() {
+        let sys = DataCenterSystem::paper_system(1);
+        let d = background();
+        let alloc = CostMinimizer::default().solve(&sys, 5e8, &d).unwrap();
+        assert!(PlanAuditor.audit_allocation(&sys, &alloc, &d).passed());
+        // Move 0.1 MW of claimed power from site 1 to site 2 and re-bill
+        // both: the totals, caps, price levels and cost arithmetic all
+        // still hold, so only the power identity can catch the shift.
+        let mut bad = alloc.clone();
+        bad.power_mw[1] -= 0.1;
+        bad.power_mw[2] += 0.1;
+        for i in [1, 2] {
+            bad.cost[i] = bad.price[i] * bad.power_mw[i];
+        }
+        bad.total_cost = bad.cost.iter().sum();
+        let report = PlanAuditor.audit_allocation(&sys, &bad, &d);
+        let identity_sites: Vec<usize> = report
+            .violations
+            .iter()
+            .filter_map(|v| match v {
+                PlanViolation::PowerIdentity { site, .. } => Some(*site),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(identity_sites, [1, 2], "{report}");
+        assert_eq!(report.violations.len(), 2, "{report}");
     }
 
     #[test]

@@ -86,7 +86,6 @@ pub fn system_fingerprint(system: &DataCenterSystem) -> u64 {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DecisionKey {
     system: u64,
-    integral_servers: bool,
     offered: u64,
     premium_offered: u64,
     background: Vec<u64>,
@@ -98,7 +97,6 @@ impl DecisionKey {
     /// whole system spec.
     pub fn new(
         system: &DataCenterSystem,
-        integral_servers: bool,
         offered: f64,
         premium_offered: f64,
         background_mw: &[f64],
@@ -106,7 +104,6 @@ impl DecisionKey {
     ) -> Self {
         Self::with_fingerprint(
             system_fingerprint(system),
-            integral_servers,
             offered,
             premium_offered,
             background_mw,
@@ -118,7 +115,6 @@ impl DecisionKey {
     /// [`system_fingerprint`] is `system`, without re-hashing the spec.
     pub fn with_fingerprint(
         system: u64,
-        integral_servers: bool,
         offered: f64,
         premium_offered: f64,
         background_mw: &[f64],
@@ -126,7 +122,6 @@ impl DecisionKey {
     ) -> Self {
         Self {
             system,
-            integral_servers,
             offered: offered.to_bits(),
             premium_offered: premium_offered.to_bits(),
             background: background_mw.iter().map(|d| d.to_bits()).collect(),
@@ -236,7 +231,7 @@ mod tests {
     fn hit_returns_the_stored_decision_bitwise() {
         let sys = DataCenterSystem::paper_system(1);
         let d = decision(&sys, 4e8);
-        let key = DecisionKey::new(&sys, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
+        let key = DecisionKey::new(&sys, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
         let mut cache = DecisionCache::new(8);
         assert!(cache.get(&key).is_none());
         assert_eq!(cache.insert(key.clone(), d.clone()), 0);
@@ -248,24 +243,20 @@ mod tests {
     #[test]
     fn keys_are_exact_not_tolerant() {
         let sys = DataCenterSystem::paper_system(1);
-        let base = DecisionKey::new(&sys, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
+        let base = DecisionKey::new(&sys, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
         let nudged = DecisionKey::new(
             &sys,
-            false,
             4e8 * (1.0 + f64::EPSILON),
             2e8,
             &[330.0, 410.0, 280.0],
             1e9,
         );
         assert_ne!(base, nudged, "one-ulp input changes must miss");
-        let negzero = DecisionKey::new(&sys, false, 4e8, 2e8, &[-0.0, 410.0, 280.0], 1e9);
-        let poszero = DecisionKey::new(&sys, false, 4e8, 2e8, &[0.0, 410.0, 280.0], 1e9);
+        let negzero = DecisionKey::new(&sys, 4e8, 2e8, &[-0.0, 410.0, 280.0], 1e9);
+        let poszero = DecisionKey::new(&sys, 4e8, 2e8, &[0.0, 410.0, 280.0], 1e9);
         assert_ne!(negzero, poszero);
-        let integral = DecisionKey::new(&sys, true, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
-        assert_ne!(base, integral);
         let prehashed = DecisionKey::with_fingerprint(
             system_fingerprint(&sys),
-            false,
             4e8,
             2e8,
             &[330.0, 410.0, 280.0],
@@ -279,8 +270,8 @@ mod tests {
         let p1 = DataCenterSystem::paper_system(1);
         let p2 = DataCenterSystem::paper_system(2);
         assert_ne!(system_fingerprint(&p1), system_fingerprint(&p2));
-        let k1 = DecisionKey::new(&p1, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
-        let k2 = DecisionKey::new(&p2, false, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
+        let k1 = DecisionKey::new(&p1, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
+        let k2 = DecisionKey::new(&p2, 4e8, 2e8, &[330.0, 410.0, 280.0], 1e9);
         assert_ne!(k1, k2);
     }
 
@@ -290,16 +281,7 @@ mod tests {
         let d = decision(&sys, 4e8);
         let mut cache = DecisionCache::new(2);
         let keys: Vec<DecisionKey> = (0..3)
-            .map(|i| {
-                DecisionKey::new(
-                    &sys,
-                    false,
-                    4e8 + f64::from(i),
-                    2e8,
-                    &[330.0, 410.0, 280.0],
-                    1e9,
-                )
-            })
+            .map(|i| DecisionKey::new(&sys, 4e8 + f64::from(i), 2e8, &[330.0, 410.0, 280.0], 1e9))
             .collect();
         let evicted: Vec<u64> = keys
             .iter()

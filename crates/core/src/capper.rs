@@ -37,23 +37,13 @@
 //! fleet has spent its monthly budget.
 //!
 //! [`DecisionEngine`] is the only implementation of these steps. A
-//! [`BillCapper`] holds nothing but its [`CapperConfig`]: every call
-//! builds an engine for the system it is given, decides, and drops it.
+//! [`BillCapper`] holds nothing: every call builds an engine for the
+//! system it is given, decides, and drops it.
 
 use crate::engine::DecisionEngine;
 use crate::error::CoreError;
 use crate::minimize::Allocation;
 use crate::spec::DataCenterSystem;
-
-/// Tuning knobs for the capper: the one place its settings live. The
-/// binaries build it from their flags and pass it down; no library
-/// reads the environment. Every solve is certified and every decision
-/// audited whatever the config (see [`crate::audit`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CapperConfig {
-    /// Model server counts as integers inside the MILPs.
-    pub integral_servers: bool,
-}
 
 /// Which branch of the algorithm produced the hour's decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,25 +202,19 @@ pub(crate) fn validate_caps(system: &DataCenterSystem) -> Result<(), CoreError> 
     Ok(())
 }
 
-/// The bill capper for callers that decide one hour at a time: a
-/// [`CapperConfig`] and nothing else. Each decision builds a
-/// [`DecisionEngine`] for the system it is given and drops it
-/// afterwards, so no state carries from one call to the next. A caller
-/// that decides hour after hour for one system keeps a
-/// [`DecisionEngine`] instead and skips the rebuilds; the decisions are
-/// the same bit for bit.
+/// The bill capper for callers that decide one hour at a time. It has
+/// no settings: each decision builds a [`DecisionEngine`] for the
+/// system it is given and drops it afterwards, so no state carries from
+/// one call to the next. A caller that decides hour after hour for one
+/// system keeps a [`DecisionEngine`] instead and skips the rebuilds;
+/// the decisions are the same bit for bit. Every solve is certified and
+/// every decision audited (see [`crate::audit`]). Build it with
+/// [`BillCapper::default`].
 #[derive(Debug, Clone, Default)]
-pub struct BillCapper {
-    /// The settings every decision's engine is built with.
-    pub config: CapperConfig,
-}
+#[non_exhaustive]
+pub struct BillCapper;
 
 impl BillCapper {
-    /// Builds a capper from a config.
-    pub fn new(config: CapperConfig) -> Self {
-        Self { config }
-    }
-
     /// Decides one hour's allocation for `system`: what
     /// [`DecisionEngine::decide_hour`] decides with the same inputs, on a
     /// one-shot engine.
@@ -242,7 +226,7 @@ impl BillCapper {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Result<HourDecision, CoreError> {
-        DecisionEngine::new(system.clone(), self.config.clone()).decide_hour(
+        DecisionEngine::new(system.clone()).decide_hour(
             offered,
             premium_offered,
             background_mw,

@@ -48,18 +48,17 @@
 //! and 3) and [`crate::ThroughputMaximizer::solve`] (step 2) are
 //! one-shot fronts over a single step of this path.
 //!
-//! The engine takes its one setting, `integral_servers`, from the
-//! [`CapperConfig`] it is built with. Its checks take none: it lints
-//! each model once, when it builds it, certifies every solution, and
-//! audits every decision against the paper's invariants before it
-//! returns it (see [`crate::audit`]). This is the one place a step
-//! model is built, linted, solved and certified.
+//! The engine has no settings, and its checks take none: it lints each
+//! model once, when it builds it, certifies every solution, and audits
+//! every decision against the paper's invariants before it returns it
+//! (see [`crate::audit`]). This is the one place a step model is built,
+//! linted, solved and certified.
 
 use crate::audit::{audited_plan, checked_solve, lint_built};
 use crate::cache::Fnv;
 use crate::capper::{
-    validate_background, validate_caps, validate_hour_inputs, CapperConfig, DecisionTrace,
-    HourDecision, HourOutcome,
+    validate_background, validate_caps, validate_hour_inputs, DecisionTrace, HourDecision,
+    HourOutcome,
 };
 use crate::error::CoreError;
 use crate::maximize::throughput_max_model;
@@ -114,7 +113,6 @@ const STEP_CACHE_CAP: usize = 24;
 /// step, each on a cached model synced to the hour's inputs. The step
 /// optimizers each run one step on a core of their own.
 pub(crate) struct EngineCore {
-    integral_servers: bool,
     /// Runs every step's solve.
     solver: MipSolver,
     /// The buffers every solve of every step refills.
@@ -155,12 +153,12 @@ pub struct DecisionEngine {
 }
 
 impl DecisionEngine {
-    /// Builds an engine for `system` with the given capper config.
-    /// Models are built lazily on the first decision.
-    pub fn new(system: DataCenterSystem, config: CapperConfig) -> Self {
+    /// Builds an engine for `system`. Models are built lazily on the
+    /// first decision.
+    pub fn new(system: DataCenterSystem) -> Self {
         Self {
             system,
-            core: EngineCore::new(MipSolver::default(), config.integral_servers),
+            core: EngineCore::new(MipSolver::default()),
         }
     }
 
@@ -487,9 +485,8 @@ impl StepModel {
 
 impl EngineCore {
     /// A core with no models yet, solving with `solver`.
-    pub(crate) fn new(solver: MipSolver, integral_servers: bool) -> Self {
+    pub(crate) fn new(solver: MipSolver) -> Self {
         Self {
-            integral_servers,
             solver,
             ws: MipWorkspace::default(),
             cost_min: Vec::new(),
@@ -634,10 +631,8 @@ impl EngineCore {
         }
         self.note_miss(step, kept);
         let (m, vars) = match step {
-            Step::CostMin => cost_min_model(system, lambda, background_mw, self.integral_servers),
-            Step::ThruMax => {
-                throughput_max_model(system, lambda, background_mw, budget, self.integral_servers)
-            }
+            Step::CostMin => cost_min_model(system, lambda, background_mw),
+            Step::ThruMax => throughput_max_model(system, lambda, background_mw, budget),
         };
         lint_built(&m)?;
         let entry = StepModel::new(m, vars, kept, system, stamp);
@@ -808,7 +803,7 @@ mod tests {
     fn engine_matches_fresh_capper_bitwise() {
         let sys = DataCenterSystem::paper_system(1);
         let capper = BillCapper::default();
-        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(sys.clone());
         let mut outcomes = [0usize; 3];
         for (h, (offered, premium, background, budget)) in sweep(&sys).into_iter().enumerate() {
             let fresh = capper
@@ -830,35 +825,26 @@ mod tests {
         );
     }
 
-    /// The capper's step models over the sweep's inputs, with relaxed
-    /// and integral server counts, each with a context label: step 1
-    /// every hour, step 2 in the hours with a finite budget.
+    /// The capper's step models over the sweep's inputs, each with a
+    /// context label: step 1 every hour, step 2 in the hours with a
+    /// finite budget.
     fn sweep_models(sys: &DataCenterSystem) -> Vec<(String, Model)> {
         let mut models = Vec::new();
-        for integral_servers in [false, true] {
-            for (h, (offered, _, background, budget)) in sweep(sys).into_iter().enumerate() {
-                let mut step = vec![cost_min_model(sys, offered, &background, integral_servers).0];
-                if budget.is_finite() {
-                    step.push(
-                        throughput_max_model(sys, offered, &background, budget, integral_servers).0,
-                    );
-                }
-                for m in step {
-                    models.push((
-                        format!("hour {h} {} integral {integral_servers}", m.name),
-                        m,
-                    ));
-                }
+        for (h, (offered, _, background, budget)) in sweep(sys).into_iter().enumerate() {
+            let mut step = vec![cost_min_model(sys, offered, &background).0];
+            if budget.is_finite() {
+                step.push(throughput_max_model(sys, offered, &background, budget).0);
+            }
+            for m in step {
+                models.push((format!("hour {h} {}", m.name), m));
             }
         }
         models
     }
 
-    /// Every step model of the sweep, relaxed or integral, solves to a
-    /// proven optimum within [`SWEEP_NODE_BOUND`] nodes. Branching on
-    /// the price-level binaries before the server counts keeps the
-    /// integral models there: they take 482 nodes in all, at most 35
-    /// each, and the relaxed ones 56, at most 7.
+    /// Every step model of the sweep solves to a proven optimum within
+    /// [`SWEEP_NODE_BOUND`] nodes. They take 56 nodes in all, at most 7
+    /// each.
     #[test]
     fn sweep_models_solve_within_a_node_bound() {
         let sys = DataCenterSystem::paper_system(1);
@@ -873,8 +859,8 @@ mod tests {
     }
 
     /// The most nodes any sweep model may take: about twice the largest
-    /// measured (35).
-    const SWEEP_NODE_BOUND: usize = 64;
+    /// measured (7).
+    const SWEEP_NODE_BOUND: usize = 16;
 
     /// Warm- and cold-started branch-and-bound on the capper's own
     /// models, each searched to completion: both solves certify and
@@ -981,7 +967,7 @@ mod tests {
         let mut sys = DataCenterSystem::paper_system(1);
         sys.sites[0].power_cap_mw = -5.0;
         let bg = [330.0, 410.0, 280.0];
-        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(sys.clone());
         let results = [
             (
                 "engine step 1",
@@ -1017,45 +1003,39 @@ mod tests {
     /// 3 against [`CostMinimizer::solve`], step 2 against
     /// [`ThroughputMaximizer::solve`] — bit for bit, solver effort
     /// included. One retained engine per run serves the sweep, so cache
-    /// hits, rebuilds and cap syncs are all compared. Relaxed models run
-    /// every hour and integral ones every 6th, each under flat caps and
-    /// under an afternoon derate.
+    /// hits, rebuilds and cap syncs are all compared. Every hour runs
+    /// under flat caps and under an afternoon derate.
     #[test]
     fn engine_steps_match_the_optimizers_bitwise() {
         let sys = DataCenterSystem::paper_system(1);
         let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
         let derate = CapSchedule::derating(&base_caps, 24, 0.35, 42);
         let hours = sweep(&sys);
-        let mut compared = [0usize; 2];
-        for integral_servers in [false, true] {
-            let config = CapperConfig { integral_servers };
-            let minimizer = CostMinimizer::new(&config);
-            let maximizer = ThroughputMaximizer::new(&config);
-            let every = if integral_servers { 6 } else { 1 };
-            for derated in [false, true] {
-                let mut engine = DecisionEngine::new(sys.clone(), config.clone());
-                for (h, (offered, premium, bg, budget)) in hours.iter().enumerate().step_by(every) {
-                    let mut capped = sys.clone();
-                    if derated {
-                        derate.apply(&mut capped, h);
-                        engine.set_site_caps(derate.caps_at(h));
-                    }
-                    let ctx = format!("hour {h} integral {integral_servers} derated {derated}");
-                    for (step, lambda) in [("step 1", *offered), ("step 3", *premium)] {
-                        let served = engine.core.minimize(&engine.system, lambda, bg);
-                        let built = minimizer.solve(&capped, lambda, bg);
-                        assert_step_results_equal(&served, &built, &format!("{ctx} {step}"));
-                    }
-                    if budget.is_finite() {
-                        let served = engine.core.maximize(&engine.system, *offered, bg, *budget);
-                        let built = maximizer.solve(&capped, *offered, bg, *budget);
-                        assert_step_results_equal(&served, &built, &format!("{ctx} step 2"));
-                    }
-                    compared[usize::from(integral_servers)] += 1;
+        let (minimizer, maximizer) = (CostMinimizer::default(), ThroughputMaximizer::default());
+        let mut compared = 0usize;
+        for derated in [false, true] {
+            let mut engine = DecisionEngine::new(sys.clone());
+            for (h, (offered, premium, bg, budget)) in hours.iter().enumerate() {
+                let mut capped = sys.clone();
+                if derated {
+                    derate.apply(&mut capped, h);
+                    engine.set_site_caps(derate.caps_at(h));
                 }
+                let ctx = format!("hour {h} derated {derated}");
+                for (step, lambda) in [("step 1", *offered), ("step 3", *premium)] {
+                    let served = engine.core.minimize(&engine.system, lambda, bg);
+                    let built = minimizer.solve(&capped, lambda, bg);
+                    assert_step_results_equal(&served, &built, &format!("{ctx} {step}"));
+                }
+                if budget.is_finite() {
+                    let served = engine.core.maximize(&engine.system, *offered, bg, *budget);
+                    let built = maximizer.solve(&capped, *offered, bg, *budget);
+                    assert_step_results_equal(&served, &built, &format!("{ctx} step 2"));
+                }
+                compared += 1;
             }
         }
-        assert_eq!(compared, [48, 8], "hours compared (relaxed, integral)");
+        assert_eq!(compared, 48, "hours compared");
     }
 
     /// Both step results fail alike, or both succeed with bitwise-equal
@@ -1077,33 +1057,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_fresh_capper_with_integral_servers() {
-        let sys = DataCenterSystem::paper_system(1);
-        let config = CapperConfig {
-            integral_servers: true,
-        };
-        let capper = BillCapper::new(config.clone());
-        let mut engine = DecisionEngine::new(sys.clone(), config);
-        for (h, (offered, premium, background, budget)) in
-            sweep(&sys).into_iter().step_by(6).enumerate()
-        {
-            let fresh = capper
-                .decide_hour(&sys, offered, premium, &background, budget)
-                .unwrap();
-            let served = engine
-                .decide_hour(offered, premium, &background, budget)
-                .unwrap();
-            assert_decisions_bitwise_equal(&served, &fresh, &format!("integral hour {h}"));
-        }
-    }
-
-    #[test]
     fn engine_matches_fresh_capper_under_a_cap_schedule() {
         let sys = DataCenterSystem::paper_system(1);
         let base_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
         let sched = CapSchedule::derating(&base_caps, 24, 0.35, 42);
         let capper = BillCapper::default();
-        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(sys.clone());
         for (h, (offered, premium, background, budget)) in sweep(&sys).into_iter().enumerate() {
             // Fresh path: mutate a working copy of the spec.
             let mut capped = sys.clone();
@@ -1123,7 +1082,7 @@ mod tests {
     #[test]
     fn cap_change_actually_changes_the_decision() {
         let sys = DataCenterSystem::paper_system(1);
-        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(sys.clone());
         let background = vec![330.0, 410.0, 280.0];
         let before = engine
             .decide_hour(7e8, 4.2e8, &background, f64::INFINITY)
@@ -1158,7 +1117,7 @@ mod tests {
     #[test]
     fn cache_stats_and_built_keys_track_the_lru() {
         let sys = DataCenterSystem::paper_system(1);
-        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(sys.clone());
         assert_eq!(engine.drain_cache_stats(), EngineStats::default());
         let hours = sweep(&sys);
         for (offered, premium, background, budget) in &hours {
@@ -1176,7 +1135,7 @@ mod tests {
 
         // The fingerprints are a pure function of the request sequence:
         // a fresh engine fed the same hours produces the same keys.
-        let mut fresh = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut fresh = DecisionEngine::new(sys.clone());
         for (offered, premium, background, budget) in &hours {
             fresh
                 .decide_hour(*offered, *premium, background, *budget)
@@ -1219,7 +1178,7 @@ mod tests {
             }
             (kept_keys, cap_keys)
         };
-        let mut scheduled = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut scheduled = DecisionEngine::new(sys.clone());
         let (kept_keys, cap_keys) = run(&mut scheduled);
         let stats = scheduled.drain_cache_stats();
         assert_eq!(
@@ -1238,7 +1197,7 @@ mod tests {
             .map(|(step, kept)| EngineCore::structure_fingerprint(*step, kept))
             .collect();
         assert_eq!(keys.iter().copied().collect::<BTreeSet<_>>(), expected);
-        let mut twin = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut twin = DecisionEngine::new(sys.clone());
         run(&mut twin);
         assert_eq!(twin.drain_built_keys(), keys);
         assert_eq!(twin.drain_cache_stats(), stats);
@@ -1269,7 +1228,7 @@ mod tests {
         }
         assert_eq!(backgrounds.len(), wanted, "the grid has enough keys");
 
-        let mut engine = DecisionEngine::new(sys, CapperConfig::default());
+        let mut engine = DecisionEngine::new(sys);
         let mut distinct = BTreeSet::new();
         for background in backgrounds.iter().chain(&backgrounds) {
             engine
@@ -1349,62 +1308,52 @@ mod tests {
             (with(&[(0, 100.0), (2, 60.0)]), vec![335.0, 405.0, 290.0]),
             (with(&[(2, 60.0)]), bg.clone()),
         ];
-        for integral_servers in [false, true] {
-            let config = CapperConfig { integral_servers };
-            let mut engine = DecisionEngine::new(sys.clone(), config);
-            let (mut misses, mut synced_hits) = (0, 0);
-            for (h, (caps, bg)) in hours.iter().enumerate() {
-                engine.set_site_caps(caps);
-                let kept = EngineCore::kept_key(&EngineCore::level_params(&engine.system, bg));
-                let cap_bits: Vec<u64> = caps.iter().map(|c| c.to_bits()).collect();
-                for step in [Step::CostMin, Step::ThruMax] {
-                    let ctx = format!("hour {h} {step:?} integral {integral_servers}");
-                    let prior = engine
-                        .core
-                        .cache(step)
-                        .iter()
-                        .find(|s| s.kept == kept)
-                        .map(|s| s.caps.clone());
-                    let before = engine.core.stats;
-                    let (lambda, budget) = (4e8, 3000.0);
-                    let fresh = match step {
-                        Step::CostMin => {
-                            engine.core.minimize(&engine.system, lambda, bg).unwrap();
-                            cost_min_model(&engine.system, lambda, bg, integral_servers).0
-                        }
-                        Step::ThruMax => {
-                            engine
-                                .core
-                                .maximize(&engine.system, lambda, bg, budget)
-                                .unwrap();
-                            throughput_max_model(
-                                &engine.system,
-                                lambda,
-                                bg,
-                                budget,
-                                integral_servers,
-                            )
-                            .0
-                        }
-                    };
-                    let hit = engine.core.stats.hits > before.hits;
-                    assert_eq!(hit, prior.is_some(), "{ctx}: hit iff a kept model existed");
-                    match prior {
-                        Some(prior) if prior != cap_bits => synced_hits += 1,
-                        Some(_) => {}
-                        None => misses += 1,
+        let mut engine = DecisionEngine::new(sys.clone());
+        let (mut misses, mut synced_hits) = (0, 0);
+        for (h, (caps, bg)) in hours.iter().enumerate() {
+            engine.set_site_caps(caps);
+            let kept = EngineCore::kept_key(&EngineCore::level_params(&engine.system, bg));
+            let cap_bits: Vec<u64> = caps.iter().map(|c| c.to_bits()).collect();
+            for step in [Step::CostMin, Step::ThruMax] {
+                let ctx = format!("hour {h} {step:?}");
+                let prior = engine
+                    .core
+                    .cache(step)
+                    .iter()
+                    .find(|s| s.kept == kept)
+                    .map(|s| s.caps.clone());
+                let before = engine.core.stats;
+                let (lambda, budget) = (4e8, 3000.0);
+                let fresh = match step {
+                    Step::CostMin => {
+                        engine.core.minimize(&engine.system, lambda, bg).unwrap();
+                        cost_min_model(&engine.system, lambda, bg).0
                     }
-                    let served = engine.core.cache(step).iter().find(|s| s.kept == kept);
-                    let served = served.map(|s| &s.model).expect("served model is cached");
-                    assert_models_bitwise_equal(served, &fresh, &ctx);
+                    Step::ThruMax => {
+                        engine
+                            .core
+                            .maximize(&engine.system, lambda, bg, budget)
+                            .unwrap();
+                        throughput_max_model(&engine.system, lambda, bg, budget).0
+                    }
+                };
+                let hit = engine.core.stats.hits > before.hits;
+                assert_eq!(hit, prior.is_some(), "{ctx}: hit iff a kept model existed");
+                match prior {
+                    Some(prior) if prior != cap_bits => synced_hits += 1,
+                    Some(_) => {}
+                    None => misses += 1,
                 }
+                let served = engine.core.cache(step).iter().find(|s| s.kept == kept);
+                let served = served.map(|s| &s.model).expect("served model is cached");
+                assert_models_bitwise_equal(served, &fresh, &ctx);
             }
-            assert_eq!(misses, 4, "two kept keys per step");
-            assert_eq!(
-                synced_hits, 10,
-                "every cap move after a build is a synced hit"
-            );
         }
+        assert_eq!(misses, 4, "two kept keys per step");
+        assert_eq!(
+            synced_hits, 10,
+            "every cap move after a build is a synced hit"
+        );
     }
 
     /// The rows `build_piecewise_core` leaves out are implied, on seeded
@@ -1431,7 +1380,7 @@ mod tests {
             let n = sys.len();
             let spec_caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
             let bases: Vec<f64> = sys.sites.iter().map(|s| s.base_power_mw()).collect();
-            let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+            let mut engine = DecisionEngine::new(sys.clone());
             for case in 0..40usize {
                 let background: Vec<f64> = (0..n).map(|_| rng.random_f64_in(0.0, 800.0)).collect();
                 let mut caps: Vec<f64> = (0..n)
@@ -1508,11 +1457,11 @@ mod tests {
                     }
                     let step2_budget = if budget.is_finite() { *budget } else { 1e4 };
                     let models = [
-                        ("step 1", cost_min_model(&capped, *offered, bg, false).0),
-                        ("step 3", cost_min_model(&capped, *premium, bg, false).0),
+                        ("step 1", cost_min_model(&capped, *offered, bg).0),
+                        ("step 3", cost_min_model(&capped, *premium, bg).0),
                         (
                             "step 2",
-                            throughput_max_model(&capped, *offered, bg, step2_budget, false).0,
+                            throughput_max_model(&capped, *offered, bg, step2_budget).0,
                         ),
                     ];
                     let first_floors: Vec<String> = level_params(&capped, bg)
@@ -1580,7 +1529,7 @@ mod tests {
         ];
         let capper = BillCapper::default();
         for budget in [f64::INFINITY, 1.0] {
-            let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+            let mut engine = DecisionEngine::new(sys.clone());
             let mut builds = Vec::new();
             for (h, caps) in caps.iter().enumerate() {
                 let mut capped = sys.clone();
@@ -1614,7 +1563,7 @@ mod tests {
     #[test]
     fn engine_rejects_bad_inputs_like_the_capper() {
         let sys = DataCenterSystem::paper_system(1);
-        let mut engine = DecisionEngine::new(sys.clone(), CapperConfig::default());
+        let mut engine = DecisionEngine::new(sys.clone());
         let capacity = sys.total_capacity();
         assert!(matches!(
             engine.decide_hour(3.0 * capacity, 1.5 * capacity, &[330.0, 410.0, 280.0], 1e9),

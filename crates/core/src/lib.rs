@@ -77,9 +77,7 @@ pub mod speclint;
 pub use audit::{AuditReport, PlanAuditor, PlanViolation};
 pub use baselines::{MinOnly, PriceAssumption};
 pub use cache::{system_fingerprint, DecisionCache, DecisionKey};
-pub use capper::{
-    validate_hour_inputs, BillCapper, CapperConfig, DecisionTrace, HourDecision, HourOutcome,
-};
+pub use capper::{validate_hour_inputs, BillCapper, DecisionTrace, HourDecision, HourOutcome};
 pub use capsched::CapSchedule;
 pub use engine::{DecisionEngine, EngineStats};
 pub use error::CoreError;

@@ -22,13 +22,12 @@ pub(crate) fn throughput_max_model(
     lambda: f64,
     background_mw: &[f64],
     budget: f64,
-    integral_servers: bool,
 ) -> (Model, PiecewiseVars) {
     let mut m = Model::new("throughput_max", Sense::Maximize);
     // Admit at most the offered workload (paper: the total assigned
     // requests may not exceed the arrivals).
     let offered = ("offered", ConstraintOp::Le, lambda / RATE_SCALE);
-    let mut vars = build_piecewise_core(&mut m, system, background_mw, integral_servers, offered);
+    let mut vars = build_piecewise_core(&mut m, system, background_mw, offered);
     // Budget: sum of r_ik * q_ik <= Cs over the reachable levels.
     let cost_terms: Vec<(VarId, f64)> = vars
         .levels
@@ -47,29 +46,13 @@ pub(crate) fn throughput_max_model(
 /// step path, like [`crate::CostMinimizer`]. Each call builds the step
 /// model on a fresh engine core, lints it, solves it with
 /// [`Self::solver`] and certifies the solution (see [`crate::audit`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ThroughputMaximizer {
     /// The MILP solver.
     pub solver: MipSolver,
-    /// Model server counts as integers inside the MILP (ablation mode).
-    pub integral_servers: bool,
-}
-
-impl Default for ThroughputMaximizer {
-    fn default() -> Self {
-        Self::new(&crate::CapperConfig::default())
-    }
 }
 
 impl ThroughputMaximizer {
-    /// A maximizer with `config`'s settings and the default solver.
-    pub(crate) fn new(config: &crate::CapperConfig) -> Self {
-        Self {
-            solver: MipSolver::default(),
-            integral_servers: config.integral_servers,
-        }
-    }
-
     /// Maximizes admitted throughput under `budget` ($/hour) for offered
     /// workload `lambda` (requests/hour) and background demand
     /// `background_mw`. The returned allocation may admit less than
@@ -84,12 +67,7 @@ impl ThroughputMaximizer {
         background_mw: &[f64],
         budget: f64,
     ) -> Result<Allocation, CoreError> {
-        EngineCore::new(self.solver.clone(), self.integral_servers).maximize(
-            system,
-            lambda,
-            background_mw,
-            budget,
-        )
+        EngineCore::new(self.solver.clone()).maximize(system, lambda, background_mw, budget)
     }
 }
 

@@ -23,7 +23,7 @@ use crate::engine::EngineCore;
 use crate::error::CoreError;
 use crate::spec::{DataCenterSpec, DataCenterSystem};
 use billcap_market::StepPolicy;
-use billcap_milp::{ConstraintOp, MipSolver, MipStats, Model, Sense, VarId, VarType};
+use billcap_milp::{ConstraintOp, MipSolver, MipStats, Model, Sense, VarId};
 
 /// Rate unit used inside the MILPs: one million requests/hour.
 pub(crate) const RATE_SCALE: f64 = 1e6;
@@ -216,10 +216,9 @@ const FLOOR_TOL: f64 = 1e-6;
 /// `a_i = mw_per_request · RATE_SCALE`, `b_i` its base power and
 /// `ub_i = max_rate / RATE_SCALE` the `lam_i` upper bound. Every point
 /// of the model has `q ≥ 0`, so it costs
-/// `Σ_k r_ik·q_ik ≥ Σ_i r_i·Σ_k q_ik ≥ Σ_i r_i·(b_i + a_i·lam_i)`: the
-/// power row makes `Σ_k q_ik = a_i·lam_i + b_i` with relaxed servers,
-/// and `wps·n_i ≥ b_i + a_i·lam_i` (the `servers_i` row) with integral
-/// ones. Over `lam_i ∈ [0, ub_i]` with `Σ lam_i = Λ = lambda / RATE_SCALE`
+/// `Σ_k r_ik·q_ik ≥ Σ_i r_i·Σ_k q_ik = Σ_i r_i·(b_i + a_i·lam_i)`: the
+/// power row makes `Σ_k q_ik = a_i·lam_i + b_i`. Over `lam_i ∈ [0, ub_i]`
+/// with `Σ lam_i = Λ = lambda / RATE_SCALE`
 /// across the `n` sites, the right side is least when the sites fill in increasing
 /// `c_i = r_i·a_i`, each up to `ub_i`: `lb` is `Σ r_i·b_i` plus that
 /// fractional knapsack.
@@ -232,9 +231,7 @@ const FLOOR_TOL: f64 = 1e-6;
 /// each row and bound only to within `t·(1 + |magnitude|)`,
 /// `t = FLOOR_TOL`:
 /// * site `i`'s power row can fall short by `t·(1 + 2·p_i)` MW, with
-///   `p_i ≤ b_i + a_i·ub_i`, each MW at `r_i` (with integral servers the
-///   `servers_i` row and the snap of `n_i` to an integer move it by
-///   `wps ≪ 1` times as much);
+///   `p_i ≤ b_i + a_i·ub_i`, each MW at `r_i`;
 /// * the demand row can fall short by `t·(1 + 2Λ)`, each `lam_i` bound
 ///   give by `t·(1 + ub_i)`, and each rate unit so moved saves at most
 ///   `c_max = max_i c_i`.
@@ -357,7 +354,6 @@ pub(crate) fn build_piecewise_core(
     m: &mut Model,
     system: &DataCenterSystem,
     background_mw: &[f64],
-    integral_servers: bool,
     rate_row: (&str, ConstraintOp, f64),
 ) -> PiecewiseVars {
     let n = system.len();
@@ -371,34 +367,6 @@ pub(crate) fn build_piecewise_core(
         let b = site.base_power_mw();
         let caps = site_cap_values(site);
         let lam_i = m.add_cont(format!("lam_{i}"), 0.0, caps.lam_ub);
-
-        // Optional integral server count: n_i integer with
-        // n_i >= lam/mu + headroom; power then rides on n_i.
-        let power_terms: Vec<(VarId, f64)> = if integral_servers {
-            let headroom = site
-                .queue
-                .qos_headroom(site.response_target)
-                .expect("validated spec"); // detlint-allow(L001): spec checked at construction
-            let n_i = m.add_var(
-                format!("n_{i}"),
-                VarType::Integer,
-                0.0,
-                site.max_servers as f64,
-            );
-            // n_i >= lambda/mu + headroom, with lambda = lam_i * RATE_SCALE.
-            let servers_per_mreq = RATE_SCALE / site.queue.service_rate;
-            m.add_constraint(
-                format!("servers_{i}"),
-                vec![(n_i, 1.0), (lam_i, -servers_per_mreq)],
-                ConstraintOp::Ge,
-                headroom,
-            );
-            let wps_mw = site.power.watts_per_server() / 1e6;
-            vec![(n_i, wps_mw)]
-        } else {
-            vec![(lam_i, a)]
-        };
-        let power_const = if integral_servers { 0.0 } else { b };
 
         let mut levels_i = Vec::new();
         let mut rows_i = Vec::new();
@@ -438,16 +406,14 @@ pub(crate) fn build_piecewise_core(
             ConstraintOp::Eq,
             1.0,
         );
-        // Power identity: sum_k q_ik - (a * lam_i [or wps*n_i]) = b.
+        // Power identity: sum_k q_ik - a * lam_i = b.
         let mut terms: Vec<(VarId, f64)> = levels_i.iter().map(|&(_, _, q, _)| (q, 1.0)).collect();
-        for &(v, c) in &power_terms {
-            terms.push((v, -c));
-        }
-        m.add_constraint(format!("power_{i}"), terms, ConstraintOp::Eq, power_const);
+        terms.push((lam_i, -a));
+        m.add_constraint(format!("power_{i}"), terms, ConstraintOp::Eq, b);
         // Site power cap: no row of its own. Each level's ceiling is at
         // most the cap and exactly one level is active, so the `lvl_hi`
-        // rows already hold Σ_k q_ik (the site's power, whether a_i·lam_i
-        // + b_i or, with integral servers, wps·n_i) to the cap.
+        // rows already hold Σ_k q_ik (the site's power, a_i·lam_i + b_i)
+        // to the cap.
 
         lam.push(lam_i);
         site_levels.push(levels_i);
@@ -523,11 +489,10 @@ pub(crate) fn cost_min_model(
     system: &DataCenterSystem,
     lambda: f64,
     background_mw: &[f64],
-    integral_servers: bool,
 ) -> (Model, PiecewiseVars) {
     let mut m = Model::new("cost_min", Sense::Minimize);
     let demand = ("demand", ConstraintOp::Eq, lambda / RATE_SCALE);
-    let vars = build_piecewise_core(&mut m, system, background_mw, integral_servers, demand);
+    let vars = build_piecewise_core(&mut m, system, background_mw, demand);
     // Objective: sum of r_ik * q_ik over the reachable levels.
     let obj: Vec<(VarId, f64)> = vars
         .levels
@@ -544,30 +509,13 @@ pub(crate) fn cost_min_model(
 /// call builds the step model on a fresh engine core, lints it, solves
 /// it with [`Self::solver`] and certifies the solution (see
 /// [`crate::audit`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CostMinimizer {
     /// The MILP solver.
     pub solver: MipSolver,
-    /// Model server counts as integers inside the MILP (ablation mode;
-    /// the default relaxes them and lets the local optimizer round up).
-    pub integral_servers: bool,
-}
-
-impl Default for CostMinimizer {
-    fn default() -> Self {
-        Self::new(&crate::CapperConfig::default())
-    }
 }
 
 impl CostMinimizer {
-    /// A minimizer with `config`'s settings and the default solver.
-    pub(crate) fn new(config: &crate::CapperConfig) -> Self {
-        Self {
-            solver: MipSolver::default(),
-            integral_servers: config.integral_servers,
-        }
-    }
-
     /// Minimizes the hour's electricity cost for total workload `lambda`
     /// (requests/hour) with per-site background demand `background_mw`.
     /// Inputs are checked as a decision checks them: a background without
@@ -580,11 +528,7 @@ impl CostMinimizer {
         lambda: f64,
         background_mw: &[f64],
     ) -> Result<Allocation, CoreError> {
-        EngineCore::new(self.solver.clone(), self.integral_servers).minimize(
-            system,
-            lambda,
-            background_mw,
-        )
+        EngineCore::new(self.solver.clone()).minimize(system, lambda, background_mw)
     }
 }
 
@@ -731,24 +675,6 @@ mod tests {
             assert!((alloc.lambda[cheapest] - max_cheapest).abs() < 1e3);
             assert!(alloc.lambda[second] > 0.0);
         }
-    }
-
-    #[test]
-    fn integral_server_mode_close_to_relaxed() {
-        let sys = DataCenterSystem::paper_system(1);
-        let relaxed = CostMinimizer::default()
-            .solve(&sys, 2e8, &background())
-            .unwrap();
-        let integral = CostMinimizer {
-            integral_servers: true,
-            ..Default::default()
-        }
-        .solve(&sys, 2e8, &background())
-        .unwrap();
-        // Integral server counts can only cost (a hair) more.
-        assert!(integral.total_cost >= relaxed.total_cost - 1e-6);
-        let rel = (integral.total_cost - relaxed.total_cost) / relaxed.total_cost;
-        assert!(rel < 1e-3, "integrality gap {rel}");
     }
 
     #[test]

@@ -105,7 +105,7 @@ impl BillCapper {
 
         let guaranteed_rate: f64 = classes[..first_best_effort].iter().map(|c| c.rate).sum();
         let offered: f64 = classes.iter().map(|c| c.rate).sum();
-        let mut engine = DecisionEngine::new(system.clone(), self.config.clone());
+        let mut engine = DecisionEngine::new(system.clone());
         let (decision, served) =
             engine.decide(offered, guaranteed_rate, background_mw, hourly_budget)?;
         Ok(ClassDecision {

@@ -27,24 +27,15 @@ fn each_optimizer_call_builds_and_certifies_one_model() {
     let bg = [330.0, 410.0, 280.0];
     billcap_obs::set_enabled(true);
     billcap_obs::reset();
-    for integral_servers in [false, true] {
-        let minimizer = CostMinimizer {
-            integral_servers,
-            ..CostMinimizer::default()
-        };
-        let maximizer = ThroughputMaximizer {
-            integral_servers,
-            ..ThroughputMaximizer::default()
-        };
-        let ctx = format!("integral {integral_servers}");
-        let min = minimizer.solve(&sys, 4e8, &bg).expect("step 1");
-        assert_eq!(counters(), (1, 1), "{ctx}: one minimizer call");
-        let max = maximizer
-            .solve(&sys, 4e8, &bg, 0.8 * min.total_cost)
-            .expect("step 2");
-        assert!(max.total_lambda < 4e8, "{ctx}: the budget binds");
-        assert_eq!(counters(), (1, 1), "{ctx}: one maximizer call");
-    }
+    let min = CostMinimizer::default()
+        .solve(&sys, 4e8, &bg)
+        .expect("step 1");
+    assert_eq!(counters(), (1, 1), "one minimizer call");
+    let max = ThroughputMaximizer::default()
+        .solve(&sys, 4e8, &bg, 0.8 * min.total_cost)
+        .expect("step 2");
+    assert!(max.total_lambda < 4e8, "the budget binds");
+    assert_eq!(counters(), (1, 1), "one maximizer call");
     // A refused input builds and certifies nothing.
     let mut bad = sys.clone();
     bad.sites[0].power_cap_mw = f64::NAN;

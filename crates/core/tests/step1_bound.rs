@@ -6,8 +6,8 @@
 //! skipped step 1 must leave the decision exactly as it was.
 
 use billcap_core::{
-    step1_cost_floor, Allocation, BillCapper, CapSchedule, CapperConfig, CostMinimizer,
-    DataCenterSystem, HourDecision, HourOutcome, ThroughputMaximizer,
+    step1_cost_floor, Allocation, BillCapper, CapSchedule, CostMinimizer, DataCenterSystem,
+    HourDecision, HourOutcome, ThroughputMaximizer,
 };
 use billcap_market::StepPolicy;
 
@@ -35,13 +35,6 @@ fn system(policy: usize, derated: bool, h: usize) -> DataCenterSystem {
     sys
 }
 
-fn minimizer(integral_servers: bool) -> CostMinimizer {
-    CostMinimizer {
-        integral_servers,
-        ..CostMinimizer::default()
-    }
-}
-
 /// Every float of an allocation's dispatch, prices and costs by bit
 /// pattern, with its server counts and price levels.
 fn bits(a: &Allocation) -> (Vec<u64>, &[u64], &[usize]) {
@@ -57,35 +50,31 @@ fn bits(a: &Allocation) -> (Vec<u64>, &[u64], &[usize]) {
     (floats, &a.servers, &a.level)
 }
 
-/// Every sweep hour under Policies 1–3, relaxed and integral servers,
-/// flat and derated caps: the floor is at most the certified minimum
-/// cost of the offered load, and close enough under it that a spent
-/// budget (zero or less) always clears it.
+/// Every sweep hour under Policies 1–3, flat and derated caps: the
+/// floor is at most the certified minimum cost of the offered load, and
+/// close enough under it that a spent budget (zero or less) always
+/// clears it.
 #[test]
 fn floor_never_exceeds_the_certified_step1_cost() {
     let mut cases = 0;
     let mut loosest: f64 = 1.0;
+    let minimizer = CostMinimizer::default();
     for policy in 1..=3 {
-        for integral_servers in [false, true] {
-            let minimizer = minimizer(integral_servers);
-            for derated in [false, true] {
-                for h in 0..24 {
-                    let sys = system(policy, derated, h);
-                    let (offered, _, bg) = hour(h);
-                    let ctx = format!(
-                        "policy {policy} integral {integral_servers} derated {derated} hour {h}"
-                    );
-                    let floor = step1_cost_floor(&sys, offered, &bg).expect(&ctx);
-                    let cost = minimizer.solve(&sys, offered, &bg).expect(&ctx).total_cost;
-                    assert!(floor <= cost, "{ctx}: floor {floor} over cost {cost}");
-                    assert!(floor > 0.0, "{ctx}: floor {floor}");
-                    loosest = loosest.min(floor / cost);
-                    cases += 1;
-                }
+        for derated in [false, true] {
+            for h in 0..24 {
+                let sys = system(policy, derated, h);
+                let (offered, _, bg) = hour(h);
+                let ctx = format!("policy {policy} derated {derated} hour {h}");
+                let floor = step1_cost_floor(&sys, offered, &bg).expect(&ctx);
+                let cost = minimizer.solve(&sys, offered, &bg).expect(&ctx).total_cost;
+                assert!(floor <= cost, "{ctx}: floor {floor} over cost {cost}");
+                assert!(floor > 0.0, "{ctx}: floor {floor}");
+                loosest = loosest.min(floor / cost);
+                cases += 1;
             }
         }
     }
-    assert_eq!(cases, 3 * 2 * 2 * 24);
+    assert_eq!(cases, 3 * 2 * 24);
     assert!(loosest > 0.4, "floor as low as {loosest} of the cost");
 }
 
@@ -94,22 +83,19 @@ fn floor_never_exceeds_the_certified_step1_cost() {
 /// premium load, and step 2 throttles when that fits.
 fn unbounded_decision(
     sys: &DataCenterSystem,
-    integral_servers: bool,
     (offered, premium, bg): (f64, f64, &[f64]),
     budget: f64,
 ) -> (HourOutcome, Allocation) {
-    let minimizer = minimizer(integral_servers);
+    let minimizer = CostMinimizer::default();
     let step1 = minimizer.solve(sys, offered, bg).unwrap();
     assert!(step1.total_cost > budget, "step 1 fits {budget}");
     let step3 = minimizer.solve(sys, premium, bg).unwrap();
     if step3.total_cost > budget {
         return (HourOutcome::PremiumOverride, step3);
     }
-    let maximizer = ThroughputMaximizer {
-        integral_servers,
-        ..ThroughputMaximizer::default()
-    };
-    let step2 = maximizer.solve(sys, offered, bg, budget).unwrap();
+    let step2 = ThroughputMaximizer::default()
+        .solve(sys, offered, bg, budget)
+        .unwrap();
     (HourOutcome::Throttled, step2)
 }
 
@@ -121,50 +107,42 @@ fn unbounded_decision(
 #[test]
 fn a_budget_under_the_floor_decides_like_the_full_path() {
     let mut outcomes = [0usize; 2];
+    let capper = BillCapper::default();
     for policy in 1..=3 {
-        for integral_servers in [false, true] {
-            let capper = BillCapper::new(CapperConfig { integral_servers });
-            let every = if integral_servers { 6 } else { 1 };
-            for derated in [false, true] {
-                for h in (0..24).step_by(every) {
-                    let sys = system(policy, derated, h);
-                    let (offered, premium, bg) = hour(h);
-                    let ctx = format!(
-                        "policy {policy} integral {integral_servers} derated {derated} hour {h}"
-                    );
-                    let floor = step1_cost_floor(&sys, offered, &bg).unwrap();
-                    let budget = floor.next_down();
-                    let decide = |premium: f64, budget: f64| -> HourDecision {
-                        capper
-                            .decide_hour(&sys, offered, premium, &bg, budget)
-                            .unwrap_or_else(|e| panic!("{ctx}: {e}"))
-                    };
+        for derated in [false, true] {
+            for h in 0..24 {
+                let sys = system(policy, derated, h);
+                let (offered, premium, bg) = hour(h);
+                let ctx = format!("policy {policy} derated {derated} hour {h}");
+                let floor = step1_cost_floor(&sys, offered, &bg).unwrap();
+                let budget = floor.next_down();
+                let decide = |premium: f64, budget: f64| -> HourDecision {
+                    capper
+                        .decide_hour(&sys, offered, premium, &bg, budget)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+                };
 
-                    let d = decide(premium, budget);
-                    let (outcome, alloc) =
-                        unbounded_decision(&sys, integral_servers, (offered, premium, &bg), budget);
-                    assert_eq!(d.outcome, outcome, "{ctx}");
-                    assert_eq!(bits(&d.allocation), bits(&alloc), "{ctx}");
-                    let throttled = outcome == HourOutcome::Throttled;
-                    // Step 3, and step 2 when throttled.
-                    let solves = 1 + usize::from(throttled);
-                    assert_eq!(d.trace.solves, solves, "{ctx}: step 1 skipped");
-                    assert_eq!(d.trace.step1_ns, 0, "{ctx}");
-                    outcomes[usize::from(throttled)] += 1;
+                let d = decide(premium, budget);
+                let (outcome, alloc) = unbounded_decision(&sys, (offered, premium, &bg), budget);
+                assert_eq!(d.outcome, outcome, "{ctx}");
+                assert_eq!(bits(&d.allocation), bits(&alloc), "{ctx}");
+                let throttled = outcome == HourOutcome::Throttled;
+                // Step 3, and step 2 when throttled.
+                let solves = 1 + usize::from(throttled);
+                assert_eq!(d.trace.solves, solves, "{ctx}: step 1 skipped");
+                assert_eq!(d.trace.step1_ns, 0, "{ctx}");
+                outcomes[usize::from(throttled)] += 1;
 
-                    let all = decide(offered, budget);
-                    let step1 = minimizer(integral_servers)
-                        .solve(&sys, offered, &bg)
-                        .unwrap();
-                    assert_eq!(all.outcome, HourOutcome::PremiumOverride, "{ctx}");
-                    assert_eq!(bits(&all.allocation), bits(&step1), "{ctx}");
-                    assert_eq!(all.trace.solves, 1, "{ctx}");
+                let all = decide(offered, budget);
+                let step1 = CostMinimizer::default().solve(&sys, offered, &bg).unwrap();
+                assert_eq!(all.outcome, HourOutcome::PremiumOverride, "{ctx}");
+                assert_eq!(bits(&all.allocation), bits(&step1), "{ctx}");
+                assert_eq!(all.trace.solves, 1, "{ctx}");
 
-                    let at_floor = decide(offered, floor);
-                    assert_eq!(at_floor.outcome, HourOutcome::PremiumOverride, "{ctx}");
-                    assert_eq!(bits(&at_floor.allocation), bits(&step1), "{ctx}");
-                    assert_eq!(at_floor.trace.solves, 2, "{ctx}: step 1 ran");
-                }
+                let at_floor = decide(offered, floor);
+                assert_eq!(at_floor.outcome, HourOutcome::PremiumOverride, "{ctx}");
+                assert_eq!(bits(&at_floor.allocation), bits(&step1), "{ctx}");
+                assert_eq!(at_floor.trace.solves, 2, "{ctx}: step 1 ran");
             }
         }
     }

@@ -76,8 +76,7 @@ use crate::protocol::{
     Request, Response, MAX_FRAME,
 };
 use billcap_core::{
-    system_fingerprint, CapperConfig, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey,
-    EngineStats,
+    system_fingerprint, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey, EngineStats,
 };
 use billcap_obs::{MetricsDoc, QuantileSummary, Stopwatch, WindowedHistogram};
 use billcap_rt::run_workers;
@@ -96,7 +95,8 @@ const LATENCY_BOUNDS_US: [f64; 12] = [
 /// Queue depth beyond which a `health` scrape reports degradation.
 const HEALTH_QUEUE_WARN: usize = 4096;
 
-/// Server tuning knobs.
+/// Server tuning knobs: workers, the shared decision cache and
+/// telemetry. The decision engines themselves take no settings.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Decision workers (the reader thread is extra). Minimum 1.
@@ -105,9 +105,6 @@ pub struct ServeConfig {
     pub cache: bool,
     /// Capacity of the shared decision cache.
     pub cache_capacity: usize,
-    /// The capper settings every decision engine is built with
-    /// (integral server counts).
-    pub capper: CapperConfig,
     /// Record per-request latency and rotate metrics windows. Work
     /// counters are maintained regardless; this switch only gates the
     /// wall-clock instrumentation (the measurable overhead).
@@ -129,7 +126,6 @@ impl Default for ServeConfig {
             workers: billcap_rt::num_threads(),
             cache: true,
             cache_capacity: DecisionCache::DEFAULT_CAPACITY,
-            capper: CapperConfig::default(),
             telemetry: true,
             window_requests: 64,
             latency_windows: 8,
@@ -524,7 +520,7 @@ where
         if w == 0 {
             run_reader(cfg, &shared, &reader_slot);
         } else {
-            run_decider(cfg, &shared);
+            run_decider(&shared);
         }
     });
 
@@ -628,7 +624,7 @@ struct EngineState {
     fingerprint: u64,
 }
 
-fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
+fn run_decider<W: Write>(shared: &Shared<'_, W>) {
     let mut engines: HashMap<usize, EngineState> = HashMap::new();
     // One response buffer per worker, reused for every frame.
     let mut out = Vec::new();
@@ -649,7 +645,7 @@ fn run_decider<W: Write>(cfg: &ServeConfig, shared: &Shared<'_, W>) {
             }
         };
         let Some((frame, stamp)) = entry else { break };
-        handle_request(cfg, shared, &mut engines, &mut out, &frame, stamp);
+        handle_request(shared, &mut engines, &mut out, &frame, stamp);
     }
 }
 
@@ -678,14 +674,13 @@ fn sync_engine_telemetry(tele: &ServerTelemetry, policy: usize, state: &mut Engi
 }
 
 fn handle_request<W: Write>(
-    cfg: &ServeConfig,
     shared: &Shared<'_, W>,
     engines: &mut HashMap<usize, EngineState>,
     out: &mut Vec<u8>,
     frame: &[u8],
     stamp: Option<Stopwatch>,
 ) {
-    handle_request_inner(cfg, shared, engines, out, frame);
+    handle_request_inner(shared, engines, out, frame);
     if let Some(sw) = stamp {
         shared
             .tele
@@ -697,7 +692,6 @@ fn handle_request<W: Write>(
 /// that solves it; a cache hit copies the stored body behind a fresh id
 /// into `out` and formats no float.
 fn handle_request_inner<W: Write>(
-    cfg: &ServeConfig,
     shared: &Shared<'_, W>,
     engines: &mut HashMap<usize, EngineState>,
     out: &mut Vec<u8>,
@@ -721,7 +715,7 @@ fn handle_request_inner<W: Write>(
 
     let state = engines.entry(req.policy).or_insert_with(|| {
         let system = DataCenterSystem::paper_system(req.policy);
-        let e = DecisionEngine::new(system, cfg.capper.clone());
+        let e = DecisionEngine::new(system);
         EngineState {
             fingerprint: system_fingerprint(e.system()),
             engine: e,
@@ -731,7 +725,6 @@ fn handle_request_inner<W: Write>(
     let key = shared.cache.as_ref().map(|_| {
         DecisionKey::with_fingerprint(
             state.fingerprint,
-            cfg.capper.integral_servers,
             req.offered,
             req.premium_offered,
             &req.background_mw,

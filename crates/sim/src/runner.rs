@@ -25,8 +25,8 @@
 use crate::metrics::{HourRecord, HourTrace, MonthlyReport};
 use crate::scenario::Scenario;
 use billcap_core::{
-    evaluate_allocation, system_fingerprint, CapSchedule, CapperConfig, CoreError,
-    DataCenterSystem, DecisionEngine, HourDecision, MinOnly, PriceAssumption,
+    evaluate_allocation, system_fingerprint, CapSchedule, CoreError, DataCenterSystem,
+    DecisionEngine, HourDecision, MinOnly, PriceAssumption,
 };
 use billcap_workload::Budgeter;
 
@@ -97,7 +97,7 @@ fn ensure_engine<'a>(
 ) -> &'a mut DecisionEngine {
     let fp = system_fingerprint(system);
     if !matches!(slot, Some((have, _)) if *have == fp) {
-        let engine = DecisionEngine::new(system.clone(), CapperConfig::default());
+        let engine = DecisionEngine::new(system.clone());
         *slot = Some((fp, engine));
     } else if let Some((_, engine)) = slot.as_mut() {
         let caps: Vec<f64> = system.sites.iter().map(|s| s.power_cap_mw).collect();
@@ -600,8 +600,10 @@ mod tests {
         .unwrap();
         // First-principles re-check outside the engine's plan audit:
         // every hour's realized per-site power obeys that hour's
-        // scheduled cap (the tolerance mirrors the audit's power-identity
-        // headroom for integral-server rounding at a binding cap).
+        // scheduled cap. Realized power bills whole servers (ceil) and
+        // whole switches, so it can sit a hair above the linearized
+        // power the MILP held to the cap; the tolerance covers that
+        // rounding at a binding cap.
         for h in &r.hours {
             let caps = sched.caps_at(h.hour);
             for (i, &p) in h.power_mw.iter().enumerate() {

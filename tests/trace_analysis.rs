@@ -90,8 +90,10 @@ fn profile_flame_and_diff_round_trip_a_traced_week() {
     // --- Injected span slowdown past both thresholds is caught. A 10x
     // slowdown alone clears `time_rel` but can stay under `time_abs_ns`
     // when the week runs fast (an optimized build), so the injection
-    // also adds twice the absolute threshold.
-    let mut slowed = snap_b.clone();
+    // also adds twice the absolute threshold. It slows the baseline run
+    // itself, so `10·a + 2·time_abs_ns` against `a` clears both
+    // thresholds whatever either traced week's wall clock was.
+    let mut slowed = snap_a.clone();
     if let Some(s) = slowed.spans.get_mut("hour") {
         s.total_ns = s.total_ns * 10 + 2 * cfg.time_abs_ns as u64;
     }
@@ -104,7 +106,7 @@ fn profile_flame_and_diff_round_trip_a_traced_week() {
     );
 
     // --- Injected counter inflation is caught exactly.
-    let mut inflated = snap_b.clone();
+    let mut inflated = snap_a.clone();
     *inflated.counters.get_mut("milp.bnb.nodes").unwrap() *= 2;
     let report_inflated = diff_snapshots(&snap_a, &inflated, &cfg);
     assert!(report_inflated
