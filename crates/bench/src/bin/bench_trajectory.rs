@@ -97,13 +97,7 @@ fn bench_solvers(h: &mut Harness) {
 /// allocation-reuse refactor's headline number), plus a small risk run.
 fn bench_month_runs(h: &mut Harness) {
     const HOURS: usize = 48;
-    let mut scenario = Scenario::paper_default(1, 42);
-    scenario.workload = scenario.workload.slice(0, HOURS);
-    scenario.background = scenario
-        .background
-        .iter()
-        .map(|b| b.slice(0, HOURS))
-        .collect();
+    let scenario = Scenario::paper_default(1, 42).first_hours(HOURS);
     let budget = Some(Scenario::STRINGENT_BUDGET * HOURS as f64 / 720.0);
 
     h.bench("month_run/fresh", || {
@@ -154,13 +148,7 @@ fn bench_month_runs(h: &mut Harness) {
 fn traced_reference_run() -> Result<TraceAggregates, String> {
     billcap_obs::set_enabled(true);
     billcap_obs::reset();
-    let mut scenario = Scenario::paper_default(1, 42);
-    scenario.workload = scenario.workload.slice(0, REFERENCE_HOURS);
-    scenario.background = scenario
-        .background
-        .iter()
-        .map(|b| b.slice(0, REFERENCE_HOURS))
-        .collect();
+    let scenario = Scenario::paper_default(1, 42).first_hours(REFERENCE_HOURS);
     // The stringent monthly budget, prorated to the sliced horizon, so
     // the reference run exercises throttled hours (step 2) as well as
     // within-budget ones.

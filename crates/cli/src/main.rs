@@ -382,12 +382,7 @@ fn simulate_month(args: &Args, env: &Env) -> Result<(), ArgError> {
                 scenario.horizon()
             )));
         }
-        scenario.workload = scenario.workload.slice(0, hours);
-        scenario.background = scenario
-            .background
-            .iter()
-            .map(|b| b.slice(0, hours))
-            .collect();
+        scenario = scenario.first_hours(hours);
     }
     let report = run_month(&scenario, strategy, budget).map_err(|e| ArgError(e.to_string()))?;
     if let Some(path) = &trace_path {

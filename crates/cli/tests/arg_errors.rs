@@ -119,6 +119,11 @@ fn out_of_range_values_are_rejected() {
         &["decide-hour", "--offered", "6e8", "--budget", "NaN"],
         "budget must be",
     );
+    // A monthly budget the budgeter cannot spread: refused by the month
+    // loop before any hour is decided.
+    assert_fails_mentioning(&["simulate-month", "--budget", "0"], "budget");
+    assert_fails_mentioning(&["replay", "--budget", "0"], "budget");
+    assert_fails_mentioning(&["simulate-risk", "--budget", "0"], "budget");
 }
 
 #[test]

@@ -53,9 +53,10 @@ pub struct OpfSolver {
     ptdf: Matrix,
     /// Solves the dispatch LP (no integer variables, so no branching).
     solver: MipSolver,
-    /// Perturbation size (MW) for LMP extraction.
-    pub epsilon_mw: f64,
 }
+
+/// Perturbation size (MW) for LMP extraction.
+const EPSILON_MW: f64 = 0.1;
 
 impl OpfSolver {
     /// Builds a solver for `grid`; fails if the network is disconnected.
@@ -65,7 +66,6 @@ impl OpfSolver {
             grid,
             ptdf,
             solver: MipSolver::default(),
-            epsilon_mw: 0.1,
         })
     }
 
@@ -188,14 +188,14 @@ impl OpfSolver {
     pub fn lmp(&self, loads_mw: &[f64], bus: BusId) -> Result<f64, OpfError> {
         let base = self.dispatch(loads_mw)?;
         let mut up = loads_mw.to_vec();
-        up[bus.0] += self.epsilon_mw;
+        up[bus.0] += EPSILON_MW;
         match self.dispatch(&up) {
-            Ok(pert) => Ok((pert.total_cost - base.total_cost) / self.epsilon_mw),
+            Ok(pert) => Ok((pert.total_cost - base.total_cost) / EPSILON_MW),
             Err(OpfError::Infeasible) => {
                 let mut down = loads_mw.to_vec();
-                down[bus.0] = (down[bus.0] - self.epsilon_mw).max(0.0);
+                down[bus.0] = (down[bus.0] - EPSILON_MW).max(0.0);
                 let pert = self.dispatch(&down)?;
-                Ok((base.total_cost - pert.total_cost) / self.epsilon_mw)
+                Ok((base.total_cost - pert.total_cost) / EPSILON_MW)
             }
             Err(e) => Err(e),
         }

@@ -4,11 +4,16 @@
 //! into workers without `Arc` gymnastics and no thread outlives its
 //! call. The two entry points cover the workspace's fan-out patterns:
 //!
-//! * [`par_map`] — map a function over a slice in parallel, results in
-//!   input order (what `par_iter().map().collect::<Vec<_>>()` did).
+//! * [`par_map_threads`] — map a function over a slice in parallel,
+//!   results in input order (what `par_iter().map().collect::<Vec<_>>()`
+//!   did).
 //! * [`try_par_map`] — the fallible variant; returns the error of the
 //!   *earliest* failing item, so outcomes are deterministic even though
 //!   scheduling is not (what `collect::<Result<Vec<_>, _>>()` did).
+//!
+//! Every map runs on one claim/collect loop,
+//! [`try_par_map_init_threads`], which threads per-worker state through
+//! the items; the stateless maps pass unit state.
 //!
 //! Work is distributed by an atomic cursor over the input slice, which
 //! balances uneven item costs (month simulations vary severalfold) at
@@ -86,16 +91,6 @@ where
     }
 }
 
-/// [`par_map_threads`] with the default worker count.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_threads(items, num_threads(), f)
-}
-
 /// Uninhabited error type for the infallible wrappers.
 enum Never {}
 
@@ -111,52 +106,7 @@ where
     E: Send,
     F: Fn(&T) -> Result<U, E> + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let cursor = AtomicUsize::new(0);
-    // Index of the earliest error seen so far; workers stop claiming
-    // items past it. usize::MAX = no error.
-    let first_error_idx = AtomicUsize::new(usize::MAX);
-    let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    let results: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));
-
-    billcap_obs::gauge("rt.pool.workers", threads as f64);
-    run_workers(threads, |_| {
-        let mut local: Vec<(usize, U)> = Vec::new();
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= items.len() || i > first_error_idx.load(Ordering::Acquire) {
-                break;
-            }
-            billcap_obs::gauge("rt.pool.queue_depth", (items.len() - i - 1) as f64);
-            match f(&items[i]) {
-                Ok(v) => local.push((i, v)),
-                Err(e) => {
-                    first_error_idx.fetch_min(i, Ordering::AcqRel);
-                    let mut slot = error.lock().unwrap_or_else(PoisonError::into_inner);
-                    if slot.as_ref().map(|(j, _)| i < *j).unwrap_or(true) {
-                        *slot = Some((i, e));
-                    }
-                }
-            }
-        }
-        billcap_obs::gauge("rt.pool.worker_items", local.len() as f64);
-        results
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .extend(local);
-    });
-
-    if let Some((_, e)) = error.into_inner().unwrap_or_else(PoisonError::into_inner) {
-        return Err(e);
-    }
-    let mut collected = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-    collected.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert_eq!(collected.len(), items.len());
-    Ok(collected.into_iter().map(|(_, v)| v).collect())
+    try_par_map_init_threads(items, threads, || (), |(), item| f(item))
 }
 
 /// [`try_par_map_threads`] with the default worker count.
@@ -216,6 +166,8 @@ where
     }
 
     let cursor = AtomicUsize::new(0);
+    // Index of the earliest error seen so far; workers stop claiming
+    // items past it. usize::MAX = no error.
     let first_error_idx = AtomicUsize::new(usize::MAX);
     let error: Mutex<Option<(usize, E)>> = Mutex::new(None);
     let results: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));

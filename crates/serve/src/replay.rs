@@ -2,22 +2,22 @@
 //! check every response bitwise against the sequential fresh-model
 //! decisions the simulator would have made.
 //!
-//! [`build_plan`] replicates `billcap_sim::run_month`'s Cost Capping
-//! loop exactly — same [`Scenario`], same [`Budgeter`] spend-feedback,
-//! same per-hour inputs — but records the *requests* alongside the
-//! expected [`HourDecision`]s. [`run_replay`] then fires the whole plan
-//! through [`serve_with`] as one frame stream (a 168-hour "firehose"), and
-//! [`verify_replay`] demands bitwise identity on every answer.
+//! [`build_plan`] runs the month on the simulator's own Cost Capping
+//! loop (`billcap_sim::run_month`) and turns each hour's record into a
+//! request, with the hour's offered load, premium load and budget, plus
+//! the [`HourDecision`] a one-shot [`BillCapper`] makes for it.
+//! [`run_replay`] then fires the whole plan through [`serve_with`] as
+//! one frame stream (a 168-hour "firehose"), and [`verify_replay`]
+//! demands bitwise identity on every answer.
 //!
-//! Budget feedback is why the plan must be built sequentially: hour
+//! Budget feedback is why the plan comes from a sequential month: hour
 //! `t`'s budget depends on the realized cost of hours `0..t`. The
 //! server itself is order-free — each request carries its own budget.
 
 use crate::protocol::{read_frame, write_frame, DecisionMsg, Response, MAX_FRAME};
 use crate::server::{serve_with, ServeConfig, ServeStats, ServerTelemetry};
-use billcap_core::{evaluate_allocation, BillCapper, CoreError, DataCenterSystem, HourDecision};
-use billcap_sim::Scenario;
-use billcap_workload::Budgeter;
+use billcap_core::{BillCapper, CoreError, DataCenterSystem, HourDecision};
+use billcap_sim::{run_month, Scenario, Strategy};
 use std::io::Cursor;
 
 /// A request stream plus the ground-truth decisions it must reproduce.
@@ -33,49 +33,45 @@ pub struct ReplayPlan {
     pub system: DataCenterSystem,
 }
 
-/// Builds an `hours`-long replay plan by running the simulator's Cost
-/// Capping loop sequentially with a fresh [`BillCapper`].
+/// Builds an `hours`-long replay plan (at most a month) from the
+/// simulator's Cost Capping month over the scenario's first `hours`
+/// hours, deciding each hour again with a fresh [`BillCapper`].
 ///
 /// `monthly_budget = None` means uncapped hours (budget `+∞`);
-/// `Some(b)` engages the [`Budgeter`] with `hours` as its horizon, so
-/// short replays see the same per-hour budgets a short month would.
+/// `Some(b)` budgets the short month with `hours` as its horizon, so
+/// short replays see the same per-hour budgets a short month would. A
+/// budget the month refuses (not positive, or a month of no hours) is
+/// [`CoreError::InvalidInput`].
 pub fn build_plan(
     policy: usize,
     seed: u64,
     hours: usize,
     monthly_budget: Option<f64>,
 ) -> Result<ReplayPlan, CoreError> {
-    let scenario = Scenario::paper_default(policy, seed);
-    let hours = hours.min(scenario.horizon());
-    let mut budgeter = monthly_budget.map(|b| Budgeter::from_history(b, &scenario.history, hours));
+    let scenario = Scenario::paper_default(policy, seed).first_hours(hours);
+    let month = run_month(&scenario, Strategy::CostCapping, monthly_budget)?;
     let capper = BillCapper::default();
 
-    let mut requests = Vec::with_capacity(hours);
-    let mut expected = Vec::with_capacity(hours);
-    for t in 0..hours {
-        let offered = scenario.workload.at(t);
-        let premium = scenario.split.premium(offered);
-        let d = scenario.background_at(t);
-        let hourly_budget = budgeter
-            .as_ref()
-            .map(Budgeter::hourly_budget)
-            .unwrap_or(f64::INFINITY);
-
-        let decision = capper.decide_hour(&scenario.system, offered, premium, &d, hourly_budget)?;
-        let realized = evaluate_allocation(&scenario.system, &decision.allocation.lambda, &d);
-        if let Some(b) = budgeter.as_mut() {
-            b.record_spend(realized.total_cost);
-        }
-
+    let mut requests = Vec::with_capacity(month.hours.len());
+    let mut expected = Vec::with_capacity(month.hours.len());
+    for h in &month.hours {
+        let background_mw = scenario.background_at(h.hour);
+        let hourly_budget = h.hourly_budget.unwrap_or(f64::INFINITY);
+        expected.push(capper.decide_hour(
+            &scenario.system,
+            h.offered,
+            h.premium_offered,
+            &background_mw,
+            hourly_budget,
+        )?);
         requests.push(crate::protocol::Request {
-            id: t as u64,
+            id: h.hour as u64,
             policy,
-            offered,
-            premium_offered: premium,
-            background_mw: d,
+            offered: h.offered,
+            premium_offered: h.premium_offered,
+            background_mw,
             hourly_budget,
         });
-        expected.push(decision);
     }
     Ok(ReplayPlan {
         policy,
@@ -220,6 +216,17 @@ mod tests {
             budgets.windows(2).any(|w| w[0] != w[1]),
             "budgets never moved: {budgets:?}"
         );
+    }
+
+    #[test]
+    fn a_budget_the_month_refuses_is_an_error() {
+        for budget in [0.0, -5.0, f64::NAN] {
+            let err = build_plan(2, 1, 4, Some(budget)).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInput(_)), "{budget}: {err}");
+        }
+        let err = build_plan(2, 1, 0, Some(1e6)).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput(_)), "{err}");
+        assert!(build_plan(2, 1, 0, None).unwrap().requests.is_empty());
     }
 
     #[test]

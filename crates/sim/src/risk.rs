@@ -615,7 +615,6 @@ fn sample_scenario(cfg: &RiskConfig, seed: u64) -> Scenario {
     } else {
         cfg.hours
     };
-    let workload = workload.slice(0, horizon);
     let background = (0..system.len())
         .map(|i| {
             let mut bg = BackgroundDemand::reco_like(i, seed);
@@ -639,6 +638,8 @@ fn sample_scenario(cfg: &RiskConfig, seed: u64) -> Scenario {
             .collect(),
     );
 
+    // The background is generated at the horizon already; the cut
+    // brings the workload to it.
     Scenario {
         system,
         history,
@@ -646,6 +647,7 @@ fn sample_scenario(cfg: &RiskConfig, seed: u64) -> Scenario {
         background,
         split: CustomerSplit::paper_default(),
     }
+    .first_hours(horizon)
 }
 
 #[cfg(test)]

@@ -1,34 +1,36 @@
 //! The hourly simulation loop.
 //!
-//! One loop, two public entry points that differ only in how long the
-//! capper's [`DecisionEngine`] lives:
+//! One month loop holds the paper's budget feedback:
+//! each hour's realized bill goes to the [`Budgeter`], which turns it
+//! into the next hour's budget. At month start the loop resolves its
+//! strategy into one decider, and every hour asks that decider:
 //!
-//! * [`run_month_scratch`] — the production loop. Decisions come from a
-//!   retained engine (build-once/mutate-values MILPs), the per-hour
-//!   background vector fills a reusable buffer, and both live in a
-//!   caller-owned [`MonthScratch`] so a Monte-Carlo worker pays model
-//!   construction once per fleet, not once per hour × sample.
-//! * [`run_month_fresh`] — the reference: the same loop with the engine
-//!   dropped before every hour, so each decision is made by a one-shot
-//!   engine that builds its models from scratch. The retained engine
+//! * the capper on a retained [`DecisionEngine`] (build-once /
+//!   mutate-values MILPs) kept in a caller-owned [`MonthScratch`], so a
+//!   Monte-Carlo worker pays model construction once per fleet, not
+//!   once per hour × sample. [`run_month`] and [`run_month_scratch`]
+//!   decide this way;
+//! * the capper on a one-shot engine built for every hour, which
+//!   [`run_month_fresh`] uses as the reference. The retained engine
 //!   must match it bitwise on every decision (the engine's contract),
-//!   which `tests/risk_determinism.rs` enforces.
+//!   which `tests/risk_determinism.rs` enforces;
+//! * Min-Only on its own copy of the system.
 //!
-//! Both accept an optional [`CapSchedule`] that re-caps every site at
-//! every hour; the engine's plan audit and the realized billing always
-//! see the hour's capped system. Every capping hour is checked by the
-//! engine itself: each solve certified, each decision audited against
-//! the paper's invariants (a failure ends the month with
-//! [`CoreError::Audit`]). Baselines are not audited: they break the
+//! Every entry point accepts an optional [`CapSchedule`] that re-caps
+//! every site at every hour; the engine's plan audit and the realized
+//! billing always see the hour's capped system. Every capping hour is
+//! checked by the engine itself: each solve certified, each decision
+//! audited against the paper's invariants (a failure ends the month
+//! with [`CoreError::Audit`]). Baselines are not audited: they break the
 //! capper's invariants by design.
 
 use crate::metrics::{HourRecord, HourTrace, MonthlyReport};
 use crate::scenario::Scenario;
 use billcap_core::{
     evaluate_allocation, system_fingerprint, CapSchedule, CoreError, DataCenterSystem,
-    DecisionEngine, HourDecision, MinOnly, PriceAssumption,
+    DecisionEngine, MinOnly, PriceAssumption,
 };
-use billcap_workload::Budgeter;
+use billcap_workload::{Budgeter, HOURS_PER_WEEK};
 
 /// The strategies the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,7 +92,8 @@ impl MonthScratch {
 
 /// Returns the retained engine for `system`, (re)building it when the
 /// scratch last served a different system, and resetting any cap
-/// mutation a previous month's schedule left behind.
+/// mutation a previous month's schedule left behind. Runs once per
+/// month: neither input changes within one.
 fn ensure_engine<'a>(
     slot: &'a mut Option<(u64, DecisionEngine)>,
     system: &DataCenterSystem,
@@ -139,7 +142,7 @@ pub fn run_month(
 /// `_audit` is ignored: every solve is certified and every decision
 /// audited in every build. The argument stays only because the
 /// end-to-end benchmark passes it; the benchmark change that merges the
-/// month entry points (ROADMAP item 11) removes it.
+/// month entry points (ROADMAP item 12) removes it.
 pub fn run_month_scratch(
     scenario: &Scenario,
     strategy: Strategy,
@@ -158,9 +161,9 @@ pub fn run_month_scratch(
     )
 }
 
-/// The reference month: [`run_month_scratch`]'s loop with the engine
-/// dropped before every hour, so each hour is decided by a one-shot
-/// engine that builds its models from scratch. The differential oracle
+/// The reference month: [`run_month_scratch`]'s loop with every hour
+/// decided by a one-shot engine built for that hour, which builds its
+/// models from scratch. The differential oracle
 /// for [`run_month_scratch`]; semantics, including the optional cap
 /// schedule and the ignored `_audit`, are identical.
 pub fn run_month_fresh(
@@ -180,8 +183,19 @@ pub fn run_month_fresh(
     )
 }
 
-/// The month loop behind both entry points. With `one_shot` set the
-/// capper's engine is dropped before every hour.
+/// How a month decides its hours, resolved once at month start.
+enum Decider<'a> {
+    /// The capper on the scratch's retained engine, its caps reset to
+    /// the base system's.
+    Retained(&'a mut DecisionEngine),
+    /// The capper on a one-shot engine built for every hour.
+    Fresh,
+    /// Min-Only on its own copy of the system, re-capped every hour.
+    MinOnly(Box<MinOnly>, DataCenterSystem),
+}
+
+/// The month loop behind every entry point. With `one_shot` set the
+/// capper decides each hour on a fresh engine.
 fn month_loop(
     scenario: &Scenario,
     strategy: Strategy,
@@ -191,64 +205,42 @@ fn month_loop(
     one_shot: bool,
 ) -> Result<MonthlyReport, CoreError> {
     let horizon = scenario.horizon();
-    let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon);
-    let mut min_only = baseline_for(strategy);
-    // Working spec for the baselines under a schedule (the engine owns
-    // its own copy for the capping path).
-    let mut baseline_sys = min_only.is_some().then(|| scenario.system.clone());
+    let mut budgeter = make_budgeter(scenario, strategy, monthly_budget, horizon)?;
     let MonthScratch { engine, background } = scratch;
+    let min_only =
+        |prices| Decider::MinOnly(Box::new(MinOnly::new(prices)), scenario.system.clone());
+    let mut decider = match strategy {
+        Strategy::CostCapping if one_shot => Decider::Fresh,
+        Strategy::CostCapping => Decider::Retained(ensure_engine(engine, &scenario.system)),
+        Strategy::MinOnlyAvg => min_only(PriceAssumption::Average),
+        Strategy::MinOnlyLow => min_only(PriceAssumption::Lowest),
+    };
 
     let mut hours = Vec::with_capacity(horizon);
     // detlint-hot-start(month hour loop): this loop runs 720× per
     // Monte-Carlo sample; per-hour allocations belong in MonthScratch.
     for t in 0..horizon {
         let offered = scenario.workload.at(t);
-        let premium = scenario.split.premium(offered);
-        let ordinary = scenario.split.ordinary(offered);
         scenario.background_at_into(t, background);
+        let hour = Hour {
+            t,
+            offered,
+            premium: scenario.split.premium(offered),
+            ordinary: scenario.split.ordinary(offered),
+            background,
+        };
 
-        let record = match strategy {
-            Strategy::CostCapping => {
-                if one_shot {
-                    *engine = None;
-                }
-                let engine = ensure_engine(engine, &scenario.system);
-                if let Some(sched) = cap_schedule {
-                    engine.set_site_caps(sched.caps_at(t));
-                }
-                let hourly_budget = budgeter
-                    .as_ref()
-                    .map(Budgeter::hourly_budget)
-                    .unwrap_or(f64::INFINITY);
-                let t_start = billcap_obs::Stopwatch::start();
-                let hour_span = billcap_obs::span("hour");
-                let decision = engine.decide_hour(offered, premium, background, hourly_budget)?;
-                finish_capping_hour(
-                    t,
-                    offered,
-                    premium,
-                    ordinary,
-                    background,
-                    decision,
-                    engine.system(),
-                    &mut budgeter,
-                    t_start,
-                    hour_span,
-                )
+        let record = match &mut decider {
+            Decider::Retained(engine) => capping_hour(engine, &hour, cap_schedule, &mut budgeter)?,
+            Decider::Fresh => {
+                let mut engine = DecisionEngine::new(scenario.system.clone());
+                capping_hour(&mut engine, &hour, cap_schedule, &mut budgeter)?
             }
-            Strategy::MinOnlyAvg | Strategy::MinOnlyLow => {
-                let sys = match baseline_sys.as_mut() {
-                    Some(s) => s,
-                    None => unreachable!("baseline system built for baseline strategies"),
-                };
+            Decider::MinOnly(min_only, sys) => {
                 if let Some(sched) = cap_schedule {
                     sched.apply(sys, t);
                 }
-                let min_only = match min_only.as_mut() {
-                    Some(m) => m,
-                    None => unreachable!("baseline constructed for baseline strategies"),
-                };
-                min_only_hour(t, offered, premium, ordinary, background, sys, min_only)?
+                min_only_hour(&hour, sys, min_only)?
             }
         };
         hours.push(record);
@@ -258,29 +250,48 @@ fn month_loop(
     Ok(finish_report(strategy, monthly_budget, hours))
 }
 
+/// One hour's inputs.
+struct Hour<'a> {
+    t: usize,
+    offered: f64,
+    premium: f64,
+    ordinary: f64,
+    /// Background demand per site (MW).
+    background: &'a [f64],
+}
+
 /// Budgeter construction: only Cost Capping with a monthly budget gets
-/// one.
+/// one. A budget that is not positive, a month without hours and a
+/// history shorter than a week are refused as
+/// [`CoreError::InvalidInput`], before [`Budgeter::from_history`] would
+/// panic on them.
 fn make_budgeter(
     scenario: &Scenario,
     strategy: Strategy,
     monthly_budget: Option<f64>,
     horizon: usize,
-) -> Option<Budgeter> {
-    match (strategy, monthly_budget) {
-        (Strategy::CostCapping, Some(b)) => {
-            Some(Budgeter::from_history(b, &scenario.history, horizon))
-        }
-        _ => None,
+) -> Result<Option<Budgeter>, CoreError> {
+    let (Strategy::CostCapping, Some(budget)) = (strategy, monthly_budget) else {
+        return Ok(None);
+    };
+    let refuse = |msg: String| Err(CoreError::InvalidInput(msg));
+    if budget.is_nan() || budget <= 0.0 {
+        return refuse(format!("monthly budget must be positive, got {budget}"));
     }
-}
-
-/// The baseline solver for baseline strategies.
-fn baseline_for(strategy: Strategy) -> Option<MinOnly> {
-    match strategy {
-        Strategy::MinOnlyAvg => Some(MinOnly::new(PriceAssumption::Average)),
-        Strategy::MinOnlyLow => Some(MinOnly::new(PriceAssumption::Lowest)),
-        Strategy::CostCapping => None,
+    if horizon == 0 {
+        return refuse("a budgeted month needs at least one hour".into());
     }
+    if scenario.history.len() < HOURS_PER_WEEK {
+        return refuse(format!(
+            "a budgeted month needs at least {HOURS_PER_WEEK} hours of history, got {}",
+            scenario.history.len()
+        ));
+    }
+    Ok(Some(Budgeter::from_history(
+        budget,
+        &scenario.history,
+        horizon,
+    )))
 }
 
 fn finish_report(
@@ -298,28 +309,37 @@ fn finish_report(
     }
 }
 
-/// Everything that happens to a Cost Capping hour *after* the decision:
-/// realized billing, budget bookkeeping, observability, record assembly.
-#[allow(clippy::too_many_arguments)]
-fn finish_capping_hour(
-    t: usize,
-    offered: f64,
-    premium: f64,
-    ordinary: f64,
-    d: &[f64],
-    decision: HourDecision,
-    system: &DataCenterSystem,
+/// One Cost Capping hour on `engine`: re-cap it for the hour, decide,
+/// then bill the decision under the true prices, feed the budgeter and
+/// assemble the record.
+fn capping_hour(
+    engine: &mut DecisionEngine,
+    hour: &Hour,
+    cap_schedule: Option<&CapSchedule>,
     budgeter: &mut Option<Budgeter>,
-    t_start: billcap_obs::Stopwatch,
-    mut hour_span: billcap_obs::Span,
-) -> HourRecord {
-    let realized = evaluate_allocation(system, &decision.allocation.lambda, d);
+) -> Result<HourRecord, CoreError> {
+    if let Some(sched) = cap_schedule {
+        engine.set_site_caps(sched.caps_at(hour.t));
+    }
+    let hourly_budget = budgeter
+        .as_ref()
+        .map(Budgeter::hourly_budget)
+        .unwrap_or(f64::INFINITY);
+    let t_start = billcap_obs::Stopwatch::start();
+    let mut hour_span = billcap_obs::span("hour");
+    let decision =
+        engine.decide_hour(hour.offered, hour.premium, hour.background, hourly_budget)?;
+    let realized = evaluate_allocation(
+        engine.system(),
+        &decision.allocation.lambda,
+        hour.background,
+    );
     if let Some(b) = budgeter.as_mut() {
         b.record_spend(realized.total_cost);
     }
     let carryover = budgeter.as_ref().map(Budgeter::carryover);
     if hour_span.is_enabled() {
-        hour_span.field("hour", t as f64);
+        hour_span.field("hour", hour.t as f64);
         hour_span.field("cost", realized.total_cost);
         hour_span.field("solves", decision.trace.solves as f64);
         hour_span.field("nodes", decision.trace.nodes as f64);
@@ -349,53 +369,49 @@ fn finish_capping_hour(
         lp_iterations: decision.trace.lp_iterations,
         carryover,
     };
-    HourRecord {
-        hour: t,
-        offered,
-        premium_offered: premium,
-        ordinary_offered: ordinary,
+    Ok(HourRecord {
+        hour: hour.t,
+        offered: hour.offered,
+        premium_offered: hour.premium,
+        ordinary_offered: hour.ordinary,
         premium_served: decision.premium_served,
         ordinary_served: decision.ordinary_served,
         realized_cost: realized.total_cost,
         believed_cost: decision.allocation.total_cost,
         hourly_budget: budgeter.is_some().then_some(decision.budget),
         outcome: Some(decision.outcome),
-        lambda: decision.allocation.lambda.clone(),
+        lambda: decision.allocation.lambda,
         power_mw: realized.power_mw,
         price: realized.price,
         trace: Some(trace),
-    }
+    })
 }
 
 /// One baseline (Min-Only) hour. Min-Only
 /// serves everything it physically can, budget or not; extreme flash
 /// crowds get the same capacity clamp the capper applies.
 fn min_only_hour(
-    t: usize,
-    offered: f64,
-    premium: f64,
-    ordinary: f64,
-    d: &[f64],
+    hour: &Hour,
     system: &DataCenterSystem,
     min_only: &mut MinOnly,
 ) -> Result<HourRecord, CoreError> {
     let capacity = system.total_capacity();
-    let admitted = offered.min(capacity);
+    let admitted = hour.offered.min(capacity);
     let decision = min_only.solve(system, admitted)?;
-    let realized = evaluate_allocation(system, &decision.lambda, d);
-    let premium_served = premium.min(admitted);
+    let realized = evaluate_allocation(system, &decision.lambda, hour.background);
+    let premium_served = hour.premium.min(admitted);
     Ok(HourRecord {
-        hour: t,
-        offered,
-        premium_offered: premium,
-        ordinary_offered: ordinary,
+        hour: hour.t,
+        offered: hour.offered,
+        premium_offered: hour.premium,
+        ordinary_offered: hour.ordinary,
         premium_served,
         ordinary_served: admitted - premium_served,
         realized_cost: realized.total_cost,
         believed_cost: decision.believed_cost,
         hourly_budget: None,
         outcome: None,
-        lambda: decision.lambda.clone(),
+        lambda: decision.lambda,
         power_mw: realized.power_mw,
         price: realized.price,
         trace: None,
@@ -410,10 +426,7 @@ mod tests {
     /// A one-week scenario keeps unit tests fast; full months run in the
     /// experiment suite and benchmarks.
     fn short_scenario() -> Scenario {
-        let mut s = Scenario::paper_default(1, 42);
-        s.workload = s.workload.slice(0, 168);
-        s.background = s.background.iter().map(|b| b.slice(0, 168)).collect();
-        s
+        Scenario::paper_default(1, 42).first_hours(168)
     }
 
     #[test]
@@ -454,6 +467,33 @@ mod tests {
         assert!(r.hours.iter().all(|h| h.hourly_budget.is_some()));
         // Under a tight budget at least some ordinary traffic is shed.
         assert!(r.ordinary_throughput() < 1.0);
+    }
+
+    #[test]
+    fn a_budget_the_budgeter_cannot_spread_is_refused() {
+        let s = short_scenario();
+        let refused = |r: Result<MonthlyReport, CoreError>| matches!(r, Err(CoreError::InvalidInput(m)) if m.contains("budget"));
+        for budget in [0.0, f64::NAN, -1.0] {
+            let b = Some(budget);
+            assert!(refused(run_month(&s, Strategy::CostCapping, b)), "{budget}");
+            let fresh = run_month_fresh(&s, Strategy::CostCapping, b, false, None);
+            assert!(refused(fresh), "{budget}");
+            let mut scratch = MonthScratch::new();
+            let reused = run_month_scratch(&s, Strategy::CostCapping, b, false, None, &mut scratch);
+            assert!(refused(reused), "{budget}");
+        }
+        let mut short_history = s.clone();
+        short_history.history = short_history.history.slice(0, 100);
+        assert!(refused(run_month(
+            &short_history,
+            Strategy::CostCapping,
+            Some(1e6)
+        )));
+        let empty = s.first_hours(0);
+        assert!(refused(run_month(&empty, Strategy::CostCapping, Some(1e6))));
+        // An unbudgeted empty month has nothing to refuse.
+        let r = run_month(&empty, Strategy::CostCapping, None).unwrap();
+        assert!(r.hours.is_empty());
     }
 
     #[test]

@@ -69,6 +69,18 @@ impl Scenario {
         self.workload.len()
     }
 
+    /// The scenario cut to its first `n` hours, or to all of them when
+    /// `n` is at least the horizon: the one way to simulate a short
+    /// month. The budgeting history stays whole.
+    pub fn first_hours(mut self, n: usize) -> Self {
+        let n = n.min(self.horizon());
+        self.workload = self.workload.slice(0, n);
+        for b in &mut self.background {
+            *b = b.slice(0, n);
+        }
+        self
+    }
+
     /// Background demand vector for hour `t` (MW per site).
     pub fn background_at(&self, t: usize) -> Vec<f64> {
         self.background.iter().map(|b| b.at(t)).collect()
@@ -116,6 +128,19 @@ mod tests {
             peak < capacity,
             "peak {peak} req/h exceeds capacity {capacity}"
         );
+    }
+
+    #[test]
+    fn first_hours_cuts_the_month_and_keeps_the_history() {
+        let s = Scenario::paper_default(1, 42);
+        let short = s.clone().first_hours(48);
+        assert_eq!(short.horizon(), 48);
+        assert_eq!(short.history, s.history);
+        for (cut, full) in short.background.iter().zip(&s.background) {
+            assert_eq!(cut.values(), &full.values()[..48]);
+        }
+        assert_eq!(short.workload.values(), &s.workload.values()[..48]);
+        assert_eq!(s.clone().first_hours(10_000).horizon(), s.horizon());
     }
 
     #[test]

@@ -38,13 +38,7 @@ fn checks() -> (u64, u64, u64) {
 #[test]
 fn month_runs_and_risk_samples_are_always_checked() {
     let hours = 48;
-    let mut scenario = Scenario::paper_default(1, 42);
-    scenario.workload = scenario.workload.slice(0, hours);
-    scenario.background = scenario
-        .background
-        .iter()
-        .map(|b| b.slice(0, hours))
-        .collect();
+    let scenario = Scenario::paper_default(1, 42).first_hours(hours);
     let budget = Some(Scenario::STRINGENT_BUDGET * 48.0 / 720.0);
     let mut scratch = MonthScratch::new();
     billcap_obs::set_enabled(true);

@@ -90,9 +90,7 @@ fn scratch_loop_matches_fresh_oracle_on_risk_scenarios() {
     // accelerator, never an approximation.
     let mut scratch = MonthScratch::new();
     for seed in [11u64, 12, 13] {
-        let mut s = Scenario::paper_default(1, seed);
-        s.workload = s.workload.slice(0, 72);
-        s.background = s.background.iter().map(|b| b.slice(0, 72)).collect();
+        let s = Scenario::paper_default(1, seed).first_hours(72);
         let base: Vec<f64> = s.system.sites.iter().map(|x| x.power_cap_mw).collect();
         let sched = CapSchedule::derating(&base, 72, 0.25, seed);
         let budget = Some(Scenario::STRINGENT_BUDGET * 72.0 / 720.0);
@@ -120,6 +118,53 @@ fn scratch_loop_matches_fresh_oracle_on_risk_scenarios() {
             assert_eq!(a.lambda, b.lambda, "seed {seed} hour {}", a.hour);
             assert_eq!(a.power_mw, b.power_mw, "seed {seed} hour {}", a.hour);
             assert_eq!(a.outcome, b.outcome, "seed {seed} hour {}", a.hour);
+        }
+    }
+}
+
+#[test]
+fn month_start_resets_the_caps_a_derated_month_left() {
+    // One scratch serves a derated month, a flat month of the same
+    // system, then a month of another system. The month loop resets the
+    // retained engine's caps once, at month start, so the flat month
+    // matches the fresh oracle only if that reset undoes the derated
+    // month's last hour.
+    const HOURS: usize = 72;
+    let budget = Some(Scenario::STRINGENT_BUDGET * HOURS as f64 / 720.0);
+    let policy1 = Scenario::paper_default(1, 42).first_hours(HOURS);
+    let policy2 = Scenario::paper_default(2, 42).first_hours(HOURS);
+    let base: Vec<f64> = policy1
+        .system
+        .sites
+        .iter()
+        .map(|x| x.power_cap_mw)
+        .collect();
+    let derate = CapSchedule::derating(&base, HOURS, 0.3, 42);
+    let mut scratch = MonthScratch::new();
+    for (name, s, sched) in [
+        ("derated policy 1", &policy1, Some(&derate)),
+        ("flat policy 1", &policy1, None),
+        ("policy 2", &policy2, None),
+    ] {
+        let reused =
+            run_month_scratch(s, Strategy::CostCapping, budget, false, sched, &mut scratch)
+                .unwrap();
+        let fresh = run_month_fresh(s, Strategy::CostCapping, budget, false, sched).unwrap();
+        assert_eq!(reused.hours.len(), HOURS, "{name}");
+        assert_eq!(fresh.hours.len(), HOURS, "{name}");
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (a, b) in reused.hours.iter().zip(&fresh.hours) {
+            let h = a.hour;
+            assert_eq!(
+                a.realized_cost.to_bits(),
+                b.realized_cost.to_bits(),
+                "{name} hour {h}: scratch {} vs fresh {}",
+                a.realized_cost,
+                b.realized_cost
+            );
+            assert_eq!(bits(&a.lambda), bits(&b.lambda), "{name} hour {h}");
+            assert_eq!(bits(&a.power_mw), bits(&b.power_mw), "{name} hour {h}");
+            assert_eq!(a.outcome, b.outcome, "{name} hour {h}");
         }
     }
 }
@@ -185,9 +230,7 @@ fn starvation_budget_forces_the_two_step_path_every_hour() {
     // A $1 budget can never cover step 1's minimum cost, so every hour
     // must take the step-2 (throttle) or step-3 (premium override)
     // branch — and the audit must still sanction each of them.
-    let mut s = Scenario::paper_default(1, 42);
-    s.workload = s.workload.slice(0, 48);
-    s.background = s.background.iter().map(|b| b.slice(0, 48)).collect();
+    let s = Scenario::paper_default(1, 42).first_hours(48);
     let base: Vec<f64> = s.system.sites.iter().map(|x| x.power_cap_mw).collect();
     let sched = CapSchedule::derating(&base, 48, 0.3, 42);
     let mut scratch = MonthScratch::new();

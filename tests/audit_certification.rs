@@ -57,9 +57,7 @@ fn genuine_pipeline_outputs_audit_clean() {
 /// hour's plan, and a failed audit would end the run with an error.
 #[test]
 fn audited_simulation_week_is_clean() {
-    let mut s = Scenario::paper_default(1, 7);
-    s.workload = s.workload.slice(0, 168);
-    s.background = s.background.iter().map(|b| b.slice(0, 168)).collect();
+    let s = Scenario::paper_default(1, 7).first_hours(168);
     let r = run_month(&s, Strategy::CostCapping, Some(80_000.0)).unwrap();
     // The tight budget must actually constrain some hours, so the audit
     // exercised more than the easy WithinBudget invariants.

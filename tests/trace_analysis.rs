@@ -16,14 +16,7 @@ use billcap::sim::{run_month, MonthlyReport, Scenario, Strategy};
 const HOURS: usize = 168;
 
 fn week_scenario(seed: u64) -> Scenario {
-    let mut scenario = Scenario::paper_default(1, seed);
-    scenario.workload = scenario.workload.slice(0, HOURS);
-    scenario.background = scenario
-        .background
-        .iter()
-        .map(|b| b.slice(0, HOURS))
-        .collect();
-    scenario
+    Scenario::paper_default(1, seed).first_hours(HOURS)
 }
 
 fn traced_run(seed: u64) -> (obs::TraceSnapshot, MonthlyReport) {

@@ -19,13 +19,7 @@ fn traced_week_is_consistent_with_report() {
     // One-week scenario with a budget so tight that every hour takes
     // the premium override, and is below step 1's certified cost floor:
     // every hour skips step 1 and solves step 3 alone.
-    let mut scenario = Scenario::paper_default(1, 42);
-    scenario.workload = scenario.workload.slice(0, 168);
-    scenario.background = scenario
-        .background
-        .iter()
-        .map(|b| b.slice(0, 168))
-        .collect();
+    let scenario = Scenario::paper_default(1, 42).first_hours(168);
 
     obs::set_enabled(true);
     obs::reset();
