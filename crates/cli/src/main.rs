@@ -27,7 +27,7 @@ mod args;
 
 use args::{ArgError, Args};
 use billcap_core::{BillCapper, DataCenterSystem, HourOutcome};
-use billcap_milp::{parse_lp, MipSolver};
+use billcap_milp::{certify_solution, parse_lp, MipSolver};
 use billcap_serve::{build_plan, run_replay_with, verify_replay, ServeConfig, ServerTelemetry};
 use billcap_sim::corpus::run_corpus;
 use billcap_sim::export::monthly_report_csv;
@@ -107,7 +107,10 @@ USAGE:
       Print a synthetic trace as CSV.
 
   billcap solve-lp FILE
-      Solve a CPLEX LP-format model with the built-in MILP solver.
+      Solve a CPLEX LP-format model with the built-in MILP solver and
+      certify the answer (primal feasibility, integrality and, for an
+      LP, its duals) before printing it; an answer that fails exits 1
+      naming the violations.
 
   billcap lint-model FILE [--json]
       Statically analyze a CPLEX LP-format model without solving it:
@@ -670,8 +673,15 @@ fn solve_lp(args: &Args) -> Result<(), String> {
     let sol = MipSolver::default()
         .solve(&model)
         .map_err(|e| e.to_string())?;
+    let report = certify_solution(&model, &sol);
+    if !report.certified() {
+        return Err(format!(
+            "the solver's answer failed certification: {report}"
+        ));
+    }
     println!("status: {:?}", sol.status);
     println!("objective: {}", sol.objective);
+    println!("certified: {} checks", report.checks);
     for (v, value) in model.variables().iter().zip(&sol.values) {
         println!("  {} = {}", v.name, value);
     }

@@ -73,3 +73,39 @@ fn unbounded_file_fails_with_the_verdict() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("model is unbounded"), "stderr {stderr:?}");
 }
+
+#[test]
+fn printed_answers_are_certified() {
+    // The free-variable LP above and a small knapsack MILP: each printed
+    // answer passed `certify_solution`, duals included for the LP.
+    for (name, text, objective) in [
+        (
+            "certified_free_max.lp",
+            "Maximize\n obj: 3 x + 2 y - z\nSubject To\n c1: x + y <= 4\n \
+             c2: x + 3 y <= 6\n c3: z - x >= -1\nBounds\n x <= 3\n z free\nEnd\n",
+            9.0,
+        ),
+        (
+            "certified_knapsack.lp",
+            "Maximize\n obj: 10 a + 13 b + 7 c\nSubject To\n w: 3 a + 4 b + 2 c <= 6\n\
+             Binary\n a\n b\n c\nEnd\n",
+            20.0,
+        ),
+    ] {
+        let out = solve_lp(name, text);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!((printed(&stdout, "objective:") - objective).abs() < 1e-9);
+        let checks = stdout
+            .lines()
+            .find_map(|l| l.strip_prefix("certified: "))
+            .and_then(|rest| rest.strip_suffix(" checks"))
+            .unwrap_or_else(|| panic!("{name}: no certified line in {stdout:?}"));
+        let checks: usize = checks.parse().expect("a check count");
+        assert!(checks > 5, "{name}: {checks} checks");
+    }
+}

@@ -8,7 +8,7 @@
 //! every run.
 
 use crate::error::SolveError;
-use crate::model::{Model, Sense, VarId, VarType};
+use crate::model::{Model, VarId, VarType};
 use crate::presolve::{propagate_from, PropBuffers};
 use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution};
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
@@ -255,10 +255,7 @@ impl MipSolver {
         }
 
         // Work in minimization space for pruning.
-        let sign = match model.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
+        let sign = model.sense.sign();
 
         // Root bounds, with integer bounds pre-rounded inward.
         let mut root_bounds = model.var_bounds();

@@ -22,6 +22,13 @@
 //!   reduced costs, and weak/strong duality through the bounded-variable
 //!   dual objective.
 //!
+//! LP verdicts that return no solution are proved the same way.
+//! [`certify_infeasible`] checks a Farkas row: a combination of the rows
+//! whose right-hand side lies outside the reach of its left-hand side
+//! over the variable and slack boxes. [`certify_unbounded`] checks an
+//! improving ray inside the model's recession cone and a feasible point
+//! to start it from.
+//!
 //! Nothing here calls the solver: a corrupted or stale solution cannot
 //! certify itself. The result is a structured [`CertifyReport`] listing
 //! each violated invariant with its slack magnitude, not a bare bool.
@@ -48,6 +55,9 @@ const DUAL_TOL: f64 = 1e-6;
 /// Slack allowed between the reported gap and the gap implied by
 /// `objective` and `best_bound`.
 const GAP_REPORT_TOL: f64 = 1e-6;
+/// A Farkas-row coefficient no larger than this share of the terms
+/// that sum to it is float cancellation, not a column it can move.
+const CANCEL_TOL: f64 = 1e-9;
 
 /// One violated invariant, with the magnitude of the violation.
 #[derive(Debug, Clone, PartialEq)]
@@ -186,6 +196,34 @@ pub enum Violation {
         /// Absolute difference beyond tolerance.
         error: f64,
     },
+    /// A Farkas row proves nothing: the right-hand side it combines
+    /// lies within (or too close to) the range its left-hand side
+    /// reaches over the variable and slack boxes. Values are for the
+    /// row scaled to a largest entry of 1.
+    Farkas {
+        /// `ρ·b`.
+        rhs: f64,
+        /// Least `ρ·[A I]·(x, s)` over the boxes.
+        lo: f64,
+        /// Greatest `ρ·[A I]·(x, s)` over the boxes.
+        hi: f64,
+    },
+    /// A ray leaves the recession cone of a variable's bounds or of a
+    /// constraint row (values for the ray scaled to a largest entry
+    /// of 1).
+    RayCone {
+        /// The variable or constraint, by kind and name.
+        what: String,
+        /// How far outside the cone.
+        slack: f64,
+    },
+    /// A ray does not improve the objective.
+    RayObjective {
+        /// Objective change per unit step in minimization space, for
+        /// the ray scaled to a largest entry of 1 (an improving ray has
+        /// a negative slope).
+        slope: f64,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -281,6 +319,16 @@ impl fmt::Display for Violation {
                 f,
                 "duality gap: primal {primal} vs dual objective {dual} (error {error:.3e})"
             ),
+            Violation::Farkas { rhs, lo, hi } => write!(
+                f,
+                "Farkas row proves nothing: its rhs {rhs} is within reach [{lo}, {hi}]"
+            ),
+            Violation::RayCone { what, slack } => {
+                write!(f, "ray leaves the cone of {what} by {slack:.3e}")
+            }
+            Violation::RayObjective { slope } => {
+                write!(f, "ray changes the objective by {slope:.3e}: not improving")
+            }
         }
     }
 }
@@ -349,6 +397,17 @@ fn int_coeff_mass(model: &Model, c: &Constraint) -> f64 {
         .sum()
 }
 
+/// Whether `values` has one entry per variable of `model`; records the
+/// check.
+fn fits(model: &Model, values: &[f64], report: &mut CertifyReport) -> bool {
+    let n = model.num_vars();
+    report.check(values.len() == n, || Violation::Dimension {
+        expected: n,
+        got: values.len(),
+    });
+    values.len() == n
+}
+
 /// Evaluates a constraint row and its magnitude scale at a point.
 fn row_eval(c: &Constraint, values: &[f64]) -> (f64, f64) {
     let mut lhs = 0.0;
@@ -366,77 +425,14 @@ fn row_eval(c: &Constraint, values: &[f64]) -> (f64, f64) {
 /// the full dual certificate. See the module docs for the invariant list.
 pub fn certify_solution(model: &Model, sol: &Solution) -> CertifyReport {
     let mut report = CertifyReport::default();
-    let n = model.num_vars();
-    report.check(sol.values.len() == n, || Violation::Dimension {
-        expected: n,
-        got: sol.values.len(),
-    });
-    if sol.values.len() != n {
+    if !fits(model, &sol.values, &mut report) {
         return report; // nothing else is meaningful
     }
     report.check(sol.objective.is_finite(), || Violation::NonFinite {
         what: "objective".to_string(),
         value: sol.objective,
     });
-
-    // --- primal feasibility: bounds and integrality ---
-    for (i, var) in model.variables().iter().enumerate() {
-        let x = sol.values[i];
-        report.check(x.is_finite(), || Violation::NonFinite {
-            what: format!("variable '{}'", var.name),
-            value: x,
-        });
-        if !x.is_finite() {
-            continue;
-        }
-        let bound_tol = PRIMAL_TOL
-            * (1.0
-                + finite_or(var.lb, 0.0)
-                    .abs()
-                    .max(finite_or(var.ub, 0.0).abs()));
-        let slack = (var.lb - x).max(x - var.ub).max(0.0);
-        report.check(slack <= bound_tol, || Violation::Bound {
-            var: i,
-            name: var.name.clone(),
-            value: x,
-            lb: var.lb,
-            ub: var.ub,
-            slack,
-        });
-        if matches!(var.var_type, VarType::Integer | VarType::Binary) {
-            let distance = (x - x.round()).abs();
-            report.check(distance <= INTEGRALITY_TOL, || Violation::Integrality {
-                var: i,
-                name: var.name.clone(),
-                value: x,
-                distance,
-            });
-        }
-    }
-
-    // --- primal feasibility: constraint rows ---
-    for (i, c) in model.constraints().iter().enumerate() {
-        let (lhs, scale) = row_eval(c, &sol.values);
-        // Integer variables are only trusted to int_tol (the
-        // branch-and-bound snaps near-integral LP values to round()
-        // without re-adjusting the continuous variables), so every row
-        // inherits up to |a_j| * int_tol of displacement per integer
-        // term on top of the magnitude-scaled float tolerance.
-        let t = PRIMAL_TOL * scale + INTEGRALITY_TOL * int_coeff_mass(model, c);
-        let slack = match c.op {
-            ConstraintOp::Le => lhs - c.rhs,
-            ConstraintOp::Ge => c.rhs - lhs,
-            ConstraintOp::Eq => (lhs - c.rhs).abs(),
-        };
-        report.check(slack <= t, || Violation::Constraint {
-            index: i,
-            name: c.name.clone(),
-            lhs,
-            op: c.op,
-            rhs: c.rhs,
-            slack,
-        });
-    }
+    check_primal(model, &sol.values, &mut report);
 
     // --- objective honesty ---
     let recomputed = model.eval_objective(&sol.values);
@@ -486,6 +482,68 @@ pub fn certify_solution(model: &Model, sol: &Solution) -> CertifyReport {
     report
 }
 
+/// Primal feasibility of `values` (one per variable): finite values,
+/// bounds, integrality and every constraint row.
+fn check_primal(model: &Model, values: &[f64], report: &mut CertifyReport) {
+    for (i, var) in model.variables().iter().enumerate() {
+        let x = values[i];
+        report.check(x.is_finite(), || Violation::NonFinite {
+            what: format!("variable '{}'", var.name),
+            value: x,
+        });
+        if !x.is_finite() {
+            continue;
+        }
+        let bound_tol = PRIMAL_TOL
+            * (1.0
+                + finite_or(var.lb, 0.0)
+                    .abs()
+                    .max(finite_or(var.ub, 0.0).abs()));
+        let slack = (var.lb - x).max(x - var.ub).max(0.0);
+        report.check(slack <= bound_tol, || Violation::Bound {
+            var: i,
+            name: var.name.clone(),
+            value: x,
+            lb: var.lb,
+            ub: var.ub,
+            slack,
+        });
+        if matches!(var.var_type, VarType::Integer | VarType::Binary) {
+            let distance = (x - x.round()).abs();
+            report.check(distance <= INTEGRALITY_TOL, || Violation::Integrality {
+                var: i,
+                name: var.name.clone(),
+                value: x,
+                distance,
+            });
+        }
+    }
+
+    // --- primal feasibility: constraint rows ---
+    for (i, c) in model.constraints().iter().enumerate() {
+        let (lhs, scale) = row_eval(c, values);
+        // Integer variables are only trusted to int_tol (the
+        // branch-and-bound snaps near-integral LP values to round()
+        // without re-adjusting the continuous variables), so every row
+        // inherits up to |a_j| * int_tol of displacement per integer
+        // term on top of the magnitude-scaled float tolerance.
+        let t = PRIMAL_TOL * scale + INTEGRALITY_TOL * int_coeff_mass(model, c);
+        let slack = match c.op {
+            ConstraintOp::Le => lhs - c.rhs,
+            ConstraintOp::Ge => c.rhs - lhs,
+            ConstraintOp::Eq => (lhs - c.rhs).abs(),
+        };
+        report.check(slack <= t, || Violation::Constraint {
+            index: i,
+            name: c.name.clone(),
+            lhs,
+            op: c.op,
+            rhs: c.rhs,
+            slack,
+        });
+    }
+}
+
 fn finite_or(x: f64, fallback: f64) -> f64 {
     if x.is_finite() {
         x
@@ -509,10 +567,7 @@ fn audit_duals(model: &Model, sol: &Solution, duals: &[f64], report: &mut Certif
     if duals.len() != m {
         return;
     }
-    let sign = match model.sense {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
+    let sign = model.sense.sign();
 
     // Sign conventions and complementary slackness, row by row.
     for (i, (c, &d)) in model.constraints().iter().zip(duals).enumerate() {
@@ -623,12 +678,161 @@ fn audit_duals(model: &Model, sol: &Solution, duals: &[f64], report: &mut Certif
     }
 }
 
+/// The box of row `c`'s slack `s = b − a·x`: `≤` rows keep it
+/// non-negative, `≥` rows non-positive, `=` rows at 0.
+fn slack_box(c: &Constraint) -> (f64, f64) {
+    match c.op {
+        ConstraintOp::Le => (0.0, f64::INFINITY),
+        ConstraintOp::Ge => (f64::NEG_INFINITY, 0.0),
+        ConstraintOp::Eq => (0.0, 0.0),
+    }
+}
+
+/// The reach of `coef · z` over `z ∈ [l, u]`, added to `range`; `|coef|
+/// ≤ noise` reaches nothing. Returns the larger magnitude of its finite
+/// ends, for the tolerance.
+fn reach(range: &mut (f64, f64), coef: f64, (l, u): (f64, f64), noise: f64) -> f64 {
+    if coef.abs() <= noise {
+        return 0.0;
+    }
+    let (a, b) = (coef * l, coef * u);
+    range.0 += a.min(b);
+    range.1 += a.max(b);
+    finite_or(a, 0.0).abs().max(finite_or(b, 0.0).abs())
+}
+
+/// Certifies that `model` has no feasible point, from a Farkas row
+/// `rho` (one multiplier per constraint, such as
+/// [`crate::RevisedEngine::farkas_row`]) and nothing else.
+///
+/// Every feasible `(x, s)` satisfies `ρ·A·x + ρ·s = ρ·b`, where `s` is
+/// the slack vector `b − A·x`. So if `ρ·b` lies outside the range that
+/// `ρ·[A I]·(x, s)` reaches over the variable bounds and the slack boxes,
+/// no point is feasible. The row is scaled to a largest entry of 1, and
+/// `ρ·b` must clear the range by more than the primal tolerance scaled by
+/// the largest term, the same margin [`certify_solution`] grants a
+/// point. A column whose coefficient cancels to within 1e-9 of
+/// its terms reaches nothing.
+pub fn certify_infeasible(model: &Model, rho: &[f64]) -> CertifyReport {
+    let mut report = CertifyReport::default();
+    let m = model.num_constraints();
+    report.check(rho.len() == m, || Violation::DualCount {
+        expected: m,
+        got: rho.len(),
+    });
+    let largest = rho.iter().fold(0.0f64, |a, r| a.max(r.abs()));
+    report.check(largest.is_finite(), || Violation::NonFinite {
+        what: "Farkas row".to_string(),
+        value: largest,
+    });
+    if rho.len() != m || !largest.is_finite() {
+        return report;
+    }
+    let unit = if largest > 0.0 { 1.0 / largest } else { 1.0 };
+
+    let n = model.num_vars();
+    let mut coef = vec![0.0; n];
+    let mut mass = vec![0.0; n];
+    let mut rhs = 0.0;
+    let mut range = (0.0, 0.0);
+    let mut magnitude = 0.0f64;
+    for (c, &r) in model.constraints().iter().zip(rho) {
+        let r = r * unit;
+        for &(v, a) in &c.terms {
+            coef[v.index()] += r * a;
+            mass[v.index()] += (r * a).abs();
+        }
+        rhs += r * c.rhs;
+        magnitude = magnitude.max((r * c.rhs).abs());
+        magnitude = magnitude.max(reach(&mut range, r, slack_box(c), CANCEL_TOL));
+    }
+    for (j, var) in model.variables().iter().enumerate() {
+        let noise = CANCEL_TOL * mass[j];
+        magnitude = magnitude.max(reach(&mut range, coef[j], (var.lb, var.ub), noise));
+    }
+    let clearance = (rhs - range.1).max(range.0 - rhs);
+    report.check(clearance > PRIMAL_TOL * (1.0 + magnitude), || {
+        Violation::Farkas {
+            rhs,
+            lo: range.0,
+            hi: range.1,
+        }
+    });
+    report
+}
+
+/// Certifies that `model`'s objective improves without bound, from an
+/// improving ray and a feasible point, with no solver.
+///
+/// `point` must pass the primal checks of [`certify_solution`]. The ray,
+/// scaled to a largest entry of 1, must stay in the recession cone of
+/// every variable's bounds and every row (within the primal tolerance),
+/// and must lower the objective in minimization space by more than the
+/// dual tolerance per unit step. Then `point + t·ray` is feasible for
+/// every `t ≥ 0` and its objective passes any bound.
+pub fn certify_unbounded(model: &Model, ray: &[f64], point: &[f64]) -> CertifyReport {
+    let mut report = CertifyReport::default();
+    if !fits(model, point, &mut report) || !fits(model, ray, &mut report) {
+        return report;
+    }
+    check_primal(model, point, &mut report);
+
+    let largest = ray.iter().fold(0.0f64, |a, d| a.max(d.abs()));
+    report.check(largest.is_finite(), || Violation::NonFinite {
+        what: "ray".to_string(),
+        value: largest,
+    });
+    if !largest.is_finite() {
+        return report;
+    }
+    let unit = if largest > 0.0 { 1.0 / largest } else { 1.0 };
+    let d = |j: usize| ray[j] * unit;
+
+    for (j, var) in model.variables().iter().enumerate() {
+        let lo = if var.lb.is_finite() { -d(j) } else { 0.0 };
+        let hi = if var.ub.is_finite() { d(j) } else { 0.0 };
+        let slack = lo.max(hi);
+        report.check(slack <= PRIMAL_TOL, || Violation::RayCone {
+            what: format!("variable '{}'", var.name),
+            slack,
+        });
+    }
+    for c in model.constraints() {
+        let (mut activity, mut scale) = (0.0, 1.0f64);
+        for &(v, a) in &c.terms {
+            activity += a * d(v.index());
+            scale = scale.max((a * d(v.index())).abs());
+        }
+        let slack = match c.op {
+            ConstraintOp::Le => activity,
+            ConstraintOp::Ge => -activity,
+            ConstraintOp::Eq => activity.abs(),
+        };
+        report.check(slack <= PRIMAL_TOL * scale, || Violation::RayCone {
+            what: format!("constraint '{}'", c.name),
+            slack,
+        });
+    }
+
+    let sign = model.sense.sign();
+    let (mut slope, mut scale) = (0.0, 1.0f64);
+    for &(v, c) in model.objective() {
+        slope += sign * c * d(v.index());
+        scale = scale.max((c * d(v.index())).abs());
+    }
+    report.check(slope < -DUAL_TOL * scale, || Violation::RayObjective {
+        slope,
+    });
+    report
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::branch::MipSolver;
     use crate::model::{ConstraintOp, Model, Sense};
-    use crate::simplex::LpSolver;
+    use crate::revised::{RevisedEngine, RevisedError, RevisedOptions, UnboundedRay};
+    use crate::solution::{Solution, Status};
 
     fn knapsack() -> Model {
         let mut m = Model::new("knap", Sense::Maximize);
@@ -701,7 +905,7 @@ mod tests {
         let x = lp.add_cont("x", 0.0, 100.0);
         lp.add_constraint("ub", vec![(x, 1.0)], ConstraintOp::Le, 0.0);
         lp.set_objective(vec![(x, 1.0)], 0.0);
-        let mut drift = LpSolver::default().solve(&lp).unwrap();
+        let mut drift = MipSolver::default().solve(&lp).unwrap();
         drift.duals = None; // the primal row check is the subject here
         drift.values = vec![3.2e-6];
         drift.objective = 3.2e-6;
@@ -711,7 +915,7 @@ mod tests {
     #[test]
     fn genuine_lp_solution_with_duals_certifies() {
         let m = textbook_lp();
-        let sol = LpSolver::default().solve(&m).unwrap();
+        let sol = MipSolver::default().solve(&m).unwrap();
         assert!(sol.duals.is_some());
         let report = certify_solution(&m, &sol);
         assert!(report.certified(), "{report}");
@@ -721,8 +925,7 @@ mod tests {
     fn revised_lp_duals_certify() {
         // A box-bounded version of the textbook LP so the revised engine's
         // dual cold start exists; the duals must survive the full audit
-        // (signs, complementary slackness, strong duality) just like the
-        // dense solver's.
+        // (signs, complementary slackness, strong duality).
         let mut m = Model::new("lp_boxed", Sense::Maximize);
         let x = m.add_cont("x", 0.0, 100.0);
         let y = m.add_cont("y", 0.0, 100.0);
@@ -730,17 +933,17 @@ mod tests {
         m.add_constraint("c2", vec![(y, 2.0)], ConstraintOp::Le, 12.0);
         m.add_constraint("c3", vec![(x, 3.0), (y, 2.0)], ConstraintOp::Le, 18.0);
         m.set_objective(vec![(x, 3.0), (y, 5.0)], 0.0);
-        let mut engine =
-            crate::revised::RevisedEngine::new(&m, crate::revised::RevisedOptions::default());
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
         assert!(engine.cold_startable());
         let r = engine.solve(None).expect("boxed textbook LP solves");
-        let sol = crate::solution::Solution {
+        let sol = Solution {
+            status: Status::Optimal,
             objective: m.eval_objective(&r.values),
             values: r.values,
+            iterations: r.stats.iterations,
+            degenerate: r.stats.degenerate,
+            mip: None,
             duals: Some(r.duals),
-            ..LpSolver::default()
-                .solve(&m)
-                .expect("dense reference solves")
         };
         let report = certify_solution(&m, &sol);
         assert!(
@@ -773,7 +976,7 @@ mod tests {
         m.add_constraint("cover", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Ge, 4.0);
         m.add_constraint("tie", vec![(x, 1.0), (y, -1.0)], ConstraintOp::Eq, 1.0);
         m.set_objective(vec![(x, 2.0), (y, 3.0)], 5.0);
-        let sol = LpSolver::default().solve(&m).unwrap();
+        let sol = MipSolver::default().solve(&m).unwrap();
         let report = certify_solution(&m, &sol);
         assert!(report.certified(), "{report}");
     }
@@ -846,7 +1049,7 @@ mod tests {
         // Duals taken from a *different* rhs violate complementary
         // slackness / duality at the new optimum.
         let m = textbook_lp();
-        let sol = LpSolver::default().solve(&m).unwrap();
+        let sol = MipSolver::default().solve(&m).unwrap();
 
         let mut loosened = Model::new("lp2", Sense::Maximize);
         let x = loosened.add_cont("x", 0.0, f64::INFINITY);
@@ -855,7 +1058,7 @@ mod tests {
         loosened.add_constraint("c2", vec![(y, 2.0)], ConstraintOp::Le, 12.0);
         loosened.add_constraint("c3", vec![(x, 3.0), (y, 2.0)], ConstraintOp::Le, 30.0);
         loosened.set_objective(vec![(x, 3.0), (y, 5.0)], 0.0);
-        let mut fresh = LpSolver::default().solve(&loosened).unwrap();
+        let mut fresh = MipSolver::default().solve(&loosened).unwrap();
         fresh.duals = sol.duals.clone(); // stale certificate
         let report = certify_solution(&loosened, &fresh);
         assert!(!report.certified(), "stale duals must not certify");
@@ -864,7 +1067,7 @@ mod tests {
     #[test]
     fn wrong_dual_sign_is_rejected() {
         let m = textbook_lp();
-        let mut sol = LpSolver::default().solve(&m).unwrap();
+        let mut sol = MipSolver::default().solve(&m).unwrap();
         let duals = sol.duals.as_mut().unwrap();
         duals[1] = -duals[1].max(1.0); // a maximization <= row dual must be >= 0
         let report = certify_solution(&m, &sol);
@@ -872,6 +1075,132 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, Violation::DualSign { .. })));
+    }
+
+    /// `x + y <= 2` and `x >= floor` over `x, y` in `[0, 10]`: infeasible
+    /// for a floor above 2, and then only both rows together prove it.
+    fn floored_lp(floor: f64) -> Model {
+        let mut m = Model::new("floored", Sense::Minimize);
+        let x = m.add_cont("x", 0.0, 10.0);
+        let y = m.add_cont("y", 0.0, 10.0);
+        m.add_constraint("cap", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 2.0);
+        m.add_constraint("floor", vec![(x, 1.0)], ConstraintOp::Ge, floor);
+        m.set_objective(vec![(x, 1.0), (y, 1.0)], 0.0);
+        m
+    }
+
+    /// The engine's Farkas row of `m`, which must end infeasible.
+    fn farkas_row(m: &Model) -> Vec<f64> {
+        let mut engine = RevisedEngine::new(m, RevisedOptions::default());
+        match engine.solve(None) {
+            Err(RevisedError::Infeasible { .. }) => {}
+            other => panic!("expected an infeasible verdict, got {other:?}"),
+        }
+        engine.farkas_row().expect("an infeasible verdict").to_vec()
+    }
+
+    #[test]
+    fn farkas_row_certifies_and_tampered_rows_do_not() {
+        let m = floored_lp(3.0);
+        let rho = farkas_row(&m);
+        let report = certify_infeasible(&m, &rho);
+        assert!(report.certified(), "{report}");
+
+        // The proof is the row up to scale, of either sign.
+        let flipped: Vec<f64> = rho.iter().map(|r| -3.0 * r).collect();
+        assert!(certify_infeasible(&m, &flipped).certified());
+        // Zeroing, negating or doubling one entry leaves the right-hand
+        // side within reach.
+        let mut tampered = vec![vec![0.0; rho.len()]];
+        for i in 0..rho.len() {
+            for k in [0.0, -1.0, 2.0] {
+                let mut one = rho.clone();
+                one[i] *= k;
+                tampered.push(one);
+            }
+        }
+        for bad in tampered {
+            let report = certify_infeasible(&m, &bad);
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| matches!(v, Violation::Farkas { .. })),
+                "{bad:?} must not certify: {report}"
+            );
+        }
+        assert!(!certify_infeasible(&m, &rho[1..]).certified());
+        let mut nan = rho.clone();
+        nan[0] = f64::NAN;
+        assert!(!certify_infeasible(&m, &nan).certified());
+    }
+
+    #[test]
+    fn a_feasible_model_has_no_farkas_row() {
+        // With the floor at 1, x = 1 is feasible: neither the infeasible
+        // twin's proof nor any row in a sweep certifies.
+        let m = floored_lp(1.0);
+        let rho = farkas_row(&floored_lp(3.0));
+        assert!(!certify_infeasible(&m, &rho).certified());
+        for a in [-2.0, -1.0, 0.0, 1.0, 2.0] {
+            for b in [-2.0, -1.0, 0.0, 1.0, 2.0] {
+                assert!(!certify_infeasible(&m, &[a, b]).certified());
+            }
+        }
+    }
+
+    /// Unbounded: max `x + y` s.t. `x − y <= 1`, `x, y >= 0`.
+    fn unbounded_lp() -> Model {
+        let mut m = Model::new("unbounded", Sense::Maximize);
+        let x = m.add_cont("x", 0.0, f64::INFINITY);
+        let y = m.add_cont("y", 0.0, f64::INFINITY);
+        m.add_constraint("c1", vec![(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0);
+        m.set_objective(vec![(x, 1.0), (y, 1.0)], 0.0);
+        m
+    }
+
+    #[test]
+    fn unbounded_ray_and_point_certify_and_tampered_ones_do_not() {
+        let m = unbounded_lp();
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
+        let Err(RevisedError::Unbounded { ray, stats }) = engine.solve(None) else {
+            panic!("expected an unbounded verdict");
+        };
+        let UnboundedRay {
+            direction: ray,
+            point,
+        } = *ray;
+        assert_eq!(stats.phase1_starts, 1);
+        assert!(engine.farkas_row().is_none());
+        let report = certify_unbounded(&m, &ray, &point);
+        assert!(report.certified(), "ray {ray:?} point {point:?}: {report}");
+
+        let has = |report: &CertifyReport, pick: fn(&Violation) -> bool| {
+            report.violations.iter().any(pick)
+        };
+        // The reversed ray worsens the objective and leaves y's cone.
+        let back: Vec<f64> = ray.iter().map(|d| -d).collect();
+        let report = certify_unbounded(&m, &back, &point);
+        assert!(has(&report, |v| matches!(
+            v,
+            Violation::RayObjective { .. }
+        )));
+        assert!(has(&report, |v| matches!(v, Violation::RayCone { .. })));
+        // Along x alone the ray leaves the row's cone.
+        let report = certify_unbounded(&m, &[1.0, 0.0], &point);
+        assert!(has(&report, |v| matches!(v, Violation::RayCone { .. })));
+        // A zero ray improves nothing.
+        let report = certify_unbounded(&m, &[0.0, 0.0], &point);
+        assert!(has(&report, |v| matches!(
+            v,
+            Violation::RayObjective { .. }
+        )));
+        // An infeasible point fails the primal check.
+        let report = certify_unbounded(&m, &ray, &[5.0, 0.0]);
+        assert!(has(&report, |v| matches!(v, Violation::Constraint { .. })));
+        let report = certify_unbounded(&m, &ray, &[-1.0, 0.0]);
+        assert!(has(&report, |v| matches!(v, Violation::Bound { .. })));
+        assert!(!certify_unbounded(&m, &ray, &point[1..]).certified());
     }
 
     #[test]

@@ -17,8 +17,9 @@ pub enum SolveError {
     /// The simplex met a singular or unstable basis it could not
     /// recover from by refactorizing or restarting cold.
     Numerical,
-    /// The branch-and-bound node limit was reached without proving
-    /// optimality. Carries the best incumbent found, if any.
+    /// The branch-and-bound node limit was reached before any
+    /// incumbent was found. A search that has an incumbent at the limit
+    /// returns it instead, as `Ok` with [`crate::Status::Feasible`].
     NodeLimit {
         /// Nodes expanded before giving up.
         nodes: usize,

@@ -461,7 +461,6 @@ fn parse_bound(s: &str) -> Result<f64, SolveError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::LpSolver;
     use crate::MipSolver;
 
     fn sample_model() -> Model {
@@ -540,7 +539,7 @@ Bounds
 End
 ";
         let m = parse_lp(text).unwrap();
-        let s = LpSolver::default().solve(&m).unwrap();
+        let s = MipSolver::default().solve(&m).unwrap();
         assert!((s.objective - 8.0).abs() < 1e-9);
     }
 
@@ -550,7 +549,7 @@ End
         let x = m.add_cont("x", 1.0, 5.0);
         m.set_objective(vec![(x, 1.0)], 100.0);
         let parsed = parse_lp(&write_lp(&m)).unwrap();
-        let s = LpSolver::default().solve(&parsed).unwrap();
+        let s = MipSolver::default().solve(&parsed).unwrap();
         assert!((s.objective - 101.0).abs() < 1e-9);
     }
 

@@ -21,9 +21,13 @@
 //!   branch-and-bound over its relaxations, branching on the most
 //!   fractional binary variable first and, once every binary is
 //!   integral, on the most fractional general integer variable.
-//! * [`simplex`] and [`oracle`] — test oracles: a dense two-phase primal
-//!   tableau simplex and the exhaustive
-//!   [`brute_force_solve`] built on it. No solve path reaches them.
+//! * [`certify`] — solver-free proofs: [`certify_solution`] checks an
+//!   answer (primal feasibility, integrality and, for LPs, the duals),
+//!   [`certify_infeasible`] a Farkas row and [`certify_unbounded`] an
+//!   improving ray with a feasible point.
+//! * [`oracle`] — the exhaustive test oracle [`brute_force_solve`]: it
+//!   enumerates integer assignments and solves each residual LP on the
+//!   revised engine, certifying every answer. No solve path reaches it.
 //!
 //! The problem sizes produced by the bill-capping formulation are small
 //! (hundreds of rows at the reference scale), and the constraint matrices
@@ -62,13 +66,14 @@ pub mod model;
 pub mod oracle;
 pub mod presolve;
 pub mod revised;
-pub mod simplex;
 pub mod solution;
 pub mod sparse;
 
 pub use basis::BasisFactorization;
 pub use branch::{MipSolver, MipWorkspace};
-pub use certify::{certify_solution, CertifyReport, Violation};
+pub use certify::{
+    certify_infeasible, certify_solution, certify_unbounded, CertifyReport, Violation,
+};
 pub use error::SolveError;
 pub use io::{parse_lp, write_lp};
 pub use lint::{lint_gate, lint_model, Finding, LintReport, ModelStats, Severity};
@@ -77,15 +82,10 @@ pub use oracle::{brute_force_solve, brute_force_solve_capped};
 pub use presolve::{propagate_bounds, Propagation};
 pub use revised::{
     BasisState, ColStatus, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution,
-    RevisedStats,
+    RevisedStats, UnboundedRay,
 };
-// The dense tableau test oracle, for differential tests.
-pub use simplex::*;
 pub use solution::{MipStats, Solution, SolveTrace, Status};
 pub use sparse::CscMat;
-
-/// Default feasibility / optimality tolerance used throughout the solver.
-pub const TOL: f64 = 1e-9;
 
 /// Default integrality tolerance: a value within `INT_TOL` of an integer is
 /// accepted as integral by the branch-and-bound search.

@@ -78,6 +78,17 @@ pub enum Sense {
     Maximize,
 }
 
+impl Sense {
+    /// `1` for [`Sense::Minimize`], `−1` for [`Sense::Maximize`]: the
+    /// factor that turns an objective into its minimization-space key.
+    pub(crate) fn sign(self) -> f64 {
+        match self {
+            Sense::Minimize => 1.0,
+            Sense::Maximize => -1.0,
+        }
+    }
+}
+
 /// A mixed-integer linear program under construction.
 ///
 /// The model is self-describing: variables carry names, bounds and

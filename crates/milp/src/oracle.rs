@@ -6,17 +6,27 @@
 //! every integer assignment, check feasibility (solving the residual LP
 //! when continuous variables remain), and keep the best.
 //!
-//! The oracle shares the simplex solver with `MipSolver` only for the
-//! *continuous* part of mixed models; for pure-integer models it evaluates
-//! constraints directly and never touches the simplex at all, so a simplex
-//! bug cannot mask itself. Enumeration is capped — this is a test oracle
-//! for ≤ ~12 binaries, not a solver.
+//! The residual LPs run on the same revised simplex as `MipSolver`, but
+//! the oracle trusts none of its answers: each optimum must certify with
+//! its duals, each infeasible verdict with its Farkas row and each
+//! unbounded verdict with its ray and point (see [`crate::certify`]).
+//! An answer that fails its certificate makes the oracle refuse with
+//! [`SolveError::InvalidModel`], so its reference role rests on proofs,
+//! not on a second solver. For pure-integer models it evaluates
+//! constraints directly and never touches the simplex at all.
+//! Enumeration is capped at [`DEFAULT_MAX_COMBINATIONS`] assignments
+//! (16 binaries): this is a test oracle, not a solver.
 
+use crate::certify::{certify_infeasible, certify_solution, certify_unbounded, CertifyReport};
 use crate::error::SolveError;
-use crate::model::{Model, Sense};
-use crate::simplex::LpSolver;
+use crate::model::Model;
+use crate::revised::{RevisedEngine, RevisedError, RevisedOptions};
 use crate::solution::{MipStats, Solution, Status};
 use crate::INT_TOL;
+
+/// Row tolerance of the direct feasibility check on a pure-integer
+/// assignment.
+const FEAS_TOL: f64 = 1e-9;
 
 /// Default cap on enumerated integer assignments (2^16 ≈ 16 binaries).
 pub const DEFAULT_MAX_COMBINATIONS: u64 = 1 << 16;
@@ -27,25 +37,77 @@ pub fn brute_force_solve(model: &Model) -> Result<Solution, SolveError> {
     brute_force_solve_capped(model, DEFAULT_MAX_COMBINATIONS)
 }
 
+/// A certified answer to one LP: its optimum with duals, or the verdict
+/// its certificate proves. An answer whose certificate fails is
+/// refused.
+fn certified_lp(model: &Model) -> Result<Solution, SolveError> {
+    let mut engine = RevisedEngine::new(model, RevisedOptions::default());
+    let (verdict, report) = match engine.solve(None) {
+        Ok(r) => {
+            let sol = Solution {
+                status: Status::Optimal,
+                objective: model.eval_objective(&r.values),
+                values: r.values,
+                iterations: r.stats.iterations,
+                degenerate: r.stats.degenerate,
+                mip: None,
+                duals: Some(r.duals),
+            };
+            let report = certify_solution(model, &sol);
+            (Ok(sol), report)
+        }
+        Err(RevisedError::Infeasible { .. }) => {
+            let rho = engine.farkas_row().unwrap_or_default();
+            (Err(SolveError::Infeasible), certify_infeasible(model, rho))
+        }
+        Err(RevisedError::Unbounded { ray, .. }) => (
+            Err(SolveError::Unbounded),
+            certify_unbounded(model, &ray.direction, &ray.point),
+        ),
+        Err(RevisedError::IterationLimit { stats }) => {
+            return Err(SolveError::IterationLimit {
+                iterations: stats.iterations,
+            })
+        }
+        Err(RevisedError::Numerical { .. }) => return Err(SolveError::Numerical),
+    };
+    if report.certified() {
+        verdict
+    } else {
+        Err(refused(&verdict, &report))
+    }
+}
+
+/// The oracle's refusal of an LP answer that failed its certificate.
+fn refused(verdict: &Result<Solution, SolveError>, report: &CertifyReport) -> SolveError {
+    let what = match verdict {
+        Ok(_) => "optimum".to_string(),
+        Err(e) => format!("verdict '{e}'"),
+    };
+    SolveError::InvalidModel(format!(
+        "brute-force oracle cannot certify the LP {what}: {report}"
+    ))
+}
+
 /// Solves `model` by enumerating every assignment of its integer variables
 /// (which must all have finite bounds), solving the residual LP when
 /// continuous variables remain and evaluating constraints directly when
 /// not. Ties are broken toward the first assignment in odometer order, so
-/// the result is deterministic.
+/// the result is deterministic. Every LP answer is certified first.
 ///
 /// Errors with [`SolveError::InvalidModel`] when an integer variable is
-/// unbounded or the assignment count exceeds `max_combinations`, and with
-/// [`SolveError::Infeasible`] when no assignment is feasible.
+/// unbounded, the assignment count exceeds `max_combinations` or an LP
+/// answer fails its certificate, and with [`SolveError::Infeasible`] when
+/// no assignment is feasible.
 pub fn brute_force_solve_capped(
     model: &Model,
     max_combinations: u64,
 ) -> Result<Solution, SolveError> {
     model.validate()?;
     let int_vars = model.integer_vars();
-    let lp = LpSolver::default();
 
     if int_vars.is_empty() {
-        let mut sol = lp.solve(model)?;
+        let mut sol = certified_lp(model)?;
         sol.mip = Some(MipStats {
             nodes: 1,
             best_bound: sol.objective,
@@ -83,10 +145,7 @@ pub fn brute_force_solve_capped(
     }
 
     let has_continuous = model.num_vars() > int_vars.len();
-    let sign = match model.sense {
-        Sense::Minimize => 1.0,
-        Sense::Maximize => -1.0,
-    };
+    let sign = model.sense.sign();
 
     let mut work = model.clone();
     let mut assignment: Vec<i64> = domains.iter().map(|&(lo, _)| lo).collect();
@@ -102,7 +161,7 @@ pub fn brute_force_solve_capped(
                 let x = assignment[k] as f64;
                 work.set_var_bounds(v, x, x);
             }
-            match lp.solve(&work) {
+            match certified_lp(&work) {
                 Ok(s) => {
                     lp_iterations += s.iterations;
                     Some(s.values)
@@ -115,7 +174,7 @@ pub fn brute_force_solve_capped(
             for (k, &v) in int_vars.iter().enumerate() {
                 values[v.index()] = assignment[k] as f64;
             }
-            model.is_feasible(&values, crate::TOL).then_some(values)
+            model.is_feasible(&values, FEAS_TOL).then_some(values)
         };
         if let Some(values) = candidate {
             let key = sign * model.eval_objective(&values);
@@ -159,7 +218,7 @@ pub fn brute_force_solve_capped(
 mod tests {
     use super::*;
     use crate::branch::MipSolver;
-    use crate::model::{ConstraintOp, VarType};
+    use crate::model::{ConstraintOp, Sense, VarType};
 
     #[test]
     fn oracle_matches_solver_on_knapsack() {
@@ -233,6 +292,69 @@ mod tests {
             brute_force_solve_capped(&big, 100),
             Err(SolveError::InvalidModel(_))
         ));
+    }
+
+    #[test]
+    fn oracle_refuses_a_verdict_it_cannot_certify() {
+        // x in [0, 1] with x >= 1 + 5e-7: the engine calls it infeasible
+        // (its feasibility tolerance is 1e-7), but x = 1 misses the row
+        // by less than the certificate's primal tolerance, so no Farkas
+        // row clears it and the oracle refuses.
+        let hair = |floor: f64| {
+            let mut m = Model::new("hair", Sense::Minimize);
+            let x = m.add_cont("x", 0.0, 1.0);
+            m.add_constraint("floor", vec![(x, 1.0)], ConstraintOp::Ge, floor);
+            m.set_objective(vec![(x, 1.0)], 0.0);
+            m
+        };
+        let m = hair(1.0 + 5e-7);
+        let mut engine = RevisedEngine::new(&m, RevisedOptions::default());
+        assert!(matches!(
+            engine.solve(None),
+            Err(RevisedError::Infeasible { .. })
+        ));
+        let x_one = Solution {
+            status: Status::Optimal,
+            objective: 1.0,
+            values: vec![1.0],
+            iterations: 0,
+            degenerate: 0,
+            mip: None,
+            duals: None,
+        };
+        assert!(certify_solution(&m, &x_one).certified());
+        let refused = |m: &Model| match brute_force_solve(m) {
+            Err(SolveError::InvalidModel(msg)) => {
+                assert!(msg.contains("cannot certify"), "{msg}");
+                assert!(msg.contains("infeasible"), "{msg}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        };
+        refused(&m);
+        // The same LP as each residual of a mixed model.
+        let mut mixed = hair(1.0 + 5e-7);
+        let b = mixed.add_binary("b");
+        mixed.set_objective(vec![(b, 1.0)], 0.0);
+        refused(&mixed);
+        // A clear miss certifies.
+        assert!(matches!(
+            brute_force_solve(&hair(1.1)),
+            Err(SolveError::Infeasible)
+        ));
+    }
+
+    #[test]
+    fn oracle_certifies_unbounded_verdicts() {
+        // max x + y s.t. x - y <= 1: the ray and point check, alone and
+        // as the residual of a mixed model.
+        let mut m = Model::new("unb", Sense::Maximize);
+        let x = m.add_cont("x", 0.0, f64::INFINITY);
+        let y = m.add_cont("y", 0.0, f64::INFINITY);
+        m.add_constraint("c", vec![(x, 1.0), (y, -1.0)], ConstraintOp::Le, 1.0);
+        m.set_objective(vec![(x, 1.0), (y, 1.0)], 0.0);
+        assert_eq!(brute_force_solve(&m), Err(SolveError::Unbounded));
+        m.add_binary("b");
+        assert_eq!(brute_force_solve(&m), Err(SolveError::Unbounded));
     }
 
     #[test]

@@ -49,13 +49,20 @@
 //! its bounds — and its optimal basis, verified dual feasible under the
 //! real bounds, warm-starts the real solve. A basis that fails that check
 //! proves no optimum exists, and one zero-cost solve then tells an
-//! unbounded model from an infeasible one. The dense tableau solver in
-//! [`crate::simplex`] is the test oracle these answers are compared
-//! against; `MipSolver { warm_start: false, .. }` additionally forces every
-//! node onto the cold path for differential testing.
+//! unbounded model from an infeasible one.
+//!
+//! Each verdict carries its proof. An optimum has its duals; an
+//! infeasible verdict leaves the Farkas row `ρ = e_rᵀB⁻¹` of the row it
+//! could not repair in the workspace ([`RevisedEngine::farkas_row`]);
+//! an unbounded one carries phase 1's improving ray and the zero-cost
+//! solve's feasible point. [`crate::certify`] checks all three without a
+//! solver, which is how the test oracle [`crate::brute_force_solve`]
+//! trusts this engine; `MipSolver { warm_start: false, .. }`
+//! additionally forces every node onto the cold path for differential
+//! testing.
 
 use crate::basis::BasisFactorization;
-use crate::model::{ConstraintOp, Model, Sense};
+use crate::model::{ConstraintOp, Model};
 use crate::sparse::CscMat;
 
 /// Pivot and reduced-cost zero tolerance.
@@ -220,20 +227,24 @@ pub struct RevisedSolution {
 }
 
 /// Why a revised solve returned no solution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RevisedError {
-    /// The node's constraint set admits no feasible point (a sound
-    /// verdict: the dual simplex proved a row's violation irreparable).
+    /// The node's constraint set admits no feasible point: the dual
+    /// simplex found a row whose violation no entering column repairs.
+    /// [`RevisedEngine::farkas_row`] then holds that row of `B⁻¹`, the
+    /// proof [`crate::certify::certify_infeasible`] checks.
     Infeasible {
         /// Work done before the verdict, still accounted for.
         stats: RevisedStats,
     },
     /// The objective improves without bound over a nonempty feasible
-    /// set (a sound verdict: phase 1 found no dual-feasible basis and a
-    /// zero-cost solve found a feasible point).
+    /// set: phase 1 found no dual-feasible basis and a zero-cost solve
+    /// found a feasible point. Both halves of the proof ride along.
     Unbounded {
         /// Work done before the verdict, still accounted for.
         stats: RevisedStats,
+        /// The proof.
+        ray: Box<UnboundedRay>,
     },
     /// Pivot cap reached; a warm attempt should be retried cold.
     IterationLimit {
@@ -248,13 +259,25 @@ pub enum RevisedError {
     },
 }
 
+/// The proof of an unbounded verdict, for
+/// [`crate::certify::certify_unbounded`]: a feasible point and a
+/// direction that stays feasible from it and improves the objective.
+#[derive(Debug, Clone, PartialEq)]
+pub struct UnboundedRay {
+    /// An improving direction of the model's recession cone: phase 1's
+    /// auxiliary optimum, structural variables only.
+    pub direction: Vec<f64>,
+    /// A feasible point: the zero-cost solve's optimum.
+    pub point: Vec<f64>,
+}
+
 impl RevisedError {
     /// The work counters accumulated before the error, so callers can
     /// account for wasted pivots in their traces.
     pub fn stats(&self) -> RevisedStats {
         match self {
             Self::Infeasible { stats }
-            | Self::Unbounded { stats }
+            | Self::Unbounded { stats, .. }
             | Self::IterationLimit { stats }
             | Self::Numerical { stats } => *stats,
         }
@@ -289,6 +312,9 @@ struct Workspace {
     flips: Vec<usize>,
     /// Rows the cold-start crash has given a structural column.
     crashed: Vec<bool>,
+    /// Whether the last solve ended infeasible, so `rho` holds its
+    /// Farkas row.
+    farkas: bool,
 }
 
 /// The standard-form problem plus mutable per-node bounds.
@@ -390,10 +416,7 @@ impl RevisedEngine {
             self.lb.push(slb);
             self.ub.push(sub);
         }
-        self.obj_sign = match model.sense {
-            Sense::Minimize => 1.0,
-            Sense::Maximize => -1.0,
-        };
+        self.obj_sign = model.sense.sign();
         self.cost.clear();
         self.cost.resize(ncols, 0.0);
         for &(v, coef) in model.objective() {
@@ -554,6 +577,11 @@ impl RevisedEngine {
     /// the dual phase 1 when the model is not
     /// [`cold_startable`](Self::cold_startable).
     pub fn solve(&mut self, warm: Option<&BasisState>) -> Result<RevisedSolution, RevisedError> {
+        let out = self.start(warm);
+        self.note_farkas(out)
+    }
+
+    fn start(&mut self, warm: Option<&BasisState>) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
         let status = match warm {
             Some(w) => self.repair(w).ok_or(RevisedError::Numerical { stats })?,
@@ -563,6 +591,28 @@ impl RevisedEngine {
             },
         };
         self.run(status, &mut stats)
+    }
+
+    /// Records whether `out` is an infeasible verdict. Every such
+    /// verdict comes from the last dual-loop run of the solve, whose
+    /// ratio test left the leaving row `ρ = e_rᵀB⁻¹` in the workspace.
+    fn note_farkas(
+        &mut self,
+        out: Result<RevisedSolution, RevisedError>,
+    ) -> Result<RevisedSolution, RevisedError> {
+        self.ws.farkas = matches!(out, Err(RevisedError::Infeasible { .. }));
+        out
+    }
+
+    /// The Farkas row of the last solve, when it ended
+    /// [`RevisedError::Infeasible`]: `ρ = e_rᵀB⁻¹`, indexed by row, for
+    /// the basic column `r` that no entering column could bring inside
+    /// its bounds. Over the column boxes, `ρ·[A I]·(x, s)` cannot reach
+    /// `ρ·b`, which [`crate::certify::certify_infeasible`] checks
+    /// without a solver. `None` after any other outcome. Reading it
+    /// allocates nothing.
+    pub fn farkas_row(&self) -> Option<&[f64]> {
+        self.ws.farkas.then_some(&self.ws.rho[..])
     }
 
     /// Like [`solve`](Self::solve) with `Some(warm)`, but *verifies* the
@@ -581,6 +631,11 @@ impl RevisedEngine {
         &mut self,
         warm: &BasisState,
     ) -> Result<RevisedSolution, RevisedError> {
+        let out = self.start_verified(warm);
+        self.note_farkas(out)
+    }
+
+    fn start_verified(&mut self, warm: &BasisState) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats::default();
         let numerical = |stats: RevisedStats| RevisedError::Numerical { stats };
         let status = self.repair(warm).ok_or(numerical(stats))?;
@@ -600,7 +655,10 @@ impl RevisedEngine {
     /// dual-feasible basis, and then it warm-starts the real solve. When
     /// it is not, the model has no optimum, and one zero-cost solve
     /// decides between [`RevisedError::Unbounded`] (a feasible point
-    /// exists) and [`RevisedError::Infeasible`].
+    /// exists) and [`RevisedError::Infeasible`]. The auxiliary optimum
+    /// is then an improving ray: its box keeps each column in the cone
+    /// of its bounds and `b = 0` keeps each slack in its row's cone, and
+    /// its cost is negative, or its basis would have been dual feasible.
     fn phase1(&mut self) -> Result<RevisedSolution, RevisedError> {
         let mut stats = RevisedStats {
             phase1_starts: 1,
@@ -656,7 +714,13 @@ impl RevisedEngine {
         let feasible = self.cold_run(&mut stats);
         self.cost = cost;
         match feasible {
-            Ok(_) => Err(RevisedError::Unbounded { stats }),
+            Ok(sol) => Err(RevisedError::Unbounded {
+                stats,
+                ray: Box::new(UnboundedRay {
+                    direction: aux.values,
+                    point: sol.values,
+                }),
+            }),
             Err(RevisedError::Infeasible { .. }) => Err(RevisedError::Infeasible { stats }),
             Err(e) => Err(e),
         }
@@ -809,6 +873,7 @@ impl RevisedEngine {
             eligible,
             flips,
             crashed: _,
+            farkas: _,
         } = ws;
         self.basic_slots(&status, basic, stats)?;
         self.factor(fact, basic, stats)?;

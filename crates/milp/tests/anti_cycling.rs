@@ -1,34 +1,38 @@
-//! Anti-cycling regression tests.
+//! Anti-cycling regression tests for the revised dual simplex.
 //!
-//! Beale's classic LP cycles forever under textbook Dantzig pricing with a
-//! naive ratio test: every pivot is degenerate and after six pivots the
-//! tableau repeats. The solvers must escape via the consecutive-degenerate
-//! Bland trigger alone — these tests disable the total-iteration fallback
-//! (`bland_after = usize::MAX`) and cap `max_iterations` low enough that an
-//! actual cycle would hit the limit instead of terminating.
+//! The engine switches to Bland's rule, for the rest of a solve, after
+//! `bland_after_degenerate` consecutive degenerate pivots (a pivot whose
+//! dual step is ~0). These tests pin where that trigger does and does
+//! not fire, and check every optimum against its certificate.
 
-use billcap_milp::{ConstraintOp, LpSolver, Model, Pricing, RevisedEngine, RevisedOptions, Sense};
+use billcap_milp::{
+    certify_solution, ConstraintOp, MipSolver, MipWorkspace, Model, RevisedOptions, Sense, Solution,
+};
+
+/// Solves the LP `m` through `MipSolver` on an engine with `opts`,
+/// asserts the optimum certifies with its duals, and returns it.
+fn certified(m: &Model, opts: RevisedOptions) -> Solution {
+    let mut ws = MipWorkspace::with_lp_options(opts);
+    let (sol, _) = MipSolver::default()
+        .solve_in(m, None, &mut ws)
+        .expect("solvable");
+    assert!(sol.duals.is_some(), "a pure LP returns its duals");
+    let report = certify_solution(m, &sol);
+    assert!(report.certified(), "{report}");
+    sol
+}
 
 /// Beale (1955): min -0.75 x1 + 150 x2 - 0.02 x3 + 6 x4, the canonical
-/// cycling instance. Optimum -0.77 at x1 = 1, x3 = 1.
-fn beale() -> Model {
-    beale_with_ub(f64::INFINITY)
-}
-
-/// Beale's LP with a large finite box. The constraints bind long before
-/// the box does (x1 <= x3 <= 1 via c2/c3), so the optimum is unchanged;
-/// the finite bounds are what the revised engine's dual cold start needs
-/// to place the negative-cost columns.
+/// instance on which the *primal* simplex with Dantzig pricing cycles.
+/// Optimum -0.77 at x1 = 1, x3 = 1. The box is far from binding
+/// (x1 <= x3 <= 1 via c2/c3); its finite bounds give the negative-cost
+/// columns a dual-feasible cold place.
 fn beale_boxed() -> Model {
-    beale_with_ub(1e3)
-}
-
-fn beale_with_ub(ub: f64) -> Model {
     let mut m = Model::new("beale", Sense::Minimize);
-    let x1 = m.add_cont("x1", 0.0, ub);
-    let x2 = m.add_cont("x2", 0.0, ub);
-    let x3 = m.add_cont("x3", 0.0, ub);
-    let x4 = m.add_cont("x4", 0.0, ub);
+    let x1 = m.add_cont("x1", 0.0, 1e3);
+    let x2 = m.add_cont("x2", 0.0, 1e3);
+    let x3 = m.add_cont("x3", 0.0, 1e3);
+    let x4 = m.add_cont("x4", 0.0, 1e3);
     m.add_constraint(
         "c1",
         vec![(x1, 0.25), (x2, -8.0), (x3, -1.0), (x4, 9.0)],
@@ -46,81 +50,101 @@ fn beale_with_ub(ub: f64) -> Model {
     m
 }
 
+/// Beale's LP does not cycle the dual simplex: from the all-slack start
+/// the engine takes two non-degenerate pivots to the optimum, so the
+/// Bland trigger never fires, even at a threshold of 1.
 #[test]
-fn dense_escapes_beale_via_degenerate_trigger_alone() {
-    // With the total-iteration trigger off, only the consecutive-degenerate
-    // trigger stands between Dantzig pricing and the iteration limit.
-    let solver = LpSolver {
-        pricing: Pricing::Dantzig,
-        bland_after: usize::MAX,
-        max_iterations: 2_000,
-        ..Default::default()
-    };
-    let s = solver
-        .solve(&beale())
-        .expect("must terminate at the optimum");
-    assert!(
-        (s.objective - -0.77).abs() < 1e-9,
-        "objective {} != -0.77",
-        s.objective
-    );
-    assert!(m_is_feasible(&s.values));
-    // The escape is observable: the degenerate-pivot counter must have
-    // registered the run that tripped the trigger.
-    assert!(s.degenerate > 0, "expected degenerate pivots on Beale's LP");
-}
-
-fn m_is_feasible(values: &[f64]) -> bool {
-    beale().is_feasible(values, 1e-7)
-}
-
-#[test]
-fn dense_trigger_threshold_is_respected() {
-    // A tiny threshold must still reach the same optimum (Bland from the
-    // first degenerate run onward), just possibly in more pivots.
-    let eager = LpSolver {
-        bland_after: usize::MAX,
-        bland_after_degenerate: 1,
-        max_iterations: 2_000,
-        ..Default::default()
-    };
-    let s = eager
-        .solve(&beale())
-        .expect("bland-from-the-start terminates");
-    assert!((s.objective - -0.77).abs() < 1e-9);
-}
-
-#[test]
-fn revised_escapes_beale_via_degenerate_trigger_alone() {
-    // Same property for the sparse revised engine: its sticky Bland mode
-    // kicks in after `bland_after_degenerate` consecutive degenerate
-    // pivots, well under the iteration cap.
+fn revised_solves_beale_in_two_nondegenerate_pivots() {
     let model = beale_boxed();
-    let opts = RevisedOptions {
-        max_iterations: 2_000,
-        bland_after_degenerate: 8,
-        ..RevisedOptions::default()
-    };
-    let mut engine = RevisedEngine::new(&model, opts);
-    assert!(
-        engine.cold_startable(),
-        "boxed beale admits a dual cold start"
-    );
-    let sol = engine.solve(None).expect("must terminate at the optimum");
-    let obj: f64 = model.eval_objective(&sol.values);
-    assert!((obj - -0.77).abs() < 1e-9, "objective {obj} != -0.77");
+    for after in [1, 8, 64] {
+        let sol = certified(
+            &model,
+            RevisedOptions {
+                bland_after_degenerate: after,
+                ..RevisedOptions::default()
+            },
+        );
+        assert!((sol.objective - -0.77).abs() < 1e-9, "{}", sol.objective);
+        let lp = sol.mip.expect("stats").trace.lp;
+        assert_eq!(
+            (lp.iterations, lp.degenerate, lp.bland_switches),
+            (2, 0, 0),
+            "threshold {after}"
+        );
+    }
 }
 
+/// Beale's LP dual in `blocks` independent copies, `min Σ u3` subject to
+/// `Aᵀu >= −c`, `u >= 0`, with each copy's first row scaled by 4. Only
+/// `u3` is priced, so a pivot that brings in `u1` or `u2` has a zero
+/// dual step. The scaled first rows are the most violated at the start,
+/// so the dual simplex repairs all of them, two degenerate pivots per
+/// copy, before it prices any `u3`. Optimum `0.77 · blocks`.
+fn beale_dual_blocks(blocks: usize) -> Model {
+    let mut m = Model::new("beale_dual", Sense::Minimize);
+    let mut objective = Vec::new();
+    for b in 0..blocks {
+        let u1 = m.add_cont(format!("u1_{b}"), 0.0, f64::INFINITY);
+        let u2 = m.add_cont(format!("u2_{b}"), 0.0, f64::INFINITY);
+        let u3 = m.add_cont(format!("u3_{b}"), 0.0, f64::INFINITY);
+        m.add_constraint(
+            format!("x1_{b}"),
+            vec![(u1, 1.0), (u2, 2.0)],
+            ConstraintOp::Ge,
+            3.0,
+        );
+        m.add_constraint(
+            format!("x2_{b}"),
+            vec![(u1, -8.0), (u2, -12.0)],
+            ConstraintOp::Ge,
+            -150.0,
+        );
+        m.add_constraint(
+            format!("x3_{b}"),
+            vec![(u1, -1.0), (u2, -0.5), (u3, 1.0)],
+            ConstraintOp::Ge,
+            0.02,
+        );
+        m.add_constraint(
+            format!("x4_{b}"),
+            vec![(u1, 9.0), (u2, 3.0)],
+            ConstraintOp::Ge,
+            -6.0,
+        );
+        objective.push((u3, 1.0));
+    }
+    m.set_objective(objective, 0.0);
+    m
+}
+
+/// Eight copies of Beale's dual run 16 consecutive degenerate pivots, so
+/// the default threshold of 16 switches the solve to Bland's rule, which
+/// still reaches the certified optimum. A threshold one higher never
+/// switches.
 #[test]
-fn dense_and_revised_agree_on_beale() {
-    let model = beale_boxed();
-    let dense = LpSolver::default().solve(&model).expect("dense solves");
-    let mut engine = RevisedEngine::new(&model, RevisedOptions::default());
-    let revised = engine.solve(None).expect("revised solves");
-    let robj = model.eval_objective(&revised.values);
-    assert!(
-        (dense.objective - robj).abs() < 1e-9,
-        "dense {} vs revised {robj}",
-        dense.objective
-    );
+fn beale_dual_blocks_trip_the_default_bland_trigger() {
+    let model = beale_dual_blocks(8);
+    let k = RevisedOptions::default().bland_after_degenerate;
+    assert_eq!(k, 16, "the test sizes its run to the default threshold");
+    for (after, switches) in [(k, 1), (k + 1, 0)] {
+        let sol = certified(
+            &model,
+            RevisedOptions {
+                bland_after_degenerate: after,
+                ..RevisedOptions::default()
+            },
+        );
+        assert!(
+            (sol.objective - 8.0 * 0.77).abs() < 1e-9,
+            "{}",
+            sol.objective
+        );
+        let lp = sol.mip.expect("stats").trace.lp;
+        assert!(
+            lp.degenerate >= k,
+            "only {} degenerate pivots",
+            lp.degenerate
+        );
+        assert_eq!(lp.bland_switches, switches, "threshold {after}");
+    }
 }

@@ -1,18 +1,19 @@
 //! Differential test suite: branch-and-bound vs the brute-force oracle.
 //!
-//! Seeded random small MILPs are solved by exhaustive enumeration
-//! ([`billcap_milp::brute_force_solve`]) and by `MipSolver`, and seeded
-//! LPs by `MipSolver`'s revised simplex and the dense tableau oracle
-//! ([`billcap_milp::LpSolver`]). Every feasible answer must agree on the
-//! objective, infeasibility and unboundedness verdicts must coincide, and
-//! every returned solution must pass the independent certificate checker.
-//! Instances reproduce exactly from the seed — no external fuzzing
-//! framework involved.
+//! Seeded random small MILPs and LPs are solved by exhaustive enumeration
+//! ([`billcap_milp::brute_force_solve`]) and by `MipSolver`. The oracle
+//! certifies every LP answer it relies on: an optimum with its duals, an
+//! infeasible verdict with its Farkas row, an unbounded one with its ray
+//! and a feasible point, and it refuses an answer that fails. Every
+//! feasible answer must agree on the objective, infeasibility and
+//! unboundedness verdicts must coincide, and every returned solution
+//! must pass the independent certificate checker. Instances reproduce
+//! exactly from the seed — no external fuzzing framework involved.
 
 mod generators;
 
 use billcap_milp::{
-    brute_force_solve, certify_solution, ConstraintOp, LpSolver, MipSolver, MipWorkspace, Model,
+    brute_force_solve, certify_solution, ConstraintOp, MipSolver, MipWorkspace, Model,
     RevisedOptions, Sense, Solution, SolveError,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
@@ -107,46 +108,44 @@ fn pure_binary_instances_agree_with_oracle() {
     }
 }
 
-/// The dense tableau oracle vs `MipSolver`'s revised simplex on one LP:
-/// verdicts must coincide, objectives must agree within certificate
-/// tolerance, and both optima (the revised one with its duals) must
-/// certify. Returns the shared verdict.
-fn compare_with_dense(m: &Model, tag: usize) -> Result<(), SolveError> {
-    let dense = LpSolver::default().solve(m);
-    let revised = MipSolver::default().solve(m);
-    match (&dense, &revised) {
-        (Err(d), Err(r)) if d == r => Err(d.clone()),
-        (Ok(d), Ok(r)) => {
-            let tol = 1e-6 * (1.0 + d.objective.abs());
+/// The certified oracle vs `MipSolver` on one LP: the oracle's verdict
+/// carries a checked proof, `MipSolver` must reach the same one, the
+/// objectives must agree within certificate tolerance, and both optima
+/// must certify with their duals. Returns the shared verdict.
+fn compare_with_oracle(m: &Model, tag: usize) -> Result<(), SolveError> {
+    let oracle = brute_force_solve(m);
+    let solver = MipSolver::default().solve(m);
+    match (&oracle, &solver) {
+        (Err(o), Err(s)) if o == s => Err(o.clone()),
+        (Ok(o), Ok(s)) => {
+            let tol = 1e-6 * (1.0 + o.objective.abs());
             assert!(
-                (d.objective - r.objective).abs() <= tol,
-                "case {tag}: dense {} vs revised {}\n{m:?}",
-                d.objective,
-                r.objective
+                (o.objective - s.objective).abs() <= tol,
+                "case {tag}: oracle {} vs solver {}\n{m:?}",
+                o.objective,
+                s.objective
             );
-            assert_certified(m, d, "dense LP", tag);
-            assert!(
-                r.duals.is_some(),
-                "case {tag}: revised LP solution carries no duals"
-            );
-            assert_certified(m, r, "revised LP", tag);
+            for (sol, what) in [(o, "oracle LP"), (s, "solver LP")] {
+                assert!(sol.duals.is_some(), "case {tag}: {what} carries no duals");
+                assert_certified(m, sol, what, tag);
+            }
             Ok(())
         }
-        (d, r) => panic!("case {tag}: dense and revised disagree: {d:?} vs {r:?}\n{m:?}"),
+        (o, s) => panic!("case {tag}: oracle and solver disagree: {o:?} vs {s:?}\n{m:?}"),
     }
 }
 
-/// Dense two-phase simplex vs sparse revised simplex on seeded box-bounded
-/// LPs: feasibility verdicts must coincide, objectives must agree within
-/// certificate tolerance, and both solutions (duals included) must pass
-/// the independent certificate checker.
+/// Certified oracle vs `MipSolver` on seeded box-bounded LPs: verdicts
+/// must coincide, objectives must agree within certificate tolerance,
+/// and every optimum (duals included) and every infeasible verdict must
+/// carry a proof that checks.
 #[test]
-fn dense_and_revised_lps_agree_and_certify() {
+fn box_lps_agree_with_the_oracle_and_certify() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x5EED);
     let mut feasible = 0usize;
     let mut infeasible = 0usize;
     for tag in 0..CASES {
-        match compare_with_dense(&random_lp(&mut rng, tag), tag) {
+        match compare_with_oracle(&random_lp(&mut rng, tag), tag) {
             Ok(()) => feasible += 1,
             Err(SolveError::Infeasible) => infeasible += 1,
             Err(e) => panic!("case {tag}: a box-bounded LP cannot end in {e}"),
@@ -161,15 +160,15 @@ fn dense_and_revised_lps_agree_and_certify() {
 
 /// The same comparison on LPs with free, lower-only and upper-only
 /// variables in both senses: every verdict (optimal, infeasible,
-/// unbounded) must occur, and the revised engine's dual phase 1 must
-/// have started some of them.
+/// unbounded) must occur with its proof, and the revised engine's dual
+/// phase 1 must have started some of them.
 #[test]
-fn general_lps_agree_with_the_dense_oracle() {
+fn general_lp_verdicts_agree_and_certify() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x6E4E);
     let (mut optimal, mut infeasible, mut unbounded, mut phase1) = (0usize, 0, 0, 0);
     for tag in 0..CASES {
         let m = random_general_lp(&mut rng, tag);
-        match compare_with_dense(&m, tag) {
+        match compare_with_oracle(&m, tag) {
             Ok(()) => optimal += 1,
             Err(SolveError::Infeasible) => infeasible += 1,
             Err(SolveError::Unbounded) => unbounded += 1,
@@ -195,7 +194,7 @@ fn general_lps_agree_with_the_dense_oracle() {
 /// on random models; `billcap-core`'s engine tests run the same check
 /// on the capper's own models.
 #[test]
-fn warm_cold_and_dense_mips_agree_and_certify() {
+fn warm_cold_and_oracle_mips_agree_and_certify() {
     let mut rng = Xoshiro256pp::seed_from_u64(0x30A7);
     let mut feasible = 0usize;
     for tag in 0..CASES {

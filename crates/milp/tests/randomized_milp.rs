@@ -7,8 +7,8 @@
 //! with no external property-testing framework required.
 
 use billcap_milp::{
-    parse_lp, propagate_bounds, write_lp, ConstraintOp, LpSolver, MipSolver, Model, Sense,
-    SolveError, VarType,
+    parse_lp, propagate_bounds, write_lp, ConstraintOp, MipSolver, Model, Sense, SolveError,
+    VarType,
 };
 use billcap_rt::{Rng, Xoshiro256pp};
 
@@ -130,7 +130,7 @@ fn lp_relaxation_bounds_mip() {
         let int_model = build_model(ip, true);
         let rel_model = build_model(ip, false);
         let mip = MipSolver::default().solve(&int_model).unwrap();
-        let lp = LpSolver::default().solve(&rel_model).unwrap();
+        let lp = MipSolver::default().solve(&rel_model).unwrap();
         assert!(
             lp.objective >= mip.objective - 1e-6,
             "lp {} < mip {}",
@@ -148,7 +148,7 @@ fn objective_scaling_and_rhs_monotonicity() {
     for_random_ips(0x3000, |rng, ip| {
         let k = rng.random_f64_in(1.0, 5.0);
         let model = build_model(ip, false);
-        let base = LpSolver::default().solve(&model).unwrap();
+        let base = MipSolver::default().solve(&model).unwrap();
 
         let mut scaled = build_model(ip, false);
         scaled.set_objective(
@@ -160,7 +160,7 @@ fn objective_scaling_and_rhs_monotonicity() {
                 .collect(),
             0.0,
         );
-        let s = LpSolver::default().solve(&scaled).unwrap();
+        let s = MipSolver::default().solve(&scaled).unwrap();
         assert!((s.objective - k * base.objective).abs() < 1e-6 * (1.0 + base.objective.abs() * k));
 
         let mut looser = ip.clone();
@@ -168,7 +168,7 @@ fn objective_scaling_and_rhs_monotonicity() {
             *bi += 1.0;
         }
         let loose_model = build_model(&looser, false);
-        let l = LpSolver::default().solve(&loose_model).unwrap();
+        let l = MipSolver::default().solve(&loose_model).unwrap();
         assert!(l.objective >= base.objective - 1e-7);
     });
 }

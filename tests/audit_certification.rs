@@ -11,7 +11,7 @@ use billcap::core::{
     BillCapper, CostMinimizer, DataCenterSystem, HourOutcome, PlanAuditor, PlanViolation,
     ThroughputMaximizer,
 };
-use billcap::milp::{certify_solution, ConstraintOp, LpSolver, MipSolver, Model, Sense};
+use billcap::milp::{certify_solution, ConstraintOp, MipSolver, Model, Sense};
 use billcap::queueing::{GgmModel, QueueSim};
 use billcap::rt::{Rng, Xoshiro256pp};
 use billcap::sim::{run_month, Scenario, Strategy};
@@ -184,8 +184,8 @@ fn certification_accepts_fresh_and_rejects_stale_duals() {
     };
     let tight = build(18.0);
     let loose = build(30.0);
-    let tight_sol = LpSolver::default().solve(&tight).unwrap();
-    let mut loose_sol = LpSolver::default().solve(&loose).unwrap();
+    let tight_sol = MipSolver::default().solve(&tight).unwrap();
+    let mut loose_sol = MipSolver::default().solve(&loose).unwrap();
     assert!(certify_solution(&tight, &tight_sol).certified());
     assert!(certify_solution(&loose, &loose_sol).certified());
 
