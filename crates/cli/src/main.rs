@@ -476,7 +476,6 @@ fn simulate_risk(args: &Args) -> Result<(), ArgError> {
         hours,
         monthly_budget,
         schedule,
-        ..RiskConfig::default()
     };
     let (sample_results, summary) = RiskEngine::new(config)
         .run()

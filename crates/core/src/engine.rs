@@ -497,12 +497,6 @@ impl EngineCore {
         }
     }
 
-    /// Per-site kept-level parameters for this hour's background vector.
-    #[cfg(test)]
-    fn level_params(system: &DataCenterSystem, background_mw: &[f64]) -> Vec<Vec<LevelParam>> {
-        level_params(system, background_mw)
-    }
-
     fn kept_key(params: &[Vec<LevelParam>]) -> Vec<Vec<usize>> {
         params
             .iter()
@@ -1162,8 +1156,7 @@ mod tests {
                 let decision = engine
                     .decide_hour(*offered, *premium, background, *budget)
                     .unwrap();
-                let kept =
-                    EngineCore::kept_key(&EngineCore::level_params(engine.system(), background));
+                let kept = EngineCore::kept_key(&level_params(engine.system(), background));
                 let caps: Vec<u64> = sched.caps_at(h).iter().map(|c| c.to_bits()).collect();
                 // Steps 1 and 3 share the cost-min model; only a
                 // throttled hour runs step 2.
@@ -1219,7 +1212,7 @@ mod tests {
             for d1 in grid() {
                 for d2 in grid() {
                     let background = vec![d0, d1, d2];
-                    let kept = EngineCore::kept_key(&EngineCore::level_params(&sys, &background));
+                    let kept = EngineCore::kept_key(&level_params(&sys, &background));
                     if backgrounds.len() < wanted && seen.insert(kept) {
                         backgrounds.push(background);
                     }
@@ -1234,7 +1227,7 @@ mod tests {
             engine
                 .decide_hour(2e8, 1e8, background, f64::INFINITY)
                 .unwrap();
-            distinct.insert(EngineCore::kept_key(&EngineCore::level_params(
+            distinct.insert(EngineCore::kept_key(&level_params(
                 engine.system(),
                 background,
             )));
@@ -1312,7 +1305,7 @@ mod tests {
         let (mut misses, mut synced_hits) = (0, 0);
         for (h, (caps, bg)) in hours.iter().enumerate() {
             engine.set_site_caps(caps);
-            let kept = EngineCore::kept_key(&EngineCore::level_params(&engine.system, bg));
+            let kept = EngineCore::kept_key(&level_params(&engine.system, bg));
             let cap_bits: Vec<u64> = caps.iter().map(|c| c.to_bits()).collect();
             for step in [Step::CostMin, Step::ThruMax] {
                 let ctx = format!("hour {h} {step:?}");

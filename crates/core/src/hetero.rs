@@ -151,15 +151,6 @@ impl HeteroDataCenter {
         }
         Some(plan)
     }
-
-    /// Effective marginal watts per (request/hour) at low load — the most
-    /// efficient class's rate — usable as the site's linear coefficient in
-    /// the MILP when the load mostly fits that class.
-    pub fn marginal_watt_hours_per_request(&self) -> Option<f64> {
-        self.usable_order()
-            .first()
-            .map(|&i| self.classes[i].watt_hours_per_request())
-    }
 }
 
 #[cfg(test)]
@@ -248,12 +239,6 @@ mod tests {
         );
         let plan = s.activate(10_000.0).unwrap();
         assert!(plan.entries.iter().all(|e| e.class_index == 1));
-    }
-
-    #[test]
-    fn marginal_efficiency_is_best_class() {
-        let s = site();
-        assert!((s.marginal_watt_hours_per_request().unwrap() - 0.1).abs() < 1e-9);
     }
 
     #[test]

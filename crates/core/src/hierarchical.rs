@@ -33,8 +33,6 @@ pub struct HierarchicalMinimizer {
     /// Number of workload chunks the coordinator releases (more chunks =
     /// closer to centralized optimum, more regional solves).
     pub chunks: usize,
-    /// The solver used for regional subproblems.
-    pub minimizer: CostMinimizer,
 }
 
 impl HierarchicalMinimizer {
@@ -43,7 +41,6 @@ impl HierarchicalMinimizer {
         Self {
             regions,
             chunks: 16,
-            minimizer: CostMinimizer::default(),
         }
     }
 
@@ -97,7 +94,7 @@ impl HierarchicalMinimizer {
 
     /// Minimizes the hour's cost by two-level decomposition. Semantics
     /// match [`CostMinimizer::solve`] (all of `lambda` is served), with a
-    /// small optimality gap.
+    /// small optimality gap; every regional subproblem is one such solve.
     pub fn solve(
         &self,
         system: &DataCenterSystem,
@@ -119,6 +116,7 @@ impl HierarchicalMinimizer {
             });
         }
 
+        let minimizer = CostMinimizer::default();
         let subsystems: Vec<DataCenterSystem> = self
             .regions
             .iter()
@@ -140,10 +138,7 @@ impl HierarchicalMinimizer {
         let mut current_cost = vec![0.0f64; self.regions.len()];
         // Seed the cost curve at zero assignment.
         for (r, sub) in subsystems.iter().enumerate() {
-            current_cost[r] = self
-                .minimizer
-                .solve(sub, 0.0, &sub_backgrounds[r])?
-                .total_cost;
+            current_cost[r] = minimizer.solve(sub, 0.0, &sub_backgrounds[r])?.total_cost;
         }
         let mut remaining = lambda;
         while remaining > 1e-6 {
@@ -154,8 +149,7 @@ impl HierarchicalMinimizer {
                 if assigned[r] + take > capacities[r] {
                     continue;
                 }
-                let new_cost = self
-                    .minimizer
+                let new_cost = minimizer
                     .solve(sub, assigned[r] + take, &sub_backgrounds[r])?
                     .total_cost;
                 let delta = new_cost - current_cost[r];
@@ -176,8 +170,7 @@ impl HierarchicalMinimizer {
                 let mut placed = false;
                 for (r, sub) in subsystems.iter().enumerate() {
                     if assigned[r] + half <= capacities[r] {
-                        let new_cost = self
-                            .minimizer
+                        let new_cost = minimizer
                             .solve(sub, assigned[r] + half, &sub_backgrounds[r])?
                             .total_cost;
                         assigned[r] += half;
@@ -210,9 +203,7 @@ impl HierarchicalMinimizer {
         let mut total_cost = 0.0;
         let mut total_lambda = 0.0;
         for (r, sub) in subsystems.iter().enumerate() {
-            let alloc = self
-                .minimizer
-                .solve(sub, assigned[r], &sub_backgrounds[r])?;
+            let alloc = minimizer.solve(sub, assigned[r], &sub_backgrounds[r])?;
             for (j, &site) in self.regions[r].iter().enumerate() {
                 lambda_out[site] = alloc.lambda[j];
                 servers[site] = alloc.servers[j];

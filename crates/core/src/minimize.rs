@@ -203,9 +203,9 @@ pub(crate) fn site_level_params(
 /// The feasibility tolerance [`cost_floor`]'s margin grants every row
 /// and bound of a returned solve, relative to `1 + |magnitude|`: the
 /// certificate's primal tolerance ([`billcap_milp::certify_solution`]),
-/// ten times the revised simplex's absolute `feas_tol` on these
-/// pre-scaled models.
-const FLOOR_TOL: f64 = 1e-6;
+/// ten times the revised simplex's absolute one on these pre-scaled
+/// models.
+const FLOOR_TOL: f64 = billcap_milp::PRIMAL_TOL;
 
 /// A certified floor under the cost of any step-1 solve that serves
 /// `lambda` requests/hour on the model built from `params` (the kept

@@ -253,18 +253,6 @@ impl DataCenterSystem {
     pub fn total_capacity(&self) -> f64 {
         self.sites.iter().map(|s| s.max_rate()).sum()
     }
-
-    /// Replaces the policy set (used to sweep Policies 0–3 over one system).
-    pub fn with_policies(mut self, policies: PricingPolicySet) -> Result<Self, CoreError> {
-        if self.sites.len() != policies.policies.len() {
-            return Err(CoreError::Dimension {
-                expected: self.sites.len(),
-                got: policies.policies.len(),
-            });
-        }
-        self.policies = policies;
-        Ok(self)
-    }
 }
 
 #[cfg(test)]
@@ -362,12 +350,5 @@ mod tests {
                 .fold(0.0f64, f64::max);
             assert!(last_lo < site.power_cap_mw + 20.0 + 1e-9);
         }
-    }
-
-    #[test]
-    fn policy_swap() {
-        let sys = DataCenterSystem::paper_system(1);
-        let swapped = sys.with_policies(PricingPolicySet::policy3(3)).unwrap();
-        assert!(swapped.policy(0).max_price() > 50.0);
     }
 }

@@ -42,17 +42,6 @@ pub struct FiveBus {
     pub e: BusId,
 }
 
-impl FiveBus {
-    /// The bus a consumer sits on.
-    pub fn consumer_bus(&self, c: FiveBusConsumer) -> BusId {
-        match c {
-            FiveBusConsumer::B => self.b,
-            FiveBusConsumer::C => self.c,
-            FiveBusConsumer::D => self.d,
-        }
-    }
-}
-
 /// Builds the PJM five-bus grid. Returns the grid and the bus handles.
 ///
 /// Generator and line data follow the PJM training-material example:

@@ -34,10 +34,8 @@ pub mod linalg;
 pub mod network;
 pub mod opf;
 pub mod policy;
-pub mod twoarea;
 
 pub use fivebus::{pjm_five_bus, FiveBusConsumer};
 pub use network::{Bus, BusId, Generator, Grid, Line};
 pub use opf::{DispatchResult, LmpDecomposition, OpfError, OpfSolver};
 pub use policy::{PricingPolicySet, StepPolicy};
-pub use twoarea::{derive_two_area_policies, two_area, TwoArea};

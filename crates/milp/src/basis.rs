@@ -315,11 +315,6 @@ impl BasisFactorization {
         true
     }
 
-    /// Basis dimension.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
     /// Size of the dense bump block (diagnostic: 0 means the basis was
     /// fully triangularized).
     pub fn bump_dim(&self) -> usize {
@@ -641,7 +636,6 @@ mod tests {
             check_roundtrip(m, &cols);
             let basic: Vec<usize> = (0..m).collect();
             assert!(reused.factor(&csc(m, &cols), &basic), "trial {trial}");
-            assert_eq!(reused.dim(), m);
             check_solves(&mut reused, m, &cols);
         }
     }
@@ -659,7 +653,6 @@ mod tests {
     #[test]
     fn zero_dimensional_basis() {
         let mut f = factor_cols(0, &[]).expect("empty basis is trivially factored");
-        assert_eq!(f.dim(), 0);
         f.ftran(&mut []);
         f.btran(&mut []);
     }

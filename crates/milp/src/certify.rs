@@ -46,8 +46,11 @@ use std::fmt;
 // this answer trustworthy", not "did the final pivot converge to
 // machine precision".
 
-/// Primal feasibility tolerance, scaled by row/bound magnitude.
-const PRIMAL_TOL: f64 = 1e-6;
+/// Primal feasibility tolerance, scaled by row/bound magnitude: a row
+/// or bound may be missed by `PRIMAL_TOL·(1 + magnitude)`. It is ten
+/// times the revised simplex's absolute primal tolerance (`1e-7`) on
+/// the pre-scaled capper models.
+pub const PRIMAL_TOL: f64 = 1e-6;
 /// Integrality tolerance for integer/binary variables.
 const INTEGRALITY_TOL: f64 = INT_TOL;
 /// Dual feasibility / complementary-slackness tolerance.

@@ -72,7 +72,7 @@ pub mod sparse;
 pub use basis::BasisFactorization;
 pub use branch::{MipSolver, MipWorkspace};
 pub use certify::{
-    certify_infeasible, certify_solution, certify_unbounded, CertifyReport, Violation,
+    certify_infeasible, certify_solution, certify_unbounded, CertifyReport, Violation, PRIMAL_TOL,
 };
 pub use error::SolveError;
 pub use io::{parse_lp, write_lp};

@@ -153,11 +153,6 @@ impl LintReport {
         self.errors().next().is_none()
     }
 
-    /// The most severe finding level, or `None` for an empty report.
-    pub fn max_severity(&self) -> Option<Severity> {
-        self.findings.iter().map(|f| f.severity).max()
-    }
-
     /// Whether any finding carries `code`.
     pub fn has(&self, code: &str) -> bool {
         self.findings.iter().any(|f| f.code == code)

@@ -77,11 +77,29 @@ const PIVOT_TOL: f64 = 1e-8;
 /// absolute test suffices.
 const CRASH_PIVOT_MIN: f64 = 1e-3;
 
+/// Primal feasibility tolerance, absolute: the bill-capping models are
+/// pre-scaled (see `RATE_SCALE` in `billcap-core`), so basic values stay
+/// within a few orders of 1.
+///
+/// The two verdicts do not meet. The ratio test declares a row
+/// infeasible ([`RevisedError::Infeasible`]) once the violation left
+/// after every bound flip exceeds `FEAS_TOL`, while the certificate
+/// accepts a point within [`crate::certify::PRIMAL_TOL`]`·(1 + largest
+/// term)` of a row. Between the two the engine answers `Infeasible` (and
+/// branch-and-bound prunes the node) although a certifiable point
+/// exists: on `x ∈ [0, 1]` with `x ≥ 1 + 5e-7` the engine says
+/// infeasible while `x = 1` certifies, and [`crate::brute_force_solve`]
+/// refuses that verdict.
+const FEAS_TOL: f64 = 1e-7;
+
+/// Dual-pivot cap per solve; a warm solve that hits it is retried cold,
+/// a cold one fails with [`RevisedError::IterationLimit`].
+const MAX_ITERATIONS: usize = 10_000;
+
 /// Reduced-cost sign tolerance when *verifying* an externally supplied
-/// warm-start basis (see [`RevisedEngine::solve_warm_verified`]). Matches the
-/// default primal `feas_tol` scale: the models are pre-scaled, so an
-/// absolute tolerance is appropriate.
-const DUAL_TOL: f64 = 1e-7;
+/// warm-start basis (see [`RevisedEngine::solve_warm_verified`]): the
+/// primal tolerance's scale, absolute for the same reason.
+const DUAL_TOL: f64 = FEAS_TOL;
 
 /// Where a standard-form column currently sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,15 +125,11 @@ pub struct BasisState {
     pub(crate) status: Vec<ColStatus>,
 }
 
-/// Tuning knobs for the revised simplex.
+/// Tuning knobs for the revised simplex. The tests set them to reach
+/// the paths a default solve rarely takes; the tolerance and the pivot
+/// cap are the constants `FEAS_TOL` and `MAX_ITERATIONS`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RevisedOptions {
-    /// Primal feasibility tolerance (absolute — the bill-capping models
-    /// are pre-scaled, see `RATE_SCALE` in `billcap-core`).
-    pub feas_tol: f64,
-    /// Dual-pivot cap per solve; a warm solve that hits it is retried
-    /// cold, a cold one fails with [`RevisedError::IterationLimit`].
-    pub max_iterations: usize,
     /// Refactorize once this many eta updates have accumulated.
     pub refactor_every: usize,
     /// Switch to Bland's rule after this many *consecutive* degenerate
@@ -126,8 +140,6 @@ pub struct RevisedOptions {
 impl Default for RevisedOptions {
     fn default() -> Self {
         Self {
-            feas_tol: 1e-7,
-            max_iterations: 10_000,
             refactor_every: 40,
             bland_after_degenerate: 16,
         }
@@ -918,9 +930,9 @@ impl RevisedEngine {
                 // observed to let basic values sit ~3e-5 over a bound —
                 // enough to corrupt demand equalities by whole requests
                 // once clamped.
-                let (viol, delta) = if x < l - self.opts.feas_tol {
+                let (viol, delta) = if x < l - FEAS_TOL {
                     (l - x, -1.0)
-                } else if x > u + self.opts.feas_tol {
+                } else if x > u + FEAS_TOL {
                     (x - u, 1.0)
                 } else {
                     continue;
@@ -952,7 +964,7 @@ impl RevisedEngine {
                 return self.extract(status, basic, xb, y, fact, stats, pivoted);
             };
 
-            if stats.iterations >= self.opts.max_iterations {
+            if stats.iterations >= MAX_ITERATIONS {
                 return Err(RevisedError::IterationLimit { stats: *stats });
             }
 
@@ -1015,7 +1027,7 @@ impl RevisedEngine {
                 let mut chosen = None;
                 for &(j, abar, rc, ratio) in eligible.iter() {
                     let range = self.ub[j] - self.lb[j];
-                    if range.is_finite() && v - abar.abs() * range > self.opts.feas_tol {
+                    if range.is_finite() && v - abar.abs() * range > FEAS_TOL {
                         flips.push(j);
                         v -= abar.abs() * range;
                     } else {
@@ -1179,7 +1191,7 @@ impl RevisedEngine {
             if status[j] != ColStatus::Basic {
                 *x = self.nb_value(j, status[j]);
             }
-            // Basic values sit within feas_tol of their bounds; clamping
+            // Basic values sit within FEAS_TOL of their bounds; clamping
             // keeps integer rounding and child bound ranges honest.
             *x = x.min(self.ub[j]).max(self.lb[j]);
         }

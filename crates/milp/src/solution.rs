@@ -87,7 +87,10 @@ pub struct Solution {
     /// steps that changed the basis without moving the objective. A high
     /// ratio signals a degenerate instance (and explains Bland fallbacks).
     pub degenerate: usize,
-    /// Branch-and-bound statistics; `None` for pure LP solves.
+    /// Search statistics. Every [`crate::MipSolver`] solve sets them, a
+    /// pure LP too (one node, its optimum as the bound); `None` marks a
+    /// solution that did not come from a search, such as a brute-force
+    /// oracle's LP answer or one built by hand.
     pub mip: Option<MipStats>,
     /// Constraint duals (shadow prices) in the model's sense:
     /// `duals[i] = d(objective)/d(rhs_i)`. Populated by LP solves;

@@ -93,18 +93,6 @@ impl MetricsSeries {
             .filter_map(|(i, d)| d.latency.get(name).map(|q| (i, *q)))
             .collect()
     }
-
-    /// Names of every latency series appearing anywhere in the log.
-    pub fn latency_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .docs
-            .iter()
-            .flat_map(|d| d.latency.keys().cloned())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
 }
 
 /// A quantile (or summary statistic) of a latency series.
@@ -381,7 +369,6 @@ mod tests {
         assert!(s.gauge("serve.queue_depth").iter().all(|&g| g == 2.0));
         assert!(s.gauge("missing").iter().all(|g| g.is_nan()));
         assert_eq!(s.latency("request_us").len(), 3);
-        assert_eq!(s.latency_names(), vec!["request_us".to_string()]);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl WindowedHistogram {
         self.tick
     }
 
-    /// Ring size `W`.
-    pub fn window_count(&self) -> usize {
-        self.ring.len()
-    }
-
     /// The window currently receiving observations.
     pub fn current(&self) -> &HistogramSnapshot {
         &self.ring[self.head]
@@ -293,7 +288,6 @@ mod tests {
         w.rotate();
         w.record(50.0);
         assert_eq!(w.tick(), 2);
-        assert_eq!(w.window_count(), 3);
         assert_eq!(w.merged().count, 3);
         assert_eq!(w.merged().counts, vec![1, 1, 1]);
         // One more rotation evicts the first window's 0.5.

@@ -94,15 +94,6 @@ impl DcPowerModel {
     pub fn max_servers(&self) -> u64 {
         self.network.max_servers()
     }
-
-    /// Largest active-server count whose total power stays within
-    /// `cap_mw` (using the linearized model; the exact model differs by at
-    /// most a few switches' worth of power).
-    pub fn servers_within_power_cap(&self, cap_mw: f64) -> u64 {
-        let per_server_mw = self.watts_per_server() / 1e6;
-        let n = (cap_mw / per_server_mw).floor().max(0.0) as u64;
-        n.min(self.max_servers())
-    }
 }
 
 #[cfg(test)]
@@ -169,25 +160,8 @@ mod tests {
     }
 
     #[test]
-    fn power_cap_inversion() {
-        let m = dc1();
-        let cap_mw = 20.0;
-        let n = m.servers_within_power_cap(cap_mw);
-        let linear_mw = m.watts_per_server() * n as f64 / 1e6;
-        assert!(linear_mw <= cap_mw);
-        let one_more = m.watts_per_server() * (n + 1) as f64 / 1e6;
-        assert!(one_more > cap_mw);
-    }
-
-    #[test]
     fn zero_servers_zero_power() {
         let m = dc1();
         assert_eq!(m.total_mw(0), 0.0);
-    }
-
-    #[test]
-    fn cap_never_exceeds_topology() {
-        let m = dc1();
-        assert_eq!(m.servers_within_power_cap(1e9), m.max_servers());
     }
 }

@@ -45,11 +45,6 @@ impl ServerModel {
         let u = utilization.clamp(0.0, 1.0);
         self.idle_w + (self.peak_w - self.idle_w) * u
     }
-
-    /// The dynamic range `peak − idle` (W).
-    pub fn dynamic_range_w(&self) -> f64 {
-        self.peak_w - self.idle_w
-    }
 }
 
 #[cfg(test)]
@@ -78,12 +73,6 @@ mod tests {
             assert!((s.power_at(u) - 88.88).abs() < 1e-9, "u={u}");
             assert!((s.idle_w - 0.6 * s.peak_w).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn dynamic_range() {
-        let s = ServerModel::new(40.0, 90.0);
-        assert_eq!(s.dynamic_range_w(), 50.0);
     }
 
     #[test]

@@ -88,11 +88,6 @@ impl GgmModel {
         }
     }
 
-    /// An M/M/m model (both SCVs equal one).
-    pub fn markovian(service_rate: f64) -> Self {
-        Self::new(service_rate, 1.0, 1.0)
-    }
-
     /// The variability factor `K = (C²_A + C²_B) / 2`.
     pub fn variability(&self) -> f64 {
         (self.scv_arrival + self.scv_service) / 2.0
@@ -337,12 +332,6 @@ mod tests {
         let n_smooth = smooth.min_servers(lambda, target).unwrap();
         let n_bursty = bursty.min_servers(lambda, target).unwrap();
         assert!(n_bursty >= n_smooth);
-    }
-
-    #[test]
-    fn markovian_constructor_sets_unit_scvs() {
-        let m = GgmModel::markovian(300.0);
-        assert_eq!(m.variability(), 1.0);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! * [`rng`] — SplitMix64-seeded xoshiro256++ behind a small
 //!   `rand`-style trait ([`Rng`], `random::<f64>()`, `seed_from_u64`).
 //! * [`pool`] — `std::thread::scope` worker pools: [`par_map_threads`],
-//!   [`try_par_map`], and the raw [`run_workers`].
+//!   [`try_par_map`], [`try_par_map_init_threads`] (per-worker state),
+//!   and the raw [`run_workers`].
 //! * [`bench`](mod@bench) — a self-contained benchmark harness for
 //!   `harness = false` bench targets.
 
@@ -28,7 +29,7 @@ pub mod rng;
 
 pub use bench::{BenchConfig, BenchResult, Harness};
 pub use pool::{
-    num_threads, par_map_init_threads, par_map_threads, run_workers, try_par_map,
-    try_par_map_init_threads, try_par_map_threads,
+    num_threads, par_map_threads, run_workers, try_par_map, try_par_map_init_threads,
+    try_par_map_threads,
 };
 pub use rng::{FromRng, Rng, SeedStream, SplitMix64, Xoshiro256pp};

@@ -2,7 +2,7 @@
 //!
 //! Everything is built on `std::thread::scope`, so borrowed data flows
 //! into workers without `Arc` gymnastics and no thread outlives its
-//! call. The two entry points cover the workspace's fan-out patterns:
+//! call. Three entry points cover the workspace's fan-out patterns:
 //!
 //! * [`par_map_threads`] — map a function over a slice in parallel,
 //!   results in input order (what `par_iter().map().collect::<Vec<_>>()`
@@ -10,10 +10,11 @@
 //! * [`try_par_map`] — the fallible variant; returns the error of the
 //!   *earliest* failing item, so outcomes are deterministic even though
 //!   scheduling is not (what `collect::<Result<Vec<_>, _>>()` did).
+//! * [`try_par_map_init_threads`] — the fallible map with per-worker
+//!   state, which the risk engine fans its month simulations out with.
 //!
-//! Every map runs on one claim/collect loop,
-//! [`try_par_map_init_threads`], which threads per-worker state through
-//! the items; the stateless maps pass unit state.
+//! Every map runs on that last one's claim/collect loop; the stateless
+//! maps pass unit state.
 //!
 //! Work is distributed by an atomic cursor over the input slice, which
 //! balances uneven item costs (month simulations vary severalfold) at
@@ -120,29 +121,15 @@ where
     try_par_map_threads(items, num_threads(), f)
 }
 
-/// [`par_map_threads`] with reusable per-worker state: each worker calls
-/// `init()` once and threads the resulting scratch value through every
-/// item it claims. The per-item closure therefore takes `&mut S`, which
-/// plain [`par_map_threads`] cannot offer (its closure is `Fn`).
+/// [`try_par_map_threads`] with reusable per-worker state: each worker
+/// calls `init()` once and threads the resulting scratch value through
+/// every item it claims. The per-item closure therefore takes `&mut S`,
+/// which the stateless maps cannot offer (their closures are `Fn`).
 ///
 /// Results are in input order, so as long as each item's output depends
 /// only on the item (the scratch being a pure accelerator — buffers,
 /// warm models — whose contents never leak into results), the returned
-/// vector is identical at every thread count.
-pub fn par_map_init_threads<T, U, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    match try_par_map_init_threads(items, threads, init, |s, item| Ok::<U, Never>(f(s, item))) {
-        Ok(v) => v,
-        Err(never) => match never {},
-    }
-}
-
-/// Fallible [`par_map_init_threads`]. Error selection matches
+/// vector is identical at every thread count. Error selection matches
 /// [`try_par_map_threads`]: the failing item with the smallest index
 /// wins, so the outcome is what a sequential loop stopping at the first
 /// error would report.
@@ -282,18 +269,18 @@ mod tests {
         for threads in [1, 4, 9] {
             // The scratch counts items seen by this worker; results must
             // not depend on it, and the order must match the input.
-            let out = par_map_init_threads(
+            let out: Result<Vec<u64>, ()> = try_par_map_init_threads(
                 &items,
                 threads,
                 || 0u64,
                 |seen, &x| {
                     *seen += 1;
                     assert!(*seen >= 1);
-                    x * 2
+                    Ok(x * 2)
                 },
             );
             let expect: Vec<u64> = items.iter().map(|&x| x * 2).collect();
-            assert_eq!(out, expect, "threads={threads}");
+            assert_eq!(out.unwrap(), expect, "threads={threads}");
         }
     }
 
@@ -316,12 +303,13 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let items: Vec<u32> = (0..64).collect();
         let inits = AtomicUsize::new(0);
-        let _ = par_map_init_threads(
+        let out: Result<Vec<u32>, ()> = try_par_map_init_threads(
             &items,
             4,
             || inits.fetch_add(1, Ordering::Relaxed),
-            |_, &x| x,
+            |_, &x| Ok(x),
         );
+        assert_eq!(out.unwrap(), items);
         assert!(inits.load(Ordering::Relaxed) <= 4);
     }
 

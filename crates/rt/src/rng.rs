@@ -203,13 +203,6 @@ impl Xoshiro256pp {
         }
     }
 
-    /// Constructs from a raw state; at least one word must be nonzero
-    /// (the all-zero state is the generator's single fixed point).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "state must not be all zero");
-        Self { s }
-    }
-
     /// The jump function: advances the stream by `2^128` steps, giving a
     /// statistically independent substream. Useful for handing one seed
     /// to many workers without overlap.
@@ -350,12 +343,6 @@ mod tests {
         let pa: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
         let pb: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
         assert_ne!(pa, pb);
-    }
-
-    #[test]
-    #[should_panic(expected = "all zero")]
-    fn zero_state_rejected() {
-        Xoshiro256pp::from_state([0; 4]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! simulations fan out on the `billcap-rt` worker pool.
 
 use crate::metrics::MonthlyReport;
+use crate::risk::distort_history;
 use crate::runner::{run_month, Strategy};
 use crate::scenario::Scenario;
 use crate::table::{dollars, percent, render_table};
@@ -605,25 +606,11 @@ pub struct PredictionErrorAblation {
 
 /// Runs the prediction-error ablation.
 pub fn ablation_prediction_error(seed: u64) -> Result<PredictionErrorAblation, CoreError> {
-    use billcap_rt::{Rng, Xoshiro256pp};
     let base = Scenario::paper_default(1, seed);
     let amplitudes = [0.0, 0.1, 0.25, 0.5];
     let rows: Vec<(f64, f64, usize, f64)> = try_par_map(&amplitudes, |&amp| {
         let mut s = base.clone();
-        if amp > 0.0 {
-            // Deterministic multiplicative distortion of the history.
-            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xbad5eed);
-            let distorted: Vec<f64> = s
-                .history
-                .values()
-                .iter()
-                .map(|&v| {
-                    let u: f64 = rng.random::<f64>() * 2.0 - 1.0;
-                    v * (1.0 + amp * u).max(0.05)
-                })
-                .collect();
-            s.history = billcap_workload::HourlyTrace::new(distorted);
-        }
+        s.history = distort_history(&base.history, amp, seed);
         run_month(&s, Strategy::CostCapping, Some(Scenario::STRINGENT_BUDGET)).map(|r| {
             (
                 amp,

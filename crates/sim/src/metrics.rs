@@ -85,11 +85,6 @@ impl HourRecord {
         self.hourly_budget
             .is_some_and(|b| self.realized_cost > b * (1.0 + 1e-9))
     }
-
-    /// Total served rate.
-    pub fn served(&self) -> f64 {
-        self.premium_served + self.ordinary_served
-    }
 }
 
 /// A month of simulation under one strategy and budget.
@@ -132,11 +127,6 @@ impl MonthlyReport {
         stable_sum(self.hours.iter().map(|h| h.ordinary_served)) / offered
     }
 
-    /// Total requests served over the month.
-    pub fn total_served(&self) -> f64 {
-        stable_sum(self.hours.iter().map(HourRecord::served))
-    }
-
     /// Total budget over-run across violating hours ($): how *much* the
     /// realized bill exceeded hourly budgets, not just how often.
     pub fn violation_magnitude(&self) -> f64 {
@@ -161,11 +151,6 @@ impl MonthlyReport {
     /// True when the monthly bill exceeded the monthly budget.
     pub fn violates_monthly_budget(&self) -> bool {
         self.budget_utilization().is_some_and(|u| u > 1.0 + 1e-9)
-    }
-
-    /// Hourly realized-cost series ($).
-    pub fn hourly_costs(&self) -> Vec<f64> {
-        self.hours.iter().map(|h| h.realized_cost).collect()
     }
 
     /// Hours that carried a solver-effort trace.
@@ -228,7 +213,6 @@ mod tests {
         assert!(!r.violates_monthly_budget());
         assert_eq!(r.premium_throughput(), 1.0);
         assert_eq!(r.ordinary_throughput(), 0.5);
-        assert_eq!(r.total_served(), 180.0);
     }
 
     #[test]

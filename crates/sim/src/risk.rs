@@ -12,7 +12,7 @@
 //! Each sample perturbs the *inputs* the paper treats as uncertain:
 //!
 //! * workload level and growth (mean-rate and trend jitter),
-//! * flash crowds (an extra surge with configurable probability),
+//! * flash crowds (an extra surge with a fixed probability),
 //! * background regional demand (per-site mean jitter),
 //! * predictor error (multiplicative distortion of the budgeting
 //!   history, so the budgeter plans from an imperfect forecast).
@@ -114,22 +114,6 @@ pub struct RiskConfig {
     pub hours: usize,
     /// Monthly budget handed to the capper (`None` = uncapped).
     pub monthly_budget: Option<f64>,
-    /// Mean workload before perturbation (requests/hour).
-    pub mean_rate: f64,
-    /// Relative half-width of the per-sample mean-rate perturbation
-    /// (0.04 = ±4 %).
-    pub workload_jitter: f64,
-    /// Absolute half-width of the per-sample growth-trend perturbation.
-    pub growth_jitter: f64,
-    /// Probability that a sample gets one extra flash crowd on top of
-    /// the two the Wikipedia-like trace always carries.
-    pub flash_prob: f64,
-    /// Relative half-width of the per-site background-demand mean
-    /// perturbation.
-    pub background_jitter: f64,
-    /// Relative half-width of the multiplicative distortion applied to
-    /// the budgeting history (predictor error).
-    pub predictor_error: f64,
     /// Time-varying power caps for the run.
     pub schedule: ScheduleSpec,
 }
@@ -143,16 +127,6 @@ impl Default for RiskConfig {
             policy: 1,
             hours: 0,
             monthly_budget: Some(Scenario::STRINGENT_BUDGET),
-            mean_rate: Scenario::MEAN_RATE,
-            // Conservative widths: even a jittered-up sample with an
-            // extra flash crowd on top of a scheduled derate must keep
-            // premium demand within deliverable capacity (step 1 errors
-            // out otherwise, which fails the whole run by design).
-            workload_jitter: 0.04,
-            growth_jitter: 0.01,
-            flash_prob: 0.25,
-            background_jitter: 0.05,
-            predictor_error: 0.05,
             schedule: ScheduleSpec::Flat,
         }
     }
@@ -448,20 +422,9 @@ pub struct RiskEngine {
 }
 
 impl RiskEngine {
-    /// Creates an engine; panics on zero samples or out-of-range knobs.
+    /// Creates an engine; panics on zero samples.
     pub fn new(config: RiskConfig) -> Self {
         assert!(config.samples > 0, "risk run needs at least one sample");
-        assert!(
-            config.workload_jitter >= 0.0
-                && config.background_jitter >= 0.0
-                && config.growth_jitter >= 0.0
-                && config.predictor_error >= 0.0,
-            "jitter widths must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.flash_prob),
-            "flash probability must be in [0, 1]"
-        );
         Self { config }
     }
 
@@ -571,15 +534,51 @@ fn run_sample(
     })
 }
 
+// The sampling model's widths. They are conservative: even a
+// jittered-up sample with an extra flash crowd on top of a scheduled
+// derate must keep premium demand within deliverable capacity (step 1
+// errors out otherwise, which fails the whole run by design).
+
+/// Relative half-width of the per-sample perturbation of the mean
+/// workload [`Scenario::MEAN_RATE`] (0.04 = ±4 %).
+const WORKLOAD_JITTER: f64 = 0.04;
+/// Absolute half-width of the per-sample growth-trend perturbation.
+const GROWTH_JITTER: f64 = 0.01;
+/// Probability that a sample gets one extra flash crowd on top of the
+/// two the Wikipedia-like trace always carries.
+const FLASH_PROB: f64 = 0.25;
+/// Relative half-width of the per-site background-demand mean
+/// perturbation.
+const BACKGROUND_JITTER: f64 = 0.05;
+/// Relative half-width of the predictor error, the distortion of the
+/// budgeting history ([`distort_history`]).
+const PREDICTOR_ERROR: f64 = 0.05;
+
 /// A uniform draw in `[-1, 1]`.
 fn unit(rng: &mut Xoshiro256pp) -> f64 {
     rng.random::<f64>() * 2.0 - 1.0
 }
 
+/// The budgeting history a predictor with relative error `amplitude`
+/// hands the budgeter: each hour's rate times `1 + amplitude·u`, with
+/// `u` uniform in `[-1, 1]` from the `seed ^ 0xbad5eed` stream and the
+/// factor floored at 0.05, so no rate changes sign. At amplitude 0
+/// every factor is exactly 1 and the history comes back bit for bit.
+pub(crate) fn distort_history(history: &HourlyTrace, amplitude: f64, seed: u64) -> HourlyTrace {
+    let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xbad5eed);
+    HourlyTrace::new(
+        history
+            .values()
+            .iter()
+            .map(|&v| v * (1.0 + amplitude * unit(&mut rng)).max(0.05))
+            .collect(),
+    )
+}
+
 /// Builds the perturbed scenario for one sample seed.
 ///
-/// The draw schedule is fixed — every knob consumes its variates whether
-/// its width is zero or not — so changing one knob never shifts the
+/// The draw schedule is fixed: the flash-crowd variates are drawn
+/// whether a surge is added or not, so no perturbation shifts the
 /// randomness seen by the others.
 fn sample_scenario(cfg: &RiskConfig, seed: u64) -> Scenario {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
@@ -591,10 +590,10 @@ fn sample_scenario(cfg: &RiskConfig, seed: u64) -> Scenario {
     let u_flash_dur = rng.random::<f64>();
 
     let system = DataCenterSystem::paper_system(cfg.policy);
-    let mean_rate = cfg.mean_rate * (1.0 + cfg.workload_jitter * u_rate);
+    let mean_rate = Scenario::MEAN_RATE * (1.0 + WORKLOAD_JITTER * u_rate);
     let mut trace_cfg = TraceConfig::wikipedia_like(mean_rate, seed);
-    trace_cfg.growth = (trace_cfg.growth + cfg.growth_jitter * u_growth).max(0.0);
-    if u_flash < cfg.flash_prob {
+    trace_cfg.growth = (trace_cfg.growth + GROWTH_JITTER * u_growth).max(0.0);
+    if u_flash < FLASH_PROB {
         // A third, milder surge somewhere in the evaluation month. The
         // magnitude ceiling (1.15) keeps premium demand deliverable even
         // when the surge lands on the built-in flash crowds under a
@@ -618,25 +617,14 @@ fn sample_scenario(cfg: &RiskConfig, seed: u64) -> Scenario {
     let background = (0..system.len())
         .map(|i| {
             let mut bg = BackgroundDemand::reco_like(i, seed);
-            bg.mean_mw *= 1.0 + cfg.background_jitter * unit(&mut rng);
+            bg.mean_mw *= 1.0 + BACKGROUND_JITTER * unit(&mut rng);
             bg.generate(horizon)
         })
         .collect();
 
     // Predictor error: the budgeter plans from a distorted history, as in
-    // the prediction-error ablation (experiments.rs). Width 0 reproduces
-    // the history bitwise (v * 1.0 == v).
-    let mut hist_rng = Xoshiro256pp::seed_from_u64(seed ^ 0xbad5eed);
-    let history = HourlyTrace::new(
-        history
-            .values()
-            .iter()
-            .map(|&v| {
-                let u = hist_rng.random::<f64>() * 2.0 - 1.0;
-                (v * (1.0 + cfg.predictor_error * u)).max(0.05)
-            })
-            .collect(),
-    );
+    // the prediction-error ablation (experiments.rs).
+    let history = distort_history(&history, PREDICTOR_ERROR, seed);
 
     // The background is generated at the horizon already; the cut
     // brings the workload to it.
@@ -695,6 +683,34 @@ mod tests {
         assert!(ScheduleSpec::parse("derate:1.5").is_err());
         assert!(ScheduleSpec::parse("derate:x").is_err());
         assert!(ScheduleSpec::parse("bogus").is_err());
+    }
+
+    #[test]
+    fn distort_history_matches_both_former_clamps() {
+        let seed = 42;
+        let history = Scenario::paper_default(1, seed).history;
+        let bits = |t: &HourlyTrace| t.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&distort_history(&history, 0.0, seed)), bits(&history));
+        // Flooring the factor or the product gives the same bits: on
+        // rates near 1e8 with amplitudes up to 0.5 neither floor fires.
+        for a in [0.05, 0.1, 0.25, 0.5] {
+            let former = |floor_product: bool| {
+                let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xbad5eed);
+                let values = history.values().iter().map(|&v| {
+                    let u = rng.random::<f64>() * 2.0 - 1.0;
+                    if floor_product {
+                        (v * (1.0 + a * u)).max(0.05)
+                    } else {
+                        v * (1.0 + a * u).max(0.05)
+                    }
+                });
+                values.map(f64::to_bits).collect::<Vec<_>>()
+            };
+            let got = bits(&distort_history(&history, a, seed));
+            assert_eq!(got, former(false), "amplitude {a}");
+            assert_eq!(got, former(true), "amplitude {a}");
+            assert_ne!(got, bits(&history), "amplitude {a}");
+        }
     }
 
     #[test]

@@ -643,12 +643,16 @@ mod tests {
         // scheduled cap. Realized power bills whole servers (ceil) and
         // whole switches, so it can sit a hair above the linearized
         // power the MILP held to the cap; the tolerance covers that
-        // rounding at a binding cap.
+        // rounding at a binding cap. The largest overshoot in this
+        // month is 1.21e-5 relative (hour 131, site 1: 55.22639 MW
+        // against a 55.22573 MW cap; hour 105 is at 1.09e-5), and at
+        // most 1.3e-5 over the whole 144-month corpus, so 1e-4 is
+        // still a ceiling.
         for h in &r.hours {
             let caps = sched.caps_at(h.hour);
             for (i, &p) in h.power_mw.iter().enumerate() {
                 assert!(
-                    p <= caps[i] * (1.0 + 1e-3),
+                    p <= caps[i] * (1.0 + 1e-4),
                     "hour {} site {i}: power {p} MW exceeds scheduled cap {} MW",
                     h.hour,
                     caps[i]
