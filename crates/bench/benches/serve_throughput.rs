@@ -1,6 +1,7 @@
 //! Decision-server throughput: per-decision strategy benches (cold
 //! model build vs. retained models vs. cache hits), the wire-protocol
-//! decoders, and an end-to-end replay table — decisions/sec for a
+//! decoders, a burst of frames over a Unix socket pair, and an
+//! end-to-end replay table — decisions/sec for a
 //! simulated week fired through the in-process server at 1 and 4
 //! workers, the numbers the EXPERIMENTS.md "Decision server
 //! throughput" table quotes.
@@ -55,6 +56,8 @@ fn main() {
     serve_bench::bench_replay_telemetry(&mut h);
     let plan = build_plan(1, 42, 24, Some(Scenario::STRINGENT_BUDGET)).expect("plan builds");
     serve_bench::bench_protocol(&mut h, &plan);
+    #[cfg(unix)]
+    serve_bench::bench_socket_burst(&mut h, &plan).expect("serve telemetry opens");
     h.finish();
     replay_table();
 }

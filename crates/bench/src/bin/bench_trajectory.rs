@@ -182,13 +182,17 @@ fn run() -> Result<(), String> {
     bench_month_runs(&mut h);
     // The decision-server strategy benches (cold vs incremental vs
     // cached) — the serve subsystem's perf claim lives in this file —
-    // the telemetry-overhead replay pair (disabled vs enabled) and the
-    // wire-protocol decoders.
+    // the telemetry-overhead replay pair (disabled vs enabled), the
+    // wire-protocol decoders and a burst of frames over a Unix socket
+    // pair (the socket path end to end).
     billcap_bench::serve_bench::bench_decide_strategies(&mut h);
     billcap_bench::serve_bench::bench_replay_telemetry(&mut h);
     let plan = billcap_serve::build_plan(1, 42, 24, Some(Scenario::STRINGENT_BUDGET))
         .map_err(|e| format!("building the protocol benches' plan: {e}"))?;
     billcap_bench::serve_bench::bench_protocol(&mut h, &plan);
+    #[cfg(unix)]
+    billcap_bench::serve_bench::bench_socket_burst(&mut h, &plan)
+        .map_err(|e| format!("opening the socket bench's telemetry: {e}"))?;
     let benches: Vec<BenchPoint> = h
         .results()
         .iter()

@@ -189,6 +189,114 @@ pub mod serve_bench {
         });
     }
 
+    /// Frames in the [`bench_socket_burst`] burst.
+    const SOCKET_BURST: usize = 256;
+
+    /// Registers `serve_socket/burst`: 256 request frames, cycling
+    /// through the plan's hours, sent at once through [`serve_with`]
+    /// over a connected Unix socket pair (two workers, the decision
+    /// cache on), every answer read and counted. One iteration is one
+    /// connection, so its engines build their models and its cache
+    /// fills from empty; the plan's hours repeat, so most answers are
+    /// cache hits, which exercise the socket path: framing, queueing,
+    /// wake-ups and response writes.
+    ///
+    /// [`serve_with`]: billcap_serve::serve_with
+    #[cfg(unix)]
+    pub fn bench_socket_burst(
+        h: &mut Harness,
+        plan: &billcap_serve::ReplayPlan,
+    ) -> std::io::Result<()> {
+        use billcap_serve::{encode_requests, ReplayPlan, Request, ServeConfig, ServerTelemetry};
+
+        let burst = encode_requests(&ReplayPlan {
+            requests: plan
+                .requests
+                .iter()
+                .cycle()
+                .take(SOCKET_BURST)
+                .enumerate()
+                .map(|(i, r)| Request {
+                    id: i as u64,
+                    ..r.clone()
+                })
+                .collect(),
+            ..plan.clone()
+        });
+        let cfg = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let tele = ServerTelemetry::open(&cfg)?;
+        h.bench("serve_socket/burst", move || {
+            let answered = socket_burst(&cfg, &tele, &burst);
+            assert!(
+                matches!(answered, Ok(SOCKET_BURST)),
+                "{SOCKET_BURST} answers expected: {answered:?}"
+            );
+            black_box(answered)
+        });
+        Ok(())
+    }
+
+    /// Serves one connection of `burst` over a socket pair and returns
+    /// how many answers came back. Each thread owns its end, so when
+    /// either finishes the other sees end-of-stream.
+    #[cfg(unix)]
+    fn socket_burst(
+        cfg: &billcap_serve::ServeConfig,
+        tele: &billcap_serve::ServerTelemetry,
+        burst: &[u8],
+    ) -> std::io::Result<usize> {
+        use std::os::unix::net::UnixStream;
+        use std::sync::{Mutex, PoisonError};
+
+        let (server, client) = UnixStream::pair()?;
+        let ends = [Mutex::new(Some(server)), Mutex::new(Some(client))];
+        let answered = Mutex::new(Ok(0));
+        billcap_rt::run_workers(2, |w| {
+            let end = ends[w]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .take();
+            match (w, end) {
+                (0, Some(server)) => {
+                    billcap_serve::serve_with(cfg, &server, &server, tele);
+                }
+                (_, Some(client)) => {
+                    *answered.lock().unwrap_or_else(PoisonError::into_inner) =
+                        send_and_count(client, burst);
+                }
+                (_, None) => {}
+            }
+        });
+        answered
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Writes `burst`, closes the sending half and counts the frames
+    /// that come back until the server closes the connection.
+    #[cfg(unix)]
+    fn send_and_count(
+        mut stream: std::os::unix::net::UnixStream,
+        burst: &[u8],
+    ) -> std::io::Result<usize> {
+        use billcap_serve::{read_frame, MAX_FRAME};
+        use std::io::Write;
+
+        stream.write_all(burst)?;
+        stream.shutdown(std::net::Shutdown::Write)?;
+        let mut answered = 0;
+        while read_frame(&mut stream, MAX_FRAME)
+            .map_err(|e| std::io::Error::other(e.to_string()))?
+            .is_some()
+        {
+            answered += 1;
+        }
+        Ok(answered)
+    }
+
     /// Registers the telemetry-overhead pair: the same short in-process
     /// replay (one worker, identical request stream) with latency
     /// recording and window rotation disabled vs. enabled. The two

@@ -31,8 +31,10 @@ pub struct HierarchicalMinimizer {
     /// Site indices per region; every site must appear exactly once.
     pub regions: Vec<Vec<usize>>,
     /// Number of workload chunks the coordinator releases (more chunks =
-    /// closer to centralized optimum, more regional solves).
-    pub chunks: usize,
+    /// closer to centralized optimum, more regional solves). Every
+    /// constructor sets 16; only this module's chunk sweep test sets
+    /// another.
+    chunks: usize,
 }
 
 impl HierarchicalMinimizer {

@@ -16,8 +16,10 @@
 //! * [`server`] — the reader/worker pool: a buffered reader,
 //!   per-worker [`billcap_core::DecisionEngine`]s (each keeps its
 //!   models and rewrites their values), a shared [`billcap_core::DecisionCache`] of rendered
-//!   response bodies, one `write_all` per response frame, and in-band
-//!   error responses for malformed input.
+//!   response bodies, whole response frames written one `write_all`
+//!   per batch (a decider writes its batch before it blocks on an
+//!   empty queue, at 16 KiB and when it exits), and in-band error
+//!   responses for malformed input.
 //! * [`replay`] — a differential harness that replays a simulated
 //!   month through the server and verifies every response against
 //!   sequential fresh-model decisions.
