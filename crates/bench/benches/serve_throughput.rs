@@ -1,6 +1,7 @@
 //! Decision-server throughput: per-decision strategy benches (cold
 //! model build vs. retained models vs. cache hits), the wire-protocol
-//! decoders, a burst of frames over a Unix socket pair, and an
+//! decoders and decision renderer, a burst of frames over a Unix socket
+//! pair, and an
 //! end-to-end replay table — decisions/sec for a
 //! simulated week fired through the in-process server at 1 and 4
 //! workers, the numbers the EXPERIMENTS.md "Decision server

@@ -183,8 +183,8 @@ fn run() -> Result<(), String> {
     // The decision-server strategy benches (cold vs incremental vs
     // cached) — the serve subsystem's perf claim lives in this file —
     // the telemetry-overhead replay pair (disabled vs enabled), the
-    // wire-protocol decoders and a burst of frames over a Unix socket
-    // pair (the socket path end to end).
+    // wire-protocol decoders and decision renderer, and a burst of
+    // frames over a Unix socket pair (the socket path end to end).
     billcap_bench::serve_bench::bench_decide_strategies(&mut h);
     billcap_bench::serve_bench::bench_replay_telemetry(&mut h);
     let plan = billcap_serve::build_plan(1, 42, 24, Some(Scenario::STRINGENT_BUDGET))

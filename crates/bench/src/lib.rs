@@ -154,11 +154,18 @@ pub mod serve_bench {
     ///   frame, the server's per-request decode.
     /// * `protocol/parse_response` — [`Response::parse`] of a decision
     ///   response frame, the client's per-response decode.
+    /// * `protocol/render_decision` — [`render_decision_body`] of a
+    ///   decision, then [`render_decision_frame`] of its frame into a
+    ///   reused buffer: the render work of a cache miss.
     ///
     /// [`Request::parse`]: billcap_serve::protocol::Request::parse
     /// [`Response::parse`]: billcap_serve::protocol::Response::parse
+    /// [`render_decision_body`]: billcap_serve::protocol::render_decision_body
+    /// [`render_decision_frame`]: billcap_serve::protocol::render_decision_frame
     pub fn bench_protocol(h: &mut Harness, plan: &billcap_serve::ReplayPlan) {
-        use billcap_serve::protocol::{DecisionMsg, Request, Response};
+        use billcap_serve::protocol::{
+            render_decision_body, render_decision_frame, DecisionMsg, Request, Response,
+        };
 
         let requests: Vec<String> = plan
             .requests
@@ -186,6 +193,15 @@ pub mod serve_bench {
             let frame = &responses[i % responses.len()];
             i += 1;
             black_box(Response::parse(black_box(frame.as_bytes())).is_ok())
+        });
+        let decisions = plan.expected.clone();
+        let mut frame = Vec::new();
+        let mut i = 0usize;
+        h.bench("protocol/render_decision", move || {
+            let body = render_decision_body(black_box(&decisions[i % decisions.len()]));
+            let rendered = render_decision_frame(&mut frame, i as u64, false, &body);
+            i += 1;
+            black_box(rendered.map(|()| frame.len()).ok())
         });
     }
 

@@ -7,11 +7,13 @@
 //! integer ([`Value::Int`]) and floating ([`Value::Float`]) variants so
 //! that `u64` counters and nanosecond timestamps round-trip exactly.
 //!
-//! Serialization of floats uses Rust's shortest-round-trip `{:?}`
-//! formatting, so `parse(render(v)) == v` for every finite `f64`.
-//! Non-finite floats are not representable in JSON and are rejected at
-//! serialization time by debug assertion (the recorder never produces
-//! them).
+//! Numbers are written by [`write_i64`] and [`write_f64`], which emit
+//! the bytes of `format!("{x}")` and `format!("{x:?}")` without going
+//! through `core::fmt` for the values the workspace writes. `{:?}` is
+//! the shortest representation that round-trips, so
+//! `parse(render(v)) == v` for every finite `f64`. Non-finite floats
+//! are not representable in JSON and are rejected at serialization time
+//! by debug assertion (the recorder never produces them).
 //!
 //! Parsing runs on [`Lexer`], a pull lexer that reads a document in one
 //! forward pass. [`Value::parse`] builds a tree on it, at most
@@ -20,7 +22,7 @@
 //! builds none.
 
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,47 +87,47 @@ impl Value {
 
     /// Renders the value as compact JSON.
     pub fn render(&self) -> String {
-        let mut out = String::new();
+        let mut out = Vec::new();
         self.render_into(&mut out);
-        out
+        // Every byte written is ASCII or comes whole from a `str`, so the
+        // lossy branch never runs.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
-    fn render_into(&self, out: &mut String) {
+    fn render_into(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Value::Null => out.extend_from_slice(b"null"),
+            Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Value::Int(i) => write_i64(out, *i),
             Value::Float(f) => {
                 debug_assert!(f.is_finite(), "non-finite float {f} is not JSON");
-                // {:?} is the shortest representation that round-trips; it
-                // always includes a '.' or 'e' so the parser keeps the
+                // Always carries a '.' or 'e', so the parser keeps the
                 // Float variant.
-                let _ = write!(out, "{f:?}");
+                write_f64(out, *f);
             }
             Value::Str(s) => render_string(s, out),
             Value::Arr(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     item.render_into(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Value::Obj(pairs) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     render_string(k, out);
-                    out.push(':');
+                    out.push(b':');
                     v.render_into(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -142,22 +144,184 @@ impl Value {
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+fn render_string(s: &str, out: &mut Vec<u8>) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push(b'"');
+    let bytes = s.as_bytes();
+    // Runs without an escape are copied whole; every byte that needs
+    // one is ASCII, so a run never splits a character.
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escape: &[u8] = match b {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0..=0x1f => &[
+                b'\\',
+                b'u',
+                b'0',
+                b'0',
+                HEX[usize::from(b >> 4)],
+                HEX[usize::from(b & 0xf)],
+            ],
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[run..i]);
+        out.extend_from_slice(escape);
+        run = i + 1;
     }
-    out.push('"');
+    out.extend_from_slice(&bytes[run..]);
+    out.push(b'"');
+}
+
+/// Appends `x` in decimal: the bytes of `format!("{x}")`.
+pub fn write_i64(out: &mut Vec<u8>, x: i64) {
+    if x < 0 {
+        out.push(b'-');
+    }
+    let mut buf = [0; 20];
+    let start = write_digits(&mut buf, x.unsigned_abs());
+    out.extend_from_slice(&buf[start..]);
+}
+
+/// "00" ..= "99": two digits per division.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// Writes the decimal digits of `n` at the end of `buf` and returns
+/// where they start.
+fn write_digits(buf: &mut [u8; 20], mut n: u64) -> usize {
+    let mut i = buf.len();
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    // The last odd digit, or the one digit of 0.
+    if n > 0 || i == buf.len() {
+        i -= 1;
+        buf[i] = b'0' + n as u8;
+    }
+    i
+}
+
+/// Appends `x` as `format!("{x:?}")` writes it: the shortest decimal
+/// that reads back as `x`, in positional form with at least one
+/// fractional digit for ±0 and for 1e-4 ≤ |x| < 1e16.
+///
+/// That range is written here, digits found with exact integer
+/// arithmetic; every other value, non-finite ones included, goes
+/// through `{:?}` itself.
+pub fn write_f64(out: &mut Vec<u8>, x: f64) {
+    let abs = x.abs();
+    if abs != 0.0 && !(1e-4..1e16).contains(&abs) {
+        let _ = write!(out, "{x:?}");
+        return;
+    }
+    if x.is_sign_negative() {
+        out.push(b'-');
+    }
+    if abs == 0.0 {
+        out.extend_from_slice(b"0.0");
+        return;
+    }
+    let (c, q) = shortest(abs);
+    let mut buf = [0; 20];
+    let start = write_digits(&mut buf, c);
+    let digits = &buf[start..];
+    // `x` = 0.digits × 10^point.
+    let point = digits.len() as i32 + q;
+    if point <= 0 {
+        out.extend_from_slice(b"0.");
+        out.resize(out.len() + point.unsigned_abs() as usize, b'0');
+        out.extend_from_slice(digits);
+    } else if (point as usize) < digits.len() {
+        let (int, frac) = digits.split_at(point as usize);
+        out.extend_from_slice(int);
+        out.push(b'.');
+        out.extend_from_slice(frac);
+    } else {
+        out.extend_from_slice(digits);
+        out.resize(out.len() + point as usize - digits.len(), b'0');
+        out.extend_from_slice(b".0");
+    }
+}
+
+/// 5^0 ..= 5^22, the scales [`shortest`] uses.
+const POW5: [u64; 23] = {
+    let mut t = [1; 23];
+    let mut i = 1;
+    while i < t.len() {
+        t[i] = t[i - 1] * 5;
+        i += 1;
+    }
+    t
+};
+
+/// The shortest decimal `c`·10^`q` that reads back as `x`, for
+/// 1e-4 ≤ `x` < 1e16; among several of the shortest length, the one
+/// nearest `x`, and the larger of two equally near.
+///
+/// `x` = m·2^e with a 53-bit m, and its rounding interval runs from
+/// (4m−2)·2^(e−2) (4m−1 at a power of two, whose lower neighbour is
+/// nearer) to (4m+2)·2^(e−2), closed when m is even. Scaled by 10^d,
+/// d = 17 − ⌊log10 2^(e+52)⌋ ∈ [2, 22], `x` lies in [10^17, 2·10^18)
+/// and the interval is more than 8 wide. Each bound is the exact
+/// product (4m+δ)·5^d·2^(e−2+d): below 2^108, so a `u128` holds it,
+/// with a binary point 2−e−d bits up when that is positive. Then the
+/// answer is the multiple of the largest power of ten the interval
+/// holds that lies nearest `x`. An exact tie between two goes to the
+/// larger, as `{:?}` does (rounding it to even, as Ryū does, would not
+/// match).
+fn shortest(x: f64) -> (u64, i32) {
+    let bits = x.to_bits();
+    let frac = bits & ((1 << 52) - 1);
+    let m = frac | (1 << 52);
+    let e = (bits >> 52) as i32 - 1075;
+    // ⌊log10 2^(e+52)⌋, exact on this range.
+    let d = 17 - (((e + 52) * 78_913) >> 18);
+    let shift = e - 2 + d;
+    let point = (-shift).max(0) as u32;
+    let scale = |n: u64| (u128::from(n) * u128::from(POW5[d as usize])) << shift.max(0);
+    let floor = |n: u128| (n >> point) as u64;
+    let exact = |n: u128| n & ((1 << point) - 1) == 0;
+    let lo = scale(4 * m - if frac == 0 { 1 } else { 2 });
+    let hi = scale(4 * m + 2);
+    let v = scale(4 * m);
+    let closed = m.is_multiple_of(2);
+    // Integers in the interval: (below, top].
+    let mut below = floor(lo) - u64::from(closed && exact(lo));
+    let mut top = floor(hi) - u64::from(!closed && exact(hi));
+    let mut kept = floor(v);
+    // The first digit cut from `v`; 5 stands for a fraction of ½ or
+    // more, which is all the rounding needs: ties go up.
+    let mut cut = if point > 0 && (v >> (point - 1)) & 1 == 1 {
+        5
+    } else {
+        0
+    };
+    let mut q = -d;
+    while top / 10 > below / 10 {
+        cut = kept % 10;
+        kept /= 10;
+        top /= 10;
+        below /= 10;
+        q += 1;
+    }
+    // The nearer of `kept` and `kept + 1`, or the one in the interval.
+    let c = (kept + u64::from(cut >= 5)).max(below + 1).min(top);
+    (c, q)
 }
 
 /// A parse failure with the byte offset where it happened.

@@ -26,11 +26,13 @@
 //! a [`Value`] tree: the client-side API and the test oracle. The
 //! server writes bytes directly with [`render_decision_body`] and
 //! [`render_decision_frame`], which produce exactly the bytes of the
-//! `Value` rendering without building the tree, so the body can be
-//! rendered once and served again behind any id.
+//! `Value` rendering without building the tree or calling `core::fmt`,
+//! so the body can be rendered once and served again behind any id.
+//! Both write numbers with the same writers, [`write_f64`] and
+//! [`write_i64`].
 
 use billcap_core::{validate_hour_inputs, CoreError, HourDecision, HourOutcome};
-use billcap_obs::json::{JsonError, Lexer, Number, Token, Value};
+use billcap_obs::json::{write_f64, write_i64, JsonError, Lexer, Number, Token, Value};
 use billcap_obs::MetricsDoc;
 use std::io::{Read, Write};
 
@@ -163,68 +165,119 @@ pub fn render_decision_frame(
     cached: bool,
     body: &[u8],
 ) -> std::io::Result<()> {
+    start_decision_frame(out, id, cached);
+    out.extend_from_slice(body);
+    finish_frame(out)
+}
+
+/// Renders the whole response frame of a decision `d` just made into
+/// `out`, as [`render_decision_frame`] with `cached` false and `d`'s
+/// body, and returns where that body starts in `out`: the bytes a cache
+/// keeps for a later hit.
+pub(crate) fn render_fresh_decision_frame(
+    out: &mut Vec<u8>,
+    id: u64,
+    d: &HourDecision,
+) -> std::io::Result<usize> {
+    start_decision_frame(out, id, false);
+    let body = out.len();
+    write_decision_body(out, d);
+    finish_frame(out)?;
+    Ok(body)
+}
+
+/// Replaces `out` with a placeholder header and the id-carrying start
+/// of a decision payload.
+fn start_decision_frame(out: &mut Vec<u8>, id: u64, cached: bool) {
     out.clear();
     out.extend_from_slice(&[0; 4]);
+    out.extend_from_slice(b"{\"type\":\"decision\",\"id\":");
     // `DecisionMsg::to_value` renders the id as `Value::Int(id as i64)`.
-    let _ = write!(
-        out,
-        "{{\"type\":\"decision\",\"id\":{},\"cached\":{cached}",
-        id as i64
-    );
-    out.extend_from_slice(body);
+    write_i64(out, id as i64);
+    out.extend_from_slice(if cached {
+        b",\"cached\":true"
+    } else {
+        b",\"cached\":false"
+    });
+}
+
+/// Fills in the header of the frame that fills `out`.
+fn finish_frame(out: &mut [u8]) -> std::io::Result<()> {
     let header = frame_header(out.len() - 4)?;
     out[..4].copy_from_slice(&header);
     Ok(())
 }
 
+/// Room for a decision body on the paper's three-site networks (about
+/// 600 bytes), so that rendering one grows no buffer.
+const BODY_CAPACITY: usize = 1024;
+
 /// Renders the id-free body of a decision response:
 /// `,"outcome":…,"lp_iterations":N}`. Keys come in the order of
-/// [`DecisionMsg::to_value`], floats in the same shortest-round-trip
-/// `{:?}` form and integers in the same `i64` form, so the body
+/// [`DecisionMsg::to_value`], and numbers through the writers
+/// `Value::render` uses ([`write_f64`], [`write_i64`]), so the body
 /// completes [`render_decision_frame`]'s prefix into the exact bytes of
 /// the `Value` rendering.
 pub fn render_decision_body(d: &HourDecision) -> Box<[u8]> {
-    // `{:?}` renders an `f64` as `Value::Float` does and an `i64` as
-    // `Value::Int` does.
-    fn field(out: &mut Vec<u8>, key: &str, x: impl std::fmt::Debug) {
-        let _ = write!(out, ",\"{key}\":{x:?}");
+    let mut out = Vec::with_capacity(BODY_CAPACITY);
+    write_decision_body(&mut out, d);
+    out.into_boxed_slice()
+}
+
+/// Appends the body [`render_decision_body`] returns: keys as byte
+/// literals, numbers without `core::fmt`.
+fn write_decision_body(out: &mut Vec<u8>, d: &HourDecision) {
+    fn float(out: &mut Vec<u8>, key: &[u8], x: f64) {
+        out.extend_from_slice(key);
+        write_f64(out, x);
     }
-    fn list<T: std::fmt::Debug>(out: &mut Vec<u8>, key: &str, items: impl Iterator<Item = T>) {
-        let _ = write!(out, ",\"{key}\":[");
-        for (i, x) in items.enumerate() {
+    fn int(out: &mut Vec<u8>, key: &[u8], x: i64) {
+        out.extend_from_slice(key);
+        write_i64(out, x);
+    }
+    fn list<T: Copy>(out: &mut Vec<u8>, key: &[u8], items: &[T], write: fn(&mut Vec<u8>, T)) {
+        out.extend_from_slice(key);
+        out.push(b'[');
+        for (i, &x) in items.iter().enumerate() {
             if i > 0 {
                 out.push(b',');
             }
-            let _ = write!(out, "{x:?}");
+            write(out, x);
         }
         out.push(b']');
     }
     let a = &d.allocation;
-    let mut out = Vec::new();
-    let _ = write!(out, ",\"outcome\":\"{}\"", outcome_tag(d.outcome));
-    field(&mut out, "offered", d.offered);
-    field(&mut out, "premium_offered", d.premium_offered);
-    field(&mut out, "premium_served", d.premium_served);
-    field(&mut out, "ordinary_served", d.ordinary_served);
+    out.extend_from_slice(b",\"outcome\":\"");
+    out.extend_from_slice(outcome_tag(d.outcome).as_bytes());
+    out.push(b'"');
+    float(out, b",\"offered\":", d.offered);
+    float(out, b",\"premium_offered\":", d.premium_offered);
+    float(out, b",\"premium_served\":", d.premium_served);
+    float(out, b",\"ordinary_served\":", d.ordinary_served);
     // As `budget_to_value`: a non-finite budget renders as `null`.
     if d.budget.is_finite() {
-        field(&mut out, "budget", d.budget);
+        float(out, b",\"budget\":", d.budget);
     } else {
         out.extend_from_slice(b",\"budget\":null");
     }
-    list(&mut out, "lambda", a.lambda.iter());
-    list(&mut out, "servers", a.servers.iter().map(|&s| s as i64));
-    list(&mut out, "power_mw", a.power_mw.iter());
-    list(&mut out, "price", a.price.iter());
-    list(&mut out, "level", a.level.iter().map(|&k| k as i64));
-    list(&mut out, "cost", a.cost.iter());
-    field(&mut out, "total_cost", a.total_cost);
-    field(&mut out, "total_lambda", a.total_lambda);
-    field(&mut out, "solves", d.trace.solves as i64);
-    field(&mut out, "nodes", d.trace.nodes as i64);
-    field(&mut out, "lp_iterations", d.trace.lp_iterations as i64);
+    list(out, b",\"lambda\":", &a.lambda, write_f64);
+    // Counts and indices render as `DecisionMsg::to_value`'s
+    // `Value::Int(n as i64)`.
+    list(out, b",\"servers\":", &a.servers, |out, s| {
+        write_i64(out, s as i64)
+    });
+    list(out, b",\"power_mw\":", &a.power_mw, write_f64);
+    list(out, b",\"price\":", &a.price, write_f64);
+    list(out, b",\"level\":", &a.level, |out, k| {
+        write_i64(out, k as i64)
+    });
+    list(out, b",\"cost\":", &a.cost, write_f64);
+    float(out, b",\"total_cost\":", a.total_cost);
+    float(out, b",\"total_lambda\":", a.total_lambda);
+    int(out, b",\"solves\":", d.trace.solves as i64);
+    int(out, b",\"nodes\":", d.trace.nodes as i64);
+    int(out, b",\"lp_iterations\":", d.trace.lp_iterations as i64);
     out.push(b'}');
-    out.into_boxed_slice()
 }
 
 /// Renders a maybe-infinite budget: `null` encodes `+∞`.

@@ -17,9 +17,10 @@
 //!   created; cache keys reuse it.
 //! * The decision cache (optional) is shared: one hour solved by any
 //!   worker is a hit for every worker. It holds rendered response
-//!   bodies, not decisions: a miss renders its answer exactly once
-//!   ([`render_decision_body`]) and a hit splices the request id in
-//!   front of the stored bytes ([`render_decision_frame`]).
+//!   bodies, not decisions: a miss renders its whole frame once, into
+//!   the decider's reused buffer, and keeps a copy of the id-free body
+//!   (the bytes of [`render_decision_body`]); a hit splices the request
+//!   id in front of the stored bytes ([`render_decision_frame`]).
 //! * The reader reads through a [`BufReader`]. Each decider gathers
 //!   its answered frames, whole and with their headers, in one reused
 //!   batch and writes the batch in one `write_all` under the writer
@@ -77,10 +78,12 @@
 //! workers' retained engines decide exactly like one-shot engines (the
 //! engine's bitwise contract), and a cache hit replays a body rendered
 //! from such a decision.
+//!
+//! [`render_decision_body`]: crate::protocol::render_decision_body
 
 use crate::protocol::{
-    read_frame, render_decision_body, render_decision_frame, write_frame, ControlMsg, FrameError,
-    Request, Response, MAX_FRAME,
+    read_frame, render_decision_frame, render_fresh_decision_frame, write_frame, ControlMsg,
+    FrameError, Request, Response, MAX_FRAME,
 };
 use billcap_core::{
     system_fingerprint, DataCenterSystem, DecisionCache, DecisionEngine, DecisionKey, EngineStats,
@@ -323,8 +326,10 @@ struct Shared<'t, W: Write> {
     queue: Mutex<Queue>,
     available: Condvar,
     writer: Mutex<W>,
-    /// Rendered decision bodies ([`render_decision_body`]), keyed like
-    /// decisions: a hit splices its id in front and never re-renders.
+    /// Rendered decision bodies (the bytes of
+    /// [`render_decision_body`](crate::protocol::render_decision_body)),
+    /// keyed like decisions: a hit splices its id in front and never
+    /// re-renders.
     cache: Option<Mutex<DecisionCache<Box<[u8]>>>>,
     tele: &'t ServerTelemetry,
     frame_error: Mutex<Option<String>>,
@@ -851,16 +856,15 @@ fn handle_request<W: Write>(
             span.field("cost", decision.allocation.total_cost);
             span.field("solves", decision.trace.solves as f64);
             drop(span);
-            let body = render_decision_body(&decision);
-            let rendered = render_decision_frame(out, req.id, false, &body);
-            if let (Some(cache), Some(key)) = (&shared.cache, key) {
-                let evicted = lock(cache).insert(key, body);
+            let rendered = render_fresh_decision_frame(out, req.id, &decision);
+            if let (Some(cache), Some(key), Ok(body)) = (&shared.cache, key, &rendered) {
+                let evicted = lock(cache).insert(key, Box::from(&out[*body..]));
                 shared.tele.add(Count::CacheEvictions, evicted);
             }
             batch.push(
                 shared.tele,
                 Some(Count::Decisions),
-                rendered.map(|()| out.as_slice()),
+                rendered.map(|_| out.as_slice()),
             );
         }
         Err(e) => {
@@ -1617,6 +1621,10 @@ mod tests {
                 *lock(&server_stats) = stats;
             } else {
                 let stream = connect_before_deadline(&path);
+                // An answer that never comes fails the test, not hangs it.
+                stream
+                    .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                    .unwrap();
                 let mut writer = stream.try_clone().unwrap();
                 write_frame(&mut writer, request(5).to_value().render().as_bytes()).unwrap();
                 writer.flush().unwrap();
@@ -1657,6 +1665,9 @@ mod tests {
                 *lock(&server_stats) = stats;
             } else {
                 let stream = connect_before_deadline(&path);
+                stream
+                    .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                    .unwrap();
                 let mut writer = stream.try_clone().unwrap();
                 let mut reader = stream;
                 // Distinct requests (no cache hits), answered out of
