@@ -58,7 +58,7 @@ pub mod serve_bench {
     /// share, background demand (crossing step-price breakpoints so
     /// level structure occasionally changes), and budget tightness
     /// covering all three outcome branches.
-    pub fn hour_cycle() -> Vec<(f64, f64, Vec<f64>, f64)> {
+    pub(crate) fn hour_cycle() -> Vec<(f64, f64, Vec<f64>, f64)> {
         (0..8)
             .map(|h| {
                 let t = h as f64;
@@ -76,7 +76,7 @@ pub mod serve_bench {
     }
 
     /// Registers the decide-hour strategy benches: one full decision per
-    /// iteration, cycling through [`hour_cycle`].
+    /// iteration, cycling through `hour_cycle`.
     ///
     /// * `serve_decide/cold` — a one-shot [`BillCapper`] decision: a new
     ///   engine, and so a model build, per hour.

@@ -67,10 +67,11 @@ USAGE:
       pool, aggregated into P50/P95/P99 bill and violation distributions
       for the capper next to the Min-Only baseline. Sample i is seeded
       from a SplitMix64 seed stream, so results are bitwise identical at
-      any --threads value. With --hours N only the first N hours of each
-      month run (the default budget is scaled to match); --cap-schedule
-      derate:D applies an afternoon-peaked thermal derating of depth D
-      to every site's power cap. --json FILE writes per-sample JSONL
+      any --threads value (at most 1024; 0, the default, uses every
+      CPU). With --hours N only the first N hours of each month run (the
+      default budget is scaled to match); --cap-schedule derate:D
+      applies an afternoon-peaked thermal derating of depth D to every
+      site's power cap. --json FILE writes per-sample JSONL
       plus a summary line; --quiet prints one machine-friendly line
       (P50 P95 P99 violation-probability digest).
 
@@ -134,8 +135,8 @@ USAGE:
       framed responses on stdout; with --socket PATH a Unix socket is
       served instead (--once exits after the first connection).
       Requests shard across N decision workers (default: the CPU
-      count), each keeping its MILP models between requests and
-      rewriting only their values. --no-cache disables the shared
+      count; at most 1024), each keeping its MILP models between
+      requests and rewriting only their values. --no-cache disables the shared
       decision cache.
 
       The server answers in-band `{\"op\":\"metrics\"}` and
@@ -446,7 +447,7 @@ fn simulate_risk(args: &Args) -> Result<(), ArgError> {
         return Err(ArgError("--samples must be at least 1".into()));
     }
     let root_seed: u64 = args.get_or("seed", 42)?;
-    let threads: usize = args.get_or("threads", 0)?;
+    let threads = thread_count(args, "threads", 0)?;
     let hours: usize = args.get_or("hours", 0)?;
     if hours > 30 * 24 {
         return Err(ArgError(format!("--hours must be in 0..={}", 30 * 24)));
@@ -748,17 +749,29 @@ fn lint_spec_cmd(args: &Args) -> Result<(), String> {
     }
 }
 
+/// The most threads `--workers` and `--threads` accept. Each asks for
+/// that many OS threads, so a typo such as `--workers 100000` is refused
+/// here instead of using up the process's threads.
+const MAX_THREADS: usize = 1024;
+
+/// Parses the thread count `--{flag}` (`default` when absent), refusing
+/// a given count over [`MAX_THREADS`].
+fn thread_count(args: &Args, flag: &str, default: usize) -> Result<usize, ArgError> {
+    let n = args.get_or(flag, default)?;
+    if n > MAX_THREADS && args.get(flag).is_some() {
+        return Err(ArgError(format!(
+            "--{flag} must be at most {MAX_THREADS}, got {n}"
+        )));
+    }
+    Ok(n)
+}
+
 /// Builds a [`ServeConfig`] from the flags `serve` and `replay` share.
 fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
     let mut cfg = ServeConfig::default();
-    if let Some(raw) = args.get("workers") {
-        let workers: usize = raw
-            .parse()
-            .map_err(|_| ArgError(format!("--workers: cannot parse {raw:?}")))?;
-        if workers == 0 {
-            return Err(ArgError("--workers must be at least 1".into()));
-        }
-        cfg.workers = workers;
+    cfg.workers = thread_count(args, "workers", cfg.workers)?;
+    if cfg.workers == 0 {
+        return Err(ArgError("--workers must be at least 1".into()));
     }
     cfg.cache = !args.has("no-cache");
     cfg.telemetry = !args.has("no-telemetry");
@@ -1006,6 +1019,31 @@ mod tests {
 
     fn run_vec(tokens: Vec<String>) -> Result<(), String> {
         run(tokens, &Env::default())
+    }
+
+    fn args(s: &str) -> Args {
+        Args::parse(s.split_whitespace().map(String::from))
+    }
+
+    /// Thread counts over the bound are refused while parsing, naming
+    /// the flag; nothing here starts a thread.
+    #[test]
+    fn thread_counts_are_bounded() {
+        let cfg = serve_config(&args("--workers 1024")).unwrap();
+        assert_eq!(cfg.workers, MAX_THREADS);
+        for cmd in ["--workers 1025", "--workers 100000"] {
+            let e = serve_config(&args(cmd)).unwrap_err();
+            assert!(e.0.contains("--workers must be at most 1024"), "{}", e.0);
+        }
+        assert!(serve_config(&args("--workers 0")).is_err());
+        assert!(serve_config(&args("")).is_ok());
+        assert_eq!(thread_count(&args(""), "threads", 0).unwrap(), 0);
+        assert_eq!(
+            thread_count(&args("--threads 1024"), "threads", 0).unwrap(),
+            1024
+        );
+        let e = thread_count(&args("--threads 100000"), "threads", 0).unwrap_err();
+        assert!(e.0.contains("--threads must be at most 1024"), "{}", e.0);
     }
 
     #[test]

@@ -28,10 +28,10 @@
 //! the paper. Both run in every build, on every path: every capper solve
 //! is certified, and [`crate::DecisionEngine`] audits every decision it
 //! makes before returning it, so the month loop, the risk engine, the
-//! decision server, [`crate::BillCapper`] and the class decider all get
-//! the same checks once. The model lint and the certificate each have
-//! one call site, the engine's step path: it lints each step model once,
-//! when it builds it, and certifies every solve. [`crate::CostMinimizer`]
+//! decision server and [`crate::BillCapper`] all get the same checks
+//! once. The model lint and the certificate each have one call site, the
+//! engine's step path: it lints each step model once, when it builds it,
+//! and certifies every solve. [`crate::CostMinimizer`]
 //! and [`crate::ThroughputMaximizer`] are one-shot fronts over that path,
 //! so each of their calls builds, lints and certifies one model.
 

@@ -65,7 +65,7 @@ impl MinOnly {
     }
 
     /// The constant price Min-Only assumes for site `i` ($/MWh).
-    pub fn assumed_price(&self, system: &DataCenterSystem, i: usize) -> f64 {
+    fn assumed_price(&self, system: &DataCenterSystem, i: usize) -> f64 {
         match self.assumption {
             PriceAssumption::Average => system.policy(i).avg_price(),
             PriceAssumption::Lowest => system.policy(i).min_price(),

@@ -186,8 +186,8 @@ pub(crate) fn validate_background(background_mw: &[f64]) -> Result<(), CoreError
 }
 
 /// Checks the power caps an hour is decided under: each finite and at
-/// least its site's base (QoS headroom) power, the idle draw S006 and
-/// S010 demand of a spec and a cap schedule. A bad cap is
+/// least its site's base (QoS headroom) power, the idle draw S006
+/// demands of a spec. A bad cap is
 /// [`CoreError::InvalidInput`], refused before any model is looked up,
 /// so a retained model and a fresh build fail it alike.
 pub(crate) fn validate_caps(system: &DataCenterSystem) -> Result<(), CoreError> {

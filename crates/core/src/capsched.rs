@@ -24,8 +24,8 @@ use billcap_rt::{Rng, Xoshiro256pp};
 /// Invariants (enforced by [`CapSchedule::new`]): at least one hour,
 /// every hour lists the same number of sites, every cap is finite and
 /// positive. Whether the caps are *sufficient* (above each site's idle
-/// draw) is a spec-lint question — see
-/// [`lint_cap_schedule`](crate::speclint::lint_cap_schedule) (S010).
+/// draw) is checked when an hour is decided under them: a cap below a
+/// site's base power is [`CoreError::InvalidInput`](crate::CoreError).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapSchedule {
     /// `hours[t][i]` = the cap for site `i` during hour `t`.
@@ -59,12 +59,6 @@ impl CapSchedule {
             }
         }
         Self { hours }
-    }
-
-    /// A flat schedule: the system's current static caps, repeated for
-    /// one hour (cyclic extension makes the horizon irrelevant).
-    pub fn constant_from(system: &DataCenterSystem) -> Self {
-        Self::new(vec![system.sites.iter().map(|s| s.power_cap_mw).collect()])
     }
 
     /// A deterministic cooling-derate scenario generator.
@@ -153,36 +147,11 @@ impl CapSchedule {
             site.power_cap_mw = cap;
         }
     }
-
-    /// The tightest cap each site ever sees (used by lints and docs).
-    pub fn min_caps(&self) -> Vec<f64> {
-        let mut mins = self.hours[0].clone();
-        for row in &self.hours[1..] {
-            for (m, &c) in mins.iter_mut().zip(row) {
-                if c < *m {
-                    *m = c;
-                }
-            }
-        }
-        mins
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn constant_schedule_round_trips() {
-        let sys = DataCenterSystem::paper_system(1);
-        let sched = CapSchedule::constant_from(&sys);
-        assert_eq!(sched.sites(), sys.sites.len());
-        for t in [0, 1, 24, 1000] {
-            for (i, site) in sys.sites.iter().enumerate() {
-                assert_eq!(sched.caps_at(t)[i], site.power_cap_mw);
-            }
-        }
-    }
 
     #[test]
     fn apply_recaps_every_site() {
@@ -237,12 +206,6 @@ mod tests {
             noon_ish < night,
             "afternoon mean {noon_ish} should sit below night mean {night}"
         );
-    }
-
-    #[test]
-    fn min_caps_finds_the_floor() {
-        let sched = CapSchedule::new(vec![vec![10.0, 5.0], vec![8.0, 6.0], vec![9.0, 4.0]]);
-        assert_eq!(sched.min_caps(), vec![8.0, 4.0]);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //! III, see [`crate::capper`]) over MILPs it keeps between hours.
 //!
 //! This is the only implementation of the steps. [`crate::BillCapper`]
-//! and the class decider ([`crate::BillCapper::decide_hour_classes`])
-//! build a one-shot engine per call; the month loops, the risk engine
+//! builds a one-shot engine per call; the month loops, the risk engine
 //! and the decision server keep one for many hours. A one-shot engine
 //! builds both step models from scratch. The models' *shape* barely
 //! moves from hour to hour, though: variables and rows are fixed by the
@@ -228,7 +227,9 @@ impl DecisionEngine {
     ///
     /// If the offered load exceeds deliverable capacity (an extreme flash
     /// crowd), ordinary traffic is shed first to bring it within capacity;
-    /// premium beyond capacity is an error.
+    /// premium beyond capacity is an error. The decision is audited by
+    /// [`crate::PlanAuditor`] before it is returned (a failed audit is
+    /// [`CoreError::Audit`]).
     pub fn decide_hour(
         &mut self,
         offered: f64,
@@ -236,31 +237,13 @@ impl DecisionEngine {
         background_mw: &[f64],
         hourly_budget: f64,
     ) -> Result<HourDecision, CoreError> {
-        let (decision, _) = self.decide(offered, premium_offered, background_mw, hourly_budget)?;
-        Ok(decision)
-    }
-
-    /// The three steps, for every front: `guaranteed` is the rate served
-    /// whatever the budget (the premium rate, or the guaranteed prefix of
-    /// a class decision), in the decision's premium role. Returns the
-    /// decision, audited by [`crate::PlanAuditor`] (a failed audit is
-    /// [`CoreError::Audit`]), and the total rate served: the clamped
-    /// offered rate (step 1), the admitted rate (step 2) or the
-    /// guaranteed rate (step 3).
-    pub(crate) fn decide(
-        &mut self,
-        offered: f64,
-        guaranteed: f64,
-        background_mw: &[f64],
-        hourly_budget: f64,
-    ) -> Result<(HourDecision, f64), CoreError> {
-        validate_hour_inputs(offered, guaranteed, background_mw, hourly_budget)?;
+        validate_hour_inputs(offered, premium_offered, background_mw, hourly_budget)?;
         validate_caps(&self.system)?;
         let (core, system) = (&mut self.core, &self.system);
         let capacity = system.total_capacity();
-        if guaranteed > capacity {
+        if premium_offered > capacity {
             return Err(CoreError::InsufficientCapacity {
-                demanded: guaranteed,
+                demanded: premium_offered,
                 capacity,
             });
         }
@@ -297,7 +280,7 @@ impl DecisionEngine {
                 system,
                 background_mw,
                 &levels,
-                guaranteed,
+                premium_offered,
                 0.0,
             )?;
             span3.field("cost", step3.total_cost);
@@ -305,7 +288,7 @@ impl DecisionEngine {
             trace.step3_ns = t0.elapsed_ns();
             trace.absorb(&step3);
             if step3.total_cost > hourly_budget {
-                break 'steps (HourOutcome::PremiumOverride, guaranteed, step3);
+                break 'steps (HourOutcome::PremiumOverride, premium_offered, step3);
             }
 
             // Step 2: throughput maximization within the budget. Step 3's
@@ -326,9 +309,9 @@ impl DecisionEngine {
             drop(span2);
             trace.step2_ns = t0.elapsed_ns();
             trace.absorb(&step2);
-            if step2.total_lambda < guaranteed - 1e-6 {
+            if step2.total_lambda < premium_offered - 1e-6 {
                 return Err(CoreError::Audit(format!(
-                    "step 2 admitted {} of the guaranteed {guaranteed}, which step 3 \
+                    "step 2 admitted {} of the guaranteed {premium_offered}, which step 3 \
                      serves within the budget {hourly_budget} at cost {}",
                     step2.total_lambda, step3.total_cost
                 )));
@@ -338,18 +321,18 @@ impl DecisionEngine {
         let decision = HourDecision {
             outcome,
             offered,
-            premium_offered: guaranteed,
-            premium_served: guaranteed,
-            // The guaranteed rate never exceeds the clamped offered rate,
+            premium_offered,
+            premium_served: premium_offered,
+            // The premium rate never exceeds the clamped offered rate,
             // so this clamps only a step-2 admission a hair under it.
-            ordinary_served: (served - guaranteed).max(0.0),
+            ordinary_served: (served - premium_offered).max(0.0),
             budget: hourly_budget,
             allocation,
             trace,
         };
         audited_plan(system, &decision, background_mw)?;
         record_outcome(outcome, step1_bounded, &decision.allocation, hourly_budget);
-        Ok((decision, served))
+        Ok(decision)
     }
 }
 
@@ -599,7 +582,7 @@ impl EngineCore {
     /// lints it ([`lint_built`]); a model the lint refuses is not kept. A
     /// retained model is never linted again: its structure is its key's,
     /// and a hit rewrites only values, from inputs
-    /// [`DecisionEngine::decide`] has validated.
+    /// [`DecisionEngine::decide_hour`] has validated.
     fn step_model(
         &mut self,
         step: Step,

@@ -70,7 +70,6 @@ pub mod hetero;
 pub mod hierarchical;
 pub mod maximize;
 pub mod minimize;
-pub mod priority;
 pub mod spec;
 pub mod speclint;
 
@@ -85,8 +84,5 @@ pub use evaluate::{evaluate_allocation, RealizedCost};
 pub use hierarchical::HierarchicalMinimizer;
 pub use maximize::ThroughputMaximizer;
 pub use minimize::{step1_cost_floor, Allocation, CostMinimizer};
-pub use priority::{ClassDecision, PriorityClass};
 pub use spec::{DataCenterSpec, DataCenterSystem};
-pub use speclint::{
-    lint_budget_weights, lint_cap_schedule, lint_premium_fraction, lint_system, SpecReport,
-};
+pub use speclint::{lint_budget_weights, lint_premium_fraction, lint_system, SpecReport};

@@ -32,13 +32,13 @@ impl DataCenterSpec {
 
     /// Linear power coefficient `a_i`: MW drawn per unit of arrival rate
     /// (requests/hour), through the server→switch→cooling chain.
-    pub fn mw_per_request(&self) -> f64 {
+    pub(crate) fn mw_per_request(&self) -> f64 {
         self.power.watts_per_server() / (self.queue.service_rate * 1e6)
     }
 
     /// Constant power offset `b_i` (MW): the QoS headroom servers kept
     /// active regardless of load (a handful of machines).
-    pub fn base_power_mw(&self) -> f64 {
+    pub(crate) fn base_power_mw(&self) -> f64 {
         let headroom = self
             .queue
             .qos_headroom(self.response_target)

@@ -19,7 +19,6 @@
 //! | S007 | Error   | one pricing policy per site |
 //! | S008 | Warning | site has zero deliverable capacity |
 //! | S009 | Info    | price level unreachable within the site's power cap |
-//! | S010 | Error   | cap schedule malformed for the system, or derates a site below its idle power |
 //!
 //! The same idea guards every capper model: [`billcap_milp::lint_gate`]
 //! (the model lint's refusing checks) runs on each model when it is
@@ -272,51 +271,6 @@ pub fn lint_budget_weights(weights: &[f64]) -> SpecReport {
     SpecReport { findings }
 }
 
-/// S010: a [`CapSchedule`](crate::CapSchedule) must fit the system it
-/// will re-cap — one cap per site — and must never derate a site below
-/// its idle (QoS headroom) power, the time-varying analogue of S006: a
-/// single under-idle hour makes that hour's step-1 model infeasible.
-pub fn lint_cap_schedule(system: &DataCenterSystem, schedule: &crate::CapSchedule) -> SpecReport {
-    let mut findings = Vec::new();
-    if schedule.sites() != system.sites.len() {
-        findings.push(Finding {
-            code: "S010",
-            severity: Severity::Error,
-            location: "cap_schedule".into(),
-            message: format!(
-                "schedule covers {} sites but the system has {}; \
-                 every site needs exactly one cap per hour",
-                schedule.sites(),
-                system.sites.len()
-            ),
-        });
-        return SpecReport { findings };
-    }
-    let mins = schedule.min_caps();
-    for (i, site) in system.sites.iter().enumerate() {
-        let headroom = match site.queue.qos_headroom(site.response_target) {
-            Ok(h) => h,
-            // S005 territory; lint_system reports it.
-            Err(_) => continue,
-        };
-        let base_mw = site.power.watts_per_server() * headroom / 1e6;
-        if mins[i] < base_mw {
-            findings.push(Finding {
-                code: "S010",
-                severity: Severity::Error,
-                location: format!("cap_schedule.sites[{i}]"),
-                message: format!(
-                    "schedule derates site {i} to {} MW, below its idle \
-                     (QoS headroom) power {base_mw:.6} MW; that hour's \
-                     cost model is infeasible",
-                    mins[i]
-                ),
-            });
-        }
-    }
-    SpecReport { findings }
-}
-
 /// S004: the premium share of offered traffic must lie in `(0, 1]` — the
 /// paper's premium class exists (> 0) and cannot exceed the total.
 pub fn lint_premium_fraction(frac: f64) -> SpecReport {
@@ -390,30 +344,6 @@ mod tests {
         assert!(r.has("S003"));
         let uniform = vec![1.0 / 168.0; 168];
         assert!(lint_budget_weights(&uniform).is_clean());
-    }
-
-    #[test]
-    fn cap_schedule_lints() {
-        use crate::CapSchedule;
-        let sys = paper();
-        // The paper caps, flat: clean.
-        let flat = CapSchedule::constant_from(&sys);
-        assert!(lint_cap_schedule(&sys, &flat).is_clean());
-        // A 30% derate stays comfortably above idle power: clean.
-        let caps: Vec<f64> = sys.sites.iter().map(|s| s.power_cap_mw).collect();
-        let derate = CapSchedule::derating(&caps, 48, 0.3, 42);
-        assert!(lint_cap_schedule(&sys, &derate).is_clean());
-        // Wrong site count: S010.
-        let wrong = CapSchedule::new(vec![vec![100.0, 50.0]]);
-        let r = lint_cap_schedule(&sys, &wrong);
-        assert!(r.has("S010") && !r.is_clean(), "{r}");
-        // One hour derates a site below its idle draw: S010.
-        let mut rows = vec![caps.clone(); 3];
-        rows[1][1] = 1e-9;
-        let starved = CapSchedule::new(rows);
-        let r = lint_cap_schedule(&sys, &starved);
-        let f = r.findings.iter().find(|f| f.code == "S010").expect("S010");
-        assert_eq!(f.location, "cap_schedule.sites[1]");
     }
 
     #[test]

@@ -43,3 +43,10 @@ pub fn dead_clock() -> f64 {
     let _ = SystemTime::now();
     0.0
 }
+
+/// Passes delta's function as a value, which U001 counts as naming it.
+/// Naming `mentioned_in_prose` in a comment or a string does not count.
+fn apply_delta(xs: &[u32]) -> Vec<u32> {
+    let _ = "delta::mentioned_in_prose";
+    xs.iter().copied().map(delta::as_value).collect()
+}

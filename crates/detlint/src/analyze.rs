@@ -1,6 +1,6 @@
-//! Analysis passes: crate discovery, the per-file layering rules,
-//! conservative call graph, taint scan, reachability from determinism
-//! roots, and waiver hygiene.
+//! Analysis passes: crate discovery, the per-file layering rules, the
+//! unused-pub scan, conservative call graph, taint scan, reachability
+//! from determinism roots, and waiver hygiene.
 //!
 //! The call graph is a deliberate over-approximation: a method call
 //! `.name(...)` links to *every* workspace function called `name`, a
@@ -14,6 +14,7 @@ use crate::layering;
 use crate::lex::{lex, Waiver};
 use crate::parse::{parse_file, BodyLine, Symbol};
 use crate::report::{sort_findings, Code, Finding};
+use crate::unused::{pub_items, Mentions, PubItem};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -523,6 +524,15 @@ struct WaiverEntry {
     used: bool,
 }
 
+/// Marks the registry entry of waiver `w` in `file` as used.
+fn mark_used(waiver_reg: &mut [WaiverEntry], file: &str, w: &Waiver) {
+    for entry in waiver_reg.iter_mut() {
+        if entry.file == file && entry.waiver.line == w.line && entry.waiver.code == w.code {
+            entry.used = true;
+        }
+    }
+}
+
 /// Runs the full analysis over the workspace at `root`.
 pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
     let crates = discover_crates(root)?;
@@ -538,7 +548,10 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
     let mut waiver_reg: Vec<WaiverEntry> = Vec::new();
     let mut findings: Vec<Finding> = Vec::new();
     let mut files = 0usize;
-    for c in &crates {
+    let mut mentions = Mentions::default();
+    // U001's scope: (crate index, file, item) for each library item.
+    let mut pub_decls: Vec<(usize, String, PubItem)> = Vec::new();
+    for (ci, c) in crates.iter().enumerate() {
         let has_lib = c.src.join("lib.rs").is_file();
         let mut paths = Vec::new();
         rs_files(&c.src, &mut paths);
@@ -552,6 +565,12 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
             let used =
                 layering::check_file(&c.name, has_lib, in_src, &rel, &text, &lines, &mut findings);
             files += 1;
+            if has_lib && !layering::in_bin(in_src) {
+                mentions.add(Some(ci), &lines);
+                pub_decls.extend(pub_items(&lines).into_iter().map(|i| (ci, rel.clone(), i)));
+            } else {
+                mentions.add(None, &lines);
+            }
             file_hash
                 .entry(rel.clone())
                 .or_default()
@@ -565,6 +584,43 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
             }
             symbols.extend(items.symbols);
             file_imports.push((rel, items.imports));
+        }
+    }
+
+    // Every other file is outside every library: the tests, examples
+    // and benches of the root package and of each crate.
+    let mut dirs: BTreeSet<&Path> = crates.iter().filter_map(|c| c.src.parent()).collect();
+    dirs.insert(root);
+    let mut outer = Vec::new();
+    for dir in dirs {
+        for sub in ["tests", "examples", "benches"] {
+            rs_files(&dir.join(sub), &mut outer);
+        }
+    }
+    for path in outer {
+        let text =
+            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        mentions.add(None, &lex(&text));
+        files += 1;
+    }
+
+    // U001: library items named nowhere outside their library.
+    for (ci, file, item) in &pub_decls {
+        if mentions.outside(&item.name, *ci) {
+            continue;
+        }
+        match &item.waiver {
+            Some(w) => mark_used(&mut waiver_reg, file, w),
+            None => findings.push(Finding::at(
+                Code::U001,
+                file,
+                item.line,
+                format!(
+                    "`{}` is public but named nowhere outside the `{}` library; \
+                     drop `pub`, delete it, or waive with a reason",
+                    item.name, crates[*ci].name
+                ),
+            )),
         }
     }
 
@@ -722,14 +778,7 @@ pub fn analyze(root: &Path, roots: &[RootSpec]) -> Result<Report, String> {
             for w in line_waivers {
                 if w.code == site.code.as_str() {
                     waived = true;
-                    for entry in waiver_reg.iter_mut() {
-                        if entry.file == sym.file
-                            && entry.waiver.line == w.line
-                            && entry.waiver.code == w.code
-                        {
-                            entry.used = true;
-                        }
-                    }
+                    mark_used(&mut waiver_reg, &sym.file, w);
                 }
             }
             if waived || !reached[i] || sym.is_test {

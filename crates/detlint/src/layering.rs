@@ -63,6 +63,12 @@ fn matches(code: Code, line: &Line) -> bool {
     }
 }
 
+/// Whether a file at `in_src` below a crate's `src/` belongs to a
+/// binary target rather than the library.
+pub(crate) fn in_bin(in_src: &Path) -> bool {
+    in_src.starts_with("bin") || in_src == Path::new("main.rs")
+}
+
 /// Checks one lexed file of crate `krate`. `in_src` is its path below
 /// the crate's `src/`, and `has_lib` says whether the crate has a
 /// `src/lib.rs`. Pushes findings and returns the waivers the rules used.
@@ -75,7 +81,7 @@ pub(crate) fn check_file<'a>(
     lines: &'a [Line],
     findings: &mut Vec<Finding>,
 ) -> Vec<&'a Waiver> {
-    let in_bin = in_src.starts_with("bin") || in_src == Path::new("main.rs");
+    let in_bin = in_bin(in_src);
     let is_root = in_src == Path::new("lib.rs")
         || in_src == Path::new("main.rs")
         || in_src.parent() == Some(Path::new("bin"));

@@ -71,7 +71,7 @@ fn skip_string(chars: &mut impl Iterator<Item = char>) -> bool {
 }
 
 /// Lexes a file into [`Line`]s.
-pub fn lex(text: &str) -> Vec<Line> {
+pub(crate) fn lex(text: &str) -> Vec<Line> {
     let mut out = Vec::new();
     let mut depth: i64 = 0;
     // While `Some(d)`, we are inside a `#[cfg(test)]` item whose body

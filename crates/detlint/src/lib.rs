@@ -7,15 +7,16 @@
 //! are enforced *dynamically* by tests; detlint proves the complement
 //! *statically*: no nondeterminism source is reachable from a declared
 //! decision root. Alongside, it enforces the layering policy the
-//! compiler cannot see (L001–L005).
+//! compiler cannot see (L001–L005) and keeps the public surface to what
+//! another crate calls (U001).
 //!
 //! # Passes
 //!
-//! 1. **Lex** ([`lex`]): strip comments and literals, track
+//! 1. **Lex** (`lex`): strip comments and literals, track
 //!    `#[cfg(test)]` and hot regions, collect
 //!    `// detlint-allow(code): reason` waivers. The layering rules run
 //!    on these lines, file by file.
-//! 2. **Parse** ([`parse`]): a lightweight item parser producing a
+//! 2. **Parse** (`parse`): a lightweight item parser producing a
 //!    per-crate symbol table (fns, impls, `use` imports, hash-typed
 //!    identifier declarations).
 //! 3. **Graph** ([`analyze`](mod@analyze)): a conservative call graph across all
@@ -25,6 +26,9 @@
 //!    functions reachable, never invent a taint site.
 //! 4. **Taint + reachability**: mark nondeterminism sources and report
 //!    those reachable from the determinism roots, with the call chain.
+//! 5. **Unused pub** (`unused`): collect every identifier token of the
+//!    workspace by the library it sits in, and report each library
+//!    `pub fn`/`pub const` whose name no other file mentions.
 //!
 //! # Finding codes
 //!
@@ -44,9 +48,13 @@
 //! | L003 | thread-spawn    | `thread::spawn` outside rt                      |
 //! | L004 | forbid-unsafe   | crate root without `#![forbid(unsafe_code)]`    |
 //! | L005 | hot-alloc       | `Vec::new()` / `vec![` inside a hot region      |
+//! | U001 | unused-pub      | library `pub fn`/`pub const` named nowhere      |
+//! |      |                 | outside its library                             |
 //!
 //! The L-codes are per-file and not reachability-gated; their scopes
-//! and exemptions are documented in the `layering` module.
+//! and exemptions are documented in the `layering` module. U001 is a
+//! token scan over every file of the workspace; its scope is documented
+//! in the `unused` module.
 //!
 //! D001–D006 findings are *reachability-gated*: a taint site in a
 //! function no decision root can reach is not reported. Waivers are
@@ -68,9 +76,10 @@
 
 pub mod analyze;
 mod layering;
-pub mod lex;
-pub mod parse;
+mod lex;
+mod parse;
 pub mod report;
+mod unused;
 
 pub use analyze::{analyze, default_roots, Report, RootSpec};
 pub use report::{to_jsonl, Code, Finding};

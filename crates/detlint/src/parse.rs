@@ -36,8 +36,6 @@ pub struct Symbol {
     pub crate_name: String,
     /// Workspace-relative file path.
     pub file: String,
-    /// 1-based declaration line.
-    pub line: usize,
     /// Enclosing `impl`/`trait` self type, when the fn is a method.
     pub impl_type: Option<String>,
     /// The function's simple name.
@@ -99,7 +97,7 @@ enum Ctx {
 }
 
 /// Splits stripped code into identifier tokens with byte columns.
-fn tokens(code: &str) -> Vec<(usize, &str)> {
+pub(crate) fn tokens(code: &str) -> Vec<(usize, &str)> {
     let mut out = Vec::new();
     let mut start: Option<usize> = None;
     for (i, c) in code.char_indices() {
@@ -283,7 +281,7 @@ fn parse_use(code: &str, imports: &mut HashMap<String, String>) {
 
 /// Parses one file's lexed lines into symbols, imports, hash-typed
 /// identifier declarations, and the waiver registry.
-pub fn parse_file(crate_name: &str, file: &str, lines: &[Line]) -> FileItems {
+pub(crate) fn parse_file(crate_name: &str, file: &str, lines: &[Line]) -> FileItems {
     let mut items = FileItems::default();
     let mut depth: i64 = 0;
     let mut ctx: Vec<Ctx> = Vec::new();
@@ -391,7 +389,6 @@ pub fn parse_file(crate_name: &str, file: &str, lines: &[Line]) -> FileItems {
                             items.symbols.push(Symbol {
                                 crate_name: crate_name.to_string(),
                                 file: file.to_string(),
-                                line: line.number,
                                 impl_type,
                                 name,
                                 is_test: line.in_test,

@@ -9,7 +9,7 @@
 use std::fmt;
 
 /// A stable finding code: `Dxxx` for determinism, `Lxxx` for the
-/// per-file layering rules.
+/// per-file layering rules, `Uxxx` for the workspace's public surface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Code {
     /// Iteration over a `HashMap`/`HashSet` on a determinism-critical path.
@@ -38,10 +38,12 @@ pub enum Code {
     L004,
     /// Allocation inside a marked hot region.
     L005,
+    /// A library `pub fn`/`pub const` named nowhere outside its library.
+    U001,
 }
 
 /// All codes, in order.
-pub const ALL_CODES: [Code; 13] = [
+pub const ALL_CODES: [Code; 14] = [
     Code::D001,
     Code::D002,
     Code::D003,
@@ -55,10 +57,11 @@ pub const ALL_CODES: [Code; 13] = [
     Code::L003,
     Code::L004,
     Code::L005,
+    Code::U001,
 ];
 
 impl Code {
-    /// The canonical `Dxxx` / `Lxxx` string.
+    /// The canonical `Dxxx` / `Lxxx` / `Uxxx` string.
     pub fn as_str(self) -> &'static str {
         match self {
             Code::D001 => "D001",
@@ -74,6 +77,7 @@ impl Code {
             Code::L003 => "L003",
             Code::L004 => "L004",
             Code::L005 => "L005",
+            Code::U001 => "U001",
         }
     }
 
@@ -93,10 +97,11 @@ impl Code {
             Code::L003 => "thread-spawn",
             Code::L004 => "forbid-unsafe",
             Code::L005 => "hot-alloc",
+            Code::U001 => "unused-pub",
         }
     }
 
-    /// Parses a `Dxxx` / `Lxxx` string.
+    /// Parses a `Dxxx` / `Lxxx` / `Uxxx` string.
     pub fn parse(s: &str) -> Option<Code> {
         ALL_CODES.iter().copied().find(|c| c.as_str() == s)
     }
@@ -118,7 +123,7 @@ pub struct Finding {
     /// 1-based line number of the site.
     pub line: usize,
     /// Path of the enclosing function (`crate::Type::fn`), or the
-    /// declared root for D007; empty for D008 and the L-codes.
+    /// declared root for D007; empty for D008, the L-codes and U001.
     pub function: String,
     /// Human-readable description of the site.
     pub message: String,
@@ -166,7 +171,7 @@ impl Finding {
 }
 
 /// Sorts findings into the canonical `(code, file, line)` order.
-pub fn sort_findings(findings: &mut [Finding]) {
+pub(crate) fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (a.code, a.file.as_str(), a.line, a.message.as_str()).cmp(&(
             b.code,

@@ -1,4 +1,4 @@
-//! Golden-file tests: every D- and L-code fires on the seeded fixture
+//! Golden-file tests: every D-, L- and U-code fires on the seeded fixture
 //! tree with byte-exact output, the JSONL export is stable, the
 //! unreachable taint stays silent, the layering rules keep their scopes
 //! and waivers, and — the self-host gate — the real workspace is

@@ -164,12 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn total_capacity_bounds_the_sweep() {
-        let (grid, _) = pjm_five_bus();
-        assert_eq!(grid.total_capacity_mw(), 1530.0);
-    }
-
-    #[test]
     fn congestion_differentiates_buses_at_high_load() {
         // Beyond the D-E line limit, bus prices must diverge: the paper's
         // core claim that prices are *locational*.
@@ -179,7 +173,10 @@ mod tests {
         for b in [buses.b, buses.c, buses.d] {
             loads[b.0] = 280.0; // 840 MW system load
         }
-        let lmps = opf.lmps(&loads, &[buses.b, buses.c, buses.d]).unwrap();
+        let lmps: Vec<f64> = [buses.b, buses.c, buses.d]
+            .iter()
+            .map(|&b| opf.lmp(&loads, b).unwrap())
+            .collect();
         let min = lmps.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = lmps.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(max - min > 0.5, "expected locational spread, got {lmps:?}");

@@ -12,7 +12,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// A `rows x cols` zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -42,7 +42,8 @@ impl Matrix {
     }
 
     /// Matrix product `self * other`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
+    #[cfg(test)]
+    fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.rows, "dimension mismatch");
         let mut out = Matrix::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -121,7 +122,7 @@ impl Matrix {
     }
 
     /// Matrix inverse, if nonsingular.
-    pub fn inverse(&self) -> Option<Matrix> {
+    pub(crate) fn inverse(&self) -> Option<Matrix> {
         self.solve(&Matrix::identity(self.rows))
     }
 }

@@ -64,13 +64,13 @@ impl Grid {
     }
 
     /// Adds a bus and returns its id.
-    pub fn add_bus(&mut self, name: impl Into<String>) -> BusId {
+    pub(crate) fn add_bus(&mut self, name: impl Into<String>) -> BusId {
         self.buses.push(Bus { name: name.into() });
         BusId(self.buses.len() - 1)
     }
 
     /// Adds a transmission line.
-    pub fn add_line(
+    pub(crate) fn add_line(
         &mut self,
         name: impl Into<String>,
         from: BusId,
@@ -89,7 +89,7 @@ impl Grid {
     }
 
     /// Adds a generator.
-    pub fn add_generator(
+    pub(crate) fn add_generator(
         &mut self,
         name: impl Into<String>,
         bus: BusId,
@@ -104,18 +104,13 @@ impl Grid {
         });
     }
 
-    /// Total installed generation capacity in MW.
-    pub fn total_capacity_mw(&self) -> f64 {
-        self.generators.iter().map(|g| g.capacity_mw).sum()
-    }
-
     /// Computes the PTDF matrix (`lines x buses`): sensitivity of each line
     /// flow (oriented `from -> to`) to a 1 MW injection at each bus,
     /// withdrawn at the slack. The slack column is identically zero.
     ///
     /// Returns `None` if the network is electrically disconnected (singular
     /// reduced susceptance matrix).
-    pub fn ptdf(&self) -> Option<Matrix> {
+    pub(crate) fn ptdf(&self) -> Option<Matrix> {
         let n = self.buses.len();
         let l = self.lines.len();
         let s = self.slack.0;
@@ -221,15 +216,6 @@ mod tests {
         let _b = g.add_bus("B");
         // No lines: B is unreachable.
         assert!(g.ptdf().is_none());
-    }
-
-    #[test]
-    fn capacity_sums() {
-        let mut g = Grid::new();
-        let a = g.add_bus("A");
-        g.add_generator("g1", a, 100.0, 10.0);
-        g.add_generator("g2", a, 250.0, 20.0);
-        assert_eq!(g.total_capacity_mw(), 350.0);
     }
 
     #[test]

@@ -201,11 +201,6 @@ impl OpfSolver {
         }
     }
 
-    /// LMPs at several buses for the same loading.
-    pub fn lmps(&self, loads_mw: &[f64], buses: &[BusId]) -> Result<Vec<f64>, OpfError> {
-        buses.iter().map(|&b| self.lmp(loads_mw, b)).collect()
-    }
-
     /// Exact LMPs at every bus via the dispatch LP's duals, decomposed
     /// into the classic energy + congestion components:
     ///
@@ -218,7 +213,7 @@ impl OpfSolver {
     /// the locational congestion component. This is both faster and more
     /// precise than the perturbation method (one LP instead of `n+1`),
     /// and degenerate ties aside the two agree — tested in this module.
-    pub fn lmp_decomposition(&self, loads_mw: &[f64]) -> Result<LmpDecomposition, OpfError> {
+    pub(crate) fn lmp_decomposition(&self, loads_mw: &[f64]) -> Result<LmpDecomposition, OpfError> {
         let (_, duals, line_rows) = self.dispatch_internal(loads_mw)?;
         let energy = duals.first().copied().unwrap_or(0.0);
         let n = self.grid.buses.len();
@@ -243,7 +238,7 @@ impl OpfSolver {
 }
 
 /// Exact LMPs with the energy/congestion split (see
-/// [`OpfSolver::lmp_decomposition`]).
+/// `OpfSolver::lmp_decomposition`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LmpDecomposition {
     /// System-wide energy component ($/MWh): the balance dual.

@@ -169,7 +169,7 @@ impl StepPolicy {
     /// `price_tol` are merged into one level, with the level price being
     /// their mean and the breakpoint placed at the first load of the new
     /// level.
-    pub fn fit_from_series(series: &[(f64, f64)], price_tol: f64) -> Self {
+    pub(crate) fn fit_from_series(series: &[(f64, f64)], price_tol: f64) -> Self {
         assert!(!series.is_empty(), "cannot fit an empty series");
         let mut breakpoints = Vec::new();
         let mut prices = Vec::new();

@@ -86,8 +86,8 @@ struct FactorScratch {
 /// Vectors pass through two index spaces: *row space* (constraint rows,
 /// the space of right-hand sides and duals) and *slot space* (positions
 /// in the ordered list of basic columns, the space of basic solutions).
-/// [`ftran`](Self::ftran) maps row space → slot space (`B·z = b`);
-/// [`btran`](Self::btran) maps slot space → row space (`Bᵀ·y = c_B`).
+/// `ftran` maps row space → slot space (`B·z = b`);
+/// `btran` maps slot space → row space (`Bᵀ·y = c_B`).
 ///
 /// Every array is kept across [`factor`](Self::factor) calls, and the
 /// triangular solves run in an owned scratch vector, so neither a
@@ -317,18 +317,19 @@ impl BasisFactorization {
 
     /// Size of the dense bump block (diagnostic: 0 means the basis was
     /// fully triangularized).
-    pub fn bump_dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn bump_dim(&self) -> usize {
         self.nb
     }
 
     /// Number of eta updates absorbed since the last factorization.
-    pub fn eta_count(&self) -> usize {
+    pub(crate) fn eta_count(&self) -> usize {
         self.eta_head.len()
     }
 
     /// Solves `B·z = b`. On input `x` is row-indexed (`b`); on output it
     /// is slot-indexed (`z`, the basic components).
-    pub fn ftran(&mut self, x: &mut [f64]) {
+    pub(crate) fn ftran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         self.solve_base(x);
         for (k, &(slot, diag)) in self.eta_head.iter().enumerate() {
@@ -344,7 +345,7 @@ impl BasisFactorization {
 
     /// Solves `Bᵀ·y = c`. On input `x` is slot-indexed (`c_B`); on
     /// output it is row-indexed (`y`, the dual values).
-    pub fn btran(&mut self, x: &mut [f64]) {
+    pub(crate) fn btran(&mut self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.m);
         for (k, &(slot, diag)) in self.eta_head.iter().enumerate().rev() {
             let mut acc = x[slot];
@@ -361,7 +362,7 @@ impl BasisFactorization {
     /// Returns `false` (and records nothing) when the pivot `w[slot]`
     /// is too small — the caller must refactorize instead.
     #[must_use]
-    pub fn push_eta(&mut self, slot: usize, w: &[f64]) -> bool {
+    pub(crate) fn push_eta(&mut self, slot: usize, w: &[f64]) -> bool {
         debug_assert_eq!(w.len(), self.m);
         let diag = w[slot];
         if diag.abs() <= SINGULAR_EPS {

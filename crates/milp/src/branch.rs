@@ -19,8 +19,8 @@ use std::collections::BinaryHeap;
 /// Branch-and-bound MILP solver over the revised simplex
 /// ([`crate::revised`]), which also solves pure LPs directly.
 ///
-/// Values within [`INT_TOL`] of an integer count as integral, and the
-/// search stops at a relative gap of [`GAP_TOL`].
+/// Values within `INT_TOL` of an integer count as integral, and the
+/// search stops at a relative gap of `GAP_TOL`.
 #[derive(Debug, Clone)]
 pub struct MipSolver {
     /// Hard cap on explored nodes.
@@ -602,9 +602,9 @@ mod tests {
         m.set_objective(vec![(a, 10.0), (b, 13.0), (c, 7.0)], 0.0);
         let s = MipSolver::default().solve(&m).unwrap();
         assert_close(s.objective, 20.0);
-        assert_eq!(s.int_value(b), 1);
-        assert_eq!(s.int_value(c), 1);
-        assert_eq!(s.int_value(a), 0);
+        assert_eq!(s.try_int_value(b), Some(1));
+        assert_eq!(s.try_int_value(c), Some(1));
+        assert_eq!(s.try_int_value(a), Some(0));
     }
 
     #[test]
@@ -681,7 +681,7 @@ mod tests {
         m.set_objective(vec![(n, 4.0), (x, 1.0)], 0.0);
         let s = MipSolver::default().solve(&m).unwrap();
         assert_close(s.objective, 12.5); // n = 3, x = 0.5
-        assert_eq!(s.int_value(n), 3);
+        assert_eq!(s.try_int_value(n), Some(3));
     }
 
     #[test]
@@ -743,7 +743,7 @@ mod tests {
         );
         let s = MipSolver::default().solve(&m).unwrap();
         assert_close(s.objective, 3.0); // picks weights 1 and 2
-        assert_eq!(s.int_value(xs[1]), 1);
-        assert_eq!(s.int_value(xs[3]), 1);
+        assert_eq!(s.try_int_value(xs[1]), Some(1));
+        assert_eq!(s.try_int_value(xs[3]), Some(1));
     }
 }

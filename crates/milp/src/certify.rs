@@ -11,7 +11,7 @@
 //!   the continuous variables, displacing binding rows by exactly that
 //!   much).
 //! * **Integrality** — integer/binary variables sit within
-//!   [`crate::INT_TOL`] of an integer.
+//!   `crate::INT_TOL` of an integer.
 //! * **Objective honesty** — the reported objective equals the objective
 //!   re-evaluated at the returned point.
 //! * **Bound consistency** — the dual bound in [`MipStats::best_bound`]
@@ -23,9 +23,9 @@
 //!   dual objective.
 //!
 //! LP verdicts that return no solution are proved the same way.
-//! [`certify_infeasible`] checks a Farkas row: a combination of the rows
+//! `certify_infeasible` checks a Farkas row: a combination of the rows
 //! whose right-hand side lies outside the reach of its left-hand side
-//! over the variable and slack boxes. [`certify_unbounded`] checks an
+//! over the variable and slack boxes. `certify_unbounded` checks an
 //! improving ray inside the model's recession cone and a feasible point
 //! to start it from.
 //!
@@ -51,8 +51,6 @@ use std::fmt;
 /// times the revised simplex's absolute primal tolerance (`1e-7`) on
 /// the pre-scaled capper models.
 pub const PRIMAL_TOL: f64 = 1e-6;
-/// Integrality tolerance for integer/binary variables.
-const INTEGRALITY_TOL: f64 = INT_TOL;
 /// Dual feasibility / complementary-slackness tolerance.
 const DUAL_TOL: f64 = 1e-6;
 /// Slack allowed between the reported gap and the gap implied by
@@ -513,7 +511,7 @@ fn check_primal(model: &Model, values: &[f64], report: &mut CertifyReport) {
         });
         if matches!(var.var_type, VarType::Integer | VarType::Binary) {
             let distance = (x - x.round()).abs();
-            report.check(distance <= INTEGRALITY_TOL, || Violation::Integrality {
+            report.check(distance <= INT_TOL, || Violation::Integrality {
                 var: i,
                 name: var.name.clone(),
                 value: x,
@@ -530,7 +528,7 @@ fn check_primal(model: &Model, values: &[f64], report: &mut CertifyReport) {
         // without re-adjusting the continuous variables), so every row
         // inherits up to |a_j| * int_tol of displacement per integer
         // term on top of the magnitude-scaled float tolerance.
-        let t = PRIMAL_TOL * scale + INTEGRALITY_TOL * int_coeff_mass(model, c);
+        let t = PRIMAL_TOL * scale + INT_TOL * int_coeff_mass(model, c);
         let slack = match c.op {
             ConstraintOp::Le => lhs - c.rhs,
             ConstraintOp::Ge => c.rhs - lhs,
@@ -716,7 +714,7 @@ fn reach(range: &mut (f64, f64), coef: f64, (l, u): (f64, f64), noise: f64) -> f
 /// the largest term, the same margin [`certify_solution`] grants a
 /// point. A column whose coefficient cancels to within 1e-9 of
 /// its terms reaches nothing.
-pub fn certify_infeasible(model: &Model, rho: &[f64]) -> CertifyReport {
+pub(crate) fn certify_infeasible(model: &Model, rho: &[f64]) -> CertifyReport {
     let mut report = CertifyReport::default();
     let m = model.num_constraints();
     report.check(rho.len() == m, || Violation::DualCount {
@@ -773,7 +771,7 @@ pub fn certify_infeasible(model: &Model, rho: &[f64]) -> CertifyReport {
 /// and must lower the objective in minimization space by more than the
 /// dual tolerance per unit step. Then `point + t·ray` is feasible for
 /// every `t ≥ 0` and its objective passes any bound.
-pub fn certify_unbounded(model: &Model, ray: &[f64], point: &[f64]) -> CertifyReport {
+pub(crate) fn certify_unbounded(model: &Model, ray: &[f64], point: &[f64]) -> CertifyReport {
     let mut report = CertifyReport::default();
     if !fits(model, point, &mut report) || !fits(model, ray, &mut report) {
         return report;

@@ -22,9 +22,10 @@
 //!   fractional binary variable first and, once every binary is
 //!   integral, on the most fractional general integer variable.
 //! * [`certify`] — solver-free proofs: [`certify_solution`] checks an
-//!   answer (primal feasibility, integrality and, for LPs, the duals),
-//!   [`certify_infeasible`] a Farkas row and [`certify_unbounded`] an
-//!   improving ray with a feasible point.
+//!   answer (primal feasibility, integrality and, for LPs, the duals);
+//!   the module's crate-private checkers prove an infeasible verdict from
+//!   a Farkas row and an unbounded one from an improving ray with a
+//!   feasible point.
 //! * [`oracle`] — the exhaustive test oracle [`brute_force_solve`]: it
 //!   enumerates integer assignments and solves each residual LP on the
 //!   revised engine, certifying every answer. No solve path reaches it.
@@ -71,14 +72,12 @@ pub mod sparse;
 
 pub use basis::BasisFactorization;
 pub use branch::{MipSolver, MipWorkspace};
-pub use certify::{
-    certify_infeasible, certify_solution, certify_unbounded, CertifyReport, Violation, PRIMAL_TOL,
-};
+pub use certify::{certify_solution, CertifyReport, Violation, PRIMAL_TOL};
 pub use error::SolveError;
 pub use io::{parse_lp, write_lp};
 pub use lint::{lint_gate, lint_model, Finding, LintReport, ModelStats, Severity};
 pub use model::{Constraint, ConstraintOp, Model, Sense, VarId, VarType, Variable};
-pub use oracle::{brute_force_solve, brute_force_solve_capped};
+pub use oracle::brute_force_solve;
 pub use presolve::{propagate_bounds, Propagation};
 pub use revised::{
     BasisState, ColStatus, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution,
@@ -89,10 +88,10 @@ pub use sparse::CscMat;
 
 /// Default integrality tolerance: a value within `INT_TOL` of an integer is
 /// accepted as integral by the branch-and-bound search.
-pub const INT_TOL: f64 = 1e-6;
+const INT_TOL: f64 = 1e-6;
 
 /// Relative optimality gap at which branch-and-bound stops: the search
 /// returns its incumbent once the best open bound is within `GAP_TOL`
 /// of it (relative to `max(1, |incumbent|)`), and prunes nodes by the
 /// same slack.
-pub const GAP_TOL: f64 = 1e-9;
+const GAP_TOL: f64 = 1e-9;

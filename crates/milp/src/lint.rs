@@ -43,7 +43,7 @@ use std::fmt;
 /// Row coefficient dynamic range (`max|a| / min|a|`) above which M001
 /// fires: beyond ~1e8 a double's 15–16 significant digits leave under
 /// half the mantissa for the smaller coefficient during pivoting.
-pub const ROW_RANGE_WARN: f64 = 1e8;
+const ROW_RANGE_WARN: f64 = 1e8;
 
 /// How serious a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -122,7 +122,7 @@ pub struct ModelStats {
 impl ModelStats {
     /// `max|a| / min|a|` over the whole matrix (1 when empty): a cheap
     /// proxy for how much precision the simplex can lose to scaling.
-    pub fn dynamic_range(&self) -> f64 {
+    fn dynamic_range(&self) -> f64 {
         if self.min_abs_coeff > 0.0 {
             self.max_abs_coeff / self.min_abs_coeff
         } else {

@@ -296,7 +296,7 @@ impl Model {
     /// carries and the revised engine's [`set_var_bounds`] input shape.
     ///
     /// [`set_var_bounds`]: crate::revised::RevisedEngine::set_var_bounds
-    pub fn var_bounds(&self) -> Vec<(f64, f64)> {
+    pub(crate) fn var_bounds(&self) -> Vec<(f64, f64)> {
         self.variables.iter().map(|v| (v.lb, v.ub)).collect()
     }
 
@@ -367,7 +367,7 @@ impl Model {
     }
 
     /// Evaluates the objective at a point.
-    pub fn eval_objective(&self, values: &[f64]) -> f64 {
+    pub(crate) fn eval_objective(&self, values: &[f64]) -> f64 {
         self.objective_constant
             + self
                 .objective

@@ -14,7 +14,7 @@
 //! [`SolveError::InvalidModel`], so its reference role rests on proofs,
 //! not on a second solver. For pure-integer models it evaluates
 //! constraints directly and never touches the simplex at all.
-//! Enumeration is capped at [`DEFAULT_MAX_COMBINATIONS`] assignments
+//! Enumeration is capped at `DEFAULT_MAX_COMBINATIONS` assignments
 //! (16 binaries): this is a test oracle, not a solver.
 
 use crate::certify::{certify_infeasible, certify_solution, certify_unbounded, CertifyReport};
@@ -29,10 +29,10 @@ use crate::INT_TOL;
 const FEAS_TOL: f64 = 1e-9;
 
 /// Default cap on enumerated integer assignments (2^16 ≈ 16 binaries).
-pub const DEFAULT_MAX_COMBINATIONS: u64 = 1 << 16;
+const DEFAULT_MAX_COMBINATIONS: u64 = 1 << 16;
 
 /// Solves `model` by exhaustive enumeration with the default combination
-/// cap. See [`brute_force_solve_capped`].
+/// cap. See `brute_force_solve_capped`.
 pub fn brute_force_solve(model: &Model) -> Result<Solution, SolveError> {
     brute_force_solve_capped(model, DEFAULT_MAX_COMBINATIONS)
 }
@@ -99,7 +99,7 @@ fn refused(verdict: &Result<Solution, SolveError>, report: &CertifyReport) -> So
 /// unbounded, the assignment count exceeds `max_combinations` or an LP
 /// answer fails its certificate, and with [`SolveError::Infeasible`] when
 /// no assignment is feasible.
-pub fn brute_force_solve_capped(
+pub(crate) fn brute_force_solve_capped(
     model: &Model,
     max_combinations: u64,
 ) -> Result<Solution, SolveError> {

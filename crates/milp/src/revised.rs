@@ -53,7 +53,7 @@
 //!
 //! Each verdict carries its proof. An optimum has its duals; an
 //! infeasible verdict leaves the Farkas row `ρ = e_rᵀB⁻¹` of the row it
-//! could not repair in the workspace ([`RevisedEngine::farkas_row`]);
+//! could not repair in the workspace (`RevisedEngine::farkas_row`);
 //! an unbounded one carries phase 1's improving ray and the zero-cost
 //! solve's feasible point. [`crate::certify`] checks all three without a
 //! solver, which is how the test oracle [`crate::brute_force_solve`]
@@ -243,8 +243,8 @@ pub struct RevisedSolution {
 pub enum RevisedError {
     /// The node's constraint set admits no feasible point: the dual
     /// simplex found a row whose violation no entering column repairs.
-    /// [`RevisedEngine::farkas_row`] then holds that row of `B⁻¹`, the
-    /// proof [`crate::certify::certify_infeasible`] checks.
+    /// `RevisedEngine::farkas_row` then holds that row of `B⁻¹`, the
+    /// proof `crate::certify::certify_infeasible` checks.
     Infeasible {
         /// Work done before the verdict, still accounted for.
         stats: RevisedStats,
@@ -272,7 +272,7 @@ pub enum RevisedError {
 }
 
 /// The proof of an unbounded verdict, for
-/// [`crate::certify::certify_unbounded`]: a feasible point and a
+/// `crate::certify::certify_unbounded`: a feasible point and a
 /// direction that stays feasible from it and improves the objective.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnboundedRay {
@@ -450,7 +450,8 @@ impl RevisedEngine {
     /// current bounds, so that a cold [`solve`](Self::solve) skips the
     /// dual phase 1. Children only tighten bounds, which can never
     /// destroy startability.
-    pub fn cold_startable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn cold_startable(&self) -> bool {
         (0..self.nvars).all(|j| self.cold_place(j).is_some())
     }
 
@@ -586,8 +587,8 @@ impl RevisedEngine {
 
     /// Solves the current-bounds LP. `warm` supplies a starting basis
     /// (typically the parent node's optimum); `None` cold-starts, through
-    /// the dual phase 1 when the model is not
-    /// [`cold_startable`](Self::cold_startable).
+    /// the dual phase 1 when some column's cold-start resting bound is
+    /// infinite.
     pub fn solve(&mut self, warm: Option<&BasisState>) -> Result<RevisedSolution, RevisedError> {
         let out = self.start(warm);
         self.note_farkas(out)
@@ -623,7 +624,7 @@ impl RevisedEngine {
     /// `ρ·b`, which [`crate::certify::certify_infeasible`] checks
     /// without a solver. `None` after any other outcome. Reading it
     /// allocates nothing.
-    pub fn farkas_row(&self) -> Option<&[f64]> {
+    pub(crate) fn farkas_row(&self) -> Option<&[f64]> {
         self.ws.farkas.then_some(&self.ws.rho[..])
     }
 
@@ -639,7 +640,7 @@ impl RevisedEngine {
     /// silently return a suboptimal point as "optimal". Any violation
     /// reports [`RevisedError::Numerical`], which warm-start callers
     /// already treat as "fall back to a cold start".
-    pub fn solve_warm_verified(
+    pub(crate) fn solve_warm_verified(
         &mut self,
         warm: &BasisState,
     ) -> Result<RevisedSolution, RevisedError> {

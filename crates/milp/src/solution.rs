@@ -66,7 +66,7 @@ impl MipStats {
     /// The gap implied by an objective value and [`MipStats::best_bound`],
     /// using the same normalization as the reported [`MipStats::gap`].
     /// Certification compares the two to catch stale or fabricated stats.
-    pub fn implied_gap(&self, objective: f64) -> f64 {
+    pub(crate) fn implied_gap(&self, objective: f64) -> f64 {
         (objective - self.best_bound).abs() / objective.abs().max(1.0)
     }
 }
@@ -104,24 +104,8 @@ impl Solution {
         self.values[v.index()]
     }
 
-    /// Value of a variable rounded to the nearest integer — convenience for
-    /// integer and binary variables whose LP values carry float noise.
-    ///
-    /// Debug builds assert the value is within [`INT_TOL`] of an integer;
-    /// silently rounding a genuinely fractional value would hide a solver
-    /// bug. Use [`Solution::try_int_value`] when the solution is untrusted.
-    pub fn int_value(&self, v: VarId) -> i64 {
-        let x = self.values[v.index()];
-        debug_assert!(
-            (x - x.round()).abs() <= INT_TOL,
-            "int_value on fractional value {x} (var #{})",
-            v.index()
-        );
-        x.round() as i64
-    }
-
     /// Value of a variable as an integer, or `None` when it is farther than
-    /// [`INT_TOL`] from any integer (or non-finite). Auditors use this so a
+    /// `INT_TOL` from any integer (or non-finite). Auditors use this so a
     /// fractional binary is reported instead of silently rounded.
     pub fn try_int_value(&self, v: VarId) -> Option<i64> {
         let x = self.values[v.index()];
@@ -149,7 +133,7 @@ mod tests {
             duals: None,
         };
         assert_eq!(s.value(VarId(1)), 2.0);
-        assert_eq!(s.int_value(VarId(0)), 1);
+        assert_eq!(s.try_int_value(VarId(0)), Some(1));
     }
 
     #[test]
@@ -166,22 +150,6 @@ mod tests {
         assert_eq!(s.try_int_value(VarId(0)), Some(1));
         assert_eq!(s.try_int_value(VarId(1)), None);
         assert_eq!(s.try_int_value(VarId(2)), None);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "fractional")]
-    fn int_value_debug_asserts_integrality() {
-        let s = Solution {
-            status: Status::Optimal,
-            objective: 0.0,
-            values: vec![0.4],
-            iterations: 0,
-            degenerate: 0,
-            mip: None,
-            duals: None,
-        };
-        let _ = s.int_value(VarId(0));
     }
 
     #[test]

@@ -124,18 +124,8 @@ impl CscMat {
     }
 
     /// Number of rows.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Number of stored (structurally nonzero) entries.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
     }
 
     /// Column `j` as parallel `(row indices, values)` slices.
@@ -146,14 +136,14 @@ impl CscMat {
 
     /// Dot product of column `j` with a dense row-indexed vector —
     /// the pricing kernel (`rcⱼ = cⱼ − aⱼᵀ·y`).
-    pub fn col_dot(&self, j: usize, x: &[f64]) -> f64 {
+    pub(crate) fn col_dot(&self, j: usize, x: &[f64]) -> f64 {
         let (rows, vals) = self.col(j);
         rows.iter().zip(vals).map(|(&r, &v)| v * x[r]).sum()
     }
 
     /// `out += alpha * column j` (dense scatter) — the right-hand-side
     /// assembly kernel for FTRAN.
-    pub fn scatter_col(&self, j: usize, alpha: f64, out: &mut [f64]) {
+    pub(crate) fn scatter_col(&self, j: usize, alpha: f64, out: &mut [f64]) {
         if alpha == 0.0 {
             return;
         }
@@ -178,14 +168,14 @@ mod tests {
             4,
             &[&[(3, 4.0), (0, 1.0)], &[(1, 3.0)], &[(3, 0.5), (0, -2.0)]],
         );
-        assert_eq!((m.nrows(), m.ncols(), m.nnz()), (3, 4, 5));
+        assert_eq!((m.nrows(), m.ncols, m.vals.len()), (3, 4, 5));
         assert_eq!(m.col(0), (&[0usize, 2][..], &[1.0, -2.0][..]));
         assert_eq!(m.col(2), (&[][..], &[][..]));
         // Entries are sorted by row regardless of column order in a row.
         assert_eq!(m.col(3), (&[0usize, 2][..], &[4.0, 0.5][..]));
         // Trailing empty rows still count.
         let m = csc(1, &[&[(0, 1.0)], &[]]);
-        assert_eq!((m.nrows(), m.nnz()), (2, 1));
+        assert_eq!((m.nrows(), m.vals.len()), (2, 1));
     }
 
     #[test]
@@ -198,7 +188,7 @@ mod tests {
                 &[(2, 1.0), (2, -1.0), (2, 0.25)],
             ],
         );
-        assert_eq!(m.nnz(), 3);
+        assert_eq!(m.vals.len(), 3);
         assert_eq!(m.col(0), (&[0usize][..], &[3.0][..]));
         // A lone -0.0 is an exact zero and stores nothing.
         assert_eq!(m.col(1), (&[][..], &[][..]));

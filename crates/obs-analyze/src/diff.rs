@@ -116,7 +116,7 @@ pub struct DiffEntry {
 impl DiffEntry {
     /// Relative change in percent, when both sides exist and the base
     /// is non-zero.
-    pub fn delta_pct(&self) -> Option<f64> {
+    fn delta_pct(&self) -> Option<f64> {
         (matches!(
             self.class,
             DiffClass::Regressed | DiffClass::Improved | DiffClass::Changed | DiffClass::Unchanged
@@ -134,7 +134,7 @@ pub struct DiffReport {
 
 impl DiffReport {
     /// Entries with the given classification.
-    pub fn with_class(&self, class: DiffClass) -> Vec<&DiffEntry> {
+    pub(crate) fn with_class(&self, class: DiffClass) -> Vec<&DiffEntry> {
         self.entries.iter().filter(|e| e.class == class).collect()
     }
 

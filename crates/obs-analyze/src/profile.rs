@@ -210,7 +210,7 @@ impl Profile {
 
     /// Index of the node at `path`, if the trace recorded it (or an
     /// ancestor chain created it).
-    pub fn index_of(&self, path: &str) -> Option<usize> {
+    fn index_of(&self, path: &str) -> Option<usize> {
         self.nodes.iter().position(|n| n.path == path)
     }
 

@@ -137,7 +137,7 @@ impl Quantile {
     }
 
     /// Extracts this statistic from a summary.
-    pub fn of(self, q: &QuantileSummary) -> f64 {
+    fn of(self, q: &QuantileSummary) -> f64 {
         match self {
             Self::P50 => q.p50,
             Self::P95 => q.p95,

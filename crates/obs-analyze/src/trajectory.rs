@@ -91,7 +91,7 @@ pub struct Machine {
 
 impl Machine {
     /// Detects the current machine.
-    pub fn detect() -> Self {
+    fn detect() -> Self {
         Self {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
@@ -118,7 +118,7 @@ pub struct BenchTrajectory {
 /// Current schema version written by [`BenchTrajectory::render_json`].
 /// v2 added `aggregates.engine_rebuilds` (the retained-model rebuild
 /// counter recorded by the allocation-reuse hot path).
-pub const SCHEMA_VERSION: u64 = 2;
+const SCHEMA_VERSION: u64 = 2;
 
 fn err(message: impl Into<String>) -> JsonError {
     JsonError {

@@ -17,7 +17,7 @@
 //!
 //! Parsing runs on [`Lexer`], a pull lexer that reads a document in one
 //! forward pass. [`Value::parse`] builds a tree on it, at most
-//! [`MAX_DEPTH`] containers deep; a reader that wants only a few fields
+//! `MAX_DEPTH` containers deep; a reader that wants only a few fields
 //! (the decision server's request decoder) drives it directly and
 //! builds none.
 
@@ -95,7 +95,8 @@ impl Value {
             .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
-    fn render_into(&self, out: &mut Vec<u8>) {
+    /// Appends the bytes [`Value::render`] returns to `out`.
+    pub fn render_into(&self, out: &mut Vec<u8>) {
         match self {
             Value::Null => out.extend_from_slice(b"null"),
             Value::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
@@ -133,7 +134,7 @@ impl Value {
     }
 
     /// Parses a complete JSON document. Trailing non-whitespace is an
-    /// error, and so is nesting deeper than [`MAX_DEPTH`]: the error
+    /// error, and so is nesting deeper than `MAX_DEPTH`: the error
     /// points at the bracket that opens the container one level too
     /// deep.
     pub fn parse(text: &str) -> Result<Value, JsonError> {
@@ -352,7 +353,7 @@ impl JsonError {
     /// Rebases this error into a larger input: attributes it to the
     /// 1-based `line` whose content starts at absolute byte offset
     /// `line_start`.
-    pub fn on_line(self, line: usize, line_start: usize) -> Self {
+    pub(crate) fn on_line(self, line: usize, line_start: usize) -> Self {
         Self {
             line,
             offset: line_start + self.offset,
@@ -684,7 +685,7 @@ impl<'a> Lexer<'a> {
 /// unbounded depth would let one small document overflow the stack and
 /// abort the process; every document the workspace writes stays a few
 /// levels deep.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// Builds the [`Value`] tree of the value starting at the lexer, whose
 /// enclosing containers are `depth` levels deep.

@@ -75,10 +75,6 @@ pub use telemetry::{MetricsDoc, QuantileSummary, WindowedHistogram, METRICS_VERS
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
-/// Default histogram bucket bounds used by [`Recorder::observe`] and
-/// the global [`observe`].
-pub use metrics::DEFAULT_BOUNDS;
-
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Whether global tracing is enabled: a single relaxed atomic load,
@@ -97,7 +93,7 @@ static GLOBAL: OnceLock<Recorder> = OnceLock::new();
 
 /// The process-wide recorder behind the free functions. Created on
 /// first use; exposed so callers can snapshot/reset it directly.
-pub fn global() -> &'static Recorder {
+fn global() -> &'static Recorder {
     GLOBAL.get_or_init(Recorder::new)
 }
 
@@ -125,8 +121,9 @@ pub fn gauge(name: &str, value: f64) {
     }
 }
 
-/// Records a histogram observation with [`DEFAULT_BOUNDS`] on the
-/// global recorder (no-op when disabled).
+/// Records a histogram observation with the default bucket bounds
+/// (those of [`Recorder::observe`]) on the global recorder (no-op when
+/// disabled).
 pub fn observe(name: &str, value: f64) {
     if enabled() {
         global().observe(name, value);

@@ -52,7 +52,7 @@ impl GaugeStat {
 
 /// Default histogram bucket upper bounds, a log-ish scale that suits
 /// both counts (nodes, iterations, queue depths) and small magnitudes.
-pub const DEFAULT_BOUNDS: &[f64] = &[
+pub(crate) const DEFAULT_BOUNDS: &[f64] = &[
     0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0,
 ];
 
@@ -144,11 +144,6 @@ impl HistogramSnapshot {
     /// Mean of finite observed values, or `None` when empty.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
-    }
-
-    /// Total observations including `NaN`s routed to `invalid`.
-    pub fn observations(&self) -> u64 {
-        self.count + self.invalid
     }
 
     /// Estimates the `q`-quantile (`0.0..=1.0`) of bucketed
@@ -324,7 +319,7 @@ impl TraceSnapshot {
 
     /// Sorts the event stream by `(start_ns, thread, seq)` so export
     /// order is deterministic regardless of merge order.
-    pub fn sort_events(&mut self) {
+    pub(crate) fn sort_events(&mut self) {
         self.events.sort_by_key(|e| (e.start_ns, e.thread, e.seq));
     }
 }
@@ -379,7 +374,6 @@ mod tests {
         assert_eq!(h.sum, 0.0);
         assert_eq!(h.min, f64::INFINITY); // untouched sentinels
         assert_eq!(h.max, f64::NEG_INFINITY);
-        assert_eq!(h.observations(), 2);
         // A later finite observation is unpolluted by the NaNs.
         h.observe(3.0);
         assert_eq!(h.mean(), Some(3.0));

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::metrics::{GaugeStat, HistogramSnapshot, SpanEvent, TraceSnapshot};
+use crate::metrics::{GaugeStat, HistogramSnapshot, SpanEvent, TraceSnapshot, DEFAULT_BOUNDS};
 
 static NEXT_RECORDER_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -174,9 +174,10 @@ impl Recorder {
     }
 
     /// Records `value` into the histogram `name` with the default
-    /// bucket bounds ([`crate::DEFAULT_BOUNDS`]).
+    /// bucket bounds, a log-ish scale from 0 to 10,000 (0, 1, 2, 5, 10,
+    /// 20, 50, ...) that suits both counts and small magnitudes.
     pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, value, crate::DEFAULT_BOUNDS);
+        self.observe_with(name, value, DEFAULT_BOUNDS);
     }
 
     /// Records `value` into the histogram `name`, creating it with the

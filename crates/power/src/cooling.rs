@@ -50,7 +50,7 @@ impl CoolingModel {
 
     /// Cooling power (W) required to remove the heat produced by `it_power_w`
     /// of IT equipment.
-    pub fn cooling_power_w(&self, it_power_w: f64) -> f64 {
+    pub(crate) fn cooling_power_w(&self, it_power_w: f64) -> f64 {
         assert!(it_power_w >= 0.0, "IT power must be non-negative");
         match self.form {
             CoolingForm::Efficiency => it_power_w / self.coe,

@@ -14,7 +14,7 @@ pub struct DcPowerBreakdown {
 
 impl DcPowerBreakdown {
     /// Total power (W).
-    pub fn total_w(&self) -> f64 {
+    fn total_w(&self) -> f64 {
         self.servers_w + self.networking_w + self.cooling_w
     }
 
@@ -56,12 +56,12 @@ impl DcPowerModel {
     }
 
     /// Per-server power at the packed operating point (W).
-    pub fn server_watts(&self) -> f64 {
+    fn server_watts(&self) -> f64 {
         self.server.power_at(self.operating_utilization)
     }
 
     /// Exact power breakdown for `active_servers` (integral switch counts).
-    pub fn breakdown(&self, active_servers: u64) -> DcPowerBreakdown {
+    fn breakdown(&self, active_servers: u64) -> DcPowerBreakdown {
         let servers_w = active_servers as f64 * self.server_watts();
         let networking_w = self.network.networking_power_w(active_servers);
         let cooling_w = self.cooling.cooling_power_w(servers_w + networking_w);

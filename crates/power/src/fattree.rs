@@ -67,7 +67,7 @@ impl FatTree {
     }
 
     /// Total switches when fully built out.
-    pub fn total_switches(&self) -> SwitchCounts {
+    fn total_switches(&self) -> SwitchCounts {
         SwitchCounts {
             edge: self.k * self.k / 2,
             aggregation: self.k * self.k / 2,
@@ -77,7 +77,7 @@ impl FatTree {
 
     /// Active switches needed for `active_servers` (ceil of the
     /// proportional requirement, clamped to the physical total).
-    pub fn active_switches(&self, active_servers: u64) -> SwitchCounts {
+    fn active_switches(&self, active_servers: u64) -> SwitchCounts {
         let totals = self.total_switches();
         let need = |per_server_num: u64, cap: u64| -> u64 {
             // per-server ratio is per_server_num / k.

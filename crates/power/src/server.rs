@@ -41,7 +41,7 @@ impl ServerModel {
     }
 
     /// Power draw at a given utilization in `[0, 1]`.
-    pub fn power_at(&self, utilization: f64) -> f64 {
+    pub(crate) fn power_at(&self, utilization: f64) -> f64 {
         let u = utilization.clamp(0.0, 1.0);
         self.idle_w + (self.peak_w - self.idle_w) * u
     }

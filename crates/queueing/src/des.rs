@@ -48,7 +48,7 @@ impl Distribution {
     /// Builds a distribution matching a mean and SCV:
     /// SCV 0 → deterministic, SCV < 1 → Erlang (nearest `1/k`),
     /// SCV 1 → exponential, SCV > 1 → balanced H₂.
-    pub fn from_mean_scv(mean: f64, scv: f64) -> Self {
+    fn from_mean_scv(mean: f64, scv: f64) -> Self {
         assert!(mean > 0.0, "mean must be positive");
         assert!(scv >= 0.0, "SCV must be non-negative");
         if scv == 0.0 {
@@ -153,7 +153,8 @@ pub struct QueueSim {
 
 impl QueueSim {
     /// Convenience constructor for an M/M/m system.
-    pub fn mmm(servers: u64, lambda: f64, mu: f64, seed: u64) -> Self {
+    #[cfg(test)]
+    fn mmm(servers: u64, lambda: f64, mu: f64, seed: u64) -> Self {
         assert!(lambda > 0.0 && mu > 0.0);
         Self {
             servers,

@@ -150,7 +150,7 @@ impl GgmModel {
     /// The continuous (un-rounded) server requirement `λ/μ + c`, where
     /// `c = K/(μ·(Rs − 1/μ))` is the QoS headroom constant. This is the
     /// quantity the MILP uses directly (power is proportional to it).
-    pub fn servers_fractional(&self, lambda: f64, target: f64) -> Result<f64, QueueingError> {
+    fn servers_fractional(&self, lambda: f64, target: f64) -> Result<f64, QueueingError> {
         if lambda < 0.0 {
             return Err(QueueingError::Unstable {
                 arrival_rate: lambda,
@@ -183,7 +183,7 @@ impl GgmModel {
     }
 
     /// Maximum arrival rate `n` servers can carry while meeting `target`:
-    /// the inverse of [`GgmModel::servers_fractional`],
+    /// the inverse of `GgmModel::servers_fractional`,
     /// `λ_max = nμ − K/(Rs − 1/μ)` (clamped at zero).
     pub fn max_arrival_rate(&self, servers: u64, target: f64) -> Result<f64, QueueingError> {
         let headroom = self.qos_headroom(target)?;

@@ -26,11 +26,10 @@
 //! Allen–Cunneen approximation with the Erlang-C waiting probability
 //! ([`GgmModel::response_time_full`], used to validate how tight the
 //! simplification is), exact M/M/m formulas for cross-checks ([`mmm`]),
-//! SCV estimators for characterizing traces ([`scv`]), and an exact
-//! discrete-event G/G/m simulator ([`des`]) that serves as ground truth:
-//! its tests confirm that the full Allen–Cunneen form tracks simulation
-//! within ~15 % and that the paper's conservative server sizing meets its
-//! response-time targets empirically.
+//! and an exact discrete-event G/G/m simulator ([`des`]) that serves as
+//! ground truth: its tests confirm that the full Allen–Cunneen form
+//! tracks simulation within ~15 % and that the paper's conservative
+//! server sizing meets its response-time targets empirically.
 //!
 //! ## Example
 //!
@@ -59,9 +58,9 @@
 pub mod des;
 pub mod ggm;
 pub mod mmm;
-pub mod scv;
+#[cfg(test)]
+mod scv;
 
 pub use des::{Distribution, QueueSim, SimStats};
 pub use ggm::{GgmModel, QueueingError};
-pub use mmm::{erlang_c, mmm_mean_response_time};
-pub use scv::squared_coefficient_of_variation;
+pub use mmm::erlang_c;

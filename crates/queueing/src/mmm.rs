@@ -33,7 +33,8 @@ pub fn erlang_c(m: u64, a: f64) -> f64 {
 /// Mean response time of an M/M/m queue: `1/μ + C(m, a)/(mμ − λ)`.
 ///
 /// Returns `None` when unstable (`λ >= mμ`).
-pub fn mmm_mean_response_time(m: u64, lambda: f64, mu: f64) -> Option<f64> {
+#[cfg(test)]
+pub(crate) fn mmm_mean_response_time(m: u64, lambda: f64, mu: f64) -> Option<f64> {
     assert!(mu > 0.0);
     let capacity = m as f64 * mu;
     if lambda >= capacity {

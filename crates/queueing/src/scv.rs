@@ -1,15 +1,12 @@
-//! Squared-coefficient-of-variation estimation.
-//!
-//! The paper's bill capper monitors request inter-arrival times and request
-//! sizes to characterize `C²_A` and `C²_B` online (Section IV-B). This
-//! module provides the estimator those components use.
+//! Squared-coefficient-of-variation estimation, the oracle the
+//! simulator's tests check its sampled distributions with.
 
 /// Estimates the squared coefficient of variation `Var(X)/E[X]²` of a
 /// sample. Uses the unbiased (n−1) variance estimator.
 ///
 /// Returns `None` for samples with fewer than two points or a zero mean
 /// (the SCV is undefined there).
-pub fn squared_coefficient_of_variation(samples: &[f64]) -> Option<f64> {
+pub(crate) fn squared_coefficient_of_variation(samples: &[f64]) -> Option<f64> {
     if samples.len() < 2 {
         return None;
     }
@@ -27,45 +24,6 @@ pub fn squared_coefficient_of_variation(samples: &[f64]) -> Option<f64> {
         .sum::<f64>()
         / (n - 1.0);
     Some(var / (mean * mean))
-}
-
-/// Streaming SCV estimator (Welford's algorithm), suitable for the online
-/// monitoring loop of the bill capper.
-#[derive(Debug, Clone, Default)]
-pub struct ScvEstimator {
-    count: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl ScvEstimator {
-    /// Creates an empty estimator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feeds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Current SCV estimate (`None` with fewer than two observations or a
-    /// zero mean).
-    pub fn scv(&self) -> Option<f64> {
-        if self.count < 2 || self.mean == 0.0 {
-            return None;
-        }
-        let var = self.m2 / (self.count - 1) as f64;
-        Some(var / (self.mean * self.mean))
-    }
 }
 
 #[cfg(test)]
@@ -90,19 +48,6 @@ mod tests {
         assert_eq!(squared_coefficient_of_variation(&[1.0]), None);
         assert_eq!(squared_coefficient_of_variation(&[]), None);
         assert_eq!(squared_coefficient_of_variation(&[-1.0, 1.0]), None);
-    }
-
-    #[test]
-    fn streaming_matches_batch() {
-        let data = [0.4, 1.7, 2.2, 0.9, 3.1, 1.5, 0.2, 2.8];
-        let batch = squared_coefficient_of_variation(&data).unwrap();
-        let mut est = ScvEstimator::new();
-        for &x in &data {
-            est.push(x);
-        }
-        let streaming = est.scv().unwrap();
-        assert!((batch - streaming).abs() < 1e-12);
-        assert_eq!(est.count(), data.len() as u64);
     }
 
     #[test]

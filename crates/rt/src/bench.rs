@@ -110,7 +110,7 @@ impl Harness {
     }
 
     /// True when `name` passes the command-line filter.
-    pub fn selected(&self, name: &str) -> bool {
+    fn selected(&self, name: &str) -> bool {
         self.filter.as_deref().is_none_or(|f| name.contains(f))
     }
 

@@ -107,9 +107,8 @@ impl FromRng for f32 {
     }
 }
 
-/// The SplitMix64 state increment (the golden-ratio constant). Public so
-/// [`SeedStream`] can document its random-access identity in terms of it.
-pub const SPLITMIX64_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The SplitMix64 state increment (the golden-ratio constant).
+const SPLITMIX64_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64: one multiply-xorshift pass per output. Primarily a seed
 /// expander for [`Xoshiro256pp`], but a valid standalone generator.
@@ -201,30 +200,6 @@ impl Xoshiro256pp {
         Self {
             s: [sm.next_u64(), sm.next_u64(), sm.next_u64(), sm.next_u64()],
         }
-    }
-
-    /// The jump function: advances the stream by `2^128` steps, giving a
-    /// statistically independent substream. Useful for handing one seed
-    /// to many workers without overlap.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180E_C6D3_3CFD_0ABA,
-            0xD5A6_1266_F0C9_392C,
-            0xA958_6616_1496_15DB,
-            0x3982_3AEF_40DB_6381,
-        ];
-        let mut acc = [0u64; 4];
-        for word in JUMP {
-            for bit in 0..64 {
-                if word & (1 << bit) != 0 {
-                    for (a, s) in acc.iter_mut().zip(self.s) {
-                        *a ^= s;
-                    }
-                }
-                self.next_u64();
-            }
-        }
-        self.s = acc;
     }
 }
 
@@ -333,16 +308,6 @@ mod tests {
             let x = r.random_f64_in(2.5, 3.5);
             assert!((2.5..3.5).contains(&x));
         }
-    }
-
-    #[test]
-    fn jump_produces_disjoint_prefix() {
-        let mut a = Xoshiro256pp::seed_from_u64(42);
-        let mut b = a.clone();
-        b.jump();
-        let pa: Vec<u64> = (0..16).map(|_| a.next_u64()).collect();
-        let pb: Vec<u64> = (0..16).map(|_| b.next_u64()).collect();
-        assert_ne!(pa, pb);
     }
 
     #[test]

@@ -202,7 +202,7 @@ fn start_decision_frame(out: &mut Vec<u8>, id: u64, cached: bool) {
 }
 
 /// Fills in the header of the frame that fills `out`.
-fn finish_frame(out: &mut [u8]) -> std::io::Result<()> {
+pub(crate) fn finish_frame(out: &mut [u8]) -> std::io::Result<()> {
     let header = frame_header(out.len() - 4)?;
     out[..4].copy_from_slice(&header);
     Ok(())
@@ -342,7 +342,7 @@ pub struct Request {
 }
 
 /// Highest pricing-policy family index the server will instantiate.
-pub const MAX_POLICY: usize = 3;
+const MAX_POLICY: usize = 3;
 
 impl Request {
     /// Renders the request as a JSON payload.
@@ -555,7 +555,7 @@ fn decode_background(lx: &mut Lexer<'_>) -> Result<Result<Vec<f64>, &'static str
 /// workers instead of competing with them. The `"op"` key is reserved:
 /// decide requests carry no string values at all, so the byte sequence
 /// `"op"` can only appear in a control frame (see
-/// [`maybe_control`](Self::maybe_control)).
+/// `maybe_control`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlMsg {
     /// Ask for the current [`MetricsDoc`].
@@ -575,7 +575,7 @@ impl ControlMsg {
     /// `"op"`? Decide requests never do (their only strings are the
     /// fixed field names, none of which contains `"op"` quoted), so the
     /// reader runs this O(n) scan instead of parsing JSON per frame.
-    pub fn maybe_control(payload: &[u8]) -> bool {
+    pub(crate) fn maybe_control(payload: &[u8]) -> bool {
         payload.windows(4).any(|w| w == b"\"op\"")
     }
 

@@ -82,7 +82,7 @@
 //! [`render_decision_body`]: crate::protocol::render_decision_body
 
 use crate::protocol::{
-    read_frame, render_decision_frame, render_fresh_decision_frame, write_frame, ControlMsg,
+    finish_frame, read_frame, render_decision_frame, render_fresh_decision_frame, ControlMsg,
     FrameError, Request, Response, MAX_FRAME,
 };
 use billcap_core::{
@@ -408,16 +408,30 @@ impl Batch {
     }
 
     /// Adds a response that has no direct renderer (errors, metrics,
-    /// health), rendered through its `Value` tree.
+    /// health), after moving the exact counter it answers for: its
+    /// `Value` tree is rendered straight onto the end of the batch,
+    /// behind a header filled in once the payload's length is known. A
+    /// payload over [`MAX_FRAME`], which no reader accepts, is cut off
+    /// again and lost like a frame whose write failed.
     fn push_response(&mut self, tele: &ServerTelemetry, response: &Response) {
         let count = match response {
             Response::Decision(_) => Some(Count::Decisions),
             Response::Error { .. } => Some(Count::Errors),
             Response::Metrics { .. } | Response::Health { .. } => None,
         };
-        let mut frame = Vec::new();
-        let rendered = write_frame(&mut frame, response.to_value().render().as_bytes());
-        self.push(tele, count, rendered.map(|()| frame.as_slice()));
+        if let Some(count) = count {
+            tele.add(count, 1);
+        }
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(&[0; 4]);
+        response.to_value().render_into(&mut self.bytes);
+        let fits = self.bytes.len() - start - 4 <= MAX_FRAME;
+        if fits && finish_frame(&mut self.bytes[start..]).is_ok() {
+            self.frames += 1;
+        } else {
+            self.bytes.truncate(start);
+            tele.add(Count::WriteFailed, 1);
+        }
     }
 
     fn is_empty(&self) -> bool {
@@ -916,7 +930,7 @@ pub fn serve_unix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::DecisionMsg;
+    use crate::protocol::{write_frame, DecisionMsg};
     use billcap_core::BillCapper;
     use std::io::Cursor;
 
@@ -1156,6 +1170,53 @@ mod tests {
         assert!(batch.is_empty());
         assert_eq!(tele.get(Count::ResponseWrites), 1);
         assert_eq!(tele.get(Count::WriteFailed), 3);
+    }
+
+    /// Error, metrics and health replies rendered in place are the
+    /// frames `write_frame` makes of their `Value` rendering, byte for
+    /// byte; a payload over `MAX_FRAME` is cut back off and counted lost.
+    #[test]
+    fn replies_render_in_place_into_their_exact_frames() {
+        let cfg = one_worker();
+        let tele = ServerTelemetry::new(&cfg);
+        tele.add(Count::Decisions, 5);
+        let shared = Shared::new(&cfg, Vec::new(), &tele);
+        let replies = [
+            Response::Error {
+                id: Some(7),
+                message: "decision failed: \"quoted\"\n\u{e9}".into(),
+            },
+            Response::Error {
+                id: None,
+                message: String::new(),
+            },
+            Response::Metrics {
+                id: Some(3),
+                doc: build_doc(&cfg, &shared, 2),
+            },
+            Response::Health {
+                id: None,
+                ok: false,
+                reasons: vec!["queue deep".into(), "stream failing".into()],
+            },
+        ];
+        let mut batch = Batch::default();
+        let mut expected = Vec::new();
+        for reply in &replies {
+            batch.push_response(&tele, reply);
+            write_frame(&mut expected, reply.to_value().render().as_bytes()).unwrap();
+        }
+        assert_eq!(batch.bytes, expected);
+        assert_eq!((batch.frames, tele.get(Count::Errors)), (4, 2));
+
+        let oversized = Response::Error {
+            id: Some(8),
+            message: "x".repeat(MAX_FRAME),
+        };
+        batch.push_response(&tele, &oversized);
+        assert_eq!(batch.bytes, expected, "the oversized frame is cut off");
+        assert_eq!((batch.frames, tele.get(Count::Errors)), (4, 3));
+        assert_eq!(tele.get(Count::WriteFailed), 1);
     }
 
     /// Sleeps in every `write` call, like the socket of a slow client.

@@ -214,7 +214,7 @@ pub struct BudgetedMonth {
 
 /// Runs a budgeted Cost Capping month (Figures 5/6 use the abundant
 /// $2.5 M budget, Figures 7/8 the stringent $1.5 M).
-pub fn budgeted_month(seed: u64, monthly_budget: f64) -> Result<BudgetedMonth, CoreError> {
+fn budgeted_month(seed: u64, monthly_budget: f64) -> Result<BudgetedMonth, CoreError> {
     let scenario = Scenario::paper_default(1, seed);
     let report = run_month(&scenario, Strategy::CostCapping, Some(monthly_budget))?;
     Ok(BudgetedMonth {

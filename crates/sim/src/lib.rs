@@ -39,7 +39,7 @@ pub mod runner;
 pub mod scenario;
 pub mod table;
 
-pub use metrics::{stable_sum, HourRecord, HourTrace, MonthlyReport};
+pub use metrics::{HourRecord, HourTrace, MonthlyReport};
 pub use risk::{RiskConfig, RiskEngine, RiskSample, RiskSummary, ScheduleSpec};
 pub use runner::{run_month, run_month_fresh, run_month_scratch, MonthScratch, Strategy};
 pub use scenario::Scenario;

@@ -15,7 +15,7 @@ use billcap_core::HourOutcome;
 /// results in input order at every thread count) — the exact same
 /// floating-point operations run regardless of the worker count,
 /// which is what makes risk summaries bitwise-reproducible.
-pub fn stable_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
+pub(crate) fn stable_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
     let mut sum = 0.0f64;
     let mut comp = 0.0f64; // running compensation for lost low-order bits
     for x in values {
@@ -99,13 +99,14 @@ impl MonthlyReport {
     /// Total realized electricity bill ($). The *single* derivation of
     /// the monthly bill: the runner, the trace pipeline, and the risk
     /// engine all read this accessor (compensated summation, see
-    /// [`stable_sum`]) rather than re-summing hour records themselves.
+    /// `stable_sum`) rather than re-summing hour records themselves.
     pub fn total_cost(&self) -> f64 {
         stable_sum(self.hours.iter().map(|h| h.realized_cost))
     }
 
     /// Total cost the strategy believed it was incurring ($).
-    pub fn total_believed_cost(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn total_believed_cost(&self) -> f64 {
         stable_sum(self.hours.iter().map(|h| h.believed_cost))
     }
 

@@ -27,7 +27,7 @@
 //! seed — an O(1) indexed derivation, so a sample's perturbations depend
 //! only on `(root_seed, i)`, never on which worker ran it or what ran
 //! before it. Results come back in input order and every aggregate is
-//! reduced with [`stable_sum`] in that order, so the entire
+//! reduced with `stable_sum` in that order, so the entire
 //! [`RiskSummary`] is bitwise identical at any thread count.
 
 use crate::metrics::stable_sum;
@@ -171,7 +171,7 @@ pub struct Quantiles {
     pub p95: f64,
     /// 99th percentile.
     pub p99: f64,
-    /// Arithmetic mean ([`stable_sum`]-reduced).
+    /// Arithmetic mean (`stable_sum`-reduced).
     pub mean: f64,
     /// Smallest sample.
     pub min: f64,
@@ -183,7 +183,7 @@ impl Quantiles {
     /// Computes the statistics of `values` (must be non-empty). Sorting
     /// uses `f64::total_cmp`, so the result is deterministic for any
     /// input order.
-    pub fn from_values(values: &[f64]) -> Self {
+    fn from_values(values: &[f64]) -> Self {
         assert!(!values.is_empty(), "quantiles of an empty sample set");
         let mut sorted = values.to_vec();
         sorted.sort_unstable_by(f64::total_cmp);
@@ -247,7 +247,7 @@ pub struct RiskSummary {
 
 impl RiskSummary {
     /// Aggregates per-sample results. Panics on an empty sample set.
-    pub fn from_samples(samples: &[RiskSample], root_seed: u64) -> Self {
+    fn from_samples(samples: &[RiskSample], root_seed: u64) -> Self {
         assert!(!samples.is_empty(), "risk summary of zero samples");
         let pick = |f: fn(&RiskSample) -> f64| -> Vec<f64> { samples.iter().map(f).collect() };
         let n = samples.len() as f64;

@@ -34,7 +34,7 @@ impl Scenario {
     ];
 
     /// The "sufficient" budget of Figures 5/6.
-    pub const ABUNDANT_BUDGET: f64 = 2_500_000.0;
+    pub(crate) const ABUNDANT_BUDGET: f64 = 2_500_000.0;
 
     /// The "insufficient" budget of Figures 7/8/9.
     pub const STRINGENT_BUDGET: f64 = 1_500_000.0;
@@ -47,7 +47,7 @@ impl Scenario {
 
     /// Same, with an explicit mean workload (used by calibration tests and
     /// stress experiments).
-    pub fn with_mean_rate(policy: usize, seed: u64, mean_rate: f64) -> Self {
+    fn with_mean_rate(policy: usize, seed: u64, mean_rate: f64) -> Self {
         let system = DataCenterSystem::paper_system(policy);
         let generator = TraceGenerator::new(TraceConfig::wikipedia_like(mean_rate, seed));
         let (history, workload) = generator.generate_two_months();
@@ -89,7 +89,7 @@ impl Scenario {
     /// [`Self::background_at`] into a caller-owned buffer — the hot-loop
     /// variant ([`MonthScratch`](crate::MonthScratch) reuses one buffer
     /// for a whole month instead of allocating per hour).
-    pub fn background_at_into(&self, t: usize, out: &mut Vec<f64>) {
+    pub(crate) fn background_at_into(&self, t: usize, out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.background.iter().map(|b| b.at(t)));
     }

@@ -37,7 +37,7 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 
 /// Formats a dollar amount with thousands separators: `1234567.8` →
 /// `$1,234,568`.
-pub fn dollars(x: f64) -> String {
+pub(crate) fn dollars(x: f64) -> String {
     let rounded = x.round() as i64;
     let negative = rounded < 0;
     let digits = rounded.abs().to_string();
@@ -52,7 +52,7 @@ pub fn dollars(x: f64) -> String {
 }
 
 /// Formats a fraction as a percentage with one decimal: `0.985` → `98.5%`.
-pub fn percent(x: f64) -> String {
+pub(crate) fn percent(x: f64) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 

@@ -21,7 +21,7 @@ pub struct FlashCrowd {
 impl FlashCrowd {
     /// Extra traffic multiplier this event contributes at hour `t`
     /// (zero outside the event window).
-    pub fn boost_at(&self, t: usize) -> f64 {
+    fn boost_at(&self, t: usize) -> f64 {
         if t < self.start_hour || t >= self.start_hour + self.duration_hours {
             return 0.0;
         }

@@ -25,11 +25,6 @@ impl CustomerSplit {
         Self::new(0.8)
     }
 
-    /// Premium fraction.
-    pub fn premium_fraction(&self) -> f64 {
-        self.premium_fraction
-    }
-
     /// Premium share of an hourly arrival rate.
     pub fn premium(&self, lambda: f64) -> f64 {
         lambda * self.premium_fraction
@@ -50,7 +45,7 @@ mod tests {
         let s = CustomerSplit::paper_default();
         let lambda = 12345.0;
         assert!((s.premium(lambda) + s.ordinary(lambda) - lambda).abs() < 1e-9);
-        assert_eq!(s.premium_fraction(), 0.8);
+        assert_eq!(s.premium_fraction, 0.8);
     }
 
     #[test]

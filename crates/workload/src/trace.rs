@@ -42,7 +42,7 @@ impl HourlyTrace {
     }
 
     /// Hour-of-week (0 = Monday 00:00) of hour `t`.
-    pub fn hour_of_week(t: usize) -> usize {
+    fn hour_of_week(t: usize) -> usize {
         t % HOURS_PER_WEEK
     }
 
@@ -73,7 +73,7 @@ impl HourlyTrace {
     /// Per-hour-of-week averages over all complete and partial weeks: the
     /// budgeter's learned weekly shape. Entry `h` is the mean of all
     /// samples falling on hour-of-week `h`.
-    pub fn hour_of_week_profile(&self) -> [f64; HOURS_PER_WEEK] {
+    pub(crate) fn hour_of_week_profile(&self) -> [f64; HOURS_PER_WEEK] {
         let mut sums = [0.0; HOURS_PER_WEEK];
         let mut counts = [0usize; HOURS_PER_WEEK];
         for (t, &v) in self.values.iter().enumerate() {
