@@ -51,6 +51,12 @@ pub fn waived_without_reason() -> u32 {
     8
 }
 
+// detlint-allow(U001): a blank line below ends this waiver's reach
+
+pub fn past_a_blank_line() -> u32 {
+    9
+}
+
 /// Crate-visible items are out of U001's scope.
 pub(crate) fn crate_only() -> u32 {
     only_unit_tested() + mentioned_in_prose()

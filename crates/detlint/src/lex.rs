@@ -179,8 +179,8 @@ pub(crate) fn lex(text: &str) -> Vec<Line> {
         }
 
         // Waivers written on their own comment line apply to the next
-        // code line as well.
-        prev_waivers = if code.trim().is_empty() {
+        // code line as well; a blank line ends the carry.
+        prev_waivers = if code.trim().is_empty() && !raw.trim().is_empty() {
             waivers.clone()
         } else {
             Vec::new()
@@ -233,6 +233,14 @@ mod tests {
         let ls = lex("// detlint-allow(D004): config switch\nread_env();\n");
         assert_eq!(ls[1].waivers.len(), 1);
         assert_eq!(ls[1].waivers[0].line, 1);
+    }
+
+    #[test]
+    fn a_blank_line_ends_the_carry() {
+        let ls = lex("// detlint-allow(D004): config switch\n\nread_env();\n");
+        assert!(ls[2].waivers.is_empty(), "{:?}", ls[2].waivers);
+        let ls = lex("// detlint-allow(D004): config switch\n   \nread_env();\n");
+        assert!(ls[2].waivers.is_empty(), "a whitespace-only line is blank");
     }
 
     #[test]

@@ -21,6 +21,18 @@
 //!   the decider's reused buffer, and keeps a copy of the id-free body
 //!   (the bytes of [`render_decision_body`]); a hit splices the request
 //!   id in front of the stored bytes ([`render_decision_frame`]).
+//! * The reader wakes a decider only when one sleeps. The queue
+//!   counts its sleepers: the deciders blocked on the empty queue that
+//!   no push has signalled yet. A decider adds itself under the queue
+//!   lock just before it waits; the reader, pushing a frame under the
+//!   same lock, takes one sleeper off the count and signals it, and
+//!   makes no call when the count is zero. The signaller decrements,
+//!   not the woken decider: on one CPU the woken decider runs only
+//!   after the reader blocks, so a count it decremented itself would
+//!   still show a sleeper to every later frame of the burst. A
+//!   decider woken spuriously stays counted, which costs an extra
+//!   signal later and never loses one. `serve.wakeups` counts the
+//!   signals sent.
 //! * The reader reads through a [`BufReader`]. Each decider gathers
 //!   its answered frames, whole and with their headers, in one reused
 //!   batch and writes the batch in one `write_all` under the writer
@@ -55,11 +67,12 @@
 //!   in the key keeps them apart. The *set* is schedule-invariant even
 //!   though which worker built what is not.
 //! * **Advisory signals** — the engines' raw LRU totals, failed
-//!   response and metrics-stream writes, the count of response
-//!   writes, windowed latency histograms (from enqueue to the write of
-//!   the answer's batch, and solve-only, microseconds), queue-depth
-//!   gauges, uptime — depend on the schedule, the client or the clock
-//!   and may differ run to run. Scrapes export them as gauges.
+//!   response and metrics-stream writes, the counts of response
+//!   writes and of decider wake-ups, windowed latency histograms
+//!   (from enqueue to the write of the answer's batch, and solve-only,
+//!   microseconds), queue-depth gauges, uptime — depend on the
+//!   schedule, the client or the clock and may differ run to run.
+//!   Scrapes export them as gauges.
 //!
 //! In-band `{"op":"metrics"}` / `{"op":"health"}` control frames
 //! ([`crate::protocol::ControlMsg`]) are answered by the *reader*
@@ -218,6 +231,7 @@ enum Count {
     EngineEvictions,
     WriteFailed,
     ResponseWrites,
+    Wakeups,
     StreamWriteFailed,
 }
 
@@ -233,7 +247,7 @@ enum Tier {
 
 /// Every count the server keeps, in [`Count`] order: a new count is
 /// one key and one row.
-const LEDGER: [(Count, &str, Tier); 15] = {
+const LEDGER: [(Count, &str, Tier); 16] = {
     use Count::*;
     use Tier::*;
     [
@@ -251,6 +265,7 @@ const LEDGER: [(Count, &str, Tier); 15] = {
         (EngineEvictions, "core.engine.cache.evict", Advisory),
         (WriteFailed, "serve.write_failed", Advisory),
         (ResponseWrites, "serve.response_writes", Advisory),
+        (Wakeups, "serve.wakeups", Advisory),
         (StreamWriteFailed, "serve.stream_write_failed", Advisory),
     ]
 };
@@ -319,7 +334,25 @@ impl ServerTelemetry {
 struct Queue {
     /// Frames with their enqueue stamp (present iff telemetry is on).
     frames: VecDeque<(Vec<u8>, Option<Stopwatch>)>,
+    /// Deciders blocked on the empty queue that no push has signalled
+    /// yet (see the module docs). A spurious wake-up leaves its decider
+    /// counted, so the count may run over, never under.
+    sleepers: usize,
     done: bool,
+}
+
+impl Queue {
+    /// Queues a frame. True when a sleeper must be signalled: the
+    /// caller then calls `notify_one`, and the sleeper is already off
+    /// the count.
+    fn push(&mut self, frame: Vec<u8>, stamp: Option<Stopwatch>) -> bool {
+        self.frames.push_back((frame, stamp));
+        let signal = self.sleepers > 0;
+        if signal {
+            self.sleepers -= 1;
+        }
+        signal
+    }
 }
 
 struct Shared<'t, W: Write> {
@@ -346,6 +379,7 @@ impl<'t, W: Write> Shared<'t, W> {
         Self {
             queue: Mutex::new(Queue {
                 frames: VecDeque::new(),
+                sleepers: 0,
                 done: false,
             }),
             available: Condvar::new(),
@@ -684,8 +718,10 @@ fn run_reader<R: Read, W: Write>(
                 shared.tele.add(Count::Requests, 1);
                 data_frames += 1;
                 let stamp = instrumented.then(Stopwatch::start);
-                lock(&shared.queue).frames.push_back((frame, stamp));
-                shared.available.notify_one();
+                if lock(&shared.queue).push(frame, stamp) {
+                    shared.available.notify_one();
+                    shared.tele.add(Count::Wakeups, 1);
+                }
                 if instrumented
                     && cfg.window_requests > 0
                     && data_frames.is_multiple_of(cfg.window_requests)
@@ -745,6 +781,7 @@ fn run_decider<W: Write>(shared: &Shared<'_, W>) {
                     q = lock(&shared.queue);
                     continue;
                 }
+                q.sleepers += 1;
                 q = shared
                     .available
                     .wait(q)
@@ -1832,6 +1869,92 @@ mod tests {
             });
             assert_eq!((stats.decisions, stats.cache_hits), (50, 45));
             assert_eq!(tele.get(Count::ResponseWrites), 50, "{workers} workers");
+        }
+    }
+
+    /// Pushes `n` frames; how many of them signalled a sleeper.
+    fn signals(q: &mut Queue, n: usize) -> usize {
+        (0..n).filter(|_| q.push(Vec::new(), None)).count()
+    }
+
+    /// The wake rule, without threads: a push signals only a sleeper
+    /// that no earlier push has signalled, and a recount never loses a
+    /// signal.
+    #[test]
+    fn a_push_signals_only_a_sleeper_no_push_has_signalled() {
+        let queue = |sleepers| Queue {
+            frames: VecDeque::new(),
+            sleepers,
+            done: false,
+        };
+        assert_eq!(signals(&mut queue(0), 1), 0, "no sleeper, no signal");
+        assert_eq!(signals(&mut queue(1), 3), 1, "one sleeper, one signal");
+        let mut q = queue(3);
+        assert_eq!(signals(&mut q, 2), 2);
+        assert_eq!(q.sleepers, 1, "the third sleeper is still unsignalled");
+        // A decider wakes spuriously, finds the queue empty and waits
+        // again: it is counted twice. The first push still signals it,
+        // and the stale count costs one extra signal.
+        let mut q = queue(1);
+        q.sleepers += 1;
+        assert!(q.push(Vec::new(), None), "the real sleeper is signalled");
+        assert_eq!(signals(&mut q, 2), 1, "one extra signal, then none");
+        assert_eq!(q.frames.len(), 3);
+    }
+
+    /// Bursts land on deciders asleep on an empty queue. Each burst
+    /// wakes them, and every request is answered exactly once before
+    /// the client's read timeout, at every worker count.
+    #[cfg(unix)]
+    #[test]
+    fn bursts_into_sleeping_deciders_are_each_answered_once() {
+        const BURSTS: u64 = 6;
+        const BURST: u64 = 32;
+        for workers in [1, 2, 4] {
+            let cfg = ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            };
+            let tele = ServerTelemetry::new(&cfg);
+            let stats = over_socket_pair(&cfg, &tele, |mut stream| {
+                for burst in 0..BURSTS {
+                    // The pause lets every decider block on the empty
+                    // queue before the burst lands.
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                    let ids = burst * BURST..(burst + 1) * BURST;
+                    let mut input = Vec::new();
+                    for id in ids.clone() {
+                        let mut r = request(id);
+                        r.offered += (id % 8) as f64;
+                        write_frame(&mut input, r.to_value().render().as_bytes()).unwrap();
+                    }
+                    stream.write_all(&input).unwrap();
+                    let mut answered = vec![false; BURST as usize];
+                    for _ in ids.clone() {
+                        let frame = read_frame(&mut stream, MAX_FRAME)
+                            .unwrap_or_else(|e| panic!("burst {burst}, {workers} workers: {e}"))
+                            .expect("an answer before end of stream");
+                        let Response::Decision(m) = Response::parse(&frame).unwrap() else {
+                            panic!("not a decision");
+                        };
+                        assert!(ids.contains(&m.id), "id {} outside burst {burst}", m.id);
+                        let slot = &mut answered[(m.id - ids.start) as usize];
+                        assert!(!*slot, "id {} answered twice", m.id);
+                        *slot = true;
+                    }
+                }
+                stream.shutdown(std::net::Shutdown::Write).unwrap();
+                assert!(
+                    read_frame(&mut stream, MAX_FRAME).unwrap().is_none(),
+                    "an answer beyond the requests sent"
+                );
+            });
+            assert_eq!(stats.decisions, BURSTS * BURST, "{workers} workers");
+            let wakeups = tele.get(Count::Wakeups);
+            assert!(
+                (1..=BURSTS * BURST).contains(&wakeups),
+                "{wakeups} wake-ups, {workers} workers"
+            );
         }
     }
 

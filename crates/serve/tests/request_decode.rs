@@ -361,3 +361,32 @@ fn deep_nesting_is_skipped_without_recursion() {
     assert_eq!(err.id, Some(3));
     assert_eq!(err.message, "missing or non-integer field 'policy'");
 }
+
+/// `depth` nested arrays, opened and closed.
+fn nested(depth: usize) -> String {
+    let mut s = "[".repeat(depth);
+    s.push_str(&"]".repeat(depth));
+    s
+}
+
+#[test]
+fn deep_nesting_inside_background_is_refused_without_recursion() {
+    let payload = format!(
+        "{{\"id\":3,\"policy\":1,\"offered\":5e8,\"premium\":3e8,\"background\":[330.0,{}]}}",
+        nested(1 << 19)
+    );
+    let err = Request::parse(payload.as_bytes()).unwrap_err();
+    assert_eq!(err.id, Some(3));
+    assert_eq!(err.message, "non-numeric element in 'background'");
+}
+
+#[test]
+fn deep_nesting_as_the_budget_is_refused_without_recursion() {
+    let payload = format!(
+        "{{\"id\":3,\"policy\":1,\"offered\":5e8,\"premium\":3e8,\"background\":[330.0],\"budget\":{}}}",
+        nested(1 << 19)
+    );
+    let err = Request::parse(payload.as_bytes()).unwrap_err();
+    assert_eq!(err.id, Some(3));
+    assert_eq!(err.message, "budget must be a number or null");
+}
