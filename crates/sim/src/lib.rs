@@ -17,7 +17,8 @@
 //! * [`metrics`] — per-hour records and monthly aggregates.
 //! * [`corpus`] — the 144-month decision corpus: one digest per month,
 //!   committed in `baselines/corpus.txt` to prove a change moves no
-//!   decision bit.
+//!   decision bit, and a per-hour dump and diff that name the hours a
+//!   change does move.
 //! * [`risk`] — the Monte-Carlo risk engine: N perturbed-seed month
 //!   simulations fanned across the worker pool, aggregated into
 //!   P50/P95/P99 bill and violation distributions.
