@@ -6,10 +6,14 @@
 //! integer variable once every binary is integral. Node order is a
 //! pure function of the model, so a solve returns the same bits on
 //! every run.
+//!
+//! The root box is the model's declared bounds, integer bounds rounded
+//! inward, and nothing else: no presolve tightens it. So every node
+//! pruned as infeasible is a revised-simplex verdict, which carries a
+//! Farkas row.
 
 use crate::error::SolveError;
 use crate::model::{Model, VarId, VarType};
-use crate::presolve::{propagate_from, PropBuffers};
 use crate::revised::{BasisState, RevisedEngine, RevisedError, RevisedOptions, RevisedSolution};
 use crate::solution::{MipStats, Solution, SolveTrace, Status};
 use crate::{GAP_TOL, INT_TOL};
@@ -25,13 +29,6 @@ use std::collections::BinaryHeap;
 pub struct MipSolver {
     /// Hard cap on explored nodes.
     pub max_nodes: usize,
-    /// Run activity-based bound propagation
-    /// ([`crate::presolve::propagate_bounds`]) on the root node's bounds
-    /// before the search (integer path only; pure-LP solves are
-    /// untouched so their duals stay exact). Propagated bounds are
-    /// implied by the model, so the optimum is unchanged — the search
-    /// just starts from a tighter box. Default `true`.
-    pub root_propagation: bool,
     /// Warm-start each child node's dual simplex from its parent's
     /// optimal basis instead of a cold all-slack basis. Default `true`;
     /// `false` runs every node cold, the differential oracle the tests
@@ -43,7 +40,6 @@ impl Default for MipSolver {
     fn default() -> Self {
         Self {
             max_nodes: 200_000,
-            root_propagation: true,
             warm_start: true,
         }
     }
@@ -52,14 +48,11 @@ impl Default for MipSolver {
 /// Every buffer a MILP solve refills, kept between solves so a caller
 /// that solves model after model (the bill capper's decision engine
 /// keeps one for all its steps) stops paying for set-up allocations
-/// once the buffers have grown to its largest model:
-///
-/// * the revised engine: its CSC `[A | I]`, costs, bounds, right-hand
-///   side and CSC placement scratch, plus its solve workspace (basis
-///   list, LU factorization, eta file, `x_B`, the duals `y`, `ρ`, `w`,
-///   the bound-flip image and the ratio-test buffers);
-/// * the root bound propagation's `≤` rows, bound arrays and
-///   integrality flags.
+/// once the buffers have grown to its largest model: the revised
+/// engine's CSC `[A | I]`, costs, bounds, right-hand side and CSC
+/// placement scratch, plus its solve workspace (basis list, LU
+/// factorization, eta file, `x_B`, the duals `y`, `ρ`, `w`, the
+/// bound-flip image and the ratio-test buffers).
 ///
 /// [`MipSolver::solve_in`] rewrites every one of these values before it
 /// reads it, so a workspace serves models of any shape, in any order
@@ -70,7 +63,6 @@ impl Default for MipSolver {
 #[derive(Debug, Clone, Default)]
 pub struct MipWorkspace {
     engine: RevisedEngine,
-    prop: PropBuffers,
     /// Whether a solve has started on this workspace.
     used: bool,
 }
@@ -227,15 +219,15 @@ impl MipSolver {
     /// without a root basis.
     ///
     /// The returned basis is `None` when the search stopped before its
-    /// root relaxation was solved (an infeasibility proved in set-up);
-    /// callers then cold-start the next solve.
+    /// root relaxation was solved; callers then cold-start the next
+    /// solve.
     pub fn solve_in(
         &self,
         model: &Model,
         root_basis: Option<&BasisState>,
         ws: &mut MipWorkspace,
     ) -> Result<(Solution, Option<BasisState>), SolveError> {
-        // The span covers the set-up too: validation, propagation and
+        // The span covers the set-up too: validation, bound rounding and
         // the engine load.
         let mut mip_span = billcap_obs::span("mip");
         let mut trace = SolveTrace {
@@ -277,25 +269,7 @@ impl MipSolver {
             root_bounds[v.index()] = (lb, ub);
         }
 
-        // Tighten the root box with activity-based bound propagation.
-        // The propagated bounds are implied by the constraints, so no
-        // integer-feasible point is cut; a propagation-time infeasibility
-        // proof short-circuits the whole search. Propagation rounds
-        // integer bounds inward with the same rule as above, so starting
-        // it from the rounded box gives the bounds it gives from the
-        // declared one.
-        let MipWorkspace { engine, prop, .. } = ws;
-        if self.root_propagation {
-            propagate_from(model, &root_bounds, prop)?;
-            for (rb, (&pl, &pu)) in root_bounds.iter_mut().zip(prop.lb.iter().zip(&prop.ub)) {
-                rb.0 = rb.0.max(pl);
-                rb.1 = rb.1.min(pu);
-                if rb.0 > rb.1 {
-                    return Err(SolveError::Infeasible);
-                }
-            }
-        }
-
+        let engine = &mut ws.engine;
         engine.load(model);
         let mut frontier = BinaryHeap::new();
         frontier.push(Node {

@@ -18,9 +18,13 @@
 //!   its parent's basis.
 //! * [`branch`] — [`MipSolver`]: pure LPs solve directly on the revised
 //!   engine; models with integer variables run a sequential best-bound
-//!   branch-and-bound over its relaxations, branching on the most
-//!   fractional binary variable first and, once every binary is
-//!   integral, on the most fractional general integer variable.
+//!   branch-and-bound over its relaxations from the declared bounds,
+//!   branching on the most fractional binary variable first and, once
+//!   every binary is integral, on the most fractional general integer
+//!   variable.
+//! * [`presolve`] — activity-based bound propagation
+//!   ([`propagate_bounds`]), the static analysis behind the linter's
+//!   `M007` infeasibility proofs; the solver does not run it.
 //! * [`certify`] — solver-free proofs: [`certify_solution`] checks an
 //!   answer (primal feasibility, integrality and, for LPs, the duals);
 //!   the module's crate-private checkers prove an infeasible verdict from

@@ -589,7 +589,7 @@ fn check_propagation(
                 location: model.name.clone(),
                 message: format!(
                     "bound propagation tightened {} bound(s) in {} round(s); \
-                     the branch-and-bound root starts from the tighter box",
+                     the rows imply a tighter box than the declared bounds",
                     prop.tightened, prop.rounds
                 ),
             });

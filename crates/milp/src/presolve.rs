@@ -1,14 +1,14 @@
-//! Activity-based bound propagation, the one presolve reduction the
-//! solver runs.
+//! Activity-based bound propagation, the model linter's static
+//! analysis.
 //!
 //! Each row's minimum activity implies a bound on every participating
 //! variable (e.g. the big-M row `q − u·z ≤ 0` with `z ∈ [0, 1]` implies
 //! `q ≤ u`), and sweeps repeat to a fixpoint. A singleton row folds into
 //! its variable's bounds the same way, and an emptied domain is a static
 //! proof of infeasibility. [`propagate_bounds`] runs it on a model's
-//! declared bounds; the branch-and-bound root (see
-//! [`crate::MipSolver::root_propagation`]) and the model linter
-//! (`M007`) use it.
+//! declared bounds for the linter's `M007` and `M009` checks. The
+//! solver does not run it: on the capper's models its sweeps cost more
+//! time than the branch-and-bound nodes they saved.
 
 use crate::error::SolveError;
 use crate::model::{ConstraintOp, Model, VarType};
@@ -42,10 +42,7 @@ pub struct Propagation {
 /// `r` is `terms[start[r]..start[r + 1]]` with right-hand side `rhs[r]`.
 /// A `Ge` constraint is stored negated and an `Eq` constraint as both
 /// directions, so the propagation pass only ever reasons about minimum
-/// activity against an upper bound. [`clear`](Self::clear) empties the
-/// rows and keeps the capacity; it must run before the first
-/// [`push`](Self::push).
-#[derive(Debug, Clone, Default)]
+/// activity against an upper bound.
 struct LeRows {
     start: Vec<usize>,
     terms: Vec<(usize, f64)>,
@@ -53,11 +50,17 @@ struct LeRows {
 }
 
 impl LeRows {
-    fn clear(&mut self) {
-        self.start.clear();
-        self.start.push(0);
-        self.terms.clear();
-        self.rhs.clear();
+    /// Every constraint of `model`.
+    fn of(model: &Model) -> Self {
+        let mut rows = LeRows {
+            start: vec![0],
+            terms: Vec::new(),
+            rhs: Vec::new(),
+        };
+        for c in model.constraints() {
+            rows.push(c.terms.iter().map(|&(v, co)| (v.index(), co)), c.op, c.rhs);
+        }
+        rows
     }
 
     /// Appends constraint `terms op rhs` as one or two `≤` rows.
@@ -184,71 +187,24 @@ fn propagate_pass(
     Ok(changed)
 }
 
-/// Activity-based bound propagation over the whole model, standalone.
+/// Activity-based bound propagation over the whole model.
 ///
 /// Every returned bound is *implied* by the declared bounds plus the
 /// constraints, so replacing the declared bounds with the propagated
 /// ones changes neither the feasible set nor the optimum — it only
-/// shrinks the LP relaxation. The branch-and-bound root uses this (see
-/// [`crate::MipSolver::root_propagation`]) and the model linter reports
-/// it as the `M007` static-infeasibility check.
+/// shrinks the LP relaxation. The model linter reports an emptied
+/// domain as `M007` and reads the propagated box for `M009`.
 ///
 /// Returns [`SolveError::Infeasible`] when propagation empties a
 /// variable's domain: a proof of infeasibility with zero simplex work.
 pub fn propagate_bounds(model: &Model) -> Result<Propagation, SolveError> {
     model.validate()?;
-    let mut buf = PropBuffers::default();
-    let (tightened, rounds) = propagate_from(model, &model.var_bounds(), &mut buf)?;
-    Ok(Propagation {
-        bounds: buf.lb.iter().copied().zip(buf.ub.iter().copied()).collect(),
-        tightened,
-        rounds,
-    })
-}
-
-/// The arrays of one propagation run, kept between solves by a
-/// [`crate::branch::MipWorkspace`]. [`propagate_from`] clears and
-/// refills every one before reading it; after a successful run `lb` and
-/// `ub` hold the propagated bounds.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PropBuffers {
-    rows: LeRows,
-    pub(crate) lb: Vec<f64>,
-    pub(crate) ub: Vec<f64>,
-    is_int: Vec<bool>,
-}
-
-/// [`propagate_bounds`] from an explicit starting box, for a model the
-/// caller has already validated (the branch-and-bound root), into
-/// `buf`'s arrays. `bounds` must be at least as tight as the declared
-/// bounds (a branch-and-bound node's box always is); the propagated
-/// bounds are implied by `bounds` plus the constraints, so a node may
-/// substitute them for its own box without changing the set of
-/// integer-feasible completions. They land in `buf.lb` / `buf.ub`, and
-/// the return value is `(tightenings, rounds)` as in [`Propagation`].
-pub(crate) fn propagate_from(
-    model: &Model,
-    bounds: &[(f64, f64)],
-    buf: &mut PropBuffers,
-) -> Result<(usize, usize), SolveError> {
-    debug_assert_eq!(bounds.len(), model.num_vars());
-    let PropBuffers {
-        rows,
-        lb,
-        ub,
-        is_int,
-    } = buf;
-    lb.clear();
-    lb.extend(bounds.iter().map(|&(l, _)| l));
-    ub.clear();
-    ub.extend(bounds.iter().map(|&(_, u)| u));
-    is_int.clear();
-    is_int.extend(
-        model
-            .variables()
-            .iter()
-            .map(|v| matches!(v.var_type, VarType::Integer | VarType::Binary)),
-    );
+    let (mut lb, mut ub): (Vec<f64>, Vec<f64>) = model.var_bounds().into_iter().unzip();
+    let is_int: Vec<bool> = model
+        .variables()
+        .iter()
+        .map(|v| matches!(v.var_type, VarType::Integer | VarType::Binary))
+        .collect();
     // Integer bounds rounded inward first (not counted as tightenings).
     for j in 0..lb.len() {
         if is_int[j] {
@@ -263,16 +219,19 @@ pub(crate) fn propagate_from(
             }
         }
     }
-    rows.clear();
-    for c in model.constraints() {
-        rows.push(c.terms.iter().map(|&(v, co)| (v.index(), co)), c.op, c.rhs);
-    }
+    let rows = LeRows::of(model);
     let mut tightened = 0usize;
     let mut rounds = 0usize;
-    while rounds < PROP_MAX_ROUNDS && propagate_pass(rows, lb, ub, is_int, &mut tightened)? {
+    while rounds < PROP_MAX_ROUNDS
+        && propagate_pass(&rows, &mut lb, &mut ub, &is_int, &mut tightened)?
+    {
         rounds += 1;
     }
-    Ok((tightened, rounds))
+    Ok(Propagation {
+        bounds: lb.into_iter().zip(ub).collect(),
+        tightened,
+        rounds,
+    })
 }
 
 #[cfg(test)]
@@ -319,28 +278,28 @@ mod tests {
     }
 
     #[test]
-    fn propagate_with_tighter_box_sees_node_bounds() {
-        // x + y <= 6 with the model box [0, 10]^2: the declared bounds
-        // propagate to x, y <= 6, but a node that already branched y >= 4
-        // implies x <= 2 — visible only through the explicit-box entry
-        // point.
-        let mut m = Model::new("node", Sense::Maximize);
-        let x = m.add_cont("x", 0.0, 10.0);
-        let y = m.add_cont("y", 0.0, 10.0);
-        m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 6.0);
-        m.set_objective(vec![(x, 1.0), (y, 1.0)], 0.0);
+    fn a_tighter_declared_bound_propagates_through_a_row() {
+        // x + y <= 6 with the box [0, 10]^2 propagates to x, y <= 6; with
+        // y declared in [4, 10] instead, the same row implies x <= 2.
+        let model = |y_lb: f64| {
+            let mut m = Model::new("box", Sense::Maximize);
+            let x = m.add_cont("x", 0.0, 10.0);
+            let y = m.add_cont("y", y_lb, 10.0);
+            m.add_constraint("c", vec![(x, 1.0), (y, 1.0)], ConstraintOp::Le, 6.0);
+            m.set_objective(vec![(x, 1.0), (y, 1.0)], 0.0);
+            m
+        };
         let close = |got: (f64, f64), want: (f64, f64)| {
             assert!(
                 (got.0 - want.0).abs() < 1e-5 && (got.1 - want.1).abs() < 1e-5,
                 "{got:?} != {want:?}"
             );
         };
-        let root = propagate_bounds(&m).unwrap();
-        close(root.bounds[x.index()], (0.0, 6.0));
-        let mut node = PropBuffers::default();
-        propagate_from(&m, &[(0.0, 10.0), (4.0, 10.0)], &mut node).unwrap();
-        close((node.lb[x.index()], node.ub[x.index()]), (0.0, 2.0));
-        close((node.lb[y.index()], node.ub[y.index()]), (4.0, 6.0));
+        let wide = propagate_bounds(&model(0.0)).unwrap();
+        close(wide.bounds[0], (0.0, 6.0));
+        let tight = propagate_bounds(&model(4.0)).unwrap();
+        close(tight.bounds[0], (0.0, 2.0));
+        close(tight.bounds[1], (4.0, 6.0));
     }
 
     #[test]
@@ -439,8 +398,10 @@ mod tests {
     #[test]
     fn propagation_preserves_milp_optimum() {
         use crate::MipSolver;
-        // Same big-M structure the optimizers build; solving with and
-        // without root propagation must agree exactly.
+        // Same big-M structure the optimizers build. The linter reads the
+        // propagated box as implied by the rows, so the MILP optimum must
+        // lie inside it, and solving over that box instead of the
+        // declared one must find the same optimum.
         let mut m = Model::new("opt", Sense::Minimize);
         let q0 = m.add_cont("q0", 0.0, 500.0);
         let q1 = m.add_cont("q1", 0.0, 500.0);
@@ -452,15 +413,20 @@ mod tests {
         m.add_constraint("one", vec![(z0, 1.0), (z1, 1.0)], ConstraintOp::Eq, 1.0);
         m.add_constraint("dem", vec![(q0, 1.0), (q1, 1.0)], ConstraintOp::Ge, 180.0);
         m.set_objective(vec![(q0, 30.0), (q1, 45.0)], 0.0);
-        let with = MipSolver::default().solve(&m).unwrap();
-        let without = MipSolver {
-            root_propagation: false,
-            ..Default::default()
+        let declared = MipSolver::default().solve(&m).unwrap();
+        assert!(m.is_feasible(&declared.values, 1e-6));
+        let prop = propagate_bounds(&m).unwrap();
+        assert!(prop.tightened >= 1);
+        let mut boxed = m.clone();
+        for (j, (&x, &(lb, ub))) in declared.values.iter().zip(&prop.bounds).enumerate() {
+            assert!(
+                lb - 1e-9 <= x && x <= ub + 1e-9,
+                "var {j}: {x} outside [{lb}, {ub}]"
+            );
+            boxed.set_var_bounds(crate::VarId::from_index(j), lb, ub);
         }
-        .solve(&m)
-        .unwrap();
-        assert_eq!(with.objective, without.objective);
-        assert!(m.is_feasible(&with.values, 1e-6));
+        let within = MipSolver::default().solve(&boxed).unwrap();
+        assert!((within.objective - declared.objective).abs() < 1e-9);
     }
 
     #[test]

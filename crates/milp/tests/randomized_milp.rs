@@ -173,17 +173,15 @@ fn objective_scaling_and_rhs_monotonicity() {
     });
 }
 
-/// Root bound propagation on models that actually trigger it: the base
+/// Bound propagation on models that actually trigger it: the base
 /// instance is decorated with a fixed variable coupled into a multi-term
 /// row, a singleton row tightening a bound, and a big-M indicator row.
-/// Propagation must tighten something without moving the fixed variable,
-/// and disabling it in the branch-and-bound must not move the optimum.
+/// Propagation must tighten something without moving the fixed variable.
+/// The linter reads the propagated box as implied by the rows, so the
+/// MILP optimum must lie inside it, and solving over that box instead of
+/// the declared bounds must find the same optimum.
 #[test]
-fn root_propagation_preserves_optimum_with_fixed_singleton_and_bigm_rows() {
-    let no_prop = MipSolver {
-        root_propagation: false,
-        ..Default::default()
-    };
+fn milp_optimum_lies_in_the_propagated_box_with_fixed_singleton_and_bigm_rows() {
     for_random_ips(0x7000, |rng, ip| {
         let mut model = build_model(ip, true);
         let vars: Vec<_> = (0..ip.n).map(billcap_milp::VarId::from_index).collect();
@@ -228,12 +226,20 @@ fn root_propagation_preserves_optimum_with_fixed_singleton_and_bigm_rows() {
         assert_eq!(prop.bounds[fixed.index()], (fv, fv), "fixed variable moved");
         assert!(model.is_feasible(&direct.values, 1e-6));
 
-        let unpropagated = no_prop.solve(&model).unwrap();
+        let mut boxed = model.clone();
+        for (j, (&x, &(lb, ub))) in direct.values.iter().zip(&prop.bounds).enumerate() {
+            assert!(
+                lb - 1e-6 <= x && x <= ub + 1e-6,
+                "the optimum's var {j} = {x} lies outside the propagated [{lb}, {ub}]"
+            );
+            boxed.set_var_bounds(billcap_milp::VarId::from_index(j), lb, ub);
+        }
+        let within = MipSolver::default().solve(&boxed).unwrap();
         assert!(
-            (unpropagated.objective - direct.objective).abs() < 1e-6,
-            "root propagation changed the optimum: {} vs {}",
+            (within.objective - direct.objective).abs() < 1e-6,
+            "the propagated box changed the optimum: {} vs {}",
             direct.objective,
-            unpropagated.objective
+            within.objective
         );
     });
 }

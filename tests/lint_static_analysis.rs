@@ -1,13 +1,10 @@
 //! Static-analysis subsystem end to end: the model linter (M0xx) and
 //! spec linter (S0xx) against a zoo of deliberately corrupted inputs,
-//! the committed example systems staying Error-free, and the headline
-//! payoff — root bound propagation shrinking the branch-and-bound tree
-//! over the one-week reference workload's step models without changing
-//! any optimum.
+//! and the committed example systems staying Error-free.
 
 #![forbid(unsafe_code)]
 
-use billcap_core::{lint_system, Allocation, CostMinimizer, DataCenterSystem, ThroughputMaximizer};
+use billcap_core::{lint_system, DataCenterSystem};
 use billcap_market::{PricingPolicySet, StepPolicy};
 use billcap_milp::{lint_model, ConstraintOp, Model, Sense, Severity, VarType};
 use billcap_sim::Scenario;
@@ -179,78 +176,4 @@ fn pricing_policy_set_constructors_are_clean() {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// The payoff: root bound propagation shrinks the search on the
-// one-week reference workload without changing any optimum.
-// ---------------------------------------------------------------------
-
-#[test]
-fn propagation_reduces_bnb_nodes_on_reference_week() {
-    let scenario = Scenario::paper_default(1, 42);
-    let hours = 168;
-    let budget_per_hour = Scenario::STRINGENT_BUDGET / 720.0;
-
-    let (min_with, max_with) = (CostMinimizer::default(), ThroughputMaximizer::default());
-    let mut min_without = CostMinimizer::default();
-    let mut max_without = ThroughputMaximizer::default();
-    min_without.solver.root_propagation = false;
-    max_without.solver.root_propagation = false;
-
-    let mut nodes = [0usize; 2];
-    let mut iters = [0usize; 2];
-    let mut count = |a: &Allocation, b: &Allocation| {
-        for (i, alloc) in [a, b].into_iter().enumerate() {
-            let stats = alloc.stats.as_ref().expect("a MIP solve");
-            nodes[i] += stats.nodes;
-            iters[i] += stats.trace.lp.iterations;
-        }
-    };
-    let same = |x: f64, y: f64| (x - y).abs() <= 1e-6 * x.abs().max(1.0);
-    for h in 0..hours {
-        let offered = scenario.workload.values()[h];
-        let background: Vec<f64> = scenario.background.iter().map(|b| b.values()[h]).collect();
-        let sys = &scenario.system;
-
-        // The hour's step-1 model: the same minimum cost either way.
-        let a = min_with.solve(sys, offered, &background).expect("step 1");
-        let b = min_without
-            .solve(sys, offered, &background)
-            .expect("step 1");
-        assert!(
-            same(a.total_cost, b.total_cost),
-            "hour {h} step 1: cost {} vs {}",
-            a.total_cost,
-            b.total_cost
-        );
-        count(&a, &b);
-
-        // The hour's step-2 model: the same maximum throughput.
-        let a = max_with.solve(sys, offered, &background, budget_per_hour);
-        let b = max_without.solve(sys, offered, &background, budget_per_hour);
-        match (a, b) {
-            (Ok(a), Ok(b)) => {
-                assert!(
-                    same(a.total_lambda, b.total_lambda),
-                    "hour {h} step 2: admitted {} vs {}",
-                    a.total_lambda,
-                    b.total_lambda
-                );
-                count(&a, &b);
-            }
-            (a, b) => assert_eq!(a.err(), b.err(), "hour {h} step 2: verdicts"),
-        }
-    }
-
-    let ([nodes_with, nodes_without], [iters_with, iters_without]) = (nodes, iters);
-    assert!(
-        nodes_with < nodes_without,
-        "propagation must shrink the tree: {nodes_with} vs {nodes_without} nodes"
-    );
-    assert!(
-        iters_with < iters_without,
-        "fewer nodes must also mean less simplex work: \
-         {iters_with} vs {iters_without} LP iterations"
-    );
 }

@@ -147,13 +147,13 @@ fn traced_week_is_consistent_with_report() {
     // the first pivot, one at exit). Recomputing both every pivot
     // (`refactor_every: 1`) reads above 2 FTRANs and 1.6 BTRANs here.
     let pivots = snap.counters["milp.lp.iterations"];
-    assert_eq!(pivots, 728);
+    assert_eq!(pivots, 802);
     let ftrans = snap.counters["milp.lp.ftran_calls"];
     let btrans = snap.counters["milp.lp.btran_calls"];
     let xb_refreshes = snap.counters["milp.lp.xb_refreshes"];
-    assert_eq!(ftrans, 1406);
-    assert_eq!(btrans, 1236);
-    assert_eq!(xb_refreshes, 508);
+    assert_eq!(ftrans, 1502);
+    assert_eq!(btrans, 1354);
+    assert_eq!(xb_refreshes, 541);
     let refactorizations = snap.counters["milp.lp.refactorizations"];
     let starts = snap.counters["milp.lp.factorizations"] - refactorizations;
     let kernel_ftrans = ftrans - (xb_refreshes - refactorizations);
